@@ -22,12 +22,24 @@ from scipy.stats import chi2
 from .engine import (
     Ensemble,
     ExperimentConfig,
-    _TrialStream,
     conditional_given_c,
+    counter_uniforms,
     exact_experiment_distribution,
     marginal_over_c,
 )
-from .qcore import BellOutcome, _bsm_step, _spin_step, singlet
+from .qcore import (
+    BellOutcome,
+    BsmStep,
+    SpinMeasurement,
+    StateVector,
+    _branch_outcomes,
+    sample_branches,
+    singlet,
+)
+
+# Not called here; bench/tracer.py wraps these names in this module to
+# count the collapse calls made from it.
+from .qcore import _bsm_step, _spin_step  # noqa: F401
 
 SETTING_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -373,21 +385,21 @@ def teleport_channel_demo(controlled: bool, n: int, seed: int) -> TeleportReport
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    # Draws per trial: the input bit (0 below 1/2), the joint measurement,
+    # then the output spin, measured along z.
+    u = counter_uniforms(seed, np.arange(n), 3)
+    x = u[:, 0] >= 0.5
+    plan = (BsmStep(0, 1), SpinMeasurement(2, 0.0))
+    psi_minus = _branch_outcomes(plan[0]).index(BellOutcome.PSI_MINUS)
     res = singlet().amplitudes
-    inputs = [
-        np.kron(np.array(basis, dtype=np.complex128), res)
-        for basis in ((1.0, 0.0), (0.0, 1.0))
-    ]
     counts = np.zeros((2, 2), dtype=np.int64)
-    stream = _TrialStream()
-    for trial_id in range(n):
-        rng = stream.reset(seed, trial_id)
-        x = 0 if rng.random() < 0.5 else 1
-        outcome, amps = _bsm_step(inputs[x], 3, 0, 1, rng.random(), False, True)
-        if controlled and outcome is not BellOutcome.PSI_MINUS:
-            continue
-        spin, _ = _spin_step(amps, 3, 2, 0.0, rng.random())
-        counts[x, 0 if spin == 1 else 1] += 1
+    for bit, basis in enumerate(((1.0, 0.0), (0.0, 1.0))):
+        initial = StateVector(3, np.kron(np.array(basis, dtype=np.complex128), res))
+        codes = sample_branches(initial, plan, u[x == bit, 1:])
+        if controlled:
+            codes = codes[codes[:, 0] == psi_minus]
+        # Spin code 0 is the +1 outcome, read as output bit 0.
+        counts[bit] = np.bincount(codes[:, 1], minlength=2)
     kept = int(counts.sum())
     p_match = float((counts[0, 0] + counts[1, 1]) / kept) if kept else None
     mi = mutual_information_bits(counts) if kept else 0.0

@@ -7,6 +7,8 @@ teleport (the controlled-collider channel demo).
 
 Option values resolve as: explicit flag, then config-file entry, then the
 SWAPSIM_SEED environment variable (seed only), then the built-in default.
+A config-file key that names no option of the subcommand is a usage error,
+and so is a seed outside [0, 2**64).
 Exit codes: 0 success, 2 usage error, 3 I/O failure.
 """
 
@@ -63,6 +65,10 @@ def load_config_file(path: str) -> dict[str, str]:
     return values
 
 
+# Namespace entries that are not options a config file may set.
+_NOT_CONFIGURABLE = {"command", "func", "config"}
+
+
 class _Resolver:
     """Flag > config file > environment > builtin default."""
 
@@ -73,10 +79,15 @@ class _Resolver:
         if getattr(args, "config", None):
             try:
                 self.file_cfg = load_config_file(args.config)
-            except OSError:
-                raise
             except ValueError as exc:
                 parser.error(str(exc))
+            known = {name.replace("_", "-") for name in vars(args)} - _NOT_CONFIGURABLE
+            for key in self.file_cfg:
+                if key not in known:
+                    parser.error(
+                        f"unknown config-file key {key!r} for {args.command}; "
+                        f"expected one of {sorted(known)}"
+                    )
 
     def get(self, attr: str, cast, default):
         flag_val = getattr(self.args, attr, None)
@@ -92,15 +103,18 @@ class _Resolver:
 
     def seed(self) -> int:
         value = self.get("seed", int, None)
-        if value is not None:
-            return value
-        env = os.environ.get("SWAPSIM_SEED")
-        if not env:
-            return BUILTIN_DEFAULTS["seed"]
+        if value is None:
+            env = os.environ.get("SWAPSIM_SEED")
+            if not env:
+                return BUILTIN_DEFAULTS["seed"]
+            try:
+                value = int(env)
+            except ValueError:
+                self.parser.error(f"SWAPSIM_SEED must be an integer, got {env!r}")
         try:
-            return int(env)
-        except ValueError:
-            self.parser.error(f"SWAPSIM_SEED must be an integer, got {env!r}")
+            return engine.check_seed(value)
+        except ValueError as exc:
+            self.parser.error(str(exc))
 
 
 def _positive_trials(res: _Resolver) -> int:
@@ -140,6 +154,23 @@ def _chsh_or_none(table: analysis.CorrelatorTable) -> dict | None:
         return None
 
 
+def _exact_section(config: engine.ExperimentConfig) -> dict:
+    """Exact diagnostics; entries undefined for the config are None: the
+    heralded correlators and CHSH when the herald has zero probability, and
+    fragility when the central measurement is disabled."""
+    section: dict = {"correlators": None, "chsh": None}
+    try:
+        exact_table = analysis.exact_heralded_correlators(config)
+    except ValueError:  # conditioning on a zero-probability herald
+        pass
+    else:
+        section["correlators"] = _correlator_cells(exact_table)
+        section["chsh"] = analysis.chsh(exact_table).as_json()
+    section["nda"] = analysis.no_difference_check(config).as_json()
+    section["fragility"] = analysis.fragility(config).as_json() if config.c_enabled else None
+    return section
+
+
 def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     res = _Resolver(args, parser)
     config = _experiment_config(res)
@@ -171,13 +202,7 @@ def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         ],
     }
     if exact:
-        exact_table = analysis.exact_heralded_correlators(config)
-        report["exact"] = {
-            "correlators": _correlator_cells(exact_table),
-            "chsh": analysis.chsh(exact_table).as_json(),
-            "nda": analysis.no_difference_check(config).as_json(),
-            "fragility": analysis.fragility(config).as_json(),
-        }
+        report["exact"] = _exact_section(config)
 
     io.write_ensemble_csv(f"{out}.csv", ensemble)
     io.write_json(f"{out}.json", io.ensemble_json_payload(ensemble, meta))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -24,12 +25,17 @@ from .geometry import EventLabel, boosted_time_order, preset_by_name
 from .qcore import (
     BellOutcome,
     BsmStep,
+    PlanStep,
     SpinMeasurement,
-    _bsm_step,
-    _spin_step,
+    _branch_outcomes,
     exact_branch_enumeration,
     make_two_singlets,
+    sample_branches,
 )
+
+# Not called here; bench/tracer.py wraps these names in this module to
+# count the collapse calls made from it.
+from .qcore import _bsm_step, _spin_step  # noqa: F401
 
 A_QUBIT = 0
 B_QUBIT = 3
@@ -51,6 +57,21 @@ HERALD_PREDICATES: dict[str, frozenset[BellOutcome]] = {
 
 GEOMETRY_NAMES = ("early", "delayed", "spacelike")
 
+SEED_LIMIT = 2**64  # seeds key the 64-bit first word of the Philox key
+
+
+def check_seed(seed) -> int:
+    """Return ``seed`` as an int, or raise ValueError unless it is an integer
+    in [0, 2**64). ExperimentConfig, counter_uniforms (and so every runner)
+    and the CLI take their seed through here."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
+    if not 0 <= value < SEED_LIMIT:
+        raise ValueError(f"seed must be in [0, 2**64), got {value}")
+    return value
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -70,8 +91,7 @@ class ExperimentConfig:
             )
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        object.__setattr__(self, "seed", check_seed(self.seed))
         for name in ("angles_a", "angles_b"):
             angles = getattr(self, name)
             if len(angles) != 2:
@@ -137,17 +157,19 @@ def trial_rng(seed: int, trial_id: int) -> np.random.Generator:
 
     The key construction makes trial streams addressable out of order, so
     trials may be generated in parallel with output identical to sequential
-    execution.
+    execution. ``counter_uniforms`` draws the same numbers for many trials
+    at once.
     """
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, trial_id], dtype=np.uint64)
+    key = np.array([seed, trial_id], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 class _TrialStream:
     """Reusable generator producing exactly the trial_rng streams.
 
-    Rekeying one Philox in place avoids per-trial BitGenerator construction
-    in hot loops; equivalence with trial_rng is covered by tests.
+    Rekeying one Philox in place avoids per-trial BitGenerator construction;
+    the scalar reference loops in the tests use it, the runners use
+    counter_uniforms.
     """
 
     def __init__(self) -> None:
@@ -164,10 +186,72 @@ class _TrialStream:
         }
 
     def reset(self, seed: int, trial_id: int) -> np.random.Generator:
-        self._key[0] = seed & 0xFFFFFFFFFFFFFFFF
+        self._key[0] = seed
         self._key[1] = trial_id
         self._bitgen.state = self._state
         return self.generator
+
+
+# Philox4x64-10 (Salmon et al., SC'11) as numpy's Philox runs it.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_U64 = (1 << 64) - 1
+_LO32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+# Trials per Philox batch: bounds the temporaries whatever the trial count.
+PHILOX_CHUNK_TRIALS = 1 << 12
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit product m * x, elementwise,
+    from 32-bit halves (Hacker's Delight, mulhu); no partial sum overflows."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LO32, x >> _S32
+    t = x_hi * m_lo + ((x_lo * m_lo) >> _S32)
+    w1 = x_lo * m_hi + (t & _LO32)
+    hi = x_hi * m_hi + (t >> _S32) + (w1 >> _S32)
+    return hi, x * np.uint64(m)
+
+
+def _philox_blocks(seed: int, ids: np.ndarray, blocks: int) -> np.ndarray:
+    """Output words of counter blocks 1..blocks under keys (seed, id):
+    shape (len(ids), 4 * blocks), in the order numpy's Philox emits them."""
+    shape = (ids.size, blocks)
+    ctr = [
+        np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape).ravel(),
+        np.zeros(ids.size * blocks, dtype=np.uint64),
+        np.zeros(ids.size * blocks, dtype=np.uint64),
+        np.zeros(ids.size * blocks, dtype=np.uint64),
+    ]
+    key0 = seed
+    key1 = np.repeat(ids, blocks)
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            key0 = (key0 + _PHILOX_W[0]) & _U64
+            key1 = key1 + np.uint64(_PHILOX_W[1])
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], ctr[0])
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], ctr[2])
+        ctr = [hi1 ^ ctr[1] ^ np.uint64(key0), lo1, hi0 ^ ctr[3] ^ key1, lo0]
+    return np.stack(ctr, axis=-1).reshape(ids.size, 4 * blocks)
+
+
+def counter_uniforms(seed: int, trial_ids, k: int) -> np.ndarray:
+    """The first k uniforms of each trial's stream, shape (len(trial_ids), k).
+
+    Row i equals ``trial_rng(seed, trial_ids[i]).random(k)`` bit for bit:
+    the uniforms are a pure function of (seed, trial_id, draw index), so any
+    set of trials is drawn at once, in chunks of PHILOX_CHUNK_TRIALS.
+    """
+    seed = check_seed(seed)
+    ids = np.asarray(trial_ids, dtype=np.uint64).ravel()
+    out = np.empty((ids.size, k), dtype=np.float64)
+    blocks = -(-k // 4)
+    for start in range(0, ids.size, PHILOX_CHUNK_TRIALS):
+        chunk = ids[start : start + PHILOX_CHUNK_TRIALS]
+        words = _philox_blocks(seed, chunk, blocks)[:, :k]
+        out[start : start + chunk.size] = (words >> np.uint64(11)) * 2.0**-53
+    return out
 
 
 def measurement_order(geometry: str) -> tuple[EventLabel, ...]:
@@ -181,8 +265,24 @@ def measurement_order(geometry: str) -> tuple[EventLabel, ...]:
     return tuple(label for label in order if label in wanted)
 
 
-def _draw_bit(rng: np.random.Generator) -> int:
-    return 0 if rng.random() < 0.5 else 1
+def _setting_plan(
+    config: ExperimentConfig, order: tuple[EventLabel, ...], a: int, b: int
+) -> tuple[list[PlanStep], list[str]]:
+    """Measurement plan for settings (a, b) in execution order, with the
+    label ("A", "B" or "C") of each step; C is left out when disabled."""
+    plan: list[PlanStep] = []
+    labels: list[str] = []
+    for label in order:
+        if label is EventLabel.A:
+            plan.append(SpinMeasurement(A_QUBIT, config.angles_a[a]))
+            labels.append("A")
+        elif label is EventLabel.B:
+            plan.append(SpinMeasurement(B_QUBIT, config.angles_b[b]))
+            labels.append("B")
+        elif config.c_enabled:
+            plan.append(BsmStep(BSM_PAIR[0], BSM_PAIR[1], partial=config.bsm_partial))
+            labels.append("C")
+    return plan, labels
 
 
 def run_trials(config: ExperimentConfig) -> Ensemble:
@@ -190,33 +290,35 @@ def run_trials(config: ExperimentConfig) -> Ensemble:
 
     Per-trial draw order: setting a, setting b, then one uniform per executed
     measurement in geometry time order (the C draw is skipped when the C
-    measurement is disabled).
+    measurement is disabled). A setting is 0 when its draw is below 1/2.
     """
     order = measurement_order(config.geometry)
-    herald_set = config.herald_set()
-    initial = make_two_singlets().amplitudes
-    stream = _TrialStream()
-    records = []
-    for trial_id in range(config.n_trials):
-        rng = stream.reset(config.seed, trial_id)
-        a = _draw_bit(rng)
-        b = _draw_bit(rng)
-        amps = initial
-        out_a = out_b = 0
-        c_outcome: BellOutcome | None = None
-        for label in order:
-            if label is EventLabel.A:
-                out_a, amps = _spin_step(amps, 4, A_QUBIT, config.angles_a[a], rng.random())
-            elif label is EventLabel.B:
-                out_b, amps = _spin_step(amps, 4, B_QUBIT, config.angles_b[b], rng.random())
-            elif config.c_enabled:
-                c_outcome, amps = _bsm_step(
-                    amps, 4, BSM_PAIR[0], BSM_PAIR[1], rng.random(),
-                    config.bsm_partial, True,
-                )
-        heralded = c_outcome is not None and c_outcome in herald_set
-        records.append(TrialRecord(trial_id, a, b, out_a, out_b, c_outcome, heralded))
-    return Ensemble(tuple(records), config_digest(config), config.seed)
+    initial = make_two_singlets()
+    n = config.n_trials
+    plans = {(a, b): _setting_plan(config, order, a, b) for a in (0, 1) for b in (0, 1)}
+    labels = plans[0, 0][1]
+    draws = counter_uniforms(config.seed, np.arange(n), 2 + len(labels))
+    a = (draws[:, 0] >= 0.5).astype(np.intp)
+    b = (draws[:, 1] >= 0.5).astype(np.intp)
+    codes = np.empty((n, len(labels)), dtype=np.int8)
+    for (sa, sb), (plan, _labels) in plans.items():
+        rows = np.flatnonzero((a == sa) & (b == sb))
+        codes[rows] = sample_branches(initial, plan, draws[rows, 2:])
+    column = {label: codes[:, d] for d, label in enumerate(labels)}
+    out_a = 1 - 2 * column["A"].astype(np.intp)  # spin code 0 is +1, code 1 is -1
+    out_b = 1 - 2 * column["B"].astype(np.intp)
+    if "C" in column:
+        outcomes = _branch_outcomes(plans[0, 0][0][labels.index("C")])
+        heralds = np.array([o in config.herald_set() for o in outcomes])
+        c_outcomes = [outcomes[c] for c in column["C"].tolist()]
+        heralded = heralds[column["C"]].tolist()
+    else:
+        c_outcomes, heralded = [None] * n, [False] * n
+    records = tuple(map(
+        TrialRecord, range(n), a.tolist(), b.tolist(), out_a.tolist(), out_b.tolist(),
+        c_outcomes, heralded,
+    ))
+    return Ensemble(records, config_digest(config), config.seed)
 
 
 def post_select(
@@ -252,18 +354,7 @@ def exact_experiment_distribution(config: ExperimentConfig) -> dict[JointKey, fl
     table: dict[JointKey, float] = {}
     for a in (0, 1):
         for b in (0, 1):
-            plan = []
-            labels = []
-            for label in order:
-                if label is EventLabel.A:
-                    plan.append(SpinMeasurement(A_QUBIT, config.angles_a[a]))
-                    labels.append("A")
-                elif label is EventLabel.B:
-                    plan.append(SpinMeasurement(B_QUBIT, config.angles_b[b]))
-                    labels.append("B")
-                elif config.c_enabled:
-                    plan.append(BsmStep(BSM_PAIR[0], BSM_PAIR[1], partial=config.bsm_partial))
-                    labels.append("C")
+            plan, labels = _setting_plan(config, order, a, b)
             for outcomes, p in exact_branch_enumeration(initial, plan).items():
                 named = dict(zip(labels, outcomes))
                 key = (a, b, named["A"], named["B"], named.get("C"))

@@ -1,9 +1,10 @@
 """Exact statevector core for small spin systems.
 
 Pure-state representation for up to five qubits, planar spin measurements,
-full and partial Bell-state measurements, and exhaustive branch enumeration
-of measurement plans (no sampling). All operations return new values; states
-are immutable after construction.
+full and partial Bell-state measurements, exhaustive branch enumeration of
+measurement plans, and a branch-tree sampler that draws many trials of one
+plan at once. All operations return new values; states are immutable after
+construction.
 
 Conventions: qubit 0 is the most significant bit of the basis-state index,
 |0> is spin-up, and the singlet is (|01> - |10>)/sqrt(2) with the |01>
@@ -297,6 +298,24 @@ def bell_outcome_probabilities(
     return probs
 
 
+def _bsm_probs(
+    amps: np.ndarray, q_left: int, q_right: int, partial: bool, resolve_psi_plus: bool
+) -> tuple[dict, list[tuple[BellOutcome, float]], list[BellOutcome]]:
+    """Projections by Bell outcome, the reported (outcome, weight) list in
+    cumulative-threshold order, and the outcomes folded into NO_HERALD."""
+    proj = [(o, _project_bell(amps, q_left, q_right, o)) for o in _BELL_TENSORS]
+    folded: list[BellOutcome] = []
+    if partial:
+        resolved, folded = _partial_outcomes(resolve_psi_plus)
+        probs = [(o, w) for o, (_c, w) in proj if o in resolved]
+        probs.append(
+            (BellOutcome.NO_HERALD, sum(w for o, (_c, w) in proj if o in folded))
+        )
+    else:
+        probs = [(o, w) for o, (_c, w) in proj]
+    return dict(proj), probs, folded
+
+
 def _bsm_step(
     amps: np.ndarray,
     n: int,
@@ -307,15 +326,7 @@ def _bsm_step(
     resolve_psi_plus: bool,
 ) -> tuple[BellOutcome, np.ndarray]:
     """Raw Bell-basis collapse on unwrapped amplitudes; inputs assumed valid."""
-    proj = [(o, _project_bell(amps, q_left, q_right, o)) for o in _BELL_TENSORS]
-    if partial:
-        resolved, folded = _partial_outcomes(resolve_psi_plus)
-        probs = [(o, w) for o, (_c, w) in proj if o in resolved]
-        probs.append(
-            (BellOutcome.NO_HERALD, sum(w for o, (_c, w) in proj if o in folded))
-        )
-    else:
-        probs = [(o, w) for o, (_c, w) in proj]
+    projections, probs, folded = _bsm_probs(amps, q_left, q_right, partial, resolve_psi_plus)
     chosen = None
     acc = 0.0
     for o, p in probs:
@@ -328,7 +339,6 @@ def _bsm_step(
         if not positive:
             raise RuntimeError("no Bell outcome has positive probability")
         chosen = positive[-1]
-    projections = dict(proj)
     if chosen is BellOutcome.NO_HERALD:
         post = np.zeros(2**n, dtype=np.complex128)
         weight = 0.0
@@ -434,3 +444,115 @@ def exact_branch_enumeration(
 
     recurse(initial.amplitudes, 0, ())
     return table
+
+
+def _collapse(amps: np.ndarray, n: int, step: PlanStep, draw: float):
+    if isinstance(step, SpinMeasurement):
+        return _spin_step(amps, n, step.qubit, step.angle, draw)
+    return _bsm_step(
+        amps, n, step.q_left, step.q_right, draw, step.partial, step.resolve_psi_plus
+    )
+
+
+def _step_thresholds(amps: np.ndarray, step: PlanStep) -> list[float]:
+    """Upper edges of the draw intervals the collapse step compares against.
+
+    Slot i covers [edge i-1, edge i); a draw at or above the last edge takes
+    the final slot: the -1 spin outcome, or the BSM's last-positive fallback.
+    """
+    if isinstance(step, SpinMeasurement):
+        return [_project_spin(amps, step.qubit, _spin_components(step.angle))[1]]
+    _, probs, _ = _bsm_probs(
+        amps, step.q_left, step.q_right, step.partial, step.resolve_psi_plus
+    )
+    edges = []
+    acc = 0.0
+    for _o, p in probs:
+        acc += p
+        edges.append(acc)
+    return edges
+
+
+@dataclass(frozen=True)
+class _BranchNode:
+    """One collapse step at a fixed pre-measurement state.
+
+    ``codes[s]`` indexes ``_branch_outcomes(step)`` for slot s, and
+    ``children[s]`` is the next node, None past the last step, or the
+    RuntimeError message a draw in that slot raises.
+    """
+
+    thresholds: np.ndarray
+    codes: tuple[int, ...]
+    children: tuple
+
+
+_UNREACHABLE = "draw outside every outcome interval"
+
+
+def _build_branch_node(amps: np.ndarray, n: int, plan: Sequence[PlanStep], depth: int):
+    if depth == len(plan):
+        return None
+    step = plan[depth]
+    outcomes = _branch_outcomes(step)
+    upper = _step_thresholds(amps, step)
+    built: dict[int, object] = {}
+    codes, children = [], []
+    for lower, top in zip([0.0] + upper, upper + [1.0]):
+        code, child = -1, _UNREACHABLE
+        if lower < min(top, 1.0):
+            # Collapsing at the slot's lower edge yields the outcome and
+            # post-state of every draw in the slot, bit for bit.
+            try:
+                outcome, post = _collapse(amps, n, step, lower)
+            except RuntimeError as exc:
+                child = str(exc)
+            else:
+                code = outcomes.index(outcome)
+                if code not in built:
+                    built[code] = _build_branch_node(post, n, plan, depth + 1)
+                child = built[code]
+        codes.append(code)
+        children.append(child)
+    return _BranchNode(np.array(upper), tuple(codes), tuple(children))
+
+
+def sample_branches(
+    initial: StateVector, plan: Sequence[PlanStep], draws: np.ndarray
+) -> np.ndarray:
+    """Sample a measurement plan for many trials at once.
+
+    ``draws`` has shape (m, len(plan)); row i holds the uniform draws trial
+    i feeds to the plan's steps in order. Returns an int8 array of the same
+    shape whose entry [i, d] indexes ``_branch_outcomes(plan[d])``. Each
+    row's outcomes are those of calling the collapse steps one after another
+    with that row's draws: the post-measurement state depends only on the
+    outcomes so far, so the plan is a tree, built once, whose node
+    thresholds are the steps' own cumulative weights.
+    """
+    n = initial.num_qubits
+    _validate_plan(n, plan)
+    draws = np.asarray(draws, dtype=np.float64)
+    if draws.ndim != 2 or draws.shape[1] != len(plan):
+        raise ValueError(f"draws must have shape (m, {len(plan)}), got {draws.shape}")
+    if draws.size and not (draws.min() >= 0.0 and draws.max() < 1.0):
+        raise ValueError("draws must lie in [0, 1)")
+    codes = np.full(draws.shape, -1, dtype=np.int8)
+    if not draws.size:
+        return codes
+    pending = [(_build_branch_node(initial.amplitudes, n, plan, 0), np.arange(len(draws)))]
+    for depth in range(len(plan)):
+        next_pending = []
+        for node, rows in pending:
+            slots = np.searchsorted(node.thresholds, draws[rows, depth], side="right")
+            for slot, child in enumerate(node.children):
+                sel = rows[slots == slot]
+                if not sel.size:
+                    continue
+                if isinstance(child, str):
+                    raise RuntimeError(child)
+                codes[sel, depth] = node.codes[slot]
+                if child is not None:
+                    next_pending.append((child, sel))
+        pending = next_pending
+    return codes

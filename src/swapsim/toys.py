@@ -20,7 +20,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .engine import DEFAULT_ANGLES_A, DEFAULT_ANGLES_B, _TrialStream
+import numpy as np
+
+from .engine import DEFAULT_ANGLES_A, DEFAULT_ANGLES_B, counter_uniforms
 
 _PM = (1, -1)
 _SETTINGS = (0, 1)
@@ -90,22 +92,21 @@ class ToyTrial:
 def _run_toy(n: int, seed: int, rule: AcceptanceRule, record_lambda: bool) -> list[ToyTrial]:
     if n < 1:
         raise ValueError("n must be >= 1")
-    weight = rule.weight
-    stream = _TrialStream()
-    trials = []
-    for trial_id in range(n):
-        rng = stream.reset(seed, trial_id)
-        u = rng.random(5)
-        # Declared outcome order per draw: 0 before 1 for settings, +1
-        # before -1 for outcomes.
-        a = 0 if u[0] < 0.5 else 1
-        b = 0 if u[1] < 0.5 else 1
-        A = 1 if u[2] < 0.5 else -1
-        B = 1 if u[3] < 0.5 else -1
-        accepted = u[4] < weight(a, b, A, B)
-        lam = (A, B) if record_lambda else None
-        trials.append(ToyTrial(trial_id, a, b, A, B, lam, bool(accepted)))
-    return trials
+    u = counter_uniforms(seed, np.arange(n), 5)
+    # Draws 0-3 pick a, b, A, B, the first declared option (setting 0,
+    # outcome +1) when below 1/2; draw 4 accepts when below w(a, b, A, B).
+    # rule.table() runs over (a, b, A, B) in that same order, so the four
+    # bits index its entries.
+    table = rule.table()
+    cell = (u[:, :4] >= 0.5) @ np.array([8, 4, 2, 1])
+    accepted = u[:, 4] < np.array(list(table.values()))[cell]
+    fields = [
+        (a, b, A, B, (A, B) if record_lambda else None, acc)
+        for (a, b, A, B) in table
+        for acc in (False, True)
+    ]
+    codes = (2 * cell + accepted).tolist()
+    return [ToyTrial(t, *fields[c]) for t, c in enumerate(codes)]
 
 
 def run_toy_collider(n: int, seed: int, rule: AcceptanceRule | None = None) -> list[ToyTrial]:
@@ -162,15 +163,10 @@ def rps_verdict(alice: RpsChoice, bob: RpsChoice) -> RpsVerdict:
 
 def run_rps(n: int, seed: int) -> list[RpsTrial]:
     """Independent uniform choices plus the game verdict; no physics, pure
-    selection-bias fodder."""
+    selection-bias fodder. Choice i is _CHOICES[int(3 * draw i)]."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    stream = _TrialStream()
-    trials = []
-    for trial_id in range(n):
-        rng = stream.reset(seed, trial_id)
-        u = rng.random(2)
-        alice = _CHOICES[int(u[0] * 3.0)]
-        bob = _CHOICES[int(u[1] * 3.0)]
-        trials.append(RpsTrial(trial_id, alice, bob, rps_verdict(alice, bob)))
-    return trials
+    picks = (counter_uniforms(seed, np.arange(n), 2) * 3.0).astype(np.intp)
+    fields = [(alice, bob, rps_verdict(alice, bob)) for alice in _CHOICES for bob in _CHOICES]
+    codes = (3 * picks[:, 0] + picks[:, 1]).tolist()
+    return [RpsTrial(t, *fields[c]) for t, c in enumerate(codes)]

@@ -151,6 +151,65 @@ class TestCliSimulate:
         assert report["chsh"] is None  # empty event-ready ensemble
         assert ",absent," in (tmp_path / "run6.csv").read_text()
 
+    def test_exact_with_c_disabled_nulls_undefined_entries(self, tmp_path):
+        out = tmp_path / "run7"
+        rc = cli.main(
+            ["simulate", "--exact", "--disable-c", "true", "--trials", "16", "--seed", "1",
+             "--out", str(out)]
+        )
+        assert rc == 0
+        exact = json.loads((tmp_path / "run7.report.json").read_text())["exact"]
+        assert exact["correlators"] is None and exact["chsh"] is None
+        assert exact["fragility"] is None
+        assert exact["nda"]["verdict"] == "NoDifference"
+
+    def test_exact_with_unreachable_herald_nulls_correlators(self, tmp_path):
+        # A partial analyzer folds phi+ into "none", so this herald never fires.
+        out = tmp_path / "run8"
+        rc = cli.main(
+            ["simulate", "--exact", "--partial-bsm", "true", "--herald", "phi-plus",
+             "--trials", "16", "--seed", "1", "--out", str(out)]
+        )
+        assert rc == 0
+        exact = json.loads((tmp_path / "run8.report.json").read_text())["exact"]
+        assert exact["correlators"] is None and exact["chsh"] is None
+        assert exact["nda"]["verdict"] == "NoDifference"
+        cells = exact["fragility"]["cells"]
+        assert len(cells) == 16 and all(c["p_herald"] == 0.0 for c in cells)
+
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("trails = 5\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "'trails'" in capsys.readouterr().err
+
+    def test_config_key_of_another_subcommand_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text("geometry = early\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["toy", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+
+    def test_seed_outside_64_bits_is_usage_error(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed = -3\n")
+        out = str(tmp_path / "x")
+        for argv in (
+            ["toy", "--seed", "-1", "--out", out],
+            ["simulate", "--seed", str(2**64), "--out", out],
+            ["rps", "--config", str(cfg), "--out", out],
+            ["teleport", "--seed", "-1"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2, argv
+        monkeypatch.setenv("SWAPSIM_SEED", str(2**64))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["rps", "--trials", "5", "--out", out])
+        assert exc.value.code == 2
+
 
 class TestCliToyRps:
     def test_toy_source_report(self, tmp_path):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from swapsim import engine
 from swapsim.engine import (
     DEFAULT_ANGLES_A,
     DEFAULT_ANGLES_B,
@@ -14,6 +15,7 @@ from swapsim.engine import (
     _TrialStream,
     conditional_given_c,
     config_digest,
+    counter_uniforms,
     exact_experiment_distribution,
     herald_probability,
     marginal_over_c,
@@ -41,6 +43,30 @@ class TestRngContract:
         b = trial_rng(1, 1).random(4)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**64 - 1])
+    def test_counter_uniforms_equal_trial_streams(self, seed):
+        ids = [0, 1, 9, 2**32 - 1, 2**32, 2**40 + 7, 2**63, 2**64 - 1]
+        for k in range(1, 10):
+            expected = np.array([trial_rng(seed, t).random(k) for t in ids])
+            assert np.array_equal(counter_uniforms(seed, ids, k), expected), k
+
+    def test_counter_uniforms_across_chunk_boundaries(self, monkeypatch):
+        chunk = engine.PHILOX_CHUNK_TRIALS
+        ids = np.arange(2 * chunk + 3)
+        got = counter_uniforms(77, ids, 6)
+        for t in (0, chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 2):
+            assert np.array_equal(got[t], trial_rng(77, t).random(6)), t
+        # A small chunk size puts many boundaries in a short, unordered run.
+        monkeypatch.setattr(engine, "PHILOX_CHUNK_TRIALS", 3)
+        ids = [2**33 + 4, 5, 0, 2**64 - 2, 17, 17, 3, 2**32]
+        expected = np.array([trial_rng(2**64 - 1, t).random(5) for t in ids])
+        assert np.array_equal(counter_uniforms(2**64 - 1, ids, 5), expected)
+
+    def test_counter_uniforms_reject_seeds_outside_64_bits(self):
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError):
+                counter_uniforms(seed, [0], 1)
+
 
 class TestConfig:
     def test_rejects_bad_geometry(self):
@@ -58,6 +84,13 @@ class TestConfig:
     def test_rejects_unknown_herald(self):
         with pytest.raises(ValueError):
             ExperimentConfig(herald="sometimes")
+
+    def test_seed_range(self):
+        # Seeds key 64 bits; 2**64 used to alias seed 0.
+        for seed in (2**64, -1, 1.5):
+            with pytest.raises(ValueError):
+                ExperimentConfig(seed=seed)
+        assert ExperimentConfig(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
 
     def test_digest_tracks_config(self):
         c1 = ExperimentConfig(seed=1)

@@ -26,8 +26,10 @@ from swapsim.qcore import (
     measure_spin,
     prob_spin_up,
     product_of_pair_states,
+    sample_branches,
     singlet,
 )
+from swapsim.qcore import _branch_outcomes, _step_thresholds
 
 SQ = 1.0 / math.sqrt(2.0)
 
@@ -357,3 +359,86 @@ class TestExactBranchEnumeration:
             exact_branch_enumeration(make_two_singlets(), [SpinMeasurement(4, 0.0)])
         with pytest.raises(ValueError):
             exact_branch_enumeration(make_two_singlets(), [BsmStep(1, 1)])
+
+
+def scalar_codes(initial: StateVector, plan, draws) -> np.ndarray:
+    """Outcome codes from collapsing step by step with each row's draws."""
+    out = np.empty(np.shape(draws), dtype=np.int8)
+    for i, row in enumerate(draws):
+        state = initial
+        for d, (step, draw) in enumerate(zip(plan, row)):
+            if isinstance(step, SpinMeasurement):
+                outcome, state = measure_spin(state, step, draw)
+            else:
+                outcome, state = bell_state_measurement(
+                    state, step.q_left, step.q_right, draw, step.partial, step.resolve_psi_plus
+                )
+            out[i, d] = _branch_outcomes(step).index(outcome)
+    return out
+
+
+class TestSampleBranches:
+    PLANS = {
+        "bsm-first": [BsmStep(1, 2), SpinMeasurement(0, 0.3), SpinMeasurement(3, 2.0)],
+        "bsm-last-partial": [
+            SpinMeasurement(0, 1.1), SpinMeasurement(3, -0.4), BsmStep(1, 2, partial=True)
+        ],
+        "partial-psi-plus-folded": [
+            BsmStep(2, 1, partial=True, resolve_psi_plus=False), SpinMeasurement(0, 0.7)
+        ],
+    }
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_matches_step_by_step_collapse_at_interval_edges(self, name):
+        plan = self.PLANS[name]
+        initial = make_two_singlets()
+        # Draws on and just below every first-step threshold, plus the ends
+        # of [0, 1); later steps take random and edge draws.
+        edges = _step_thresholds(initial.amplitudes, plan[0])
+        first = [0.0, 1.0 - 2.0**-53] + [e for e in edges if e < 1.0]
+        first += [math.nextafter(e, 0.0) for e in edges]
+        rng = np.random.default_rng(5)
+        rest = rng.random((len(first) * 8, len(plan) - 1))
+        rest[::3] = 1.0 - 2.0**-53
+        rest[1::5] = 0.0
+        draws = np.column_stack([np.repeat(first, 8), rest])
+        assert np.array_equal(
+            sample_branches(initial, plan, draws), scalar_codes(initial, plan, draws)
+        )
+
+    def test_rounding_shortfall_takes_last_positive_outcome(self):
+        initial = make_two_singlets()
+        plan = [BsmStep(1, 2)]
+        total = _step_thresholds(initial.amplitudes, plan[0])[-1]
+        assert total < 1.0  # the four quarter weights sum to just below 1
+        draws = np.array([[total], [1.0 - 2.0**-53]])
+        codes = sample_branches(initial, plan, draws)
+        assert np.array_equal(codes, scalar_codes(initial, plan, draws))
+        assert _branch_outcomes(plan[0])[codes[0, 0]] is BellOutcome.PSI_MINUS
+
+    def test_zero_weight_branch_raises_only_when_drawn(self):
+        # |1>, normalized within tolerance only, measured at angle -pi: the
+        # -1 eigenvector is exactly |0>, so draws above P(+1) < 1 pick a
+        # branch of zero weight.
+        state = StateVector(1, np.array([0.0, math.sqrt(1.0 - 1e-13)]))
+        plan = [SpinMeasurement(0, -math.pi)]
+        assert np.array_equal(sample_branches(state, plan, [[0.0], [0.5]]), [[0], [0]])
+        with pytest.raises(RuntimeError):
+            measure_spin(state, plan[0], 1.0 - 2.0**-53)
+        with pytest.raises(RuntimeError):
+            sample_branches(state, plan, [[0.5], [1.0 - 2.0**-53]])
+
+    def test_rejects_bad_draws(self):
+        plan = [SpinMeasurement(0, 0.0)]
+        with pytest.raises(ValueError):
+            sample_branches(singlet(), plan, [[1.0]])
+        with pytest.raises(ValueError):
+            sample_branches(singlet(), plan, [[-0.1]])
+        with pytest.raises(ValueError):
+            sample_branches(singlet(), plan, [[0.1, 0.2]])
+        with pytest.raises(ValueError):
+            sample_branches(singlet(), [SpinMeasurement(2, 0.0)], [[0.1]])
+
+    def test_no_trials(self):
+        codes = sample_branches(make_two_singlets(), [BsmStep(1, 2)], np.empty((0, 1)))
+        assert codes.shape == (0, 1)
