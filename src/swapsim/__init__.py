@@ -33,9 +33,8 @@ from .geometry import (
     preset_by_name,
 )
 from .engine import (
-    Ensemble,
     ExperimentConfig,
-    TrialRecord,
+    Trials,
     exact_experiment_distribution,
     post_select,
     run_trials,
@@ -43,8 +42,6 @@ from .engine import (
 )
 from .toys import (
     AcceptanceRule,
-    RpsTrial,
-    ToyTrial,
     run_rps,
     run_toy_collider,
     run_toy_source_variant,

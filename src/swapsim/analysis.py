@@ -4,24 +4,23 @@ controlled-collider teleportation channel demo.
 
 The conditional-independence machinery is a categorical G-test (a
 likelihood-ratio statistic, 2n times a KL divergence) against a chi-squared
-threshold; all diagnostics operate on immutable trial records or exact
+threshold; all diagnostics operate on engine.Trials column tables or exact
 joint tables.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtri
 
 from .engine import (
-    Ensemble,
     ExperimentConfig,
+    Trials,
     conditional_given_c,
     counter_uniforms,
     exact_experiment_distribution,
@@ -64,21 +63,13 @@ class NdaVerdict(Enum):
     DIFFERENCE = "Difference"
 
 
-def _records(data) -> Sequence:
-    return data.records if isinstance(data, Ensemble) else data
-
-
-_FIELD_ALIASES = {"lambda": "lam"}
-
-
-def _value(record, name: str):
-    return getattr(record, _FIELD_ALIASES.get(name, name))
-
-
-def _values(record, names: tuple[str, ...]):
-    if len(names) == 1:
-        return _value(record, names[0])
-    return tuple(_value(record, n) for n in names)
+def _joint_codes(columns, n: int) -> np.ndarray:
+    """One code per row, equal for two rows exactly where every column is."""
+    code = np.zeros(n, dtype=np.intp)
+    for column in columns:
+        _, inverse = np.unique(column, return_inverse=True)
+        _, code = np.unique(code * (inverse.max() + 1) + inverse, return_inverse=True)
+    return code
 
 
 def _as_names(names) -> tuple[str, ...]:
@@ -97,18 +88,15 @@ class CorrelatorTable:
     counts: dict[tuple[int, int], int]
 
 
-def correlators(data: Ensemble | Sequence) -> CorrelatorTable:
-    sums: dict[tuple[int, int], float] = {cell: 0.0 for cell in SETTING_PAIRS}
-    counts: dict[tuple[int, int], int] = {cell: 0 for cell in SETTING_PAIRS}
-    for r in _records(data):
-        cell = (r.a, r.b)
-        sums[cell] += r.A * r.B
-        counts[cell] += 1
+def correlators(data: Trials) -> CorrelatorTable:
+    pair = 2 * data["a"].astype(np.intp) + data["b"]  # indexes SETTING_PAIRS
+    counts = np.bincount(pair, minlength=4).tolist()
+    sums = np.bincount(pair, weights=data["A"] * data["B"], minlength=4).tolist()
     values = {
-        cell: (sums[cell] / counts[cell] if counts[cell] > 0 else None)
-        for cell in SETTING_PAIRS
+        cell: (total / count if count > 0 else None)
+        for cell, total, count in zip(SETTING_PAIRS, sums, counts)
     }
-    return CorrelatorTable(values, counts)
+    return CorrelatorTable(values, dict(zip(SETTING_PAIRS, counts)))
 
 
 @dataclass(frozen=True)
@@ -189,12 +177,13 @@ def test_conditional_independence(
 ) -> CITestResult:
     """G-test of target independent of versus, given the conditioning set.
 
-    Stratifies records by the given-variables, accumulates the
+    Stratifies trials by the given-variables, accumulates the
     likelihood-ratio statistic of the target-by-versus contingency table in
     each stratum, and compares against the chi-squared critical value at
     significance alpha with the summed degrees of freedom. Inconclusive when
     any populated conditioning cell (a given-versus combination) holds fewer
-    than min_cell samples, or when there are no records.
+    than min_cell samples, or when there are no trials. Each variable is a
+    column of the table; naming a missing one raises ValueError.
     """
     target_names = _as_names(target)
     given_names = _as_names(given) if given else ()
@@ -205,36 +194,37 @@ def test_conditional_independence(
         g_txt = ",".join(given_names) if given_names else "-"
         hypothesis = f"{','.join(target_names)} _||_ {','.join(versus_names)} | {g_txt}"
 
-    strata: dict = defaultdict(Counter)
-    n_total = 0
-    for r in _records(data):
-        g = _values(r, given_names) if given_names else ()
-        t = _values(r, target_names)
-        v = _values(r, versus_names)
-        strata[g][(t, v)] += 1
-        n_total += 1
+    missing = [n for n in given_names + target_names + versus_names if n not in data.columns]
+    if missing:
+        raise ValueError(f"G-test names {missing}, not among the columns {list(data.columns)}")
+    n_total = len(data)
     if n_total == 0:
         return CITestResult(hypothesis, 0.0, 0.0, Verdict.INCONCLUSIVE, 0, 0)
 
+    g, t, v = (
+        _joint_codes([data[name] for name in names], n_total)
+        for names in (given_names, target_names, versus_names)
+    )
+    gt, gv = _joint_codes([g, t], n_total), _joint_codes([g, v], n_total)
+    _, first, count = np.unique(_joint_codes([gt, v], n_total), return_index=True,
+                                return_counts=True)
+    # Each cell's target total times its versus total over its stratum size.
+    expected = np.bincount(gt)[gt[first]] * np.bincount(gv)[gv[first]] / np.bincount(g)[g[first]]
+    # Add the cells' terms stratum by stratum in the order the strata first
+    # appear, and within a stratum in the order the cells do, as a pass over
+    # the rows does: the floating-point sum then matches it bit for bit.
+    _, g_first = np.unique(g, return_index=True)
+    order = np.lexsort((first, g_first[g[first]]))
     g_stat = 0.0
-    dof = 0
-    sparse = False
-    for cells in strata.values():
-        row_tot: Counter = Counter()
-        col_tot: Counter = Counter()
-        n_g = 0
-        for (t, v), c in cells.items():
-            row_tot[t] += c
-            col_tot[v] += c
-            n_g += c
-        if any(c < min_cell for c in col_tot.values()):
-            sparse = True
-        for (t, v), c in cells.items():
-            expected = row_tot[t] * col_tot[v] / n_g
-            g_stat += 2.0 * c * math.log(c / expected)
-        dof += (len(row_tot) - 1) * (len(col_tot) - 1)
+    for c, e in zip(count[order].tolist(), expected[order].tolist()):
+        g_stat += 2.0 * c * math.log(c / e)
+    # Per stratum: (distinct targets - 1) * (distinct versus values - 1).
+    targets = np.bincount(g[np.unique(gt, return_index=True)[1]])
+    versus_values = np.bincount(g[np.unique(gv, return_index=True)[1]])
+    dof = int(((targets - 1) * (versus_values - 1)).sum())
+    sparse = np.bincount(gv).min() < min_cell
 
-    threshold = float(chi2.isf(alpha, dof)) if dof > 0 else 0.0
+    threshold = float(chdtri(dof, alpha)) if dof > 0 else 0.0
     if sparse:
         verdict = Verdict.INCONCLUSIVE
     elif g_stat > threshold and dof > 0:
@@ -263,7 +253,7 @@ def local_causality_tests(
     """Wing outcome vs the remote setting-and-outcome pair, given the local
     setting (and the hidden pair, when the data records one)."""
     tag = "LC_ps" if post_selected else "LC"
-    extra = ("lambda",) if include_lambda else ()
+    extra = ("lambda_A", "lambda_B") if include_lambda else ()
     return [
         test_conditional_independence(
             data, "A", ("a",) + extra, ("b", "B"), hypothesis=f"{tag}-A"
@@ -277,7 +267,9 @@ def local_causality_tests(
 def statistical_independence_test(data, *, post_selected: bool) -> CITestResult:
     """Hidden-pair independence from the settings: P(lambda|a,b) = P(lambda)."""
     tag = "SI_ps" if post_selected else "SI"
-    return test_conditional_independence(data, "lambda", (), ("a", "b"), hypothesis=tag)
+    return test_conditional_independence(
+        data, ("lambda_A", "lambda_B"), (), ("a", "b"), hypothesis=tag
+    )
 
 
 @dataclass(frozen=True)

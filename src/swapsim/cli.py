@@ -246,8 +246,8 @@ def cmd_toy(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         "meta": meta,
         "accepted": {"count": len(kept), "fraction": len(kept) / len(data)},
         "marginals": {
-            "P(A=+1)": sum(t.A == 1 for t in data) / len(data),
-            "P(B=+1)": sum(t.B == 1 for t in data) / len(data),
+            "P(A=+1)": int((data["A"] == 1).sum()) / len(data),
+            "P(B=+1)": int((data["B"] == 1).sum()) / len(data),
         },
         "correlators": _correlator_cells(acc_corr),
         "chsh": _chsh_or_none(acc_corr),
@@ -274,11 +274,11 @@ def cmd_rps(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             data, "alice", (), ("bob",), hypothesis="rps-unconditional"
         )
     ]
-    for verdict in toys.RpsVerdict:
-        subset = [t for t in data if t.verdict is verdict]
+    for code, verdict in enumerate(toys.RPS_VERDICTS):
         tests.append(
             analysis.test_conditional_independence(
-                subset, "alice", (), ("bob",), hypothesis=f"rps-given-{verdict.value}"
+                data.select(data["verdict"] == code), "alice", (), ("bob",),
+                hypothesis=f"rps-given-{verdict.value}",
             )
         )
     report = {

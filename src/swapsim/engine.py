@@ -12,12 +12,11 @@ Wing layout: A measures qubit 0, the Bell-state measurement acts on qubits
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -106,31 +105,47 @@ class ExperimentConfig:
         return HERALD_PREDICATES[self.herald]
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    trial_id: int
-    a: int
-    b: int
-    A: int
-    B: int
-    c_outcome: BellOutcome | None  # None when the C measurement was disabled
-    heralded: bool
+# c_outcome codes index this tuple; -1 means the C measurement was off.
+OUTCOMES = tuple(BellOutcome)
 
 
-@dataclass(frozen=True)
-class Ensemble:
-    records: tuple[TrialRecord, ...]
-    config_digest: str
-    seed: int
+def _outcome_codes(outcomes: Iterable[BellOutcome]) -> list[int]:
+    return [OUTCOMES.index(o) for o in outcomes]
+
+
+@dataclass(frozen=True, eq=False)
+class Trials:
+    """Trials of one run as equal-length, read-only numpy columns, named like
+    the CSV headers; rows are in strictly increasing trial_id order.
+
+    An ensemble from run_trials holds trial_id, a, b (settings 0/1), A, B
+    (outcomes +1/-1), c_outcome (an index into OUTCOMES, -1 with C off) and
+    heralded (bool). toys.py documents the toy and rock-paper-scissors
+    columns.
+    """
+
+    columns: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
-        ids = [r.trial_id for r in self.records]
-        if any(j <= i for i, j in zip(ids, ids[1:])):
+        columns = {name: np.asarray(values).view() for name, values in self.columns.items()}
+        ids = columns["trial_id"]
+        for name, column in columns.items():
+            column.flags.writeable = False
+            if column.shape != (len(ids),):
+                raise ValueError(f"column {name!r} has shape {column.shape}, not ({len(ids)},)")
+        if np.any(ids[1:] <= ids[:-1]):
             raise ValueError("trial_ids must be strictly increasing")
-        object.__setattr__(self, "records", tuple(self.records))
+        object.__setattr__(self, "columns", MappingProxyType(columns))
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.columns["trial_id"])
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.columns[name]
+
+    def select(self, rows) -> Trials:
+        """The rows a boolean mask (or an index array) picks, in order."""
+        return Trials({name: column[rows] for name, column in self.columns.items()})
 
 
 def config_meta(config: ExperimentConfig) -> dict:
@@ -145,11 +160,6 @@ def config_meta(config: ExperimentConfig) -> dict:
         "c_enabled": config.c_enabled,
         "bsm_partial": config.bsm_partial,
     }
-
-
-def config_digest(config: ExperimentConfig) -> str:
-    payload = json.dumps(config_meta(config), sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
 
 
 def trial_rng(seed: int, trial_id: int) -> np.random.Generator:
@@ -285,7 +295,7 @@ def _setting_plan(
     return plan, labels
 
 
-def run_trials(config: ExperimentConfig) -> Ensemble:
+def run_trials(config: ExperimentConfig) -> Trials:
     """Run the configured number of trials; deterministic given (seed, config).
 
     Per-trial draw order: setting a, setting b, then one uniform per executed
@@ -298,46 +308,41 @@ def run_trials(config: ExperimentConfig) -> Ensemble:
     plans = {(a, b): _setting_plan(config, order, a, b) for a in (0, 1) for b in (0, 1)}
     labels = plans[0, 0][1]
     draws = counter_uniforms(config.seed, np.arange(n), 2 + len(labels))
-    a = (draws[:, 0] >= 0.5).astype(np.intp)
-    b = (draws[:, 1] >= 0.5).astype(np.intp)
+    a = (draws[:, 0] >= 0.5).astype(np.int8)
+    b = (draws[:, 1] >= 0.5).astype(np.int8)
     codes = np.empty((n, len(labels)), dtype=np.int8)
     for (sa, sb), (plan, _labels) in plans.items():
         rows = np.flatnonzero((a == sa) & (b == sb))
         codes[rows] = sample_branches(initial, plan, draws[rows, 2:])
     column = {label: codes[:, d] for d, label in enumerate(labels)}
-    out_a = 1 - 2 * column["A"].astype(np.intp)  # spin code 0 is +1, code 1 is -1
-    out_b = 1 - 2 * column["B"].astype(np.intp)
+    c_outcome = np.full(n, -1, dtype=np.int8)
     if "C" in column:
         outcomes = _branch_outcomes(plans[0, 0][0][labels.index("C")])
-        heralds = np.array([o in config.herald_set() for o in outcomes])
-        c_outcomes = [outcomes[c] for c in column["C"].tolist()]
-        heralded = heralds[column["C"]].tolist()
-    else:
-        c_outcomes, heralded = [None] * n, [False] * n
-    records = tuple(map(
-        TrialRecord, range(n), a.tolist(), b.tolist(), out_a.tolist(), out_b.tolist(),
-        c_outcomes, heralded,
-    ))
-    return Ensemble(records, config_digest(config), config.seed)
+        c_outcome = np.array(_outcome_codes(outcomes), dtype=np.int8)[column["C"]]
+    return Trials({
+        "trial_id": np.arange(n),
+        "a": a,
+        "b": b,
+        "A": 1 - 2 * column["A"],  # spin code 0 is +1, code 1 is -1
+        "B": 1 - 2 * column["B"],
+        "c_outcome": c_outcome,
+        "heralded": np.isin(c_outcome, _outcome_codes(config.herald_set())),
+    })
 
 
 def post_select(
-    ensemble: Ensemble, herald: str | Iterable[BellOutcome] | None = None
-) -> Ensemble:
+    ensemble: Trials, herald: str | Iterable[BellOutcome] | None = None
+) -> Trials:
     """Event-ready subensemble; original trial_ids are preserved.
 
-    With no predicate, keeps records flagged heralded at generation time.
-    A predicate (name or outcome set) keeps records whose recorded C outcome
-    matches it; records without a C outcome never match.
+    With no predicate, keeps trials flagged heralded at generation time.
+    A predicate (name or outcome set) keeps trials whose recorded C outcome
+    matches it; trials without a C outcome never match.
     """
     if herald is None:
-        kept = [r for r in ensemble.records if r.heralded]
-    else:
-        accept = HERALD_PREDICATES[herald] if isinstance(herald, str) else frozenset(herald)
-        kept = [
-            r for r in ensemble.records if r.c_outcome is not None and r.c_outcome in accept
-        ]
-    return Ensemble(tuple(kept), ensemble.config_digest, ensemble.seed)
+        return ensemble.select(ensemble["heralded"])
+    accept = HERALD_PREDICATES[herald] if isinstance(herald, str) else frozenset(herald)
+    return ensemble.select(np.isin(ensemble["c_outcome"], _outcome_codes(accept)))
 
 
 JointKey = tuple  # (a, b, A, B, c_outcome | None)

@@ -10,11 +10,12 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Sequence
 
-from .engine import Ensemble, TrialRecord
+import numpy as np
+
+from .engine import OUTCOMES, Trials
 from .qcore import BellOutcome
-from .toys import RpsTrial, ToyTrial
+from .toys import RPS_CHOICES, RPS_VERDICTS
 
 ENSEMBLE_HEADER = ["trial_id", "a", "b", "A", "B", "c_outcome", "heralded"]
 TOY_HEADER = ["trial_id", "a", "b", "A", "B", "lambda_A", "lambda_B", "accepted"]
@@ -22,97 +23,108 @@ RPS_HEADER = ["trial_id", "alice", "bob", "verdict"]
 
 ABSENT_TOKEN = "absent"
 
-_TOKEN_TO_OUTCOME = {o.value: o for o in BellOutcome}
-
 
 def outcome_token(outcome: BellOutcome | None) -> str:
     return ABSENT_TOKEN if outcome is None else outcome.value
 
 
-def outcome_from_token(token: str) -> BellOutcome | None:
-    if token == ABSENT_TOKEN:
-        return None
-    try:
-        return _TOKEN_TO_OUTCOME[token]
-    except KeyError:
-        raise ValueError(f"unknown outcome token {token!r}") from None
+_SETTING_TOKENS = {0: "0", 1: "1"}
+_OUTCOME_TOKENS = {1: "1", -1: "-1"}
+_BOOL_TOKENS = {False: "false", True: "true"}
+# The token of each value a column may hold, used to write it and to read it
+# back; trial_id is written in decimal. c_outcome -1 means C was off.
+_CSV_TOKENS = {
+    "a": _SETTING_TOKENS,
+    "b": _SETTING_TOKENS,
+    "A": _OUTCOME_TOKENS,
+    "B": _OUTCOME_TOKENS,
+    "lambda_A": _OUTCOME_TOKENS,
+    "lambda_B": _OUTCOME_TOKENS,
+    "c_outcome": dict(zip(range(-1, len(OUTCOMES)), map(outcome_token, (None,) + OUTCOMES))),
+    "heralded": _BOOL_TOKENS,
+    "accepted": _BOOL_TOKENS,
+    "alice": dict(enumerate(c.value for c in RPS_CHOICES)),
+    "bob": dict(enumerate(c.value for c in RPS_CHOICES)),
+    "verdict": dict(enumerate(v.value for v in RPS_VERDICTS)),
+}
 
 
-def _bool_token(flag: bool) -> str:
-    return "true" if flag else "false"
+def _text(trials: Trials, name: str) -> list:
+    """A column as CSV fields, through its token table or in decimal; empty
+    when the table lacks the column (the collider toy's lambda pair). Each
+    distinct value is formatted once, then spread over its rows."""
+    if name not in trials.columns:
+        return [""] * len(trials)
+    values, rows = np.unique(trials[name], return_inverse=True)
+    tokens = _CSV_TOKENS.get(name)
+    text = [str(v) if tokens is None else tokens[v] for v in values.tolist()]
+    return np.array(text, dtype=object)[rows].tolist()
 
 
-def _bool_from_token(token: str) -> bool:
-    if token not in ("true", "false"):
-        raise ValueError(f"expected true/false, got {token!r}")
-    return token == "true"
-
-
-def write_ensemble_csv(path: str | Path, ensemble: Ensemble) -> None:
+def _write_csv(path: str | Path, header: list[str], trials: Trials) -> None:
+    lines = [",".join(header), *map(",".join, zip(*(_text(trials, name) for name in header)))]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ENSEMBLE_HEADER)
-        for r in ensemble.records:
-            writer.writerow(
-                [r.trial_id, r.a, r.b, r.A, r.B, outcome_token(r.c_outcome), _bool_token(r.heralded)]
-            )
+        fh.write("\n".join(lines) + "\n")
 
 
-def read_ensemble_csv(path: str | Path) -> list[TrialRecord]:
+def write_ensemble_csv(path: str | Path, ensemble: Trials) -> None:
+    _write_csv(path, ENSEMBLE_HEADER, ensemble)
+
+
+def write_toy_csv(path: str | Path, trials: Trials) -> None:
+    _write_csv(path, TOY_HEADER, trials)
+
+
+def write_rps_csv(path: str | Path, trials: Trials) -> None:
+    _write_csv(path, RPS_HEADER, trials)
+
+
+def _reject_rows(path, bad: np.ndarray, message: str) -> None:
+    if bad.any():
+        raise ValueError(f"{path}, line {int(np.argmax(bad)) + 2}: {message}")
+
+
+def read_ensemble_csv(path: str | Path) -> Trials:
+    """Read an ensemble CSV back into a table. A row with the wrong field
+    count, a token outside its column's table (such as a setting outside
+    {0, 1} or an outcome outside {+1, -1}), or a trial_id not above the
+    previous row's raises ValueError naming its line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != ENSEMBLE_HEADER:
             raise ValueError(f"unexpected ensemble CSV header: {header}")
-        return [
-            TrialRecord(
-                trial_id=int(row[0]),
-                a=int(row[1]),
-                b=int(row[2]),
-                A=int(row[3]),
-                B=int(row[4]),
-                c_outcome=outcome_from_token(row[5]),
-                heralded=_bool_from_token(row[6]),
-            )
-            for row in reader
-        ]
+        rows = list(reader)
+    width = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    _reject_rows(path, width != len(ENSEMBLE_HEADER), f"expected {len(ENSEMBLE_HEADER)} fields")
+    fields = np.array(rows, dtype=str).reshape(len(rows), len(ENSEMBLE_HEADER))
+    text = dict(zip(ENSEMBLE_HEADER, fields.T))
+    ids = text["trial_id"]
+    _reject_rows(path, ~np.char.isdigit(ids) | (np.char.str_len(ids) > 18),
+                 "trial_id is not an integer in [0, 10**18)")
+    ids = ids.astype(np.int64)
+    _reject_rows(path, np.r_[False, ids[1:] <= ids[:-1]], "trial_id not above the previous row's")
+    columns = {"trial_id": ids}
+    for name in ENSEMBLE_HEADER[1:]:
+        decode = {token: value for value, token in _CSV_TOKENS[name].items()}
+        _reject_rows(path, ~np.isin(text[name], list(decode)),
+                     f"{name} is none of {list(decode)}")
+        # Each distinct token is looked up once, then spread over its rows.
+        tokens, rows_of = np.unique(text[name], return_inverse=True)
+        values = np.array([decode[token] for token in tokens.tolist()])
+        columns[name] = values.astype(bool if name == "heralded" else np.int8)[rows_of]
+    return Trials(columns)
 
 
-def ensemble_json_payload(ensemble: Ensemble, meta: dict) -> dict:
+def ensemble_json_payload(ensemble: Trials, meta: dict) -> dict:
+    columns = [ensemble[name].tolist() for name in ("trial_id", "a", "b", "A", "B", "heralded")]
     return {
         "meta": dict(meta),
         "records": [
-            {
-                "trial_id": r.trial_id,
-                "a": r.a,
-                "b": r.b,
-                "A": r.A,
-                "B": r.B,
-                "c_outcome": outcome_token(r.c_outcome),
-                "heralded": r.heralded,
-            }
-            for r in ensemble.records
+            {"trial_id": i, "a": a, "b": b, "A": A, "B": B, "c_outcome": c, "heralded": h}
+            for i, a, b, A, B, h, c in zip(*columns, _text(ensemble, "c_outcome"))
         ],
     }
-
-
-def write_toy_csv(path: str | Path, trials: Sequence[ToyTrial]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TOY_HEADER)
-        for t in trials:
-            lam_a, lam_b = ("", "") if t.lam is None else (t.lam[0], t.lam[1])
-            writer.writerow(
-                [t.trial_id, t.a, t.b, t.A, t.B, lam_a, lam_b, _bool_token(t.accepted)]
-            )
-
-
-def write_rps_csv(path: str | Path, trials: Sequence[RpsTrial]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RPS_HEADER)
-        for t in trials:
-            writer.writerow([t.trial_id, t.alice.value, t.bob.value, t.verdict.value])
 
 
 def dumps_canonical(payload: dict) -> str:

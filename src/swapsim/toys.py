@@ -11,6 +11,11 @@ example.
 
 The setting-to-angle map is shared with the trial engine so toy and quantum
 CHSH values are directly comparable.
+
+Runs are engine.Trials tables. A toy run holds trial_id, a, b, A, B and
+accepted (bool), plus lambda_A and lambda_B (equal to A and B) in the source
+variant only. A rock-paper-scissors run holds trial_id, alice and bob
+(indices into RPS_CHOICES) and verdict (an index into RPS_VERDICTS).
 """
 
 from __future__ import annotations
@@ -18,11 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .engine import DEFAULT_ANGLES_A, DEFAULT_ANGLES_B, counter_uniforms
+from .engine import DEFAULT_ANGLES_A, DEFAULT_ANGLES_B, Trials, counter_uniforms
 
 _PM = (1, -1)
 _SETTINGS = (0, 1)
@@ -78,18 +83,7 @@ def constant_rule(value: float) -> AcceptanceRule:
     return AcceptanceRule(f"constant-{value}", lambda a, b, A, B: value)
 
 
-@dataclass(frozen=True)
-class ToyTrial:
-    trial_id: int
-    a: int
-    b: int
-    A: int
-    B: int
-    lam: tuple[int, int] | None  # source-variant hidden pair, identical to (A, B)
-    accepted: bool
-
-
-def _run_toy(n: int, seed: int, rule: AcceptanceRule, record_lambda: bool) -> list[ToyTrial]:
+def _run_toy(n: int, seed: int, rule: AcceptanceRule, record_lambda: bool) -> Trials:
     if n < 1:
         raise ValueError("n must be >= 1")
     u = counter_uniforms(seed, np.arange(n), 5)
@@ -97,33 +91,28 @@ def _run_toy(n: int, seed: int, rule: AcceptanceRule, record_lambda: bool) -> li
     # outcome +1) when below 1/2; draw 4 accepts when below w(a, b, A, B).
     # rule.table() runs over (a, b, A, B) in that same order, so the four
     # bits index its entries.
-    table = rule.table()
-    cell = (u[:, :4] >= 0.5) @ np.array([8, 4, 2, 1])
-    accepted = u[:, 4] < np.array(list(table.values()))[cell]
-    fields = [
-        (a, b, A, B, (A, B) if record_lambda else None, acc)
-        for (a, b, A, B) in table
-        for acc in (False, True)
-    ]
-    codes = (2 * cell + accepted).tolist()
-    return [ToyTrial(t, *fields[c]) for t, c in enumerate(codes)]
+    bits = (u[:, :4] >= 0.5).astype(np.int8)
+    a, b, A, B = bits[:, 0], bits[:, 1], 1 - 2 * bits[:, 2], 1 - 2 * bits[:, 3]
+    accept = u[:, 4] < np.array(list(rule.table().values()))[bits @ np.array([8, 4, 2, 1])]
+    columns = {"trial_id": np.arange(n), "a": a, "b": b, "A": A, "B": B, "accepted": accept}
+    if record_lambda:
+        columns.update(lambda_A=A, lambda_B=B)
+    return Trials(columns)
 
 
-def run_toy_collider(n: int, seed: int, rule: AcceptanceRule | None = None) -> list[ToyTrial]:
+def run_toy_collider(n: int, seed: int, rule: AcceptanceRule | None = None) -> Trials:
     """Wing-generated outcomes filtered by the acceptance rule."""
     return _run_toy(n, seed, rule or singlet_weight_rule(), record_lambda=False)
 
 
-def run_toy_source_variant(
-    n: int, seed: int, rule: AcceptanceRule | None = None
-) -> list[ToyTrial]:
+def run_toy_source_variant(n: int, seed: int, rule: AcceptanceRule | None = None) -> Trials:
     """Same sampling, but the outcome pair originates at the source and is
     recorded as the hidden variable."""
     return _run_toy(n, seed, rule or singlet_weight_rule(), record_lambda=True)
 
 
-def accepted(trials: Sequence[ToyTrial]) -> list[ToyTrial]:
-    return [t for t in trials if t.accepted]
+def accepted(trials: Trials) -> Trials:
+    return trials.select(trials["accepted"])
 
 
 class RpsChoice(Enum):
@@ -144,15 +133,8 @@ _BEATS = {
     (RpsChoice.PAPER, RpsChoice.ROCK),
 }
 
-_CHOICES = tuple(RpsChoice)
-
-
-@dataclass(frozen=True)
-class RpsTrial:
-    trial_id: int
-    alice: RpsChoice
-    bob: RpsChoice
-    verdict: RpsVerdict
+RPS_CHOICES = tuple(RpsChoice)
+RPS_VERDICTS = tuple(RpsVerdict)
 
 
 def rps_verdict(alice: RpsChoice, bob: RpsChoice) -> RpsVerdict:
@@ -161,12 +143,18 @@ def rps_verdict(alice: RpsChoice, bob: RpsChoice) -> RpsVerdict:
     return RpsVerdict.ALICE_WINS if (alice, bob) in _BEATS else RpsVerdict.BOB_WINS
 
 
-def run_rps(n: int, seed: int) -> list[RpsTrial]:
+# _VERDICT_CODES[alice, bob] is the verdict code of two choice codes.
+_VERDICT_CODES = np.array(
+    [[RPS_VERDICTS.index(rps_verdict(x, y)) for y in RPS_CHOICES] for x in RPS_CHOICES],
+    dtype=np.int8,
+)
+
+
+def run_rps(n: int, seed: int) -> Trials:
     """Independent uniform choices plus the game verdict; no physics, pure
-    selection-bias fodder. Choice i is _CHOICES[int(3 * draw i)]."""
+    selection-bias fodder. Choice i is RPS_CHOICES[int(3 * draw i)]."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    picks = (counter_uniforms(seed, np.arange(n), 2) * 3.0).astype(np.intp)
-    fields = [(alice, bob, rps_verdict(alice, bob)) for alice in _CHOICES for bob in _CHOICES]
-    codes = (3 * picks[:, 0] + picks[:, 1]).tolist()
-    return [RpsTrial(t, *fields[c]) for t, c in enumerate(codes)]
+    alice, bob = (counter_uniforms(seed, np.arange(n), 2) * 3.0).astype(np.int8).T
+    verdict = _VERDICT_CODES[alice, bob]
+    return Trials({"trial_id": np.arange(n), "alice": alice, "bob": bob, "verdict": verdict})

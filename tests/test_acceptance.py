@@ -89,7 +89,7 @@ def test_criterion_6_toy_collider():
     s_big = analysis.chsh(analysis.correlators(toys.accepted(big))).S
     chsh_ok = abs(s_big - 2.8284) < 0.05
 
-    small = big[:100_000]
+    small = big.select(slice(100_000))
     lc_ps = analysis.local_causality_tests(toys.accepted(small), post_selected=True)
     lc_full = analysis.local_causality_tests(small, post_selected=False)
     lc_ok = all(t.verdict is analysis.Verdict.VIOLATED for t in lc_ps) and all(
@@ -99,8 +99,8 @@ def test_criterion_6_toy_collider():
     n = len(small)
     tol = 5 * math.sqrt(0.25 / n)
     marg_ok = (
-        abs(sum(t.A == 1 for t in small) / n - 0.5) < tol
-        and abs(sum(t.B == 1 for t in small) / n - 0.5) < tol
+        abs((small["A"] == 1).sum() / n - 0.5) < tol
+        and abs((small["B"] == 1).sum() / n - 0.5) < tol
     )
     ok = chsh_ok and lc_ok and marg_ok
     check(6, "collider toy: Tsirelson by selection, LC_ps broken, generator fair", ok,
@@ -167,10 +167,10 @@ def test_criterion_11_rps_selection_bias():
     )
     conditional = [
         analysis.test_conditional_independence(
-            [t for t in trials if t.verdict is v], "alice", (), ("bob",),
+            trials.select(trials["verdict"] == code), "alice", (), ("bob",),
             hypothesis=f"rps-given-{v.value}",
         )
-        for v in toys.RpsVerdict
+        for code, v in enumerate(toys.RPS_VERDICTS)
     ]
     ok = unconditional.verdict is analysis.Verdict.HOLDS and all(
         t.verdict is analysis.Verdict.VIOLATED for t in conditional

@@ -1,7 +1,6 @@
 """Diagnostic battery tests."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -26,6 +25,7 @@ from swapsim.analysis import (
 from swapsim.analysis import test_conditional_independence as ci_test
 from swapsim.engine import (
     ExperimentConfig,
+    Trials,
     conditional_given_c,
     exact_experiment_distribution,
     marginal_over_c,
@@ -60,24 +60,22 @@ def source_run():
     return run_toy_source_variant(BATTERY_N, 47)
 
 
-@dataclass(frozen=True)
-class Rec:
-    a: int
-    b: int
-    A: int
-    B: int
+def table(rows) -> Trials:
+    """A trial table from (a, b, A, B) rows."""
+    a, b, A, B = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    return Trials({"trial_id": np.arange(len(a)), "a": a, "b": b, "A": A, "B": B})
 
 
 class TestCorrelators:
     def test_constant_data(self):
-        records = [Rec(a, b, 1, 1) for a in (0, 1) for b in (0, 1) for _ in range(3)]
-        table = correlators(records)
-        assert all(v == 1.0 for v in table.values.values())
+        rows = [(a, b, 1, 1) for a in (0, 1) for b in (0, 1) for _ in range(3)]
+        result = correlators(table(rows))
+        assert all(v == 1.0 for v in result.values.values())
 
     def test_empty_cells_flagged(self):
-        table = correlators([])
-        assert all(v is None for v in table.values.values())
-        assert all(c == 0 for c in table.counts.values())
+        result = correlators(table([]))
+        assert all(v is None for v in result.values.values())
+        assert all(c == 0 for c in result.counts.values())
 
     def test_exact_event_ready_values(self):
         # -cos(ta - tb) at the default angles: +s, +s, +s, -s with s = sqrt(2)/2.
@@ -101,13 +99,12 @@ class TestChsh:
         assert chsh(table).S == 0.0
 
     def test_constant_strategy_hits_classical_bound(self):
-        records = [Rec(a, b, 1, 1) for a in (0, 1) for b in (0, 1) for _ in range(5)]
-        assert chsh(correlators(records)).S == pytest.approx(2.0)
+        rows = [(a, b, 1, 1) for a in (0, 1) for b in (0, 1) for _ in range(5)]
+        assert chsh(correlators(table(rows))).S == pytest.approx(2.0)
 
     def test_missing_cell_raises(self):
-        records = [Rec(0, 0, 1, 1), Rec(0, 1, 1, 1), Rec(1, 0, 1, 1)]
         with pytest.raises(ValueError):
-            chsh(correlators(records))
+            chsh(correlators(table([(0, 0, 1, 1), (0, 1, 1, 1), (1, 0, 1, 1)])))
 
     def test_quantum_bound_respected_on_generated_data(self):
         ens = run_trials(ExperimentConfig(n_trials=20_000, seed=31))
@@ -121,39 +118,39 @@ class TestChsh:
 class TestConditionalIndependence:
     def test_independent_data_holds(self):
         rng = np.random.default_rng(0)
-        records = [
-            Rec(int(rng.integers(2)), int(rng.integers(2)),
-                int(1 - 2 * rng.integers(2)), int(1 - 2 * rng.integers(2)))
+        rows = [
+            (int(rng.integers(2)), int(rng.integers(2)),
+             int(1 - 2 * rng.integers(2)), int(1 - 2 * rng.integers(2)))
             for _ in range(4_000)
         ]
-        result = ci_test(records, "A", ("a",), ("b",))
+        result = ci_test(table(rows), "A", ("a",), ("b",))
         assert result.verdict is Verdict.HOLDS
 
     def test_signaling_data_violated(self):
         rng = np.random.default_rng(1)
-        records = [
-            Rec(int(rng.integers(2)), b, 1 if b == 0 else -1, 1)
+        rows = [
+            (int(rng.integers(2)), b, 1 if b == 0 else -1, 1)
             for b in rng.integers(0, 2, size=2_000)
         ]
-        result = ci_test(records, "A", ("a",), ("b",))
+        result = ci_test(table(rows), "A", ("a",), ("b",))
         assert result.verdict is Verdict.VIOLATED
         assert result.divergence > result.threshold
 
     def test_small_cells_inconclusive(self):
-        records = [Rec(0, b, 1, 1) for b in (0, 1) for _ in range(10)]
-        result = ci_test(records, "A", ("a",), ("b",))
+        result = ci_test(table([(0, b, 1, 1) for b in (0, 1) for _ in range(10)]),
+                         "A", ("a",), ("b",))
         assert result.verdict is Verdict.INCONCLUSIVE
 
     def test_empty_inconclusive(self):
         assert (
-            ci_test([], "A", ("a",), ("b",)).verdict
+            ci_test(table([]), "A", ("a",), ("b",)).verdict
             is Verdict.INCONCLUSIVE
         )
 
     def test_constant_target_holds(self):
         # Zero degrees of freedom: nothing can vary, so nothing is violated.
-        records = [Rec(0, b, 1, 1) for b in (0, 1) for _ in range(100)]
-        result = ci_test(records, "A", ("a",), ("b",))
+        result = ci_test(table([(0, b, 1, 1) for b in (0, 1) for _ in range(100)]),
+                         "A", ("a",), ("b",))
         assert result.verdict is Verdict.HOLDS
         assert result.divergence == 0.0
 
@@ -193,6 +190,16 @@ class TestConditionalIndependence:
         # fixed, so the selection correlation no longer lands on LC.
         for result in local_causality_tests(kept, post_selected=True, include_lambda=True):
             assert result.verdict is Verdict.HOLDS, result.hypothesis
+
+    def test_missing_variable_raises(self, collider_run):
+        # The collider variant records no hidden pair; asking for it used to
+        # give Holds with dof 0.
+        with pytest.raises(ValueError, match=r"lambda_A.*accepted"):
+            statistical_independence_test(accepted(collider_run), post_selected=True)
+        with pytest.raises(ValueError, match=r"'Z'.*trial_id"):
+            ci_test(collider_run, "A", ("Z",), ("b",))
+        with pytest.raises(ValueError, match="'x'"):
+            ci_test(table([]), "x", (), ("b",))
 
     def test_no_selection_leaves_si_intact(self):
         trials = run_toy_source_variant(20_000, 51, constant_rule(1.0))

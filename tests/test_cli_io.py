@@ -2,27 +2,38 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scalar_oracle import assert_same_table
 from swapsim import cli, io
-from swapsim.engine import ExperimentConfig, run_trials
+from swapsim.engine import OUTCOMES, ExperimentConfig, Trials, run_trials
 from swapsim.qcore import BellOutcome
 from swapsim.toys import run_rps, run_toy_source_variant
 
 
 class TestTokens:
-    def test_round_trip(self):
-        for outcome in list(BellOutcome) + [None]:
-            assert io.outcome_from_token(io.outcome_token(outcome)) is outcome
+    def test_round_trip(self, tmp_path):
+        # Every C outcome code, -1 (C off) included, reads back as written.
+        codes = list(range(-1, len(OUTCOMES)))
+        n = len(codes)
+        ens = Trials({"trial_id": range(n), "a": [0] * n, "b": [1] * n, "A": [1] * n,
+                      "B": [-1] * n, "c_outcome": codes, "heralded": [False] * n})
+        io.write_ensemble_csv(tmp_path / "ens.csv", ens)
+        assert_same_table(io.read_ensemble_csv(tmp_path / "ens.csv"), ens)
 
     def test_token_values(self):
         assert io.outcome_token(BellOutcome.PSI_MINUS) == "psi-"
         assert io.outcome_token(BellOutcome.NO_HERALD) == "none"
         assert io.outcome_token(None) == "absent"
 
-    def test_unknown_token_rejected(self):
-        with pytest.raises(ValueError):
-            io.outcome_from_token("maybe")
+    def test_unknown_token_rejected(self, tmp_path):
+        path = tmp_path / "ens.csv"
+        path.write_text("trial_id,a,b,A,B,c_outcome,heralded\n0,0,1,1,-1,maybe,true\n")
+        with pytest.raises(ValueError, match="line 2: c_outcome is none of"):
+            io.read_ensemble_csv(path)
 
 
 class TestEnsembleCsv:
@@ -30,8 +41,7 @@ class TestEnsembleCsv:
         ens = run_trials(ExperimentConfig(n_trials=200, seed=6))
         path = tmp_path / "ens.csv"
         io.write_ensemble_csv(path, ens)
-        back = io.read_ensemble_csv(path)
-        assert tuple(back) == ens.records
+        assert_same_table(io.read_ensemble_csv(path), ens)
 
     def test_header(self, tmp_path):
         ens = run_trials(ExperimentConfig(n_trials=3, seed=6))
@@ -51,7 +61,69 @@ class TestEnsembleCsv:
         path = tmp_path / "ens.csv"
         io.write_ensemble_csv(path, ens)
         assert ",none," in path.read_text()
-        assert tuple(io.read_ensemble_csv(path)) == ens.records
+        assert_same_table(io.read_ensemble_csv(path), ens)
+
+
+@st.composite
+def ensembles(draw):
+    """Any valid ensemble table: increasing ids, settings 0/1, outcomes +1/-1,
+    and every C outcome code including -1 (C off, written "absent")."""
+    n = draw(st.integers(0, 40))
+    gaps = draw(st.lists(st.integers(1, 2**40), min_size=n, max_size=n))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    signs = st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)
+    codes = st.lists(st.integers(-1, len(OUTCOMES) - 1), min_size=n, max_size=n)
+    return Trials({
+        "trial_id": np.cumsum(gaps, dtype=np.int64) - 1,
+        "a": np.array(draw(bits), dtype=np.int8),
+        "b": np.array(draw(bits), dtype=np.int8),
+        "A": np.array(draw(signs), dtype=np.int8),
+        "B": np.array(draw(signs), dtype=np.int8),
+        "c_outcome": np.array(draw(codes), dtype=np.int8),
+        "heralded": np.array(draw(bits), dtype=bool),
+    })
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(ens=ensembles())
+def test_ensemble_csv_round_trip_property(ens, tmp_path_factory):
+    path = tmp_path_factory.mktemp("csv") / "ens.csv"
+    io.write_ensemble_csv(path, ens)
+    assert_same_table(io.read_ensemble_csv(path), ens)
+
+
+class TestEnsembleCsvRejects:
+    GOOD = "trial_id,a,b,A,B,c_outcome,heralded\n0,0,1,1,-1,psi-,true\n"
+
+    def read(self, tmp_path, text):
+        path = tmp_path / "ens.csv"
+        path.write_text(text)
+        return io.read_ensemble_csv(path)
+
+    def test_good_row_reads(self, tmp_path):
+        assert len(self.read(tmp_path, self.GOOD)) == 1
+
+    @pytest.mark.parametrize("row,message", [
+        ("1,0,1,1,-1,psi-", "line 3: expected 7 fields"),
+        ("1,0,1,1,-1,psi-,true,extra", "line 3: expected 7 fields"),
+        ("1,7,1,1,-1,psi-,true", "line 3: a is none of"),
+        ("1,0,1,5,-1,psi-,true", "line 3: A is none of"),
+        ("1,0,1,1,0,psi-,true", "line 3: B is none of"),
+        ("1,0,x,1,-1,psi-,true", "line 3: b is none of"),
+        ("1,0,1,1,-1,psi-,yes", "line 3: heralded is none of"),
+        ("0,0,1,1,-1,psi-,true", "line 3: trial_id not above"),
+        ("-1,0,1,1,-1,psi-,true", "line 3: trial_id is not an integer"),
+        ("1.5,0,1,1,-1,psi-,true", "line 3: trial_id is not an integer"),
+        ("1" + "0" * 18 + ",0,1,1,-1,psi-,true", "line 3: trial_id is not an integer"),
+    ])
+    def test_bad_row_rejected(self, tmp_path, row, message):
+        with pytest.raises(ValueError, match=message):
+            self.read(tmp_path, self.GOOD + row + "\n")
+
+    def test_decreasing_ids_rejected(self, tmp_path):
+        text = self.GOOD.replace("\n0,", "\n5,") + "6,0,0,1,1,absent,false\n3,0,0,1,1,none,false\n"
+        with pytest.raises(ValueError, match="line 4: trial_id not above"):
+            self.read(tmp_path, text)
 
 
 class TestToyCsv:

@@ -1,20 +1,24 @@
-"""The array runners against the scalar reference loops in scalar_oracle.py.
+"""The array code against the scalar reference loops in scalar_oracle.py.
 
-Every comparison is exact: the array paths draw the same uniforms and
-compare them against the same thresholds, so records must match one for
-one, and teleport reports field for field.
+Every comparison is exact: the array runners draw the same uniforms and
+compare them against the same thresholds, so their tables must equal the
+oracle's records column by column, and teleport reports field for field.
+The column correlators and G-test must give the oracle loops' results bit
+for bit, and the column CSV writers its bytes.
 """
 
 import itertools
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalar_oracle
-from swapsim import analysis, engine, toys
-from swapsim.engine import ExperimentConfig, run_trials
+from scalar_oracle import assert_same_table
+from swapsim import analysis, engine, io, toys
+from swapsim.engine import ExperimentConfig, Trials, run_trials
 
 SEEDS = (0, 2**64 - 1)
 ODD_ANGLES = {"angles_a": (0.3, 1.9), "angles_b": (2.2, -0.7)}
@@ -32,7 +36,9 @@ def test_run_trials_matches_oracle(geometry, partial, c_enabled):
             geometry=geometry, n_trials=150, seed=seed, herald=herald,
             c_enabled=c_enabled, bsm_partial=partial, **angles,
         )
-        assert run_trials(cfg) == scalar_oracle.run_trials(cfg), (seed, herald, angles)
+        assert_same_table(
+            run_trials(cfg), scalar_oracle.ensemble_table(scalar_oracle.run_trials(cfg))
+        )
 
 
 @pytest.mark.parametrize("controlled", [True, False])
@@ -53,14 +59,17 @@ def test_toy_matches_oracle(record_lambda):
         toys.AcceptanceRule("a-only", lambda a, b, A, B: 0.2 + 0.6 * a * (A == 1)),
     )
     for seed, rule, n in itertools.product(SEEDS + (5,), rules, (1, 900)):
-        assert toys._run_toy(n, seed, rule, record_lambda) == (
-            scalar_oracle._run_toy(n, seed, rule, record_lambda)
-        ), (seed, rule.name, n)
+        assert_same_table(
+            toys._run_toy(n, seed, rule, record_lambda),
+            scalar_oracle.toy_table(scalar_oracle._run_toy(n, seed, rule, record_lambda)),
+        )
 
 
 def test_rps_matches_oracle():
     for seed, n in itertools.product(SEEDS + (13,), (1, 2000)):
-        assert toys.run_rps(n, seed) == scalar_oracle.run_rps(n, seed), (seed, n)
+        assert_same_table(
+            toys.run_rps(n, seed), scalar_oracle.rps_table(scalar_oracle.run_rps(n, seed))
+        )
 
 
 angles = st.floats(-2.0 * math.pi, 2.0 * math.pi, allow_nan=False)
@@ -84,7 +93,7 @@ def test_run_trials_matches_oracle_property(
         geometry=geometry, n_trials=n_trials, seed=seed, herald=herald,
         c_enabled=c_enabled, bsm_partial=partial, angles_a=angles_a, angles_b=angles_b,
     )
-    assert run_trials(cfg) == scalar_oracle.run_trials(cfg)
+    assert_same_table(run_trials(cfg), scalar_oracle.ensemble_table(scalar_oracle.run_trials(cfg)))
 
 
 @pytest.mark.parametrize(
@@ -102,3 +111,106 @@ def test_runners_reject_seeds_outside_64_bits(run):
     for seed in (-1, 2**64):
         with pytest.raises(ValueError):
             run(seed)
+
+
+def _table(columns: dict) -> Trials:
+    n = len(next(iter(columns.values())))
+    return Trials({"trial_id": np.arange(n), **columns})
+
+
+@st.composite
+def small_tables(draw):
+    """A table of 2-4 columns x0.. of up to 300 small integers, each column
+    drawing from its own 1-3 values, and a G-test over disjoint sets of
+    them (target and versus never empty)."""
+    n = draw(st.integers(0, 300))
+    names = [f"x{i}" for i in range(draw(st.integers(2, 4)))]
+    columns = {}
+    for name in names:
+        values = draw(st.lists(st.integers(-2, 3), min_size=1, max_size=3, unique=True))
+        columns[name] = np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+    roles = draw(st.permutations(names))
+    n_target = draw(st.integers(1, len(names) - 1))
+    n_versus = draw(st.integers(1, len(names) - n_target))
+    target, versus = roles[:n_target], roles[n_target:n_target + n_versus]
+    given = roles[n_target + n_versus:]
+    return _table(columns), tuple(target), tuple(given), tuple(versus)
+
+
+_X = np.arange(240) % 2  # alternating 0, 1
+_Y = np.arange(240) // 60 % 2  # blocks of 60 zeros, then 60 ones
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=small_tables(), min_cell=st.integers(0, 30))
+@example(  # empty table
+    case=(_table({"x0": _X[:0], "x1": _X[:0]}), ("x0",), (), ("x1",)), min_cell=0)
+@example(  # a single stratum
+    case=(_table({"x0": _X, "x1": _Y}), ("x0",), (), ("x1",)), min_cell=50)
+@example(  # dof 0: a constant target in every stratum
+    case=(_table({"x0": 0 * _X, "x1": _X, "x2": _Y}), ("x0",), ("x2",), ("x1",)), min_cell=5)
+@example(  # a sparse stratum: x2 == 1 holds only 3 rows per versus value
+    case=(_table({"x0": _Y, "x1": _X, "x2": (np.arange(240) < 6).astype(int)}),
+          ("x0",), ("x2",), ("x1",)), min_cell=5)
+def test_gtest_matches_oracle_property(case, min_cell):
+    table, target, given_, versus = case
+    got = analysis.test_conditional_independence(table, target, given_, versus, min_cell=min_cell)
+    want = scalar_oracle.test_conditional_independence(
+        scalar_oracle.rows(table), target, given_, versus, min_cell=min_cell
+    )
+    assert got == want
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(cells=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1),
+                                st.sampled_from((1, -1)), st.sampled_from((1, -1))),
+                      max_size=60))
+@example(cells=[])
+def test_correlators_match_oracle_property(cells):
+    table = _table({name: np.array([c[i] for c in cells], dtype=np.int8)
+                    for i, name in enumerate(("a", "b", "A", "B"))})
+    assert analysis.correlators(table) == scalar_oracle.correlators(scalar_oracle.rows(table))
+
+
+def test_batteries_match_oracle():
+    # The source-variant oracle records carry the hidden pair as one "lambda"
+    # value; the table splits it into two columns with the same partition.
+    records = scalar_oracle._run_toy(6000, 3, toys.singlet_weight_rule(), record_lambda=True)
+    kept_records = [r for r in records if r.accepted]
+    table = toys.run_toy_source_variant(6000, 3)
+    kept = toys.accepted(table)
+    oracle = scalar_oracle.test_conditional_independence
+    assert analysis.statistical_independence_test(kept, post_selected=True) == oracle(
+        kept_records, "lambda", (), ("a", "b"), hypothesis="SI_ps"
+    )
+    assert analysis.local_causality_tests(kept, post_selected=True, include_lambda=True) == [
+        oracle(kept_records, "A", ("a", "lambda"), ("b", "B"), hypothesis="LC_ps-A"),
+        oracle(kept_records, "B", ("b", "lambda"), ("a", "A"), hypothesis="LC_ps-B"),
+    ]
+    ensemble = run_trials(ExperimentConfig(geometry="early", n_trials=3000, seed=8))
+    event_ready = engine.post_select(ensemble)
+    ready_records = [r for r in scalar_oracle.rows(ensemble) if r.heralded]
+    assert analysis.local_causality_tests(event_ready, post_selected=True) == [
+        oracle(ready_records, "A", ("a",), ("b", "B"), hypothesis="LC_ps-A"),
+        oracle(ready_records, "B", ("b",), ("a", "A"), hypothesis="LC_ps-B"),
+    ]
+    assert analysis.correlators(event_ready) == scalar_oracle.correlators(ready_records)
+
+
+def test_csv_writers_match_oracle(tmp_path):
+    def same_bytes(write, table, oracle_write, records):
+        write(tmp_path / "columns.csv", table)
+        oracle_write(tmp_path / "records.csv", records)
+        return (tmp_path / "columns.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
+
+    for c_enabled, partial in itertools.product((True, False), (False, True)):
+        cfg = ExperimentConfig(n_trials=300, seed=4, c_enabled=c_enabled, bsm_partial=partial)
+        assert same_bytes(io.write_ensemble_csv, run_trials(cfg),
+                          scalar_oracle.write_ensemble_csv, scalar_oracle.run_trials(cfg))
+    rule = toys.singlet_weight_rule()
+    for record_lambda in (False, True):
+        assert same_bytes(io.write_toy_csv, toys._run_toy(300, 4, rule, record_lambda),
+                          scalar_oracle.write_toy_csv,
+                          scalar_oracle._run_toy(300, 4, rule, record_lambda))
+    assert same_bytes(io.write_rps_csv, toys.run_rps(300, 4),
+                      scalar_oracle.write_rps_csv, scalar_oracle.run_rps(300, 4))

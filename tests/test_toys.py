@@ -8,11 +8,15 @@ acceptance weight, independently of the sampler.
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
+from scalar_oracle import assert_same_table
 from swapsim.analysis import chsh, correlators
 from swapsim.engine import DEFAULT_ANGLES_A, DEFAULT_ANGLES_B
 from swapsim.toys import (
+    RPS_CHOICES,
+    RPS_VERDICTS,
     AcceptanceRule,
     RpsChoice,
     RpsVerdict,
@@ -78,53 +82,55 @@ class TestAcceptanceRule:
 
 class TestToyRuns:
     def test_determinism(self):
-        assert run_toy_collider(200, 5) == run_toy_collider(200, 5)
-        assert run_toy_source_variant(200, 5) == run_toy_source_variant(200, 5)
+        assert_same_table(run_toy_collider(200, 5), run_toy_collider(200, 5))
+        assert_same_table(run_toy_source_variant(200, 5), run_toy_source_variant(200, 5))
 
     def test_single_trial(self):
         trials = run_toy_collider(1, 0)
-        assert len(trials) == 1 and trials[0].trial_id == 0
+        assert len(trials) == 1 and trials["trial_id"].tolist() == [0]
 
     def test_n_zero_rejected(self):
         with pytest.raises(ValueError):
             run_toy_collider(0, 0)
 
     def test_collider_has_no_lambda(self):
-        assert all(t.lam is None for t in run_toy_collider(100, 2))
+        columns = run_toy_collider(100, 2).columns
+        assert "lambda_A" not in columns and "lambda_B" not in columns
 
     def test_source_variant_lambda_equals_outcomes(self):
-        for t in run_toy_source_variant(500, 3):
-            assert t.lam == (t.A, t.B)
+        trials = run_toy_source_variant(500, 3)
+        assert np.array_equal(trials["lambda_A"], trials["A"])
+        assert np.array_equal(trials["lambda_B"], trials["B"])
 
     def test_variants_share_sampling(self):
         c = run_toy_collider(300, 9)
         s = run_toy_source_variant(300, 9)
-        for tc, ts in zip(c, s):
-            assert (tc.a, tc.b, tc.A, tc.B, tc.accepted) == (ts.a, ts.b, ts.A, ts.B, ts.accepted)
+        for name in ("trial_id", "a", "b", "A", "B", "accepted"):
+            assert np.array_equal(c[name], s[name]), name
 
     def test_accept_all_keeps_everything(self):
         trials = run_toy_collider(400, 1, constant_rule(1.0))
-        assert all(t.accepted for t in trials)
+        assert trials["accepted"].all()
 
     def test_accept_none_keeps_nothing(self):
         trials = run_toy_collider(400, 1, constant_rule(0.0))
-        assert not any(t.accepted for t in trials)
+        assert not trials["accepted"].any()
 
     def test_generator_marginals(self):
         n = 50_000
         trials = run_toy_collider(n, 13)
         tol = 5 * math.sqrt(0.25 / n)
-        assert abs(sum(t.A == 1 for t in trials) / n - 0.5) < tol
-        assert abs(sum(t.B == 1 for t in trials) / n - 0.5) < tol
-        assert abs(sum(t.a for t in trials) / n - 0.5) < tol
-        assert abs(sum(t.b for t in trials) / n - 0.5) < tol
+        assert abs(np.mean(trials["A"] == 1) - 0.5) < tol
+        assert abs(np.mean(trials["B"] == 1) - 0.5) < tol
+        assert abs(np.mean(trials["a"]) - 0.5) < tol
+        assert abs(np.mean(trials["b"]) - 0.5) < tol
 
     def test_accepted_frequencies_match_oracle(self):
         rule = singlet_weight_rule()
         n = 100_000
         kept = accepted(run_toy_collider(n, 29, rule))
         dist = oracle_accepted_distribution(rule)
-        counts = Counter((t.a, t.b, t.A, t.B) for t in kept)
+        counts = Counter(zip(*(kept[name].tolist() for name in ("a", "b", "A", "B"))))
         m = len(kept)
         for key, p in dist.items():
             freq = counts.get(key, 0) / m
@@ -141,7 +147,7 @@ class TestToyRuns:
 
 class TestRps:
     def test_determinism(self):
-        assert run_rps(200, 4) == run_rps(200, 4)
+        assert_same_table(run_rps(200, 4), run_rps(200, 4))
 
     def test_verdict_rules(self):
         assert rps_verdict(RpsChoice.ROCK, RpsChoice.SCISSORS) is RpsVerdict.ALICE_WINS
@@ -151,16 +157,17 @@ class TestRps:
     def test_joint_choice_frequency(self):
         n = 45_000
         trials = run_rps(n, 8)
-        freq = sum(
-            t.alice is RpsChoice.ROCK and t.bob is RpsChoice.ROCK for t in trials
-        ) / n
+        rock = RPS_CHOICES.index(RpsChoice.ROCK)
+        freq = np.mean((trials["alice"] == rock) & (trials["bob"] == rock))
         p = 1.0 / 9.0
         assert abs(freq - p) < 5 * math.sqrt(p * (1 - p) / n)
 
     def test_conditional_rules(self):
         trials = run_rps(5_000, 15)
-        for t in trials:
-            if t.verdict is RpsVerdict.DRAW:
-                assert t.alice is t.bob
-            if t.verdict is RpsVerdict.ALICE_WINS and t.alice is RpsChoice.ROCK:
-                assert t.bob is RpsChoice.SCISSORS
+        alice, bob, verdict = trials["alice"], trials["bob"], trials["verdict"]
+        draw = verdict == RPS_VERDICTS.index(RpsVerdict.DRAW)
+        assert np.array_equal(alice[draw], bob[draw])
+        rock_wins = (verdict == RPS_VERDICTS.index(RpsVerdict.ALICE_WINS)) & (
+            alice == RPS_CHOICES.index(RpsChoice.ROCK)
+        )
+        assert np.all(bob[rock_wins] == RPS_CHOICES.index(RpsChoice.SCISSORS))
