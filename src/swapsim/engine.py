@@ -95,7 +95,10 @@ class ExperimentConfig:
             angles = getattr(self, name)
             if len(angles) != 2:
                 raise ValueError(f"{name} must list exactly two angles (binary settings)")
-            object.__setattr__(self, name, (float(angles[0]), float(angles[1])))
+            pair = (float(angles[0]), float(angles[1]))
+            if not all(math.isfinite(angle) for angle in pair):
+                raise ValueError(f"{name} must be finite, got {pair}")
+            object.__setattr__(self, name, pair)
         if self.herald not in HERALD_PREDICATES:
             raise ValueError(
                 f"unknown herald {self.herald!r}; expected one of {sorted(HERALD_PREDICATES)}"

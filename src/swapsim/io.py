@@ -8,6 +8,7 @@ reproduce identical files.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from pathlib import Path
 
@@ -79,41 +80,61 @@ def write_rps_csv(path: str | Path, trials: Trials) -> None:
     _write_csv(path, RPS_HEADER, trials)
 
 
-def _reject_rows(path, bad: np.ndarray, message: str) -> None:
+# Rows decoded at a time when reading a CSV back; bounds the reader's memory.
+READ_CHUNK_ROWS = 4096
+
+
+def _reject_rows(path, first_line: int, bad: np.ndarray, message: str) -> None:
     if bad.any():
-        raise ValueError(f"{path}, line {int(np.argmax(bad)) + 2}: {message}")
+        raise ValueError(f"{path}, line {first_line + int(np.argmax(bad))}: {message}")
 
 
-def read_ensemble_csv(path: str | Path) -> Trials:
-    """Read an ensemble CSV back into a table. A row with the wrong field
-    count, a token outside its column's table (such as a setting outside
-    {0, 1} or an outcome outside {+1, -1}), or a trial_id not above the
-    previous row's raises ValueError naming its line."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ENSEMBLE_HEADER:
-            raise ValueError(f"unexpected ensemble CSV header: {header}")
-        rows = list(reader)
+def _decode_rows(path, first_line: int, rows: list, last_id: int) -> dict[str, np.ndarray]:
+    """Columns of the ensemble CSV rows that start at line ``first_line``;
+    ``last_id`` is the trial_id of the row before them, -1 for none."""
     width = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    _reject_rows(path, width != len(ENSEMBLE_HEADER), f"expected {len(ENSEMBLE_HEADER)} fields")
+    _reject_rows(path, first_line, width != len(ENSEMBLE_HEADER),
+                 f"expected {len(ENSEMBLE_HEADER)} fields")
     fields = np.array(rows, dtype=str).reshape(len(rows), len(ENSEMBLE_HEADER))
     text = dict(zip(ENSEMBLE_HEADER, fields.T))
     ids = text["trial_id"]
-    _reject_rows(path, ~np.char.isdigit(ids) | (np.char.str_len(ids) > 18),
+    _reject_rows(path, first_line, ~np.char.isdigit(ids) | (np.char.str_len(ids) > 18),
                  "trial_id is not an integer in [0, 10**18)")
     ids = ids.astype(np.int64)
-    _reject_rows(path, np.r_[False, ids[1:] <= ids[:-1]], "trial_id not above the previous row's")
+    _reject_rows(path, first_line, ids <= np.r_[last_id, ids[:-1]],
+                 "trial_id not above the previous row's")
     columns = {"trial_id": ids}
     for name in ENSEMBLE_HEADER[1:]:
         decode = {token: value for value, token in _CSV_TOKENS[name].items()}
-        _reject_rows(path, ~np.isin(text[name], list(decode)),
+        _reject_rows(path, first_line, ~np.isin(text[name], list(decode)),
                      f"{name} is none of {list(decode)}")
         # Each distinct token is looked up once, then spread over its rows.
         tokens, rows_of = np.unique(text[name], return_inverse=True)
         values = np.array([decode[token] for token in tokens.tolist()])
         columns[name] = values.astype(bool if name == "heralded" else np.int8)[rows_of]
-    return Trials(columns)
+    return columns
+
+
+def read_ensemble_csv(path: str | Path) -> Trials:
+    """Read an ensemble CSV back into a table, READ_CHUNK_ROWS rows at a
+    time. A row with the wrong field count, a token outside its column's
+    table (such as a setting outside {0, 1} or an outcome outside {+1, -1}),
+    or a trial_id not above the previous row's raises ValueError naming its
+    line."""
+    chunks = []
+    last_id = -1
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ENSEMBLE_HEADER:
+            raise ValueError(f"unexpected ensemble CSV header: {header}")
+        while True:
+            rows = list(itertools.islice(reader, READ_CHUNK_ROWS))
+            chunks.append(_decode_rows(path, 2 + READ_CHUNK_ROWS * len(chunks), rows, last_id))
+            if len(rows) < READ_CHUNK_ROWS:
+                break
+            last_id = int(chunks[-1]["trial_id"][-1])
+    return Trials({name: np.concatenate([c[name] for c in chunks]) for name in ENSEMBLE_HEADER})
 
 
 def ensemble_json_payload(ensemble: Trials, meta: dict) -> dict:

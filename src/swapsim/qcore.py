@@ -14,6 +14,8 @@ for angle t is cos(t)*Z + sin(t)*X.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -165,22 +167,6 @@ def _spin_components(angle: float) -> tuple[float, float]:
     return math.cos(angle / 2.0), math.sin(angle / 2.0)
 
 
-def _project_spin(
-    amps: np.ndarray, q: int, vec: tuple[float, float]
-) -> tuple[np.ndarray, float]:
-    """Contract qubit q against bra <vec|; returns (coefficient array, weight)."""
-    t = amps.reshape(2**q, 2, -1)
-    coeff = vec[0] * t[:, 0, :] + vec[1] * t[:, 1, :]
-    return coeff, float(np.vdot(coeff, coeff).real)
-
-
-def _embed_spin(coeff: np.ndarray, q: int, vec: tuple[float, float]) -> np.ndarray:
-    out = np.empty((coeff.shape[0], 2, coeff.shape[1]), dtype=np.complex128)
-    out[:, 0, :] = vec[0] * coeff
-    out[:, 1, :] = vec[1] * coeff
-    return out.reshape(-1)
-
-
 # The two nonzero (left_bit, right_bit, value) terms of each Bell tensor,
 # with values as Python floats for cheap scalar arithmetic.
 _BELL_TERMS: dict[BellOutcome, tuple[tuple[int, int, float], ...]] = {
@@ -194,59 +180,133 @@ _BELL_TERMS: dict[BellOutcome, tuple[tuple[int, int, float], ...]] = {
 }
 
 
-def _bell_terms(outcome: BellOutcome, q_left: int, q_right: int):
-    terms = _BELL_TERMS[outcome]
-    if q_left < q_right:
-        return terms
-    return tuple((j, i, c) for (i, j, c) in terms)
+def _partial_outcomes(resolve_psi_plus: bool) -> tuple[list[BellOutcome], list[BellOutcome]]:
+    """(resolved outcomes in enum order, outcomes folded into NO_HERALD)."""
+    resolved = [BellOutcome.PSI_MINUS]
+    folded = [BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS]
+    if resolve_psi_plus:
+        resolved.insert(0, BellOutcome.PSI_PLUS)
+    else:
+        folded.append(BellOutcome.PSI_PLUS)
+    return resolved, folded
 
 
-def _split_pair(amps: np.ndarray, qa: int, qb: int) -> np.ndarray:
-    # qa < qb required; axes: (pre, qa, mid, qb, post)
-    return amps.reshape(2**qa, 2, 2 ** (qb - qa - 1), 2, -1)
+def _branch_outcomes(step: PlanStep) -> list:
+    if isinstance(step, SpinMeasurement):
+        return [1, -1]
+    if not step.partial:
+        return list(_BELL_TENSORS)
+    resolved, _ = _partial_outcomes(step.resolve_psi_plus)
+    return resolved + [BellOutcome.NO_HERALD]
 
 
-def _project_bell(
-    amps: np.ndarray, q_left: int, q_right: int, outcome: BellOutcome
-) -> tuple[np.ndarray, float]:
-    qa, qb = (q_left, q_right) if q_left < q_right else (q_right, q_left)
-    t = _split_pair(amps, qa, qb)
-    (i1, j1, c1), (i2, j2, c2) = _bell_terms(outcome, q_left, q_right)
-    coeff = c1 * t[:, i1, :, j1, :] + c2 * t[:, i2, :, j2, :]
-    return coeff, float(np.vdot(coeff, coeff).real)
+Branch = tuple  # (outcome, weight, unnormalized post-measurement amplitudes)
 
 
-def _embed_bell(
-    coeff: np.ndarray, q_left: int, q_right: int, outcome: BellOutcome
-) -> np.ndarray:
-    out = np.zeros((coeff.shape[0], 2, coeff.shape[1], 2, coeff.shape[2]), dtype=np.complex128)
-    for i, j, c in _bell_terms(outcome, q_left, q_right):
-        out[:, i, :, j, :] = c * coeff
-    return out.reshape(-1)
+def _branches(amps: np.ndarray, step: PlanStep) -> list[Branch]:
+    """Every outcome of one plan step, in ``_branch_outcomes(step)`` order, as
+    (outcome, weight, unnormalized post-measurement amplitudes).
+
+    This is the one projection onto a step's outcomes: collapse steps, the
+    sampler tree, outcome probabilities and exact enumeration all read it.
+    NO_HERALD is the sum of the folded outcomes' projections.
+    """
+    if isinstance(step, SpinMeasurement):
+        t = amps.reshape(2**step.qubit, 2, -1)
+        out = []
+        for outcome, angle in ((1, step.angle), (-1, step.angle + math.pi)):
+            up, down = _spin_components(angle)
+            coeff = up * t[:, 0, :] + down * t[:, 1, :]
+            post = np.empty_like(t)
+            post[:, 0, :] = up * coeff
+            post[:, 1, :] = down * coeff
+            out.append((outcome, float(np.vdot(coeff, coeff).real), post.reshape(-1)))
+        return out
+    # Axes (pre, lower qubit, mid, higher qubit, post); a Bell tensor's
+    # (left, right) bits swap when q_left is the higher qubit.
+    qa, qb = sorted((step.q_left, step.q_right))
+    t = amps.reshape(2**qa, 2, 2 ** (qb - qa - 1), 2, -1)
+    projected = {}
+    for outcome, terms in _BELL_TERMS.items():
+        if step.q_left > step.q_right:
+            terms = tuple((j, i, c) for (i, j, c) in terms)
+        (i1, j1, c1), (i2, j2, c2) = terms
+        coeff = c1 * t[:, i1, :, j1, :] + c2 * t[:, i2, :, j2, :]
+        post = np.zeros_like(t)
+        for i, j, c in terms:
+            post[:, i, :, j, :] = c * coeff
+        projected[outcome] = (outcome, float(np.vdot(coeff, coeff).real), post.reshape(-1))
+    if not step.partial:
+        return list(projected.values())
+    resolved, folded = _partial_outcomes(step.resolve_psi_plus)
+    post = np.zeros_like(amps)
+    weight = 0.0
+    for o in folded:
+        post += projected[o][2]
+        weight += projected[o][1]
+    return [projected[o] for o in resolved] + [(BellOutcome.NO_HERALD, weight, post)]
+
+
+def _step_thresholds(step: PlanStep, branches: list[Branch]) -> list[float]:
+    """Upper edges of the draw slots of one step: its cumulative weights.
+
+    Slot i covers [edge i-1, edge i). A spin keeps only its first edge, so
+    the -1 outcome takes every draw at or above P(+1); a BSM draw at or
+    above its last edge falls in an extra slot (see ``_take``).
+    """
+    edges = list(itertools.accumulate(weight for _o, weight, _p in branches))
+    return edges[:-1] if isinstance(step, SpinMeasurement) else edges
+
+
+def _take(branches: list[Branch], slot: int) -> tuple[int, np.ndarray]:
+    """(branch index, normalized post-state) for a draw in ``slot``.
+
+    The slot past a BSM's last edge, where cumulative rounding fell short
+    of 1, takes the last outcome of positive weight. Raises RuntimeError
+    when the slot's outcome has zero weight.
+    """
+    if slot == len(branches):
+        positive = [i for i, (_o, weight, _p) in enumerate(branches) if weight > 0.0]
+        if not positive:
+            raise RuntimeError("no Bell outcome has positive probability")
+        slot = positive[-1]
+    _outcome, weight, post = branches[slot]
+    if weight <= 0.0:
+        raise RuntimeError("drew an outcome with zero-norm projection")
+    return slot, post / math.sqrt(weight)
+
+
+def _collapse(amps: np.ndarray, step: PlanStep, draw: float) -> tuple[object, np.ndarray]:
+    """Raw collapse of one step with a uniform draw; inputs assumed valid."""
+    branches = _branches(amps, step)
+    index, post = _take(branches, bisect.bisect_right(_step_thresholds(step, branches), draw))
+    return branches[index][0], post
+
+
+# Nothing in swapsim calls these two; engine and analysis import them so
+# that bench/tracer.py can wrap the names.
+def _spin_step(
+    amps: np.ndarray, n: int, qubit: int, angle: float, draw: float
+) -> tuple[int, np.ndarray]:
+    return _collapse(amps, SpinMeasurement(qubit, angle), draw)
+
+
+def _bsm_step(
+    amps: np.ndarray,
+    n: int,
+    q_left: int,
+    q_right: int,
+    draw: float,
+    partial: bool,
+    resolve_psi_plus: bool,
+) -> tuple[BellOutcome, np.ndarray]:
+    return _collapse(amps, BsmStep(q_left, q_right, partial, resolve_psi_plus), draw)
 
 
 def prob_spin_up(state: StateVector, m: SpinMeasurement) -> float:
     """Born probability of the +1 outcome."""
     _check_qubit(state, m.qubit)
-    _, p = _project_spin(state.amplitudes, m.qubit, _spin_components(m.angle))
-    return min(max(p, 0.0), 1.0)
-
-
-def _spin_step(
-    amps: np.ndarray, n: int, qubit: int, angle: float, draw: float
-) -> tuple[int, np.ndarray]:
-    """Raw spin collapse on unwrapped amplitudes; inputs assumed valid."""
-    vec = _spin_components(angle)
-    coeff, weight = _project_spin(amps, qubit, vec)
-    if draw < weight:
-        outcome = 1
-    else:
-        outcome = -1
-        vec = _spin_components(angle + math.pi)
-        coeff, weight = _project_spin(amps, qubit, vec)
-    if weight <= 0.0:
-        raise RuntimeError("drew an outcome with zero-norm projection")
-    return outcome, _embed_spin(coeff / math.sqrt(weight), qubit, vec)
+    return min(max(_branches(state.amplitudes, m)[0][1], 0.0), 1.0)
 
 
 def measure_spin(
@@ -259,19 +319,8 @@ def measure_spin(
     _check_qubit(state, m.qubit)
     if not 0.0 <= draw < 1.0:
         raise ValueError(f"draw must be in [0, 1), got {draw!r}")
-    outcome, post = _spin_step(state.amplitudes, state.num_qubits, m.qubit, m.angle, draw)
+    outcome, post = _collapse(state.amplitudes, m, draw)
     return outcome, StateVector(state.num_qubits, post)
-
-
-def _partial_outcomes(resolve_psi_plus: bool) -> tuple[list[BellOutcome], list[BellOutcome]]:
-    """(resolved outcomes in enum order, outcomes folded into NO_HERALD)."""
-    resolved = [BellOutcome.PSI_MINUS]
-    folded = [BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS]
-    if resolve_psi_plus:
-        resolved.insert(0, BellOutcome.PSI_PLUS)
-    else:
-        folded.append(BellOutcome.PSI_PLUS)
-    return resolved, folded
 
 
 def bell_outcome_probabilities(
@@ -286,72 +335,8 @@ def bell_outcome_probabilities(
     _check_qubit(state, q_right)
     if q_left == q_right:
         raise ValueError("Bell-state measurement needs two distinct qubits")
-    raw = {
-        o: _project_bell(state.amplitudes, q_left, q_right, o)[1]
-        for o in _BELL_TENSORS
-    }
-    if not partial:
-        return raw
-    resolved, folded = _partial_outcomes(resolve_psi_plus)
-    probs = {o: raw[o] for o in resolved}
-    probs[BellOutcome.NO_HERALD] = sum(raw[o] for o in folded)
-    return probs
-
-
-def _bsm_probs(
-    amps: np.ndarray, q_left: int, q_right: int, partial: bool, resolve_psi_plus: bool
-) -> tuple[dict, list[tuple[BellOutcome, float]], list[BellOutcome]]:
-    """Projections by Bell outcome, the reported (outcome, weight) list in
-    cumulative-threshold order, and the outcomes folded into NO_HERALD."""
-    proj = [(o, _project_bell(amps, q_left, q_right, o)) for o in _BELL_TENSORS]
-    folded: list[BellOutcome] = []
-    if partial:
-        resolved, folded = _partial_outcomes(resolve_psi_plus)
-        probs = [(o, w) for o, (_c, w) in proj if o in resolved]
-        probs.append(
-            (BellOutcome.NO_HERALD, sum(w for o, (_c, w) in proj if o in folded))
-        )
-    else:
-        probs = [(o, w) for o, (_c, w) in proj]
-    return dict(proj), probs, folded
-
-
-def _bsm_step(
-    amps: np.ndarray,
-    n: int,
-    q_left: int,
-    q_right: int,
-    draw: float,
-    partial: bool,
-    resolve_psi_plus: bool,
-) -> tuple[BellOutcome, np.ndarray]:
-    """Raw Bell-basis collapse on unwrapped amplitudes; inputs assumed valid."""
-    projections, probs, folded = _bsm_probs(amps, q_left, q_right, partial, resolve_psi_plus)
-    chosen = None
-    acc = 0.0
-    for o, p in probs:
-        acc += p
-        if draw < acc:
-            chosen = o
-            break
-    if chosen is None:  # cumulative rounding fell short; take last nonzero outcome
-        positive = [o for o, p in probs if p > 0.0]
-        if not positive:
-            raise RuntimeError("no Bell outcome has positive probability")
-        chosen = positive[-1]
-    if chosen is BellOutcome.NO_HERALD:
-        post = np.zeros(2**n, dtype=np.complex128)
-        weight = 0.0
-        for o in folded:
-            coeff, w = projections[o]
-            post += _embed_bell(coeff, q_left, q_right, o)
-            weight += w
-    else:
-        coeff, weight = projections[chosen]
-        post = _embed_bell(coeff, q_left, q_right, chosen)
-    if weight <= 0.0:
-        raise RuntimeError("drew an outcome with zero-norm projection")
-    return chosen, post / math.sqrt(weight)
+    step = BsmStep(q_left, q_right, partial, resolve_psi_plus)
+    return {o: weight for o, weight, _post in _branches(state.amplitudes, step)}
 
 
 def bell_state_measurement(
@@ -375,37 +360,9 @@ def bell_state_measurement(
         raise ValueError("Bell-state measurement needs two distinct qubits")
     if not 0.0 <= draw < 1.0:
         raise ValueError(f"draw must be in [0, 1), got {draw!r}")
-    outcome, post = _bsm_step(
-        state.amplitudes, state.num_qubits, q_left, q_right, draw, partial, resolve_psi_plus
-    )
+    step = BsmStep(q_left, q_right, partial, resolve_psi_plus)
+    outcome, post = _collapse(state.amplitudes, step, draw)
     return outcome, StateVector(state.num_qubits, post)
-
-
-def _branch_outcomes(step: PlanStep) -> list:
-    if isinstance(step, SpinMeasurement):
-        return [1, -1]
-    if not step.partial:
-        return list(_BELL_TENSORS)
-    resolved, _ = _partial_outcomes(step.resolve_psi_plus)
-    return resolved + [BellOutcome.NO_HERALD]
-
-
-def _branch_project(amps: np.ndarray, n: int, step: PlanStep, outcome) -> np.ndarray:
-    """Unnormalized projection of ``amps`` onto one outcome branch of ``step``."""
-    if isinstance(step, SpinMeasurement):
-        angle = step.angle if outcome == 1 else step.angle + math.pi
-        vec = _spin_components(angle)
-        coeff, _ = _project_spin(amps, step.qubit, vec)
-        return _embed_spin(coeff, step.qubit, vec)
-    if outcome is BellOutcome.NO_HERALD:
-        _, folded = _partial_outcomes(step.resolve_psi_plus)
-        post = np.zeros_like(amps)
-        for o in folded:
-            coeff, _ = _project_bell(amps, step.q_left, step.q_right, o)
-            post += _embed_bell(coeff, step.q_left, step.q_right, o)
-        return post
-    coeff, _ = _project_bell(amps, step.q_left, step.q_right, outcome)
-    return _embed_bell(coeff, step.q_left, step.q_right, outcome)
 
 
 def _validate_plan(n: int, plan: Sequence[PlanStep]) -> None:
@@ -428,49 +385,22 @@ def exact_branch_enumeration(
     expansion of every branch (no sampling).
 
     Keys are outcome tuples in plan order (ints for spins, BellOutcome for
-    BSM steps), including zero-probability branches; values sum to 1.
+    BSM steps), including zero-probability branches; values sum to 1. Each
+    branch carries its unnormalized amplitudes, so a leaf's probability is
+    its squared norm.
     """
-    n = initial.num_qubits
-    _validate_plan(n, plan)
+    _validate_plan(initial.num_qubits, plan)
     table: dict[tuple, float] = {}
 
     def recurse(amps: np.ndarray, depth: int, outcomes: tuple) -> None:
         if depth == len(plan):
             table[outcomes] = float(np.vdot(amps, amps).real)
             return
-        step = plan[depth]
-        for outcome in _branch_outcomes(step):
-            recurse(_branch_project(amps, n, step, outcome), depth + 1, outcomes + (outcome,))
+        for outcome, _weight, post in _branches(amps, plan[depth]):
+            recurse(post, depth + 1, outcomes + (outcome,))
 
     recurse(initial.amplitudes, 0, ())
     return table
-
-
-def _collapse(amps: np.ndarray, n: int, step: PlanStep, draw: float):
-    if isinstance(step, SpinMeasurement):
-        return _spin_step(amps, n, step.qubit, step.angle, draw)
-    return _bsm_step(
-        amps, n, step.q_left, step.q_right, draw, step.partial, step.resolve_psi_plus
-    )
-
-
-def _step_thresholds(amps: np.ndarray, step: PlanStep) -> list[float]:
-    """Upper edges of the draw intervals the collapse step compares against.
-
-    Slot i covers [edge i-1, edge i); a draw at or above the last edge takes
-    the final slot: the -1 spin outcome, or the BSM's last-positive fallback.
-    """
-    if isinstance(step, SpinMeasurement):
-        return [_project_spin(amps, step.qubit, _spin_components(step.angle))[1]]
-    _, probs, _ = _bsm_probs(
-        amps, step.q_left, step.q_right, step.partial, step.resolve_psi_plus
-    )
-    edges = []
-    acc = 0.0
-    for _o, p in probs:
-        acc += p
-        edges.append(acc)
-    return edges
 
 
 @dataclass(frozen=True)
@@ -490,27 +420,23 @@ class _BranchNode:
 _UNREACHABLE = "draw outside every outcome interval"
 
 
-def _build_branch_node(amps: np.ndarray, n: int, plan: Sequence[PlanStep], depth: int):
+def _build_branch_node(amps: np.ndarray, plan: Sequence[PlanStep], depth: int):
     if depth == len(plan):
         return None
-    step = plan[depth]
-    outcomes = _branch_outcomes(step)
-    upper = _step_thresholds(amps, step)
+    branches = _branches(amps, plan[depth])
+    upper = _step_thresholds(plan[depth], branches)
     built: dict[int, object] = {}
     codes, children = [], []
-    for lower, top in zip([0.0] + upper, upper + [1.0]):
+    for slot, (lower, top) in enumerate(zip([0.0] + upper, upper + [1.0])):
         code, child = -1, _UNREACHABLE
         if lower < min(top, 1.0):
-            # Collapsing at the slot's lower edge yields the outcome and
-            # post-state of every draw in the slot, bit for bit.
             try:
-                outcome, post = _collapse(amps, n, step, lower)
+                code, post = _take(branches, slot)
             except RuntimeError as exc:
                 child = str(exc)
             else:
-                code = outcomes.index(outcome)
                 if code not in built:
-                    built[code] = _build_branch_node(post, n, plan, depth + 1)
+                    built[code] = _build_branch_node(post, plan, depth + 1)
                 child = built[code]
         codes.append(code)
         children.append(child)
@@ -540,7 +466,7 @@ def sample_branches(
     codes = np.full(draws.shape, -1, dtype=np.int8)
     if not draws.size:
         return codes
-    pending = [(_build_branch_node(initial.amplitudes, n, plan, 0), np.arange(len(draws)))]
+    pending = [(_build_branch_node(initial.amplitudes, plan, 0), np.arange(len(draws)))]
     for depth in range(len(plan)):
         next_pending = []
         for node, rows in pending:

@@ -3,9 +3,11 @@
 These are the per-trial loops swapsim ran before it sampled and analysed
 whole ensembles as column tables: one rekeyed Philox stream and one collapse
 call per measurement for every trial, one record object per trial, and
-record-by-record correlators, G-test counting and CSV writers. They are kept
-here, unchanged apart from taking plain record sequences, as the oracle the
-array paths must match. The helpers at the end turn records into tables and
+record-by-record correlators, G-test counting and CSV writers. Beside them
+are the collapse steps, Bell outcome probabilities and exact branch
+enumeration that projected onto each outcome in their own code. They are
+kept here, unchanged apart from taking plain record sequences, as the oracle
+the array paths and the projection kernel must match. The helpers at the end turn records into tables and
 compare tables column by column.
 """
 
@@ -44,7 +46,20 @@ from swapsim.engine import (
 )
 from swapsim.geometry import EventLabel
 from swapsim.io import ENSEMBLE_HEADER, RPS_HEADER, TOY_HEADER, outcome_token
-from swapsim.qcore import BellOutcome, _bsm_step, _spin_step, make_two_singlets, singlet
+from swapsim.qcore import (
+    _BELL_TENSORS,
+    BellOutcome,
+    PlanStep,
+    SpinMeasurement,
+    StateVector,
+    _branch_outcomes,
+    _check_qubit,
+    _partial_outcomes,
+    _spin_components,
+    _validate_plan,
+    make_two_singlets,
+    singlet,
+)
 from swapsim.toys import (
     RPS_CHOICES,
     RPS_VERDICTS,
@@ -55,6 +70,209 @@ from swapsim.toys import (
 )
 
 _CHOICES = RPS_CHOICES
+
+
+# The collapse steps and the exact enumeration as they were before qcore
+# read every step's outcomes from one projection kernel, ``qcore._branches``.
+
+def _project_spin(
+    amps: np.ndarray, q: int, vec: tuple[float, float]
+) -> tuple[np.ndarray, float]:
+    """Contract qubit q against bra <vec|; returns (coefficient array, weight)."""
+    t = amps.reshape(2**q, 2, -1)
+    coeff = vec[0] * t[:, 0, :] + vec[1] * t[:, 1, :]
+    return coeff, float(np.vdot(coeff, coeff).real)
+
+
+def _embed_spin(coeff: np.ndarray, q: int, vec: tuple[float, float]) -> np.ndarray:
+    out = np.empty((coeff.shape[0], 2, coeff.shape[1]), dtype=np.complex128)
+    out[:, 0, :] = vec[0] * coeff
+    out[:, 1, :] = vec[1] * coeff
+    return out.reshape(-1)
+
+
+# The two nonzero (left_bit, right_bit, value) terms of each Bell tensor,
+# with values as Python floats for cheap scalar arithmetic.
+_BELL_TERMS: dict[BellOutcome, tuple[tuple[int, int, float], ...]] = {
+    outcome: tuple(
+        (i, j, float(m[i, j].real))
+        for i in (0, 1)
+        for j in (0, 1)
+        if m[i, j] != 0
+    )
+    for outcome, m in _BELL_TENSORS.items()
+}
+
+
+def _bell_terms(outcome: BellOutcome, q_left: int, q_right: int):
+    terms = _BELL_TERMS[outcome]
+    if q_left < q_right:
+        return terms
+    return tuple((j, i, c) for (i, j, c) in terms)
+
+
+def _split_pair(amps: np.ndarray, qa: int, qb: int) -> np.ndarray:
+    # qa < qb required; axes: (pre, qa, mid, qb, post)
+    return amps.reshape(2**qa, 2, 2 ** (qb - qa - 1), 2, -1)
+
+
+def _project_bell(
+    amps: np.ndarray, q_left: int, q_right: int, outcome: BellOutcome
+) -> tuple[np.ndarray, float]:
+    qa, qb = (q_left, q_right) if q_left < q_right else (q_right, q_left)
+    t = _split_pair(amps, qa, qb)
+    (i1, j1, c1), (i2, j2, c2) = _bell_terms(outcome, q_left, q_right)
+    coeff = c1 * t[:, i1, :, j1, :] + c2 * t[:, i2, :, j2, :]
+    return coeff, float(np.vdot(coeff, coeff).real)
+
+
+def _embed_bell(
+    coeff: np.ndarray, q_left: int, q_right: int, outcome: BellOutcome
+) -> np.ndarray:
+    out = np.zeros((coeff.shape[0], 2, coeff.shape[1], 2, coeff.shape[2]), dtype=np.complex128)
+    for i, j, c in _bell_terms(outcome, q_left, q_right):
+        out[:, i, :, j, :] = c * coeff
+    return out.reshape(-1)
+
+
+def _spin_step(
+    amps: np.ndarray, n: int, qubit: int, angle: float, draw: float
+) -> tuple[int, np.ndarray]:
+    """Raw spin collapse on unwrapped amplitudes; inputs assumed valid."""
+    vec = _spin_components(angle)
+    coeff, weight = _project_spin(amps, qubit, vec)
+    if draw < weight:
+        outcome = 1
+    else:
+        outcome = -1
+        vec = _spin_components(angle + math.pi)
+        coeff, weight = _project_spin(amps, qubit, vec)
+    if weight <= 0.0:
+        raise RuntimeError("drew an outcome with zero-norm projection")
+    return outcome, _embed_spin(coeff / math.sqrt(weight), qubit, vec)
+
+
+def bell_outcome_probabilities(
+    state: StateVector,
+    q_left: int,
+    q_right: int,
+    partial: bool = False,
+    resolve_psi_plus: bool = True,
+) -> dict[BellOutcome, float]:
+    """Exact outcome distribution of a Bell-state measurement on (q_left, q_right)."""
+    _check_qubit(state, q_left)
+    _check_qubit(state, q_right)
+    if q_left == q_right:
+        raise ValueError("Bell-state measurement needs two distinct qubits")
+    raw = {
+        o: _project_bell(state.amplitudes, q_left, q_right, o)[1]
+        for o in _BELL_TENSORS
+    }
+    if not partial:
+        return raw
+    resolved, folded = _partial_outcomes(resolve_psi_plus)
+    probs = {o: raw[o] for o in resolved}
+    probs[BellOutcome.NO_HERALD] = sum(raw[o] for o in folded)
+    return probs
+
+
+def _bsm_probs(
+    amps: np.ndarray, q_left: int, q_right: int, partial: bool, resolve_psi_plus: bool
+) -> tuple[dict, list[tuple[BellOutcome, float]], list[BellOutcome]]:
+    """Projections by Bell outcome, the reported (outcome, weight) list in
+    cumulative-threshold order, and the outcomes folded into NO_HERALD."""
+    proj = [(o, _project_bell(amps, q_left, q_right, o)) for o in _BELL_TENSORS]
+    folded: list[BellOutcome] = []
+    if partial:
+        resolved, folded = _partial_outcomes(resolve_psi_plus)
+        probs = [(o, w) for o, (_c, w) in proj if o in resolved]
+        probs.append(
+            (BellOutcome.NO_HERALD, sum(w for o, (_c, w) in proj if o in folded))
+        )
+    else:
+        probs = [(o, w) for o, (_c, w) in proj]
+    return dict(proj), probs, folded
+
+
+def _bsm_step(
+    amps: np.ndarray,
+    n: int,
+    q_left: int,
+    q_right: int,
+    draw: float,
+    partial: bool,
+    resolve_psi_plus: bool,
+) -> tuple[BellOutcome, np.ndarray]:
+    """Raw Bell-basis collapse on unwrapped amplitudes; inputs assumed valid."""
+    projections, probs, folded = _bsm_probs(amps, q_left, q_right, partial, resolve_psi_plus)
+    chosen = None
+    acc = 0.0
+    for o, p in probs:
+        acc += p
+        if draw < acc:
+            chosen = o
+            break
+    if chosen is None:  # cumulative rounding fell short; take last nonzero outcome
+        positive = [o for o, p in probs if p > 0.0]
+        if not positive:
+            raise RuntimeError("no Bell outcome has positive probability")
+        chosen = positive[-1]
+    if chosen is BellOutcome.NO_HERALD:
+        post = np.zeros(2**n, dtype=np.complex128)
+        weight = 0.0
+        for o in folded:
+            coeff, w = projections[o]
+            post += _embed_bell(coeff, q_left, q_right, o)
+            weight += w
+    else:
+        coeff, weight = projections[chosen]
+        post = _embed_bell(coeff, q_left, q_right, chosen)
+    if weight <= 0.0:
+        raise RuntimeError("drew an outcome with zero-norm projection")
+    return chosen, post / math.sqrt(weight)
+
+
+def _branch_project(amps: np.ndarray, n: int, step: PlanStep, outcome) -> np.ndarray:
+    """Unnormalized projection of ``amps`` onto one outcome branch of ``step``."""
+    if isinstance(step, SpinMeasurement):
+        angle = step.angle if outcome == 1 else step.angle + math.pi
+        vec = _spin_components(angle)
+        coeff, _ = _project_spin(amps, step.qubit, vec)
+        return _embed_spin(coeff, step.qubit, vec)
+    if outcome is BellOutcome.NO_HERALD:
+        _, folded = _partial_outcomes(step.resolve_psi_plus)
+        post = np.zeros_like(amps)
+        for o in folded:
+            coeff, _ = _project_bell(amps, step.q_left, step.q_right, o)
+            post += _embed_bell(coeff, step.q_left, step.q_right, o)
+        return post
+    coeff, _ = _project_bell(amps, step.q_left, step.q_right, outcome)
+    return _embed_bell(coeff, step.q_left, step.q_right, outcome)
+
+
+def exact_branch_enumeration(
+    initial: StateVector, plan: Sequence[PlanStep]
+) -> dict[tuple, float]:
+    """Full joint outcome distribution of a measurement plan, by depth-first
+    expansion of every branch (no sampling).
+
+    Keys are outcome tuples in plan order (ints for spins, BellOutcome for
+    BSM steps), including zero-probability branches; values sum to 1.
+    """
+    n = initial.num_qubits
+    _validate_plan(n, plan)
+    table: dict[tuple, float] = {}
+
+    def recurse(amps: np.ndarray, depth: int, outcomes: tuple) -> None:
+        if depth == len(plan):
+            table[outcomes] = float(np.vdot(amps, amps).real)
+            return
+        step = plan[depth]
+        for outcome in _branch_outcomes(step):
+            recurse(_branch_project(amps, n, step, outcome), depth + 1, outcomes + (outcome,))
+
+    recurse(initial.amplitudes, 0, ())
+    return table
 
 
 @dataclass(frozen=True)

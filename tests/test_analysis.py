@@ -1,9 +1,12 @@
 """Diagnostic battery tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swapsim.analysis import (
     CHSH_COMBINATION,
@@ -24,14 +27,18 @@ from swapsim.analysis import (
 )
 from swapsim.analysis import test_conditional_independence as ci_test
 from swapsim.engine import (
+    GEOMETRY_NAMES,
+    HERALD_PREDICATES,
     ExperimentConfig,
     Trials,
     conditional_given_c,
     exact_experiment_distribution,
+    herald_probability,
     marginal_over_c,
     post_select,
     run_trials,
 )
+from swapsim.qcore import BellOutcome
 from swapsim.toys import (
     accepted,
     constant_rule,
@@ -256,6 +263,74 @@ class TestFragility:
     def test_requires_c_enabled(self):
         with pytest.raises(ValueError):
             fragility(ExperimentConfig(c_enabled=False))
+
+
+angles = st.floats(-2.0 * math.pi, 2.0 * math.pi, allow_nan=False)
+# Heralds a partial BSM can report: those naming a resolved outcome or NO_HERALD.
+PARTIAL_HERALDS = sorted(
+    name for name, outcomes in HERALD_PREDICATES.items()
+    if outcomes & {BellOutcome.PSI_PLUS, BellOutcome.PSI_MINUS, BellOutcome.NO_HERALD}
+)
+
+
+@st.composite
+def exact_configs(draw):
+    partial = draw(st.booleans())
+    return ExperimentConfig(
+        angles_a=draw(st.tuples(angles, angles)),
+        angles_b=draw(st.tuples(angles, angles)),
+        herald=draw(st.sampled_from(PARTIAL_HERALDS if partial else sorted(HERALD_PREDICATES))),
+        bsm_partial=partial,
+    )
+
+
+def _max_diff(t1: dict, t2: dict) -> float:
+    assert set(t1) == set(t2)
+    return max(abs(t1[k] - t2[k]) for k in t1)
+
+
+class TestExactProperties:
+    """The exact path's invariants for random angles, full and partial BSM
+    and each herald the mode can report, to the bounds the benchmark's
+    exact-scan checks apply."""
+
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(cfg=exact_configs())
+    def test_tables_sum_to_one_and_ignore_the_layout(self, cfg):
+        for c_enabled in (True, False):
+            tables = [
+                exact_experiment_distribution(replace(cfg, geometry=g, c_enabled=c_enabled))
+                for g in GEOMETRY_NAMES
+            ]
+            for table in tables:
+                assert abs(sum(table.values()) - 1.0) < 1e-12
+            for table in tables[1:]:
+                assert _max_diff(tables[0], table) < 1e-12
+
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(cfg=exact_configs())
+    def test_no_difference_and_layout_free_diagnostics(self, cfg):
+        reports = []
+        for g in GEOMETRY_NAMES:
+            layout = replace(cfg, geometry=g)
+            assert no_difference_check(layout).verdict is NdaVerdict.NO_DIFFERENCE
+            cells = fragility(layout).cells
+            reports.append((exact_chsh(layout).S, herald_probability(layout), cells))
+        (s0, p0, cells0), *others = reports
+        for s, p, cells in others:
+            assert abs(s - s0) < 1e-12 and abs(p - p0) < 1e-12
+            assert cells.keys() == cells0.keys()
+            for key, q in cells.items():
+                assert (q is None) == (cells0[key] is None)
+                assert q is None or abs(q - cells0[key]) < 1e-12
+
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(cfg=exact_configs(), geometry=st.sampled_from(GEOMETRY_NAMES))
+    def test_psi_minus_fragility_closed_form(self, cfg, geometry):
+        cfg = replace(cfg, geometry=geometry, herald="psi-minus")
+        for (a, b, A, B), p in fragility(cfg).cells.items():
+            closed = (1.0 - A * B * math.cos(cfg.angles_a[a] - cfg.angles_b[b])) / 4.0
+            assert abs(p - closed) < 1e-12
 
 
 class TestTeleport:

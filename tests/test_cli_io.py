@@ -1,6 +1,7 @@
 """CLI and artifact round-trip tests."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,56 @@ class TestEnsembleCsvRejects:
         text = self.GOOD.replace("\n0,", "\n5,") + "6,0,0,1,1,absent,false\n3,0,0,1,1,none,false\n"
         with pytest.raises(ValueError, match="line 4: trial_id not above"):
             self.read(tmp_path, text)
+
+
+class TestEnsembleCsvChunks:
+    N = io.READ_CHUNK_ROWS
+
+    def table(self, n):
+        rng = np.random.default_rng(n)
+        return Trials({
+            "trial_id": np.arange(n) * 3,
+            "a": rng.integers(0, 2, n).astype(np.int8),
+            "b": rng.integers(0, 2, n).astype(np.int8),
+            "A": rng.choice(np.array([1, -1], dtype=np.int8), n),
+            "B": rng.choice(np.array([1, -1], dtype=np.int8), n),
+            "c_outcome": rng.integers(-1, len(OUTCOMES), n).astype(np.int8),
+            "heralded": rng.integers(0, 2, n).astype(bool),
+        })
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_round_trip_at_chunk_boundary(self, tmp_path, extra):
+        ens = self.table(self.N + extra)
+        io.write_ensemble_csv(tmp_path / "ens.csv", ens)
+        assert_same_table(io.read_ensemble_csv(tmp_path / "ens.csv"), ens)
+
+    @pytest.mark.parametrize("row,message", [
+        ("99999,0,1,1,-1,psi-", "expected 7 fields"),
+        ("99999,0,1,1,-1,phi,true", "c_outcome is none of"),
+        # Equal to the last trial_id of the chunk before.
+        (f"{3 * (N - 1)},0,1,1,-1,psi-,true", "trial_id not above"),
+    ])
+    def test_bad_row_just_past_chunk_boundary(self, tmp_path, row, message):
+        path = tmp_path / "ens.csv"
+        io.write_ensemble_csv(path, self.table(self.N))
+        with open(path, "a") as fh:
+            fh.write(row + "\n")
+        # The header is line 1, so the first row of the second chunk is line N + 2.
+        with pytest.raises(ValueError, match=f"line {self.N + 2}: {message}"):
+            io.read_ensemble_csv(path)
+
+    def test_read_back_memory_is_bounded(self, tmp_path):
+        # A 1e5-row (2.6 MB) ensemble CSV: holding every row as a list of
+        # strings before decoding peaks near 55 MB.
+        path = tmp_path / "ens.csv"
+        io.write_ensemble_csv(path, self.table(100_000))
+        tracemalloc.start()
+        try:
+            io.read_ensemble_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25e6
 
 
 class TestToyCsv:
@@ -281,6 +332,22 @@ class TestCliSimulate:
         with pytest.raises(SystemExit) as exc:
             cli.main(["rps", "--trials", "5", "--out", out])
         assert exc.value.code == 2
+
+
+    @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+    def test_non_finite_angle_is_usage_error(self, tmp_path, capsys, angle):
+        # Rejected where the config is built, before the sampler sees the angle.
+        cfg = tmp_path / "angles.cfg"
+        cfg.write_text(f"angles-b = 0.5,{angle}\n")
+        out = str(tmp_path / "x")
+        for argv in (
+            ["simulate", f"--angles-a={angle},0", "--out", out],
+            ["simulate", "--config", str(cfg), "--out", out],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2, argv
+            assert "must be finite" in capsys.readouterr().err
 
 
 class TestCliToyRps:

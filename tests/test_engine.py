@@ -82,6 +82,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(angles_a=(0.0, 1.0, 2.0))
 
+    def test_rejects_non_finite_angles(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            for name in ("angles_a", "angles_b"):
+                with pytest.raises(ValueError, match="must be finite"):
+                    ExperimentConfig(**{name: (0.0, bad)})
+
     def test_rejects_unknown_herald(self):
         with pytest.raises(ValueError):
             ExperimentConfig(herald="sometimes")

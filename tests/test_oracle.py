@@ -4,7 +4,9 @@ Every comparison is exact: the array runners draw the same uniforms and
 compare them against the same thresholds, so their tables must equal the
 oracle's records column by column, and teleport reports field for field.
 The column correlators and G-test must give the oracle loops' results bit
-for bit, and the column CSV writers its bytes.
+for bit, and the column CSV writers its bytes. The projection kernel must
+give the oracle's exact tables and Bell outcome probabilities bit for bit,
+and its collapse steps the oracle's outcomes.
 """
 
 import itertools
@@ -12,13 +14,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 import scalar_oracle
 from scalar_oracle import assert_same_table
-from swapsim import analysis, engine, io, toys
+from swapsim import analysis, engine, io, qcore, toys
 from swapsim.engine import ExperimentConfig, Trials, run_trials
+from swapsim.qcore import BellOutcome, BsmStep, SpinMeasurement, StateVector
 
 SEEDS = (0, 2**64 - 1)
 ODD_ANGLES = {"angles_a": (0.3, 1.9), "angles_b": (2.2, -0.7)}
@@ -96,6 +99,118 @@ def test_run_trials_matches_oracle_property(
     assert_same_table(run_trials(cfg), scalar_oracle.ensemble_table(scalar_oracle.run_trials(cfg)))
 
 
+TWO_SINGLETS = qcore.make_two_singlets()
+# (1, 2) already in phi+: a Bell-state measurement there has three outcomes
+# of exactly zero weight.
+BSM_EIGENSTATE = qcore.product_of_pair_states(
+    4, {(0, 3): qcore.singlet(), (1, 2): qcore.bell_state(BellOutcome.PHI_PLUS)}
+)
+# |1> on qubit 0, normalized within tolerance only: at angle -pi its -1
+# branch has zero weight but a draw above P(+1) < 1 still reaches it.
+SPIN_EIGENSTATE = StateVector(4, np.eye(16)[8] * math.sqrt(1.0 - 1e-13))
+
+
+@st.composite
+def states(draw):
+    """A random normalized 4-qubit state."""
+    parts = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32)))
+    amps = parts[:16] + 1j * parts[16:]
+    norm = np.linalg.norm(amps)
+    assume(norm > 1e-3)
+    return StateVector(4, amps / norm)
+
+
+initial_states = st.one_of(st.sampled_from([TWO_SINGLETS, BSM_EIGENSTATE]), states())
+qubit_pairs = st.permutations(range(4)).map(lambda qubits: tuple(qubits[:2]))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    initial=initial_states,
+    order=st.permutations("ABC"),
+    c_enabled=st.booleans(),
+    theta_a=angles,
+    theta_b=angles,
+    pair=st.sampled_from([(1, 2), (2, 1)]),
+    partial=st.booleans(),
+    resolve_psi_plus=st.booleans(),
+)
+@example(initial=BSM_EIGENSTATE, order=("C", "A", "B"), c_enabled=True, theta_a=0.4,
+         theta_b=0.4, pair=(1, 2), partial=True, resolve_psi_plus=False)
+@example(initial=TWO_SINGLETS, order=("C", "A", "B"), c_enabled=True, theta_a=1.0,
+         theta_b=1.0, pair=(2, 1), partial=False, resolve_psi_plus=True)
+def test_exact_branch_enumeration_matches_oracle_property(
+    initial, order, c_enabled, theta_a, theta_b, pair, partial, resolve_psi_plus
+):
+    steps = {
+        "A": SpinMeasurement(0, theta_a),
+        "B": SpinMeasurement(3, theta_b),
+        "C": BsmStep(*pair, partial=partial, resolve_psi_plus=resolve_psi_plus),
+    }
+    plan = [steps[name] for name in order if c_enabled or name != "C"]
+    assert qcore.exact_branch_enumeration(initial, plan) == (
+        scalar_oracle.exact_branch_enumeration(initial, plan)
+    )
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(state=initial_states, pair=qubit_pairs, partial=st.booleans(),
+       resolve_psi_plus=st.booleans())
+@example(state=BSM_EIGENSTATE, pair=(2, 1), partial=True, resolve_psi_plus=True)
+def test_bell_outcome_probabilities_match_oracle_property(state, pair, partial, resolve_psi_plus):
+    assert qcore.bell_outcome_probabilities(state, *pair, partial, resolve_psi_plus) == (
+        scalar_oracle.bell_outcome_probabilities(state, *pair, partial, resolve_psi_plus)
+    )
+
+
+plan_steps = st.one_of(
+    st.builds(SpinMeasurement, st.integers(0, 3), angles),
+    st.builds(lambda pair, partial, resolve: BsmStep(*pair, partial, resolve),
+              qubit_pairs, st.booleans(), st.booleans()),
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(state=initial_states, step=plan_steps, edge=st.integers(-1, 3),
+       u=st.floats(0.0, 1.0, exclude_max=True))
+@example(state=SPIN_EIGENSTATE, step=SpinMeasurement(0, -math.pi), edge=-1, u=1.0 - 2.0**-53)
+@example(state=BSM_EIGENSTATE, step=BsmStep(1, 2), edge=-1, u=1.0 - 2.0**-53)
+@example(state=TWO_SINGLETS, step=BsmStep(1, 2), edge=3, u=0.0)  # rounding shortfall
+@example(  # a +1 branch of weight ~1e-279 with a subnormal embedded amplitude
+    state=StateVector(4, np.r_[np.zeros(7), 3.04016391e-140, np.zeros(7), 1.0]),
+    step=SpinMeasurement(0, 1.7391347178657812e-175), edge=-1, u=0.0)
+def test_collapse_steps_match_oracle_property(state, step, edge, u):
+    """Same outcome, or the same RuntimeError, for a random draw or one on a
+    slot edge. Bell post-states are bit-identical. A spin post-state is now
+    normalized after embedding: each amplitude is rounded once more, and an
+    embedded amplitude in the subnormal range (a branch weight near 1e-280)
+    loses up to 2**-1074 before the division by sqrt(weight) scales it up."""
+    branches = qcore._branches(state.amplitudes, step)
+    edges = qcore._step_thresholds(step, branches)
+    draw = edges[edge] if 0 <= edge < len(edges) and edges[edge] < 1.0 else u
+    if isinstance(step, SpinMeasurement):
+        args = (state.amplitudes, 4, step.qubit, step.angle, draw)
+        new, old = qcore._spin_step, scalar_oracle._spin_step
+    else:
+        args = (state.amplitudes, 4, step.q_left, step.q_right, draw,
+                step.partial, step.resolve_psi_plus)
+        new, old = qcore._bsm_step, scalar_oracle._bsm_step
+    try:
+        want = old(*args)
+    except RuntimeError as exc:
+        with pytest.raises(RuntimeError, match=str(exc)):
+            new(*args)
+        return
+    got = new(*args)
+    assert got[0] == want[0]
+    if isinstance(step, SpinMeasurement):
+        weight = {outcome: w for outcome, w, _post in branches}[got[0]]
+        subnormal_loss = 4 * 2.0**-1074 / math.sqrt(weight)
+        np.testing.assert_allclose(got[1], want[1], rtol=1e-14, atol=subnormal_loss)
+    else:
+        assert np.array_equal(got[1], want[1])
+
+
 @pytest.mark.parametrize(
     "run",
     [
@@ -141,7 +256,9 @@ _X = np.arange(240) % 2  # alternating 0, 1
 _Y = np.arange(240) // 60 % 2  # blocks of 60 zeros, then 60 ones
 
 
-@settings(max_examples=300, deadline=None, database=None)
+# No shrink phase: shrinking a failing 300-row table takes minutes.
+@settings(max_examples=300, deadline=None, database=None,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
 @given(case=small_tables(), min_cell=st.integers(0, 30))
 @example(  # empty table
     case=(_table({"x0": _X[:0], "x1": _X[:0]}), ("x0",), (), ("x1",)), min_cell=0)

@@ -29,7 +29,7 @@ from swapsim.qcore import (
     sample_branches,
     singlet,
 )
-from swapsim.qcore import _branch_outcomes, _step_thresholds
+from swapsim.qcore import _branch_outcomes, _branches, _step_thresholds
 
 SQ = 1.0 / math.sqrt(2.0)
 
@@ -394,7 +394,7 @@ class TestSampleBranches:
         initial = make_two_singlets()
         # Draws on and just below every first-step threshold, plus the ends
         # of [0, 1); later steps take random and edge draws.
-        edges = _step_thresholds(initial.amplitudes, plan[0])
+        edges = _step_thresholds(plan[0], _branches(initial.amplitudes, plan[0]))
         first = [0.0, 1.0 - 2.0**-53] + [e for e in edges if e < 1.0]
         first += [math.nextafter(e, 0.0) for e in edges]
         rng = np.random.default_rng(5)
@@ -409,7 +409,7 @@ class TestSampleBranches:
     def test_rounding_shortfall_takes_last_positive_outcome(self):
         initial = make_two_singlets()
         plan = [BsmStep(1, 2)]
-        total = _step_thresholds(initial.amplitudes, plan[0])[-1]
+        total = _step_thresholds(plan[0], _branches(initial.amplitudes, plan[0]))[-1]
         assert total < 1.0  # the four quarter weights sum to just below 1
         draws = np.array([[total], [1.0 - 2.0**-53]])
         codes = sample_branches(initial, plan, draws)
