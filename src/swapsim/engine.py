@@ -27,14 +27,14 @@ from .qcore import (
     PlanStep,
     SpinMeasurement,
     _branch_outcomes,
-    exact_branch_enumeration,
+    _enumerate_plans,
     make_two_singlets,
     sample_branches,
 )
 
 # Not called here; bench/tracer.py wraps these names in this module to
-# count the collapse calls made from it.
-from .qcore import _bsm_step, _spin_step  # noqa: F401
+# count the collapse and enumeration calls made from it.
+from .qcore import _bsm_step, _spin_step, exact_branch_enumeration  # noqa: F401
 
 A_QUBIT = 0
 B_QUBIT = 3
@@ -278,6 +278,18 @@ def measurement_order(geometry: str) -> tuple[EventLabel, ...]:
     return tuple(label for label in order if label in wanted)
 
 
+# The start state and each named layout's order, computed once at import.
+_TWO_SINGLETS = make_two_singlets()
+_ORDERS = {name: measurement_order(name) for name in GEOMETRY_NAMES}
+
+
+def _setting_plans(config: ExperimentConfig) -> dict[tuple[int, int], tuple]:
+    """(plan, labels) of each setting pair (a, b), in (0,0), (0,1), (1,0),
+    (1,1) order. The four plans differ only in the spin angles."""
+    order = _ORDERS[config.geometry]
+    return {(a, b): _setting_plan(config, order, a, b) for a in (0, 1) for b in (0, 1)}
+
+
 def _setting_plan(
     config: ExperimentConfig, order: tuple[EventLabel, ...], a: int, b: int
 ) -> tuple[list[PlanStep], list[str]]:
@@ -305,10 +317,8 @@ def run_trials(config: ExperimentConfig) -> Trials:
     measurement in geometry time order (the C draw is skipped when the C
     measurement is disabled). A setting is 0 when its draw is below 1/2.
     """
-    order = measurement_order(config.geometry)
-    initial = make_two_singlets()
     n = config.n_trials
-    plans = {(a, b): _setting_plan(config, order, a, b) for a in (0, 1) for b in (0, 1)}
+    plans = _setting_plans(config)
     labels = plans[0, 0][1]
     draws = counter_uniforms(config.seed, np.arange(n), 2 + len(labels))
     a = (draws[:, 0] >= 0.5).astype(np.int8)
@@ -316,7 +326,7 @@ def run_trials(config: ExperimentConfig) -> Trials:
     codes = np.empty((n, len(labels)), dtype=np.int8)
     for (sa, sb), (plan, _labels) in plans.items():
         rows = np.flatnonzero((a == sa) & (b == sb))
-        codes[rows] = sample_branches(initial, plan, draws[rows, 2:])
+        codes[rows] = sample_branches(_TWO_SINGLETS, plan, draws[rows, 2:])
     column = {label: codes[:, d] for d, label in enumerate(labels)}
     c_outcome = np.full(n, -1, dtype=np.int8)
     if "C" in column:
@@ -355,18 +365,21 @@ def exact_experiment_distribution(config: ExperimentConfig) -> dict[JointKey, fl
     """Exact joint table P(a, b, A, B, c_outcome) with settings weighted 1/4.
 
     Computed by exhaustive branch enumeration in the geometry's execution
-    order; entries (including zero-probability ones) sum to 1.
+    order, the four setting plans expanded together one depth at a time;
+    entries (including zero-probability ones) sum to 1, in (a, b, leaf)
+    order.
     """
-    order = measurement_order(config.geometry)
-    initial = make_two_singlets()
+    plans = _setting_plans(config)
+    labels = plans[0, 0][1]
+    keys, probs = _enumerate_plans(
+        _TWO_SINGLETS.amplitudes, [plan for plan, _labels in plans.values()]
+    )
+    leaves = [dict(zip(labels, outcomes)) for outcomes in keys]
     table: dict[JointKey, float] = {}
-    for a in (0, 1):
-        for b in (0, 1):
-            plan, labels = _setting_plan(config, order, a, b)
-            for outcomes, p in exact_branch_enumeration(initial, plan).items():
-                named = dict(zip(labels, outcomes))
-                key = (a, b, named["A"], named["B"], named.get("C"))
-                table[key] = table.get(key, 0.0) + 0.25 * p
+    for (a, b), plan_probs in zip(plans, probs):
+        for named, p in zip(leaves, plan_probs):
+            key = (a, b, named["A"], named["B"], named.get("C"))
+            table[key] = table.get(key, 0.0) + 0.25 * p
     return table
 
 

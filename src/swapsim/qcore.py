@@ -69,7 +69,7 @@ class StateVector:
                 f"expected {2**self.num_qubits} amplitudes, got shape {amps.shape}"
             )
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:  # also rejects a nan norm
             raise ValueError(f"state not normalized: |psi|^2 = {norm_sq!r}")
         amps = amps.copy()
         amps.flags.writeable = False
@@ -85,6 +85,10 @@ class SpinMeasurement:
 
     qubit: int
     angle: float
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.angle):
+            raise ValueError(f"spin measurement angle must be finite, got {self.angle!r}")
 
 
 @dataclass(frozen=True)
@@ -178,6 +182,7 @@ _BELL_TERMS: dict[BellOutcome, tuple[tuple[int, int, float], ...]] = {
     )
     for outcome, m in _BELL_TENSORS.items()
 }
+_BELL_INDEX = {outcome: k for k, outcome in enumerate(_BELL_TERMS)}
 
 
 def _partial_outcomes(resolve_psi_plus: bool) -> tuple[list[BellOutcome], list[BellOutcome]]:
@@ -200,87 +205,113 @@ def _branch_outcomes(step: PlanStep) -> list:
     return resolved + [BellOutcome.NO_HERALD]
 
 
-Branch = tuple  # (outcome, weight, unnormalized post-measurement amplitudes)
+def _branches(amps: np.ndarray, steps: Sequence[PlanStep]) -> tuple[np.ndarray, np.ndarray]:
+    """Every outcome of one plan step for each row of a stack of states.
 
-
-def _branches(amps: np.ndarray, step: PlanStep) -> list[Branch]:
-    """Every outcome of one plan step, in ``_branch_outcomes(step)`` order, as
-    (outcome, weight, unnormalized post-measurement amplitudes).
+    ``amps`` has shape (m, 2**n), one unnormalized state per row, and
+    ``steps`` holds one step per row. The rows' steps share their kind and
+    qubits; spin angles may differ by row. Returns the unnormalized
+    post-measurement amplitudes, shape (m, k, 2**n), and the weights, shape
+    (m, k), with the k outcomes in ``_branch_outcomes(steps[0])`` order.
+    NO_HERALD is the sum of the folded outcomes' projections.
 
     This is the one projection onto a step's outcomes: collapse steps, the
     sampler tree, outcome probabilities and exact enumeration all read it.
-    NO_HERALD is the sum of the folded outcomes' projections.
+    A row's results do not depend on the other rows or on the stack's
+    memory layout: the arithmetic is elementwise, and each weight is
+    ``np.vdot`` of a C-contiguous row (a strided vdot sums in another order).
     """
+    amps = np.ascontiguousarray(amps)  # so every coeff below is C-contiguous
+    m, size = amps.shape
+    step = steps[0]
     if isinstance(step, SpinMeasurement):
-        t = amps.reshape(2**step.qubit, 2, -1)
-        out = []
-        for outcome, angle in ((1, step.angle), (-1, step.angle + math.pi)):
-            up, down = _spin_components(angle)
-            coeff = up * t[:, 0, :] + down * t[:, 1, :]
-            post = np.empty_like(t)
-            post[:, 0, :] = up * coeff
-            post[:, 1, :] = down * coeff
-            out.append((outcome, float(np.vdot(coeff, coeff).real), post.reshape(-1)))
-        return out
-    # Axes (pre, lower qubit, mid, higher qubit, post); a Bell tensor's
+        t = amps.reshape(m, 2**step.qubit, 2, -1)
+        posts = np.empty((m, 2) + t.shape[1:], dtype=np.complex128)
+        weights = np.empty((m, 2))
+        # comps[i, k]: row i's (up, down) for outcome +1 (k = 0) at its
+        # angle and -1 (k = 1) at the angle plus pi; complex, as the products
+        # below are, so that no operand needs a cast.
+        comps = np.array(
+            [(_spin_components(s.angle), _spin_components(s.angle + math.pi)) for s in steps],
+            dtype=np.complex128,
+        )
+        for k in (0, 1):
+            up, down = comps[:, k, 0, None, None], comps[:, k, 1, None, None]
+            coeff = up * t[:, :, 0, :] + down * t[:, :, 1, :]
+            posts[:, k, :, 0, :] = up * coeff
+            posts[:, k, :, 1, :] = down * coeff
+            weights[:, k] = [np.vdot(row, row).real for row in coeff.reshape(m, -1)]
+        return posts.reshape(m, 2, size), weights
+    # Axes (row, pre, lower qubit, mid, higher qubit, post); a Bell tensor's
     # (left, right) bits swap when q_left is the higher qubit.
     qa, qb = sorted((step.q_left, step.q_right))
-    t = amps.reshape(2**qa, 2, 2 ** (qb - qa - 1), 2, -1)
-    projected = {}
-    for outcome, terms in _BELL_TERMS.items():
+    t = amps.reshape(m, 2**qa, 2, 2 ** (qb - qa - 1), 2, -1)
+    posts = np.zeros((m, len(_BELL_TERMS)) + t.shape[1:], dtype=np.complex128)
+    weights = np.empty((m, len(_BELL_TERMS)))
+    for k, terms in enumerate(_BELL_TERMS.values()):
         if step.q_left > step.q_right:
             terms = tuple((j, i, c) for (i, j, c) in terms)
         (i1, j1, c1), (i2, j2, c2) = terms
-        coeff = c1 * t[:, i1, :, j1, :] + c2 * t[:, i2, :, j2, :]
-        post = np.zeros_like(t)
+        coeff = c1 * t[:, :, i1, :, j1, :] + c2 * t[:, :, i2, :, j2, :]
         for i, j, c in terms:
-            post[:, i, :, j, :] = c * coeff
-        projected[outcome] = (outcome, float(np.vdot(coeff, coeff).real), post.reshape(-1))
+            posts[:, k, :, i, :, j, :] = c * coeff
+        weights[:, k] = [np.vdot(row, row).real for row in coeff.reshape(m, -1)]
+    posts = posts.reshape(m, len(_BELL_TERMS), size)
     if not step.partial:
-        return list(projected.values())
+        return posts, weights
     resolved, folded = _partial_outcomes(step.resolve_psi_plus)
-    post = np.zeros_like(amps)
-    weight = 0.0
+    keep = [_BELL_INDEX[o] for o in resolved]
+    out_posts = np.zeros((m, len(keep) + 1, size), dtype=np.complex128)
+    out_weights = np.zeros((m, len(keep) + 1))
+    out_posts[:, :-1] = posts[:, keep]
+    out_weights[:, :-1] = weights[:, keep]
     for o in folded:
-        post += projected[o][2]
-        weight += projected[o][1]
-    return [projected[o] for o in resolved] + [(BellOutcome.NO_HERALD, weight, post)]
+        out_posts[:, -1] += posts[:, _BELL_INDEX[o]]
+        out_weights[:, -1] += weights[:, _BELL_INDEX[o]]
+    return out_posts, out_weights
 
 
-def _step_thresholds(step: PlanStep, branches: list[Branch]) -> list[float]:
+def _step_thresholds(step: PlanStep, weights: list[float]) -> list[float]:
     """Upper edges of the draw slots of one step: its cumulative weights.
 
     Slot i covers [edge i-1, edge i). A spin keeps only its first edge, so
     the -1 outcome takes every draw at or above P(+1); a BSM draw at or
     above its last edge falls in an extra slot (see ``_take``).
     """
-    edges = list(itertools.accumulate(weight for _o, weight, _p in branches))
+    edges = list(itertools.accumulate(weights))
     return edges[:-1] if isinstance(step, SpinMeasurement) else edges
 
 
-def _take(branches: list[Branch], slot: int) -> tuple[int, np.ndarray]:
-    """(branch index, normalized post-state) for a draw in ``slot``.
+def _take(weights: list[float], posts: np.ndarray, slot: int) -> tuple[int, np.ndarray]:
+    """(outcome index, normalized post-state) for a draw in ``slot``, from
+    one state's branch weights and unnormalized posts.
 
     The slot past a BSM's last edge, where cumulative rounding fell short
     of 1, takes the last outcome of positive weight. Raises RuntimeError
     when the slot's outcome has zero weight.
     """
-    if slot == len(branches):
-        positive = [i for i, (_o, weight, _p) in enumerate(branches) if weight > 0.0]
+    if slot == len(weights):
+        positive = [i for i, weight in enumerate(weights) if weight > 0.0]
         if not positive:
             raise RuntimeError("no Bell outcome has positive probability")
         slot = positive[-1]
-    _outcome, weight, post = branches[slot]
+    weight = weights[slot]
     if weight <= 0.0:
         raise RuntimeError("drew an outcome with zero-norm projection")
-    return slot, post / math.sqrt(weight)
+    return slot, posts[slot] / math.sqrt(weight)
+
+
+def _one_state_branches(amps: np.ndarray, step: PlanStep) -> tuple[list[float], np.ndarray]:
+    """``_branches`` of a single state: (weights as floats, posts (k, 2**n))."""
+    posts, weights = _branches(amps[None], [step])
+    return weights[0].tolist(), posts[0]
 
 
 def _collapse(amps: np.ndarray, step: PlanStep, draw: float) -> tuple[object, np.ndarray]:
     """Raw collapse of one step with a uniform draw; inputs assumed valid."""
-    branches = _branches(amps, step)
-    index, post = _take(branches, bisect.bisect_right(_step_thresholds(step, branches), draw))
-    return branches[index][0], post
+    weights, posts = _one_state_branches(amps, step)
+    index, post = _take(weights, posts, bisect.bisect_right(_step_thresholds(step, weights), draw))
+    return _branch_outcomes(step)[index], post
 
 
 # Nothing in swapsim calls these two; engine and analysis import them so
@@ -306,7 +337,7 @@ def _bsm_step(
 def prob_spin_up(state: StateVector, m: SpinMeasurement) -> float:
     """Born probability of the +1 outcome."""
     _check_qubit(state, m.qubit)
-    return min(max(_branches(state.amplitudes, m)[0][1], 0.0), 1.0)
+    return min(max(_one_state_branches(state.amplitudes, m)[0][0], 0.0), 1.0)
 
 
 def measure_spin(
@@ -336,7 +367,7 @@ def bell_outcome_probabilities(
     if q_left == q_right:
         raise ValueError("Bell-state measurement needs two distinct qubits")
     step = BsmStep(q_left, q_right, partial, resolve_psi_plus)
-    return {o: weight for o, weight, _post in _branches(state.amplitudes, step)}
+    return dict(zip(_branch_outcomes(step), _one_state_branches(state.amplitudes, step)[0]))
 
 
 def bell_state_measurement(
@@ -378,29 +409,42 @@ def _validate_plan(n: int, plan: Sequence[PlanStep]) -> None:
                     raise ValueError(f"plan step {step} exceeds the {n}-qubit budget")
 
 
+def _enumerate_plans(
+    initial: np.ndarray, plans: Sequence[Sequence[PlanStep]]
+) -> tuple[list[tuple], list[list[float]]]:
+    """Leaf outcome tuples and, for each plan, the leaf probabilities.
+
+    The plans must have equal length, and at each depth their steps must
+    share kind and qubits (spin angles may differ), so one ``_branches``
+    call expands every plan's rows one depth further. Rows stay in plan,
+    then depth-first outcome order: the keys come out in the order a
+    recursion over ``_branch_outcomes`` visits the leaves. A leaf's
+    probability is the squared norm of its unnormalized amplitudes.
+    """
+    states = np.tile(initial, (len(plans), 1))
+    keys: list[tuple] = [()]
+    for depth, step in enumerate(plans[0]):
+        posts, _weights = _branches(states, [plan[depth] for plan in plans for _ in keys])
+        states = posts.reshape(-1, initial.size)
+        keys = [key + (outcome,) for key in keys for outcome in _branch_outcomes(step)]
+    probs = [float(np.vdot(row, row).real) for row in states]
+    return keys, [probs[i : i + len(keys)] for i in range(0, len(probs), len(keys))]
+
+
 def exact_branch_enumeration(
     initial: StateVector, plan: Sequence[PlanStep]
 ) -> dict[tuple, float]:
-    """Full joint outcome distribution of a measurement plan, by depth-first
-    expansion of every branch (no sampling).
+    """Full joint outcome distribution of a measurement plan, by expanding
+    every branch one depth at a time (no sampling).
 
     Keys are outcome tuples in plan order (ints for spins, BellOutcome for
-    BSM steps), including zero-probability branches; values sum to 1. Each
-    branch carries its unnormalized amplitudes, so a leaf's probability is
-    its squared norm.
+    BSM steps), in depth-first order, including zero-probability branches;
+    values sum to 1. Each branch carries its unnormalized amplitudes, so a
+    leaf's probability is its squared norm.
     """
     _validate_plan(initial.num_qubits, plan)
-    table: dict[tuple, float] = {}
-
-    def recurse(amps: np.ndarray, depth: int, outcomes: tuple) -> None:
-        if depth == len(plan):
-            table[outcomes] = float(np.vdot(amps, amps).real)
-            return
-        for outcome, _weight, post in _branches(amps, plan[depth]):
-            recurse(post, depth + 1, outcomes + (outcome,))
-
-    recurse(initial.amplitudes, 0, ())
-    return table
+    keys, (probs,) = _enumerate_plans(initial.amplitudes, [plan])
+    return dict(zip(keys, probs))
 
 
 @dataclass(frozen=True)
@@ -423,15 +467,15 @@ _UNREACHABLE = "draw outside every outcome interval"
 def _build_branch_node(amps: np.ndarray, plan: Sequence[PlanStep], depth: int):
     if depth == len(plan):
         return None
-    branches = _branches(amps, plan[depth])
-    upper = _step_thresholds(plan[depth], branches)
+    weights, posts = _one_state_branches(amps, plan[depth])
+    upper = _step_thresholds(plan[depth], weights)
     built: dict[int, object] = {}
     codes, children = [], []
     for slot, (lower, top) in enumerate(zip([0.0] + upper, upper + [1.0])):
         code, child = -1, _UNREACHABLE
         if lower < min(top, 1.0):
             try:
-                code, post = _take(branches, slot)
+                code, post = _take(weights, posts, slot)
             except RuntimeError as exc:
                 child = str(exc)
             else:

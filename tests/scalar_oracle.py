@@ -5,10 +5,12 @@ whole ensembles as column tables: one rekeyed Philox stream and one collapse
 call per measurement for every trial, one record object per trial, and
 record-by-record correlators, G-test counting and CSV writers. Beside them
 are the collapse steps, Bell outcome probabilities and exact branch
-enumeration that projected onto each outcome in their own code. They are
+enumeration that projected onto each outcome in their own code, and the
+joint table built one setting plan at a time over that recursion. They are
 kept here, unchanged apart from taking plain record sequences, as the oracle
-the array paths and the projection kernel must match. The helpers at the end turn records into tables and
-compare tables column by column.
+the array paths, the projection kernel and the level-by-level exact tables
+must match. The helpers at the end turn records into tables and compare
+tables column by column.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from swapsim.engine import (
     OUTCOMES,
     ExperimentConfig,
     Trials,
+    _setting_plan,
     _TrialStream,
     measurement_order,
 )
@@ -272,6 +275,23 @@ def exact_branch_enumeration(
             recurse(_branch_project(amps, n, step, outcome), depth + 1, outcomes + (outcome,))
 
     recurse(initial.amplitudes, 0, ())
+    return table
+
+
+def exact_experiment_distribution(config: ExperimentConfig) -> dict[tuple, float]:
+    """The joint table as swapsim built it before it expanded the four
+    setting plans together: one plan at a time, each through the depth-first
+    recursion above, accumulated in (a, b, leaf) order."""
+    order = measurement_order(config.geometry)
+    initial = make_two_singlets()
+    table: dict[tuple, float] = {}
+    for a in (0, 1):
+        for b in (0, 1):
+            plan, labels = _setting_plan(config, order, a, b)
+            for outcomes, p in exact_branch_enumeration(initial, plan).items():
+                named = dict(zip(labels, outcomes))
+                key = (a, b, named["A"], named["B"], named.get("C"))
+                table[key] = table.get(key, 0.0) + 0.25 * p
     return table
 
 

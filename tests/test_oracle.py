@@ -5,12 +5,15 @@ compare them against the same thresholds, so their tables must equal the
 oracle's records column by column, and teleport reports field for field.
 The column correlators and G-test must give the oracle loops' results bit
 for bit, and the column CSV writers its bytes. The projection kernel must
-give the oracle's exact tables and Bell outcome probabilities bit for bit,
-and its collapse steps the oracle's outcomes.
+give the oracle's exact tables (in key order), the exact diagnostics and
+Bell outcome probabilities bit for bit, and its collapse steps the oracle's
+outcomes.
 """
 
 import itertools
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -148,9 +151,56 @@ def test_exact_branch_enumeration_matches_oracle_property(
         "C": BsmStep(*pair, partial=partial, resolve_psi_plus=resolve_psi_plus),
     }
     plan = [steps[name] for name in order if c_enabled or name != "C"]
-    assert qcore.exact_branch_enumeration(initial, plan) == (
-        scalar_oracle.exact_branch_enumeration(initial, plan)
+    # Key order too: it sets the order the diagnostics sum the table in.
+    assert list(qcore.exact_branch_enumeration(initial, plan).items()) == list(
+        scalar_oracle.exact_branch_enumeration(initial, plan).items()
     )
+
+
+def exact_outputs(cfg: ExperimentConfig) -> str:
+    """repr of every exact output of a config: its joint tables with C on and
+    off, items in order, and the four diagnostics (or the error one raises)."""
+    out: list = [
+        list(engine.exact_experiment_distribution(replace(cfg, c_enabled=c)).items())
+        for c in (True, False)
+    ]
+    for diagnostic in (engine.herald_probability, analysis.exact_chsh,
+                       analysis.no_difference_check, analysis.fragility):
+        try:
+            result = diagnostic(cfg)
+        except ValueError as exc:  # a herald the partial analyzer never gives
+            result = exc
+        out.append(result)
+    return repr(out)
+
+
+finite_angles = st.one_of(angles, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    geometry=st.sampled_from(engine.GEOMETRY_NAMES),
+    herald=st.sampled_from(sorted(engine.HERALD_PREDICATES)),
+    partial=st.booleans(),
+    angles_a=st.tuples(finite_angles, finite_angles),
+    angles_b=st.tuples(finite_angles, finite_angles),
+)
+@example(geometry="early", herald="psi-minus", partial=False,
+         angles_a=engine.DEFAULT_ANGLES_A, angles_b=engine.DEFAULT_ANGLES_B)
+@example(geometry="delayed", herald="phi-plus", partial=True, angles_a=(0.3, 1.9),
+         angles_b=(2.2, -0.7))
+def test_exact_outputs_match_oracle_property(geometry, herald, partial, angles_a, angles_b):
+    """The level-by-level table over the four stacked plans, and every
+    diagnostic read from it, equal the oracle's per-plan recursion bit for
+    bit and in key order."""
+    cfg = ExperimentConfig(geometry=geometry, herald=herald, bsm_partial=partial,
+                           angles_a=angles_a, angles_b=angles_b)
+    got = exact_outputs(cfg)
+    oracle_table = scalar_oracle.exact_experiment_distribution
+    with mock.patch.object(engine, "exact_experiment_distribution", oracle_table), \
+            mock.patch.object(analysis, "exact_experiment_distribution", oracle_table):
+        want = exact_outputs(cfg)
+    assert got == want
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -185,8 +235,8 @@ def test_collapse_steps_match_oracle_property(state, step, edge, u):
     normalized after embedding: each amplitude is rounded once more, and an
     embedded amplitude in the subnormal range (a branch weight near 1e-280)
     loses up to 2**-1074 before the division by sqrt(weight) scales it up."""
-    branches = qcore._branches(state.amplitudes, step)
-    edges = qcore._step_thresholds(step, branches)
+    weights, _posts = qcore._one_state_branches(state.amplitudes, step)
+    edges = qcore._step_thresholds(step, weights)
     draw = edges[edge] if 0 <= edge < len(edges) and edges[edge] < 1.0 else u
     if isinstance(step, SpinMeasurement):
         args = (state.amplitudes, 4, step.qubit, step.angle, draw)
@@ -204,7 +254,7 @@ def test_collapse_steps_match_oracle_property(state, step, edge, u):
     got = new(*args)
     assert got[0] == want[0]
     if isinstance(step, SpinMeasurement):
-        weight = {outcome: w for outcome, w, _post in branches}[got[0]]
+        weight = dict(zip(qcore._branch_outcomes(step), weights))[got[0]]
         subnormal_loss = 4 * 2.0**-1074 / math.sqrt(weight)
         np.testing.assert_allclose(got[1], want[1], rtol=1e-14, atol=subnormal_loss)
     else:

@@ -29,7 +29,7 @@ from swapsim.qcore import (
     sample_branches,
     singlet,
 )
-from swapsim.qcore import _branch_outcomes, _branches, _step_thresholds
+from swapsim.qcore import _branch_outcomes, _branches, _one_state_branches, _step_thresholds
 
 SQ = 1.0 / math.sqrt(2.0)
 
@@ -84,6 +84,22 @@ class TestStateVector:
         s = singlet()
         with pytest.raises(ValueError):
             s.amplitudes[0] = 1.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_amplitude_rejected(self, bad):
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector(1, np.array([bad, 0.0]))
+
+
+class TestSpinMeasurement:
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, angle):
+        with pytest.raises(ValueError, match="finite"):
+            SpinMeasurement(0, angle)
+
+    def test_finite_angles_accepted(self):
+        for angle in (0.0, -0.0, 5e-324, -1e308, 2.0**1023):
+            assert SpinMeasurement(1, angle).angle == angle
 
 
 class TestTwoSinglets:
@@ -361,6 +377,43 @@ class TestExactBranchEnumeration:
             exact_branch_enumeration(make_two_singlets(), [BsmStep(1, 1)])
 
 
+_RNG = np.random.default_rng(23)
+STACK = _RNG.normal(size=(6, 16)) + 1j * _RNG.normal(size=(6, 16))
+# One step per row of STACK; spin angles differ by row.
+STEP_ROWS = {
+    **{f"spin-q{q}": [SpinMeasurement(q, angle) for angle in _RNG.uniform(-7.0, 7.0, size=6)]
+       for q in range(4)},
+    "bsm-full": [BsmStep(1, 2)] * 6,
+    "bsm-partial": [BsmStep(1, 2, partial=True)] * 6,
+    "bsm-partial-psi-plus-folded": [BsmStep(1, 2, partial=True, resolve_psi_plus=False)] * 6,
+    "bsm-left-above-right": [BsmStep(2, 1)] * 6,
+    "bsm-partial-left-above-right": [BsmStep(3, 0, partial=True)] * 6,
+}
+LAYOUTS = {
+    "contiguous": lambda stack: stack,
+    "broadcast": lambda stack: np.broadcast_to(stack[1], stack.shape),
+    "fortran": np.asfortranarray,
+}
+
+
+class TestStackedBranches:
+    """``_branches`` on a stack of states, one step per row, gives each row
+    what a one-row call gives, bit for bit, whatever the stack's layout."""
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("name", sorted(STEP_ROWS))
+    def test_rows_match_one_row_calls(self, name, layout):
+        steps = STEP_ROWS[name]
+        stack = LAYOUTS[layout](STACK)
+        posts, weights = _branches(stack, steps)
+        k = len(_branch_outcomes(steps[0]))
+        assert posts.shape == (6, k, 16) and weights.shape == (6, k)
+        for i, step in enumerate(steps):
+            row_posts, row_weights = _branches(stack[i].copy()[None], [step])
+            assert posts[i].tobytes() == row_posts[0].tobytes()
+            assert weights[i].tobytes() == row_weights[0].tobytes()
+
+
 def scalar_codes(initial: StateVector, plan, draws) -> np.ndarray:
     """Outcome codes from collapsing step by step with each row's draws."""
     out = np.empty(np.shape(draws), dtype=np.int8)
@@ -394,7 +447,7 @@ class TestSampleBranches:
         initial = make_two_singlets()
         # Draws on and just below every first-step threshold, plus the ends
         # of [0, 1); later steps take random and edge draws.
-        edges = _step_thresholds(plan[0], _branches(initial.amplitudes, plan[0]))
+        edges = _step_thresholds(plan[0], _one_state_branches(initial.amplitudes, plan[0])[0])
         first = [0.0, 1.0 - 2.0**-53] + [e for e in edges if e < 1.0]
         first += [math.nextafter(e, 0.0) for e in edges]
         rng = np.random.default_rng(5)
@@ -409,7 +462,7 @@ class TestSampleBranches:
     def test_rounding_shortfall_takes_last_positive_outcome(self):
         initial = make_two_singlets()
         plan = [BsmStep(1, 2)]
-        total = _step_thresholds(plan[0], _branches(initial.amplitudes, plan[0]))[-1]
+        total = _step_thresholds(plan[0], _one_state_branches(initial.amplitudes, plan[0])[0])[-1]
         assert total < 1.0  # the four quarter weights sum to just below 1
         draws = np.array([[total], [1.0 - 2.0**-53]])
         codes = sample_branches(initial, plan, draws)
