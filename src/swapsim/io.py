@@ -1,8 +1,10 @@
 """CSV/JSON persistence for ensembles, toy runs, and analysis reports.
 
 All writers are byte-deterministic: fixed headers, ASCII outcome tokens,
-sorted JSON keys, and no timestamps, so identical (seed, config) inputs
-reproduce identical files.
+sorted JSON keys, ``\n`` line ends and no timestamps, so identical (seed,
+config) inputs reproduce identical files. The CSVs and the ensemble's JSON
+mirror are streamed CHUNK_ROWS rows at a time, so writing them takes memory
+bounded whatever the trial count.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import csv
 import itertools
 import json
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -50,22 +53,64 @@ _CSV_TOKENS = {
 }
 
 
-def _text(trials: Trials, name: str) -> list:
-    """A column as CSV fields, through its token table or in decimal; empty
-    when the table lacks the column (the collider toy's lambda pair). Each
-    distinct value is formatted once, then spread over its rows."""
+def _token_table(tokens: dict) -> tuple[int, np.ndarray, np.ndarray]:
+    """(lowest value, token of each value by its offset from it, whether that
+    offset has a token): the outcome columns' -1/+1 leave a hole at 0."""
+    offset = min(tokens)
+    values = range(offset, max(tokens) + 1)
+    table = np.array([tokens.get(v) for v in values], dtype=object)
+    return offset, table, np.array([v in tokens for v in values])
+
+
+_TOKEN_TABLES = {name: _token_table(tokens) for name, tokens in _CSV_TOKENS.items()}
+# The JSON mirror writes the CSV tokens, with c_outcome's quoted once per value.
+_MIRROR_TABLES = {
+    **_TOKEN_TABLES,
+    "c_outcome": _token_table({v: json.dumps(t) for v, t in _CSV_TOKENS["c_outcome"].items()}),
+}
+
+# Rows formatted at a time by the CSV and JSON writers and decoded at a time
+# by the CSV reader; bounds their memory whatever the trial count.
+CHUNK_ROWS = 4096
+
+
+def _check_tokens(trials: Trials, names) -> None:
+    """Raise ValueError if a named column holds a value its token table
+    lacks; the writers call this before they open their file."""
+    for name in names:
+        if name in _TOKEN_TABLES and name in trials.columns and len(trials):
+            offset, tokens, known = _TOKEN_TABLES[name]
+            codes = trials[name].astype(np.intp) - offset
+            if codes.min() < 0 or codes.max() >= len(tokens) or not known[codes].all():
+                raise ValueError(f"column {name} holds a value outside {sorted(_CSV_TOKENS[name])}")
+
+
+def _text(trials: Trials, name: str, rows: slice, tables: dict) -> list:
+    """Rows ``rows`` of a column as fields: its values looked up in its token
+    table, or in decimal for a column without one (trial_id); empty when the
+    table lacks the column (the collider toy's lambda pair)."""
     if name not in trials.columns:
-        return [""] * len(trials)
-    values, rows = np.unique(trials[name], return_inverse=True)
-    tokens = _CSV_TOKENS.get(name)
-    text = [str(v) if tokens is None else tokens[v] for v in values.tolist()]
-    return np.array(text, dtype=object)[rows].tolist()
+        return [""] * (rows.stop - rows.start)
+    values = trials[name][rows]
+    if name not in tables:
+        return list(map(str, values.tolist()))
+    offset, tokens, _ = tables[name]
+    return tokens[values.astype(np.intp) - offset].tolist()
+
+
+def _chunks(trials: Trials, names, tables: dict):
+    """The fields of the named columns, CHUNK_ROWS rows at a time."""
+    for start in range(0, len(trials), CHUNK_ROWS):
+        rows = slice(start, min(start + CHUNK_ROWS, len(trials)))
+        yield [_text(trials, name, rows, tables) for name in names]
 
 
 def _write_csv(path: str | Path, header: list[str], trials: Trials) -> None:
-    lines = [",".join(header), *map(",".join, zip(*(_text(trials, name) for name in header)))]
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _check_tokens(trials, header)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for fields in _chunks(trials, header, _TOKEN_TABLES):
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
 def write_ensemble_csv(path: str | Path, ensemble: Trials) -> None:
@@ -78,10 +123,6 @@ def write_toy_csv(path: str | Path, trials: Trials) -> None:
 
 def write_rps_csv(path: str | Path, trials: Trials) -> None:
     _write_csv(path, RPS_HEADER, trials)
-
-
-# Rows decoded at a time when reading a CSV back; bounds the reader's memory.
-READ_CHUNK_ROWS = 4096
 
 
 def _reject_rows(path, first_line: int, bad: np.ndarray, message: str) -> None:
@@ -116,42 +157,63 @@ def _decode_rows(path, first_line: int, rows: list, last_id: int) -> dict[str, n
 
 
 def read_ensemble_csv(path: str | Path) -> Trials:
-    """Read an ensemble CSV back into a table, READ_CHUNK_ROWS rows at a
-    time. A row with the wrong field count, a token outside its column's
-    table (such as a setting outside {0, 1} or an outcome outside {+1, -1}),
-    or a trial_id not above the previous row's raises ValueError naming its
-    line."""
+    """Read an ensemble CSV back into a table, CHUNK_ROWS rows at a time. A
+    row with the wrong field count, a token outside its column's table (such
+    as a setting outside {0, 1} or an outcome outside {+1, -1}), or a
+    trial_id not above the previous row's raises ValueError naming its line."""
     chunks = []
     last_id = -1
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ENSEMBLE_HEADER:
             raise ValueError(f"unexpected ensemble CSV header: {header}")
         while True:
-            rows = list(itertools.islice(reader, READ_CHUNK_ROWS))
-            chunks.append(_decode_rows(path, 2 + READ_CHUNK_ROWS * len(chunks), rows, last_id))
-            if len(rows) < READ_CHUNK_ROWS:
+            rows = list(itertools.islice(reader, CHUNK_ROWS))
+            chunks.append(_decode_rows(path, 2 + CHUNK_ROWS * len(chunks), rows, last_id))
+            if len(rows) < CHUNK_ROWS:
                 break
             last_id = int(chunks[-1]["trial_id"][-1])
     return Trials({name: np.concatenate([c[name] for c in chunks]) for name in ENSEMBLE_HEADER})
 
 
-def ensemble_json_payload(ensemble: Trials, meta: dict) -> dict:
-    columns = [ensemble[name].tolist() for name in ("trial_id", "a", "b", "A", "B", "heralded")]
-    return {
-        "meta": dict(meta),
-        "records": [
-            {"trial_id": i, "a": a, "b": b, "A": A, "B": B, "c_outcome": c, "heralded": h}
-            for i, a, b, A, B, h, c in zip(*columns, _text(ensemble, "c_outcome"))
-        ],
-    }
+# One mirror record: its keys in json's sort_keys order (A, B, a, b,
+# c_outcome, heralded, trial_id), at dumps_canonical's indent.
+_MIRROR_KEYS = sorted(ENSEMBLE_HEADER)
+_MIRROR_RECORD = "\n    {" + ",".join(f'\n      "{key}": %s' for key in _MIRROR_KEYS) + "\n    }"
+
+
+def ensemble_json_payload(ensemble: Trials, meta: dict) -> Iterator[str]:
+    """The JSON mirror as text chunks for write_json: the bytes of
+    dumps_canonical({"meta": meta, "records": [one object per row]}), with
+    the records formatted CHUNK_ROWS at a time from the column token tables."""
+    _check_tokens(ensemble, _MIRROR_KEYS)
+    text = json.dumps({"meta": dict(meta), "records": []}, sort_keys=True, indent=2)
+    # The meta may hold "[]" too, but "records" sorts after it.
+    head, _, tail = text.rpartition("[]")
+    return itertools.chain([head], _mirror_records(ensemble), [tail + "\n"])
+
+
+def _mirror_records(ensemble: Trials) -> Iterator[str]:
+    if not len(ensemble):
+        yield "[]"
+        return
+    sep = "["
+    for fields in _chunks(ensemble, _MIRROR_KEYS, _MIRROR_TABLES):
+        yield sep + ",".join(map(_MIRROR_RECORD.__mod__, zip(*fields)))
+        sep = ","
+    yield "\n  ]"
 
 
 def dumps_canonical(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def write_json(path: str | Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_canonical(payload))
+def write_json(path: str | Path, payload: dict | Iterable[str]) -> None:
+    """Write a dict as dumps_canonical text, or the text chunks of
+    ensemble_json_payload as they come."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if isinstance(payload, dict):
+            fh.write(dumps_canonical(payload))
+        else:
+            fh.writelines(payload)

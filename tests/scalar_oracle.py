@@ -2,20 +2,22 @@
 
 These are the per-trial loops swapsim ran before it sampled and analysed
 whole ensembles as column tables: one rekeyed Philox stream and one collapse
-call per measurement for every trial, one record object per trial, and
-record-by-record correlators, G-test counting and CSV writers. Beside them
-are the collapse steps, Bell outcome probabilities and exact branch
-enumeration that projected onto each outcome in their own code, and the
-joint table built one setting plan at a time over that recursion. They are
-kept here, unchanged apart from taking plain record sequences, as the oracle
-the array paths, the projection kernel and the level-by-level exact tables
-must match. The helpers at the end turn records into tables and compare
-tables column by column.
+call per measurement for every trial, one record object per trial,
+record-by-record correlators, G-test counting and CSV writers, and the JSON
+mirror built as one dict per trial. Beside them are the collapse steps, Bell
+outcome probabilities and exact branch enumeration that projected onto each
+outcome in their own code, and the joint table built one setting plan at a
+time over that recursion. They are kept here, unchanged apart from taking
+plain record sequences, as the oracle the array paths, the streamed mirror,
+the projection kernel and the level-by-level exact tables must match. The
+helpers at the end turn records into tables and compare tables column by
+column.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass
@@ -562,6 +564,26 @@ def write_rps_csv(path: str | Path, trials: Sequence[RpsTrial]) -> None:
         writer.writerow(RPS_HEADER)
         for t in trials:
             writer.writerow([t.trial_id, t.alice.value, t.bob.value, t.verdict.value])
+
+
+# The JSON mirror as io built it before it streamed the records as text:
+# one dict per trial, dumped whole with sort_keys and indent=2.
+
+
+def ensemble_json_payload(ensemble: Trials, meta: dict) -> dict:
+    columns = [ensemble[name].tolist() for name in ("trial_id", "a", "b", "A", "B", "heralded")]
+    c_tokens = [outcome_token(None if c < 0 else OUTCOMES[c]) for c in ensemble["c_outcome"].tolist()]
+    return {
+        "meta": dict(meta),
+        "records": [
+            {"trial_id": i, "a": a, "b": b, "A": A, "B": B, "c_outcome": c, "heralded": h}
+            for i, a, b, A, B, h, c in zip(*columns, c_tokens)
+        ],
+    }
+
+
+def dumps_canonical(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 # Records <-> tables, and column-by-column comparison.

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from scalar_oracle import assert_same_table
 from swapsim import cli, io
-from swapsim.engine import OUTCOMES, ExperimentConfig, Trials, run_trials
+from swapsim.engine import OUTCOMES, ExperimentConfig, Trials, config_meta, run_trials
 from swapsim.qcore import BellOutcome
 from swapsim.toys import run_rps, run_toy_source_variant
 
@@ -56,6 +56,18 @@ class TestEnsembleCsv:
         path = tmp_path / "ens.csv"
         io.write_ensemble_csv(path, ens)
         assert ",absent,false" in path.read_text()
+
+    @pytest.mark.parametrize("name,value", [("A", 0), ("a", 2), ("c_outcome", -2)])
+    def test_value_without_token_rejected(self, tmp_path, name, value):
+        ens = run_trials(ExperimentConfig(n_trials=20, seed=6))
+        columns = {column: ens[column].copy() for column in ens.columns}
+        columns[name][7] = value
+        # Rejected before a file is opened, so no partial artifact is left.
+        with pytest.raises(ValueError, match=f"column {name} holds a value outside"):
+            io.write_ensemble_csv(tmp_path / "ens.csv", Trials(columns))
+        with pytest.raises(ValueError, match=f"column {name} holds a value outside"):
+            io.ensemble_json_payload(Trials(columns), {})
+        assert list(tmp_path.iterdir()) == []
 
     def test_partial_mode_round_trip(self, tmp_path):
         ens = run_trials(ExperimentConfig(n_trials=60, seed=6, bsm_partial=True))
@@ -128,7 +140,7 @@ class TestEnsembleCsvRejects:
 
 
 class TestEnsembleCsvChunks:
-    N = io.READ_CHUNK_ROWS
+    N = io.CHUNK_ROWS
 
     def table(self, n):
         rng = np.random.default_rng(n)
@@ -175,6 +187,21 @@ class TestEnsembleCsvChunks:
         finally:
             tracemalloc.stop()
         assert peak < 25e6
+
+    def test_write_memory_is_bounded(self, tmp_path):
+        # The 1e5-row mirror (15 MB) and CSV (2.6 MB) are streamed CHUNK_ROWS
+        # rows at a time; one dict per row and the mirror dumped whole
+        # peaked near 160 MB.
+        ens = self.table(100_000)
+        meta = config_meta(ExperimentConfig(n_trials=100_000))
+        tracemalloc.start()
+        try:
+            io.write_json(tmp_path / "ens.json", io.ensemble_json_payload(ens, meta))
+            io.write_ensemble_csv(tmp_path / "ens.csv", ens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestToyCsv:

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from swapsim.geometry import (
+    LIGHTLIKE_TOL,
     CausalRelation,
     EventLabel,
     GeometryClass,
@@ -171,3 +174,55 @@ class TestBoostedOrder:
             boosted_time_order(spacelike_delft(), 1.0)
         with pytest.raises(ValueError):
             boosted_time_order(spacelike_delft(), -1.2)
+
+
+# Pairs of events at A and C in [-10, 10]^2 (the others at the origin) whose
+# |dt| and |dx| differ by at least twice sqrt(LIGHTLIKE_TOL), so the interval
+# is at least 4 * LIGHTLIKE_TOL from the light cone and the boosted times,
+# rounded to about 1e-14, cannot close the gap at any |v| < 1.
+_GAP = 2.0 * math.sqrt(LIGHTLIKE_TOL)
+_COORD = st.floats(-10.0, 10.0)
+_VELOCITY = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+def _pair(t, x, dt, dx):
+    return custom_preset({
+        **{label: (0.0, 0.0) for label in L},
+        L.A: (t, x),
+        L.C: (t + dt, x + dx),
+    })
+
+
+def _a_before_c(preset, v):
+    order = boosted_time_order(preset, v)
+    return order.index(L.A) < order.index(L.C)
+
+
+@given(t=_COORD, x=_COORD, dx=_COORD, gap=st.floats(_GAP, 10.0), future=st.booleans(),
+       v=_VELOCITY)
+@example(t=0.0, x=0.0, dx=10.0, gap=_GAP, future=True, v=math.nextafter(-1.0, 0.0))
+@example(t=0.0, x=0.0, dx=-10.0, gap=_GAP, future=False, v=math.nextafter(-1.0, 0.0))
+def test_timelike_pair_keeps_its_order_in_every_frame(t, x, dx, gap, future, v):
+    dt = (abs(dx) + gap) * (1.0 if future else -1.0)
+    preset = _pair(t, x, dt, dx)
+    relation = classify(preset.event(L.A), preset.event(L.C))
+    assert relation in (CausalRelation.TIMELIKE_FUTURE, CausalRelation.TIMELIKE_PAST)
+    assert _a_before_c(preset, v) == _a_before_c(preset, 0.0) == future
+
+
+@given(t=_COORD, x=_COORD, dt=_COORD, gap=st.floats(_GAP, 10.0), right=st.booleans())
+@example(t=0.0, x=0.0, dt=0.0, gap=_GAP, right=False)  # simultaneous at rest
+@example(t=0.0, x=0.0, dt=10.0, gap=_GAP, right=True)  # just off the light cone
+@example(t=1.0, x=0.0, dt=-1e-235, gap=1.0, right=False)  # t + dt rounds to a tie
+def test_spacelike_pair_reverses_its_order_in_some_frame(t, x, dt, gap, right):
+    # The frame dependence of a spacelike C: the boost v* = dt/dx makes the
+    # pair simultaneous, and one halfway from v* to the light speed on the
+    # side that moves the first event later puts C on the other side of A.
+    preset = _pair(t, x, dt, (abs(dt) + gap) * (1.0 if right else -1.0))
+    a, c = preset.event(L.A), preset.event(L.C)
+    assert classify(a, c) is CausalRelation.SPACELIKE
+    a_first = _a_before_c(preset, 0.0)  # a tie goes to A, the earlier label
+    towards = math.copysign(1.0, c.x - a.x) * (1.0 if a_first else -1.0)
+    v = ((c.t - a.t) / (c.x - a.x) + towards) / 2.0
+    assert abs(v) < 1.0
+    assert _a_before_c(preset, v) != a_first

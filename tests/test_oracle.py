@@ -381,3 +381,73 @@ def test_csv_writers_match_oracle(tmp_path):
                           scalar_oracle._run_toy(300, 4, rule, record_lambda))
     assert same_bytes(io.write_rps_csv, toys.run_rps(300, 4),
                       scalar_oracle.write_rps_csv, scalar_oracle.run_rps(300, 4))
+
+
+_N = io.CHUNK_ROWS
+
+
+def _ensemble(rng: np.random.Generator, c_outcome: np.ndarray) -> Trials:
+    n = len(c_outcome)
+    return Trials({
+        "trial_id": np.cumsum(rng.integers(1, 2**40, n)) - 1,
+        "a": rng.integers(0, 2, n).astype(np.int8),
+        "b": rng.integers(0, 2, n).astype(np.int8),
+        "A": rng.choice(np.array([1, -1], dtype=np.int8), n),
+        "B": rng.choice(np.array([1, -1], dtype=np.int8), n),
+        "c_outcome": c_outcome.astype(np.int8),
+        "heralded": rng.integers(0, 2, n).astype(bool),
+    })
+
+
+def _simulate_meta(angles_a, angles_b, out: str) -> dict:
+    meta = engine.config_meta(ExperimentConfig(angles_a=angles_a, angles_b=angles_b))
+    meta.update({"command": "simulate", "exact": False, "out": out})
+    return meta
+
+
+_ANGLE_PAIRS = st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 2)
+
+
+@st.composite
+def mirror_cases(draw):
+    """An ensemble of 0, 1 or about one or two chunks of rows, with C off
+    (every c_outcome -1) or any C code per row, and a simulate meta with any
+    finite float angles and any text as ``out``."""
+    n = draw(st.sampled_from([0, 1, 2, _N - 1, _N, _N + 1, 2 * _N - 1, 2 * _N, 2 * _N + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c_off = draw(st.booleans())
+    c_outcome = np.full(n, -1) if c_off else rng.integers(0, len(engine.OUTCOMES), n)
+    meta = _simulate_meta(draw(_ANGLE_PAIRS), draw(_ANGLE_PAIRS), draw(st.text()))
+    return _ensemble(rng, c_outcome), meta
+
+
+def _oracle_records(ensemble: Trials) -> list:
+    return [
+        scalar_oracle.TrialRecord(
+            r.trial_id, r.a, r.b, r.A, r.B,
+            None if r.c_outcome < 0 else engine.OUTCOMES[r.c_outcome], r.heralded,
+        )
+        for r in scalar_oracle.rows(ensemble)
+    ]
+
+
+# No shrink phase: shrinking a failing table of two chunks takes minutes.
+@settings(max_examples=40, deadline=None, database=None,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
+@given(case=mirror_cases())
+@example(case=(  # one row of each C code, C off (-1) first; a non-ASCII out
+    _ensemble(np.random.default_rng(0), np.arange(-1, len(engine.OUTCOMES))),
+    _simulate_meta((0.1, 1e-300), (-2.5, 3.0), "ρun/Δ [] \"\\"),
+))
+@example(case=(  # no rows: "records": []
+    _ensemble(np.random.default_rng(0), np.arange(0)), _simulate_meta((0.0, 1.0), (2.0, 3.0), "r"),
+))
+def test_streamed_writers_match_oracle_property(case, tmp_path_factory):
+    ensemble, meta = case
+    path = tmp_path_factory.mktemp("mirror") / "run"
+    io.write_json(path.with_suffix(".json"), io.ensemble_json_payload(ensemble, meta))
+    want = scalar_oracle.dumps_canonical(scalar_oracle.ensemble_json_payload(ensemble, meta))
+    assert path.with_suffix(".json").read_bytes() == want.encode()
+    io.write_ensemble_csv(path.with_suffix(".csv"), ensemble)
+    scalar_oracle.write_ensemble_csv(path.with_suffix(".oracle.csv"), _oracle_records(ensemble))
+    assert path.with_suffix(".csv").read_bytes() == path.with_suffix(".oracle.csv").read_bytes()
