@@ -4,14 +4,13 @@ controlled-collider teleportation channel demo.
 
 The conditional-independence machinery is a categorical G-test (a
 likelihood-ratio statistic, 2n times a KL divergence) against a chi-squared
-threshold; all diagnostics operate on engine.Trials column tables or exact
-joint tables.
+threshold; all diagnostics operate on engine.Trials column tables or on the
+exact joint table's leaf rows (engine.exact_leaf_rows).
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -19,12 +18,13 @@ import numpy as np
 from scipy.special import chdtri
 
 from .engine import (
+    CELLS,
     ExperimentConfig,
     Trials,
-    conditional_given_c,
+    _in_outcomes,
+    check_trials,
     counter_uniforms,
-    exact_experiment_distribution,
-    marginal_over_c,
+    exact_leaf_rows,
 )
 from .qcore import (
     BellOutcome,
@@ -37,7 +37,8 @@ from .qcore import (
 )
 
 # Not called here; bench/tracer.py wraps these names in this module to
-# count the collapse calls made from it.
+# count the collapse and exact-table calls made from it.
+from .engine import exact_experiment_distribution  # noqa: F401
 from .qcore import _bsm_step, _spin_step  # noqa: F401
 
 SETTING_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -128,19 +129,31 @@ def chsh(table: CorrelatorTable) -> CHSHResult:
     return CHSHResult(s, math.sqrt(var))
 
 
+def _cell_sums(cell: np.ndarray, weights: np.ndarray) -> list[float]:
+    """Per-CELLS sums of an exact table's row weights, each added in row
+    order as a pass over the table's keys adds them."""
+    return np.bincount(cell, weights=weights, minlength=len(CELLS)).tolist()
+
+
 def exact_heralded_correlators(config: ExperimentConfig) -> CorrelatorTable:
     """Correlators of the event-ready subensemble from the exact joint table."""
-    cond = conditional_given_c(exact_experiment_distribution(config), config.herald_set())
-    sums: dict[tuple[int, int], float] = {cell: 0.0 for cell in SETTING_PAIRS}
-    mass: dict[tuple[int, int], float] = {cell: 0.0 for cell in SETTING_PAIRS}
-    for (a, b, A, B), p in cond.items():
+    cell, c_outcome, prob = exact_leaf_rows(config)
+    kept = _in_outcomes(c_outcome, config.herald_set())
+    total = sum(prob[kept].tolist())
+    if total <= 0.0:
+        raise ValueError("conditioning event has zero probability")
+    # P(a, b, A, B | herald); with any row kept, every cell has kept rows.
+    cond = _cell_sums(cell[kept], prob[kept] / total)
+    sums: dict[tuple[int, int], float] = {pair: 0.0 for pair in SETTING_PAIRS}
+    mass: dict[tuple[int, int], float] = {pair: 0.0 for pair in SETTING_PAIRS}
+    for (a, b, A, B), p in zip(CELLS, cond):
         sums[(a, b)] += A * B * p
         mass[(a, b)] += p
     values = {
-        cell: (sums[cell] / mass[cell] if mass[cell] > 0.0 else None)
-        for cell in SETTING_PAIRS
+        pair: (sums[pair] / mass[pair] if mass[pair] > 0.0 else None)
+        for pair in SETTING_PAIRS
     }
-    return CorrelatorTable(values, {cell: 0 for cell in SETTING_PAIRS})
+    return CorrelatorTable(values, {pair: 0 for pair in SETTING_PAIRS})
 
 
 def exact_chsh(config: ExperimentConfig) -> CHSHResult:
@@ -284,12 +297,12 @@ class NdaReport:
 def no_difference_check(config: ExperimentConfig, tol: float = 1e-12) -> NdaReport:
     """Compare exact P(a,b,A,B) with the central measurement present
     (marginalized over its outcome) and absent."""
-    with_c = marginal_over_c(exact_experiment_distribution(replace(config, c_enabled=True)))
-    without_c = marginal_over_c(
-        exact_experiment_distribution(replace(config, c_enabled=False))
-    )
-    keys = set(with_c) | set(without_c)
-    diff = max(abs(with_c.get(k, 0.0) - without_c.get(k, 0.0)) for k in keys)
+    marginals = []
+    for c_enabled in (True, False):
+        cell, _c_outcome, prob = exact_leaf_rows(replace(config, c_enabled=c_enabled))
+        marginals.append(_cell_sums(cell, prob))
+    with_c, without_c = marginals
+    diff = max(abs(p - q) for p, q in zip(with_c, without_c))
     verdict = NdaVerdict.NO_DIFFERENCE if diff < tol else NdaVerdict.DIFFERENCE
     return NdaReport(diff, verdict)
 
@@ -319,17 +332,11 @@ class FragilityReport:
 def fragility(config: ExperimentConfig, tol: float = 1e-15) -> FragilityReport:
     if not config.c_enabled:
         raise ValueError("fragility requires the central measurement to be enabled")
-    table = exact_experiment_distribution(config)
-    accept = config.herald_set()
-    mass: dict[tuple, float] = defaultdict(float)
-    hit: dict[tuple, float] = defaultdict(float)
-    for (a, b, A, B, c), p in table.items():
-        mass[(a, b, A, B)] += p
-        if c is not None and c in accept:
-            hit[(a, b, A, B)] += p
-    cells = {
-        key: (hit[key] / mass[key] if mass[key] > tol else None) for key in mass
-    }
+    cell, c_outcome, prob = exact_leaf_rows(config)
+    heralded = _in_outcomes(c_outcome, config.herald_set())
+    mass = _cell_sums(cell, prob)
+    hit = _cell_sums(cell[heralded], prob[heralded])
+    cells = {key: (h / m if m > tol else None) for key, h, m in zip(CELLS, hit, mass)}
     spread = 0.0
     for (a, b, A, B), p in cells.items():
         for flipped in ((1 - a, b, A, B), (a, 1 - b, A, B)):
@@ -375,8 +382,7 @@ def teleport_channel_demo(controlled: bool, n: int, seed: int) -> TeleportReport
     mode post-selects the psi-minus result) opens the channel; averaging
     over uncorrected outcomes leaves the output maximally mixed.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = check_trials(n)
     # Draws per trial: the input bit (0 below 1/2), the joint measurement,
     # then the output spin, measured along z.
     u = counter_uniforms(seed, np.arange(n), 3)

@@ -54,7 +54,7 @@ def _parse_bool(text: str) -> bool:
 def load_config_file(path: str) -> dict[str, str]:
     """Flat key = value lines; blank lines and # comments ignored."""
     values: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

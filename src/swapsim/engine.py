@@ -12,6 +12,7 @@ Wing layout: A measures qubit 0, the Bell-state measurement acts on qubits
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -72,6 +73,21 @@ def check_seed(seed) -> int:
     return value
 
 
+def check_trials(n_trials) -> int:
+    """Return ``n_trials`` as an int, or raise ValueError unless it is an
+    integer >= 1 (a bool is not). ExperimentConfig and every runner take
+    their trial count through here."""
+    try:
+        if isinstance(n_trials, bool):
+            raise TypeError
+        value = operator.index(n_trials)
+    except TypeError:
+        raise ValueError(f"n_trials must be an integer, got {n_trials!r}") from None
+    if value < 1:
+        raise ValueError(f"n_trials must be >= 1, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     geometry: str = "spacelike"
@@ -88,8 +104,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown geometry {self.geometry!r}; expected one of {GEOMETRY_NAMES}"
             )
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
+        object.__setattr__(self, "n_trials", check_trials(self.n_trials))
         object.__setattr__(self, "seed", check_seed(self.seed))
         for name in ("angles_a", "angles_b"):
             angles = getattr(self, name)
@@ -99,13 +114,16 @@ class ExperimentConfig:
             if not all(math.isfinite(angle) for angle in pair):
                 raise ValueError(f"{name} must be finite, got {pair}")
             object.__setattr__(self, name, pair)
-        if self.herald not in HERALD_PREDICATES:
-            raise ValueError(
-                f"unknown herald {self.herald!r}; expected one of {sorted(HERALD_PREDICATES)}"
-            )
+        _herald_outcomes(self.herald)
 
     def herald_set(self) -> frozenset[BellOutcome]:
         return HERALD_PREDICATES[self.herald]
+
+
+def _herald_outcomes(name: str) -> frozenset[BellOutcome]:
+    if name not in HERALD_PREDICATES:
+        raise ValueError(f"unknown herald {name!r}; expected one of {sorted(HERALD_PREDICATES)}")
+    return HERALD_PREDICATES[name]
 
 
 # c_outcome codes index this tuple; -1 means the C measurement was off.
@@ -114,6 +132,14 @@ OUTCOMES = tuple(BellOutcome)
 
 def _outcome_codes(outcomes: Iterable[BellOutcome]) -> list[int]:
     return [OUTCOMES.index(o) for o in outcomes]
+
+
+def _in_outcomes(c_outcome: np.ndarray, outcomes: Iterable[BellOutcome]) -> np.ndarray:
+    """Which codes of a c_outcome column built here (each in -1..4) name one
+    of ``outcomes``; -1 (C off) never does. One lookup per code."""
+    member = np.zeros(len(OUTCOMES) + 1, dtype=bool)  # the last entry is -1's
+    member[_outcome_codes(outcomes)] = True
+    return member[c_outcome]
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,20 +353,25 @@ def run_trials(config: ExperimentConfig) -> Trials:
     for (sa, sb), (plan, _labels) in plans.items():
         rows = np.flatnonzero((a == sa) & (b == sb))
         codes[rows] = sample_branches(_TWO_SINGLETS, plan, draws[rows, 2:])
-    column = {label: codes[:, d] for d, label in enumerate(labels)}
-    c_outcome = np.full(n, -1, dtype=np.int8)
-    if "C" in column:
-        outcomes = _branch_outcomes(plans[0, 0][0][labels.index("C")])
-        c_outcome = np.array(_outcome_codes(outcomes), dtype=np.int8)[column["C"]]
+    c_outcome = _c_outcome(*plans[0, 0], codes)
     return Trials({
         "trial_id": np.arange(n),
         "a": a,
         "b": b,
-        "A": 1 - 2 * column["A"],  # spin code 0 is +1, code 1 is -1
-        "B": 1 - 2 * column["B"],
+        "A": 1 - 2 * codes[:, labels.index("A")],  # spin code 0 is +1, code 1 is -1
+        "B": 1 - 2 * codes[:, labels.index("B")],
         "c_outcome": c_outcome,
-        "heralded": np.isin(c_outcome, _outcome_codes(config.herald_set())),
+        "heralded": _in_outcomes(c_outcome, config.herald_set()),
     })
+
+
+def _c_outcome(plan: list[PlanStep], labels: list[str], codes: np.ndarray) -> np.ndarray:
+    """The c_outcome column of rows of a setting plan's outcome codes: the C
+    step's codes as OUTCOMES codes, or -1 in every row when C is off."""
+    if "C" not in labels:
+        return np.full(len(codes), -1, dtype=np.int8)
+    d = labels.index("C")
+    return np.array(_outcome_codes(_branch_outcomes(plan[d])), dtype=np.int8)[codes[:, d]]
 
 
 def post_select(
@@ -354,61 +385,53 @@ def post_select(
     """
     if herald is None:
         return ensemble.select(ensemble["heralded"])
-    accept = HERALD_PREDICATES[herald] if isinstance(herald, str) else frozenset(herald)
+    accept = _herald_outcomes(herald) if isinstance(herald, str) else herald
+    # np.isin, not a lookup: a table built elsewhere may hold any code.
     return ensemble.select(np.isin(ensemble["c_outcome"], _outcome_codes(accept)))
 
 
 JointKey = tuple  # (a, b, A, B, c_outcome | None)
 
+# The (a, b, A, B) cells of an exact table: row cell 8a + 4b + 2[A=-1] + [B=-1].
+CELLS = tuple(itertools.product((0, 1), (0, 1), (1, -1), (1, -1)))
 
-def exact_experiment_distribution(config: ExperimentConfig) -> dict[JointKey, float]:
-    """Exact joint table P(a, b, A, B, c_outcome) with settings weighted 1/4.
 
-    Computed by exhaustive branch enumeration in the geometry's execution
-    order, the four setting plans expanded together one depth at a time;
-    entries (including zero-probability ones) sum to 1, in (a, b, leaf)
-    order.
+def exact_leaf_rows(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact joint table as one row per leaf of the four setting plans:
+    (cell, an index into CELLS; c_outcome, an OUTCOMES code, -1 with C off;
+    probability, with settings weighted 1/4).
+
+    The four plans are expanded together one depth at a time, by exhaustive
+    branch enumeration in the geometry's execution order; rows come in
+    (a, b, leaf) order, one per (a, b, A, B, c_outcome) key, including
+    zero-probability ones. Summing rows in this order is summing the table.
     """
     plans = _setting_plans(config)
-    labels = plans[0, 0][1]
-    keys, probs = _enumerate_plans(
+    codes, probs = _enumerate_plans(
         _TWO_SINGLETS.amplitudes, [plan for plan, _labels in plans.values()]
     )
-    leaves = [dict(zip(labels, outcomes)) for outcomes in keys]
-    table: dict[JointKey, float] = {}
-    for (a, b), plan_probs in zip(plans, probs):
-        for named, p in zip(leaves, plan_probs):
-            key = (a, b, named["A"], named["B"], named.get("C"))
-            table[key] = table.get(key, 0.0) + 0.25 * p
-    return table
+    labels = plans[0, 0][1]
+    outcome_cell = 2 * codes[:, labels.index("A")] + codes[:, labels.index("B")]
+    # Plan i = 2a + b holds cells 4i = 8a + 4b onward.
+    cell = (4 * np.arange(len(plans))[:, None] + outcome_cell).ravel()
+    c_outcome = np.tile(_c_outcome(*plans[0, 0], codes), len(plans))
+    return cell, c_outcome, 0.25 * probs.ravel()
 
 
-def marginal_over_c(table: dict[JointKey, float]) -> dict[tuple, float]:
-    """P(a, b, A, B) from a joint table, summing over the C outcome."""
-    out: dict[tuple, float] = {}
-    for (a, b, A, B, _c), p in table.items():
-        key = (a, b, A, B)
-        out[key] = out.get(key, 0.0) + p
-    return out
-
-
-def conditional_given_c(
-    table: dict[JointKey, float], accept: frozenset[BellOutcome]
-) -> dict[tuple, float]:
-    """P(a, b, A, B | c_outcome in accept) from a joint table."""
-    kept = {k: p for k, p in table.items() if k[4] is not None and k[4] in accept}
-    total = sum(kept.values())
-    if total <= 0.0:
-        raise ValueError("conditioning event has zero probability")
-    out: dict[tuple, float] = {}
-    for (a, b, A, B, _c), p in kept.items():
-        key = (a, b, A, B)
-        out[key] = out.get(key, 0.0) + p / total
-    return out
+def exact_experiment_distribution(config: ExperimentConfig) -> dict[JointKey, float]:
+    """Exact joint table P(a, b, A, B, c_outcome) with settings weighted 1/4:
+    ``exact_leaf_rows`` as a dict in row order, c_outcome a BellOutcome or
+    None with C off. Entries (including zero-probability ones) sum to 1."""
+    cell, c_outcome, prob = exact_leaf_rows(config)
+    c_keys = OUTCOMES + (None,)  # index -1 is C off
+    return {
+        CELLS[i] + (c_keys[c],): p
+        for i, c, p in zip(cell.tolist(), c_outcome.tolist(), prob.tolist())
+    }
 
 
 def herald_probability(config: ExperimentConfig) -> float:
     """Exact probability that a trial is heralded under the config."""
-    table = exact_experiment_distribution(config)
-    accept = config.herald_set()
-    return sum(p for k, p in table.items() if k[4] is not None and k[4] in accept)
+    _cell, c_outcome, prob = exact_leaf_rows(config)
+    # sum() over the rows in order, as over the table: 0 when none herald.
+    return sum(prob[_in_outcomes(c_outcome, config.herald_set())].tolist())

@@ -130,6 +130,16 @@ def _reject_rows(path, first_line: int, bad: np.ndarray, message: str) -> None:
         raise ValueError(f"{path}, line {first_line + int(np.argmax(bad))}: {message}")
 
 
+def _decoder(name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(a column's tokens in sorted order, the value each token reads as)."""
+    pairs = sorted((token, value) for value, token in _CSV_TOKENS[name].items())
+    dtype = bool if name == "heralded" else np.int8
+    return np.array([t for t, _ in pairs]), np.array([v for _, v in pairs], dtype=dtype)
+
+
+_DECODERS = {name: _decoder(name) for name in ENSEMBLE_HEADER[1:]}
+
+
 def _decode_rows(path, first_line: int, rows: list, last_id: int) -> dict[str, np.ndarray]:
     """Columns of the ensemble CSV rows that start at line ``first_line``;
     ``last_id`` is the trial_id of the row before them, -1 for none."""
@@ -146,13 +156,12 @@ def _decode_rows(path, first_line: int, rows: list, last_id: int) -> dict[str, n
                  "trial_id not above the previous row's")
     columns = {"trial_id": ids}
     for name in ENSEMBLE_HEADER[1:]:
-        decode = {token: value for value, token in _CSV_TOKENS[name].items()}
-        _reject_rows(path, first_line, ~np.isin(text[name], list(decode)),
-                     f"{name} is none of {list(decode)}")
-        # Each distinct token is looked up once, then spread over its rows.
-        tokens, rows_of = np.unique(text[name], return_inverse=True)
-        values = np.array([decode[token] for token in tokens.tolist()])
-        columns[name] = values.astype(bool if name == "heralded" else np.int8)[rows_of]
+        # One binary search of the column's few tokens per field, no sort.
+        tokens, values = _DECODERS[name]
+        at = np.searchsorted(tokens, text[name]).clip(max=len(tokens) - 1)
+        _reject_rows(path, first_line, tokens[at] != text[name],
+                     f"{name} is none of {list(_CSV_TOKENS[name].values())}")
+        columns[name] = values[at]
     return columns
 
 

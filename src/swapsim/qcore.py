@@ -2,9 +2,11 @@
 
 Pure-state representation for up to five qubits, planar spin measurements,
 full and partial Bell-state measurements, exhaustive branch enumeration of
-measurement plans, and a branch-tree sampler that draws many trials of one
-plan at once. All operations return new values; states are immutable after
-construction.
+measurement plans, and a sampler that draws many trials of one plan at
+once. Enumeration and sampling both walk a plan one depth at a time, each
+depth one stacked ``_branches`` call, and both report outcomes as integer
+codes into ``_branch_outcomes``. All operations return new values; states
+are immutable after construction.
 
 Conventions: qubit 0 is the most significant bit of the basis-state index,
 |0> is spin-up, and the singlet is (|01> - |10>)/sqrt(2) with the |01>
@@ -216,7 +218,7 @@ def _branches(amps: np.ndarray, steps: Sequence[PlanStep]) -> tuple[np.ndarray, 
     NO_HERALD is the sum of the folded outcomes' projections.
 
     This is the one projection onto a step's outcomes: collapse steps, the
-    sampler tree, outcome probabilities and exact enumeration all read it.
+    sampler, outcome probabilities and exact enumeration all read it.
     A row's results do not depend on the other rows or on the stack's
     memory layout: the arithmetic is elementwise, and each weight is
     ``np.vdot`` of a C-contiguous row (a strided vdot sums in another order).
@@ -411,24 +413,27 @@ def _validate_plan(n: int, plan: Sequence[PlanStep]) -> None:
 
 def _enumerate_plans(
     initial: np.ndarray, plans: Sequence[Sequence[PlanStep]]
-) -> tuple[list[tuple], list[list[float]]]:
-    """Leaf outcome tuples and, for each plan, the leaf probabilities.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Leaf outcome codes and, for each plan, the leaf probabilities.
 
     The plans must have equal length, and at each depth their steps must
     share kind and qubits (spin angles may differ), so one ``_branches``
     call expands every plan's rows one depth further. Rows stay in plan,
-    then depth-first outcome order: the keys come out in the order a
-    recursion over ``_branch_outcomes`` visits the leaves. A leaf's
-    probability is the squared norm of its unnormalized amplitudes.
+    then depth-first outcome order. Returns the codes, shape (leaves,
+    depth), whose entry [i, d] indexes ``_branch_outcomes(plans[0][d])``
+    as ``sample_branches``' codes do, in the order a recursion over the
+    outcomes visits the leaves; and the probabilities, shape (len(plans),
+    leaves), each the squared norm of a leaf's unnormalized amplitudes.
     """
     states = np.tile(initial, (len(plans), 1))
-    keys: list[tuple] = [()]
-    for depth, step in enumerate(plans[0]):
-        posts, _weights = _branches(states, [plan[depth] for plan in plans for _ in keys])
+    for depth in range(len(plans[0])):
+        leaves = len(states) // len(plans)
+        posts, _weights = _branches(states, [plan[depth] for plan in plans for _ in range(leaves)])
         states = posts.reshape(-1, initial.size)
-        keys = [key + (outcome,) for key in keys for outcome in _branch_outcomes(step)]
+    sizes = [range(len(_branch_outcomes(step))) for step in plans[0]]
+    codes = np.array(list(itertools.product(*sizes)), dtype=np.intp).reshape(-1, len(sizes))
     probs = [float(np.vdot(row, row).real) for row in states]
-    return keys, [probs[i : i + len(keys)] for i in range(0, len(probs), len(keys))]
+    return codes, np.array(probs).reshape(len(plans), -1)
 
 
 def exact_branch_enumeration(
@@ -443,48 +448,10 @@ def exact_branch_enumeration(
     leaf's probability is its squared norm.
     """
     _validate_plan(initial.num_qubits, plan)
-    keys, (probs,) = _enumerate_plans(initial.amplitudes, [plan])
-    return dict(zip(keys, probs))
-
-
-@dataclass(frozen=True)
-class _BranchNode:
-    """One collapse step at a fixed pre-measurement state.
-
-    ``codes[s]`` indexes ``_branch_outcomes(step)`` for slot s, and
-    ``children[s]`` is the next node, None past the last step, or the
-    RuntimeError message a draw in that slot raises.
-    """
-
-    thresholds: np.ndarray
-    codes: tuple[int, ...]
-    children: tuple
-
-
-_UNREACHABLE = "draw outside every outcome interval"
-
-
-def _build_branch_node(amps: np.ndarray, plan: Sequence[PlanStep], depth: int):
-    if depth == len(plan):
-        return None
-    weights, posts = _one_state_branches(amps, plan[depth])
-    upper = _step_thresholds(plan[depth], weights)
-    built: dict[int, object] = {}
-    codes, children = [], []
-    for slot, (lower, top) in enumerate(zip([0.0] + upper, upper + [1.0])):
-        code, child = -1, _UNREACHABLE
-        if lower < min(top, 1.0):
-            try:
-                code, post = _take(weights, posts, slot)
-            except RuntimeError as exc:
-                child = str(exc)
-            else:
-                if code not in built:
-                    built[code] = _build_branch_node(post, plan, depth + 1)
-                child = built[code]
-        codes.append(code)
-        children.append(child)
-    return _BranchNode(np.array(upper), tuple(codes), tuple(children))
+    codes, (probs,) = _enumerate_plans(initial.amplitudes, [plan])
+    outcomes = [_branch_outcomes(step) for step in plan]
+    keys = [tuple(outs[c] for outs, c in zip(outcomes, row)) for row in codes.tolist()]
+    return dict(zip(keys, probs.tolist()))
 
 
 def sample_branches(
@@ -497,8 +464,10 @@ def sample_branches(
     shape whose entry [i, d] indexes ``_branch_outcomes(plan[d])``. Each
     row's outcomes are those of calling the collapse steps one after another
     with that row's draws: the post-measurement state depends only on the
-    outcomes so far, so the plan is a tree, built once, whose node
-    thresholds are the steps' own cumulative weights.
+    outcomes so far, so the walk goes one depth at a time with one group
+    per slot sequence drawn so far, its collapsed state and its rows. One
+    ``_branches`` call expands every group's state; a group's slot edges are
+    its state's cumulative weights.
     """
     n = initial.num_qubits
     _validate_plan(n, plan)
@@ -510,19 +479,18 @@ def sample_branches(
     codes = np.full(draws.shape, -1, dtype=np.int8)
     if not draws.size:
         return codes
-    pending = [(_build_branch_node(initial.amplitudes, plan, 0), np.arange(len(draws)))]
-    for depth in range(len(plan)):
-        next_pending = []
-        for node, rows in pending:
-            slots = np.searchsorted(node.thresholds, draws[rows, depth], side="right")
-            for slot, child in enumerate(node.children):
+    groups = [(initial.amplitudes, np.arange(len(draws)))]
+    for depth, step in enumerate(plan):
+        posts, weights = _branches(np.stack([state for state, _ in groups]), [step] * len(groups))
+        next_groups = []
+        for (_, rows), group_posts, group_weights in zip(groups, posts, weights.tolist()):
+            edges = _step_thresholds(step, group_weights)
+            slots = np.searchsorted(edges, draws[rows, depth], side="right")
+            for slot in range(len(edges) + 1):
                 sel = rows[slots == slot]
-                if not sel.size:
-                    continue
-                if isinstance(child, str):
-                    raise RuntimeError(child)
-                codes[sel, depth] = node.codes[slot]
-                if child is not None:
-                    next_pending.append((child, sel))
-        pending = next_pending
+                if sel.size:
+                    code, post = _take(group_weights, group_posts, slot)
+                    codes[sel, depth] = code
+                    next_groups.append((post, sel))
+        groups = next_groups
     return codes

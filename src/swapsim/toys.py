@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import DEFAULT_ANGLES_A, DEFAULT_ANGLES_B, Trials, counter_uniforms
+from .engine import DEFAULT_ANGLES_A, DEFAULT_ANGLES_B, Trials, check_trials, counter_uniforms
 
 _PM = (1, -1)
 _SETTINGS = (0, 1)
@@ -84,8 +84,7 @@ def constant_rule(value: float) -> AcceptanceRule:
 
 
 def _run_toy(n: int, seed: int, rule: AcceptanceRule, record_lambda: bool) -> Trials:
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = check_trials(n)
     u = counter_uniforms(seed, np.arange(n), 5)
     # Draws 0-3 pick a, b, A, B, the first declared option (setting 0,
     # outcome +1) when below 1/2; draw 4 accepts when below w(a, b, A, B).
@@ -153,8 +152,7 @@ _VERDICT_CODES = np.array(
 def run_rps(n: int, seed: int) -> Trials:
     """Independent uniform choices plus the game verdict; no physics, pure
     selection-bias fodder. Choice i is RPS_CHOICES[int(3 * draw i)]."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = check_trials(n)
     alice, bob = (counter_uniforms(seed, np.arange(n), 2) * 3.0).astype(np.int8).T
     verdict = _VERDICT_CODES[alice, bob]
     return Trials({"trial_id": np.arange(n), "alice": alice, "bob": bob, "verdict": verdict})

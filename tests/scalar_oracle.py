@@ -6,10 +6,12 @@ call per measurement for every trial, one record object per trial,
 record-by-record correlators, G-test counting and CSV writers, and the JSON
 mirror built as one dict per trial. Beside them are the collapse steps, Bell
 outcome probabilities and exact branch enumeration that projected onto each
-outcome in their own code, and the joint table built one setting plan at a
-time over that recursion. They are kept here, unchanged apart from taking
-plain record sequences, as the oracle the array paths, the streamed mirror,
-the projection kernel and the level-by-level exact tables must match. The
+outcome in their own code, the joint table built one setting plan at a
+time over that recursion, and the exact diagnostics that walked it as a
+dict keyed by BellOutcome members. They are kept here, unchanged apart from
+taking plain record sequences, as the oracle the array paths, the streamed
+mirror, the projection kernel, the level-by-level exact tables and their
+leaf-row diagnostics must match. The
 helpers at the end turn records into tables and compare tables column by
 column.
 """
@@ -20,7 +22,7 @@ import csv
 import json
 import math
 from collections import Counter, defaultdict, namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -31,11 +33,16 @@ from swapsim.analysis import (
     DEFAULT_ALPHA,
     DEFAULT_MIN_CELL,
     SETTING_PAIRS,
+    CHSHResult,
     CITestResult,
     CorrelatorTable,
+    FragilityReport,
+    NdaReport,
+    NdaVerdict,
     TeleportReport,
     Verdict,
     _as_names,
+    chsh,
     mutual_information_bits,
 )
 from swapsim.engine import (
@@ -295,6 +302,96 @@ def exact_experiment_distribution(config: ExperimentConfig) -> dict[tuple, float
                 key = (a, b, named["A"], named["B"], named.get("C"))
                 table[key] = table.get(key, 0.0) + 0.25 * p
     return table
+
+
+# The exact diagnostics as they were while the joint table was a dict keyed
+# by (a, b, A, B, c) with BellOutcome members, each walking that dict; here
+# they read the table built above.
+
+def marginal_over_c(table: dict[tuple, float]) -> dict[tuple, float]:
+    """P(a, b, A, B) from a joint table, summing over the C outcome."""
+    out: dict[tuple, float] = {}
+    for (a, b, A, B, _c), p in table.items():
+        key = (a, b, A, B)
+        out[key] = out.get(key, 0.0) + p
+    return out
+
+
+def conditional_given_c(
+    table: dict[tuple, float], accept: frozenset[BellOutcome]
+) -> dict[tuple, float]:
+    """P(a, b, A, B | c_outcome in accept) from a joint table."""
+    kept = {k: p for k, p in table.items() if k[4] is not None and k[4] in accept}
+    total = sum(kept.values())
+    if total <= 0.0:
+        raise ValueError("conditioning event has zero probability")
+    out: dict[tuple, float] = {}
+    for (a, b, A, B, _c), p in kept.items():
+        key = (a, b, A, B)
+        out[key] = out.get(key, 0.0) + p / total
+    return out
+
+
+def herald_probability(config: ExperimentConfig) -> float:
+    """Exact probability that a trial is heralded under the config."""
+    table = exact_experiment_distribution(config)
+    accept = config.herald_set()
+    return sum(p for k, p in table.items() if k[4] is not None and k[4] in accept)
+
+
+def exact_heralded_correlators(config: ExperimentConfig) -> CorrelatorTable:
+    """Correlators of the event-ready subensemble from the exact joint table."""
+    cond = conditional_given_c(exact_experiment_distribution(config), config.herald_set())
+    sums: dict[tuple[int, int], float] = {cell: 0.0 for cell in SETTING_PAIRS}
+    mass: dict[tuple[int, int], float] = {cell: 0.0 for cell in SETTING_PAIRS}
+    for (a, b, A, B), p in cond.items():
+        sums[(a, b)] += A * B * p
+        mass[(a, b)] += p
+    values = {
+        cell: (sums[cell] / mass[cell] if mass[cell] > 0.0 else None)
+        for cell in SETTING_PAIRS
+    }
+    return CorrelatorTable(values, {cell: 0 for cell in SETTING_PAIRS})
+
+
+def exact_chsh(config: ExperimentConfig) -> CHSHResult:
+    return chsh(exact_heralded_correlators(config))
+
+
+def no_difference_check(config: ExperimentConfig, tol: float = 1e-12) -> NdaReport:
+    """Compare exact P(a,b,A,B) with the central measurement present
+    (marginalized over its outcome) and absent."""
+    with_c = marginal_over_c(exact_experiment_distribution(replace(config, c_enabled=True)))
+    without_c = marginal_over_c(
+        exact_experiment_distribution(replace(config, c_enabled=False))
+    )
+    keys = set(with_c) | set(without_c)
+    diff = max(abs(with_c.get(k, 0.0) - without_c.get(k, 0.0)) for k in keys)
+    verdict = NdaVerdict.NO_DIFFERENCE if diff < tol else NdaVerdict.DIFFERENCE
+    return NdaReport(diff, verdict)
+
+
+def fragility(config: ExperimentConfig, tol: float = 1e-15) -> FragilityReport:
+    if not config.c_enabled:
+        raise ValueError("fragility requires the central measurement to be enabled")
+    table = exact_experiment_distribution(config)
+    accept = config.herald_set()
+    mass: dict[tuple, float] = defaultdict(float)
+    hit: dict[tuple, float] = defaultdict(float)
+    for (a, b, A, B, c), p in table.items():
+        mass[(a, b, A, B)] += p
+        if c is not None and c in accept:
+            hit[(a, b, A, B)] += p
+    cells = {
+        key: (hit[key] / mass[key] if mass[key] > tol else None) for key in mass
+    }
+    spread = 0.0
+    for (a, b, A, B), p in cells.items():
+        for flipped in ((1 - a, b, A, B), (a, 1 - b, A, B)):
+            q = cells.get(flipped)
+            if p is not None and q is not None:
+                spread = max(spread, abs(p - q))
+    return FragilityReport(dict(cells), spread)
 
 
 @dataclass(frozen=True)

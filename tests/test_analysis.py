@@ -31,13 +31,12 @@ from swapsim.engine import (
     HERALD_PREDICATES,
     ExperimentConfig,
     Trials,
-    conditional_given_c,
     exact_experiment_distribution,
     herald_probability,
-    marginal_over_c,
     post_select,
     run_trials,
 )
+from scalar_oracle import conditional_given_c, marginal_over_c
 from swapsim.qcore import BellOutcome
 from swapsim.toys import (
     accepted,

@@ -1,7 +1,11 @@
 """CLI and artifact round-trip tests."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,6 +283,18 @@ class TestCliSimulate:
         assert report["meta"]["geometry"] == "early"
         assert report["meta"]["n_trials"] == 30  # flag wins over file
         assert report["meta"]["seed"] == 9
+
+    def test_config_file_is_read_as_utf8_whatever_the_locale(self, tmp_path):
+        # Every artifact is written as UTF-8; under the C locale with UTF-8
+        # mode off, Python's default text encoding is ASCII.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes("out = \u03c1un\n".encode("utf-8"))
+        code = f"from swapsim import cli; print(ascii(cli.load_config_file({str(cfg)!r})))"
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == ascii({"out": "\u03c1un"})
 
     def test_config_file_can_enable_exact(self, tmp_path):
         cfg = tmp_path / "run.cfg"

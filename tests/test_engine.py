@@ -13,17 +13,15 @@ from swapsim.engine import (
     ExperimentConfig,
     Trials,
     _TrialStream,
-    conditional_given_c,
     counter_uniforms,
     exact_experiment_distribution,
     herald_probability,
-    marginal_over_c,
     measurement_order,
     post_select,
     run_trials,
     trial_rng,
 )
-from scalar_oracle import assert_same_table
+from scalar_oracle import assert_same_table, conditional_given_c, marginal_over_c
 from swapsim.geometry import EventLabel
 from swapsim.qcore import BellOutcome
 
@@ -173,6 +171,11 @@ class TestPostSelect:
         ens = run_trials(ExperimentConfig(n_trials=400, seed=21))
         kept = post_select(ens, {BellOutcome.PHI_PLUS})
         assert np.all(kept["c_outcome"] == OUTCOMES.index(BellOutcome.PHI_PLUS))
+
+    def test_unknown_herald_name_rejected(self):
+        ens = run_trials(ExperimentConfig(n_trials=10, seed=2))
+        with pytest.raises(ValueError, match="unknown herald 'bogus'.*psi-minus"):
+            post_select(ens, "bogus")
 
     def test_ensemble_rejects_disordered_ids(self):
         for ids in ([1, 0], [0, 0]):

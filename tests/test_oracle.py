@@ -13,7 +13,7 @@ outcomes.
 import itertools
 import math
 from dataclasses import replace
-from unittest import mock
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -157,21 +157,37 @@ def test_exact_branch_enumeration_matches_oracle_property(
     )
 
 
-def exact_outputs(cfg: ExperimentConfig) -> str:
+def exact_outputs(cfg: ExperimentConfig, side) -> str:
     """repr of every exact output of a config: its joint tables with C on and
-    off, items in order, and the four diagnostics (or the error one raises)."""
+    off, items in order, and the five diagnostics with C on and off (or the
+    error each raises),
+    as ``side`` (the swapsim modules or the oracle) computes them."""
     out: list = [
-        list(engine.exact_experiment_distribution(replace(cfg, c_enabled=c)).items())
+        list(side.exact_experiment_distribution(replace(cfg, c_enabled=c)).items())
         for c in (True, False)
     ]
-    for diagnostic in (engine.herald_probability, analysis.exact_chsh,
-                       analysis.no_difference_check, analysis.fragility):
+    for diagnostic, c in itertools.product(
+        (side.herald_probability, side.exact_heralded_correlators, side.exact_chsh,
+         side.no_difference_check, side.fragility),
+        (True, False),
+    ):
         try:
-            result = diagnostic(cfg)
-        except ValueError as exc:  # a herald the partial analyzer never gives
+            result = diagnostic(replace(cfg, c_enabled=c))
+        except ValueError as exc:  # C off, or a herald the partial analyzer never gives
             result = exc
         out.append(result)
     return repr(out)
+
+
+# The exact outputs under test, named as the oracle names them.
+SWAPSIM_EXACT = SimpleNamespace(
+    exact_experiment_distribution=engine.exact_experiment_distribution,
+    herald_probability=engine.herald_probability,
+    exact_heralded_correlators=analysis.exact_heralded_correlators,
+    exact_chsh=analysis.exact_chsh,
+    no_difference_check=analysis.no_difference_check,
+    fragility=analysis.fragility,
+)
 
 
 finite_angles = st.one_of(angles, st.floats(allow_nan=False, allow_infinity=False))
@@ -190,17 +206,12 @@ finite_angles = st.one_of(angles, st.floats(allow_nan=False, allow_infinity=Fals
 @example(geometry="delayed", herald="phi-plus", partial=True, angles_a=(0.3, 1.9),
          angles_b=(2.2, -0.7))
 def test_exact_outputs_match_oracle_property(geometry, herald, partial, angles_a, angles_b):
-    """The level-by-level table over the four stacked plans, and every
-    diagnostic read from it, equal the oracle's per-plan recursion bit for
-    bit and in key order."""
+    """The leaf rows of the four stacked plans, as the public table and as
+    every diagnostic reads them, equal the oracle's per-plan recursion and
+    its dict-walking diagnostics bit for bit and in key order."""
     cfg = ExperimentConfig(geometry=geometry, herald=herald, bsm_partial=partial,
                            angles_a=angles_a, angles_b=angles_b)
-    got = exact_outputs(cfg)
-    oracle_table = scalar_oracle.exact_experiment_distribution
-    with mock.patch.object(engine, "exact_experiment_distribution", oracle_table), \
-            mock.patch.object(analysis, "exact_experiment_distribution", oracle_table):
-        want = exact_outputs(cfg)
-    assert got == want
+    assert exact_outputs(cfg, SWAPSIM_EXACT) == exact_outputs(cfg, scalar_oracle)
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -261,6 +272,96 @@ def test_collapse_steps_match_oracle_property(state, step, edge, u):
         assert np.array_equal(got[1], want[1])
 
 
+def _oracle_edges(amps: np.ndarray, step) -> list[float]:
+    """Slot edges of one step at a state, from the oracle's own weights: the
+    collapse steps compare a draw with these running sums."""
+    if isinstance(step, SpinMeasurement):
+        vec = qcore._spin_components(step.angle)
+        return [scalar_oracle._project_spin(amps, step.qubit, vec)[1]]
+    _proj, probs, _folded = scalar_oracle._bsm_probs(
+        amps, step.q_left, step.q_right, step.partial, step.resolve_psi_plus
+    )
+    return list(itertools.accumulate(w for _o, w in probs))
+
+
+def _oracle_walk(initial: StateVector, plan, picks):
+    """Collapse one trial step by step with the oracle's steps. ``picks`` has
+    one (edge, u) per step: the draw is the state's slot edge ``edge`` when
+    that is below 1, else u. Returns (draws, codes or the RuntimeError,
+    whether every draw has one answer). A spin's post-state may differ from
+    the sampler's in the last bit (see the collapse property above), so a
+    draw after a spin is drawn only off the edges and within 1e-12 of one
+    it has no single answer."""
+    amps, draws, codes, defined = initial.amplitudes, [], [], True
+    after_spin = False
+    for step, (edge, u) in zip(plan, picks):
+        edges = _oracle_edges(amps, step)
+        draw = edges[edge] if 0 <= edge < len(edges) and edges[edge] < 1.0 else u
+        if after_spin:
+            draw = u
+            defined &= all(abs(draw - e) > 1e-12 for e in edges)
+        draws.append(draw)
+        try:
+            if isinstance(step, SpinMeasurement):
+                outcome, amps = scalar_oracle._spin_step(amps, 4, step.qubit, step.angle, draw)
+            else:
+                outcome, amps = scalar_oracle._bsm_step(
+                    amps, 4, step.q_left, step.q_right, draw, step.partial, step.resolve_psi_plus
+                )
+        except RuntimeError as exc:
+            draws += [u for _edge, u in picks[len(draws):]]
+            return draws, exc, defined
+        codes.append(qcore._branch_outcomes(step).index(outcome))
+        after_spin |= isinstance(step, SpinMeasurement)
+    return draws, codes, defined
+
+
+@st.composite
+def sampled_plans(draw):
+    """A 1-3-step plan of spins at any angle and full or partial BSMs in
+    either qubit order, and 1-6 trials of (edge, u) picks per step."""
+    plan = draw(st.lists(plan_steps, min_size=1, max_size=3))
+    pick = st.tuples(st.integers(-1, 4), st.floats(0.0, 1.0, exclude_max=True))
+    trials = draw(st.lists(st.lists(pick, min_size=len(plan), max_size=len(plan)),
+                           min_size=1, max_size=6))
+    return plan, trials
+
+
+# No shrink phase, as for the G-test property.
+@settings(max_examples=200, deadline=None, database=None,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
+@given(initial=initial_states, case=sampled_plans())
+@example(initial=TWO_SINGLETS, case=([BsmStep(1, 2), SpinMeasurement(0, 0.3)],
+                                     [[(3, 0.5), (-1, 0.1)], [(-1, 1.0 - 2.0**-53), (0, 0.9)]]))
+@example(initial=SPIN_EIGENSTATE, case=([SpinMeasurement(0, -math.pi), BsmStep(1, 2)],
+                                        [[(-1, 0.0), (-1, 0.3)], [(-1, 1.0 - 2.0**-53), (-1, 0.3)]]))
+@example(initial=BSM_EIGENSTATE, case=([BsmStep(2, 1, partial=True, resolve_psi_plus=False)],
+                                       [[(-1, 1.0 - 2.0**-53)], [(1, 0.2)], [(-1, 0.0)]]))
+def test_sample_branches_matches_oracle_collapse_property(initial, case):
+    """Every trial's codes equal a step-by-step oracle collapse with its
+    draws, or the sampler raises a RuntimeError the oracle raised."""
+    plan, trials = case
+    walks = [_oracle_walk(initial, plan, picks) for picks in trials]
+    walks = [(draws, codes) for draws, codes, defined in walks if defined]
+    if not walks:
+        return
+    draws = np.array([draws for draws, _codes in walks])
+    errors = [str(codes) for _draws, codes in walks if isinstance(codes, RuntimeError)]
+    if errors:
+        with pytest.raises(RuntimeError) as exc:
+            qcore.sample_branches(initial, plan, draws)
+        assert str(exc.value) in errors
+    for row, (_draws, codes) in zip(draws, walks):
+        if isinstance(codes, RuntimeError):
+            with pytest.raises(RuntimeError, match=str(codes)):
+                qcore.sample_branches(initial, plan, row[None])
+        else:
+            assert qcore.sample_branches(initial, plan, row[None]).tolist() == [codes]
+    if not errors:
+        want = [codes for _draws, codes in walks]
+        assert qcore.sample_branches(initial, plan, draws).tolist() == want
+
+
 @pytest.mark.parametrize(
     "run",
     [
@@ -276,6 +377,24 @@ def test_runners_reject_seeds_outside_64_bits(run):
     for seed in (-1, 2**64):
         with pytest.raises(ValueError):
             run(seed)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda n: ExperimentConfig(n_trials=n).n_trials,
+        lambda n: len(toys.run_toy_collider(n, 0)),
+        lambda n: len(toys.run_rps(n, 0)),
+        lambda n: analysis.teleport_channel_demo(False, n, 0).n_trials,
+    ],
+    ids=["config", "toy", "rps", "teleport"],
+)
+def test_runners_take_integer_trial_counts(run):
+    # 2.5 used to run 3 trials in the toys, and True one trial or a TypeError.
+    assert run(np.int64(3)) == 3
+    for bad in (2.5, 3.0, True, "3", None, 0, -2):
+        with pytest.raises(ValueError, match="n_trials"):
+            run(bad)
 
 
 def _table(columns: dict) -> Trials:
