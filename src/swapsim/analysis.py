@@ -11,6 +11,7 @@ exact joint table's leaf rows (engine.exact_leaf_rows).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -64,13 +65,58 @@ class NdaVerdict(Enum):
     DIFFERENCE = "Difference"
 
 
-def _joint_codes(columns, n: int) -> np.ndarray:
-    """One code per row, equal for two rows exactly where every column is."""
-    code = np.zeros(n, dtype=np.intp)
-    for column in columns:
-        _, inverse = np.unique(column, return_inverse=True)
-        _, code = np.unique(code * (inverse.max() + 1) + inverse, return_inverse=True)
-    return code
+def _column_codes(column: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """Codes in [0, radix) of one column of n rows, equal for two rows
+    exactly where the column is, and their radix.
+
+    An integer or bool column whose span max - min + 1 is at most n is coded
+    as its offset from its minimum, without sorting. Any other column
+    (floats, or a wide span such as the trial ids of a selection) is coded
+    by rank among its sorted distinct values.
+    """
+    if column.dtype.kind in "biu":
+        lo, hi = column.min(), column.max()
+        span = int(hi) - int(lo) + 1
+        if span <= n:
+            # Casting uint64 values above 2**63 to intp wraps them modulo
+            # 2**64; the true offset is below n, so the difference is exact.
+            return np.subtract(column, lo, dtype=np.intp), span
+    values, inverse = np.unique(column, return_inverse=True)
+    return inverse, len(values)
+
+
+def _mixed_radix(parts, n: int) -> tuple[np.ndarray, int]:
+    """One code per row from (codes, radix) parts, equal for two rows exactly
+    where every part is, and its radix. A running radix above n is compacted
+    to its populated codes, so every radix, and any bincount over the codes,
+    stays at most n."""
+    code, radix = np.zeros(n, dtype=np.intp), 1
+    for part, k in parts:
+        code, radix = code * k + part, radix * k
+        if radix > n:
+            values, code = np.unique(code, return_inverse=True)
+            radix = len(values)
+    return code, radix
+
+
+def _check_alpha(alpha) -> None:
+    try:
+        valid = 0.0 < alpha < 1.0  # False for NaN and the infinities
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"alpha must be a finite number with 0 < alpha < 1, got {alpha!r}")
+
+
+def _check_min_cell(min_cell) -> None:
+    try:
+        if isinstance(min_cell, bool):
+            raise TypeError
+        value = operator.index(min_cell)
+    except TypeError:
+        raise ValueError(f"min_cell must be an integer, got {min_cell!r}") from None
+    if value < 0:
+        raise ValueError(f"min_cell must be >= 0, got {value}")
 
 
 def _as_names(names) -> tuple[str, ...]:
@@ -196,46 +242,70 @@ def test_conditional_independence(
     significance alpha with the summed degrees of freedom. Inconclusive when
     any populated conditioning cell (a given-versus combination) holds fewer
     than min_cell samples, or when there are no trials. Each variable is a
-    column of the table; naming a missing one raises ValueError.
+    column of the table, named in one role only; naming a missing column, a
+    column twice, alpha outside (0, 1) or a min_cell that is not an integer
+    >= 0 raises ValueError.
     """
+    _check_alpha(alpha)
+    _check_min_cell(min_cell)
     target_names = _as_names(target)
     given_names = _as_names(given) if given else ()
     versus_names = _as_names(versus)
     if not target_names or not versus_names:
         raise ValueError("target and versus must name at least one variable each")
+    named = given_names + target_names + versus_names
+    repeated = sorted({name for name in named if named.count(name) > 1})
+    if repeated:
+        raise ValueError(f"G-test names {repeated} more than once; each variable takes one role")
     if hypothesis is None:
         g_txt = ",".join(given_names) if given_names else "-"
         hypothesis = f"{','.join(target_names)} _||_ {','.join(versus_names)} | {g_txt}"
 
-    missing = [n for n in given_names + target_names + versus_names if n not in data.columns]
+    missing = [n for n in named if n not in data.columns]
     if missing:
         raise ValueError(f"G-test names {missing}, not among the columns {list(data.columns)}")
     n_total = len(data)
     if n_total == 0:
         return CITestResult(hypothesis, 0.0, 0.0, Verdict.INCONCLUSIVE, 0, 0)
 
-    g, t, v = (
-        _joint_codes([data[name] for name in names], n_total)
+    (g, kg), (t, kt), (v, kv) = (
+        _mixed_radix([_column_codes(data[name], n_total) for name in names], n_total)
         for names in (given_names, target_names, versus_names)
     )
-    gt, gv = _joint_codes([g, t], n_total), _joint_codes([g, v], n_total)
-    _, first, count = np.unique(_joint_codes([gt, v], n_total), return_index=True,
-                                return_counts=True)
+    gt, kgt = _mixed_radix([(g, kg), (t, kt)], n_total)
+    gv, kgv = _mixed_radix([(g, kg), (v, kv)], n_total)
+    cell, kc = _mixed_radix([(gt, kgt), (v, kv)], n_total)
+    g_count, gt_count, gv_count, count = (
+        np.bincount(code, minlength=k) for code, k in ((g, kg), (gt, kgt), (gv, kgv), (cell, kc))
+    )
+    # Each populated cell's first row; a cell's stratum, target and versus
+    # codes are those of any of its rows.
+    first = np.full(kc, n_total)
+    np.minimum.at(first, cell, np.arange(n_total))
+    cells = np.flatnonzero(count)
+    first, count = first[cells], count[cells]
+    g_cell, gt_cell, gv_cell = g[first], gt[first], gv[first]
     # Each cell's target total times its versus total over its stratum size.
-    expected = np.bincount(gt)[gt[first]] * np.bincount(gv)[gv[first]] / np.bincount(g)[g[first]]
+    expected = gt_count[gt_cell] * gv_count[gv_cell] / g_count[g_cell]
     # Add the cells' terms stratum by stratum in the order the strata first
     # appear, and within a stratum in the order the cells do, as a pass over
     # the rows does: the floating-point sum then matches it bit for bit.
-    _, g_first = np.unique(g, return_index=True)
-    order = np.lexsort((first, g_first[g[first]]))
+    g_first = np.full(kg, n_total)
+    np.minimum.at(g_first, g_cell, first)
+    order = np.lexsort((first, g_first[g_cell]))
     g_stat = 0.0
     for c, e in zip(count[order].tolist(), expected[order].tolist()):
         g_stat += 2.0 * c * math.log(c / e)
-    # Per stratum: (distinct targets - 1) * (distinct versus values - 1).
-    targets = np.bincount(g[np.unique(gt, return_index=True)[1]])
-    versus_values = np.bincount(g[np.unique(gv, return_index=True)[1]])
-    dof = int(((targets - 1) * (versus_values - 1)).sum())
-    sparse = np.bincount(gv).min() < min_cell
+    # Per populated stratum: (distinct targets - 1) * (distinct versus
+    # values - 1), each counted from the codes' strata.
+    distinct = []
+    for code, code_count, k in ((gt_cell, gt_count, kgt), (gv_cell, gv_count, kgv)):
+        stratum = np.zeros(k, dtype=np.intp)
+        stratum[code] = g_cell
+        distinct.append(np.bincount(stratum[code_count > 0], minlength=kg))
+    targets, versus_values = distinct
+    dof = int(((targets - 1) * (versus_values - 1))[g_count > 0].sum())
+    sparse = gv_count[gv_cell].min() < min_cell
 
     threshold = float(chdtri(dof, alpha)) if dof > 0 else 0.0
     if sparse:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swapsim import analysis
 from swapsim.analysis import (
     CHSH_COMBINATION,
     CorrelatorTable,
@@ -39,8 +40,10 @@ from swapsim.engine import (
 from scalar_oracle import conditional_given_c, marginal_over_c
 from swapsim.qcore import BellOutcome
 from swapsim.toys import (
+    RPS_VERDICTS,
     accepted,
     constant_rule,
+    run_rps,
     run_toy_collider,
     run_toy_source_variant,
 )
@@ -211,6 +214,74 @@ class TestConditionalIndependence:
         trials = run_toy_source_variant(20_000, 51, constant_rule(1.0))
         result = statistical_independence_test(accepted(trials), post_selected=True)
         assert result.verdict is Verdict.HOLDS
+
+    @pytest.mark.parametrize("alpha", [0, 0.0, 1, 1.5, -1, math.nan, math.inf, True, "0.01", None])
+    def test_alpha_outside_open_unit_interval_raises(self, alpha):
+        # 0, 1.5, -1 and NaN used to give an inf or nan threshold and Holds.
+        with pytest.raises(ValueError, match="alpha"):
+            ci_test(table([(0, 1, 1, -1)] * 60), "A", ("a",), ("b",), alpha=alpha)
+
+    @pytest.mark.parametrize("min_cell", [-5, -1, 2.5, 3.0, True, "3", None])
+    def test_min_cell_not_a_count_raises(self, min_cell):
+        # -5 and 2.5 used to be accepted.
+        with pytest.raises(ValueError, match="min_cell"):
+            ci_test(table([]), "A", ("a",), ("b",), min_cell=min_cell)
+
+    def test_alpha_and_min_cell_accepted_values(self):
+        data = table([(a, b, 1, -1) for a in (0, 1) for b in (0, 1)] * 10)
+        base = ci_test(data, "A", ("a",), ("b",), min_cell=0)
+        assert ci_test(data, "A", ("a",), ("b",), min_cell=np.int64(0)) == base
+        assert ci_test(data, "A", ("a",), ("b",), alpha=np.float64(0.5), min_cell=0).verdict \
+            is Verdict.HOLDS
+
+    @pytest.mark.parametrize(
+        "target, given_, versus, repeated",
+        [
+            ("A", (), ("A",), "'A'"),  # used to report Violated at dof 4
+            ("A", ("A",), ("b",), "'A'"),  # used to report Holds at dof 0
+            ("A", ("a", "a"), ("b",), "'a'"),
+            (("A", "A"), (), ("b",), "'A'"),
+            ("A", ("a",), ("b", "a"), "'a'"),
+            ("A", ("a",), ("B", "B"), "'B'"),
+        ],
+    )
+    def test_variable_in_two_roles_raises(self, target, given_, versus, repeated):
+        data = table([(a, b, 1 - 2 * a, 1 - 2 * b) for a in (0, 1) for b in (0, 1)] * 60)
+        with pytest.raises(ValueError, match=repeated):
+            ci_test(data, target, given_, versus)
+
+    def test_declared_range_columns_never_sort(self, monkeypatch):
+        # Settings, outcomes, hidden pairs and rps choices span fewer values
+        # than there are rows, so every code is an offset: the batteries give
+        # the same results with np.unique unavailable to the G-test.
+        ensemble = run_trials(ExperimentConfig(geometry="early", n_trials=4000, seed=5))
+        source = run_toy_source_variant(6000, 7)
+        rps = run_rps(3000, 11)
+
+        def batteries():
+            kept = accepted(source)
+            return (
+                no_signaling_tests(ensemble)
+                + local_causality_tests(post_select(ensemble), post_selected=True)
+                + local_causality_tests(kept, post_selected=True, include_lambda=True)
+                + local_causality_tests(source, post_selected=False)
+                + [statistical_independence_test(kept, post_selected=True),
+                   statistical_independence_test(source, post_selected=False)]
+                + [ci_test(rps, "alice", (), ("bob",))]
+                + [ci_test(rps.select(rps["verdict"] == code), "alice", (), ("bob",))
+                   for code in range(len(RPS_VERDICTS))]
+            )
+
+        want = batteries()
+
+        class NumpyWithoutUnique:
+            def __getattr__(self, name):
+                if name == "unique":
+                    raise AssertionError("the G-test sorted a declared-range column")
+                return getattr(np, name)
+
+        monkeypatch.setattr(analysis, "np", NumpyWithoutUnique())
+        assert batteries() == want
 
 
 class TestNoDifference:

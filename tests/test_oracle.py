@@ -402,17 +402,34 @@ def _table(columns: dict) -> Trials:
     return Trials({"trial_id": np.arange(n), **columns})
 
 
+def _column(draw, n: int) -> np.ndarray:
+    """One G-test column of n rows. Small ints, int8 and bool columns span
+    at most n values once n covers their 1-3 values, and are coded as
+    offsets; wide ints (up to +-2**40), strictly increasing trial_id-like
+    ids with gaps, and floats mostly take the sorted fallback."""
+    kind = draw(st.sampled_from(["small", "int8", "bool", "wide", "ids", "float"]))
+    if kind == "ids":
+        return np.cumsum(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)), dtype=np.int64)
+    values = {
+        "small": st.integers(-2, 3),
+        "int8": st.integers(-128, 127),
+        "bool": st.booleans(),
+        "wide": st.integers(-2**40, 2**40),
+        "float": st.floats(allow_nan=False),
+    }[kind]
+    dtype = {"int8": np.int8, "bool": bool, "float": float}.get(kind, np.int64)
+    choices = draw(st.lists(values, min_size=1, max_size=3, unique=True))
+    return np.array(draw(st.lists(st.sampled_from(choices), min_size=n, max_size=n)), dtype=dtype)
+
+
 @st.composite
 def small_tables(draw):
-    """A table of 2-4 columns x0.. of up to 300 small integers, each column
-    drawing from its own 1-3 values, and a G-test over disjoint sets of
-    them (target and versus never empty)."""
+    """A table of 2-5 columns x0.. of up to 300 rows, each column of one
+    kind (see _column) drawing from its own 1-3 values, and a G-test over
+    disjoint sets of them (target and versus never empty)."""
     n = draw(st.integers(0, 300))
-    names = [f"x{i}" for i in range(draw(st.integers(2, 4)))]
-    columns = {}
-    for name in names:
-        values = draw(st.lists(st.integers(-2, 3), min_size=1, max_size=3, unique=True))
-        columns[name] = np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+    names = [f"x{i}" for i in range(draw(st.integers(2, 5)))]
+    columns = {name: _column(draw, n) for name in names}
     roles = draw(st.permutations(names))
     n_target = draw(st.integers(1, len(names) - 1))
     n_versus = draw(st.integers(1, len(names) - n_target))
@@ -423,6 +440,14 @@ def small_tables(draw):
 
 _X = np.arange(240) % 2  # alternating 0, 1
 _Y = np.arange(240) // 60 % 2  # blocks of 60 zeros, then 60 ones
+
+
+def _five_bits(n: int):
+    """n rows of five binary columns, tested as x0 against x3, x4 given x1,
+    x2: the given radix 4 or the radix 8 of target and stratum exceeds n,
+    so the running codes are compacted."""
+    bits = (np.arange(n)[:, None] * 7 % 32) >> np.arange(5) & 1
+    return _table({f"x{i}": bits[:, i] for i in range(5)}), ("x0",), ("x1", "x2"), ("x3", "x4")
 
 
 # No shrink phase: shrinking a failing 300-row table takes minutes.
@@ -438,6 +463,20 @@ _Y = np.arange(240) // 60 % 2  # blocks of 60 zeros, then 60 ones
 @example(  # a sparse stratum: x2 == 1 holds only 3 rows per versus value
     case=(_table({"x0": _Y, "x1": _X, "x2": (np.arange(240) < 6).astype(int)}),
           ("x0",), ("x2",), ("x1",)), min_cell=5)
+@example(  # float target, bool given, and a versus spanning more than 2**40 values
+    case=(_table({"x0": _X * 0.5 - 0.25, "x1": _Y.astype(bool), "x2": _X * 2**40 + _Y}),
+          ("x0",), ("x1",), ("x2",)), min_cell=0)
+@example(  # int8 outcomes against the trial ids, whose span is exactly n
+    case=(_table({"x0": (1 - 2 * _Y).astype(np.int8), "x1": _X.astype(np.int8)}),
+          ("x0",), (), ("trial_id", "x1")), min_cell=0)
+@example(  # uint64 values above 2**63, coded as offsets through the intp cast
+    case=(_table({"x0": _X, "x1": np.uint64(2**64 - 1) - _Y.astype(np.uint64)}),
+          ("x0",), (), ("x1",)), min_cell=0)
+@example(case=_five_bits(1), min_cell=0)
+@example(case=_five_bits(2), min_cell=0)
+@example(case=_five_bits(3), min_cell=0)
+@example(case=_five_bits(4), min_cell=0)
+@example(case=_five_bits(5), min_cell=1)
 def test_gtest_matches_oracle_property(case, min_cell):
     table, target, given_, versus = case
     got = analysis.test_conditional_independence(table, target, given_, versus, min_cell=min_cell)
