@@ -4,9 +4,13 @@ Pure-state representation for up to five qubits, planar spin measurements,
 full and partial Bell-state measurements, exhaustive branch enumeration of
 measurement plans, and a sampler that draws many trials of one plan at
 once. Enumeration and sampling both walk a plan one depth at a time, each
-depth one stacked ``_branches`` call, and both report outcomes as integer
-codes into ``_branch_outcomes``. All operations return new values; states
-are immutable after construction.
+depth one stacked ``_branches`` call with one step per block of rows (one
+block per plan when enumerating, one block when sampling), and both report
+outcomes as integer codes into ``_branch_outcomes``. Every squared norm (a
+state's norm check, the sampler's branch weights, an exact leaf's
+probability) is ``_norm_sq`` of C-contiguous rows, which equals ``np.vdot``
+of each row bit for bit; the exact walk takes norms only at its leaves.
+All operations return new values; states are immutable after construction.
 
 Conventions: qubit 0 is the most significant bit of the basis-state index,
 |0> is spin-up, and the singlet is (|01> - |10>)/sqrt(2) with the |01>
@@ -70,7 +74,8 @@ class StateVector:
             raise ValueError(
                 f"expected {2**self.num_qubits} amplitudes, got shape {amps.shape}"
             )
-        norm_sq = float(np.vdot(amps, amps).real)
+        with np.errstate(invalid="ignore"):  # an inf amplitude: a nan norm, rejected below
+            norm_sq = float(_norm_sq(amps[None])[0])
         if not abs(norm_sq - 1.0) <= NORM_TOL:  # also rejects a nan norm
             raise ValueError(f"state not normalized: |psi|^2 = {norm_sq!r}")
         amps = amps.copy()
@@ -173,18 +178,16 @@ def _spin_components(angle: float) -> tuple[float, float]:
     return math.cos(angle / 2.0), math.sin(angle / 2.0)
 
 
-# The two nonzero (left_bit, right_bit, value) terms of each Bell tensor,
-# with values as Python floats for cheap scalar arithmetic.
-_BELL_TERMS: dict[BellOutcome, tuple[tuple[int, int, float], ...]] = {
-    outcome: tuple(
-        (i, j, float(m[i, j].real))
-        for i in (0, 1)
-        for j in (0, 1)
-        if m[i, j] != 0
-    )
-    for outcome, m in _BELL_TENSORS.items()
-}
-_BELL_INDEX = {outcome: k for k, outcome in enumerate(_BELL_TERMS)}
+_BELL_INDEX = {outcome: k for k, outcome in enumerate(_BELL_TENSORS)}
+# The two nonzero terms of each Bell tensor, outcomes in enum order: their
+# bits, indexed [left/right, term, outcome], and their values, indexed
+# [term, outcome] and shaped to broadcast over (outcome, row, pre, mid,
+# post). The values are real with a +0 imaginary part, so products with them
+# round as real ones.
+_BELL_BITS = np.array([np.nonzero(m) for m in _BELL_TENSORS.values()]).transpose(1, 2, 0)
+_BELL_VALUES = np.array(
+    [m[m != 0].real for m in _BELL_TENSORS.values()], dtype=np.complex128
+).T.reshape(2, len(_BELL_TENSORS), 1, 1, 1, 1)
 
 
 def _partial_outcomes(resolve_psi_plus: bool) -> tuple[list[BellOutcome], list[BellOutcome]]:
@@ -207,70 +210,95 @@ def _branch_outcomes(step: PlanStep) -> list:
     return resolved + [BellOutcome.NO_HERALD]
 
 
+def _norm_sq(rows: np.ndarray) -> np.ndarray:
+    """Squared norms of the rows of an (m, n) complex stack, shape (m,).
+
+    Each is the BLAS dot of a C-contiguous row's conjugate with the row, as
+    ``np.vdot`` of that row computes it: a stacked vector-vector ``matmul``
+    on contiguous complex data calls ``zdotu``, the kernel family of the
+    ``zdotc`` that ``vdot`` calls, so the two agree bit for bit. The input is
+    made C-contiguous first, because a strided dot sums in another order.
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.complex128)
+    return np.matmul(rows.conj()[:, None, :], rows[:, :, None])[:, 0, 0].real
+
+
 def _branches(amps: np.ndarray, steps: Sequence[PlanStep]) -> tuple[np.ndarray, np.ndarray]:
     """Every outcome of one plan step for each row of a stack of states.
 
     ``amps`` has shape (m, 2**n), one unnormalized state per row, and
-    ``steps`` holds one step per row. The rows' steps share their kind and
-    qubits; spin angles may differ by row. Returns the unnormalized
-    post-measurement amplitudes, shape (m, k, 2**n), and the weights, shape
-    (m, k), with the k outcomes in ``_branch_outcomes(steps[0])`` order.
-    NO_HERALD is the sum of the folded outcomes' projections.
+    ``steps`` holds one step per block of m // len(steps) consecutive rows.
+    The steps share their kind and qubits (and a BSM's mode); spin angles
+    may differ by block. Returns the unnormalized post-measurement
+    amplitudes, shape (m, k, 2**n), with the k outcomes in
+    ``_branch_outcomes(steps[0])`` order and NO_HERALD the sum of the folded
+    outcomes' projections; and the coefficient stack that ``_weights`` reads,
+    shape (m, j, 2**n // 2**(number of measured qubits)), one row per spin
+    outcome or Bell state, before any fold.
 
     This is the one projection onto a step's outcomes: collapse steps, the
-    sampler, outcome probabilities and exact enumeration all read it.
-    A row's results do not depend on the other rows or on the stack's
-    memory layout: the arithmetic is elementwise, and each weight is
-    ``np.vdot`` of a C-contiguous row (a strided vdot sums in another order).
+    sampler, outcome probabilities and exact enumeration all read it; only
+    the first three need weights, so it takes no norms. A row's results do
+    not depend on the other rows or on the stack's memory layout: the
+    arithmetic is elementwise, and each weight is ``_norm_sq`` of a
+    C-contiguous coefficient row.
     """
-    amps = np.ascontiguousarray(amps)  # so every coeff below is C-contiguous
+    amps = np.ascontiguousarray(amps)
     m, size = amps.shape
     step = steps[0]
     if isinstance(step, SpinMeasurement):
-        t = amps.reshape(m, 2**step.qubit, 2, -1)
-        posts = np.empty((m, 2) + t.shape[1:], dtype=np.complex128)
-        weights = np.empty((m, 2))
-        # comps[i, k]: row i's (up, down) for outcome +1 (k = 0) at its
+        # Axes (block, row, outcome, pre, qubit, post).
+        t = amps.reshape(len(steps), m // len(steps), 1, 2**step.qubit, 2, -1)
+        # comps[b, k]: block b's (up, down) for outcome +1 (k = 0) at its
         # angle and -1 (k = 1) at the angle plus pi; complex, as the products
         # below are, so that no operand needs a cast.
         comps = np.array(
             [(_spin_components(s.angle), _spin_components(s.angle + math.pi)) for s in steps],
             dtype=np.complex128,
         )
-        for k in (0, 1):
-            up, down = comps[:, k, 0, None, None], comps[:, k, 1, None, None]
-            coeff = up * t[:, :, 0, :] + down * t[:, :, 1, :]
-            posts[:, k, :, 0, :] = up * coeff
-            posts[:, k, :, 1, :] = down * coeff
-            weights[:, k] = [np.vdot(row, row).real for row in coeff.reshape(m, -1)]
-        return posts.reshape(m, 2, size), weights
+        up, down = comps[:, None, :, 0, None, None], comps[:, None, :, 1, None, None]
+        coeffs = up * t[..., 0, :] + down * t[..., 1, :]
+        posts = np.empty(t.shape[:2] + (2,) + t.shape[3:], dtype=np.complex128)
+        posts[..., 0, :] = up * coeffs
+        posts[..., 1, :] = down * coeffs
+        return posts.reshape(m, 2, size), coeffs.reshape(m, 2, -1)
     # Axes (row, pre, lower qubit, mid, higher qubit, post); a Bell tensor's
     # (left, right) bits swap when q_left is the higher qubit.
     qa, qb = sorted((step.q_left, step.q_right))
     t = amps.reshape(m, 2**qa, 2, 2 ** (qb - qa - 1), 2, -1)
-    posts = np.zeros((m, len(_BELL_TERMS)) + t.shape[1:], dtype=np.complex128)
-    weights = np.empty((m, len(_BELL_TERMS)))
-    for k, terms in enumerate(_BELL_TERMS.values()):
-        if step.q_left > step.q_right:
-            terms = tuple((j, i, c) for (i, j, c) in terms)
-        (i1, j1, c1), (i2, j2, c2) = terms
-        coeff = c1 * t[:, :, i1, :, j1, :] + c2 * t[:, :, i2, :, j2, :]
-        for i, j, c in terms:
-            posts[:, k, :, i, :, j, :] = c * coeff
-        weights[:, k] = [np.vdot(row, row).real for row in coeff.reshape(m, -1)]
-    posts = posts.reshape(m, len(_BELL_TERMS), size)
-    if not step.partial:
-        return posts, weights
+    lower, higher = _BELL_BITS if step.q_left < step.q_right else _BELL_BITS[::-1]
+    c = _BELL_VALUES
+    # Two index arrays apart put the outcome axis first: (outcome, row, pre,
+    # mid, post).
+    coeffs = c[0] * t[:, :, lower[0], :, higher[0], :] + c[1] * t[:, :, lower[1], :, higher[1], :]
+    posts = np.zeros((m, len(_BELL_TENSORS)) + t.shape[1:], dtype=np.complex128)
+    outcome = np.arange(len(_BELL_TENSORS))
+    for term in (0, 1):
+        posts[:, outcome, :, lower[term], :, higher[term], :] = c[term] * coeffs
+    posts = posts.reshape(m, len(_BELL_TENSORS), size)
+    return _fold(step, posts), coeffs.swapaxes(0, 1).reshape(m, len(_BELL_TENSORS), -1)
+
+
+def _fold(step: PlanStep, stack: np.ndarray) -> np.ndarray:
+    """A stack with one entry per Bell state on axis 1, shape (m, 4, ...), in
+    ``_branch_outcomes(step)`` order: a partial BSM keeps its resolved
+    outcomes and sums the folded ones, in enum order, into NO_HERALD."""
+    if not (isinstance(step, BsmStep) and step.partial):
+        return stack
     resolved, folded = _partial_outcomes(step.resolve_psi_plus)
-    keep = [_BELL_INDEX[o] for o in resolved]
-    out_posts = np.zeros((m, len(keep) + 1, size), dtype=np.complex128)
-    out_weights = np.zeros((m, len(keep) + 1))
-    out_posts[:, :-1] = posts[:, keep]
-    out_weights[:, :-1] = weights[:, keep]
+    out = np.zeros((len(stack), len(resolved) + 1) + stack.shape[2:], dtype=stack.dtype)
+    out[:, :-1] = stack[:, [_BELL_INDEX[o] for o in resolved]]
     for o in folded:
-        out_posts[:, -1] += posts[:, _BELL_INDEX[o]]
-        out_weights[:, -1] += weights[:, _BELL_INDEX[o]]
-    return out_posts, out_weights
+        out[:, -1] += stack[:, _BELL_INDEX[o]]
+    return out
+
+
+def _weights(step: PlanStep, coeffs: np.ndarray) -> np.ndarray:
+    """Branch weights of ``_branches``' rows, shape (m, k) in
+    ``_branch_outcomes(step)`` order, from its coefficient stack: each
+    outcome's squared norm, NO_HERALD the sum of the folded outcomes'."""
+    m, j, _ = coeffs.shape
+    return _fold(step, _norm_sq(coeffs.reshape(m * j, -1)).reshape(m, j))
 
 
 def _step_thresholds(step: PlanStep, weights: list[float]) -> list[float]:
@@ -305,8 +333,8 @@ def _take(weights: list[float], posts: np.ndarray, slot: int) -> tuple[int, np.n
 
 def _one_state_branches(amps: np.ndarray, step: PlanStep) -> tuple[list[float], np.ndarray]:
     """``_branches`` of a single state: (weights as floats, posts (k, 2**n))."""
-    posts, weights = _branches(amps[None], [step])
-    return weights[0].tolist(), posts[0]
+    posts, coeffs = _branches(amps[None], [step])
+    return _weights(step, coeffs)[0].tolist(), posts[0]
 
 
 def _collapse(amps: np.ndarray, step: PlanStep, draw: float) -> tuple[object, np.ndarray]:
@@ -411,29 +439,44 @@ def _validate_plan(n: int, plan: Sequence[PlanStep]) -> None:
                     raise ValueError(f"plan step {step} exceeds the {n}-qubit budget")
 
 
+def _step_shape(step: PlanStep) -> tuple:
+    """A step but a spin's angle: what the steps that one ``_branches`` call
+    expands together must share."""
+    if isinstance(step, SpinMeasurement):
+        return (SpinMeasurement, step.qubit)
+    return (BsmStep, step.q_left, step.q_right, step.partial, step.resolve_psi_plus)
+
+
 def _enumerate_plans(
     initial: np.ndarray, plans: Sequence[Sequence[PlanStep]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Leaf outcome codes and, for each plan, the leaf probabilities.
 
     The plans must have equal length, and at each depth their steps must
-    share kind and qubits (spin angles may differ), so one ``_branches``
-    call expands every plan's rows one depth further. Rows stay in plan,
-    then depth-first outcome order. Returns the codes, shape (leaves,
+    share kind, qubits and BSM mode (spin angles may differ), or ValueError:
+    one ``_branches`` call, one step per plan's block of rows, expands every
+    plan's rows one depth further. Rows stay in plan, then depth-first
+    outcome order. Returns the codes, shape (leaves,
     depth), whose entry [i, d] indexes ``_branch_outcomes(plans[0][d])``
     as ``sample_branches``' codes do, in the order a recursion over the
     outcomes visits the leaves; and the probabilities, shape (len(plans),
     leaves), each the squared norm of a leaf's unnormalized amplitudes.
     """
-    states = np.tile(initial, (len(plans), 1))
+    if not plans:
+        raise ValueError("no plans to enumerate")
+    shape = list(map(_step_shape, plans[0]))
+    for plan in plans[1:]:
+        if list(map(_step_shape, plan)) != shape:
+            raise ValueError(
+                f"plans must match step for step but for spin angles: {plans[0]} vs {plan}"
+            )
+    states = initial[None].repeat(len(plans), axis=0)
     for depth in range(len(plans[0])):
-        leaves = len(states) // len(plans)
-        posts, _weights = _branches(states, [plan[depth] for plan in plans for _ in range(leaves)])
+        posts, _coeffs = _branches(states, [plan[depth] for plan in plans])
         states = posts.reshape(-1, initial.size)
     sizes = [range(len(_branch_outcomes(step))) for step in plans[0]]
     codes = np.array(list(itertools.product(*sizes)), dtype=np.intp).reshape(-1, len(sizes))
-    probs = [float(np.vdot(row, row).real) for row in states]
-    return codes, np.array(probs).reshape(len(plans), -1)
+    return codes, _norm_sq(states).reshape(len(plans), -1)
 
 
 def exact_branch_enumeration(
@@ -481,7 +524,8 @@ def sample_branches(
         return codes
     groups = [(initial.amplitudes, np.arange(len(draws)))]
     for depth, step in enumerate(plan):
-        posts, weights = _branches(np.stack([state for state, _ in groups]), [step] * len(groups))
+        posts, coeffs = _branches(np.stack([state for state, _ in groups]), [step])
+        weights = _weights(step, coeffs)
         next_groups = []
         for (_, rows), group_posts, group_weights in zip(groups, posts, weights.tolist()):
             edges = _step_thresholds(step, group_weights)

@@ -132,10 +132,20 @@ class TestEnsembleCsvRejects:
         ("-1,0,1,1,-1,psi-,true", "line 3: trial_id is not an integer"),
         ("1.5,0,1,1,-1,psi-,true", "line 3: trial_id is not an integer"),
         ("1" + "0" * 18 + ",0,1,1,-1,psi-,true", "line 3: trial_id is not an integer"),
+        # A trailing NUL used to be dropped, and a superscript digit to fail in int().
+        ("1\x00,0,1,1,-1,psi-,true", "line 3: trial_id is not an integer"),
+        ("\u00b2,0,1,1,-1,psi-,true", "line 3: trial_id is not an integer"),
+        ("1,0,1,1,-1,psi-\x00,true", "line 3: c_outcome is none of"),
+        ("1,0,1,1,-1,psi-,truefalse", "line 3: heralded is none of"),
     ])
     def test_bad_row_rejected(self, tmp_path, row, message):
         with pytest.raises(ValueError, match=message):
             self.read(tmp_path, self.GOOD + row + "\n")
+
+    def test_crlf_line_ends_read(self, tmp_path):
+        text = self.GOOD + "7,1,0,-1,1,absent,false"  # no line end after the last row
+        assert_same_table(self.read(tmp_path, text.replace("\n", "\r\n")),
+                          self.read(tmp_path, text))
 
     def test_decreasing_ids_rejected(self, tmp_path):
         text = self.GOOD.replace("\n0,", "\n5,") + "6,0,0,1,1,absent,false\n3,0,0,1,1,none,false\n"

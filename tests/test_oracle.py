@@ -12,7 +12,11 @@ outcomes.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -360,6 +364,87 @@ def test_sample_branches_matches_oracle_collapse_property(initial, case):
     if not errors:
         want = [codes for _draws, codes in walks]
         assert qcore.sample_branches(initial, plan, draws).tolist() == want
+
+
+@st.composite
+def complex_stacks(draw):
+    """An (m, n) complex stack, C-ordered, Fortran-ordered, strided or
+    reversed, whose parts are zero, subnormal, near 1e-150, near 1 or near
+    1e150."""
+    m, n = draw(st.integers(0, 70)), draw(st.integers(1, 32))
+    kinds = draw(st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = np.array([0.0, 2.0**-1054, 1e-150, 1.0, 1e150])[rng.choice(kinds, (m, 4 * n))]
+    parts = scales * rng.uniform(-1.0, 1.0, (m, 4 * n))
+    wide = parts[:, : 2 * n] + 1j * parts[:, 2 * n :]
+    layout = draw(st.sampled_from(["C", "F", "strided", "reversed"]))
+    if layout == "strided":
+        return wide[:, ::2]
+    contiguous = np.ascontiguousarray(wide[:, :n])
+    return {"C": contiguous, "F": np.asfortranarray(contiguous),
+            "reversed": contiguous[::-1, ::-1]}[layout]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(rows=complex_stacks())
+def test_norm_sq_matches_vdot_property(rows):
+    """``_norm_sq`` is ``np.vdot`` of each row bit for bit. The rows are
+    made C-contiguous first on both sides: ``vdot`` of a strided row passes
+    its stride to BLAS, which sums in another order."""
+    got = qcore._norm_sq(rows)
+    assert got.shape == (len(rows),) and got.dtype == np.float64
+    want = [np.vdot(row, row).real for row in np.ascontiguousarray(rows)]
+    assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+
+
+def _openblas_dynamic_arch() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS that picks its kernels at run time."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy without mode="dicts"
+        return False
+    return "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in blas.get(
+        "openblas configuration", ""
+    )
+
+
+# Run in a child whose OpenBLAS kernel is forced: the exact tables and the
+# sampled trials against the oracle, whose norms are np.vdot's.
+KERNEL_CHECK = """
+import itertools
+from dataclasses import replace
+import scalar_oracle
+from swapsim import engine
+for geometry, partial, angles in itertools.product(
+    engine.GEOMETRY_NAMES, (False, True), ({}, dict(angles_a=(0.3, 1.9), angles_b=(2.2, -0.7)))
+):
+    cfg = engine.ExperimentConfig(geometry=geometry, bsm_partial=partial, n_trials=150,
+                                  seed=7, **angles)
+    for c_enabled in (True, False):
+        c_cfg = replace(cfg, c_enabled=c_enabled)
+        got = list(engine.exact_experiment_distribution(c_cfg).items())
+        want = list(scalar_oracle.exact_experiment_distribution(c_cfg).items())
+        assert repr(got) == repr(want), ("exact table", c_cfg)
+        scalar_oracle.assert_same_table(
+            engine.run_trials(c_cfg),
+            scalar_oracle.ensemble_table(scalar_oracle.run_trials(c_cfg)),
+        )
+print("ok")
+"""
+
+
+@pytest.mark.skipif(not _openblas_dynamic_arch(), reason="needs a DYNAMIC_ARCH OpenBLAS")
+@pytest.mark.parametrize("kernel", ["Sandybridge", "Nehalem"])
+def test_norms_track_the_blas_kernel(kernel):
+    """Under another OpenBLAS kernel the exact tables and the sampler's
+    codes still equal the oracle's under that kernel: ``_norm_sq`` and
+    ``np.vdot`` change together."""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", KERNEL_CHECK], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0 and done.stdout == "ok\n", done.stderr
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,14 @@ from swapsim.qcore import (
     sample_branches,
     singlet,
 )
-from swapsim.qcore import _branch_outcomes, _branches, _one_state_branches, _step_thresholds
+from swapsim.qcore import (
+    _branch_outcomes,
+    _branches,
+    _enumerate_plans,
+    _one_state_branches,
+    _step_thresholds,
+    _weights,
+)
 
 SQ = 1.0 / math.sqrt(2.0)
 
@@ -397,21 +404,55 @@ LAYOUTS = {
 
 
 class TestStackedBranches:
-    """``_branches`` on a stack of states, one step per row, gives each row
-    what a one-row call gives, bit for bit, whatever the stack's layout."""
+    """``_branches`` on a stack of states, one step per block of rows, gives
+    each row what a one-row call gives, bit for bit, whatever the stack's
+    layout and block size; so do the weights read from its coefficients."""
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     @pytest.mark.parametrize("name", sorted(STEP_ROWS))
     def test_rows_match_one_row_calls(self, name, layout):
-        steps = STEP_ROWS[name]
         stack = LAYOUTS[layout](STACK)
-        posts, weights = _branches(stack, steps)
-        k = len(_branch_outcomes(steps[0]))
-        assert posts.shape == (6, k, 16) and weights.shape == (6, k)
-        for i, step in enumerate(steps):
-            row_posts, row_weights = _branches(stack[i].copy()[None], [step])
-            assert posts[i].tobytes() == row_posts[0].tobytes()
-            assert weights[i].tobytes() == row_weights[0].tobytes()
+        for block in (1, 2, 3, 6):
+            steps = STEP_ROWS[name][::block]
+            posts, coeffs = _branches(stack, steps)
+            weights = _weights(steps[0], coeffs)
+            k = len(_branch_outcomes(steps[0]))
+            assert posts.shape == (6, k, 16) and weights.shape == (6, k)
+            for i in range(len(stack)):
+                step = steps[i // block]
+                row_posts, row_coeffs = _branches(stack[i].copy()[None], [step])
+                assert posts[i].tobytes() == row_posts[0].tobytes()
+                assert weights[i].tobytes() == _weights(step, row_coeffs)[0].tobytes()
+
+
+class TestEnumeratePlansChecks:
+    """The plans of one ``_enumerate_plans`` call share one ``_branches``
+    call per depth, so they must match step for step but for spin angles."""
+
+    def test_angles_may_differ(self):
+        plans = [[SpinMeasurement(3, 0.0)], [SpinMeasurement(3, math.pi)]]
+        _codes, probs = _enumerate_plans(basis_state(4, 1).amplitudes, plans)
+        assert probs[0].tolist() == [0.0, 1.0]
+        np.testing.assert_allclose(probs[1], [1.0, 0.0], atol=1e-15)
+
+    @pytest.mark.parametrize("plans", [
+        # Plan 2 alone gives [0, 1]; stacked, it was measured on qubit 0.
+        [[SpinMeasurement(0, 0.0)], [SpinMeasurement(3, 0.0)]],
+        # A shorter first plan dropped the later steps of the others.
+        [[SpinMeasurement(0, 0.0)], [SpinMeasurement(0, 0.0), SpinMeasurement(1, 0.0)]],
+        [[SpinMeasurement(0, 0.0), SpinMeasurement(1, 0.0)], [SpinMeasurement(0, 0.0)]],
+        # Mixed kinds raised AttributeError.
+        [[SpinMeasurement(0, 0.0)], [BsmStep(0, 1)]],
+        [[BsmStep(0, 1)], [SpinMeasurement(0, 0.0)]],
+        [[BsmStep(1, 2)], [BsmStep(2, 1)]],
+        [[BsmStep(1, 2)], [BsmStep(1, 3)]],
+        [[BsmStep(1, 2)], [BsmStep(1, 2, partial=True)]],
+        [[BsmStep(1, 2, partial=True)], [BsmStep(1, 2, partial=True, resolve_psi_plus=False)]],
+        [],
+    ])
+    def test_mismatched_plans_rejected(self, plans):
+        with pytest.raises(ValueError, match="plans"):
+            _enumerate_plans(basis_state(4, 1).amplitudes, plans)
 
 
 def scalar_codes(initial: StateVector, plan, draws) -> np.ndarray:
