@@ -34,8 +34,8 @@ BUILTIN_DEFAULTS = {
 
 
 def _parse_angles(text: str) -> tuple[float, float]:
-    parts = [p for p in text.split(",") if p.strip()]
-    if len(parts) != 2:
+    parts = text.split(",")
+    if len(parts) != 2 or not all(p.strip() for p in parts):
         raise argparse.ArgumentTypeError(
             f"expected two comma-separated angles, got {text!r}"
         )
@@ -52,7 +52,8 @@ def _parse_bool(text: str) -> bool:
 
 
 def load_config_file(path: str) -> dict[str, str]:
-    """Flat key = value lines; blank lines and # comments ignored."""
+    """Flat key = value lines; blank lines and # comments ignored. A key
+    set twice is an error, not a silent override."""
     values: dict[str, str] = {}
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.strip()
@@ -61,7 +62,10 @@ def load_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"bad config line (expected key = value): {raw!r}")
         key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
+        key = key.strip()
+        if key in values:
+            raise ValueError(f"config-file key {key!r} is set more than once")
+        values[key] = val.strip()
     return values
 
 
@@ -302,6 +306,8 @@ def _parse_coords(text: str) -> geometry.GeometryPreset:
         label = by_value.get(name.strip())
         if label is None:
             raise ValueError(f"unknown event label {name.strip()!r}")
+        if label in coords:
+            raise ValueError(f"event label {label.value!r} is given more than once")
         t_str, _, x_str = pair.partition(",")
         coords[label] = (float(t_str), float(x_str))
     return geometry.custom_preset(coords)

@@ -17,7 +17,7 @@ import math
 import operator
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .qcore import (
     SpinMeasurement,
     _branch_outcomes,
     _enumerate_plans,
+    _plan_codes,
     make_two_singlets,
     sample_branches,
 )
@@ -396,6 +397,49 @@ JointKey = tuple  # (a, b, A, B, c_outcome | None)
 CELLS = tuple(itertools.product((0, 1), (0, 1), (1, -1), (1, -1)))
 
 
+class _ExactLayout(NamedTuple):
+    """The part of a layout's exact table that no angle changes.
+
+    ``plan`` is the template every setting plan follows (the (0, 0) plan;
+    ``_enumerate_plans`` reads its spin steps' qubits, not their angles),
+    ``picks[2a + b]`` indexes ``angles_a + angles_b`` for each spin step of
+    setting pair (a, b), and ``cell`` and ``c_outcome`` are the read-only
+    columns of ``exact_leaf_rows``.
+    """
+
+    plan: tuple[PlanStep, ...]
+    picks: tuple[tuple[int, ...], ...]
+    cell: np.ndarray
+    c_outcome: np.ndarray
+
+
+def _exact_layout(geometry: str, partial: bool, c_enabled: bool) -> _ExactLayout:
+    config = ExperimentConfig(geometry=geometry, bsm_partial=partial, c_enabled=c_enabled)
+    plan, labels = _setting_plan(config, _ORDERS[geometry], 0, 0)
+    codes = _plan_codes(plan)
+    spins = [label for label in labels if label != "C"]
+    picks = tuple(
+        tuple(a if label == "A" else 2 + b for label in spins) for a in (0, 1) for b in (0, 1)
+    )
+    outcome_cell = 2 * codes[:, labels.index("A")] + codes[:, labels.index("B")]
+    # Plan i = 2a + b holds cells 4i = 8a + 4b onward.
+    cell = (4 * np.arange(len(picks))[:, None] + outcome_cell).ravel()
+    c_outcome = np.tile(_c_outcome(plan, labels, codes), len(picks))
+    for column in (cell, c_outcome):
+        column.flags.writeable = False
+    return _ExactLayout(tuple(plan), picks, cell, c_outcome)
+
+
+# Each (geometry, bsm_partial, c_enabled) layout's angle-free table parts,
+# built once at import like _ORDERS.
+_EXACT_LAYOUTS = {
+    (geometry, partial, c_enabled): _exact_layout(geometry, partial, c_enabled)
+    for geometry in GEOMETRY_NAMES
+    for partial in (False, True)
+    for c_enabled in (True, False)
+}
+
+
 def exact_leaf_rows(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact joint table as one row per leaf of the four setting plans:
     (cell, an index into CELLS; c_outcome, an OUTCOMES code, -1 with C off;
@@ -405,17 +449,16 @@ def exact_leaf_rows(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, n
     branch enumeration in the geometry's execution order; rows come in
     (a, b, leaf) order, one per (a, b, A, B, c_outcome) key, including
     zero-probability ones. Summing rows in this order is summing the table.
+    The cell and c_outcome columns depend on the layout alone: they are
+    built once, read-only and shared by every call; only the probabilities
+    are computed here, from the config's four angles.
     """
-    plans = _setting_plans(config)
-    codes, probs = _enumerate_plans(
-        _TWO_SINGLETS.amplitudes, [plan for plan, _labels in plans.values()]
+    layout = _EXACT_LAYOUTS[config.geometry, config.bsm_partial, config.c_enabled]
+    angles = config.angles_a + config.angles_b
+    probs = _enumerate_plans(
+        _TWO_SINGLETS.amplitudes, layout.plan, [[angles[i] for i in pick] for pick in layout.picks]
     )
-    labels = plans[0, 0][1]
-    outcome_cell = 2 * codes[:, labels.index("A")] + codes[:, labels.index("B")]
-    # Plan i = 2a + b holds cells 4i = 8a + 4b onward.
-    cell = (4 * np.arange(len(plans))[:, None] + outcome_cell).ravel()
-    c_outcome = np.tile(_c_outcome(*plans[0, 0], codes), len(plans))
-    return cell, c_outcome, 0.25 * probs.ravel()
+    return layout.cell, layout.c_outcome, 0.25 * probs.ravel()
 
 
 def exact_experiment_distribution(config: ExperimentConfig) -> dict[JointKey, float]:

@@ -74,11 +74,14 @@ def classify(e1: SpacetimeEvent, e2: SpacetimeEvent) -> CausalRelation:
     """Causal relation of e2 relative to e1.
 
     Coincident events sit on the degenerate light cone and classify as
-    Lightlike.
+    Lightlike. Where a squared separation overflows, the interval's sign is
+    that of |dt| - |dx|, and equal separations are Lightlike.
     """
     dt = e2.t - e1.t
     dx = e2.x - e1.x
     interval = dt * dt - dx * dx
+    if not math.isfinite(interval):
+        interval = abs(dt) - abs(dx)
     if abs(interval) <= LIGHTLIKE_TOL:
         return CausalRelation.LIGHTLIKE
     if interval > 0.0:

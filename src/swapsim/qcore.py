@@ -4,13 +4,17 @@ Pure-state representation for up to five qubits, planar spin measurements,
 full and partial Bell-state measurements, exhaustive branch enumeration of
 measurement plans, and a sampler that draws many trials of one plan at
 once. Enumeration and sampling both walk a plan one depth at a time, each
-depth one stacked ``_branches`` call with one step per block of rows (one
-block per plan when enumerating, one block when sampling), and both report
-outcomes as integer codes into ``_branch_outcomes``. Every squared norm (a
-state's norm check, the sampler's branch weights, an exact leaf's
-probability) is ``_norm_sq`` of C-contiguous rows, which equals ``np.vdot``
-of each row bit for bit; the exact walk takes norms only at its leaves.
-All operations return new values; states are immutable after construction.
+depth one stacked ``_branches`` call (a spin measured at one angle per
+block of rows: one block per plan when enumerating, one block when
+sampling), and both report outcomes as integer codes into
+``_branch_outcomes``. ``_branches`` is flat: gathers, products and sums on
+contiguous vectors through integer index tables that depend only on the
+step's shape and the stack's block and row counts, built once per shape.
+Every squared norm (a state's norm check, the sampler's branch weights, an
+exact leaf's probability) is ``_norm_sq`` of C-contiguous rows, which
+equals ``np.vdot`` of each row bit for bit; the exact walk takes norms only
+at its leaves. All operations return new values; states are immutable
+after construction.
 
 Conventions: qubit 0 is the most significant bit of the basis-state index,
 |0> is spin-up, and the singlet is (|01> - |10>)/sqrt(2) with the |01>
@@ -21,6 +25,7 @@ for angle t is cos(t)*Z + sin(t)*X.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -180,14 +185,14 @@ def _spin_components(angle: float) -> tuple[float, float]:
 
 _BELL_INDEX = {outcome: k for k, outcome in enumerate(_BELL_TENSORS)}
 # The two nonzero terms of each Bell tensor, outcomes in enum order: their
-# bits, indexed [left/right, term, outcome], and their values, indexed
-# [term, outcome] and shaped to broadcast over (outcome, row, pre, mid,
-# post). The values are real with a +0 imaginary part, so products with them
-# round as real ones.
+# bits, indexed [left/right, term, outcome], and their values, flat at
+# [4 * term + outcome]. The values are real with a +0 imaginary part, so
+# products with them round as real ones.
 _BELL_BITS = np.array([np.nonzero(m) for m in _BELL_TENSORS.values()]).transpose(1, 2, 0)
 _BELL_VALUES = np.array(
     [m[m != 0].real for m in _BELL_TENSORS.values()], dtype=np.complex128
-).T.reshape(2, len(_BELL_TENSORS), 1, 1, 1, 1)
+).T.ravel()
+_BELL_VALUES.flags.writeable = False
 
 
 def _partial_outcomes(resolve_psi_plus: bool) -> tuple[list[BellOutcome], list[BellOutcome]]:
@@ -199,6 +204,17 @@ def _partial_outcomes(resolve_psi_plus: bool) -> tuple[list[BellOutcome], list[B
     else:
         folded.append(BellOutcome.PSI_PLUS)
     return resolved, folded
+
+
+# A partial BSM's (resolved, folded) Bell indices in enum order, by
+# resolve_psi_plus.
+_FOLDS = {
+    resolve: tuple([_BELL_INDEX[o] for o in outcomes] for outcomes in _partial_outcomes(resolve))
+    for resolve in (True, False)
+}
+# +0 and -0 as complex: x + (-0 - 0j) is x for every x.
+_SIGNED_ZEROS = np.array([complex(0.0, 0.0), complex(-0.0, -0.0)])
+_SIGNED_ZEROS.flags.writeable = False
 
 
 def _branch_outcomes(step: PlanStep) -> list:
@@ -223,60 +239,156 @@ def _norm_sq(rows: np.ndarray) -> np.ndarray:
     return np.matmul(rows.conj()[:, None, :], rows[:, :, None])[:, 0, 0].real
 
 
-def _branches(amps: np.ndarray, steps: Sequence[PlanStep]) -> tuple[np.ndarray, np.ndarray]:
+def _step_shape(step: PlanStep) -> tuple:
+    """A step but a spin's angle: all of it that ``_branch_tables`` reads."""
+    if isinstance(step, SpinMeasurement):
+        return (SpinMeasurement, step.qubit)
+    return (BsmStep, step.q_left, step.q_right, step.partial, step.resolve_psi_plus)
+
+
+@functools.lru_cache(maxsize=256)
+def _branch_tables(
+    shape: tuple, size: int, blocks: int, rows: int
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """Read-only index tables of ``_branches`` for a step of one
+    ``_step_shape`` on ``blocks`` blocks of ``rows`` states of ``size``
+    amplitudes (a spin's blocks each have their own angle): (src, val,
+    gathers).
+
+    Every coefficient is the sum of two terms, a value times an amplitude.
+    ``src`` and ``val`` list term 0 of every coefficient, then term 1,
+    coefficients in (row, outcome, position) order: ``src`` indexes the
+    stack's flat amplitudes and ``val`` the values (``_spin_values`` of the
+    blocks' angles, or ``_BELL_VALUES``). Each term's value times the
+    coefficient is a product; the products, then +0 and -0, are the vector
+    the ``gathers`` index, and the flat posts are the sum of its gathers in
+    order. Without a fold there is one gather, which reads each post
+    amplitude from the product that lands there, or +0. The tables are one
+    row's amplitude positions indexed as the step's (pre, qubit, post) or
+    (pre, lower qubit, mid, higher qubit, post) view of the row selects a
+    term, then offset row by row; they hold no amplitude, angle or weight.
+    """
+    if shape[0] is SpinMeasurement:
+        amp = np.arange(size).reshape(2 ** shape[1], 2, -1)
+        post = np.arange(2 * size).reshape(2, *amp.shape)
+        # Term b of outcome k reads bit b of the qubit, with value 2k + b.
+        src = [np.broadcast_to(amp[:, bit], (2,) + amp[:, bit].shape) for bit in (0, 1)]
+        dst = [post[:, :, bit] for bit in (0, 1)]
+        val = [np.arange(bit, 4, 2)[:, None, None] for bit in (0, 1)]
+        per_block = 4
+    else:
+        q_left, q_right = shape[1:3]
+        qa, qb = sorted((q_left, q_right))
+        amp = np.arange(size).reshape(2**qa, 2, 2 ** (qb - qa - 1), 2, -1)
+        post = np.arange(len(_BELL_TENSORS) * size).reshape(len(_BELL_TENSORS), *amp.shape)
+        # A Bell tensor's (left, right) bits swap when q_left is the higher
+        # qubit. Index arrays apart put the outcome axis first.
+        lower, higher = _BELL_BITS if q_left < q_right else _BELL_BITS[::-1]
+        outcome = np.arange(len(_BELL_TENSORS))
+        src = [amp[:, lower[term], :, higher[term]] for term in (0, 1)]
+        dst = [post[outcome, :, lower[term], :, higher[term]] for term in (0, 1)]
+        val = [(4 * term + outcome)[:, None, None, None] for term in (0, 1)]
+        per_block = 0
+    row = np.arange(blocks * rows)[:, None]
+    src, val, dst = (
+        np.concatenate([(offset + np.broadcast_to(term, src[0].shape).reshape(1, -1)).ravel()
+                        for term in terms])
+        for offset, terms in ((row * size, src), (row // rows * per_block, val),
+                              (row * post.size, dst))
+    )
+    place = np.full(len(row) * post.size, len(dst))  # +0 where no product lands
+    place[dst] = np.arange(len(dst))
+    if shape[0] is BsmStep and shape[3]:
+        gathers = _fold_gathers(place.reshape(len(row), len(post), size), len(dst), shape[4])
+    else:
+        gathers = (place,)
+    for table in (src, val) + gathers:
+        table.flags.writeable = False
+    return src, val, gathers
+
+
+def _fold_gathers(
+    place: np.ndarray, zero: int, resolve_psi_plus: bool
+) -> tuple[np.ndarray, ...]:
+    """The three gathers of a partial BSM's posts, from the place in the
+    product vector of each unfolded post amplitude, shape (m, 4, size):
+    ``zero``, +0's place, where no product lands, and -0's is next.
+
+    A resolved outcome's amplitude is its place's, plus -0 twice, which
+    changes no value. NO_HERALD's is +0 plus the folded outcomes'
+    amplitudes in enum order, as ``_fold`` sums them. Only two of those can
+    be products (two folded Bell states share their places; the third uses
+    the other two). The rest are +0, and adding +0 changes no sum that
+    starts from +0, since such a sum is never -0.
+    """
+    resolved, folded = _FOLDS[resolve_psi_plus]
+    # The folded outcomes' products at each place, in enum order, then -0s.
+    terms = place[:, folded]
+    terms = np.take_along_axis(terms, np.argsort(terms == zero, axis=1, kind="stable"), axis=1)
+    assert (terms[:, 2:] == zero).all()
+    terms[terms == zero] = zero + 1
+    none = np.full((len(place), len(resolved), place.shape[2]), zero + 1)
+    gathers = (
+        [place[:, resolved], np.full_like(terms[:, :1], zero)],
+        [none, terms[:, :1]],
+        [none, terms[:, 1:2]],
+    )
+    return tuple(np.concatenate(parts, axis=1).ravel() for parts in gathers)
+
+
+def _spin_values(angles: Sequence[float]) -> np.ndarray:
+    """The values ``_branch_tables`` indexes for a spin step, one block per
+    angle, flat at [4 * block + 2 * outcome + bit]: the (up, down)
+    components of outcome +1 at the block's angle, then of -1 at the angle
+    plus pi; complex, as the products are, so that no operand needs a cast."""
+    values: list[float] = []
+    for angle in angles:
+        values += _spin_components(angle) + _spin_components(angle + math.pi)
+    return np.array(values, dtype=np.complex128)
+
+
+def _branches(
+    amps: np.ndarray, step: PlanStep, angles: Sequence[float] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Every outcome of one plan step for each row of a stack of states.
 
-    ``amps`` has shape (m, 2**n), one unnormalized state per row, and
-    ``steps`` holds one step per block of m // len(steps) consecutive rows.
-    The steps share their kind and qubits (and a BSM's mode); spin angles
-    may differ by block. Returns the unnormalized post-measurement
-    amplitudes, shape (m, k, 2**n), with the k outcomes in
-    ``_branch_outcomes(steps[0])`` order and NO_HERALD the sum of the folded
-    outcomes' projections; and the coefficient stack that ``_weights`` reads,
-    shape (m, j, 2**n // 2**(number of measured qubits)), one row per spin
-    outcome or Bell state, before any fold.
+    ``amps`` has shape (m, 2**n), one unnormalized state per row. A spin
+    step measures every row at its angle or, given ``angles``, each block
+    of m // len(angles) consecutive rows at its own angle. Returns the
+    unnormalized post-measurement amplitudes, shape (m, k, 2**n), with the
+    k outcomes in ``_branch_outcomes(step)`` order and NO_HERALD the sum of
+    the folded outcomes' projections; and the coefficient stack that
+    ``_weights`` reads, shape (m, j, 2**n // 2**(number of measured
+    qubits)), one row per spin outcome or Bell state, before any fold.
 
     This is the one projection onto a step's outcomes: collapse steps, the
     sampler, outcome probabilities and exact enumeration all read it; only
-    the first three need weights, so it takes no norms. A row's results do
-    not depend on the other rows or on the stack's memory layout: the
-    arithmetic is elementwise, and each weight is ``_norm_sq`` of a
-    C-contiguous coefficient row.
+    the first three need weights, so it takes no norms. The work is flat
+    and its index tables depend on the shapes alone (``_branch_tables``):
+    two gathers, two products and a sum per coefficient, then one product
+    per term and the posts gathered from them (and summed, for a partial
+    BSM's fold). Every ufunc runs on a contiguous vector, and a row's
+    results do not depend on the other rows or on the stack's memory
+    layout.
     """
-    amps = np.ascontiguousarray(amps)
-    m, size = amps.shape
-    step = steps[0]
+    m, size = np.shape(amps)
     if isinstance(step, SpinMeasurement):
-        # Axes (block, row, outcome, pre, qubit, post).
-        t = amps.reshape(len(steps), m // len(steps), 1, 2**step.qubit, 2, -1)
-        # comps[b, k]: block b's (up, down) for outcome +1 (k = 0) at its
-        # angle and -1 (k = 1) at the angle plus pi; complex, as the products
-        # below are, so that no operand needs a cast.
-        comps = np.array(
-            [(_spin_components(s.angle), _spin_components(s.angle + math.pi)) for s in steps],
-            dtype=np.complex128,
-        )
-        up, down = comps[:, None, :, 0, None, None], comps[:, None, :, 1, None, None]
-        coeffs = up * t[..., 0, :] + down * t[..., 1, :]
-        posts = np.empty(t.shape[:2] + (2,) + t.shape[3:], dtype=np.complex128)
-        posts[..., 0, :] = up * coeffs
-        posts[..., 1, :] = down * coeffs
-        return posts.reshape(m, 2, size), coeffs.reshape(m, 2, -1)
-    # Axes (row, pre, lower qubit, mid, higher qubit, post); a Bell tensor's
-    # (left, right) bits swap when q_left is the higher qubit.
-    qa, qb = sorted((step.q_left, step.q_right))
-    t = amps.reshape(m, 2**qa, 2, 2 ** (qb - qa - 1), 2, -1)
-    lower, higher = _BELL_BITS if step.q_left < step.q_right else _BELL_BITS[::-1]
-    c = _BELL_VALUES
-    # Two index arrays apart put the outcome axis first: (outcome, row, pre,
-    # mid, post).
-    coeffs = c[0] * t[:, :, lower[0], :, higher[0], :] + c[1] * t[:, :, lower[1], :, higher[1], :]
-    posts = np.zeros((m, len(_BELL_TENSORS)) + t.shape[1:], dtype=np.complex128)
-    outcome = np.arange(len(_BELL_TENSORS))
-    for term in (0, 1):
-        posts[:, outcome, :, lower[term], :, higher[term], :] = c[term] * coeffs
-    posts = posts.reshape(m, len(_BELL_TENSORS), size)
-    return _fold(step, posts), coeffs.swapaxes(0, 1).reshape(m, len(_BELL_TENSORS), -1)
+        angles = [step.angle] if angles is None else angles
+        values, j, blocks = _spin_values(angles), 2, len(angles)
+    else:
+        values, j, blocks = _BELL_VALUES, len(_BELL_TENSORS), 1
+    src, val, gathers = _branch_tables(_step_shape(step), size, blocks, m // blocks)
+    v = values[val]
+    terms = v * np.ravel(amps)[src]
+    half = len(terms) // 2
+    coeffs = terms[:half] + terms[half:]
+    products = np.empty(len(terms) + 2, dtype=np.complex128)
+    np.multiply(v.reshape(2, half), coeffs, out=products[:-2].reshape(2, half))
+    products[-2:] = _SIGNED_ZEROS
+    posts = products[gathers[0]]
+    for gather in gathers[1:]:
+        posts += products[gather]
+    return posts.reshape(m, -1, size), coeffs.reshape(m, j, -1)
 
 
 def _fold(step: PlanStep, stack: np.ndarray) -> np.ndarray:
@@ -285,11 +397,11 @@ def _fold(step: PlanStep, stack: np.ndarray) -> np.ndarray:
     outcomes and sums the folded ones, in enum order, into NO_HERALD."""
     if not (isinstance(step, BsmStep) and step.partial):
         return stack
-    resolved, folded = _partial_outcomes(step.resolve_psi_plus)
+    resolved, folded = _FOLDS[step.resolve_psi_plus]
     out = np.zeros((len(stack), len(resolved) + 1) + stack.shape[2:], dtype=stack.dtype)
-    out[:, :-1] = stack[:, [_BELL_INDEX[o] for o in resolved]]
-    for o in folded:
-        out[:, -1] += stack[:, _BELL_INDEX[o]]
+    out[:, :-1] = stack[:, resolved]
+    for k in folded:
+        out[:, -1] += stack[:, k]
     return out
 
 
@@ -333,7 +445,7 @@ def _take(weights: list[float], posts: np.ndarray, slot: int) -> tuple[int, np.n
 
 def _one_state_branches(amps: np.ndarray, step: PlanStep) -> tuple[list[float], np.ndarray]:
     """``_branches`` of a single state: (weights as floats, posts (k, 2**n))."""
-    posts, coeffs = _branches(amps[None], [step])
+    posts, coeffs = _branches(amps[None], step)
     return _weights(step, coeffs)[0].tolist(), posts[0]
 
 
@@ -439,44 +551,41 @@ def _validate_plan(n: int, plan: Sequence[PlanStep]) -> None:
                     raise ValueError(f"plan step {step} exceeds the {n}-qubit budget")
 
 
-def _step_shape(step: PlanStep) -> tuple:
-    """A step but a spin's angle: what the steps that one ``_branches`` call
-    expands together must share."""
-    if isinstance(step, SpinMeasurement):
-        return (SpinMeasurement, step.qubit)
-    return (BsmStep, step.q_left, step.q_right, step.partial, step.resolve_psi_plus)
+def _plan_codes(plan: Sequence[PlanStep]) -> np.ndarray:
+    """Every outcome sequence of a plan as integer codes, shape (leaves,
+    depth), in the order a recursion over the outcomes visits the leaves:
+    entry [i, d] indexes ``_branch_outcomes(plan[d])``, as ``sample_branches``'
+    codes do. These are the rows of ``_enumerate_plans``' leaves."""
+    sizes = [range(len(_branch_outcomes(step))) for step in plan]
+    return np.array(list(itertools.product(*sizes)), dtype=np.intp).reshape(-1, len(plan))
 
 
 def _enumerate_plans(
-    initial: np.ndarray, plans: Sequence[Sequence[PlanStep]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Leaf outcome codes and, for each plan, the leaf probabilities.
+    initial: np.ndarray, plan: Sequence[PlanStep], angles: Sequence[Sequence[float]]
+) -> np.ndarray:
+    """Leaf probabilities of plans that are ``plan`` but for spin angles,
+    shape (len(angles), leaves): plan p measures the template's s-th spin
+    step at ``angles[p][s]`` in place of the step's own angle, and each
+    probability is the squared norm of a leaf's unnormalized amplitudes.
 
-    The plans must have equal length, and at each depth their steps must
-    share kind, qubits and BSM mode (spin angles may differ), or ValueError:
-    one ``_branches`` call, one step per plan's block of rows, expands every
-    plan's rows one depth further. Rows stay in plan, then depth-first
-    outcome order. Returns the codes, shape (leaves,
-    depth), whose entry [i, d] indexes ``_branch_outcomes(plans[0][d])``
-    as ``sample_branches``' codes do, in the order a recursion over the
-    outcomes visits the leaves; and the probabilities, shape (len(plans),
-    leaves), each the squared norm of a leaf's unnormalized amplitudes.
+    One ``_branches`` call per depth expands every plan's rows, one block
+    of rows per plan; rows stay in plan, then depth-first outcome order, so
+    each plan's leaves are in ``_plan_codes(plan)`` order. The only norms
+    are one ``_norm_sq`` call over the leaves.
     """
-    if not plans:
-        raise ValueError("no plans to enumerate")
-    shape = list(map(_step_shape, plans[0]))
-    for plan in plans[1:]:
-        if list(map(_step_shape, plan)) != shape:
-            raise ValueError(
-                f"plans must match step for step but for spin angles: {plans[0]} vs {plan}"
-            )
-    states = initial[None].repeat(len(plans), axis=0)
-    for depth in range(len(plans[0])):
-        posts, _coeffs = _branches(states, [plan[depth] for plan in plans])
+    spins = sum(isinstance(step, SpinMeasurement) for step in plan)
+    if not angles or any(len(row) != spins for row in angles):
+        raise ValueError(f"plans need {spins} spin angles each, got {angles!r}")
+    states = initial[None].repeat(len(angles), axis=0)
+    spin = 0
+    for step in plan:
+        if isinstance(step, SpinMeasurement):
+            posts, _coeffs = _branches(states, step, [row[spin] for row in angles])
+            spin += 1
+        else:
+            posts, _coeffs = _branches(states, step)
         states = posts.reshape(-1, initial.size)
-    sizes = [range(len(_branch_outcomes(step))) for step in plans[0]]
-    codes = np.array(list(itertools.product(*sizes)), dtype=np.intp).reshape(-1, len(sizes))
-    return codes, _norm_sq(states).reshape(len(plans), -1)
+    return _norm_sq(states).reshape(len(angles), -1)
 
 
 def exact_branch_enumeration(
@@ -491,7 +600,9 @@ def exact_branch_enumeration(
     leaf's probability is its squared norm.
     """
     _validate_plan(initial.num_qubits, plan)
-    codes, (probs,) = _enumerate_plans(initial.amplitudes, [plan])
+    angles = [step.angle for step in plan if isinstance(step, SpinMeasurement)]
+    (probs,) = _enumerate_plans(initial.amplitudes, plan, [angles])
+    codes = _plan_codes(plan)
     outcomes = [_branch_outcomes(step) for step in plan]
     keys = [tuple(outs[c] for outs, c in zip(outcomes, row)) for row in codes.tolist()]
     return dict(zip(keys, probs.tolist()))
@@ -524,7 +635,7 @@ def sample_branches(
         return codes
     groups = [(initial.amplitudes, np.arange(len(draws)))]
     for depth, step in enumerate(plan):
-        posts, coeffs = _branches(np.stack([state for state, _ in groups]), [step])
+        posts, coeffs = _branches(np.stack([state for state, _ in groups]), step)
         weights = _weights(step, coeffs)
         next_groups = []
         for (_, rows), group_posts, group_weights in zip(groups, posts, weights.tolist()):

@@ -6,12 +6,12 @@ call per measurement for every trial, one record object per trial,
 record-by-record correlators, G-test counting and CSV writers, and the JSON
 mirror built as one dict per trial. Beside them are the collapse steps, Bell
 outcome probabilities and exact branch enumeration that projected onto each
-outcome in their own code, the joint table built one setting plan at a
-time over that recursion, and the exact diagnostics that walked it as a
-dict keyed by BellOutcome members. They are kept here, unchanged apart from
-taking plain record sequences, as the oracle the array paths, the streamed
-mirror, the projection kernel, the level-by-level exact tables and their
-leaf-row diagnostics must match. The
+outcome in their own code, the projection kernel's broadcast body, the joint
+table built one setting plan at a time over that recursion, and the exact
+diagnostics that walked it as a dict keyed by BellOutcome members. They are
+kept here, unchanged apart from taking plain record sequences, as the oracle
+the array paths, the streamed mirror, the projection kernel, the
+level-by-level exact tables and their leaf-row diagnostics must match. The
 helpers at the end turn records into tables and compare tables column by
 column.
 """
@@ -260,6 +260,73 @@ def _branch_project(amps: np.ndarray, n: int, step: PlanStep, outcome) -> np.nda
         return post
     coeff, _ = _project_bell(amps, step.q_left, step.q_right, outcome)
     return _embed_bell(coeff, step.q_left, step.q_right, outcome)
+
+
+# The projection kernel's body as it was while it broadcast over views of
+# the stack, before it gathered and scattered through index tables: the
+# reference ``qcore._branches`` and ``qcore._weights`` must equal byte for
+# byte. Bell terms: bits [left/right, term, outcome] and values [term,
+# outcome], shaped to broadcast over (outcome, row, pre, mid, post).
+_BELL_BITS = np.array([np.nonzero(m) for m in _BELL_TENSORS.values()]).transpose(1, 2, 0)
+_BELL_VALUES = np.array(
+    [m[m != 0].real for m in _BELL_TENSORS.values()], dtype=np.complex128
+).T.reshape(2, len(_BELL_TENSORS), 1, 1, 1, 1)
+
+
+def _fold(step: PlanStep, stack: np.ndarray) -> np.ndarray:
+    """Axis 1 of a (m, 4, ...) stack in ``_branch_outcomes(step)`` order: a
+    partial BSM keeps its resolved outcomes and sums the folded ones, in
+    enum order, into NO_HERALD."""
+    if isinstance(step, SpinMeasurement) or not step.partial:
+        return stack
+    resolved, folded = _partial_outcomes(step.resolve_psi_plus)
+    index = list(_BELL_TENSORS)
+    out = np.zeros((len(stack), len(resolved) + 1) + stack.shape[2:], dtype=stack.dtype)
+    out[:, :-1] = stack[:, [index.index(o) for o in resolved]]
+    for o in folded:
+        out[:, -1] += stack[:, index.index(o)]
+    return out
+
+
+def branches(amps: np.ndarray, steps: Sequence[PlanStep]) -> tuple[np.ndarray, np.ndarray]:
+    """(posts, coeffs) of every outcome of one step per block of rows of a
+    stack, as ``qcore._branches`` documents them."""
+    amps = np.ascontiguousarray(amps)
+    m, size = amps.shape
+    step = steps[0]
+    if isinstance(step, SpinMeasurement):
+        # Axes (block, row, outcome, pre, qubit, post).
+        t = amps.reshape(len(steps), m // len(steps), 1, 2**step.qubit, 2, -1)
+        comps = np.array(
+            [(_spin_components(s.angle), _spin_components(s.angle + math.pi)) for s in steps],
+            dtype=np.complex128,
+        )
+        up, down = comps[:, None, :, 0, None, None], comps[:, None, :, 1, None, None]
+        coeffs = up * t[..., 0, :] + down * t[..., 1, :]
+        posts = np.empty(t.shape[:2] + (2,) + t.shape[3:], dtype=np.complex128)
+        posts[..., 0, :] = up * coeffs
+        posts[..., 1, :] = down * coeffs
+        return posts.reshape(m, 2, size), coeffs.reshape(m, 2, -1)
+    # Axes (row, pre, lower qubit, mid, higher qubit, post).
+    qa, qb = sorted((step.q_left, step.q_right))
+    t = amps.reshape(m, 2**qa, 2, 2 ** (qb - qa - 1), 2, -1)
+    lower, higher = _BELL_BITS if step.q_left < step.q_right else _BELL_BITS[::-1]
+    c = _BELL_VALUES
+    coeffs = c[0] * t[:, :, lower[0], :, higher[0], :] + c[1] * t[:, :, lower[1], :, higher[1], :]
+    posts = np.zeros((m, len(_BELL_TENSORS)) + t.shape[1:], dtype=np.complex128)
+    outcome = np.arange(len(_BELL_TENSORS))
+    for term in (0, 1):
+        posts[:, outcome, :, lower[term], :, higher[term], :] = c[term] * coeffs
+    posts = posts.reshape(m, len(_BELL_TENSORS), size)
+    return _fold(step, posts), coeffs.swapaxes(0, 1).reshape(m, len(_BELL_TENSORS), -1)
+
+
+def weights(step: PlanStep, coeffs: np.ndarray) -> np.ndarray:
+    """Branch weights from ``branches``' coefficients: each row's ``np.vdot``
+    with itself, NO_HERALD the sum of the folded outcomes'."""
+    m, j, _ = coeffs.shape
+    norms = [np.vdot(row, row).real for row in np.ascontiguousarray(coeffs).reshape(m * j, -1)]
+    return _fold(step, np.array(norms, dtype=np.float64).reshape(m, j))
 
 
 def exact_branch_enumeration(

@@ -1,7 +1,11 @@
 """Diagnostic battery tests."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -451,3 +455,25 @@ class TestMutualInformation:
     def test_smoothing_handles_zeros(self):
         counts = np.array([[10, 0], [0, 0]])
         assert math.isfinite(mutual_information_bits(counts))
+
+
+def test_exact_diagnostics_do_not_import_scipy_special():
+    """Only the G-tests need scipy.special (about 26 MB and 0.2 s to
+    import), so importing the CLI and running the exact diagnostics leave
+    it unloaded; the first G-test loads it."""
+    code = (
+        "import sys\n"
+        "from swapsim import analysis, cli, engine\n"
+        "cfg = engine.ExperimentConfig()\n"
+        "analysis.exact_chsh(cfg), analysis.no_difference_check(cfg), analysis.fragility(cfg)\n"
+        "engine.herald_probability(cfg)\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        "analysis.no_signaling_tests(engine.run_trials(engine.ExperimentConfig(n_trials=50)))\n"
+        "assert 'scipy.special' in sys.modules\n"
+        "print('ok')\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0 and done.stdout == "ok\n", done.stderr

@@ -387,6 +387,29 @@ class TestCliSimulate:
         assert exc.value.code == 2
 
 
+    def test_repeated_config_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("seed = 1\nseed = 2\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "'seed'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("angles", ["0,,1", "0,1,", ",0,1", "0,", "0,1,2"])
+    def test_angles_with_empty_or_extra_fields_are_usage_errors(self, tmp_path, capsys, angles):
+        cfg = tmp_path / "angles.cfg"
+        cfg.write_text(f"angles-b = {angles}\n")
+        out = str(tmp_path / "x")
+        for argv, field in (
+            (["simulate", f"--angles-a={angles}", "--out", out], "--angles-a"),
+            (["simulate", "--config", str(cfg), "--out", out], "'angles-b'"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2, argv
+            err = capsys.readouterr().err
+            assert field in err and repr(angles) in err, err
+
     @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
     def test_non_finite_angle_is_usage_error(self, tmp_path, capsys, angle):
         # Rejected where the config is built, before the sampler sees the angle.
@@ -473,6 +496,13 @@ class TestCliGeometryTeleport:
         )
         assert rc == 0
         assert "classification: Spacelike" in capsys.readouterr().out
+
+    def test_geometry_repeated_coords_label_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["geometry", "--coords",
+                      "A=1,-1;A=5,0;B=1,1;C=1,0;SourceLeft=0,-1;SourceRight=0,1"])
+        assert exc.value.code == 2
+        assert "'A'" in capsys.readouterr().err
 
     def test_teleport_stdout_report(self, capsys):
         rc = cli.main(["teleport", "--controlled", "true", "--trials", "2000", "--seed", "2"])

@@ -56,6 +56,15 @@ class TestClassify:
                 else:
                     assert r21 is r12
 
+    def test_overflowing_separations(self):
+        # dt*dt - dx*dx is inf - inf (nan) here, or inf.
+        assert classify(ev(0, 0), ev(2e200, 1e200)) is CausalRelation.TIMELIKE_FUTURE
+        assert classify(ev(0, 0), ev(-2e200, 1e200)) is CausalRelation.TIMELIKE_PAST
+        assert classify(ev(0, 0), ev(1e200, -2e200)) is CausalRelation.SPACELIKE
+        assert classify(ev(0, 0), ev(1e200, 1e200)) is CausalRelation.LIGHTLIKE
+        assert classify(ev(0, 0), ev(1e300, 1.0)) is CausalRelation.TIMELIKE_FUTURE
+        assert classify(ev(-1e308, 0), ev(1e308, 0)) is CausalRelation.TIMELIKE_FUTURE
+
     def test_coincident_events_are_lightlike(self):
         assert classify(ev(1, 2), ev(1, 2)) is CausalRelation.LIGHTLIKE
 

@@ -397,6 +397,96 @@ def test_norm_sq_matches_vdot_property(rows):
     assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
 
 
+def _branch_stack(rng: np.random.Generator, m: int, n: int, kinds, layout: str) -> np.ndarray:
+    """An (m, 2**n) complex stack in the given memory layout, whose parts
+    are zero, subnormal, near 1e-160, near 1e-80 or near 1."""
+    size = 2**n
+    scales = np.array([0.0, 2.0**-1074, 1e-160, 1e-80, 1.0])[rng.choice(kinds, (m, 4 * size))]
+    parts = scales * rng.uniform(-1.0, 1.0, (m, 4 * size))
+    wide = parts[:, : 2 * size] + 1j * parts[:, 2 * size :]
+    if layout == "strided":
+        return wide[:, ::2]
+    contiguous = np.ascontiguousarray(wide[:, :size])
+    return {"C": contiguous, "F": np.asfortranarray(contiguous),
+            "reversed": contiguous[::-1, ::-1]}[layout]
+
+
+def _step_shapes(n: int) -> list:
+    """One step of every shape on n qubits: a spin on each qubit, and a BSM
+    on each ordered pair, full and partial, resolve_psi_plus on and off."""
+    spins = [SpinMeasurement(q, 0.0) for q in range(n)]
+    bsms = [BsmStep(left, right, partial, resolve)
+            for left, right in itertools.permutations(range(n), 2)
+            for partial in (False, True) for resolve in (True, False)]
+    return spins + bsms
+
+
+def _assert_branches_match_oracle(stack: np.ndarray, steps) -> None:
+    angles = [s.angle for s in steps] if isinstance(steps[0], SpinMeasurement) else None
+    posts, coeffs = qcore._branches(stack, steps[0], angles)
+    want_posts, want_coeffs = scalar_oracle.branches(stack, steps)
+    assert posts.shape == want_posts.shape and posts.tobytes() == want_posts.tobytes()
+    assert coeffs.shape == want_coeffs.shape and coeffs.tobytes() == want_coeffs.tobytes()
+    weights = qcore._weights(steps[0], coeffs)
+    assert weights.tobytes() == scalar_oracle.weights(steps[0], want_coeffs).tobytes()
+
+
+@st.composite
+def branch_cases(draw):
+    """A stack of 1-4 blocks of 1-5 states on 1-5 qubits, in C, Fortran,
+    strided or reversed layout, and one step per block: a spin on any
+    qubit, each block at its own angle, or one BSM of any shape."""
+    n = draw(st.integers(1, 5))
+    blocks, rows = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    kinds = draw(st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True))
+    layout = draw(st.sampled_from(["C", "F", "strided", "reversed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = _branch_stack(rng, blocks * rows, n, kinds, layout)
+    step = draw(st.sampled_from(_step_shapes(n)))
+    if isinstance(step, SpinMeasurement):
+        block_angles = draw(st.lists(finite_angles, min_size=blocks, max_size=blocks))
+        return stack, [SpinMeasurement(step.qubit, angle) for angle in block_angles]
+    return stack, [step] * blocks
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(case=branch_cases())
+def test_branches_match_oracle_property(case):
+    """The flat kernel's posts and coefficients, and the weights read from
+    them, equal the broadcast body's byte for byte."""
+    _assert_branches_match_oracle(*case)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_branches_match_oracle_every_step_shape(n):
+    """Every step shape on n qubits, against the broadcast body, on stacks
+    of 1 and 3 blocks in each layout."""
+    rng = np.random.default_rng(n)
+    for step, layout, (blocks, rows) in itertools.product(
+        _step_shapes(n), ["C", "F", "strided", "reversed"], [(1, 1), (3, 2)]
+    ):
+        stack = _branch_stack(rng, blocks * rows, n, [0, 2, 4], layout)
+        if isinstance(step, SpinMeasurement):
+            steps = [SpinMeasurement(step.qubit, angle) for angle in rng.uniform(-7, 7, blocks)]
+        else:
+            steps = [step] * blocks
+        _assert_branches_match_oracle(stack, steps)
+
+
+def test_exact_leaf_rows_share_read_only_columns():
+    """The cell and c_outcome columns of a layout are built once and shared
+    by every call, so no caller may write them."""
+    for c_enabled in (True, False):
+        cfg = ExperimentConfig(c_enabled=c_enabled, angles_a=(0.3, 1.9))
+        cell, c_outcome, prob = engine.exact_leaf_rows(cfg)
+        again = engine.exact_leaf_rows(replace(cfg, angles_b=(2.2, -0.7)))
+        assert again[0] is cell and again[1] is c_outcome
+        for column in (cell, c_outcome):
+            with pytest.raises(ValueError):
+                column[0] = 0
+        prob[0] = 0.5  # a fresh array per call
+
+
 def _openblas_dynamic_arch() -> bool:
     """Whether numpy's BLAS is an OpenBLAS that picks its kernels at run time."""
     try:

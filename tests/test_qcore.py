@@ -404,9 +404,10 @@ LAYOUTS = {
 
 
 class TestStackedBranches:
-    """``_branches`` on a stack of states, one step per block of rows, gives
-    each row what a one-row call gives, bit for bit, whatever the stack's
-    layout and block size; so do the weights read from its coefficients."""
+    """``_branches`` on a stack of states, a spin at one angle per block of
+    rows, gives each row what a one-row call gives, bit for bit, whatever
+    the stack's layout and block size; so do the weights read from its
+    coefficients."""
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     @pytest.mark.parametrize("name", sorted(STEP_ROWS))
@@ -414,45 +415,46 @@ class TestStackedBranches:
         stack = LAYOUTS[layout](STACK)
         for block in (1, 2, 3, 6):
             steps = STEP_ROWS[name][::block]
-            posts, coeffs = _branches(stack, steps)
+            angles = [s.angle for s in steps] if isinstance(steps[0], SpinMeasurement) else None
+            posts, coeffs = _branches(stack, steps[0], angles)
             weights = _weights(steps[0], coeffs)
             k = len(_branch_outcomes(steps[0]))
             assert posts.shape == (6, k, 16) and weights.shape == (6, k)
             for i in range(len(stack)):
                 step = steps[i // block]
-                row_posts, row_coeffs = _branches(stack[i].copy()[None], [step])
+                row_posts, row_coeffs = _branches(stack[i].copy()[None], step)
                 assert posts[i].tobytes() == row_posts[0].tobytes()
                 assert weights[i].tobytes() == _weights(step, row_coeffs)[0].tobytes()
 
 
 class TestEnumeratePlansChecks:
-    """The plans of one ``_enumerate_plans`` call share one ``_branches``
-    call per depth, so they must match step for step but for spin angles."""
+    """The plans of one ``_enumerate_plans`` call are one template plan with
+    per-plan spin angles, so each plan needs one angle per spin step."""
 
     def test_angles_may_differ(self):
-        plans = [[SpinMeasurement(3, 0.0)], [SpinMeasurement(3, math.pi)]]
-        _codes, probs = _enumerate_plans(basis_state(4, 1).amplitudes, plans)
+        probs = _enumerate_plans(
+            basis_state(4, 1).amplitudes, [SpinMeasurement(3, 0.0)], [[0.0], [math.pi]]
+        )
         assert probs[0].tolist() == [0.0, 1.0]
         np.testing.assert_allclose(probs[1], [1.0, 0.0], atol=1e-15)
 
-    @pytest.mark.parametrize("plans", [
-        # Plan 2 alone gives [0, 1]; stacked, it was measured on qubit 0.
-        [[SpinMeasurement(0, 0.0)], [SpinMeasurement(3, 0.0)]],
-        # A shorter first plan dropped the later steps of the others.
-        [[SpinMeasurement(0, 0.0)], [SpinMeasurement(0, 0.0), SpinMeasurement(1, 0.0)]],
-        [[SpinMeasurement(0, 0.0), SpinMeasurement(1, 0.0)], [SpinMeasurement(0, 0.0)]],
-        # Mixed kinds raised AttributeError.
-        [[SpinMeasurement(0, 0.0)], [BsmStep(0, 1)]],
-        [[BsmStep(0, 1)], [SpinMeasurement(0, 0.0)]],
-        [[BsmStep(1, 2)], [BsmStep(2, 1)]],
-        [[BsmStep(1, 2)], [BsmStep(1, 3)]],
-        [[BsmStep(1, 2)], [BsmStep(1, 2, partial=True)]],
-        [[BsmStep(1, 2, partial=True)], [BsmStep(1, 2, partial=True, resolve_psi_plus=False)]],
-        [],
+    def test_template_angles_are_not_read(self):
+        plan = [BsmStep(1, 2), SpinMeasurement(3, 0.7)]
+        probs = _enumerate_plans(basis_state(4, 1).amplitudes, plan, [[0.0]])
+        assert probs.tobytes() == _enumerate_plans(
+            basis_state(4, 1).amplitudes, [BsmStep(1, 2), SpinMeasurement(3, 0.0)], [[0.0]]
+        ).tobytes()
+
+    @pytest.mark.parametrize("plan,angles", [
+        # A plan with more spin steps than the template, or fewer.
+        pytest.param([SpinMeasurement(0, 0.0)], [[0.0], [0.0, 0.0]], id="plans1"),
+        pytest.param([SpinMeasurement(0, 0.0), SpinMeasurement(1, 0.0)], [[0.0, 0.0], [0.0]],
+                     id="plans2"),
+        pytest.param([], [], id="plans9"),
     ])
-    def test_mismatched_plans_rejected(self, plans):
+    def test_mismatched_plans_rejected(self, plan, angles):
         with pytest.raises(ValueError, match="plans"):
-            _enumerate_plans(basis_state(4, 1).amplitudes, plans)
+            _enumerate_plans(basis_state(4, 1).amplitudes, plan, angles)
 
 
 def scalar_codes(initial: StateVector, plan, draws) -> np.ndarray:
