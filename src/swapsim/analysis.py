@@ -19,9 +19,9 @@ import numpy as np
 
 from .engine import (
     CELLS,
+    HERALD_MASKS,
     ExperimentConfig,
     Trials,
-    _in_outcomes,
     check_trials,
     counter_uniforms,
     exact_leaf_rows,
@@ -183,7 +183,7 @@ def _cell_sums(cell: np.ndarray, weights: np.ndarray) -> list[float]:
 def exact_heralded_correlators(config: ExperimentConfig) -> CorrelatorTable:
     """Correlators of the event-ready subensemble from the exact joint table."""
     cell, c_outcome, prob = exact_leaf_rows(config)
-    kept = _in_outcomes(c_outcome, config.herald_set())
+    kept = HERALD_MASKS[config.herald][c_outcome]
     total = sum(prob[kept].tolist())
     if total <= 0.0:
         raise ValueError("conditioning event has zero probability")
@@ -369,13 +369,14 @@ class NdaReport:
 
 def no_difference_check(config: ExperimentConfig, tol: float = 1e-12) -> NdaReport:
     """Compare exact P(a,b,A,B) with the central measurement present
-    (marginalized over its outcome) and absent."""
+    (marginalized over its outcome) and absent. The config itself gives one
+    side and one copy with c_enabled flipped the other; the order of the
+    two does not matter, as abs(p - q) is symmetric."""
     marginals = []
-    for c_enabled in (True, False):
-        cell, _c_outcome, prob = exact_leaf_rows(replace(config, c_enabled=c_enabled))
+    for side in (config, replace(config, c_enabled=not config.c_enabled)):
+        cell, _c_outcome, prob = exact_leaf_rows(side)
         marginals.append(_cell_sums(cell, prob))
-    with_c, without_c = marginals
-    diff = max(abs(p - q) for p, q in zip(with_c, without_c))
+    diff = max(abs(p - q) for p, q in zip(*marginals))
     verdict = NdaVerdict.NO_DIFFERENCE if diff < tol else NdaVerdict.DIFFERENCE
     return NdaReport(diff, verdict)
 
@@ -406,7 +407,7 @@ def fragility(config: ExperimentConfig, tol: float = 1e-15) -> FragilityReport:
     if not config.c_enabled:
         raise ValueError("fragility requires the central measurement to be enabled")
     cell, c_outcome, prob = exact_leaf_rows(config)
-    heralded = _in_outcomes(c_outcome, config.herald_set())
+    heralded = HERALD_MASKS[config.herald][c_outcome]
     mass = _cell_sums(cell, prob)
     hit = _cell_sums(cell[heralded], prob[heralded])
     cells = {key: (h / m if m > tol else None) for key, h, m in zip(CELLS, hit, mass)}

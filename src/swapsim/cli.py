@@ -326,9 +326,12 @@ def cmd_geometry(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
             parser.error(str(exc))
 
     boosts = [0.0]
-    if args.boost:
+    if args.boost is not None:
+        fields = args.boost.split(",")
+        if not all(v.strip() for v in fields):
+            parser.error(f"bad --boost value {args.boost!r}: empty field")
         try:
-            extra = [float(v) for v in args.boost.split(",") if v.strip()]
+            extra = [float(v) for v in fields]
         except ValueError:
             parser.error(f"bad --boost value {args.boost!r}")
         for v in extra:

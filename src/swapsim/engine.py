@@ -135,12 +135,17 @@ def _outcome_codes(outcomes: Iterable[BellOutcome]) -> list[int]:
     return [OUTCOMES.index(o) for o in outcomes]
 
 
-def _in_outcomes(c_outcome: np.ndarray, outcomes: Iterable[BellOutcome]) -> np.ndarray:
-    """Which codes of a c_outcome column built here (each in -1..4) name one
-    of ``outcomes``; -1 (C off) never does. One lookup per code."""
+def _herald_mask(outcomes: Iterable[BellOutcome]) -> np.ndarray:
     member = np.zeros(len(OUTCOMES) + 1, dtype=bool)  # the last entry is -1's
     member[_outcome_codes(outcomes)] = True
-    return member[c_outcome]
+    member.flags.writeable = False
+    return member
+
+
+# Read-only masks by herald name, indexed by a c_outcome code built here
+# (each in -1..4): HERALD_MASKS[name][c_outcome] flags the heralded rows,
+# and -1 (C off) is never set.
+HERALD_MASKS = {name: _herald_mask(outcomes) for name, outcomes in HERALD_PREDICATES.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,7 +367,7 @@ def run_trials(config: ExperimentConfig) -> Trials:
         "A": 1 - 2 * codes[:, labels.index("A")],  # spin code 0 is +1, code 1 is -1
         "B": 1 - 2 * codes[:, labels.index("B")],
         "c_outcome": c_outcome,
-        "heralded": _in_outcomes(c_outcome, config.herald_set()),
+        "heralded": HERALD_MASKS[config.herald][c_outcome],
     })
 
 
@@ -477,4 +482,4 @@ def herald_probability(config: ExperimentConfig) -> float:
     """Exact probability that a trial is heralded under the config."""
     _cell, c_outcome, prob = exact_leaf_rows(config)
     # sum() over the rows in order, as over the table: 0 when none herald.
-    return sum(prob[_in_outcomes(c_outcome, config.herald_set())].tolist())
+    return sum(prob[HERALD_MASKS[config.herald][c_outcome]].tolist())

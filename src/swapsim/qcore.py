@@ -9,7 +9,11 @@ block of rows: one block per plan when enumerating, one block when
 sampling), and both report outcomes as integer codes into
 ``_branch_outcomes``. ``_branches`` is flat: gathers, products and sums on
 contiguous vectors through integer index tables that depend only on the
-step's shape and the stack's block and row counts, built once per shape.
+step's shape (its kind and measured qubits) and the stack's block and row
+counts, built once per shape, then one scatter of the products into
+zeroed posts. A partial BSM shares a full one's tables; ``_fold`` alone
+merges its unresolved Bell states into NO_HERALD, for posts and weights
+alike.
 Every squared norm (a state's norm check, the sampler's branch weights, an
 exact leaf's probability) is ``_norm_sq`` of C-contiguous rows, which
 equals ``np.vdot`` of each row bit for bit; the exact walk takes norms only
@@ -183,7 +187,6 @@ def _spin_components(angle: float) -> tuple[float, float]:
     return math.cos(angle / 2.0), math.sin(angle / 2.0)
 
 
-_BELL_INDEX = {outcome: k for k, outcome in enumerate(_BELL_TENSORS)}
 # The two nonzero terms of each Bell tensor, outcomes in enum order: their
 # bits, indexed [left/right, term, outcome], and their values, flat at
 # [4 * term + outcome]. The values are real with a +0 imaginary part, so
@@ -206,15 +209,9 @@ def _partial_outcomes(resolve_psi_plus: bool) -> tuple[list[BellOutcome], list[B
     return resolved, folded
 
 
-# A partial BSM's (resolved, folded) Bell indices in enum order, by
-# resolve_psi_plus.
-_FOLDS = {
-    resolve: tuple([_BELL_INDEX[o] for o in outcomes] for outcomes in _partial_outcomes(resolve))
-    for resolve in (True, False)
-}
-# +0 and -0 as complex: x + (-0 - 0j) is x for every x.
-_SIGNED_ZEROS = np.array([complex(0.0, 0.0), complex(-0.0, -0.0)])
-_SIGNED_ZEROS.flags.writeable = False
+# How many Bell states a partial BSM folds into NO_HERALD, by
+# resolve_psi_plus: the folded ones lead the enum order, the resolved the rest.
+_FOLDED = {resolve: len(_partial_outcomes(resolve)[1]) for resolve in (True, False)}
 
 
 def _branch_outcomes(step: PlanStep) -> list:
@@ -240,33 +237,32 @@ def _norm_sq(rows: np.ndarray) -> np.ndarray:
 
 
 def _step_shape(step: PlanStep) -> tuple:
-    """A step but a spin's angle: all of it that ``_branch_tables`` reads."""
+    """A step's kind and measured qubits: all of it that ``_branch_tables``
+    reads. A BSM's partial and resolve_psi_plus only matter to ``_fold``."""
     if isinstance(step, SpinMeasurement):
         return (SpinMeasurement, step.qubit)
-    return (BsmStep, step.q_left, step.q_right, step.partial, step.resolve_psi_plus)
+    return (BsmStep, step.q_left, step.q_right)
 
 
 @functools.lru_cache(maxsize=256)
 def _branch_tables(
     shape: tuple, size: int, blocks: int, rows: int
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only index tables of ``_branches`` for a step of one
     ``_step_shape`` on ``blocks`` blocks of ``rows`` states of ``size``
-    amplitudes (a spin's blocks each have their own angle): (src, val,
-    gathers).
+    amplitudes (a spin's blocks each have their own angle): (src, val, dst).
 
     Every coefficient is the sum of two terms, a value times an amplitude.
     ``src`` and ``val`` list term 0 of every coefficient, then term 1,
     coefficients in (row, outcome, position) order: ``src`` indexes the
     stack's flat amplitudes and ``val`` the values (``_spin_values`` of the
     blocks' angles, or ``_BELL_VALUES``). Each term's value times the
-    coefficient is a product; the products, then +0 and -0, are the vector
-    the ``gathers`` index, and the flat posts are the sum of its gathers in
-    order. Without a fold there is one gather, which reads each post
-    amplitude from the product that lands there, or +0. The tables are one
-    row's amplitude positions indexed as the step's (pre, qubit, post) or
-    (pre, lower qubit, mid, higher qubit, post) view of the row selects a
-    term, then offset row by row; they hold no amplitude, angle or weight.
+    coefficient is a product, and ``dst`` is where it lands in the flat
+    (row, spin outcome or Bell state, amplitude) posts, which no two
+    products share. The tables are one row's amplitude positions indexed
+    as the step's (pre, qubit, post) or (pre, lower qubit, mid, higher
+    qubit, post) view of the row selects a term, then offset row by row;
+    they hold no amplitude, angle or weight.
     """
     if shape[0] is SpinMeasurement:
         amp = np.arange(size).reshape(2 ** shape[1], 2, -1)
@@ -277,7 +273,7 @@ def _branch_tables(
         val = [np.arange(bit, 4, 2)[:, None, None] for bit in (0, 1)]
         per_block = 4
     else:
-        q_left, q_right = shape[1:3]
+        q_left, q_right = shape[1:]
         qa, qb = sorted((q_left, q_right))
         amp = np.arange(size).reshape(2**qa, 2, 2 ** (qb - qa - 1), 2, -1)
         post = np.arange(len(_BELL_TENSORS) * size).reshape(len(_BELL_TENSORS), *amp.shape)
@@ -290,50 +286,15 @@ def _branch_tables(
         val = [(4 * term + outcome)[:, None, None, None] for term in (0, 1)]
         per_block = 0
     row = np.arange(blocks * rows)[:, None]
-    src, val, dst = (
+    tables = tuple(
         np.concatenate([(offset + np.broadcast_to(term, src[0].shape).reshape(1, -1)).ravel()
                         for term in terms])
         for offset, terms in ((row * size, src), (row // rows * per_block, val),
                               (row * post.size, dst))
     )
-    place = np.full(len(row) * post.size, len(dst))  # +0 where no product lands
-    place[dst] = np.arange(len(dst))
-    if shape[0] is BsmStep and shape[3]:
-        gathers = _fold_gathers(place.reshape(len(row), len(post), size), len(dst), shape[4])
-    else:
-        gathers = (place,)
-    for table in (src, val) + gathers:
+    for table in tables:
         table.flags.writeable = False
-    return src, val, gathers
-
-
-def _fold_gathers(
-    place: np.ndarray, zero: int, resolve_psi_plus: bool
-) -> tuple[np.ndarray, ...]:
-    """The three gathers of a partial BSM's posts, from the place in the
-    product vector of each unfolded post amplitude, shape (m, 4, size):
-    ``zero``, +0's place, where no product lands, and -0's is next.
-
-    A resolved outcome's amplitude is its place's, plus -0 twice, which
-    changes no value. NO_HERALD's is +0 plus the folded outcomes'
-    amplitudes in enum order, as ``_fold`` sums them. Only two of those can
-    be products (two folded Bell states share their places; the third uses
-    the other two). The rest are +0, and adding +0 changes no sum that
-    starts from +0, since such a sum is never -0.
-    """
-    resolved, folded = _FOLDS[resolve_psi_plus]
-    # The folded outcomes' products at each place, in enum order, then -0s.
-    terms = place[:, folded]
-    terms = np.take_along_axis(terms, np.argsort(terms == zero, axis=1, kind="stable"), axis=1)
-    assert (terms[:, 2:] == zero).all()
-    terms[terms == zero] = zero + 1
-    none = np.full((len(place), len(resolved), place.shape[2]), zero + 1)
-    gathers = (
-        [place[:, resolved], np.full_like(terms[:, :1], zero)],
-        [none, terms[:, :1]],
-        [none, terms[:, 1:2]],
-    )
-    return tuple(np.concatenate(parts, axis=1).ravel() for parts in gathers)
+    return tables
 
 
 def _spin_values(angles: Sequence[float]) -> np.ndarray:
@@ -366,8 +327,9 @@ def _branches(
     the first three need weights, so it takes no norms. The work is flat
     and its index tables depend on the shapes alone (``_branch_tables``):
     two gathers, two products and a sum per coefficient, then one product
-    per term and the posts gathered from them (and summed, for a partial
-    BSM's fold). Every ufunc runs on a contiguous vector, and a row's
+    per term, scattered once into zeroed posts with one row per spin
+    outcome or Bell state; a partial BSM's posts are then ``_fold``-ed, as
+    its weights are. Every ufunc runs on a contiguous vector, and a row's
     results do not depend on the other rows or on the stack's memory
     layout.
     """
@@ -377,31 +339,31 @@ def _branches(
         values, j, blocks = _spin_values(angles), 2, len(angles)
     else:
         values, j, blocks = _BELL_VALUES, len(_BELL_TENSORS), 1
-    src, val, gathers = _branch_tables(_step_shape(step), size, blocks, m // blocks)
+    src, val, dst = _branch_tables(_step_shape(step), size, blocks, m // blocks)
     v = values[val]
     terms = v * np.ravel(amps)[src]
     half = len(terms) // 2
     coeffs = terms[:half] + terms[half:]
-    products = np.empty(len(terms) + 2, dtype=np.complex128)
-    np.multiply(v.reshape(2, half), coeffs, out=products[:-2].reshape(2, half))
-    products[-2:] = _SIGNED_ZEROS
-    posts = products[gathers[0]]
-    for gather in gathers[1:]:
-        posts += products[gather]
-    return posts.reshape(m, -1, size), coeffs.reshape(m, j, -1)
+    posts = np.zeros((m, j, size), dtype=np.complex128)
+    posts.reshape(-1)[dst] = (v.reshape(2, half) * coeffs).ravel()
+    return _fold(step, posts), coeffs.reshape(m, j, -1)
 
 
 def _fold(step: PlanStep, stack: np.ndarray) -> np.ndarray:
-    """A stack with one entry per Bell state on axis 1, shape (m, 4, ...), in
-    ``_branch_outcomes(step)`` order: a partial BSM keeps its resolved
-    outcomes and sums the folded ones, in enum order, into NO_HERALD."""
+    """A stack with one entry per spin outcome or Bell state on axis 1,
+    shape (m, j, ...), put in ``_branch_outcomes(step)`` order: a partial
+    BSM keeps its resolved outcomes and sums the folded ones, in enum
+    order, into NO_HERALD; any other step's stack is returned as it is.
+    This is the one place a partial BSM merges outcomes, for
+    ``_branches``' posts and ``_weights``' weights alike."""
     if not (isinstance(step, BsmStep) and step.partial):
         return stack
-    resolved, folded = _FOLDS[step.resolve_psi_plus]
-    out = np.zeros((len(stack), len(resolved) + 1) + stack.shape[2:], dtype=stack.dtype)
-    out[:, :-1] = stack[:, resolved]
-    for k in folded:
-        out[:, -1] += stack[:, k]
+    folded = _FOLDED[step.resolve_psi_plus]
+    out = np.zeros((len(stack), len(_BELL_TENSORS) - folded + 1) + stack.shape[2:], stack.dtype)
+    out[:, :-1] = stack[:, folded:]
+    none = out[:, -1]
+    for k in range(folded):
+        none += stack[:, k]
     return out
 
 

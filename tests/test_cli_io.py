@@ -489,6 +489,13 @@ class TestCliGeometryTeleport:
             cli.main(["geometry", "--preset", "spacelike", "--boost", "1.5"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("boost", ["0.5,,0.2", ",", "0.5,", ",0.5", "", " "])
+    def test_geometry_boost_with_empty_field_is_usage_error(self, capsys, boost):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["geometry", "--preset", "spacelike", "--boost", boost])
+        assert exc.value.code == 2
+        assert f"--boost value {boost!r}" in capsys.readouterr().err
+
     def test_geometry_custom_coords(self, capsys):
         rc = cli.main(
             ["geometry", "--coords",

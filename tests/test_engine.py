@@ -177,6 +177,14 @@ class TestPostSelect:
         with pytest.raises(ValueError, match="unknown herald 'bogus'.*psi-minus"):
             post_select(ens, "bogus")
 
+    def test_herald_masks_match_predicates(self):
+        codes = np.arange(-1, len(OUTCOMES))
+        for name, outcomes in engine.HERALD_PREDICATES.items():
+            mask = engine.HERALD_MASKS[name]
+            assert not mask.flags.writeable
+            want = [c >= 0 and OUTCOMES[c] in outcomes for c in codes.tolist()]
+            assert mask[codes].tolist() == want, name
+
     def test_ensemble_rejects_disordered_ids(self):
         for ids in ([1, 0], [0, 0]):
             with pytest.raises(ValueError, match="strictly increasing"):

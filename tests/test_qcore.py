@@ -31,8 +31,10 @@ from swapsim.qcore import (
 )
 from swapsim.qcore import (
     _branch_outcomes,
+    _branch_tables,
     _branches,
     _enumerate_plans,
+    _fold,
     _one_state_branches,
     _step_thresholds,
     _weights,
@@ -425,6 +427,42 @@ class TestStackedBranches:
                 row_posts, row_coeffs = _branches(stack[i].copy()[None], step)
                 assert posts[i].tobytes() == row_posts[0].tobytes()
                 assert weights[i].tobytes() == _weights(step, row_coeffs)[0].tobytes()
+
+
+def _signed_stack(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """An (m, 2**n) complex stack whose real and imaginary parts are each
+    +0, -0, a signed subnormal, a signed 1 or a random value in (-1, 1)."""
+    parts = np.array([0.0, -0.0, 2.0**-1074, -(2.0**-1074), 1.0, -1.0, 0.5])
+    picked = parts[rng.integers(0, len(parts), (2, m, 2**n))]
+    random = picked == 0.5
+    picked[random] = rng.uniform(-1.0, 1.0, random.sum())
+    return picked[0] + 1j * picked[1]
+
+
+class TestOneFold:
+    """A partial BSM is the full BSM on the same qubits, then ``_fold``: it
+    reads the same index tables, and its posts and weights are the fold of
+    the full BSM's, bit for bit, signed zeros included."""
+
+    def test_full_and_partial_bsm_share_tables(self):
+        _branch_tables.cache_clear()
+        for partial, resolve in ((False, True), (True, True), (True, False)):
+            _branches(STACK, BsmStep(2, 1, partial, resolve))
+        info = _branch_tables.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    @pytest.mark.parametrize("resolve_psi_plus", [True, False])
+    @pytest.mark.parametrize("pair", [(1, 2), (2, 1), (0, 3), (3, 0)])
+    def test_partial_is_fold_of_full(self, pair, resolve_psi_plus):
+        rng = np.random.default_rng(sum(pair) * 2 + resolve_psi_plus)
+        stack = _signed_stack(rng, 40, 4)
+        full, partial = BsmStep(*pair), BsmStep(*pair, True, resolve_psi_plus)
+        full_posts, full_coeffs = _branches(stack, full)
+        posts, coeffs = _branches(stack, partial)
+        assert posts.tobytes() == _fold(partial, full_posts).tobytes()
+        assert coeffs.tobytes() == full_coeffs.tobytes()
+        assert (_weights(partial, coeffs).tobytes()
+                == _fold(partial, _weights(full, full_coeffs)).tobytes())
 
 
 class TestEnumeratePlansChecks:
