@@ -30,9 +30,8 @@ from .qcore import (
     BellOutcome,
     BsmStep,
     SpinMeasurement,
-    StateVector,
     _branch_outcomes,
-    sample_branches,
+    _sample_plans,
     singlet,
 )
 
@@ -463,21 +462,17 @@ def teleport_channel_demo(controlled: bool, n: int, seed: int) -> TeleportReport
     x = u[:, 0] >= 0.5
     plan = (BsmStep(0, 1), SpinMeasurement(2, 0.0))
     psi_minus = _branch_outcomes(plan[0]).index(BellOutcome.PSI_MINUS)
-    res = singlet().amplitudes
-    counts = np.zeros((2, 2), dtype=np.int64)
-    for bit, basis in enumerate(((1.0, 0.0), (0.0, 1.0))):
-        initial = StateVector(3, np.kron(np.array(basis, dtype=np.complex128), res))
-        codes = sample_branches(initial, plan, u[x == bit, 1:])
-        if controlled:
-            codes = codes[codes[:, 0] == psi_minus]
-        # Spin code 0 is the +1 outcome, read as output bit 0.
-        counts[bit] = np.bincount(codes[:, 1], minlength=2)
+    # Plan x starts from input basis state |x> on qubit 0.
+    initials = np.kron(np.eye(2, dtype=np.complex128), singlet().amplitudes)
+    codes = _sample_plans(initials, plan, [[0.0], [0.0]], x, u[:, 1:])
+    keep = codes[:, 0] == psi_minus if controlled else slice(None)
+    # Spin code 0 is the +1 outcome, read as output bit 0.
+    counts = np.bincount(2 * x[keep] + codes[keep, 1], minlength=4).reshape(2, 2)
     kept = int(counts.sum())
     p_match = float((counts[0, 0] + counts[1, 1]) / kept) if kept else None
     mi = mutual_information_bits(counts) if kept else 0.0
-    channel: dict[tuple[int, int], float | None] = {}
-    for x in (0, 1):
-        row = counts[x].sum()
-        for y in (0, 1):
-            channel[(x, y)] = float(counts[x, y] / row) if row else None
+    rows = counts.sum(axis=1)
+    channel = {
+        (x, y): float(counts[x, y] / rows[x]) if rows[x] else None for x in (0, 1) for y in (0, 1)
+    }
     return TeleportReport(controlled, n, kept, p_match, mi, channel)

@@ -17,7 +17,7 @@ import math
 import operator
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,8 +30,8 @@ from .qcore import (
     _branch_outcomes,
     _enumerate_plans,
     _plan_codes,
+    _sample_plans,
     make_two_singlets,
-    sample_branches,
 )
 
 # Not called here; bench/tracer.py wraps these names in this module to
@@ -61,14 +61,21 @@ GEOMETRY_NAMES = ("early", "delayed", "spacelike")
 SEED_LIMIT = 2**64  # seeds key the 64-bit first word of the Philox key
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int, or ValueError unless it is an integer (a bool is not)."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_seed(seed) -> int:
     """Return ``seed`` as an int, or raise ValueError unless it is an integer
-    in [0, 2**64). ExperimentConfig, counter_uniforms (and so every runner)
-    and the CLI take their seed through here."""
-    try:
-        value = operator.index(seed)
-    except TypeError:
-        raise ValueError(f"seed must be an integer, got {seed!r}") from None
+    in [0, 2**64) (a bool is not). ExperimentConfig, counter_uniforms (and
+    so every runner) and the CLI take their seed through here."""
+    value = _integer(seed, "seed")
     if not 0 <= value < SEED_LIMIT:
         raise ValueError(f"seed must be in [0, 2**64), got {value}")
     return value
@@ -78,12 +85,7 @@ def check_trials(n_trials) -> int:
     """Return ``n_trials`` as an int, or raise ValueError unless it is an
     integer >= 1 (a bool is not). ExperimentConfig and every runner take
     their trial count through here."""
-    try:
-        if isinstance(n_trials, bool):
-            raise TypeError
-        value = operator.index(n_trials)
-    except TypeError:
-        raise ValueError(f"n_trials must be an integer, got {n_trials!r}") from None
+    value = _integer(n_trials, "n_trials")
     if value < 1:
         raise ValueError(f"n_trials must be >= 1, got {value}")
     return value
@@ -107,6 +109,11 @@ class ExperimentConfig:
             )
         object.__setattr__(self, "n_trials", check_trials(self.n_trials))
         object.__setattr__(self, "seed", check_seed(self.seed))
+        for name in ("c_enabled", "bsm_partial"):
+            flag = getattr(self, name)
+            if not isinstance(flag, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool, got {flag!r}")
+            object.__setattr__(self, name, bool(flag))
         for name in ("angles_a", "angles_b"):
             angles = getattr(self, name)
             if len(angles) != 2:
@@ -310,16 +317,7 @@ def measurement_order(geometry: str) -> tuple[EventLabel, ...]:
     return tuple(label for label in order if label in wanted)
 
 
-# The start state and each named layout's order, computed once at import.
-_TWO_SINGLETS = make_two_singlets()
-_ORDERS = {name: measurement_order(name) for name in GEOMETRY_NAMES}
-
-
-def _setting_plans(config: ExperimentConfig) -> dict[tuple[int, int], tuple]:
-    """(plan, labels) of each setting pair (a, b), in (0,0), (0,1), (1,0),
-    (1,1) order. The four plans differ only in the spin angles."""
-    order = _ORDERS[config.geometry]
-    return {(a, b): _setting_plan(config, order, a, b) for a in (0, 1) for b in (0, 1)}
+_TWO_SINGLETS = make_two_singlets()  # the start state, built once at import
 
 
 def _setting_plan(
@@ -348,30 +346,30 @@ def run_trials(config: ExperimentConfig) -> Trials:
     Per-trial draw order: setting a, setting b, then one uniform per executed
     measurement in geometry time order (the C draw is skipped when the C
     measurement is disabled). A setting is 0 when its draw is below 1/2.
+    One walk samples the four setting plans of ``exact_leaf_rows``: plan 2a + b.
     """
     n = config.n_trials
-    plans = _setting_plans(config)
-    labels = plans[0, 0][1]
-    draws = counter_uniforms(config.seed, np.arange(n), 2 + len(labels))
+    layout = _EXACT_LAYOUTS[config.geometry, config.bsm_partial, config.c_enabled]
+    both = config.angles_a + config.angles_b
+    angles = [[both[i] for i in pick] for pick in layout.picks]
+    draws = counter_uniforms(config.seed, np.arange(n), 2 + len(layout.labels))
     a = (draws[:, 0] >= 0.5).astype(np.int8)
     b = (draws[:, 1] >= 0.5).astype(np.int8)
-    codes = np.empty((n, len(labels)), dtype=np.int8)
-    for (sa, sb), (plan, _labels) in plans.items():
-        rows = np.flatnonzero((a == sa) & (b == sb))
-        codes[rows] = sample_branches(_TWO_SINGLETS, plan, draws[rows, 2:])
-    c_outcome = _c_outcome(*plans[0, 0], codes)
+    initials = np.tile(_TWO_SINGLETS.amplitudes, (len(angles), 1))
+    codes = _sample_plans(initials, layout.plan, angles, 2 * a + b, draws[:, 2:])
+    c_outcome = _c_outcome(layout.plan, layout.labels, codes)
     return Trials({
         "trial_id": np.arange(n),
         "a": a,
         "b": b,
-        "A": 1 - 2 * codes[:, labels.index("A")],  # spin code 0 is +1, code 1 is -1
-        "B": 1 - 2 * codes[:, labels.index("B")],
+        "A": 1 - 2 * codes[:, layout.labels.index("A")],  # spin code 0 is +1, code 1 is -1
+        "B": 1 - 2 * codes[:, layout.labels.index("B")],
         "c_outcome": c_outcome,
         "heralded": HERALD_MASKS[config.herald][c_outcome],
     })
 
 
-def _c_outcome(plan: list[PlanStep], labels: list[str], codes: np.ndarray) -> np.ndarray:
+def _c_outcome(plan: Sequence[PlanStep], labels: Sequence[str], codes: np.ndarray) -> np.ndarray:
     """The c_outcome column of rows of a setting plan's outcome codes: the C
     step's codes as OUTCOMES codes, or -1 in every row when C is off."""
     if "C" not in labels:
@@ -405,14 +403,15 @@ CELLS = tuple(itertools.product((0, 1), (0, 1), (1, -1), (1, -1)))
 class _ExactLayout(NamedTuple):
     """The part of a layout's exact table that no angle changes.
 
-    ``plan`` is the template every setting plan follows (the (0, 0) plan;
-    ``_enumerate_plans`` reads its spin steps' qubits, not their angles),
-    ``picks[2a + b]`` indexes ``angles_a + angles_b`` for each spin step of
-    setting pair (a, b), and ``cell`` and ``c_outcome`` are the read-only
-    columns of ``exact_leaf_rows``.
+    ``plan`` is the template every setting plan follows (the (0, 0) plan,
+    whose spin angles the plan walks ignore), ``labels`` names its steps
+    "A", "B" or "C", ``picks[2a + b]`` indexes ``angles_a + angles_b`` for
+    each spin step of setting pair (a, b), and ``cell`` and ``c_outcome``
+    are the read-only columns of ``exact_leaf_rows``.
     """
 
     plan: tuple[PlanStep, ...]
+    labels: tuple[str, ...]
     picks: tuple[tuple[int, ...], ...]
     cell: np.ndarray
     c_outcome: np.ndarray
@@ -420,7 +419,7 @@ class _ExactLayout(NamedTuple):
 
 def _exact_layout(geometry: str, partial: bool, c_enabled: bool) -> _ExactLayout:
     config = ExperimentConfig(geometry=geometry, bsm_partial=partial, c_enabled=c_enabled)
-    plan, labels = _setting_plan(config, _ORDERS[geometry], 0, 0)
+    plan, labels = _setting_plan(config, measurement_order(geometry), 0, 0)
     codes = _plan_codes(plan)
     spins = [label for label in labels if label != "C"]
     picks = tuple(
@@ -432,11 +431,11 @@ def _exact_layout(geometry: str, partial: bool, c_enabled: bool) -> _ExactLayout
     c_outcome = np.tile(_c_outcome(plan, labels, codes), len(picks))
     for column in (cell, c_outcome):
         column.flags.writeable = False
-    return _ExactLayout(tuple(plan), picks, cell, c_outcome)
+    return _ExactLayout(tuple(plan), tuple(labels), picks, cell, c_outcome)
 
 
 # Each (geometry, bsm_partial, c_enabled) layout's angle-free table parts,
-# built once at import like _ORDERS.
+# built once at import.
 _EXACT_LAYOUTS = {
     (geometry, partial, c_enabled): _exact_layout(geometry, partial, c_enabled)
     for geometry in GEOMETRY_NAMES
@@ -459,10 +458,9 @@ def exact_leaf_rows(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, n
     are computed here, from the config's four angles.
     """
     layout = _EXACT_LAYOUTS[config.geometry, config.bsm_partial, config.c_enabled]
-    angles = config.angles_a + config.angles_b
-    probs = _enumerate_plans(
-        _TWO_SINGLETS.amplitudes, layout.plan, [[angles[i] for i in pick] for pick in layout.picks]
-    )
+    both = config.angles_a + config.angles_b
+    angles = [[both[i] for i in pick] for pick in layout.picks]
+    probs = _enumerate_plans(_TWO_SINGLETS.amplitudes, layout.plan, angles)
     return layout.cell, layout.c_outcome, 0.25 * probs.ravel()
 
 

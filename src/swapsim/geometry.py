@@ -170,12 +170,6 @@ PRESET_BUILDERS = {
     "spacelike": spacelike_delft,
 }
 
-_PRESET_CLASSES = {
-    "early": GeometryClass.ED,
-    "delayed": GeometryClass.DD,
-    "spacelike": GeometryClass.SPACELIKE,
-}
-
 
 def preset_by_name(name: str) -> GeometryPreset:
     try:

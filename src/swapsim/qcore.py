@@ -2,18 +2,18 @@
 
 Pure-state representation for up to five qubits, planar spin measurements,
 full and partial Bell-state measurements, exhaustive branch enumeration of
-measurement plans, and a sampler that draws many trials of one plan at
-once. Enumeration and sampling both walk a plan one depth at a time, each
-depth one stacked ``_branches`` call (a spin measured at one angle per
-block of rows: one block per plan when enumerating, one block when
-sampling), and both report outcomes as integer codes into
-``_branch_outcomes``. ``_branches`` is flat: gathers, products and sums on
-contiguous vectors through integer index tables that depend only on the
-step's shape (its kind and measured qubits) and the stack's block and row
-counts, built once per shape, then one scatter of the products into
-zeroed posts. A partial BSM shares a full one's tables; ``_fold`` alone
-merges its unresolved Bell states into NO_HERALD, for posts and weights
-alike.
+measurement plans, and a sampler that draws many trials of several plans
+at once. Both walk plans that differ only in spin angles one depth at a
+time, each depth one stacked ``_branches`` call (a spin measured at one
+angle per block of rows: per plan when enumerating, per group of trials
+when sampling), and both report outcomes as integer codes into
+``_branch_outcomes``. Collapses and the sampler draw through ``_draw``.
+``_branches`` is flat: gathers, products and sums on contiguous vectors
+through integer index tables that depend only on the step's shape (its
+kind and measured qubits) and the stack's block and row counts, built once
+per shape, then one scatter of the products into zeroed posts. A partial
+BSM shares a full one's tables; ``_fold`` alone merges its unresolved Bell
+states into NO_HERALD, for posts and weights alike.
 Every squared norm (a state's norm check, the sampler's branch weights, an
 exact leaf's probability) is ``_norm_sq`` of C-contiguous rows, which
 equals ``np.vdot`` of each row bit for bit; the exact walk takes norms only
@@ -28,7 +28,6 @@ for angle t is cos(t)*Z + sin(t)*X.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -375,47 +374,54 @@ def _weights(step: PlanStep, coeffs: np.ndarray) -> np.ndarray:
     return _fold(step, _norm_sq(coeffs.reshape(m * j, -1)).reshape(m, j))
 
 
-def _step_thresholds(step: PlanStep, weights: list[float]) -> list[float]:
-    """Upper edges of the draw slots of one step: its cumulative weights.
+def _one_state_weights(amps: np.ndarray, step: PlanStep) -> list[float]:
+    """A single state's branch weights as floats, in ``_branch_outcomes(step)`` order."""
+    return _weights(step, _branches(amps[None], step)[1])[0].tolist()
 
-    Slot i covers [edge i-1, edge i). A spin keeps only its first edge, so
-    the -1 outcome takes every draw at or above P(+1); a BSM draw at or
-    above its last edge falls in an extra slot (see ``_take``).
+
+def _draw(
+    step: PlanStep,
+    states: np.ndarray,
+    group: np.ndarray,
+    draws: np.ndarray,
+    angles: Sequence[float] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The draw rule of every collapse and sampled depth. Row i draws
+    ``draws[i]`` from state ``group[i]`` of the (g, 2**n) ``states``, a spin
+    measuring state j at ``angles[j]`` if given. The slot edges are each
+    state's cumulative weights, a spin's first only; a row's slot is the
+    count of edges at or below its draw, or, past a BSM's last edge (the
+    sum fell short of 1), its last outcome of positive weight. Returns each
+    row's index into ``_branch_outcomes(step)``, the drawn (group, outcome)
+    posts over the square root of their weight, in (group, outcome) order,
+    each row's index into them, and the group each came from.
     """
-    edges = list(itertools.accumulate(weights))
-    return edges[:-1] if isinstance(step, SpinMeasurement) else edges
-
-
-def _take(weights: list[float], posts: np.ndarray, slot: int) -> tuple[int, np.ndarray]:
-    """(outcome index, normalized post-state) for a draw in ``slot``, from
-    one state's branch weights and unnormalized posts.
-
-    The slot past a BSM's last edge, where cumulative rounding fell short
-    of 1, takes the last outcome of positive weight. Raises RuntimeError
-    when the slot's outcome has zero weight.
-    """
-    if slot == len(weights):
-        positive = [i for i, weight in enumerate(weights) if weight > 0.0]
-        if not positive:
+    posts, coeffs = _branches(states, step, angles)
+    weights = _weights(step, coeffs)
+    g, k = weights.shape
+    edges = np.cumsum(weights, axis=1)  # sequential, as itertools.accumulate adds
+    slot = np.zeros(len(group), dtype=np.intp)
+    for edge in edges.T[: 1 if isinstance(step, SpinMeasurement) else k]:
+        slot += edge[group] <= draws
+    past = slot == k
+    if past.any():
+        positive = weights > 0.0
+        if not positive[group[past]].any(axis=1).all():
             raise RuntimeError("no Bell outcome has positive probability")
-        slot = positive[-1]
-    weight = weights[slot]
-    if weight <= 0.0:
+        slot[past] = (k - 1 - np.argmax(positive[:, ::-1], axis=1))[group[past]]
+    pair = group * k + slot
+    drawn = np.bincount(pair, minlength=g * k) > 0
+    weight = weights.ravel()[drawn]
+    if np.any(weight <= 0.0):
         raise RuntimeError("drew an outcome with zero-norm projection")
-    return slot, posts[slot] / math.sqrt(weight)
-
-
-def _one_state_branches(amps: np.ndarray, step: PlanStep) -> tuple[list[float], np.ndarray]:
-    """``_branches`` of a single state: (weights as floats, posts (k, 2**n))."""
-    posts, coeffs = _branches(amps[None], step)
-    return _weights(step, coeffs)[0].tolist(), posts[0]
+    states = posts.reshape(g * k, -1)[drawn] / np.sqrt(weight)[:, None]
+    return slot, states, (np.cumsum(drawn) - 1)[pair], np.flatnonzero(drawn) // k
 
 
 def _collapse(amps: np.ndarray, step: PlanStep, draw: float) -> tuple[object, np.ndarray]:
     """Raw collapse of one step with a uniform draw; inputs assumed valid."""
-    weights, posts = _one_state_branches(amps, step)
-    index, post = _take(weights, posts, bisect.bisect_right(_step_thresholds(step, weights), draw))
-    return _branch_outcomes(step)[index], post
+    codes, states = _draw(step, amps[None], np.zeros(1, dtype=np.intp), np.array([draw]))[:2]
+    return _branch_outcomes(step)[codes[0]], states[0]
 
 
 # Nothing in swapsim calls these two; engine and analysis import them so
@@ -441,7 +447,7 @@ def _bsm_step(
 def prob_spin_up(state: StateVector, m: SpinMeasurement) -> float:
     """Born probability of the +1 outcome."""
     _check_qubit(state, m.qubit)
-    return min(max(_one_state_branches(state.amplitudes, m)[0][0], 0.0), 1.0)
+    return min(max(_one_state_weights(state.amplitudes, m)[0], 0.0), 1.0)
 
 
 def measure_spin(
@@ -471,7 +477,7 @@ def bell_outcome_probabilities(
     if q_left == q_right:
         raise ValueError("Bell-state measurement needs two distinct qubits")
     step = BsmStep(q_left, q_right, partial, resolve_psi_plus)
-    return dict(zip(_branch_outcomes(step), _one_state_branches(state.amplitudes, step)[0]))
+    return dict(zip(_branch_outcomes(step), _one_state_weights(state.amplitudes, step)))
 
 
 def bell_state_measurement(
@@ -522,6 +528,16 @@ def _plan_codes(plan: Sequence[PlanStep]) -> np.ndarray:
     return np.array(list(itertools.product(*sizes)), dtype=np.intp).reshape(-1, len(plan))
 
 
+def _plan_angles(plan: Sequence[PlanStep], angles: Sequence[Sequence[float]]) -> list:
+    """Each step's spin angle per plan, None for a BSM; raises ValueError
+    unless every plan has one angle per spin step of ``plan``."""
+    spins = [isinstance(step, SpinMeasurement) for step in plan]
+    if not angles or any(len(row) != sum(spins) for row in angles):
+        raise ValueError(f"plans need {sum(spins)} spin angles each, got {angles!r}")
+    columns = zip(*angles)
+    return [next(columns) if spin else None for spin in spins]
+
+
 def _enumerate_plans(
     initial: np.ndarray, plan: Sequence[PlanStep], angles: Sequence[Sequence[float]]
 ) -> np.ndarray:
@@ -535,17 +551,9 @@ def _enumerate_plans(
     each plan's leaves are in ``_plan_codes(plan)`` order. The only norms
     are one ``_norm_sq`` call over the leaves.
     """
-    spins = sum(isinstance(step, SpinMeasurement) for step in plan)
-    if not angles or any(len(row) != spins for row in angles):
-        raise ValueError(f"plans need {spins} spin angles each, got {angles!r}")
     states = initial[None].repeat(len(angles), axis=0)
-    spin = 0
-    for step in plan:
-        if isinstance(step, SpinMeasurement):
-            posts, _coeffs = _branches(states, step, [row[spin] for row in angles])
-            spin += 1
-        else:
-            posts, _coeffs = _branches(states, step)
+    for step, column in zip(plan, _plan_angles(plan, angles)):
+        posts, _coeffs = _branches(states, step, column)
         states = posts.reshape(-1, initial.size)
     return _norm_sq(states).reshape(len(angles), -1)
 
@@ -570,44 +578,48 @@ def exact_branch_enumeration(
     return dict(zip(keys, probs.tolist()))
 
 
+def _sample_plans(
+    initials: np.ndarray,
+    plan: Sequence[PlanStep],
+    angles: Sequence[Sequence[float]],
+    plan_of_row: np.ndarray,
+    draws: np.ndarray,
+) -> np.ndarray:
+    """Sample the plans ``_enumerate_plans`` reads from ``plan`` and
+    ``angles`` in one walk: trial i runs plan p = ``plan_of_row[i]`` from
+    ``initials[p]`` with draws ``draws[i]``, and its int8 codes [i, d]
+    index ``_branch_outcomes(plan[d])``. A state depends only on its plan
+    and outcomes so far, so each depth is one ``_draw`` over the groups of
+    trials that share them."""
+    columns = _plan_angles(plan, angles)
+    codes = np.empty(np.shape(draws), dtype=np.int8)
+    if not len(codes):
+        return codes
+    states, group, plans = initials, np.asarray(plan_of_row, dtype=np.intp), np.arange(len(angles))
+    for d, (step, column) in enumerate(zip(plan, columns)):
+        step_angles = None if column is None else np.array(column)[plans].tolist()
+        codes[:, d], states, group, source = _draw(step, states, group, draws[:, d], step_angles)
+        plans = plans[source]
+    return codes
+
+
 def sample_branches(
     initial: StateVector, plan: Sequence[PlanStep], draws: np.ndarray
 ) -> np.ndarray:
-    """Sample a measurement plan for many trials at once.
+    """Sample a measurement plan for many trials at once: ``_sample_plans``
+    with one plan, so one ``_branches`` call per depth.
 
     ``draws`` has shape (m, len(plan)); row i holds the uniform draws trial
     i feeds to the plan's steps in order. Returns an int8 array of the same
-    shape whose entry [i, d] indexes ``_branch_outcomes(plan[d])``. Each
-    row's outcomes are those of calling the collapse steps one after another
-    with that row's draws: the post-measurement state depends only on the
-    outcomes so far, so the walk goes one depth at a time with one group
-    per slot sequence drawn so far, its collapsed state and its rows. One
-    ``_branches`` call expands every group's state; a group's slot edges are
-    its state's cumulative weights.
+    shape whose entry [i, d] indexes ``_branch_outcomes(plan[d])``: the
+    outcomes of the collapse steps called in turn with those draws, as both
+    draw through ``_draw``.
     """
-    n = initial.num_qubits
-    _validate_plan(n, plan)
+    _validate_plan(initial.num_qubits, plan)
     draws = np.asarray(draws, dtype=np.float64)
     if draws.ndim != 2 or draws.shape[1] != len(plan):
         raise ValueError(f"draws must have shape (m, {len(plan)}), got {draws.shape}")
     if draws.size and not (draws.min() >= 0.0 and draws.max() < 1.0):
         raise ValueError("draws must lie in [0, 1)")
-    codes = np.full(draws.shape, -1, dtype=np.int8)
-    if not draws.size:
-        return codes
-    groups = [(initial.amplitudes, np.arange(len(draws)))]
-    for depth, step in enumerate(plan):
-        posts, coeffs = _branches(np.stack([state for state, _ in groups]), step)
-        weights = _weights(step, coeffs)
-        next_groups = []
-        for (_, rows), group_posts, group_weights in zip(groups, posts, weights.tolist()):
-            edges = _step_thresholds(step, group_weights)
-            slots = np.searchsorted(edges, draws[rows, depth], side="right")
-            for slot in range(len(edges) + 1):
-                sel = rows[slots == slot]
-                if sel.size:
-                    code, post = _take(group_weights, group_posts, slot)
-                    codes[sel, depth] = code
-                    next_groups.append((post, sel))
-        groups = next_groups
-    return codes
+    angles = [[step.angle for step in plan if isinstance(step, SpinMeasurement)]]
+    return _sample_plans(initial.amplitudes[None], plan, angles, np.zeros(len(draws), int), draws)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swapsim import analysis
+from swapsim import analysis, qcore
 from swapsim.analysis import (
     CHSH_COMBINATION,
     CorrelatorTable,
@@ -441,6 +441,18 @@ class TestTeleport:
         assert report.p_match is None
         assert report.mutual_information_bits == 0.0
         assert all(v is None for v in report.channel.values())
+
+    @pytest.mark.parametrize("controlled", [True, False])
+    def test_both_inputs_sampled_in_one_walk(self, monkeypatch, controlled):
+        # One _branches call per plan step, for both input bits together,
+        # whatever the trial count.
+        calls = []
+        branches = qcore._branches
+        monkeypatch.setattr(qcore, "_branches", lambda *args: calls.append(1) or branches(*args))
+        for n in (1, 3_000):
+            calls.clear()
+            teleport_channel_demo(controlled, n, 4)
+            assert len(calls) == 2, n
 
 
 class TestMutualInformation:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from swapsim import engine
+from swapsim import engine, qcore
 from swapsim.engine import (
     DEFAULT_ANGLES_A,
     DEFAULT_ANGLES_B,
@@ -13,6 +13,8 @@ from swapsim.engine import (
     ExperimentConfig,
     Trials,
     _TrialStream,
+    check_seed,
+    config_meta,
     counter_uniforms,
     exact_experiment_distribution,
     herald_probability,
@@ -97,6 +99,27 @@ class TestConfig:
                 ExperimentConfig(seed=seed)
         assert ExperimentConfig(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
 
+    @pytest.mark.parametrize("seed", [True, False, np.True_])
+    def test_rejects_bool_seeds(self, seed):
+        # seed=True used to run as seed 1.
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            ExperimentConfig(seed=seed)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            check_seed(seed)
+
+    @pytest.mark.parametrize("name", ["c_enabled", "bsm_partial"])
+    @pytest.mark.parametrize("flag", ["false", "no", 0, 1, None])
+    def test_rejects_non_bool_flags(self, name, flag):
+        # A string used to be taken as true, and echoed by config_meta.
+        with pytest.raises(ValueError, match=f"{name} must be a bool"):
+            ExperimentConfig(**{name: flag})
+
+    def test_flags_are_stored_as_python_bools(self):
+        cfg = ExperimentConfig(c_enabled=np.False_, bsm_partial=np.True_)
+        assert cfg.c_enabled is False and cfg.bsm_partial is True
+        meta = config_meta(cfg)
+        assert meta["c_enabled"] is False and meta["bsm_partial"] is True
+
 
 class TestMeasurementOrder:
     def test_orders(self):
@@ -140,6 +163,21 @@ class TestRunTrials:
         tol = 5 * math.sqrt(0.25 / n)
         assert abs(ens["a"].sum() / n - 0.5) < tol
         assert abs(ens["b"].sum() / n - 0.5) < tol
+
+    @pytest.mark.parametrize("c_enabled, steps", [(True, 3), (False, 2)])
+    def test_setting_plans_sampled_in_one_walk(self, monkeypatch, c_enabled, steps):
+        # One _branches call per plan step for all four setting plans
+        # together, whatever the layout or the trial count.
+        calls = []
+        branches = qcore._branches
+        monkeypatch.setattr(qcore, "_branches", lambda *args: calls.append(1) or branches(*args))
+        for geometry in engine.GEOMETRY_NAMES:
+            for partial in (False, True):
+                for n in (1, 3_000):
+                    calls.clear()
+                    run_trials(ExperimentConfig(geometry, n, seed=n, c_enabled=c_enabled,
+                                                bsm_partial=partial))
+                    assert len(calls) == steps, (geometry, partial, n)
 
     def test_records_independent_of_run_length(self):
         # Trial t depends only on (seed, t), so any prefix run reproduces it;

@@ -250,8 +250,11 @@ def test_collapse_steps_match_oracle_property(state, step, edge, u):
     normalized after embedding: each amplitude is rounded once more, and an
     embedded amplitude in the subnormal range (a branch weight near 1e-280)
     loses up to 2**-1074 before the division by sqrt(weight) scales it up."""
-    weights, _posts = qcore._one_state_branches(state.amplitudes, step)
-    edges = qcore._step_thresholds(step, weights)
+    # Slot edges: the cumulative weights in outcome order, a spin's first only.
+    weights = qcore._one_state_weights(state.amplitudes, step)
+    edges = list(itertools.accumulate(weights))
+    if isinstance(step, SpinMeasurement):
+        edges = edges[:1]
     draw = edges[edge] if 0 <= edge < len(edges) and edges[edge] < 1.0 else u
     if isinstance(step, SpinMeasurement):
         args = (state.amplitudes, 4, step.qubit, step.angle, draw)

@@ -33,10 +33,11 @@ from swapsim.qcore import (
     _branch_outcomes,
     _branch_tables,
     _branches,
+    _collapse,
     _enumerate_plans,
     _fold,
-    _one_state_branches,
-    _step_thresholds,
+    _one_state_weights,
+    _sample_plans,
     _weights,
 )
 
@@ -511,6 +512,13 @@ def scalar_codes(initial: StateVector, plan, draws) -> np.ndarray:
     return out
 
 
+def slot_edges(state, step):
+    """A step's draw-slot edges: the cumulative weights in outcome order,
+    only the first for a spin."""
+    edges = list(itertools.accumulate(_one_state_weights(state.amplitudes, step)))
+    return edges[:1] if isinstance(step, SpinMeasurement) else edges
+
+
 class TestSampleBranches:
     PLANS = {
         "bsm-first": [BsmStep(1, 2), SpinMeasurement(0, 0.3), SpinMeasurement(3, 2.0)],
@@ -528,7 +536,7 @@ class TestSampleBranches:
         initial = make_two_singlets()
         # Draws on and just below every first-step threshold, plus the ends
         # of [0, 1); later steps take random and edge draws.
-        edges = _step_thresholds(plan[0], _one_state_branches(initial.amplitudes, plan[0])[0])
+        edges = slot_edges(initial, plan[0])
         first = [0.0, 1.0 - 2.0**-53] + [e for e in edges if e < 1.0]
         first += [math.nextafter(e, 0.0) for e in edges]
         rng = np.random.default_rng(5)
@@ -543,7 +551,7 @@ class TestSampleBranches:
     def test_rounding_shortfall_takes_last_positive_outcome(self):
         initial = make_two_singlets()
         plan = [BsmStep(1, 2)]
-        total = _step_thresholds(plan[0], _one_state_branches(initial.amplitudes, plan[0])[0])[-1]
+        total = slot_edges(initial, plan[0])[-1]
         assert total < 1.0  # the four quarter weights sum to just below 1
         draws = np.array([[total], [1.0 - 2.0**-53]])
         codes = sample_branches(initial, plan, draws)
@@ -576,3 +584,52 @@ class TestSampleBranches:
     def test_no_trials(self):
         codes = sample_branches(make_two_singlets(), [BsmStep(1, 2)], np.empty((0, 1)))
         assert codes.shape == (0, 1)
+
+
+class TestSamplePlans:
+    TEMPLATE = [SpinMeasurement(0, 0.0), BsmStep(1, 2, partial=True), SpinMeasurement(3, 0.0)]
+    ANGLES = [[0.3, 2.0], [1.1, -0.4], [0.0, math.pi / 2.0], [-math.pi, 0.7]]
+
+    @staticmethod
+    def own_plan(template, angles):
+        spins = iter(angles)
+        return [SpinMeasurement(step.qubit, next(spins)) if isinstance(step, SpinMeasurement)
+                else step for step in template]
+
+    @staticmethod
+    def edge_draws(state, step):
+        edges = slot_edges(state, step)
+        return [0.0, 1.0 - 2.0**-53] + [e for e in edges if e < 1.0] + [
+            math.nextafter(e, 0.0) for e in edges
+        ]
+
+    def test_matches_each_plans_own_sampler_on_slot_edges(self):
+        rng = np.random.default_rng(12)
+        noise = rng.normal(size=16) + 1j * rng.normal(size=16)
+        states = [make_two_singlets(), StateVector(4, noise / np.linalg.norm(noise)),
+                  make_two_singlets(), basis_state(4, 5)]
+        rows, plan_of_row = [], []
+        for p, (state, angles) in enumerate(zip(states, self.ANGLES)):
+            plan = self.own_plan(self.TEMPLATE, angles)
+            # Draws on and just below the edges of the first two steps (the
+            # second's at each first outcome's post-state), plus the ends
+            # of [0, 1); the last step's draws are random.
+            for u0 in self.edge_draws(state, plan[0]):
+                _outcome, post = _collapse(state.amplitudes, plan[0], u0)
+                for u1 in self.edge_draws(StateVector(4, post), plan[1]):
+                    rows.append([u0, u1, rng.random()])
+                    plan_of_row.append(p)
+        order = rng.permutation(len(rows))
+        draws, plan_of_row = np.array(rows)[order], np.array(plan_of_row)[order]
+        initials = np.stack([state.amplitudes for state in states])
+        codes = _sample_plans(initials, self.TEMPLATE, self.ANGLES, plan_of_row, draws)
+        assert codes.dtype == np.int8 and codes.shape == draws.shape
+        for p, (state, angles) in enumerate(zip(states, self.ANGLES)):
+            mine = plan_of_row == p
+            own = sample_branches(state, self.own_plan(self.TEMPLATE, angles), draws[mine])
+            assert codes[mine].tobytes() == own.tobytes(), p
+
+    def test_rejects_angle_rows_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="2 spin angles each"):
+            _sample_plans(make_two_singlets().amplitudes[None], self.TEMPLATE, [[0.1]],
+                          np.zeros(1, dtype=np.intp), np.zeros((1, 3)))
