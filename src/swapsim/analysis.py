@@ -181,8 +181,12 @@ def _cell_sums(cell: np.ndarray, weights: np.ndarray) -> list[float]:
 
 def exact_heralded_correlators(config: ExperimentConfig) -> CorrelatorTable:
     """Correlators of the event-ready subensemble from the exact joint table."""
-    cell, c_outcome, prob = exact_leaf_rows(config)
-    kept = HERALD_MASKS[config.herald][c_outcome]
+    return _heralded_correlators(exact_leaf_rows(config), config.herald)
+
+
+def _heralded_correlators(rows, herald: str) -> CorrelatorTable:
+    cell, c_outcome, prob = rows
+    kept = HERALD_MASKS[herald][c_outcome]
     total = sum(prob[kept].tolist())
     if total <= 0.0:
         raise ValueError("conditioning event has zero probability")
@@ -371,10 +375,14 @@ def no_difference_check(config: ExperimentConfig, tol: float = 1e-12) -> NdaRepo
     (marginalized over its outcome) and absent. The config itself gives one
     side and one copy with c_enabled flipped the other; the order of the
     two does not matter, as abs(p - q) is symmetric."""
-    marginals = []
-    for side in (config, replace(config, c_enabled=not config.c_enabled)):
-        cell, _c_outcome, prob = exact_leaf_rows(side)
-        marginals.append(_cell_sums(cell, prob))
+    flipped = replace(config, c_enabled=not config.c_enabled)
+    return _no_difference(exact_leaf_rows(config), exact_leaf_rows(flipped), tol)
+
+
+def _no_difference(rows, other_rows, tol: float = 1e-12) -> NdaReport:
+    """The no-difference check of the exact leaf rows of one config with C
+    on and with C off, in either order."""
+    marginals = [_cell_sums(cell, prob) for cell, _c_outcome, prob in (rows, other_rows)]
     diff = max(abs(p - q) for p, q in zip(*marginals))
     verdict = NdaVerdict.NO_DIFFERENCE if diff < tol else NdaVerdict.DIFFERENCE
     return NdaReport(diff, verdict)
@@ -405,18 +413,27 @@ class FragilityReport:
 def fragility(config: ExperimentConfig, tol: float = 1e-15) -> FragilityReport:
     if not config.c_enabled:
         raise ValueError("fragility requires the central measurement to be enabled")
-    cell, c_outcome, prob = exact_leaf_rows(config)
-    heralded = HERALD_MASKS[config.herald][c_outcome]
-    mass = _cell_sums(cell, prob)
-    hit = _cell_sums(cell[heralded], prob[heralded])
-    cells = {key: (h / m if m > tol else None) for key, h, m in zip(CELLS, hit, mass)}
-    spread = 0.0
-    for (a, b, A, B), p in cells.items():
-        for flipped in ((1 - a, b, A, B), (a, 1 - b, A, B)):
-            q = cells.get(flipped)
-            if p is not None and q is not None:
-                spread = max(spread, abs(p - q))
-    return FragilityReport(dict(cells), spread)
+    return _fragility(exact_leaf_rows(config), config.herald, tol)
+
+
+# Per CELLS index, the indexes of the cells with setting a, then b, flipped.
+_FLIPPED = np.array([
+    [CELLS.index((1 - a, b, A, B)), CELLS.index((a, 1 - b, A, B))] for a, b, A, B in CELLS
+])
+
+
+def _fragility(rows, herald: str, tol: float = 1e-15) -> FragilityReport:
+    """The fragility table of a C-on config's exact leaf rows."""
+    cell, c_outcome, prob = rows
+    heralded = HERALD_MASKS[herald][c_outcome]
+    mass = np.bincount(cell, weights=prob, minlength=len(CELLS))
+    hit = np.bincount(cell[heralded], weights=prob[heralded], minlength=len(CELLS))
+    # P(herald | cell), NaN where the cell's mass is at most tol.
+    p = np.divide(hit, mass, out=np.full(len(CELLS), np.nan), where=mass > tol)
+    spread = np.abs(p[:, None] - p[_FLIPPED])
+    max_spread = float(spread.max(initial=0.0, where=~np.isnan(spread)))
+    cells = {key: (None if math.isnan(v) else v) for key, v in zip(CELLS, p.tolist())}
+    return FragilityReport(cells, max_spread)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import analysis, engine, geometry, io, toys
@@ -161,17 +162,22 @@ def _chsh_or_none(table: analysis.CorrelatorTable) -> dict | None:
 def _exact_section(config: engine.ExperimentConfig) -> dict:
     """Exact diagnostics; entries undefined for the config are None: the
     heralded correlators and CHSH when the herald has zero probability, and
-    fragility when the central measurement is disabled."""
+    fragility when the central measurement is disabled. They read two exact
+    tables, the config's and the one with C flipped."""
+    rows = engine.exact_leaf_rows(config)
+    flipped = engine.exact_leaf_rows(replace(config, c_enabled=not config.c_enabled))
     section: dict = {"correlators": None, "chsh": None}
     try:
-        exact_table = analysis.exact_heralded_correlators(config)
+        exact_table = analysis._heralded_correlators(rows, config.herald)
     except ValueError:  # conditioning on a zero-probability herald
         pass
     else:
         section["correlators"] = _correlator_cells(exact_table)
         section["chsh"] = analysis.chsh(exact_table).as_json()
-    section["nda"] = analysis.no_difference_check(config).as_json()
-    section["fragility"] = analysis.fragility(config).as_json() if config.c_enabled else None
+    section["nda"] = analysis._no_difference(rows, flipped).as_json()
+    section["fragility"] = (
+        analysis._fragility(rows, config.herald).as_json() if config.c_enabled else None
+    )
     return section
 
 

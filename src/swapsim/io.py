@@ -5,11 +5,19 @@ sorted JSON keys, ``\n`` line ends and no timestamps, so identical (seed,
 config) inputs reproduce identical files. The CSVs and the ensemble's JSON
 mirror are streamed CHUNK_ROWS rows at a time, so writing them takes memory
 bounded whatever the trial count.
+
+Each row is written from its row code: its token columns combined
+mixed-radix, each digit the value's offset in that column's token table.
+The code indexes a read-only row-token table of pre-formatted text, built
+once per layout: a CSV line after its trial_id, or a mirror record up to
+its trial_id. A row then costs one lookup, the decimal of its trial_id and
+one concatenation. Every writer checks its table before it opens its file.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 from pathlib import Path
@@ -63,54 +71,79 @@ def _token_table(tokens: dict) -> tuple[int, np.ndarray, np.ndarray]:
 
 
 _TOKEN_TABLES = {name: _token_table(tokens) for name, tokens in _CSV_TOKENS.items()}
-# The JSON mirror writes the CSV tokens, with c_outcome's quoted once per value.
-_MIRROR_TABLES = {
-    **_TOKEN_TABLES,
-    "c_outcome": _token_table({v: json.dumps(t) for v, t in _CSV_TOKENS["c_outcome"].items()}),
-}
 
 # Rows formatted at a time by the CSV and JSON writers and decoded at a time
 # by the CSV reader; bounds their memory whatever the trial count.
 CHUNK_ROWS = 4096
+_ID_DIGITS = 18  # a trial_id is an integer in [0, 10**18)
 
 
 def _check_tokens(trials: Trials, names) -> None:
     """Raise ValueError if a named column holds a value its token table
-    lacks; the writers call this before they open their file."""
+    lacks, or trial_id one outside the integers in [0, 10**18) that
+    read_ensemble_csv reads back; the writers call this before they open
+    their file."""
+    if not len(trials):
+        return
+    ids = trials["trial_id"]
+    if ids.dtype.kind not in "iu" or ids[0] < 0 or ids[-1] >= 10**_ID_DIGITS:
+        raise ValueError(f"trial_id holds a value outside the integers in [0, 10**{_ID_DIGITS})")
     for name in names:
-        if name in _TOKEN_TABLES and name in trials.columns and len(trials):
+        if name in _TOKEN_TABLES and name in trials.columns:
             offset, tokens, known = _TOKEN_TABLES[name]
             codes = trials[name].astype(np.intp) - offset
             if codes.min() < 0 or codes.max() >= len(tokens) or not known[codes].all():
                 raise ValueError(f"column {name} holds a value outside {sorted(_CSV_TOKENS[name])}")
 
 
-def _text(trials: Trials, name: str, rows: slice, tables: dict) -> list:
-    """Rows ``rows`` of a column as fields: its values looked up in its token
-    table, or in decimal for a column without one (trial_id); empty when the
-    table lacks the column (the collider toy's lambda pair)."""
-    if name not in trials.columns:
-        return [""] * (rows.stop - rows.start)
-    values = trials[name][rows]
-    if name not in tables:
-        return list(map(str, values.tolist()))
-    offset, tokens, _ = tables[name]
-    return tokens[values.astype(np.intp) - offset].tolist()
+def _row_table(names: tuple, render) -> np.ndarray:
+    """The row-token table of the named columns: at each row code, the text
+    ``render`` makes of the tokens (by column name) that the code stands for;
+    None where a code holds a token table's hole.
+
+    A row's code is mixed-radix over the names, first name most significant,
+    with each digit its value's offset in that column's token table."""
+    entries = [
+        None if None in tokens else render(dict(zip(names, tokens)))
+        for tokens in itertools.product(*(_TOKEN_TABLES[name][1] for name in names))
+    ]
+    table = np.array(entries, dtype=object)
+    table.flags.writeable = False
+    return table
 
 
-def _chunks(trials: Trials, names, tables: dict):
-    """The fields of the named columns, CHUNK_ROWS rows at a time."""
+def _rows(trials: Trials, names: tuple, table: np.ndarray):
+    """(trial ids, the row-token table's text of each row), CHUNK_ROWS rows
+    at a time."""
     for start in range(0, len(trials), CHUNK_ROWS):
-        rows = slice(start, min(start + CHUNK_ROWS, len(trials)))
-        yield [_text(trials, name, rows, tables) for name in names]
+        rows = slice(start, start + CHUNK_ROWS)
+        ids = trials["trial_id"][rows]
+        code = np.zeros(len(ids), dtype=np.intp)
+        for name in names:
+            offset, tokens, _ = _TOKEN_TABLES[name]
+            code = code * len(tokens) + (trials[name][rows].astype(np.intp) - offset)
+        yield ids.tolist(), table[code].tolist()
+
+
+@functools.cache
+def _csv_rows(header: tuple, names: tuple) -> np.ndarray:
+    """The row-token table of a CSV layout: each row's fields after its
+    trial_id, an empty field for each header column the table lacks (the
+    collider toy's lambda pair), and its line end."""
+    def line(tokens: dict) -> str:
+        return "".join("," + tokens.get(name, "") for name in header[1:]) + "\n"
+
+    return _row_table(names, line)
 
 
 def _write_csv(path: str | Path, header: list[str], trials: Trials) -> None:
     _check_tokens(trials, header)
+    names = tuple(name for name in header[1:] if name in trials.columns)
+    table = _csv_rows(tuple(header), names)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for fields in _chunks(trials, header, _TOKEN_TABLES):
-            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+        for ids, texts in _rows(trials, names, table):
+            fh.write("".join([f"{i}{text}" for i, text in zip(ids, texts)]))
 
 
 def write_ensemble_csv(path: str | Path, ensemble: Trials) -> None:
@@ -133,7 +166,6 @@ def _reject_rows(path, first_line: int, bad: np.ndarray, message: str) -> None:
 # A token field is read as one uint64 key: its first 7 bytes, little-endian,
 # with its length (8 for any longer field) in the top byte.
 _KEY_MASKS = np.array([(1 << 8 * min(n, 7)) - 1 for n in range(9)], dtype=np.uint64)
-_ID_DIGITS = 18  # a trial_id is an integer in [0, 10**18)
 
 
 def _field_keys(text: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -225,16 +257,32 @@ def read_ensemble_csv(path: str | Path) -> Trials:
     return Trials({name: np.concatenate([c[name] for c in chunks]) for name in ENSEMBLE_HEADER})
 
 
-# One mirror record: its keys in json's sort_keys order (A, B, a, b,
-# c_outcome, heralded, trial_id), at dumps_canonical's indent.
+# A mirror record holds the ensemble CSV's tokens, c_outcome's quoted, under
+# keys in json's sort_keys order (A, B, a, b, c_outcome, heralded, trial_id)
+# at dumps_canonical's indent.
 _MIRROR_KEYS = sorted(ENSEMBLE_HEADER)
-_MIRROR_RECORD = "\n    {" + ",".join(f'\n      "{key}": %s' for key in _MIRROR_KEYS) + "\n    }"
+_MIRROR_END = "\n    }"
+
+
+def _mirror_head(tokens: dict) -> str:
+    """A mirror record's text up to its trial_id."""
+    fields = "".join(
+        f'\n      "{key}": {json.dumps(tokens[key]) if key == "c_outcome" else tokens[key]},'
+        for key in _MIRROR_KEYS[:-1]
+    )
+    return "\n    {" + fields + '\n      "trial_id": '
+
+
+@functools.cache
+def _mirror_rows() -> np.ndarray:
+    """The mirror's row-token table, at the ensemble CSV's row codes."""
+    return _row_table(tuple(ENSEMBLE_HEADER[1:]), _mirror_head)
 
 
 def ensemble_json_payload(ensemble: Trials, meta: dict) -> Iterator[str]:
     """The JSON mirror as text chunks for write_json: the bytes of
     dumps_canonical({"meta": meta, "records": [one object per row]}), with
-    the records formatted CHUNK_ROWS at a time from the column token tables."""
+    the records formatted CHUNK_ROWS at a time from the row-token table."""
     _check_tokens(ensemble, _MIRROR_KEYS)
     text = json.dumps({"meta": dict(meta), "records": []}, sort_keys=True, indent=2)
     # The meta may hold "[]" too, but "records" sorts after it.
@@ -247,10 +295,10 @@ def _mirror_records(ensemble: Trials) -> Iterator[str]:
         yield "[]"
         return
     sep = "["
-    for fields in _chunks(ensemble, _MIRROR_KEYS, _MIRROR_TABLES):
-        yield sep + ",".join(map(_MIRROR_RECORD.__mod__, zip(*fields)))
-        sep = ","
-    yield "\n  ]"
+    for ids, texts in _rows(ensemble, tuple(ENSEMBLE_HEADER[1:]), _mirror_rows()):
+        yield sep + (_MIRROR_END + ",").join([f"{text}{i}" for i, text in zip(ids, texts)])
+        sep = _MIRROR_END + ","
+    yield _MIRROR_END + "\n  ]"
 
 
 def dumps_canonical(payload: dict) -> str:

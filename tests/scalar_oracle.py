@@ -3,17 +3,18 @@
 These are the per-trial loops swapsim ran before it sampled and analysed
 whole ensembles as column tables: one rekeyed Philox stream and one collapse
 call per measurement for every trial, one record object per trial,
-record-by-record correlators, G-test counting and CSV writers, and the JSON
-mirror built as one dict per trial. Beside them are the collapse steps, Bell
-outcome probabilities and exact branch enumeration that projected onto each
-outcome in their own code, the projection kernel's broadcast body, the joint
-table built one setting plan at a time over that recursion, and the exact
+record-by-record correlators, G-test counting and CSV writers, the column
+CSV writer that joined each line field by field, and the JSON mirror built
+as one dict per trial. Beside them are the collapse steps, Bell outcome
+probabilities and exact branch enumeration that projected onto each outcome
+in their own code, the projection kernel's broadcast body, the joint table
+built one setting plan at a time over that recursion, and the exact
 diagnostics that walked it as a dict keyed by BellOutcome members. They are
 kept here, unchanged apart from taking plain record sequences, as the oracle
-the array paths, the streamed mirror, the projection kernel, the
-level-by-level exact tables and their leaf-row diagnostics must match. The
-helpers at the end turn records into tables and compare tables column by
-column.
+the array paths, the row-code writers, the streamed mirror, the projection
+kernel, the level-by-level exact tables and their leaf-row diagnostics must
+match. The helpers at the end turn records into tables and compare tables
+column by column.
 """
 
 from __future__ import annotations
@@ -57,7 +58,14 @@ from swapsim.engine import (
     measurement_order,
 )
 from swapsim.geometry import EventLabel
-from swapsim.io import ENSEMBLE_HEADER, RPS_HEADER, TOY_HEADER, outcome_token
+from swapsim.io import (
+    _TOKEN_TABLES,
+    CHUNK_ROWS,
+    ENSEMBLE_HEADER,
+    RPS_HEADER,
+    TOY_HEADER,
+    outcome_token,
+)
 from swapsim.qcore import (
     _BELL_TENSORS,
     BellOutcome,
@@ -728,6 +736,37 @@ def write_rps_csv(path: str | Path, trials: Sequence[RpsTrial]) -> None:
         writer.writerow(RPS_HEADER)
         for t in trials:
             writer.writerow([t.trial_id, t.alice.value, t.bob.value, t.verdict.value])
+
+
+# The column CSV writer as io ran it before it formatted each row from one
+# row code: a token list per column per chunk, each line joined field by field.
+
+
+def _text(trials: Trials, name: str, rows: slice) -> list:
+    """Rows ``rows`` of a column as fields: its values looked up in its token
+    table, or in decimal for a column without one (trial_id); empty when the
+    table lacks the column (the collider toy's lambda pair)."""
+    if name not in trials.columns:
+        return [""] * (rows.stop - rows.start)
+    values = trials[name][rows]
+    if name not in _TOKEN_TABLES:
+        return list(map(str, values.tolist()))
+    offset, tokens, _ = _TOKEN_TABLES[name]
+    return tokens[values.astype(np.intp) - offset].tolist()
+
+
+def _chunks(trials: Trials, names):
+    """The fields of the named columns, CHUNK_ROWS rows at a time."""
+    for start in range(0, len(trials), CHUNK_ROWS):
+        rows = slice(start, min(start + CHUNK_ROWS, len(trials)))
+        yield [_text(trials, name, rows) for name in names]
+
+
+def write_csv(path: str | Path, header: list[str], trials: Trials) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for fields in _chunks(trials, header):
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
 # The JSON mirror as io built it before it streamed the records as text:

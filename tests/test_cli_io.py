@@ -13,8 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scalar_oracle import assert_same_table
-from swapsim import cli, io
-from swapsim.engine import OUTCOMES, ExperimentConfig, Trials, config_meta, run_trials
+from swapsim import analysis, cli, engine, io
+from swapsim.engine import (
+    OUTCOMES,
+    ExperimentConfig,
+    Trials,
+    config_meta,
+    exact_leaf_rows,
+    run_trials,
+)
 from swapsim.qcore import BellOutcome
 from swapsim.toys import run_rps, run_toy_source_variant
 
@@ -72,6 +79,30 @@ class TestEnsembleCsv:
         with pytest.raises(ValueError, match=f"column {name} holds a value outside"):
             io.ensemble_json_payload(Trials(columns), {})
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("first,last", [(-5, 3), (0, 10**18), (-1, 2**63 - 1), (0.0, 1.5)])
+    def test_trial_id_the_reader_rejects_is_rejected(self, tmp_path, first, last):
+        # read_ensemble_csv reads trial_ids as integers in [0, 10**18) only.
+        ids = np.array([first, last])
+        ens = Trials({"trial_id": ids, "a": [0, 1], "b": [1, 0], "A": [1, -1], "B": [-1, 1],
+                      "c_outcome": [-1, 3], "heralded": [False, True]})
+        toy = Trials({"trial_id": ids, "a": [0, 1], "b": [1, 0], "A": [1, -1], "B": [-1, 1],
+                      "accepted": [True, False]})
+        rps = Trials({"trial_id": ids, "alice": [0, 2], "bob": [1, 1], "verdict": [2, 0]})
+        message = "trial_id holds a value outside the integers in"
+        for write, table in ((io.write_ensemble_csv, ens), (io.write_toy_csv, toy),
+                             (io.write_rps_csv, rps)):
+            with pytest.raises(ValueError, match=message):
+                write(tmp_path / "out.csv", table)
+        with pytest.raises(ValueError, match=message):
+            io.ensemble_json_payload(ens, {})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_widest_trial_id_round_trips(self, tmp_path):
+        ens = Trials({"trial_id": [0, 10**18 - 1], "a": [0, 1], "b": [1, 0], "A": [1, -1],
+                      "B": [-1, 1], "c_outcome": [-1, 3], "heralded": [False, True]})
+        io.write_ensemble_csv(tmp_path / "ens.csv", ens)
+        assert_same_table(io.read_ensemble_csv(tmp_path / "ens.csv"), ens)
 
     def test_partial_mode_round_trip(self, tmp_path):
         ens = run_trials(ExperimentConfig(n_trials=60, seed=6, bsm_partial=True))
@@ -338,6 +369,22 @@ class TestCliSimulate:
         assert exact["correlators"] is None and exact["chsh"] is None
         assert exact["fragility"] is None
         assert exact["nda"]["verdict"] == "NoDifference"
+
+    @pytest.mark.parametrize("c_enabled", [True, False])
+    def test_exact_section_builds_two_tables(self, tmp_path, monkeypatch, c_enabled):
+        # One table with C on and one with C off serve every exact diagnostic.
+        built = []
+
+        def counted(config):
+            built.append(config.c_enabled)
+            return exact_leaf_rows(config)
+
+        monkeypatch.setattr(engine, "exact_leaf_rows", counted)
+        monkeypatch.setattr(analysis, "exact_leaf_rows", counted)
+        rc = cli.main(["simulate", "--exact", "--disable-c", str(not c_enabled).lower(),
+                       "--trials", "16", "--seed", "1", "--out", str(tmp_path / "run")])
+        assert rc == 0
+        assert sorted(built) == [False, True]
 
     def test_exact_with_unreachable_herald_nulls_correlators(self, tmp_path):
         # A partial analyzer folds phi+ into "none", so this herald never fires.

@@ -218,6 +218,21 @@ def test_exact_outputs_match_oracle_property(geometry, herald, partial, angles_a
     assert exact_outputs(cfg, SWAPSIM_EXACT) == exact_outputs(cfg, scalar_oracle)
 
 
+@pytest.mark.parametrize("herald,partial",
+                         list(itertools.product(sorted(engine.HERALD_PREDICATES), (False, True))))
+@settings(max_examples=15, deadline=None, database=None)
+@given(geometry=st.sampled_from(engine.GEOMETRY_NAMES),
+       angles_a=st.tuples(finite_angles, finite_angles),
+       angles_b=st.tuples(finite_angles, finite_angles))
+def test_fragility_matches_oracle_property(herald, partial, geometry, angles_a, angles_b):
+    """The array spread over the 16 cells gives the oracle's cells and
+    max_spread bit for bit, for every herald under full and partial BSM
+    (a herald the partial analyzer never gives has every cell 0.0)."""
+    cfg = ExperimentConfig(geometry=geometry, herald=herald, bsm_partial=partial,
+                           angles_a=angles_a, angles_b=angles_b)
+    assert repr(analysis.fragility(cfg)) == repr(scalar_oracle.fragility(cfg))
+
+
 @settings(max_examples=100, deadline=None, database=None)
 @given(state=initial_states, pair=qubit_pairs, partial=st.booleans(),
        resolve_psi_plus=st.booleans())
@@ -787,3 +802,55 @@ def test_streamed_writers_match_oracle_property(case, tmp_path_factory):
     io.write_ensemble_csv(path.with_suffix(".csv"), ensemble)
     scalar_oracle.write_ensemble_csv(path.with_suffix(".oracle.csv"), _oracle_records(ensemble))
     assert path.with_suffix(".csv").read_bytes() == path.with_suffix(".oracle.csv").read_bytes()
+
+
+def _every_row(header: list[str], names: list[str]) -> tuple[list[str], Trials]:
+    """(header, a table with one row for each combination of the named
+    columns' tokens, its trial_ids 1 apart up to 10**18 - 1)."""
+    rows = list(itertools.product(*(sorted(io._CSV_TOKENS[name]) for name in names)))
+    columns = {"trial_id": np.arange(10**18 - len(rows), 10**18)}
+    columns.update({name: np.array(column) for name, column in zip(names, zip(*rows))})
+    return header, Trials(columns)
+
+
+_TOY_NAMES = ["a", "b", "A", "B", "accepted"]
+_WRITER_LAYOUTS = {  # the columns of a source toy, a collider toy and an rps table
+    "source": (io.TOY_HEADER, io.TOY_HEADER[1:]),
+    "collider": (io.TOY_HEADER, _TOY_NAMES),
+    "rps": (io.RPS_HEADER, io.RPS_HEADER[1:]),
+}
+
+
+@st.composite
+def writer_cases(draw):
+    """A toy table with or without the lambda pair, or an rps table, of 0,
+    1 or about one or two chunks of rows: gapped trial ids, ending at
+    10**18 - 1 or not, and any token in each column."""
+    header, names = _WRITER_LAYOUTS[draw(st.sampled_from(sorted(_WRITER_LAYOUTS)))]
+    n = draw(st.sampled_from([0, 1, 2, _N - 1, _N, _N + 1, 2 * _N - 1, 2 * _N, 2 * _N + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids = np.cumsum(rng.integers(1, 2**40, n)) - 1
+    if n and draw(st.booleans()):
+        ids += 10**18 - 1 - ids[-1]
+    columns = {"trial_id": ids}
+    columns.update({name: rng.choice(np.array(sorted(io._CSV_TOKENS[name])), n) for name in names})
+    return header, Trials(columns)
+
+
+# No shrink phase, as for the streamed writers above.
+@settings(max_examples=40, deadline=None, database=None,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
+@given(case=writer_cases())
+@example(case=_every_row(*_WRITER_LAYOUTS["source"]))
+@example(case=_every_row(*_WRITER_LAYOUTS["collider"]))
+@example(case=_every_row(*_WRITER_LAYOUTS["rps"]))
+def test_toy_and_rps_writers_match_oracle_property(case, tmp_path_factory):
+    """write_toy_csv, with and without the lambda pair, and write_rps_csv
+    write the bytes of the column writer that joins each line field by
+    field."""
+    header, table = case
+    write = io.write_rps_csv if header == io.RPS_HEADER else io.write_toy_csv
+    path = tmp_path_factory.mktemp("writer") / "run.csv"
+    write(path, table)
+    scalar_oracle.write_csv(path.with_suffix(".oracle.csv"), header, table)
+    assert path.read_bytes() == path.with_suffix(".oracle.csv").read_bytes()
