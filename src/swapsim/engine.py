@@ -58,7 +58,8 @@ HERALD_PREDICATES: dict[str, frozenset[BellOutcome]] = {
 
 GEOMETRY_NAMES = ("early", "delayed", "spacelike")
 
-SEED_LIMIT = 2**64  # seeds key the 64-bit first word of the Philox key
+# A seed and a trial id key the first and second 64-bit words of the Philox key.
+SEED_LIMIT = ID_LIMIT = 2**64
 
 
 def _integer(value, name: str) -> int:
@@ -79,6 +80,29 @@ def check_seed(seed) -> int:
     if not 0 <= value < SEED_LIMIT:
         raise ValueError(f"seed must be in [0, 2**64), got {value}")
     return value
+
+
+def check_draws(trial_ids, k) -> tuple[np.ndarray, int]:
+    """Return ``trial_ids`` as a flat uint64 array and ``k`` as an int, or
+    raise ValueError unless each trial id is an integer in [0, 2**64) and k
+    an integer >= 0 (a bool is neither). trial_rng and counter_uniforms take
+    their stream keys and draw count through here. An array costs one min;
+    a list or scalar is read id by id, since numpy reads [True] as 1 and a
+    list with an id past 2**63 as float64."""
+    k = _integer(k, "k")
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    if not isinstance(trial_ids, np.ndarray):
+        values = [_integer(v, "trial id") for v in np.asarray(trial_ids, dtype=object).ravel()]
+        if values and not (min(values) >= 0 and max(values) < ID_LIMIT):
+            raise ValueError(f"trial ids must be in [0, 2**64), got {min(values)}..{max(values)}")
+        return np.array(values, dtype=np.uint64), k
+    # An empty array may have any dtype; an unsigned one holds only ids in range.
+    kind = trial_ids.dtype.kind
+    if trial_ids.size and (kind not in "iu" or kind == "i" and trial_ids.min() < 0):
+        raise ValueError(f"trial ids must be integers in [0, 2**64), got {trial_ids.dtype} "
+                         f"{trial_ids.ravel()[:4]}")
+    return trial_ids.astype(np.uint64).ravel(), k
 
 
 def check_trials(n_trials) -> int:
@@ -186,7 +210,13 @@ class Trials:
         return self.columns[name]
 
     def select(self, rows) -> Trials:
-        """The rows a boolean mask (or an index array) picks, in order."""
+        """The rows a boolean mask (or an index array, list or slice) picks,
+        in order. A mask is turned into row indices once, not once per
+        column; one whose length differs from the table's raises IndexError."""
+        if isinstance(rows, np.ndarray) and rows.dtype == bool:
+            if rows.shape != (len(self),):
+                raise IndexError(f"boolean mask of shape {rows.shape} for {len(self)} rows")
+            rows = np.flatnonzero(rows)
         return Trials({name: column[rows] for name, column in self.columns.items()})
 
 
@@ -212,7 +242,8 @@ def trial_rng(seed: int, trial_id: int) -> np.random.Generator:
     execution. ``counter_uniforms`` draws the same numbers for many trials
     at once.
     """
-    key = np.array([seed, trial_id], dtype=np.uint64)
+    (trial_id,), _ = check_draws(trial_id, 0)
+    key = np.array([check_seed(seed), trial_id], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -296,7 +327,7 @@ def counter_uniforms(seed: int, trial_ids, k: int) -> np.ndarray:
     set of trials is drawn at once, in chunks of PHILOX_CHUNK_TRIALS.
     """
     seed = check_seed(seed)
-    ids = np.asarray(trial_ids, dtype=np.uint64).ravel()
+    ids, k = check_draws(trial_ids, k)
     out = np.empty((ids.size, k), dtype=np.float64)
     blocks = -(-k // 4)
     for start in range(0, ids.size, PHILOX_CHUNK_TRIALS):

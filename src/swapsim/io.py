@@ -3,15 +3,20 @@
 All writers are byte-deterministic: fixed headers, ASCII outcome tokens,
 sorted JSON keys, ``\n`` line ends and no timestamps, so identical (seed,
 config) inputs reproduce identical files. The CSVs and the ensemble's JSON
-mirror are streamed CHUNK_ROWS rows at a time, so writing them takes memory
-bounded whatever the trial count.
+mirror are streamed CHUNK_ROWS rows at a time, so the text they hold at
+once is bounded whatever the trial count.
 
 Each row is written from its row code: its token columns combined
 mixed-radix, each digit the value's offset in that column's token table.
-The code indexes a read-only row-token table of pre-formatted text, built
-once per layout: a CSV line after its trial_id, or a mirror record up to
-its trial_id. A row then costs one lookup, the decimal of its trial_id and
-one concatenation. Every writer checks its table before it opens its file.
+The code indexes a read-only row-token table of pre-formatted ASCII text,
+NUL-padded to a fixed width and built on first use per layout: a CSV line
+after its trial_id, or a mirror record up to its trial_id. One byte kernel
+serves every writer: a chunk of rows fills one block of bytes with each
+row's table text and its trial_id's decimal (NUL-led, from a table of
+four-digit groups), and one compress drops the NULs.
+
+Every writer checks its table before it opens its file. That check reads
+whole columns; the text is built and written one chunk at a time.
 """
 
 from __future__ import annotations
@@ -97,24 +102,67 @@ def _check_tokens(trials: Trials, names) -> None:
 
 
 def _row_table(names: tuple, render) -> np.ndarray:
-    """The row-token table of the named columns: at each row code, the text
-    ``render`` makes of the tokens (by column name) that the code stands for;
-    None where a code holds a token table's hole.
+    """The row-token table of the named columns: at each row code, the ASCII
+    bytes of the text ``render`` makes of the tokens (by column name) that
+    the code stands for, NUL-padded to the table's width (an ``S`` array);
+    empty where a code holds a token table's hole.
 
     A row's code is mixed-radix over the names, first name most significant,
     with each digit its value's offset in that column's token table."""
     entries = [
-        None if None in tokens else render(dict(zip(names, tokens)))
+        b"" if None in tokens else render(dict(zip(names, tokens))).encode("ascii")
         for tokens in itertools.product(*(_TOKEN_TABLES[name][1] for name in names))
     ]
-    table = np.array(entries, dtype=object)
+    # The writers drop every NUL of a row, so no text may hold one.
+    assert not any(b"\0" in entry for entry in entries)
+    table = np.array(entries, dtype=bytes)
     table.flags.writeable = False
     return table
 
 
-def _rows(trials: Trials, names: tuple, table: np.ndarray):
-    """(trial ids, the row-token table's text of each row), CHUNK_ROWS rows
-    at a time."""
+_LIMB = 10**4  # a trial_id's decimal is built four digits at a time
+
+
+@functools.cache
+def _limb_digits() -> np.ndarray:
+    """The four ASCII digits of each value below 10**4 as one uint32 of
+    bytes in text order, leading zeros as NUL (so 0 is all NUL)."""
+    place = 10 ** np.arange(3, -1, -1, dtype=np.uint16)
+    values = np.arange(_LIMB, dtype=np.uint16)[:, None]
+    digits = (values // place % 10 + ord("0")).astype(np.uint8)
+    digits[values < place] = 0
+    words = digits.view(np.uint32).ravel()
+    words.flags.writeable = False
+    return words
+
+
+_ZEROS = np.frombuffer(b"0000", dtype=np.uint32)[0]  # ORed in, turns NUL digits to "0"
+
+
+def _decimals(ids: np.ndarray) -> np.ndarray:
+    """The decimal of each trial_id (ascending, in [0, 10**18)) as a row of
+    uint8 ASCII digits, right-aligned in as many whole limbs of four as the
+    last id needs, leading zeros as NUL."""
+    digits = _limb_digits()
+    limbs = -(-len(str(int(ids[-1]))) // 4)
+    words = np.empty((len(ids), limbs), dtype=np.uint32)
+    higher = ids.astype(np.int64)
+    for limb in range(limbs - 1, -1, -1):
+        higher, value = np.divmod(higher, _LIMB)
+        # A limb with a nonzero digit above it keeps its leading zeros.
+        words[:, limb] = digits[value] | np.where(higher > 0, _ZEROS, 0)
+    text = words.view(np.uint8)
+    if ids[0] == 0:  # the only id whose digits are all leading zeros
+        text[0, -1] = ord("0")
+    return text
+
+
+def _row_text(
+    trials: Trials, names: tuple, head: np.ndarray | None = None, tail: np.ndarray | None = None
+) -> Iterator[bytearray]:
+    """The ASCII text of CHUNK_ROWS rows at a time: each row its head
+    table's text, its trial_id's decimal and its tail table's text, both
+    tables at the row's code."""
     for start in range(0, len(trials), CHUNK_ROWS):
         rows = slice(start, start + CHUNK_ROWS)
         ids = trials["trial_id"][rows]
@@ -122,7 +170,22 @@ def _rows(trials: Trials, names: tuple, table: np.ndarray):
         for name in names:
             offset, tokens, _ = _TOKEN_TABLES[name]
             code = code * len(tokens) + (trials[name][rows].astype(np.intp) - offset)
-        yield ids.tolist(), table[code].tolist()
+        yield _join_rows(head, _decimals(ids), tail, code)
+
+
+def _join_rows(head: np.ndarray | None, digits: np.ndarray, tail: np.ndarray | None,
+               code: np.ndarray) -> bytearray:
+    """The rows of one chunk laid side by side in one (rows, width) block of
+    bytes, returned without its NULs. Each part is dropped once copied into
+    the block, so a chunk holds about two copies of its text at a time."""
+    parts = [table[code].view(np.uint8).reshape(len(code), -1)
+             for table in (head, tail) if table is not None]
+    parts.insert(0 if head is None else 1, digits)
+    width = sum(part.shape[1] for part in parts)
+    block = bytearray(len(code) * width)
+    np.concatenate(parts, axis=1, out=np.frombuffer(block, np.uint8).reshape(len(code), width))
+    del parts
+    return block.translate(None, b"\0")
 
 
 @functools.cache
@@ -140,10 +203,9 @@ def _write_csv(path: str | Path, header: list[str], trials: Trials) -> None:
     _check_tokens(trials, header)
     names = tuple(name for name in header[1:] if name in trials.columns)
     table = _csv_rows(tuple(header), names)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for ids, texts in _rows(trials, names, table):
-            fh.write("".join([f"{i}{text}" for i, text in zip(ids, texts)]))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("ascii"))
+        fh.writelines(_row_text(trials, names, tail=table))
 
 
 def write_ensemble_csv(path: str | Path, ensemble: Trials) -> None:
@@ -262,15 +324,17 @@ def read_ensemble_csv(path: str | Path) -> Trials:
 # at dumps_canonical's indent.
 _MIRROR_KEYS = sorted(ENSEMBLE_HEADER)
 _MIRROR_END = "\n    }"
+_MIRROR_SEP = _MIRROR_END + ","
 
 
 def _mirror_head(tokens: dict) -> str:
-    """A mirror record's text up to its trial_id."""
+    """A mirror record's text up to its trial_id, led by the separator that
+    closes the record before it."""
     fields = "".join(
         f'\n      "{key}": {json.dumps(tokens[key]) if key == "c_outcome" else tokens[key]},'
         for key in _MIRROR_KEYS[:-1]
     )
-    return "\n    {" + fields + '\n      "trial_id": '
+    return _MIRROR_SEP + "\n    {" + fields + '\n      "trial_id": '
 
 
 @functools.cache
@@ -294,10 +358,12 @@ def _mirror_records(ensemble: Trials) -> Iterator[str]:
     if not len(ensemble):
         yield "[]"
         return
-    sep = "["
-    for ids, texts in _rows(ensemble, tuple(ENSEMBLE_HEADER[1:]), _mirror_rows()):
-        yield sep + (_MIRROR_END + ",").join([f"{text}{i}" for i, text in zip(ids, texts)])
-        sep = _MIRROR_END + ","
+    chunks = _row_text(ensemble, tuple(ENSEMBLE_HEADER[1:]), head=_mirror_rows())
+    # The first record opens the list instead of closing a record.
+    yield "["
+    yield str(memoryview(next(chunks))[len(_MIRROR_SEP):], "ascii")
+    for text in chunks:
+        yield str(text, "ascii")
     yield _MIRROR_END + "\n  ]"
 
 

@@ -266,6 +266,26 @@ class TestToyCsv:
         assert len(lines) == 5
 
 
+def test_importing_the_cli_builds_no_writer_table():
+    """Every swapsim invocation pays the CLI's import: the writers build
+    their row and digit tables on first use, and scipy.special loads with
+    the first G-test."""
+    code = (
+        "import sys\n"
+        "import swapsim.cli\n"
+        "from swapsim import io\n"
+        "caches = {name: f.cache_info().currsize for name, f in vars(io).items()\n"
+        "          if hasattr(f, 'cache_info')}\n"
+        "assert len(caches) >= 3 and not any(caches.values()), caches\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        "print('ok')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0 and done.stdout == "ok\n", done.stderr
+
+
 class TestCliSimulate:
     def test_writes_artifacts_with_report(self, tmp_path):
         out = tmp_path / "run1"

@@ -68,6 +68,36 @@ class TestRngContract:
             with pytest.raises(ValueError):
                 counter_uniforms(seed, [0], 1)
 
+    # Unchecked, each of these keys a wrong stream without an error: numpy
+    # wraps -1 to 2**64 - 1 and reads 1.7 and True as trial 1.
+    @pytest.mark.parametrize("ids", [
+        np.array([-1]), [-1], [0, -5], [2**64], [5, 2**64 + 1], np.array([2**64], dtype=object),
+        [1.7], np.array([1.0]), [True], [3, True], np.array([True]), [np.True_], [None], ["1"],
+    ])
+    def test_rejects_trial_ids_outside_64_bit_integers(self, ids):
+        with pytest.raises(ValueError, match="trial ids? must be"):
+            counter_uniforms(1, ids, 2)
+        with pytest.raises(ValueError, match="trial ids? must be"):
+            trial_rng(1, ids[-1])
+
+    @pytest.mark.parametrize("k", [-1, 1.0, 2.5, True, None, "2"])
+    def test_rejects_draw_counts_that_are_not_integers_from_0(self, k):
+        with pytest.raises(ValueError, match="k must be"):
+            counter_uniforms(1, [0], k)
+
+    def test_empty_ids_and_zero_draws_are_valid(self):
+        assert counter_uniforms(1, [], 2).shape == (0, 2)
+        assert counter_uniforms(1, np.arange(3, dtype=np.uint8), 0).shape == (3, 0)
+        assert np.array_equal(counter_uniforms(1, np.uint64(2**64 - 1), 3)[0],
+                              trial_rng(1, 2**64 - 1).random(3))
+        assert np.array_equal(counter_uniforms(1, [[2], [2**63]], 3),
+                              counter_uniforms(1, np.array([2, 2**63], dtype=np.uint64), 3))
+
+    def test_trial_rng_rejects_seeds_outside_64_bits(self):
+        for seed in (-1, 2**64, 1.5, True):
+            with pytest.raises(ValueError, match="seed must be"):
+                trial_rng(seed, 0)
+
 
 class TestConfig:
     def test_rejects_bad_geometry(self):
@@ -185,6 +215,27 @@ class TestRunTrials:
         full = run_trials(ExperimentConfig(n_trials=50, seed=19))
         prefix = run_trials(ExperimentConfig(n_trials=38, seed=19))
         assert_same_table(full.select(slice(38)), prefix)
+
+
+class TestSelect:
+    TABLE = Trials({"trial_id": np.arange(0, 50, 5), "a": np.arange(10, dtype=np.int8) % 2,
+                    "B": np.linspace(-1, 1, 10), "heralded": np.arange(10) % 3 == 0})
+
+    @pytest.mark.parametrize("rows", [
+        np.arange(10) % 3 == 1, np.zeros(10, dtype=bool), np.ones(10, dtype=bool),
+        np.array([1, 4, 9]), np.array([], dtype=np.intp), [0, 2, 3], [-1],
+        slice(2, 7), slice(None, None, 3), slice(20),
+    ])
+    def test_selection_equals_every_column_indexed(self, rows):
+        picked = self.TABLE.select(rows)
+        for name, column in self.TABLE.columns.items():
+            assert picked[name].dtype == column.dtype
+            assert np.array_equal(picked[name], column[rows]), name
+
+    @pytest.mark.parametrize("n", [0, 9, 11])
+    def test_mask_of_another_length_raises(self, n):
+        with pytest.raises(IndexError):
+            self.TABLE.select(np.ones(n, dtype=bool))
 
 
 class TestPostSelect:

@@ -737,10 +737,15 @@ def test_csv_writers_match_oracle(tmp_path):
 _N = io.CHUNK_ROWS
 
 
-def _ensemble(rng: np.random.Generator, c_outcome: np.ndarray) -> Trials:
+# Trial ids whose decimals cross every width, and every four-digit limb
+# boundary, within one chunk.
+_WIDTH_IDS = [0, 9, 10, 99, 100, 9999, 10000, 10**8 - 1, 10**8, 10**12, 10**17, 10**18 - 1]
+
+
+def _ensemble(rng: np.random.Generator, c_outcome: np.ndarray, ids=None) -> Trials:
     n = len(c_outcome)
     return Trials({
-        "trial_id": np.cumsum(rng.integers(1, 2**40, n)) - 1,
+        "trial_id": np.cumsum(rng.integers(1, 2**40, n)) - 1 if ids is None else np.array(ids),
         "a": rng.integers(0, 2, n).astype(np.int8),
         "b": rng.integers(0, 2, n).astype(np.int8),
         "A": rng.choice(np.array([1, -1], dtype=np.int8), n),
@@ -793,6 +798,13 @@ def _oracle_records(ensemble: Trials) -> list:
 @example(case=(  # no rows: "records": []
     _ensemble(np.random.default_rng(0), np.arange(0)), _simulate_meta((0.0, 1.0), (2.0, 3.0), "r"),
 ))
+@example(case=(  # ids of every decimal width
+    _ensemble(np.random.default_rng(1), np.arange(len(_WIDTH_IDS)) % 6 - 1, _WIDTH_IDS),
+    _simulate_meta((0.0, 1.0), (2.0, 3.0), "r"),
+))
+@example(case=(  # one row, trial 0
+    _ensemble(np.random.default_rng(2), np.array([2]), [0]), _simulate_meta((0.0, 1.0), (2.0, 3.0), "r"),
+))
 def test_streamed_writers_match_oracle_property(case, tmp_path_factory):
     ensemble, meta = case
     path = tmp_path_factory.mktemp("mirror") / "run"
@@ -810,6 +822,14 @@ def _every_row(header: list[str], names: list[str]) -> tuple[list[str], Trials]:
     rows = list(itertools.product(*(sorted(io._CSV_TOKENS[name]) for name in names)))
     columns = {"trial_id": np.arange(10**18 - len(rows), 10**18)}
     columns.update({name: np.array(column) for name, column in zip(names, zip(*rows))})
+    return header, Trials(columns)
+
+
+def _with_ids(header: list[str], names: list[str], ids: list[int]) -> tuple[list[str], Trials]:
+    """(header, a table of the given trial_ids, each named column cycling
+    through its tokens)."""
+    columns = {"trial_id": np.array(ids)}
+    columns.update({name: np.resize(sorted(io._CSV_TOKENS[name]), len(ids)) for name in names})
     return header, Trials(columns)
 
 
@@ -844,6 +864,9 @@ def writer_cases(draw):
 @example(case=_every_row(*_WRITER_LAYOUTS["source"]))
 @example(case=_every_row(*_WRITER_LAYOUTS["collider"]))
 @example(case=_every_row(*_WRITER_LAYOUTS["rps"]))
+@example(case=_with_ids(*_WRITER_LAYOUTS["source"], _WIDTH_IDS))
+@example(case=_with_ids(*_WRITER_LAYOUTS["rps"], _WIDTH_IDS))
+@example(case=_with_ids(*_WRITER_LAYOUTS["collider"], [0]))
 def test_toy_and_rps_writers_match_oracle_property(case, tmp_path_factory):
     """write_toy_csv, with and without the lambda pair, and write_rps_csv
     write the bytes of the column writer that joins each line field by
