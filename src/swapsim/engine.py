@@ -299,20 +299,25 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _philox_blocks(seed: int, ids: np.ndarray, blocks: int) -> np.ndarray:
     """Output words of counter blocks 1..blocks under keys (seed, id):
-    shape (len(ids), 4 * blocks), in the order numpy's Philox emits them."""
-    shape = (ids.size, blocks)
-    ctr = [
-        np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape).ravel(),
-        np.zeros(ids.size * blocks, dtype=np.uint64),
-        np.zeros(ids.size * blocks, dtype=np.uint64),
-        np.zeros(ids.size * blocks, dtype=np.uint64),
-    ]
-    key0 = seed
+    shape (len(ids), 4 * blocks), in the order numpy's Philox emits them.
+
+    The rounds that read no id are folded into ints: round 0 multiplies the
+    counter (block, 0, 0, 0), one product per block and a zero, and round
+    1's word 0 is the seed, one product."""
+    block_hi, block_lo = np.array(
+        [divmod(_PHILOX_M[0] * block, 1 << 64) for block in range(1, blocks + 1)], dtype=np.uint64
+    ).reshape(blocks, 2).T
+    seed_hi, seed_lo = divmod(_PHILOX_M[0] * seed, 1 << 64)
+    key0 = (seed + _PHILOX_W[0]) & _U64
     key1 = np.repeat(ids, blocks)
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            key0 = (key0 + _PHILOX_W[0]) & _U64
-            key1 = key1 + np.uint64(_PHILOX_W[1])
+    # Round 0 leaves (seed, 0, block_hi ^ id, block_lo); round 1 then:
+    hi1, lo1 = _mulhilo(_PHILOX_M[1], np.tile(block_hi, ids.size) ^ key1)
+    key1 = key1 + np.uint64(_PHILOX_W[1])
+    ctr = [hi1 ^ np.uint64(key0), lo1,
+           np.tile(block_lo ^ np.uint64(seed_hi), ids.size) ^ key1, np.uint64(seed_lo)]
+    for _ in range(2, _PHILOX_ROUNDS):
+        key0 = (key0 + _PHILOX_W[0]) & _U64
+        key1 = key1 + np.uint64(_PHILOX_W[1])
         hi0, lo0 = _mulhilo(_PHILOX_M[0], ctr[0])
         hi1, lo1 = _mulhilo(_PHILOX_M[1], ctr[2])
         ctr = [hi1 ^ ctr[1] ^ np.uint64(key0), lo1, hi0 ^ ctr[3] ^ key1, lo0]

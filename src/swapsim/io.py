@@ -16,7 +16,8 @@ row's table text and its trial_id's decimal (NUL-led, from a table of
 four-digit groups), and one compress drops the NULs.
 
 Every writer checks its table before it opens its file. That check reads
-whole columns; the text is built and written one chunk at a time.
+whole columns in their own dtype, with no widened copy; the text is built
+and written one chunk at a time.
 """
 
 from __future__ import annotations
@@ -66,13 +67,14 @@ _CSV_TOKENS = {
 }
 
 
-def _token_table(tokens: dict) -> tuple[int, np.ndarray, np.ndarray]:
-    """(lowest value, token of each value by its offset from it, whether that
-    offset has a token): the outcome columns' -1/+1 leave a hole at 0."""
+def _token_table(tokens: dict) -> tuple[int, np.ndarray, tuple[int, ...]]:
+    """(lowest value, token of each value by its offset from it, the values
+    in that range without a token): the outcome columns' -1/+1 leave a hole
+    at 0."""
     offset = min(tokens)
     values = range(offset, max(tokens) + 1)
     table = np.array([tokens.get(v) for v in values], dtype=object)
-    return offset, table, np.array([v in tokens for v in values])
+    return offset, table, tuple(v for v in values if v not in tokens)
 
 
 _TOKEN_TABLES = {name: _token_table(tokens) for name, tokens in _CSV_TOKENS.items()}
@@ -95,9 +97,13 @@ def _check_tokens(trials: Trials, names) -> None:
         raise ValueError(f"trial_id holds a value outside the integers in [0, 10**{_ID_DIGITS})")
     for name in names:
         if name in _TOKEN_TABLES and name in trials.columns:
-            offset, tokens, known = _TOKEN_TABLES[name]
-            codes = trials[name].astype(np.intp) - offset
-            if codes.min() < 0 or codes.max() >= len(tokens) or not known[codes].all():
+            offset, tokens, holes = _TOKEN_TABLES[name]
+            column = trials[name]
+            if column.dtype.kind not in "biu":
+                column = column.astype(np.intp)  # as the writers read it
+            # Bounds in the column's own dtype, then one compare per hole.
+            if (int(column.min()) < offset or int(column.max()) >= offset + len(tokens)
+                    or any((column == hole).any() for hole in holes)):
                 raise ValueError(f"column {name} holds a value outside {sorted(_CSV_TOKENS[name])}")
 
 

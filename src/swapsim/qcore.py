@@ -4,15 +4,21 @@ Pure-state representation for up to five qubits, planar spin measurements,
 full and partial Bell-state measurements, exhaustive branch enumeration of
 measurement plans, and a sampler that draws many trials of several plans
 at once. Both walk plans that differ only in spin angles one depth at a
-time, each depth one stacked ``_branches`` call (a spin measured at one
-angle per block of rows: per plan when enumerating, per group of trials
-when sampling), and both report outcomes as integer codes into
-``_branch_outcomes``. Collapses and the sampler draw through ``_draw``.
-``_branches`` is flat: gathers, products and sums on contiguous vectors
-through integer index tables that depend only on the step's shape (its
-kind and measured qubits) and the stack's block and row counts, built once
-per shape, then one scatter of the products into zeroed posts. A partial
-BSM shares a full one's tables; ``_fold`` alone merges its unresolved Bell
+time, a spin measured at one angle per block of rows (per plan when
+enumerating, per group of trials when sampling), and both report outcomes
+as integer codes into ``_branch_outcomes``. Collapses and the sampler draw
+through ``_draw``.
+
+One kernel, ``_products``, projects onto a step's outcomes: gathers,
+products and sums on contiguous vectors through integer index tables that
+depend only on the step's shape (its kind and measured qubits) and the
+stack's block and row counts (``_branch_tables``), built once per shape. It
+returns every term's product and a trailing +0, and a post map gathers any
+post from them, +0 where no product lands. ``_branches`` lays every post
+out; ``_draw`` gathers only the drawn ones; the exact walk lays none out,
+but composes each depth's gathers through the previous depth's post map
+(``_walk_tables``), so a depth is a gather and ``_products``. A partial BSM
+shares a full one's tables; ``_fold`` alone merges its unresolved Bell
 states into NO_HERALD, for posts and weights alike.
 Every squared norm (a state's norm check, the sampler's branch weights, an
 exact leaf's probability) is ``_norm_sq`` of C-contiguous rows, which
@@ -226,18 +232,19 @@ def _norm_sq(rows: np.ndarray) -> np.ndarray:
     """Squared norms of the rows of an (m, n) complex stack, shape (m,).
 
     Each is the BLAS dot of a C-contiguous row's conjugate with the row, as
-    ``np.vdot`` of that row computes it: a stacked vector-vector ``matmul``
-    on contiguous complex data calls ``zdotu``, the kernel family of the
-    ``zdotc`` that ``vdot`` calls, so the two agree bit for bit. The input is
-    made C-contiguous first, because a strided dot sums in another order.
+    ``np.vdot`` of that row computes it: ``np.vecdot`` on contiguous complex
+    rows calls ``zdotc`` once per row, the kernel ``vdot`` calls, so the two
+    agree bit for bit. The input is made C-contiguous first, because a
+    strided dot sums in another order.
     """
     rows = np.ascontiguousarray(rows, dtype=np.complex128)
-    return np.matmul(rows.conj()[:, None, :], rows[:, :, None])[:, 0, 0].real
+    return np.vecdot(rows, rows).real
 
 
 def _step_shape(step: PlanStep) -> tuple:
     """A step's kind and measured qubits: all of it that ``_branch_tables``
-    reads. A BSM's partial and resolve_psi_plus only matter to ``_fold``."""
+    reads. A BSM's partial and resolve_psi_plus only matter to ``_fold``
+    (and so to the exact walk's ``_walk_key``)."""
     if isinstance(step, SpinMeasurement):
         return (SpinMeasurement, step.qubit)
     return (BsmStep, step.q_left, step.q_right)
@@ -247,21 +254,22 @@ def _step_shape(step: PlanStep) -> tuple:
 def _branch_tables(
     shape: tuple, size: int, blocks: int, rows: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only index tables of ``_branches`` for a step of one
+    """Read-only index tables of ``_products`` for a step of one
     ``_step_shape`` on ``blocks`` blocks of ``rows`` states of ``size``
-    amplitudes (a spin's blocks each have their own angle): (src, val, dst).
+    amplitudes (a spin's blocks each have their own angle): (src, val, post).
 
     Every coefficient is the sum of two terms, a value times an amplitude.
     ``src`` and ``val`` list term 0 of every coefficient, then term 1,
     coefficients in (row, outcome, position) order: ``src`` indexes the
     stack's flat amplitudes and ``val`` the values (``_spin_values`` of the
     blocks' angles, or ``_BELL_VALUES``). Each term's value times the
-    coefficient is a product, and ``dst`` is where it lands in the flat
-    (row, spin outcome or Bell state, amplitude) posts, which no two
-    products share. The tables are one row's amplitude positions indexed
-    as the step's (pre, qubit, post) or (pre, lower qubit, mid, higher
-    qubit, post) view of the row selects a term, then offset row by row;
-    they hold no amplitude, angle or weight.
+    coefficient is a product, and ``post`` maps each flat position of the
+    (row, spin outcome or Bell state, amplitude) posts to the product that
+    lands there, or to the trailing +0 past the last product where none
+    does; no two positions share a product. The tables are one row's
+    amplitude positions indexed as the step's (pre, qubit, post) or (pre,
+    lower qubit, mid, higher qubit, post) view of the row selects a term,
+    then offset row by row; they hold no amplitude, angle or weight.
     """
     if shape[0] is SpinMeasurement:
         amp = np.arange(size).reshape(2 ** shape[1], 2, -1)
@@ -285,15 +293,17 @@ def _branch_tables(
         val = [(4 * term + outcome)[:, None, None, None] for term in (0, 1)]
         per_block = 0
     row = np.arange(blocks * rows)[:, None]
-    tables = tuple(
+    src, val, dst = (
         np.concatenate([(offset + np.broadcast_to(term, src[0].shape).reshape(1, -1)).ravel()
                         for term in terms])
         for offset, terms in ((row * size, src), (row // rows * per_block, val),
                               (row * post.size, dst))
     )
-    for table in tables:
+    post = np.full(len(row) * post.size, len(dst))
+    post[dst] = np.arange(len(dst))
+    for table in (src, val, post):
         table.flags.writeable = False
-    return tables
+    return src, val, post
 
 
 def _spin_values(angles: Sequence[float]) -> np.ndarray:
@@ -305,6 +315,38 @@ def _spin_values(angles: Sequence[float]) -> np.ndarray:
     for angle in angles:
         values += _spin_components(angle) + _spin_components(angle + math.pi)
     return np.array(values, dtype=np.complex128)
+
+
+def _products(v: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one projection kernel. ``v`` and ``x`` hold each coefficient's
+    two terms' values and amplitudes, term 0 of every coefficient and then
+    term 1, as ``_branch_tables``' ``val`` and ``src`` gather them. Returns
+    each term's value times its coefficient with a trailing +0, the vector
+    a post map gathers posts from, and the coefficients."""
+    terms = v * x
+    half = len(terms) // 2
+    coeffs = terms[:half] + terms[half:]
+    products = np.empty(len(terms) + 1, dtype=np.complex128)
+    np.multiply(v.reshape(2, half), coeffs, out=products[:-1].reshape(2, half))
+    products[-1] = 0.0
+    return products, coeffs
+
+
+def _project(
+    amps: np.ndarray, step: PlanStep, angles: Sequence[float] | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_products`` of one step on a stack of states, as ``_branches``
+    reads them: (products, the coefficient stack of shape (m, j, -1), and
+    the post map of shape (m, j, 2**n) into the products)."""
+    m, size = np.shape(amps)
+    if isinstance(step, SpinMeasurement):
+        angles = [step.angle] if angles is None else angles
+        values, j, blocks = _spin_values(angles), 2, len(angles)
+    else:
+        values, j, blocks = _BELL_VALUES, len(_BELL_TENSORS), 1
+    src, val, post = _branch_tables(_step_shape(step), size, blocks, m // blocks)
+    products, coeffs = _products(values[val], np.ravel(amps)[src])
+    return products, coeffs.reshape(m, j, -1), post.reshape(m, j, size)
 
 
 def _branches(
@@ -321,31 +363,28 @@ def _branches(
     ``_weights`` reads, shape (m, j, 2**n // 2**(number of measured
     qubits)), one row per spin outcome or Bell state, before any fold.
 
-    This is the one projection onto a step's outcomes: collapse steps, the
-    sampler, outcome probabilities and exact enumeration all read it; only
-    the first three need weights, so it takes no norms. The work is flat
-    and its index tables depend on the shapes alone (``_branch_tables``):
-    two gathers, two products and a sum per coefficient, then one product
-    per term, scattered once into zeroed posts with one row per spin
-    outcome or Bell state; a partial BSM's posts are then ``_fold``-ed, as
+    Collapse steps, the sampler and outcome probabilities read the same
+    ``_products`` through ``_project``, and the exact walk composes them
+    depth by depth; this lays one step's posts out in full. The work is
+    flat and its index tables depend on the shapes alone
+    (``_branch_tables``): two gathers, two products and a sum per
+    coefficient, then one product per term; the posts are one gather of
+    the products through the post map, ``_fold``-ed for a partial BSM, as
     its weights are. Every ufunc runs on a contiguous vector, and a row's
     results do not depend on the other rows or on the stack's memory
     layout.
     """
-    m, size = np.shape(amps)
-    if isinstance(step, SpinMeasurement):
-        angles = [step.angle] if angles is None else angles
-        values, j, blocks = _spin_values(angles), 2, len(angles)
-    else:
-        values, j, blocks = _BELL_VALUES, len(_BELL_TENSORS), 1
-    src, val, dst = _branch_tables(_step_shape(step), size, blocks, m // blocks)
-    v = values[val]
-    terms = v * np.ravel(amps)[src]
-    half = len(terms) // 2
-    coeffs = terms[:half] + terms[half:]
-    posts = np.zeros((m, j, size), dtype=np.complex128)
-    posts.reshape(-1)[dst] = (v.reshape(2, half) * coeffs).ravel()
-    return _fold(step, posts), coeffs.reshape(m, j, -1)
+    products, coeffs, post = _project(amps, step, angles)
+    return _fold(step, products[post]), coeffs
+
+
+def _no_herald(stack: np.ndarray, folded: int) -> np.ndarray:
+    """NO_HERALD of a stack with one entry per Bell state on axis 1: the
+    sum of the first ``folded``, in enum order, from +0."""
+    none = np.zeros((len(stack),) + stack.shape[2:], stack.dtype)
+    for k in range(folded):
+        none += stack[:, k]
+    return none
 
 
 def _fold(step: PlanStep, stack: np.ndarray) -> np.ndarray:
@@ -353,16 +392,14 @@ def _fold(step: PlanStep, stack: np.ndarray) -> np.ndarray:
     shape (m, j, ...), put in ``_branch_outcomes(step)`` order: a partial
     BSM keeps its resolved outcomes and sums the folded ones, in enum
     order, into NO_HERALD; any other step's stack is returned as it is.
-    This is the one place a partial BSM merges outcomes, for
-    ``_branches``' posts and ``_weights``' weights alike."""
+    This is the one place a partial BSM merges outcomes, for posts and
+    ``_weights``' weights alike, and ``_no_herald`` its one sum."""
     if not (isinstance(step, BsmStep) and step.partial):
         return stack
     folded = _FOLDED[step.resolve_psi_plus]
-    out = np.zeros((len(stack), len(_BELL_TENSORS) - folded + 1) + stack.shape[2:], stack.dtype)
+    out = np.empty((len(stack), len(_BELL_TENSORS) - folded + 1) + stack.shape[2:], stack.dtype)
     out[:, :-1] = stack[:, folded:]
-    none = out[:, -1]
-    for k in range(folded):
-        none += stack[:, k]
+    out[:, -1] = _no_herald(stack, folded)
     return out
 
 
@@ -394,9 +431,10 @@ def _draw(
     sum fell short of 1), its last outcome of positive weight. Returns each
     row's index into ``_branch_outcomes(step)``, the drawn (group, outcome)
     posts over the square root of their weight, in (group, outcome) order,
-    each row's index into them, and the group each came from.
+    each row's index into them, and the group each came from. Only the
+    drawn posts are gathered, and only the drawn NO_HERALD ones folded.
     """
-    posts, coeffs = _branches(states, step, angles)
+    products, coeffs, post = _project(states, step, angles)
     weights = _weights(step, coeffs)
     g, k = weights.shape
     edges = np.cumsum(weights, axis=1)  # sequential, as itertools.accumulate adds
@@ -414,8 +452,15 @@ def _draw(
     weight = weights.ravel()[drawn]
     if np.any(weight <= 0.0):
         raise RuntimeError("drew an outcome with zero-norm projection")
-    states = posts.reshape(g * k, -1)[drawn] / np.sqrt(weight)[:, None]
-    return slot, states, (np.cumsum(drawn) - 1)[pair], np.flatnonzero(drawn) // k
+    source, outcome = np.divmod(np.flatnonzero(drawn), k)
+    if isinstance(step, BsmStep) and step.partial:
+        folded = _FOLDED[step.resolve_psi_plus]
+        none = outcome == k - 1
+        states = products[post[source, np.where(none, 0, folded + outcome)]]
+        states[none] = _no_herald(products[post[source[none], :folded]], folded)
+    else:
+        states = products[post[source, outcome]]
+    return slot, states / np.sqrt(weight)[:, None], (np.cumsum(drawn) - 1)[pair], source
 
 
 def _collapse(amps: np.ndarray, step: PlanStep, draw: float) -> tuple[object, np.ndarray]:
@@ -538,6 +583,60 @@ def _plan_angles(plan: Sequence[PlanStep], angles: Sequence[Sequence[float]]) ->
     return [next(columns) if spin else None for spin in spins]
 
 
+def _walk_key(step: PlanStep) -> tuple:
+    """All of a step that the exact walk's tables read: its shape and, for
+    a BSM, whether and how it folds."""
+    if isinstance(step, SpinMeasurement):
+        return _step_shape(step)
+    return _step_shape(step) + (step.partial, step.resolve_psi_plus)
+
+
+@functools.lru_cache(maxsize=64)
+def _walk_tables(keys: tuple, size: int, plans: int) -> tuple:
+    """Read-only index tables of the exact walk of ``plans`` plans of
+    steps with ``_walk_key``s ``keys`` from one state of ``size``
+    amplitudes: (val, depths, leaves).
+
+    ``val`` gathers every depth's values at once from the walk's value
+    vector: each spin depth's ``_spin_values``, in plan order, then
+    ``_BELL_VALUES``. Depth d's entry in ``depths`` is (src, post): ``src``
+    indexes the previous depth's products (the initial state's amplitudes
+    at depth 0), as ``_branch_tables``' src composed through that depth's
+    post map, so no post stack is laid out; ``post`` is the post map of a
+    partial BSM, shaped (rows, Bell state, amplitude), whose posts are laid
+    out and ``_fold``-ed, and None otherwise. ``leaves`` gathers the
+    leaves, rows in plan, then depth-first outcome order, from the last
+    products; None when a fold already laid them out. The tables hold no
+    angle, amplitude or weight.
+    """
+    spins = sum(key[0] is SpinMeasurement for key in keys)
+    # Where each flat position of the current stack is read from; None
+    # once a fold has laid the stack out.
+    position = np.tile(np.arange(size), plans)
+    rows, spin, vals, depths = plans, 0, [], []
+    for key in keys:
+        if key[0] is SpinMeasurement:
+            blocks, k, offset = plans, 2, 4 * plans * spin
+            spin += 1
+        else:
+            blocks, offset = 1, 4 * plans * spins
+            k = len(_branch_outcomes(BsmStep(*key[1:])))
+        src, val, post = _branch_tables(key[:3], size, blocks, rows // blocks)
+        vals.append(val + offset)
+        if position is not None:
+            src = position[src]
+            src.flags.writeable = False
+        fold = key[0] is BsmStep and key[3]
+        depths.append((src, post.reshape(rows, len(_BELL_TENSORS), size) if fold else None))
+        position = None if fold else post
+        rows *= k
+    val = np.concatenate(vals) if vals else np.zeros(0, dtype=np.intp)
+    for table in (val, position):
+        if table is not None:
+            table.flags.writeable = False
+    return val, tuple(depths), position
+
+
 def _enumerate_plans(
     initial: np.ndarray, plan: Sequence[PlanStep], angles: Sequence[Sequence[float]]
 ) -> np.ndarray:
@@ -546,16 +645,27 @@ def _enumerate_plans(
     step at ``angles[p][s]`` in place of the step's own angle, and each
     probability is the squared norm of a leaf's unnormalized amplitudes.
 
-    One ``_branches`` call per depth expands every plan's rows, one block
-    of rows per plan; rows stay in plan, then depth-first outcome order, so
-    each plan's leaves are in ``_plan_codes(plan)`` order. The only norms
-    are one ``_norm_sq`` call over the leaves.
+    The plans are walked together one depth at a time through
+    ``_walk_tables``: one gather of every depth's values, then per depth a
+    gather of its amplitudes from the previous depth's products and one
+    ``_products`` call, one block of rows per plan; a partial BSM's posts
+    are laid out and folded. Rows stay in plan, then depth-first outcome
+    order, so each plan's leaves are in ``_plan_codes(plan)`` order. The
+    only norms are one ``_norm_sq`` call over the leaves.
     """
-    states = initial[None].repeat(len(angles), axis=0)
-    for step, column in zip(plan, _plan_angles(plan, angles)):
-        posts, _coeffs = _branches(states, step, column)
-        states = posts.reshape(-1, initial.size)
-    return _norm_sq(states).reshape(len(angles), -1)
+    columns = _plan_angles(plan, angles)
+    spins = [angle for column in columns if column is not None for angle in column]
+    val, depths, leaves = _walk_tables(tuple(map(_walk_key, plan)), initial.size, len(angles))
+    v = np.concatenate([_spin_values(spins), _BELL_VALUES])[val]
+    x, start = initial, 0
+    for step, (src, post) in zip(plan, depths):
+        x, _coeffs = _products(v[start : start + len(src)], x[src])
+        start += len(src)
+        if post is not None:
+            x = _fold(step, x[post]).reshape(-1)
+    if leaves is not None:
+        x = x[leaves]
+    return _norm_sq(x.reshape(-1, initial.size)).reshape(len(angles), -1)
 
 
 def exact_branch_enumeration(

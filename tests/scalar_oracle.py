@@ -337,6 +337,28 @@ def weights(step: PlanStep, coeffs: np.ndarray) -> np.ndarray:
     return _fold(step, np.array(norms, dtype=np.float64).reshape(m, j))
 
 
+def enumerate_plans(
+    initial: np.ndarray, plan: Sequence[PlanStep], angles: Sequence[Sequence[float]]
+) -> np.ndarray:
+    """Leaf probabilities of plans that are ``plan`` but for spin angles, as
+    ``qcore._enumerate_plans`` documents them, by its walk as it was before
+    it composed its gathers: one ``branches`` call per depth laying out
+    every row's posts, rows in plan, then depth-first outcome order, and
+    each leaf's ``np.vdot`` with itself."""
+    states = np.asarray(initial)[None].repeat(len(angles), axis=0)
+    spin = 0
+    for step in plan:
+        if isinstance(step, SpinMeasurement):
+            steps = [SpinMeasurement(step.qubit, row[spin]) for row in angles]
+            spin += 1
+        else:
+            steps = [step]
+        posts, _coeffs = branches(states, steps)
+        states = posts.reshape(-1, states.shape[1])
+    norms = [np.vdot(row, row).real for row in states]
+    return np.array(norms, dtype=np.float64).reshape(len(angles), -1)
+
+
 def exact_branch_enumeration(
     initial: StateVector, plan: Sequence[PlanStep]
 ) -> dict[tuple, float]:

@@ -444,11 +444,11 @@ class TestTeleport:
 
     @pytest.mark.parametrize("controlled", [True, False])
     def test_both_inputs_sampled_in_one_walk(self, monkeypatch, controlled):
-        # One _branches call per plan step, for both input bits together,
-        # whatever the trial count.
+        # One _products call, the projection kernel, per plan step, for both
+        # input bits together, whatever the trial count.
         calls = []
-        branches = qcore._branches
-        monkeypatch.setattr(qcore, "_branches", lambda *args: calls.append(1) or branches(*args))
+        products = qcore._products
+        monkeypatch.setattr(qcore, "_products", lambda *args: calls.append(1) or products(*args))
         for n in (1, 3_000):
             calls.clear()
             teleport_channel_demo(controlled, n, 4)

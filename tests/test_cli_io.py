@@ -80,6 +80,26 @@ class TestEnsembleCsv:
             io.ensemble_json_payload(Trials(columns), {})
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "name,column",
+        [("A", np.array([1, 0, -1], dtype=np.int8)),  # the outcome columns' hole
+         ("a", np.array([0, 1, -128], dtype=np.int8)),
+         ("c_outcome", np.array([3, 5, 0], dtype=np.int8)),
+         ("b", np.array([0, 1, 2**64 - 1], dtype=np.uint64)),
+         ("c_outcome", np.array([0, 2**63, 1], dtype=np.uint64)),
+         ("B", np.array([True, False, True])),
+         ("heralded", np.array([0, 2, 1], dtype=np.int64))],
+    )
+    def test_column_dtypes_checked_as_written(self, tmp_path, name, column):
+        # int8, uint64 and bool columns are checked in their own dtype, with
+        # no value wrapped into range on the way.
+        ens = {"trial_id": [0, 1, 2], "a": [0, 1, 0], "b": [1, 0, 1], "A": [1, -1, 1],
+               "B": [-1, 1, 1], "c_outcome": [-1, 3, 0], "heralded": [False, True, False]}
+        with pytest.raises(ValueError, match=f"column {name} holds a value outside"):
+            io.write_ensemble_csv(tmp_path / "ens.csv", Trials({**ens, name: column}))
+        for ok in (column[:1], column[:1].astype(np.uint64)):
+            io.write_ensemble_csv(tmp_path / "ens.csv", Trials({**ens, name: np.resize(ok, 3)}))
+
     @pytest.mark.parametrize("first,last", [(-5, 3), (0, 10**18), (-1, 2**63 - 1), (0.0, 1.5)])
     def test_trial_id_the_reader_rejects_is_rejected(self, tmp_path, first, last):
         # read_ensemble_csv reads trial_ids as integers in [0, 10**18) only.

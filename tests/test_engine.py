@@ -196,11 +196,11 @@ class TestRunTrials:
 
     @pytest.mark.parametrize("c_enabled, steps", [(True, 3), (False, 2)])
     def test_setting_plans_sampled_in_one_walk(self, monkeypatch, c_enabled, steps):
-        # One _branches call per plan step for all four setting plans
-        # together, whatever the layout or the trial count.
+        # One _products call, the projection kernel, per plan step for all
+        # four setting plans together, whatever the layout or the trial count.
         calls = []
-        branches = qcore._branches
-        monkeypatch.setattr(qcore, "_branches", lambda *args: calls.append(1) or branches(*args))
+        products = qcore._products
+        monkeypatch.setattr(qcore, "_products", lambda *args: calls.append(1) or products(*args))
         for geometry in engine.GEOMETRY_NAMES:
             for partial in (False, True):
                 for n in (1, 3_000):

@@ -491,6 +491,63 @@ def test_branches_match_oracle_every_step_shape(n):
         _assert_branches_match_oracle(stack, steps)
 
 
+# Angles at which spin amplitudes vanish or lose every bit (0, multiples of
+# pi/2, the CHSH defaults, 1e17), or any other.
+walk_angles = st.one_of(
+    st.sampled_from([k * math.pi / 2.0 for k in range(-4, 5)]
+                    + list(engine.DEFAULT_ANGLES_A + engine.DEFAULT_ANGLES_B)
+                    + [1e17, -1e17, 3e17]),
+    st.floats(-7.0, 7.0),
+)
+
+
+@st.composite
+def walk_cases(draw):
+    """A start state on 1-5 qubits, a plan of 0-3 steps of any shape (a
+    BSM full or partial, resolve_psi_plus on or off), and 1-6 plans' spin
+    angles."""
+    n = draw(st.integers(1, 5))
+    kinds = draw(st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    initial = _branch_stack(rng, 1, n, kinds, "C")[0]
+    plan = draw(st.lists(st.sampled_from(_step_shapes(n)), max_size=3))
+    spins = sum(isinstance(step, SpinMeasurement) for step in plan)
+    row = st.lists(walk_angles, min_size=spins, max_size=spins)
+    return initial, plan, draw(st.lists(row, min_size=1, max_size=6))
+
+
+def _assert_walk_matches_oracle(initial, plan, angles) -> None:
+    got = qcore._enumerate_plans(initial, plan, angles)
+    want = scalar_oracle.enumerate_plans(initial, plan, angles)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=walk_cases())
+@example(case=(TWO_SINGLETS.amplitudes,
+               [BsmStep(1, 2, True, False), SpinMeasurement(0, 0.0), SpinMeasurement(3, 0.0)],
+               [[0.0, math.pi / 2.0], [1e17, 5.0 * math.pi / 4.0], [math.pi, -math.pi / 2.0]]))
+def test_exact_walk_matches_oracle_property(case):
+    """The composed walk's leaf probabilities equal a walk that lays out
+    every depth's posts, byte for byte."""
+    _assert_walk_matches_oracle(*case)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_exact_walk_matches_oracle_every_step_shape(n):
+    """Every step shape on n qubits as the first, middle and last of a
+    three-step plan, for 1 and 4 plans at angles that zero amplitudes."""
+    rng = np.random.default_rng(n)
+    initial = _branch_stack(rng, 1, n, [0, 4], "C")[0]
+    shapes = _step_shapes(n)
+    for step, at, plans in itertools.product(shapes, range(3), (1, 4)):
+        plan = [shapes[i] for i in rng.integers(0, len(shapes), 2)]
+        plan.insert(at, step)
+        spins = sum(isinstance(s, SpinMeasurement) for s in plan)
+        angles = (rng.integers(-4, 5, (plans, spins)) * (math.pi / 2.0)).tolist()
+        _assert_walk_matches_oracle(initial, plan, angles)
+
+
 def test_exact_leaf_rows_share_read_only_columns():
     """The cell and c_outcome columns of a layout are built once and shared
     by every call, so no caller may write them."""
