@@ -28,9 +28,11 @@ from .qcore import (
     PlanStep,
     SpinMeasurement,
     _branch_outcomes,
-    _enumerate_plans,
     _plan_codes,
     _sample_plans,
+    _walk,
+    _walk_key,
+    _walk_tables,
     make_two_singlets,
 )
 
@@ -442,8 +444,10 @@ class _ExactLayout(NamedTuple):
     ``plan`` is the template every setting plan follows (the (0, 0) plan,
     whose spin angles the plan walks ignore), ``labels`` names its steps
     "A", "B" or "C", ``picks[2a + b]`` indexes ``angles_a + angles_b`` for
-    each spin step of setting pair (a, b), and ``cell`` and ``c_outcome``
-    are the read-only columns of ``exact_leaf_rows``.
+    each spin step of setting pair (a, b), ``cell`` and ``c_outcome`` are
+    the read-only columns of ``exact_leaf_rows``, and ``walk`` is the four
+    plans' read-only ``qcore._walk_tables``, whose value index reads each of
+    ``angles_a + angles_b`` through ``picks``.
     """
 
     plan: tuple[PlanStep, ...]
@@ -451,6 +455,7 @@ class _ExactLayout(NamedTuple):
     picks: tuple[tuple[int, ...], ...]
     cell: np.ndarray
     c_outcome: np.ndarray
+    walk: tuple
 
 
 def _exact_layout(geometry: str, partial: bool, c_enabled: bool) -> _ExactLayout:
@@ -467,11 +472,12 @@ def _exact_layout(geometry: str, partial: bool, c_enabled: bool) -> _ExactLayout
     c_outcome = np.tile(_c_outcome(plan, labels, codes), len(picks))
     for column in (cell, c_outcome):
         column.flags.writeable = False
-    return _ExactLayout(tuple(plan), tuple(labels), picks, cell, c_outcome)
+    walk = _walk_tables(tuple(map(_walk_key, plan)), _TWO_SINGLETS.amplitudes.size, picks)
+    return _ExactLayout(tuple(plan), tuple(labels), picks, cell, c_outcome, walk)
 
 
-# Each (geometry, bsm_partial, c_enabled) layout's angle-free table parts,
-# built once at import.
+# Each (geometry, bsm_partial, c_enabled) layout's angle-free table parts
+# and walk, built once at import.
 _EXACT_LAYOUTS = {
     (geometry, partial, c_enabled): _exact_layout(geometry, partial, c_enabled)
     for geometry in GEOMETRY_NAMES
@@ -489,15 +495,14 @@ def exact_leaf_rows(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, n
     branch enumeration in the geometry's execution order; rows come in
     (a, b, leaf) order, one per (a, b, A, B, c_outcome) key, including
     zero-probability ones. Summing rows in this order is summing the table.
-    The cell and c_outcome columns depend on the layout alone: they are
-    built once, read-only and shared by every call; only the probabilities
-    are computed here, from the config's four angles.
+    The cell and c_outcome columns and the walk's index tables depend on
+    the layout alone: they are built once, read-only and shared by every
+    call. Only the probabilities are computed here, by one ``qcore._walk``
+    from the config's four angles, each angle's spin components once.
     """
     layout = _EXACT_LAYOUTS[config.geometry, config.bsm_partial, config.c_enabled]
-    both = config.angles_a + config.angles_b
-    angles = [[both[i] for i in pick] for pick in layout.picks]
-    probs = _enumerate_plans(_TWO_SINGLETS.amplitudes, layout.plan, angles)
-    return layout.cell, layout.c_outcome, 0.25 * probs.ravel()
+    probs = _walk(_TWO_SINGLETS.amplitudes, config.angles_a + config.angles_b, layout.walk)
+    return layout.cell, layout.c_outcome, 0.25 * probs
 
 
 def exact_experiment_distribution(config: ExperimentConfig) -> dict[JointKey, float]:

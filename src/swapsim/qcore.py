@@ -15,11 +15,15 @@ depend only on the step's shape (its kind and measured qubits) and the
 stack's block and row counts (``_branch_tables``), built once per shape. It
 returns every term's product and a trailing +0, and a post map gathers any
 post from them, +0 where no product lands. ``_branches`` lays every post
-out; ``_draw`` gathers only the drawn ones; the exact walk lays none out,
-but composes each depth's gathers through the previous depth's post map
-(``_walk_tables``), so a depth is a gather and ``_products``. A partial BSM
-shares a full one's tables; ``_fold`` alone merges its unresolved Bell
-states into NO_HERALD, for posts and weights alike.
+out; ``_draw`` gathers only the drawn ones, and ``_one_state_weights``
+none; the exact walk, ``_walk``, lays none out either, but composes
+each depth's gathers through the previous depth's post map
+(``_walk_tables``), so a depth is a gather and ``_products``. Its values
+come from one vector per walk, each distinct angle's spin components once,
+through an index composed with the plans' angle picks; a layout binds its
+tables once (``engine.exact_leaf_rows``). A partial BSM shares a full one's
+tables; ``_fold`` alone merges its unresolved Bell states into NO_HERALD,
+for posts and weights alike.
 Every squared norm (a state's norm check, the sampler's branch weights, an
 exact leaf's probability) is ``_norm_sq`` of C-contiguous rows, which
 equals ``np.vdot`` of each row bit for bit; the exact walk takes norms only
@@ -412,8 +416,9 @@ def _weights(step: PlanStep, coeffs: np.ndarray) -> np.ndarray:
 
 
 def _one_state_weights(amps: np.ndarray, step: PlanStep) -> list[float]:
-    """A single state's branch weights as floats, in ``_branch_outcomes(step)`` order."""
-    return _weights(step, _branches(amps[None], step)[1])[0].tolist()
+    """A single state's branch weights as floats, in ``_branch_outcomes(step)``
+    order, from its coefficients alone: no post is laid out."""
+    return _weights(step, _project(amps[None], step, None)[1])[0].tolist()
 
 
 def _draw(
@@ -592,42 +597,46 @@ def _walk_key(step: PlanStep) -> tuple:
 
 
 @functools.lru_cache(maxsize=64)
-def _walk_tables(keys: tuple, size: int, plans: int) -> tuple:
-    """Read-only index tables of the exact walk of ``plans`` plans of
-    steps with ``_walk_key``s ``keys`` from one state of ``size``
-    amplitudes: (val, depths, leaves).
+def _walk_tables(keys: tuple, size: int, picks: tuple) -> tuple:
+    """Read-only index tables of the exact walk, from one state of ``size``
+    amplitudes, of ``len(picks)`` plans of steps with ``_walk_key``s
+    ``keys``, plan p measuring its s-th spin step at angle ``picks[p][s]``
+    of the walk's angles: (val, depths, leaves).
 
     ``val`` gathers every depth's values at once from the walk's value
-    vector: each spin depth's ``_spin_values``, in plan order, then
-    ``_BELL_VALUES``. Depth d's entry in ``depths`` is (src, post): ``src``
+    vector, ``_BELL_VALUES`` and then the angles' ``_spin_values``: it is
+    ``_branch_tables``' val with each spin block's index composed through
+    ``picks``, so an angle that plans or depths share is read from one
+    block. Depth d's entry in ``depths`` is (src, post, step): ``src``
     indexes the previous depth's products (the initial state's amplitudes
     at depth 0), as ``_branch_tables``' src composed through that depth's
     post map, so no post stack is laid out; ``post`` is the post map of a
-    partial BSM, shaped (rows, Bell state, amplitude), whose posts are laid
-    out and ``_fold``-ed, and None otherwise. ``leaves`` gathers the
-    leaves, rows in plan, then depth-first outcome order, from the last
+    partial BSM ``step``, shaped (rows, Bell state, amplitude), whose posts
+    are laid out and ``_fold``-ed, and None otherwise. ``leaves`` gathers
+    the leaves, rows in plan, then depth-first outcome order, from the last
     products; None when a fold already laid them out. The tables hold no
     angle, amplitude or weight.
     """
-    spins = sum(key[0] is SpinMeasurement for key in keys)
+    plans = len(picks)
     # Where each flat position of the current stack is read from; None
     # once a fold has laid the stack out.
     position = np.tile(np.arange(size), plans)
     rows, spin, vals, depths = plans, 0, [], []
     for key in keys:
-        if key[0] is SpinMeasurement:
-            blocks, k, offset = plans, 2, 4 * plans * spin
-            spin += 1
-        else:
-            blocks, offset = 1, 4 * plans * spins
-            k = len(_branch_outcomes(BsmStep(*key[1:])))
+        step = None if key[0] is SpinMeasurement else BsmStep(*key[1:])
+        blocks, k = (plans, 2) if step is None else (1, len(_branch_outcomes(step)))
         src, val, post = _branch_tables(key[:3], size, blocks, rows // blocks)
-        vals.append(val + offset)
+        if step is None:
+            # Plan p's block of 4 values is its angle's, past the Bell values.
+            block = len(_BELL_VALUES) + 4 * np.array([pick[spin] for pick in picks], np.intp)
+            val = block[val // 4] + val % 4
+            spin += 1
+        vals.append(val)
         if position is not None:
             src = position[src]
             src.flags.writeable = False
-        fold = key[0] is BsmStep and key[3]
-        depths.append((src, post.reshape(rows, len(_BELL_TENSORS), size) if fold else None))
+        fold = step is not None and step.partial
+        depths.append((src, post.reshape(rows, len(_BELL_TENSORS), size) if fold else None, step))
         position = None if fold else post
         rows *= k
     val = np.concatenate(vals) if vals else np.zeros(0, dtype=np.intp)
@@ -635,6 +644,31 @@ def _walk_tables(keys: tuple, size: int, plans: int) -> tuple:
         if table is not None:
             table.flags.writeable = False
     return val, tuple(depths), position
+
+
+def _walk(initial: np.ndarray, angles: Sequence[float], tables: tuple) -> np.ndarray:
+    """Leaf probabilities of the exact walk of ``_walk_tables``' ``tables``
+    from the amplitudes ``initial``, their picks indexing ``angles``: flat,
+    rows in plan, then depth-first outcome order, each the squared norm of
+    a leaf's unnormalized amplitudes.
+
+    One gather of every depth's values from ``_BELL_VALUES`` and the
+    angles' ``_spin_values``, each angle's computed once; per depth, one
+    gather of its amplitudes from the previous depth's products and one
+    ``_products`` call, a partial BSM's posts laid out and folded; then
+    the leaves' gather and one ``_norm_sq`` call, the walk's only norms.
+    """
+    val, depths, leaves = tables
+    v = np.concatenate([_BELL_VALUES, _spin_values(angles)])[val]
+    x, start = initial, 0
+    for src, post, step in depths:
+        x, _coeffs = _products(v[start : start + len(src)], x[src])
+        start += len(src)
+        if post is not None:
+            x = _fold(step, x[post]).reshape(-1)
+    if leaves is not None:
+        x = x[leaves]
+    return _norm_sq(x.reshape(-1, initial.size))
 
 
 def _enumerate_plans(
@@ -645,27 +679,17 @@ def _enumerate_plans(
     step at ``angles[p][s]`` in place of the step's own angle, and each
     probability is the squared norm of a leaf's unnormalized amplitudes.
 
-    The plans are walked together one depth at a time through
-    ``_walk_tables``: one gather of every depth's values, then per depth a
-    gather of its amplitudes from the previous depth's products and one
-    ``_products`` call, one block of rows per plan; a partial BSM's posts
-    are laid out and folded. Rows stay in plan, then depth-first outcome
-    order, so each plan's leaves are in ``_plan_codes(plan)`` order. The
-    only norms are one ``_norm_sq`` call over the leaves.
+    The plans are walked together one depth at a time by ``_walk``, one
+    block of rows per plan, each plan's angles its own; rows stay in plan,
+    then depth-first outcome order, so each plan's leaves are in
+    ``_plan_codes(plan)`` order.
     """
-    columns = _plan_angles(plan, angles)
-    spins = [angle for column in columns if column is not None for angle in column]
-    val, depths, leaves = _walk_tables(tuple(map(_walk_key, plan)), initial.size, len(angles))
-    v = np.concatenate([_spin_values(spins), _BELL_VALUES])[val]
-    x, start = initial, 0
-    for step, (src, post) in zip(plan, depths):
-        x, _coeffs = _products(v[start : start + len(src)], x[src])
-        start += len(src)
-        if post is not None:
-            x = _fold(step, x[post]).reshape(-1)
-    if leaves is not None:
-        x = x[leaves]
-    return _norm_sq(x.reshape(-1, initial.size)).reshape(len(angles), -1)
+    _plan_angles(plan, angles)  # raises unless each plan has its spin angles
+    spins = len(angles[0])
+    picks = tuple(tuple(range(p * spins, (p + 1) * spins)) for p in range(len(angles)))
+    tables = _walk_tables(tuple(map(_walk_key, plan)), initial.size, picks)
+    flat = [angle for row in angles for angle in row]
+    return _walk(initial, flat, tables).reshape(len(angles), -1)
 
 
 def exact_branch_enumeration(

@@ -13,13 +13,16 @@ diagnostics that walked it as a dict keyed by BellOutcome members. They are
 kept here, unchanged apart from taking plain record sequences, as the oracle
 the array paths, the row-code writers, the streamed mirror, the projection
 kernel, the level-by-level exact tables and their leaf-row diagnostics must
-match. The helpers at the end turn records into tables and compare tables
-column by column.
+match. ``closed_form_table`` is the one reference that walks no amplitudes:
+the exact joint table in closed form, which every layout must meet within a
+tolerance. The helpers at the end turn records into tables and compare
+tables column by column.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from collections import Counter, defaultdict, namedtuple
@@ -401,6 +404,36 @@ def exact_experiment_distribution(config: ExperimentConfig) -> dict[tuple, float
     return table
 
 
+def closed_form_table(config: ExperimentConfig) -> dict[tuple, float]:
+    """The exact joint table in closed form, keyed as
+    ``exact_experiment_distribution``'s, from no amplitude walk.
+
+    With C on, P(a, b, A, B, c) = (1 + A*B*E_c) / 64 at ta = angles_a[a]
+    and tb = angles_b[b], where E_psi- = -cos(ta - tb), E_psi+ = -cos(ta +
+    tb), E_phi+ = cos(ta - tb) and E_phi- = cos(ta + tb); a partial BSM
+    reports the Bell states it resolves and NO_HERALD, the sum of its
+    folded states' entries. With C off every P(a, b, A, B) is 1/16. No
+    layout enters: the table is the same in every execution order.
+    """
+    resolved, folded = _partial_outcomes(True)
+    table: dict[tuple, float] = {}
+    for a, b, A, B in itertools.product((0, 1), (0, 1), (1, -1), (1, -1)):
+        if not config.c_enabled:
+            table[(a, b, A, B, None)] = 1.0 / 16.0
+            continue
+        ta, tb = config.angles_a[a], config.angles_b[b]
+        minus, plus = math.cos(ta - tb), math.cos(ta + tb)
+        correlator = {
+            BellOutcome.PHI_PLUS: minus, BellOutcome.PHI_MINUS: plus,
+            BellOutcome.PSI_PLUS: -plus, BellOutcome.PSI_MINUS: -minus,
+        }
+        p = {c: (1.0 + A * B * e) / 64.0 for c, e in correlator.items()}
+        if config.bsm_partial:
+            p = {**{c: p[c] for c in resolved}, BellOutcome.NO_HERALD: sum(p[c] for c in folded)}
+        table.update({(a, b, A, B, c): value for c, value in p.items()})
+    return table
+
+
 # The exact diagnostics as they were while the joint table was a dict keyed
 # by (a, b, A, B, c) with BellOutcome members, each walking that dict; here
 # they read the table built above.
@@ -438,7 +471,12 @@ def herald_probability(config: ExperimentConfig) -> float:
 
 def exact_heralded_correlators(config: ExperimentConfig) -> CorrelatorTable:
     """Correlators of the event-ready subensemble from the exact joint table."""
-    cond = conditional_given_c(exact_experiment_distribution(config), config.herald_set())
+    return heralded_correlators(exact_experiment_distribution(config), config.herald_set())
+
+
+def heralded_correlators(table: dict[tuple, float], accept: frozenset) -> CorrelatorTable:
+    """Correlators of the subensemble a joint table heralds with ``accept``."""
+    cond = conditional_given_c(table, accept)
     sums: dict[tuple[int, int], float] = {cell: 0.0 for cell in SETTING_PAIRS}
     mass: dict[tuple[int, int], float] = {cell: 0.0 for cell in SETTING_PAIRS}
     for (a, b, A, B), p in cond.items():

@@ -548,18 +548,113 @@ def test_exact_walk_matches_oracle_every_step_shape(n):
         _assert_walk_matches_oracle(initial, plan, angles)
 
 
-def test_exact_leaf_rows_share_read_only_columns():
-    """The cell and c_outcome columns of a layout are built once and shared
-    by every call, so no caller may write them."""
-    for c_enabled in (True, False):
-        cfg = ExperimentConfig(c_enabled=c_enabled, angles_a=(0.3, 1.9))
+def _layout_tables(layout) -> list:
+    """Every index table a layout carries: its columns and its walk's."""
+    val, depths, leaves = layout.walk
+    walk = [val, leaves] + [table for src, post, _step in depths for table in (src, post)]
+    return [layout.cell, layout.c_outcome] + [table for table in walk if table is not None]
+
+
+def test_exact_leaf_rows_share_read_only_columns(monkeypatch):
+    """The cell and c_outcome columns and the walk's index tables of a
+    layout are built once and shared by every call, so no caller may write
+    them."""
+    walked = []
+    monkeypatch.setattr(engine, "_walk", lambda *args: walked.append(args[2]) or
+                        qcore._walk(*args))
+    for (geometry, partial, c_enabled), layout in engine._EXACT_LAYOUTS.items():
+        cfg = ExperimentConfig(geometry=geometry, bsm_partial=partial, c_enabled=c_enabled,
+                               angles_a=(0.3, 1.9))
+        walked.clear()
         cell, c_outcome, prob = engine.exact_leaf_rows(cfg)
         again = engine.exact_leaf_rows(replace(cfg, angles_b=(2.2, -0.7)))
-        assert again[0] is cell and again[1] is c_outcome
-        for column in (cell, c_outcome):
+        assert again[0] is cell is layout.cell and again[1] is c_outcome is layout.c_outcome
+        assert len(walked) == 2 and all(tables is layout.walk for tables in walked)
+        for table in _layout_tables(layout):
             with pytest.raises(ValueError):
-                column[0] = 0
+                table[(0,) * table.ndim] = 0
         prob[0] = 0.5  # a fresh array per call
+
+
+def test_exact_leaf_rows_computes_each_angle_once(monkeypatch):
+    """One table computes the spin components of each of the config's four
+    angles once, at the angle and at the angle plus pi, in angles_a +
+    angles_b order, however many setting plans or depths read them."""
+    calls = []
+    components = qcore._spin_components
+    monkeypatch.setattr(qcore, "_spin_components",
+                        lambda angle: calls.append(angle) or components(angle))
+    angles = (0.3, 1.9, 2.2, -0.7)
+    for partial, c_enabled in itertools.product((False, True), (True, False)):
+        calls.clear()
+        engine.exact_leaf_rows(ExperimentConfig(bsm_partial=partial, c_enabled=c_enabled,
+                                                angles_a=angles[:2], angles_b=angles[2:]))
+        assert calls == [at for angle in angles for at in (angle, angle + math.pi)]
+
+
+EXACT_LAYOUTS = sorted(engine._EXACT_LAYOUTS)
+
+
+@pytest.mark.parametrize("geometry,partial,c_enabled", EXACT_LAYOUTS)
+@settings(max_examples=25, deadline=None, database=None)
+@given(angles=st.tuples(*[walk_angles] * 4))
+def test_layout_walk_matches_enumerate_plans_property(geometry, partial, c_enabled, angles):
+    """A layout's bound walk, reading the config's four angles through its
+    composed value index, gives ``_enumerate_plans``' leaf probabilities of
+    the four setting plans, each with its own angles, byte for byte."""
+    layout = engine._EXACT_LAYOUTS[geometry, partial, c_enabled]
+    cfg = ExperimentConfig(geometry=geometry, bsm_partial=partial, c_enabled=c_enabled,
+                           angles_a=angles[:2], angles_b=angles[2:])
+    plans = [[angles[i] for i in pick] for pick in layout.picks]
+    want = 0.25 * qcore._enumerate_plans(TWO_SINGLETS.amplitudes, layout.plan, plans).ravel()
+    assert engine.exact_leaf_rows(cfg)[2].tobytes() == want.tobytes()
+
+
+# Angles for the closed form: any in [-8pi, 8pi], and the multiples of pi/4,
+# at which amplitudes vanish. Huge angles are left to the walk oracle: at
+# 1e17, ta - tb rounds by up to 16, so cos(ta - tb) may keep no digit.
+closed_form_angles = st.one_of(
+    st.floats(-8.0 * math.pi, 8.0 * math.pi),
+    st.integers(-32, 32).map(lambda k: k * math.pi / 4.0),
+)
+
+
+@pytest.mark.parametrize("geometry,partial,c_enabled", EXACT_LAYOUTS)
+@settings(max_examples=50, deadline=None, database=None)
+@given(angles=st.tuples(*[closed_form_angles] * 4), data=st.data())
+def test_exact_outputs_match_closed_form_property(geometry, partial, c_enabled, angles, data):
+    """Every layout's exact table, and the diagnostics read from it, against
+    the closed form, which no amplitude walk and no execution order enters,
+    for every herald the analyzer can give: leaf rows within 1e-15, herald
+    probability and fragility cells within 1e-14, S within 1e-13, and the
+    closed form's NoDifference verdict."""
+    given_outcomes = set(qcore._branch_outcomes(BsmStep(*engine.BSM_PAIR, partial)))
+    herald = data.draw(st.sampled_from(
+        [name for name, outcomes in sorted(engine.HERALD_PREDICATES.items())
+         if outcomes & given_outcomes]))
+    cfg = ExperimentConfig(geometry=geometry, bsm_partial=partial, c_enabled=c_enabled,
+                           herald=herald, angles_a=angles[:2], angles_b=angles[2:])
+    want = scalar_oracle.closed_form_table(cfg)
+    got = engine.exact_experiment_distribution(cfg)
+    assert got.keys() == want.keys()
+    assert max(abs(got[key] - want[key]) for key in want) <= 1e-15
+    accept = cfg.herald_set()
+    heralded = {key: p for key, p in want.items() if key[4] in accept}
+    assert abs(engine.herald_probability(cfg) - sum(heralded.values())) <= 1e-14
+
+    on, off = (scalar_oracle.marginal_over_c(scalar_oracle.closed_form_table(
+        replace(cfg, c_enabled=flag))) for flag in (True, False))
+    diff = max(abs(on[key] - off[key]) for key in on)
+    verdict = analysis.NdaVerdict.NO_DIFFERENCE if diff < 1e-12 else analysis.NdaVerdict.DIFFERENCE
+    assert analysis.no_difference_check(cfg).verdict is verdict
+    if not c_enabled:
+        return
+    mass, hit = scalar_oracle.marginal_over_c(want), scalar_oracle.marginal_over_c(heralded)
+    cells = analysis.fragility(cfg).cells
+    assert cells.keys() == mass.keys()
+    assert max(abs(cells[key] - hit.get(key, 0.0) / mass[key]) for key in mass) <= 1e-14
+    s = analysis.chsh(scalar_oracle.heralded_correlators(want, accept)).S
+    assert abs(analysis.exact_chsh(cfg).S - s) <= 1e-13
 
 
 def _openblas_dynamic_arch() -> bool:
