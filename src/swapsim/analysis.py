@@ -31,7 +31,8 @@ from .qcore import (
     BsmStep,
     SpinMeasurement,
     _branch_outcomes,
-    _sample_plans,
+    _plan_codes,
+    _sample_leaves,
     singlet,
 )
 
@@ -481,7 +482,8 @@ def teleport_channel_demo(controlled: bool, n: int, seed: int) -> TeleportReport
     psi_minus = _branch_outcomes(plan[0]).index(BellOutcome.PSI_MINUS)
     # Plan x starts from input basis state |x> on qubit 0.
     initials = np.kron(np.eye(2, dtype=np.complex128), singlet().amplitudes)
-    codes = _sample_plans(initials, plan, [[0.0], [0.0]], x, u[:, 1:])
+    leaf = _sample_leaves(initials, plan, [[0.0], [0.0]], x, u[:, 1:])
+    codes = np.tile(_plan_codes(plan), (2, 1))[leaf]
     keep = codes[:, 0] == psi_minus if controlled else slice(None)
     # Spin code 0 is the +1 outcome, read as output bit 0.
     counts = np.bincount(2 * x[keep] + codes[keep, 1], minlength=4).reshape(2, 2)

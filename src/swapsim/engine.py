@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .qcore import (
     SpinMeasurement,
     _branch_outcomes,
     _plan_codes,
-    _sample_plans,
+    _sample_leaves,
     _walk,
     _walk_key,
     _walk_tables,
@@ -142,8 +143,16 @@ class ExperimentConfig:
             object.__setattr__(self, name, bool(flag))
         for name in ("angles_a", "angles_b"):
             angles = getattr(self, name)
-            if len(angles) != 2:
-                raise ValueError(f"{name} must list exactly two angles (binary settings)")
+            # A tuple, list or 1-D array only: a str, bytes or mapping of two
+            # items would read as two numbers.
+            if not (isinstance(angles, (tuple, list))
+                    or isinstance(angles, np.ndarray) and angles.ndim == 1) or len(angles) != 2:
+                raise ValueError(f"{name} must list exactly two angles (binary settings), "
+                                 f"got {angles!r}")
+            # isinstance(float) first: the numbers.Real check is an ABC lookup.
+            if not all(isinstance(angle, float) or isinstance(angle, numbers.Real)
+                       and not isinstance(angle, bool) for angle in angles):
+                raise ValueError(f"{name} must hold real numbers (not bools), got {angles!r}")
             pair = (float(angles[0]), float(angles[1]))
             if not all(math.isfinite(angle) for angle in pair):
                 raise ValueError(f"{name} must be finite, got {pair}")
@@ -155,7 +164,7 @@ class ExperimentConfig:
 
 
 def _herald_outcomes(name: str) -> frozenset[BellOutcome]:
-    if name not in HERALD_PREDICATES:
+    if not isinstance(name, str) or name not in HERALD_PREDICATES:
         raise ValueError(f"unknown herald {name!r}; expected one of {sorted(HERALD_PREDICATES)}")
     return HERALD_PREDICATES[name]
 
@@ -384,36 +393,28 @@ def run_trials(config: ExperimentConfig) -> Trials:
     Per-trial draw order: setting a, setting b, then one uniform per executed
     measurement in geometry time order (the C draw is skipped when the C
     measurement is disabled). A setting is 0 when its draw is below 1/2.
-    One walk samples the four setting plans of ``exact_leaf_rows``: plan 2a + b.
+    One walk samples the four setting plans of ``exact_leaf_rows``, plan
+    2a + b, and each trial's columns are its leaf's row of that table.
     """
     n = config.n_trials
     layout = _EXACT_LAYOUTS[config.geometry, config.bsm_partial, config.c_enabled]
     both = config.angles_a + config.angles_b
     angles = [[both[i] for i in pick] for pick in layout.picks]
-    draws = counter_uniforms(config.seed, np.arange(n), 2 + len(layout.labels))
-    a = (draws[:, 0] >= 0.5).astype(np.int8)
-    b = (draws[:, 1] >= 0.5).astype(np.int8)
+    draws = counter_uniforms(config.seed, np.arange(n), 2 + len(layout.plan))
+    setting = 2 * (draws[:, 0] >= 0.5) + (draws[:, 1] >= 0.5)
     initials = np.tile(_TWO_SINGLETS.amplitudes, (len(angles), 1))
-    codes = _sample_plans(initials, layout.plan, angles, 2 * a + b, draws[:, 2:])
-    c_outcome = _c_outcome(layout.plan, layout.labels, codes)
+    leaf = _sample_leaves(initials, layout.plan, angles, setting, draws[:, 2:])
+    a, b, A, B = np.take(_CELL_COLUMNS, layout.cell[leaf], axis=1)
+    c_outcome = layout.c_outcome[leaf]
     return Trials({
         "trial_id": np.arange(n),
         "a": a,
         "b": b,
-        "A": 1 - 2 * codes[:, layout.labels.index("A")],  # spin code 0 is +1, code 1 is -1
-        "B": 1 - 2 * codes[:, layout.labels.index("B")],
+        "A": A,
+        "B": B,
         "c_outcome": c_outcome,
         "heralded": HERALD_MASKS[config.herald][c_outcome],
     })
-
-
-def _c_outcome(plan: Sequence[PlanStep], labels: Sequence[str], codes: np.ndarray) -> np.ndarray:
-    """The c_outcome column of rows of a setting plan's outcome codes: the C
-    step's codes as OUTCOMES codes, or -1 in every row when C is off."""
-    if "C" not in labels:
-        return np.full(len(codes), -1, dtype=np.int8)
-    d = labels.index("C")
-    return np.array(_outcome_codes(_branch_outcomes(plan[d])), dtype=np.int8)[codes[:, d]]
 
 
 def post_select(
@@ -436,22 +437,24 @@ JointKey = tuple  # (a, b, A, B, c_outcome | None)
 
 # The (a, b, A, B) cells of an exact table: row cell 8a + 4b + 2[A=-1] + [B=-1].
 CELLS = tuple(itertools.product((0, 1), (0, 1), (1, -1), (1, -1)))
+# The a, b, A and B columns of CELLS, int8 as a trial's are.
+_CELL_COLUMNS = np.array(CELLS, dtype=np.int8).T
+_CELL_COLUMNS.flags.writeable = False
 
 
 class _ExactLayout(NamedTuple):
     """The part of a layout's exact table that no angle changes.
 
     ``plan`` is the template every setting plan follows (the (0, 0) plan,
-    whose spin angles the plan walks ignore), ``labels`` names its steps
-    "A", "B" or "C", ``picks[2a + b]`` indexes ``angles_a + angles_b`` for
-    each spin step of setting pair (a, b), ``cell`` and ``c_outcome`` are
-    the read-only columns of ``exact_leaf_rows``, and ``walk`` is the four
-    plans' read-only ``qcore._walk_tables``, whose value index reads each of
-    ``angles_a + angles_b`` through ``picks``.
+    whose spin angles the plan walks ignore), ``picks[2a + b]`` indexes
+    ``angles_a + angles_b`` for each spin step of setting pair (a, b),
+    ``cell`` and ``c_outcome`` are the read-only columns of
+    ``exact_leaf_rows``, which ``run_trials`` reads at each trial's leaf,
+    and ``walk`` is the four plans' read-only ``qcore._walk_tables``, whose
+    value index reads each of ``angles_a + angles_b`` through ``picks``.
     """
 
     plan: tuple[PlanStep, ...]
-    labels: tuple[str, ...]
     picks: tuple[tuple[int, ...], ...]
     cell: np.ndarray
     c_outcome: np.ndarray
@@ -469,11 +472,17 @@ def _exact_layout(geometry: str, partial: bool, c_enabled: bool) -> _ExactLayout
     outcome_cell = 2 * codes[:, labels.index("A")] + codes[:, labels.index("B")]
     # Plan i = 2a + b holds cells 4i = 8a + 4b onward.
     cell = (4 * np.arange(len(picks))[:, None] + outcome_cell).ravel()
-    c_outcome = np.tile(_c_outcome(plan, labels, codes), len(picks))
+    # The C step's codes as OUTCOMES codes, or -1 in every row when C is off.
+    if c_enabled:
+        d = labels.index("C")
+        c_codes = np.array(_outcome_codes(_branch_outcomes(plan[d])))[codes[:, d]]
+    else:
+        c_codes = np.full(len(codes), -1)
+    c_outcome = np.tile(c_codes, len(picks)).astype(np.int8)
     for column in (cell, c_outcome):
         column.flags.writeable = False
     walk = _walk_tables(tuple(map(_walk_key, plan)), _TWO_SINGLETS.amplitudes.size, picks)
-    return _ExactLayout(tuple(plan), tuple(labels), picks, cell, c_outcome, walk)
+    return _ExactLayout(tuple(plan), picks, cell, c_outcome, walk)
 
 
 # Each (geometry, bsm_partial, c_enabled) layout's angle-free table parts

@@ -4,10 +4,11 @@ Pure-state representation for up to five qubits, planar spin measurements,
 full and partial Bell-state measurements, exhaustive branch enumeration of
 measurement plans, and a sampler that draws many trials of several plans
 at once. Both walk plans that differ only in spin angles one depth at a
-time, a spin measured at one angle per block of rows (per plan when
-enumerating, per group of trials when sampling), and both report outcomes
-as integer codes into ``_branch_outcomes``. Collapses and the sampler draw
-through ``_draw``.
+time, a spin measured at one angle per block of rows (one block per plan),
+and both order a depth's rows as the plans' outcome tree: plan first, then
+the ``_plan_codes`` order of the outcomes so far. The sampler's leaves are
+therefore the exact walk's rows. Collapses and the sampler draw through
+``_draw``.
 
 One kernel, ``_products``, projects onto a step's outcomes: gathers,
 products and sums on contiguous vectors through integer index tables that
@@ -15,15 +16,15 @@ depend only on the step's shape (its kind and measured qubits) and the
 stack's block and row counts (``_branch_tables``), built once per shape. It
 returns every term's product and a trailing +0, and a post map gathers any
 post from them, +0 where no product lands. ``_branches`` lays every post
-out; ``_draw`` gathers only the drawn ones, and ``_one_state_weights``
-none; the exact walk, ``_walk``, lays none out either, but composes
-each depth's gathers through the previous depth's post map
-(``_walk_tables``), so a depth is a gather and ``_products``. Its values
-come from one vector per walk, each distinct angle's spin components once,
-through an index composed with the plans' angle picks; a layout binds its
-tables once (``engine.exact_leaf_rows``). A partial BSM shares a full one's
-tables; ``_fold`` alone merges its unresolved Bell states into NO_HERALD,
-for posts and weights alike.
+out, and ``_draw`` normalizes them into a depth's children;
+``_one_state_weights`` lays out none. The exact walk, ``_walk``, lays none
+out either, but composes each depth's gathers through the previous depth's
+post map (``_walk_tables``), so a depth is a gather and ``_products``. Its
+values come from one vector per walk, each distinct angle's spin
+components once, through an index composed with the plans' angle picks; a
+layout binds its tables once (``engine.exact_leaf_rows``). A partial BSM
+shares a full one's tables; ``_fold`` alone merges its unresolved Bell
+states into NO_HERALD, for posts and weights alike.
 Every squared norm (a state's norm check, the sampler's branch weights, an
 exact leaf's probability) is ``_norm_sq`` of C-contiguous rows, which
 equals ``np.vdot`` of each row bit for bit; the exact walk takes norms only
@@ -367,12 +368,12 @@ def _branches(
     ``_weights`` reads, shape (m, j, 2**n // 2**(number of measured
     qubits)), one row per spin outcome or Bell state, before any fold.
 
-    Collapse steps, the sampler and outcome probabilities read the same
+    Collapse steps and the sampler lay their posts out through here, one
+    call per depth (``_draw``); outcome probabilities read the same
     ``_products`` through ``_project``, and the exact walk composes them
-    depth by depth; this lays one step's posts out in full. The work is
-    flat and its index tables depend on the shapes alone
-    (``_branch_tables``): two gathers, two products and a sum per
-    coefficient, then one product per term; the posts are one gather of
+    depth by depth. The work is flat and its index tables depend on the
+    shapes alone (``_branch_tables``): two gathers, two products and a sum
+    per coefficient, then one product per term; the posts are one gather of
     the products through the post map, ``_fold``-ed for a partial BSM, as
     its weights are. Every ufunc runs on a contiguous vector, and a row's
     results do not depend on the other rows or on the stack's memory
@@ -382,28 +383,19 @@ def _branches(
     return _fold(step, products[post]), coeffs
 
 
-def _no_herald(stack: np.ndarray, folded: int) -> np.ndarray:
-    """NO_HERALD of a stack with one entry per Bell state on axis 1: the
-    sum of the first ``folded``, in enum order, from +0."""
-    none = np.zeros((len(stack),) + stack.shape[2:], stack.dtype)
-    for k in range(folded):
-        none += stack[:, k]
-    return none
-
-
 def _fold(step: PlanStep, stack: np.ndarray) -> np.ndarray:
     """A stack with one entry per spin outcome or Bell state on axis 1,
     shape (m, j, ...), put in ``_branch_outcomes(step)`` order: a partial
     BSM keeps its resolved outcomes and sums the folded ones, in enum
-    order, into NO_HERALD; any other step's stack is returned as it is.
-    This is the one place a partial BSM merges outcomes, for posts and
-    ``_weights``' weights alike, and ``_no_herald`` its one sum."""
+    order from +0, into NO_HERALD; any other step's stack is returned as it
+    is. This is the one place a partial BSM merges outcomes, for posts and
+    ``_weights``' weights alike."""
     if not (isinstance(step, BsmStep) and step.partial):
         return stack
     folded = _FOLDED[step.resolve_psi_plus]
     out = np.empty((len(stack), len(_BELL_TENSORS) - folded + 1) + stack.shape[2:], stack.dtype)
     out[:, :-1] = stack[:, folded:]
-    out[:, -1] = _no_herald(stack, folded)
+    out[:, -1] = sum(stack[:, k] for k in range(folded))  # sum() starts at int 0, so at +0
     return out
 
 
@@ -424,54 +416,46 @@ def _one_state_weights(amps: np.ndarray, step: PlanStep) -> list[float]:
 def _draw(
     step: PlanStep,
     states: np.ndarray,
-    group: np.ndarray,
+    node: np.ndarray,
     draws: np.ndarray,
     angles: Sequence[float] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The draw rule of every collapse and sampled depth. Row i draws
-    ``draws[i]`` from state ``group[i]`` of the (g, 2**n) ``states``, a spin
-    measuring state j at ``angles[j]`` if given. The slot edges are each
-    state's cumulative weights, a spin's first only; a row's slot is the
-    count of edges at or below its draw, or, past a BSM's last edge (the
-    sum fell short of 1), its last outcome of positive weight. Returns each
-    row's index into ``_branch_outcomes(step)``, the drawn (group, outcome)
-    posts over the square root of their weight, in (group, outcome) order,
-    each row's index into them, and the group each came from. Only the
-    drawn posts are gathered, and only the drawn NO_HERALD ones folded.
+    ``draws[i]`` from state ``node[i]`` of the (m, 2**n) ``states``, a spin
+    measuring the states at ``angles`` as ``_branches`` does. The slot edges
+    are each state's cumulative weights, a spin's first only; a row's slot
+    is the count of edges at or below its draw, or, past a BSM's last edge
+    (the sum fell short of 1), its last outcome of positive weight. Returns
+    each row's child ``node * k + slot``, its slot an index into
+    ``_branch_outcomes(step)``, and every state's children, shape (m * k,
+    2**n): child ``node * k + outcome`` is that ``_branches`` post over the
+    square root of its weight, +0 where the weight is 0.
     """
-    products, coeffs, post = _project(states, step, angles)
+    posts, coeffs = _branches(states, step, angles)
     weights = _weights(step, coeffs)
-    g, k = weights.shape
+    m, k = weights.shape
     edges = np.cumsum(weights, axis=1)  # sequential, as itertools.accumulate adds
-    slot = np.zeros(len(group), dtype=np.intp)
+    slot = np.zeros(len(node), dtype=np.intp)
     for edge in edges.T[: 1 if isinstance(step, SpinMeasurement) else k]:
-        slot += edge[group] <= draws
+        slot += edge[node] <= draws
     past = slot == k
     if past.any():
         positive = weights > 0.0
-        if not positive[group[past]].any(axis=1).all():
+        if not positive[node[past]].any(axis=1).all():
             raise RuntimeError("no Bell outcome has positive probability")
-        slot[past] = (k - 1 - np.argmax(positive[:, ::-1], axis=1))[group[past]]
-    pair = group * k + slot
-    drawn = np.bincount(pair, minlength=g * k) > 0
-    weight = weights.ravel()[drawn]
-    if np.any(weight <= 0.0):
+        slot[past] = (k - 1 - np.argmax(positive[:, ::-1], axis=1))[node[past]]
+    child = node * k + slot
+    if np.any(weights.ravel()[child] <= 0.0):
         raise RuntimeError("drew an outcome with zero-norm projection")
-    source, outcome = np.divmod(np.flatnonzero(drawn), k)
-    if isinstance(step, BsmStep) and step.partial:
-        folded = _FOLDED[step.resolve_psi_plus]
-        none = outcome == k - 1
-        states = products[post[source, np.where(none, 0, folded + outcome)]]
-        states[none] = _no_herald(products[post[source[none], :folded]], folded)
-    else:
-        states = products[post[source, outcome]]
-    return slot, states / np.sqrt(weight)[:, None], (np.cumsum(drawn) - 1)[pair], source
+    norm = np.sqrt(weights)[:, :, None]
+    children = np.divide(posts, norm, out=np.zeros_like(posts), where=norm > 0.0)
+    return child, children.reshape(m * k, -1)
 
 
 def _collapse(amps: np.ndarray, step: PlanStep, draw: float) -> tuple[object, np.ndarray]:
     """Raw collapse of one step with a uniform draw; inputs assumed valid."""
-    codes, states = _draw(step, amps[None], np.zeros(1, dtype=np.intp), np.array([draw]))[:2]
-    return _branch_outcomes(step)[codes[0]], states[0]
+    (child,), children = _draw(step, amps[None], np.zeros(1, dtype=np.intp), np.array([draw]))
+    return _branch_outcomes(step)[child], children[child]
 
 
 # Nothing in swapsim calls these two; engine and analysis import them so
@@ -712,7 +696,7 @@ def exact_branch_enumeration(
     return dict(zip(keys, probs.tolist()))
 
 
-def _sample_plans(
+def _sample_leaves(
     initials: np.ndarray,
     plan: Sequence[PlanStep],
     angles: Sequence[Sequence[float]],
@@ -721,27 +705,29 @@ def _sample_plans(
 ) -> np.ndarray:
     """Sample the plans ``_enumerate_plans`` reads from ``plan`` and
     ``angles`` in one walk: trial i runs plan p = ``plan_of_row[i]`` from
-    ``initials[p]`` with draws ``draws[i]``, and its int8 codes [i, d]
-    index ``_branch_outcomes(plan[d])``. A state depends only on its plan
-    and outcomes so far, so each depth is one ``_draw`` over the groups of
-    trials that share them."""
+    ``initials[p]`` with draws ``draws[i]``. Returns each trial's leaf as
+    its row of ``_enumerate_plans``' flattened leaves, plan first, then
+    ``_plan_codes(plan)`` order.
+
+    The walk runs down the plans' whole outcome tree, in that row order: at
+    each depth one ``_draw`` lays out every node's children, and each trial
+    moves to node ``node * k + slot``. A node's state depends only on its
+    plan and outcomes so far, so a trial's draws meet the same weights as a
+    step-by-step collapse's."""
     columns = _plan_angles(plan, angles)
-    codes = np.empty(np.shape(draws), dtype=np.int8)
-    if not len(codes):
-        return codes
-    states, group, plans = initials, np.asarray(plan_of_row, dtype=np.intp), np.arange(len(angles))
-    for d, (step, column) in enumerate(zip(plan, columns)):
-        step_angles = None if column is None else np.array(column)[plans].tolist()
-        codes[:, d], states, group, source = _draw(step, states, group, draws[:, d], step_angles)
-        plans = plans[source]
-    return codes
+    states, node = initials, np.asarray(plan_of_row, dtype=np.intp)
+    for step, column, draw in zip(plan, columns, np.asarray(draws).T):
+        node, states = _draw(step, states, node, draw, column)
+    return node
 
 
 def sample_branches(
     initial: StateVector, plan: Sequence[PlanStep], draws: np.ndarray
 ) -> np.ndarray:
-    """Sample a measurement plan for many trials at once: ``_sample_plans``
-    with one plan, so one ``_branches`` call per depth.
+    """Sample a measurement plan for many trials at once: ``_sample_leaves``
+    with one plan, its leaves decoded through ``_plan_codes``. It lays out
+    the plan's full outcome tree, as ``exact_branch_enumeration`` does,
+    whatever the trial count.
 
     ``draws`` has shape (m, len(plan)); row i holds the uniform draws trial
     i feeds to the plan's steps in order. Returns an int8 array of the same
@@ -756,4 +742,5 @@ def sample_branches(
     if draws.size and not (draws.min() >= 0.0 and draws.max() < 1.0):
         raise ValueError("draws must lie in [0, 1)")
     angles = [[step.angle for step in plan if isinstance(step, SpinMeasurement)]]
-    return _sample_plans(initial.amplitudes[None], plan, angles, np.zeros(len(draws), int), draws)
+    leaves = _sample_leaves(initial.amplitudes[None], plan, angles, np.zeros(len(draws), int), draws)
+    return _plan_codes(plan)[leaves].astype(np.int8)

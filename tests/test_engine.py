@@ -118,6 +118,24 @@ class TestConfig:
                 with pytest.raises(ValueError, match="must be finite"):
                     ExperimentConfig(**{name: (0.0, bad)})
 
+    @pytest.mark.parametrize("field,value", [
+        # Each of these used to run, read as two numbers.
+        ("angles_a", "01"),  # as (0.0, 1.0)
+        ("angles_b", b"01"),  # as (48.0, 49.0)
+        ("angles_a", bytearray(b"01")),
+        ("angles_b", {0: 1, 1: 2}),  # as (1.0, 2.0)
+        ("angles_a", (True, False)),  # as (1.0, 0.0)
+        ("angles_b", (np.True_, 0.0)),
+        ("angles_a", ("0.1", "0.2")),
+        # Each of these raised TypeError.
+        ("angles_b", (1 + 0j, 0.0)),
+        ("angles_a", 0.3),
+        ("herald", ["psi-minus"]),
+    ])
+    def test_rejects_misread_inputs_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{field: value})
+
     def test_rejects_unknown_herald(self):
         with pytest.raises(ValueError):
             ExperimentConfig(herald="sometimes")

@@ -15,6 +15,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -655,6 +656,30 @@ def test_exact_outputs_match_closed_form_property(geometry, partial, c_enabled, 
     assert max(abs(cells[key] - hit.get(key, 0.0) / mass[key]) for key in mass) <= 1e-14
     s = analysis.chsh(scalar_oracle.heralded_correlators(want, accept)).S
     assert abs(analysis.exact_chsh(cfg).S - s) <= 1e-13
+
+
+@pytest.mark.parametrize("geometry,partial,c_enabled", EXACT_LAYOUTS)
+@settings(max_examples=15, deadline=None, database=None)
+@given(angles=st.tuples(*[closed_form_angles] * 4), same=st.booleans(),
+       seed=st.integers(0, 2**64 - 1))
+def test_sampled_trials_land_on_exact_rows_property(geometry, partial, c_enabled, angles,
+                                                    same, seed):
+    """Every sampled trial's (a, b, A, B, c_outcome) is a row of the
+    layout's exact table of positive probability, and sampling warns of
+    nothing, also where equal angles or multiples of pi/4 give outcomes of
+    zero weight, whose states the walk writes as +0."""
+    if same:
+        angles = angles[:2] * 2
+    cfg = ExperimentConfig(geometry=geometry, n_trials=400, seed=seed, bsm_partial=partial,
+                           c_enabled=c_enabled, angles_a=angles[:2], angles_b=angles[2:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trials = run_trials(cfg)
+    cell, c_outcome, prob = engine.exact_leaf_rows(cfg)
+    rows = set(zip(cell[prob > 0.0].tolist(), c_outcome[prob > 0.0].tolist()))
+    sampled = (8 * trials["a"] + 4 * trials["b"] + 2 * (trials["A"] == -1)
+               + (trials["B"] == -1))
+    assert set(zip(sampled.tolist(), trials["c_outcome"].tolist())) <= rows
 
 
 def _openblas_dynamic_arch() -> bool:

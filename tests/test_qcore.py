@@ -37,7 +37,8 @@ from swapsim.qcore import (
     _enumerate_plans,
     _fold,
     _one_state_weights,
-    _sample_plans,
+    _plan_codes,
+    _sample_leaves,
     _weights,
 )
 
@@ -622,7 +623,10 @@ class TestSamplePlans:
         order = rng.permutation(len(rows))
         draws, plan_of_row = np.array(rows)[order], np.array(plan_of_row)[order]
         initials = np.stack([state.amplitudes for state in states])
-        codes = _sample_plans(initials, self.TEMPLATE, self.ANGLES, plan_of_row, draws)
+        leaves = _sample_leaves(initials, self.TEMPLATE, self.ANGLES, plan_of_row, draws)
+        codes = _plan_codes(self.TEMPLATE)
+        assert np.array_equal(leaves // len(codes), plan_of_row)
+        codes = codes[leaves % len(codes)].astype(np.int8)
         assert codes.dtype == np.int8 and codes.shape == draws.shape
         for p, (state, angles) in enumerate(zip(states, self.ANGLES)):
             mine = plan_of_row == p
@@ -631,5 +635,5 @@ class TestSamplePlans:
 
     def test_rejects_angle_rows_of_the_wrong_length(self):
         with pytest.raises(ValueError, match="2 spin angles each"):
-            _sample_plans(make_two_singlets().amplitudes[None], self.TEMPLATE, [[0.1]],
-                          np.zeros(1, dtype=np.intp), np.zeros((1, 3)))
+            _sample_leaves(make_two_singlets().amplitudes[None], self.TEMPLATE, [[0.1]],
+                           np.zeros(1, dtype=np.intp), np.zeros((1, 3)))
