@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .engine import (
     CELLS,
-    HERALD_MASKS,
     ExperimentConfig,
     Trials,
+    _exact_rows,
     check_trials,
     counter_uniforms,
     exact_leaf_rows,
@@ -98,13 +98,14 @@ def _mixed_radix(parts, n: int) -> tuple[np.ndarray, int]:
     return code, radix
 
 
-def _check_alpha(alpha) -> None:
+def _check_number(name: str, value, within, bounds: str) -> None:
+    """ValueError naming ``name`` unless ``value``, not a bool, passes ``within``."""
     try:
-        valid = 0.0 < alpha < 1.0  # False for NaN and the infinities
+        valid = not isinstance(value, (bool, np.bool_)) and within(value)
     except TypeError:
         valid = False
     if not valid:
-        raise ValueError(f"alpha must be a finite number with 0 < alpha < 1, got {alpha!r}")
+        raise ValueError(f"{name} must be a finite number with {bounds}, got {value!r}")
 
 
 def _check_min_cell(min_cell) -> None:
@@ -182,26 +183,22 @@ def _cell_sums(cell: np.ndarray, weights: np.ndarray) -> list[float]:
 
 def exact_heralded_correlators(config: ExperimentConfig) -> CorrelatorTable:
     """Correlators of the event-ready subensemble from the exact joint table."""
-    return _heralded_correlators(exact_leaf_rows(config), config.herald)
+    return _heralded_correlators(*_exact_rows(config, config.c_enabled))
 
 
-def _heralded_correlators(rows, herald: str) -> CorrelatorTable:
-    cell, c_outcome, prob = rows
-    kept = HERALD_MASKS[herald][c_outcome]
-    total = sum(prob[kept].tolist())
+def _heralded_correlators(rows, kept: tuple) -> CorrelatorTable:
+    """Correlators of exact leaf rows over a herald selection (rows, cells)."""
+    heralded = rows[2][kept[0]]
+    total = sum(heralded.tolist())
     if total <= 0.0:
         raise ValueError("conditioning event has zero probability")
     # P(a, b, A, B | herald); with any row kept, every cell has kept rows.
-    cond = _cell_sums(cell[kept], prob[kept] / total)
-    sums: dict[tuple[int, int], float] = {pair: 0.0 for pair in SETTING_PAIRS}
-    mass: dict[tuple[int, int], float] = {pair: 0.0 for pair in SETTING_PAIRS}
-    for (a, b, A, B), p in zip(CELLS, cond):
-        sums[(a, b)] += A * B * p
-        mass[(a, b)] += p
-    values = {
-        pair: (sums[pair] / mass[pair] if mass[pair] > 0.0 else None)
-        for pair in SETTING_PAIRS
-    }
+    # CELLS holds each setting pair's four cells in a row, A*B = +1, -1, -1, +1.
+    cond = iter(_cell_sums(kept[1], heralded / total))
+    values = {}
+    for pair, (pp, pm, mp, mm) in zip(SETTING_PAIRS, zip(cond, cond, cond, cond)):
+        mass = pp + pm + mp + mm
+        values[pair] = (pp - pm - mp + mm) / mass if mass > 0.0 else None
     return CorrelatorTable(values, {pair: 0 for pair in SETTING_PAIRS})
 
 
@@ -249,7 +246,7 @@ def test_conditional_independence(
     column twice, alpha outside (0, 1) or a min_cell that is not an integer
     >= 0 raises ValueError.
     """
-    _check_alpha(alpha)
+    _check_number("alpha", alpha, lambda a: 0.0 < a < 1.0, "0 < alpha < 1")
     _check_min_cell(min_cell)
     target_names = _as_names(target)
     given_names = _as_names(given) if given else ()
@@ -373,11 +370,12 @@ class NdaReport:
 
 def no_difference_check(config: ExperimentConfig, tol: float = 1e-12) -> NdaReport:
     """Compare exact P(a,b,A,B) with the central measurement present
-    (marginalized over its outcome) and absent. The config itself gives one
-    side and one copy with c_enabled flipped the other; the order of the
-    two does not matter, as abs(p - q) is symmetric."""
-    flipped = replace(config, c_enabled=not config.c_enabled)
-    return _no_difference(exact_leaf_rows(config), exact_leaf_rows(flipped), tol)
+    (marginalized over its outcome) and absent: the config's table and its
+    layout's with C flipped, in either order, as abs(p - q) is symmetric.
+    A difference below ``tol``, a finite number >= 0, is none."""
+    _check_number("tol", tol, lambda t: 0.0 <= t < math.inf, "tol >= 0")
+    flipped, _kept = _exact_rows(config, not config.c_enabled)
+    return _no_difference(exact_leaf_rows(config), flipped, tol)
 
 
 def _no_difference(rows, other_rows, tol: float = 1e-12) -> NdaReport:
@@ -412,9 +410,11 @@ class FragilityReport:
 
 
 def fragility(config: ExperimentConfig, tol: float = 1e-15) -> FragilityReport:
+    """A C-on config's fragility; a cell of mass at most ``tol`` (>= 0) is None."""
+    _check_number("tol", tol, lambda t: 0.0 <= t < math.inf, "tol >= 0")
     if not config.c_enabled:
         raise ValueError("fragility requires the central measurement to be enabled")
-    return _fragility(exact_leaf_rows(config), config.herald, tol)
+    return _fragility(*_exact_rows(config, True), tol)
 
 
 # Per CELLS index, the indexes of the cells with setting a, then b, flipped.
@@ -423,12 +423,11 @@ _FLIPPED = np.array([
 ])
 
 
-def _fragility(rows, herald: str, tol: float = 1e-15) -> FragilityReport:
-    """The fragility table of a C-on config's exact leaf rows."""
-    cell, c_outcome, prob = rows
-    heralded = HERALD_MASKS[herald][c_outcome]
+def _fragility(rows, kept: tuple, tol: float = 1e-15) -> FragilityReport:
+    """The fragility of a C-on config's exact leaf rows and herald selection."""
+    cell, _c_outcome, prob = rows
     mass = np.bincount(cell, weights=prob, minlength=len(CELLS))
-    hit = np.bincount(cell[heralded], weights=prob[heralded], minlength=len(CELLS))
+    hit = np.bincount(kept[1], weights=prob[kept[0]], minlength=len(CELLS))
     # P(herald | cell), NaN where the cell's mass is at most tol.
     p = np.divide(hit, mass, out=np.full(len(CELLS), np.nan), where=mass > tol)
     spread = np.abs(p[:, None] - p[_FLIPPED])

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import analysis, engine, geometry, io, toys
@@ -163,12 +162,13 @@ def _exact_section(config: engine.ExperimentConfig) -> dict:
     """Exact diagnostics; entries undefined for the config are None: the
     heralded correlators and CHSH when the herald has zero probability, and
     fragility when the central measurement is disabled. They read two exact
-    tables, the config's and the one with C flipped."""
-    rows = engine.exact_leaf_rows(config)
-    flipped = engine.exact_leaf_rows(replace(config, c_enabled=not config.c_enabled))
+    tables, the config's and the one with C flipped, and the config's
+    herald selection."""
+    rows, kept = engine._exact_rows(config, config.c_enabled)
+    flipped, _kept = engine._exact_rows(config, not config.c_enabled)
     section: dict = {"correlators": None, "chsh": None}
     try:
-        exact_table = analysis._heralded_correlators(rows, config.herald)
+        exact_table = analysis._heralded_correlators(rows, kept)
     except ValueError:  # conditioning on a zero-probability herald
         pass
     else:
@@ -176,7 +176,7 @@ def _exact_section(config: engine.ExperimentConfig) -> dict:
         section["chsh"] = analysis.chsh(exact_table).as_json()
     section["nda"] = analysis._no_difference(rows, flipped).as_json()
     section["fragility"] = (
-        analysis._fragility(rows, config.herald).as_json() if config.c_enabled else None
+        analysis._fragility(rows, kept).as_json() if config.c_enabled else None
     )
     return section
 

@@ -365,6 +365,7 @@ def measurement_order(geometry: str) -> tuple[EventLabel, ...]:
 
 
 _TWO_SINGLETS = make_two_singlets()  # the start state, built once at import
+_REAL_SINGLETS = _TWO_SINGLETS.amplitudes.real  # read-only; the exact walk's float64 start
 
 
 def _setting_plan(
@@ -450,8 +451,9 @@ class _ExactLayout(NamedTuple):
     ``angles_a + angles_b`` for each spin step of setting pair (a, b),
     ``cell`` and ``c_outcome`` are the read-only columns of
     ``exact_leaf_rows``, which ``run_trials`` reads at each trial's leaf,
-    and ``walk`` is the four plans' read-only ``qcore._walk_tables``, whose
-    value index reads each of ``angles_a + angles_b`` through ``picks``.
+    ``walk`` is the four plans' read-only ``qcore._walk_tables``, whose
+    value index reads each of ``angles_a + angles_b`` through ``picks``,
+    and ``heralds`` holds each herald name's read-only heralded rows and cells.
     """
 
     plan: tuple[PlanStep, ...]
@@ -459,6 +461,7 @@ class _ExactLayout(NamedTuple):
     cell: np.ndarray
     c_outcome: np.ndarray
     walk: tuple
+    heralds: Mapping[str, tuple[np.ndarray, np.ndarray]]
 
 
 def _exact_layout(geometry: str, partial: bool, c_enabled: bool) -> _ExactLayout:
@@ -479,10 +482,12 @@ def _exact_layout(geometry: str, partial: bool, c_enabled: bool) -> _ExactLayout
     else:
         c_codes = np.full(len(codes), -1)
     c_outcome = np.tile(c_codes, len(picks)).astype(np.int8)
-    for column in (cell, c_outcome):
+    kept = {name: np.flatnonzero(mask[c_outcome]) for name, mask in HERALD_MASKS.items()}
+    heralds = {name: (rows, cell[rows]) for name, rows in kept.items()}
+    for column in (cell, c_outcome, *itertools.chain(*heralds.values())):
         column.flags.writeable = False
-    walk = _walk_tables(tuple(map(_walk_key, plan)), _TWO_SINGLETS.amplitudes.size, picks)
-    return _ExactLayout(tuple(plan), picks, cell, c_outcome, walk)
+    walk = _walk_tables(tuple(map(_walk_key, plan)), _REAL_SINGLETS.size, picks)
+    return _ExactLayout(tuple(plan), picks, cell, c_outcome, walk, MappingProxyType(heralds))
 
 
 # Each (geometry, bsm_partial, c_enabled) layout's angle-free table parts
@@ -509,9 +514,14 @@ def exact_leaf_rows(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, n
     call. Only the probabilities are computed here, by one ``qcore._walk``
     from the config's four angles, each angle's spin components once.
     """
-    layout = _EXACT_LAYOUTS[config.geometry, config.bsm_partial, config.c_enabled]
-    probs = _walk(_TWO_SINGLETS.amplitudes, config.angles_a + config.angles_b, layout.walk)
-    return layout.cell, layout.c_outcome, 0.25 * probs
+    return _exact_rows(config, config.c_enabled)[0]
+
+
+def _exact_rows(config: ExperimentConfig, c_enabled: bool) -> tuple[tuple, tuple]:
+    """``exact_leaf_rows`` with C on or off, from that layout, and the herald's selection."""
+    layout = _EXACT_LAYOUTS[config.geometry, config.bsm_partial, c_enabled]
+    probs = _walk(_REAL_SINGLETS, config.angles_a + config.angles_b, layout.walk)
+    return (layout.cell, layout.c_outcome, 0.25 * probs), layout.heralds[config.herald]
 
 
 def exact_experiment_distribution(config: ExperimentConfig) -> dict[JointKey, float]:
@@ -528,6 +538,6 @@ def exact_experiment_distribution(config: ExperimentConfig) -> dict[JointKey, fl
 
 def herald_probability(config: ExperimentConfig) -> float:
     """Exact probability that a trial is heralded under the config."""
-    _cell, c_outcome, prob = exact_leaf_rows(config)
-    # sum() over the rows in order, as over the table: 0 when none herald.
-    return sum(prob[HERALD_MASKS[config.herald][c_outcome]].tolist())
+    (_cell, _c_outcome, prob), (rows, _cells) = _exact_rows(config, config.c_enabled)
+    # sum() over the rows in order, as over the table (no term is -0): 0.0 when none herald.
+    return sum(prob[rows].tolist(), 0.0)

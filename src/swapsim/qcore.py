@@ -26,10 +26,11 @@ layout binds its tables once (``engine.exact_leaf_rows``). A partial BSM
 shares a full one's tables; ``_fold`` alone merges its unresolved Bell
 states into NO_HERALD, for posts and weights alike.
 Every squared norm (a state's norm check, the sampler's branch weights, an
-exact leaf's probability) is ``_norm_sq`` of C-contiguous rows, which
-equals ``np.vdot`` of each row bit for bit; the exact walk takes norms only
-at its leaves. All operations return new values; states are immutable
-after construction.
+exact leaf's probability) is ``_norm_sq`` of C-contiguous complex rows,
+which equals ``np.vdot`` of each row bit for bit. ``_products`` keeps its
+inputs' dtype: the exact walk runs on float64 rows, complex only in its
+leaf norms. All operations return new values; states are immutable after
+construction.
 
 Conventions: qubit 0 is the most significant bit of the basis-state index,
 |0> is spin-up, and the singlet is (|01> - |10>)/sqrt(2) with the |01>
@@ -199,12 +200,10 @@ def _spin_components(angle: float) -> tuple[float, float]:
 
 # The two nonzero terms of each Bell tensor, outcomes in enum order: their
 # bits, indexed [left/right, term, outcome], and their values, flat at
-# [4 * term + outcome]. The values are real with a +0 imaginary part, so
-# products with them round as real ones.
+# [4 * term + outcome]. The values are real (float64): a complex stack
+# reads them with a +0 imaginary part, so its products round as real ones.
 _BELL_BITS = np.array([np.nonzero(m) for m in _BELL_TENSORS.values()]).transpose(1, 2, 0)
-_BELL_VALUES = np.array(
-    [m[m != 0].real for m in _BELL_TENSORS.values()], dtype=np.complex128
-).T.ravel()
+_BELL_VALUES = np.array([m[m != 0].real for m in _BELL_TENSORS.values()]).T.ravel()
 _BELL_VALUES.flags.writeable = False
 
 
@@ -234,13 +233,14 @@ def _branch_outcomes(step: PlanStep) -> list:
 
 
 def _norm_sq(rows: np.ndarray) -> np.ndarray:
-    """Squared norms of the rows of an (m, n) complex stack, shape (m,).
+    """Squared norms of the rows of an (m, n) real or complex stack, shape (m,).
 
-    Each is the BLAS dot of a C-contiguous row's conjugate with the row, as
-    ``np.vdot`` of that row computes it: ``np.vecdot`` on contiguous complex
-    rows calls ``zdotc`` once per row, the kernel ``vdot`` calls, so the two
-    agree bit for bit. The input is made C-contiguous first, because a
-    strided dot sums in another order.
+    Each is the BLAS dot of a C-contiguous complex row's conjugate with the
+    row, as ``np.vdot`` of that row computes it: ``np.vecdot`` on contiguous
+    complex rows calls ``zdotc`` once per row, the kernel ``vdot`` calls, so
+    the two agree bit for bit. The input is made C-contiguous and complex
+    first, because a strided dot sums in another order, and ``ddot`` on real
+    rows in another again; a real row is read with +0 imaginary parts.
     """
     rows = np.ascontiguousarray(rows, dtype=np.complex128)
     return np.vecdot(rows, rows).real
@@ -315,11 +315,11 @@ def _spin_values(angles: Sequence[float]) -> np.ndarray:
     """The values ``_branch_tables`` indexes for a spin step, one block per
     angle, flat at [4 * block + 2 * outcome + bit]: the (up, down)
     components of outcome +1 at the block's angle, then of -1 at the angle
-    plus pi; complex, as the products are, so that no operand needs a cast."""
+    plus pi; real (float64), as the measurement plane is."""
     values: list[float] = []
     for angle in angles:
         values += _spin_components(angle) + _spin_components(angle + math.pi)
-    return np.array(values, dtype=np.complex128)
+    return np.array(values)
 
 
 def _products(v: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -327,11 +327,11 @@ def _products(v: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     two terms' values and amplitudes, term 0 of every coefficient and then
     term 1, as ``_branch_tables``' ``val`` and ``src`` gather them. Returns
     each term's value times its coefficient with a trailing +0, the vector
-    a post map gathers posts from, and the coefficients."""
+    a post map gathers posts from, and the coefficients, in ``v * x``'s dtype."""
     terms = v * x
     half = len(terms) // 2
     coeffs = terms[:half] + terms[half:]
-    products = np.empty(len(terms) + 1, dtype=np.complex128)
+    products = np.empty(len(terms) + 1, dtype=terms.dtype)
     np.multiply(v.reshape(2, half), coeffs, out=products[:-1].reshape(2, half))
     products[-1] = 0.0
     return products, coeffs
@@ -641,6 +641,7 @@ def _walk(initial: np.ndarray, angles: Sequence[float], tables: tuple) -> np.nda
     gather of its amplitudes from the previous depth's products and one
     ``_products`` call, a partial BSM's posts laid out and folded; then
     the leaves' gather and one ``_norm_sq`` call, the walk's only norms.
+    The values are real, so the rows keep ``initial``'s dtype until ``_norm_sq``.
     """
     val, depths, leaves = tables
     v = np.concatenate([_BELL_VALUES, _spin_values(angles)])[val]

@@ -7,14 +7,15 @@ record-by-record correlators, G-test counting and CSV writers, the column
 CSV writer that joined each line field by field, and the JSON mirror built
 as one dict per trial. Beside them are the collapse steps, Bell outcome
 probabilities and exact branch enumeration that projected onto each outcome
-in their own code, the projection kernel's broadcast body, the joint table
-built one setting plan at a time over that recursion, and the exact
-diagnostics that walked it as a dict keyed by BellOutcome members. They are
-kept here, unchanged apart from taking plain record sequences, as the oracle
-the array paths, the row-code writers, the streamed mirror, the projection
-kernel, the level-by-level exact tables and their leaf-row diagnostics must
-match. ``closed_form_table`` is the one reference that walks no amplitudes:
-the exact joint table in closed form, which every layout must meet within a
+in their own code, the projection kernel's broadcast body, the exact walk
+as it ran on complex rows, the joint table built one setting plan at a time
+over that recursion, and the exact diagnostics that walked it as a dict
+keyed by BellOutcome members. They are kept here, unchanged apart from
+taking plain record sequences, as the oracle the array paths, the row-code
+writers, the streamed mirror, the projection kernel, the float64 exact walk,
+the level-by-level exact tables and their leaf-row diagnostics must match.
+``closed_form_table`` is the one reference that walks no amplitudes: the
+exact joint table in closed form, which every layout must meet within a
 tolerance. The helpers at the end turn records into tables and compare
 tables column by column.
 """
@@ -362,6 +363,36 @@ def enumerate_plans(
     return np.array(norms, dtype=np.float64).reshape(len(angles), -1)
 
 
+def complex_walk(initial: np.ndarray, angles: Sequence[float], tables: tuple) -> np.ndarray:
+    """Leaf probabilities of the exact walk of ``qcore._walk_tables``'
+    ``tables`` from the amplitudes ``initial``, as ``qcore._walk`` computed
+    them while it ran on complex rows: complex Bell and spin values and
+    amplitudes, one projection per depth (each term's value times its
+    coefficient, then a trailing +0), a partial BSM's posts folded, and each
+    leaf's ``np.vdot`` with itself. ``qcore._walk`` on float64 rows must
+    equal it byte for byte."""
+    val, depths, leaves = tables
+    spins = [c for angle in angles
+             for c in _spin_components(angle) + _spin_components(angle + math.pi)]
+    v = np.concatenate([_BELL_VALUES.ravel(), np.array(spins, dtype=np.complex128)])[val]
+    x, start = np.asarray(initial, dtype=np.complex128), 0
+    for src, post, step in depths:
+        values, amps = v[start : start + len(src)], x[src]
+        start += len(src)
+        terms = values * amps
+        half = len(terms) // 2
+        coeffs = terms[:half] + terms[half:]
+        x = np.empty(len(terms) + 1, dtype=np.complex128)
+        np.multiply(values.reshape(2, half), coeffs, out=x[:-1].reshape(2, half))
+        x[-1] = 0.0
+        if post is not None:
+            x = _fold(step, x[post]).reshape(-1)
+    if leaves is not None:
+        x = x[leaves]
+    norms = [np.vdot(row, row).real for row in x.reshape(-1, len(initial))]
+    return np.array(norms, dtype=np.float64)
+
+
 def exact_branch_enumeration(
     initial: StateVector, plan: Sequence[PlanStep]
 ) -> dict[tuple, float]:
@@ -466,7 +497,7 @@ def herald_probability(config: ExperimentConfig) -> float:
     """Exact probability that a trial is heralded under the config."""
     table = exact_experiment_distribution(config)
     accept = config.herald_set()
-    return sum(p for k, p in table.items() if k[4] is not None and k[4] in accept)
+    return sum((p for k, p in table.items() if k[4] is not None and k[4] in accept), 0.0)
 
 
 def exact_heralded_correlators(config: ExperimentConfig) -> CorrelatorTable:

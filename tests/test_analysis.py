@@ -312,6 +312,30 @@ class TestNoDifference:
         diff = max(abs(conditioned[k] - unconditioned[k]) for k in unconditioned)
         assert diff < 1e-12
 
+    @pytest.mark.parametrize("tol", [math.nan, -1, "1e-3", True, math.inf, None])
+    def test_tol_not_a_finite_real_at_least_zero_raises(self, tol):
+        # NaN and -1 used to turn NoDifference into Difference, "1e-3"
+        # raised TypeError, and True and inf passed as 1 and inf.
+        with pytest.raises(ValueError, match="tol"):
+            no_difference_check(ExperimentConfig(), tol)
+
+    @pytest.mark.parametrize("tol", [0, 0.0, 1e-12, np.float64(1e-12), np.int64(1)])
+    def test_tol_accepted_values(self, tol):
+        report = no_difference_check(ExperimentConfig(), tol)
+        assert report.max_abs_diff == no_difference_check(ExperimentConfig()).max_abs_diff
+
+    def test_flipped_side_builds_no_config(self, monkeypatch):
+        # The C-flipped side is read from its layout: no copy of the config
+        # is built, and so none is checked again.
+        configs = [ExperimentConfig(c_enabled=c, angles_a=(0.3, 1.9)) for c in (True, False)]
+        built = []
+        check = ExperimentConfig.__post_init__
+        monkeypatch.setattr(ExperimentConfig, "__post_init__",
+                            lambda self: built.append(self) or check(self))
+        for cfg in configs:
+            assert no_difference_check(cfg).verdict is NdaVerdict.NO_DIFFERENCE
+        assert built == []
+
 
 class TestFragility:
     def test_cells_match_closed_form(self):
@@ -337,6 +361,13 @@ class TestFragility:
     def test_requires_c_enabled(self):
         with pytest.raises(ValueError):
             fragility(ExperimentConfig(c_enabled=False))
+
+    @pytest.mark.parametrize("tol", [math.nan, -1, "1e-3", True, math.inf, None])
+    def test_tol_not_a_finite_real_at_least_zero_raises(self, tol):
+        # NaN used to set all 16 cells to None, "1e-3" raised TypeError,
+        # and -1, True and inf passed.
+        with pytest.raises(ValueError, match="tol"):
+            fragility(ExperimentConfig(), tol)
 
 
 angles = st.floats(-2.0 * math.pi, 2.0 * math.pi, allow_nan=False)

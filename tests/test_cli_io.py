@@ -19,7 +19,6 @@ from swapsim.engine import (
     ExperimentConfig,
     Trials,
     config_meta,
-    exact_leaf_rows,
     run_trials,
 )
 from swapsim.qcore import BellOutcome
@@ -337,6 +336,21 @@ class TestCliSimulate:
         assert report["exact"]["nda"]["verdict"] == "NoDifference"
         assert report["exact"]["fragility"]["max_spread"] > 0
 
+    def test_out_prefix_changes_only_meta_out(self, tmp_path):
+        # simulate echoes --out into meta.out of both JSON files: under two
+        # prefixes the CSVs are byte-equal, and the JSON files are equal
+        # once meta.out is dropped.
+        outs = [tmp_path / "a" / "run", tmp_path / "b" / "sim-full"]
+        for out in outs:
+            out.parent.mkdir()
+            argv = ["simulate", "--exact", "--trials", "300", "--seed", "9", "--out", str(out)]
+            assert cli.main(argv) == 0
+        assert len({Path(f"{out}.csv").read_bytes() for out in outs}) == 1
+        for suffix in (".json", ".report.json"):
+            docs = [json.loads(Path(f"{out}{suffix}").read_text()) for out in outs]
+            assert [doc["meta"].pop("out") for doc in docs] == [str(out) for out in outs]
+            assert docs[0] == docs[1]
+
     def test_missing_out_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main(["simulate", "--trials", "10"])
@@ -414,13 +428,14 @@ class TestCliSimulate:
     def test_exact_section_builds_two_tables(self, tmp_path, monkeypatch, c_enabled):
         # One table with C on and one with C off serve every exact diagnostic.
         built = []
+        exact_rows = engine._exact_rows
 
-        def counted(config):
-            built.append(config.c_enabled)
-            return exact_leaf_rows(config)
+        def counted(config, c_enabled):
+            built.append(c_enabled)
+            return exact_rows(config, c_enabled)
 
-        monkeypatch.setattr(engine, "exact_leaf_rows", counted)
-        monkeypatch.setattr(analysis, "exact_leaf_rows", counted)
+        monkeypatch.setattr(engine, "_exact_rows", counted)
+        monkeypatch.setattr(analysis, "_exact_rows", counted)
         rc = cli.main(["simulate", "--exact", "--disable-c", str(not c_enabled).lower(),
                        "--trials", "16", "--seed", "1", "--out", str(tmp_path / "run")])
         assert rc == 0

@@ -405,6 +405,16 @@ class TestExactDistribution:
     def test_herald_probability(self):
         assert herald_probability(ExperimentConfig()) == pytest.approx(0.25, abs=1e-12)
 
+    @pytest.mark.parametrize("cfg", [
+        ExperimentConfig(c_enabled=False),
+        ExperimentConfig(bsm_partial=True, herald="phi-plus"),
+        ExperimentConfig(bsm_partial=True, herald="phi-minus"),
+    ])
+    def test_herald_probability_is_a_float_when_nothing_heralds(self, cfg):
+        # It used to be the int 0.
+        p = herald_probability(cfg)
+        assert type(p) is float and p == 0.0 and math.copysign(1.0, p) == 1.0
+
     def test_monte_carlo_no_signaling(self):
         # P(A=+1 | a, b) independent of b within 5 sigma on sampled data.
         ens = run_trials(ExperimentConfig(n_trials=20_000, seed=23))

@@ -550,10 +550,12 @@ def test_exact_walk_matches_oracle_every_step_shape(n):
 
 
 def _layout_tables(layout) -> list:
-    """Every index table a layout carries: its columns and its walk's."""
+    """Every index table a layout carries: its columns, its walk's and its
+    herald selections'."""
     val, depths, leaves = layout.walk
     walk = [val, leaves] + [table for src, post, _step in depths for table in (src, post)]
-    return [layout.cell, layout.c_outcome] + [table for table in walk if table is not None]
+    heralds = [table for selection in layout.heralds.values() for table in selection]
+    return [layout.cell, layout.c_outcome] + [t for t in walk if t is not None] + heralds
 
 
 def test_exact_leaf_rows_share_read_only_columns(monkeypatch):
@@ -575,6 +577,34 @@ def test_exact_leaf_rows_share_read_only_columns(monkeypatch):
             with pytest.raises(ValueError):
                 table[(0,) * table.ndim] = 0
         prob[0] = 0.5  # a fresh array per call
+        with pytest.raises(TypeError):
+            layout.heralds["psi-minus"] = layout.heralds["all"]
+
+
+def test_layout_herald_selections_are_the_masked_rows():
+    """Each layout's selection for a herald holds the rows its mask flags,
+    in row order, and their cells; with C off, none."""
+    for (_geometry, _partial, c_enabled), layout in engine._EXACT_LAYOUTS.items():
+        assert layout.heralds.keys() == engine.HERALD_MASKS.keys()
+        for name, (rows, cells) in layout.heralds.items():
+            want = np.flatnonzero(engine.HERALD_MASKS[name][layout.c_outcome])
+            assert rows.tolist() == want.tolist() and cells.tolist() == layout.cell[want].tolist()
+            assert c_enabled or rows.size == 0
+
+
+def test_exact_walk_runs_on_float64_rows(monkeypatch):
+    """Every projection of an exact table is on float64 values and rows;
+    the sampler's stay complex."""
+    dtypes = []
+    products = qcore._products
+    monkeypatch.setattr(qcore, "_products",
+                        lambda v, x: dtypes.append((v.dtype, x.dtype)) or products(v, x))
+    for key in engine._EXACT_LAYOUTS:
+        engine.exact_leaf_rows(ExperimentConfig(key[0], bsm_partial=key[1], c_enabled=key[2]))
+    assert set(dtypes) == {(np.dtype(np.float64),) * 2}
+    dtypes.clear()
+    run_trials(ExperimentConfig(n_trials=10))
+    assert {x for _v, x in dtypes} == {np.dtype(np.complex128)}
 
 
 def test_exact_leaf_rows_computes_each_angle_once(monkeypatch):
@@ -618,6 +648,20 @@ closed_form_angles = st.one_of(
     st.floats(-8.0 * math.pi, 8.0 * math.pi),
     st.integers(-32, 32).map(lambda k: k * math.pi / 4.0),
 )
+
+
+@pytest.mark.parametrize("geometry,partial,c_enabled", EXACT_LAYOUTS)
+@settings(max_examples=25, deadline=None, database=None)
+@given(angles=st.tuples(*[st.one_of(closed_form_angles, st.sampled_from([1e17, -1e17]))] * 4))
+def test_float_walk_matches_complex_walk_property(geometry, partial, c_enabled, angles):
+    """A layout's walk on float64 rows gives the leaf probabilities of the
+    same walk on complex rows (the oracle's), byte for byte: every value is
+    real, and the leaf norms are zdotc on complex rows either way."""
+    layout = engine._EXACT_LAYOUTS[geometry, partial, c_enabled]
+    cfg = ExperimentConfig(geometry=geometry, bsm_partial=partial, c_enabled=c_enabled,
+                           angles_a=angles[:2], angles_b=angles[2:])
+    want = 0.25 * scalar_oracle.complex_walk(TWO_SINGLETS.amplitudes, angles, layout.walk)
+    assert engine.exact_leaf_rows(cfg)[2].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("geometry,partial,c_enabled", EXACT_LAYOUTS)
