@@ -382,7 +382,7 @@ def _no_difference(rows, other_rows, tol: float = 1e-12) -> NdaReport:
     """The no-difference check of the exact leaf rows of one config with C
     on and with C off, in either order."""
     marginals = [_cell_sums(cell, prob) for cell, _c_outcome, prob in (rows, other_rows)]
-    diff = max(abs(p - q) for p, q in zip(*marginals))
+    diff = max([abs(p - q) for p, q in zip(*marginals)])
     verdict = NdaVerdict.NO_DIFFERENCE if diff < tol else NdaVerdict.DIFFERENCE
     return NdaReport(diff, verdict)
 
@@ -417,23 +417,18 @@ def fragility(config: ExperimentConfig, tol: float = 1e-15) -> FragilityReport:
     return _fragility(*_exact_rows(config, True), tol)
 
 
-# Per CELLS index, the indexes of the cells with setting a, then b, flipped.
-_FLIPPED = np.array([
-    [CELLS.index((1 - a, b, A, B)), CELLS.index((a, 1 - b, A, B))] for a, b, A, B in CELLS
-])
-
-
 def _fragility(rows, kept: tuple, tol: float = 1e-15) -> FragilityReport:
     """The fragility of a C-on config's exact leaf rows and herald selection."""
     cell, _c_outcome, prob = rows
-    mass = np.bincount(cell, weights=prob, minlength=len(CELLS))
-    hit = np.bincount(kept[1], weights=prob[kept[0]], minlength=len(CELLS))
-    # P(herald | cell), NaN where the cell's mass is at most tol.
-    p = np.divide(hit, mass, out=np.full(len(CELLS), np.nan), where=mass > tol)
-    spread = np.abs(p[:, None] - p[_FLIPPED])
-    max_spread = float(spread.max(initial=0.0, where=~np.isnan(spread)))
-    cells = {key: (None if math.isnan(v) else v) for key, v in zip(CELLS, p.tolist())}
-    return FragilityReport(cells, max_spread)
+    mass = _cell_sums(cell, prob)
+    hit = _cell_sums(kept[1], prob[kept[0]])
+    # P(herald | cell), None where the cell's mass is at most tol.
+    p = [h / m if m > tol else None for h, m in zip(hit, mass)]
+    # Each cell with b = 0 against its partner with b = 1 (cell + 4), then
+    # each with a = 0 against a = 1 (cell + 8); abs(q - r) is abs(r - q).
+    pairs = zip(p[:4] + p[8:12] + p[:8], p[4:8] + p[12:] + p[8:])
+    spreads = [abs(q - r) for q, r in pairs if q is not None and r is not None]
+    return FragilityReport(dict(zip(CELLS, p)), max(spreads, default=0.0))
 
 
 @dataclass(frozen=True)

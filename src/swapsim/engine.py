@@ -28,6 +28,7 @@ from .qcore import (
     BsmStep,
     PlanStep,
     SpinMeasurement,
+    _bind_walk,
     _branch_outcomes,
     _plan_codes,
     _sample_leaves,
@@ -451,9 +452,10 @@ class _ExactLayout(NamedTuple):
     ``angles_a + angles_b`` for each spin step of setting pair (a, b),
     ``cell`` and ``c_outcome`` are the read-only columns of
     ``exact_leaf_rows``, which ``run_trials`` reads at each trial's leaf,
-    ``walk`` is the four plans' read-only ``qcore._walk_tables``, whose
-    value index reads each of ``angles_a + angles_b`` through ``picks``,
-    and ``heralds`` holds each herald name's read-only heralded rows and cells.
+    ``walk`` is the four plans' ``qcore._walk_tables`` bound to the
+    two-singlet state (``qcore._bind_walk``), read-only, whose value index
+    reads each of ``angles_a + angles_b`` through ``picks``, and
+    ``heralds`` holds each herald name's read-only heralded rows and cells.
     """
 
     plan: tuple[PlanStep, ...]
@@ -486,7 +488,8 @@ def _exact_layout(geometry: str, partial: bool, c_enabled: bool) -> _ExactLayout
     heralds = {name: (rows, cell[rows]) for name, rows in kept.items()}
     for column in (cell, c_outcome, *itertools.chain(*heralds.values())):
         column.flags.writeable = False
-    walk = _walk_tables(tuple(map(_walk_key, plan)), _REAL_SINGLETS.size, picks)
+    tables = _walk_tables(tuple(map(_walk_key, plan)), _REAL_SINGLETS.size, picks)
+    walk = _bind_walk(_REAL_SINGLETS, tables)
     return _ExactLayout(tuple(plan), picks, cell, c_outcome, walk, MappingProxyType(heralds))
 
 
@@ -509,10 +512,12 @@ def exact_leaf_rows(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, n
     branch enumeration in the geometry's execution order; rows come in
     (a, b, leaf) order, one per (a, b, A, B, c_outcome) key, including
     zero-probability ones. Summing rows in this order is summing the table.
-    The cell and c_outcome columns and the walk's index tables depend on
-    the layout alone: they are built once, read-only and shared by every
-    call. Only the probabilities are computed here, by one ``qcore._walk``
-    from the config's four angles, each angle's spin components once.
+    The cell and c_outcome columns and the bound walk depend on the layout
+    alone: they are built once, read-only and shared by every call, the
+    walk with all of it that reads no angle already run (with C first, the
+    whole BSM depth). Only the probabilities are computed here, by one
+    ``qcore._walk`` from the config's four angles, each angle's spin
+    components once.
     """
     return _exact_rows(config, config.c_enabled)[0]
 
@@ -520,7 +525,7 @@ def exact_leaf_rows(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, n
 def _exact_rows(config: ExperimentConfig, c_enabled: bool) -> tuple[tuple, tuple]:
     """``exact_leaf_rows`` with C on or off, from that layout, and the herald's selection."""
     layout = _EXACT_LAYOUTS[config.geometry, config.bsm_partial, c_enabled]
-    probs = _walk(_REAL_SINGLETS, config.angles_a + config.angles_b, layout.walk)
+    probs = _walk(layout.walk, config.angles_a + config.angles_b)
     return (layout.cell, layout.c_outcome, 0.25 * probs), layout.heralds[config.herald]
 
 

@@ -19,12 +19,15 @@ post from them, +0 where no product lands. ``_branches`` lays every post
 out, and ``_draw`` normalizes them into a depth's children;
 ``_one_state_weights`` lays out none. The exact walk, ``_walk``, lays none
 out either, but composes each depth's gathers through the previous depth's
-post map (``_walk_tables``), so a depth is a gather and ``_products``. Its
-values come from one vector per walk, each distinct angle's spin
-components once, through an index composed with the plans' angle picks; a
-layout binds its tables once (``engine.exact_leaf_rows``). A partial BSM
-shares a full one's tables; ``_fold`` alone merges its unresolved Bell
-states into NO_HERALD, for posts and weights alike.
+post map (``_walk_tables``), so a depth is a gather and ``_products``.
+``_bind_walk`` binds the tables to a start state and runs once all that
+reads no angle: the first gather of amplitudes and any leading BSM depth.
+A call's values come from one vector, the Bell values and each distinct
+angle's spin components once, through an index composed with the plans'
+angle picks; each engine layout binds its walk once, at import
+(``engine.exact_leaf_rows``). A partial BSM shares a full one's tables;
+``_fold`` alone merges its unresolved Bell states into NO_HERALD, for
+posts and weights alike.
 Every squared norm (a state's norm check, the sampler's branch weights, an
 exact leaf's probability) is ``_norm_sq`` of C-contiguous complex rows,
 which equals ``np.vdot`` of each row bit for bit. ``_products`` keeps its
@@ -205,6 +208,7 @@ def _spin_components(angle: float) -> tuple[float, float]:
 _BELL_BITS = np.array([np.nonzero(m) for m in _BELL_TENSORS.values()]).transpose(1, 2, 0)
 _BELL_VALUES = np.array([m[m != 0].real for m in _BELL_TENSORS.values()]).T.ravel()
 _BELL_VALUES.flags.writeable = False
+_BELL_FLOATS = tuple(_BELL_VALUES.tolist())
 
 
 def _partial_outcomes(resolve_psi_plus: bool) -> tuple[list[BellOutcome], list[BellOutcome]]:
@@ -311,14 +315,16 @@ def _branch_tables(
     return src, val, post
 
 
-def _spin_values(angles: Sequence[float]) -> np.ndarray:
+def _spin_values(angles: Sequence[float], head: Sequence[float] = ()) -> np.ndarray:
     """The values ``_branch_tables`` indexes for a spin step, one block per
     angle, flat at [4 * block + 2 * outcome + bit]: the (up, down)
     components of outcome +1 at the block's angle, then of -1 at the angle
-    plus pi; real (float64), as the measurement plane is."""
-    values: list[float] = []
+    plus pi; real (float64), as the measurement plane is. The blocks follow
+    ``head``, in the one array."""
+    values = list(head)
     for angle in angles:
-        values += _spin_components(angle) + _spin_components(angle + math.pi)
+        values += _spin_components(angle)
+        values += _spin_components(angle + math.pi)
     return np.array(values)
 
 
@@ -558,8 +564,8 @@ def _plan_codes(plan: Sequence[PlanStep]) -> np.ndarray:
     depth), in the order a recursion over the outcomes visits the leaves:
     entry [i, d] indexes ``_branch_outcomes(plan[d])``, as ``sample_branches``'
     codes do. These are the rows of ``_enumerate_plans``' leaves."""
-    sizes = [range(len(_branch_outcomes(step))) for step in plan]
-    return np.array(list(itertools.product(*sizes)), dtype=np.intp).reshape(-1, len(plan))
+    codes = list(itertools.product(*[range(len(_branch_outcomes(step))) for step in plan]))
+    return np.array(codes, dtype=np.intp).reshape(len(codes), len(plan))
 
 
 def _plan_angles(plan: Sequence[PlanStep], angles: Sequence[Sequence[float]]) -> list:
@@ -585,27 +591,28 @@ def _walk_tables(keys: tuple, size: int, picks: tuple) -> tuple:
     """Read-only index tables of the exact walk, from one state of ``size``
     amplitudes, of ``len(picks)`` plans of steps with ``_walk_key``s
     ``keys``, plan p measuring its s-th spin step at angle ``picks[p][s]``
-    of the walk's angles: (val, depths, leaves).
+    of the walk's angles: (start, depths).
 
-    ``val`` gathers every depth's values at once from the walk's value
-    vector, ``_BELL_VALUES`` and then the angles' ``_spin_values``: it is
-    ``_branch_tables``' val with each spin block's index composed through
+    ``start`` gathers depth 0's amplitudes from the state's (the leaves',
+    for no step). Depth d's entry in ``depths`` is (val, post, step, next).
+    ``val`` gathers its values from the walk's value vector,
+    ``_BELL_VALUES`` and then the angles' ``_spin_values``: it is
+    ``_branch_tables``' val, a spin block's index composed through
     ``picks``, so an angle that plans or depths share is read from one
-    block. Depth d's entry in ``depths`` is (src, post, step): ``src``
-    indexes the previous depth's products (the initial state's amplitudes
-    at depth 0), as ``_branch_tables``' src composed through that depth's
-    post map, so no post stack is laid out; ``post`` is the post map of a
-    partial BSM ``step``, shaped (rows, Bell state, amplitude), whose posts
-    are laid out and ``_fold``-ed, and None otherwise. ``leaves`` gathers
-    the leaves, rows in plan, then depth-first outcome order, from the last
-    products; None when a fold already laid them out. The tables hold no
-    angle, amplitude or weight.
+    block. ``post`` is the post map of a partial BSM ``step``, shaped
+    (rows, Bell state, amplitude), whose posts are laid out and
+    ``_fold``-ed, and None otherwise; ``step`` is None for a spin. ``next``
+    gathers the next depth's amplitudes from the products, as
+    ``_branch_tables``' src composed through this depth's post map, so no
+    post stack is laid out; at the last depth it gathers the leaves, rows
+    in plan, then depth-first outcome order, and is None when a fold laid
+    them out. The tables hold no angle, amplitude or weight.
     """
     plans = len(picks)
     # Where each flat position of the current stack is read from; None
     # once a fold has laid the stack out.
     position = np.tile(np.arange(size), plans)
-    rows, spin, vals, depths = plans, 0, [], []
+    rows, spin, gathers, depths = plans, 0, [], []
     for key in keys:
         step = None if key[0] is SpinMeasurement else BsmStep(*key[1:])
         blocks, k = (plans, 2) if step is None else (1, len(_branch_outcomes(step)))
@@ -615,45 +622,64 @@ def _walk_tables(keys: tuple, size: int, picks: tuple) -> tuple:
             block = len(_BELL_VALUES) + 4 * np.array([pick[spin] for pick in picks], np.intp)
             val = block[val // 4] + val % 4
             spin += 1
-        vals.append(val)
-        if position is not None:
-            src = position[src]
-            src.flags.writeable = False
+        gathers.append(src if position is None else position[src])
         fold = step is not None and step.partial
-        depths.append((src, post.reshape(rows, len(_BELL_TENSORS), size) if fold else None, step))
+        depths.append((val, post.reshape(rows, len(_BELL_TENSORS), size) if fold else None, step))
         position = None if fold else post
         rows *= k
-    val = np.concatenate(vals) if vals else np.zeros(0, dtype=np.intp)
-    for table in (val, position):
+    gathers.append(position)
+    for table in gathers + [val for val, *_ in depths]:
         if table is not None:
             table.flags.writeable = False
-    return val, tuple(depths), position
+    return gathers[0], tuple(depth + (nxt,) for depth, nxt in zip(depths, gathers[1:]))
 
 
-def _walk(initial: np.ndarray, angles: Sequence[float], tables: tuple) -> np.ndarray:
-    """Leaf probabilities of the exact walk of ``_walk_tables``' ``tables``
-    from the amplitudes ``initial``, their picks indexing ``angles``: flat,
-    rows in plan, then depth-first outcome order, each the squared norm of
-    a leaf's unnormalized amplitudes.
-
-    One gather of every depth's values from ``_BELL_VALUES`` and the
-    angles' ``_spin_values``, each angle's computed once; per depth, one
-    gather of its amplitudes from the previous depth's products and one
-    ``_products`` call, a partial BSM's posts laid out and folded; then
-    the leaves' gather and one ``_norm_sq`` call, the walk's only norms.
-    The values are real, so the rows keep ``initial``'s dtype until ``_norm_sq``.
-    """
-    val, depths, leaves = tables
-    v = np.concatenate([_BELL_VALUES, _spin_values(angles)])[val]
-    x, start = initial, 0
-    for src, post, step in depths:
-        x, _coeffs = _products(v[start : start + len(src)], x[src])
-        start += len(src)
+def _walk_depths(x: np.ndarray, values: np.ndarray, depths: tuple) -> np.ndarray:
+    """The amplitudes after ``_walk_tables``' ``depths`` from depth 0's
+    amplitudes ``x``, their values read from ``values``: per depth, one
+    gather of its values and one ``_products`` call, a partial BSM's posts
+    laid out and folded, and one gather of the next depth's amplitudes or
+    the leaves'. The values are real, so the rows keep ``x``'s dtype."""
+    for val, post, step, nxt in depths:
+        x, _coeffs = _products(values[val], x)
         if post is not None:
             x = _fold(step, x[post]).reshape(-1)
-    if leaves is not None:
-        x = x[leaves]
-    return _norm_sq(x.reshape(-1, initial.size))
+        if nxt is not None:
+            x = x[nxt]
+    return x
+
+
+def _bind_walk(initial: np.ndarray, tables: tuple) -> tuple:
+    """``_walk_tables``' ``tables`` bound to the start amplitudes
+    ``initial``, all that reads no angle done once: (x, depths, size).
+
+    ``x`` is the read-only amplitudes of the first spin depth, after the
+    leading BSM depths, whose values are ``_BELL_VALUES`` (the leaves', if
+    no spin follows), ``depths`` the depths from there and ``size`` the
+    amplitudes per leaf. The operands and operations are those of a walk
+    from ``initial``, so the bytes are too.
+    """
+    start, depths = tables
+    lead = 0
+    while lead < len(depths) and depths[lead][2] is not None:  # a BSM
+        lead += 1
+    x = _walk_depths(initial[start], _BELL_VALUES, depths[:lead])
+    x.flags.writeable = False
+    return x, depths[lead:], initial.size
+
+
+def _walk(walk: tuple, angles: Sequence[float]) -> np.ndarray:
+    """Leaf probabilities of a ``_bind_walk`` walk, its picks indexing
+    ``angles``: flat, rows in plan, then depth-first outcome order, each
+    the squared norm of a leaf's unnormalized amplitudes.
+
+    One value vector, ``_BELL_VALUES`` and then each angle's spin
+    components, computed once; the depths left (``_walk_depths``); then
+    one ``_norm_sq`` call over the leaves, the walk's only norms.
+    """
+    x, depths, size = walk
+    v = _spin_values(angles, _BELL_FLOATS)
+    return _norm_sq(_walk_depths(x, v, depths).reshape(-1, size))
 
 
 def _enumerate_plans(
@@ -674,7 +700,7 @@ def _enumerate_plans(
     picks = tuple(tuple(range(p * spins, (p + 1) * spins)) for p in range(len(angles)))
     tables = _walk_tables(tuple(map(_walk_key, plan)), initial.size, picks)
     flat = [angle for row in angles for angle in row]
-    return _walk(initial, flat, tables).reshape(len(angles), -1)
+    return _walk(_bind_walk(initial, tables), flat).reshape(len(angles), -1)
 
 
 def exact_branch_enumeration(

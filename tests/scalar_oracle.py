@@ -371,15 +371,14 @@ def complex_walk(initial: np.ndarray, angles: Sequence[float], tables: tuple) ->
     coefficient, then a trailing +0), a partial BSM's posts folded, and each
     leaf's ``np.vdot`` with itself. ``qcore._walk`` on float64 rows must
     equal it byte for byte."""
-    val, depths, leaves = tables
+    start, depths = tables
     spins = [c for angle in angles
              for c in _spin_components(angle) + _spin_components(angle + math.pi)]
-    v = np.concatenate([_BELL_VALUES.ravel(), np.array(spins, dtype=np.complex128)])[val]
-    x, start = np.asarray(initial, dtype=np.complex128), 0
-    for src, post, step in depths:
-        values, amps = v[start : start + len(src)], x[src]
-        start += len(src)
-        terms = values * amps
+    v = np.concatenate([_BELL_VALUES.ravel(), np.array(spins, dtype=np.complex128)])
+    x = np.asarray(initial, dtype=np.complex128)[start]
+    for val, post, step, nxt in depths:
+        values = v[val]
+        terms = values * x
         half = len(terms) // 2
         coeffs = terms[:half] + terms[half:]
         x = np.empty(len(terms) + 1, dtype=np.complex128)
@@ -387,8 +386,8 @@ def complex_walk(initial: np.ndarray, angles: Sequence[float], tables: tuple) ->
         x[-1] = 0.0
         if post is not None:
             x = _fold(step, x[post]).reshape(-1)
-    if leaves is not None:
-        x = x[leaves]
+        if nxt is not None:
+            x = x[nxt]
     norms = [np.vdot(row, row).real for row in x.reshape(-1, len(initial))]
     return np.array(norms, dtype=np.float64)
 

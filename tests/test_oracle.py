@@ -234,6 +234,45 @@ def test_fragility_matches_oracle_property(herald, partial, geometry, angles_a, 
     assert repr(analysis.fragility(cfg)) == repr(scalar_oracle.fragility(cfg))
 
 
+FRAGILITY_CASES = [
+    (geometry, herald, partial)
+    for geometry in engine.GEOMETRY_NAMES
+    for herald in sorted(engine.HERALD_PREDICATES)
+    for partial in (False, True)
+]
+
+
+@pytest.mark.parametrize("geometry,herald,partial", FRAGILITY_CASES)
+@pytest.mark.parametrize("shared", [0.0, 0.4])
+def test_fragility_matches_oracle_at_equal_angles(geometry, herald, partial, shared):
+    """With angles_a[0] == angles_b[0], A and B measure along one axis in
+    setting pair (0, 0), and psi-minus leaves the outer pair a singlet, so
+    it heralds equal outcomes there with probability (near) zero. Every
+    cell's mass is 1/16 all the same, so none is None, and every report
+    equals the oracle's repr, for every herald, full and partial."""
+    cfg = ExperimentConfig(geometry=geometry, herald=herald, bsm_partial=partial,
+                           angles_a=(shared, 1.3), angles_b=(shared, 2.9))
+    report = analysis.fragility(cfg)
+    assert repr(report) == repr(scalar_oracle.fragility(cfg))
+    if herald == "psi-minus":
+        assert report.cells[0, 0, 1, 1] < 1e-30 and report.cells[0, 0, -1, -1] < 1e-30
+
+
+@pytest.mark.parametrize("geometry,herald,partial", FRAGILITY_CASES)
+def test_fragility_tol_equal_to_a_cell_mass(geometry, herald, partial):
+    """A cell whose mass equals tol exactly is None (mass <= tol), a cell of
+    larger mass is not, and the report, max_spread skipping the None cells,
+    equals the oracle's repr."""
+    cfg = ExperimentConfig(geometry=geometry, herald=herald, bsm_partial=partial,
+                           angles_a=(0.3, 1.9), angles_b=(2.2, -0.7))
+    cell, _c_outcome, prob = engine.exact_leaf_rows(cfg)
+    mass = np.bincount(cell, weights=prob, minlength=len(engine.CELLS)).tolist()
+    for tol in sorted(set(mass))[:2]:
+        report = analysis.fragility(cfg, tol)
+        assert repr(report) == repr(scalar_oracle.fragility(cfg, tol))
+        assert [p is None for p in report.cells.values()] == [m <= tol for m in mass]
+
+
 @settings(max_examples=100, deadline=None, database=None)
 @given(state=initial_states, pair=qubit_pairs, partial=st.booleans(),
        resolve_psi_plus=st.booleans())
@@ -549,11 +588,21 @@ def test_exact_walk_matches_oracle_every_step_shape(n):
         _assert_walk_matches_oracle(initial, plan, angles)
 
 
+def _unbound_tables(layout) -> tuple:
+    """The ``qcore._walk_tables`` a layout's walk is bound from."""
+    keys = tuple(map(qcore._walk_key, layout.plan))
+    return qcore._walk_tables(keys, TWO_SINGLETS.amplitudes.size, layout.picks)
+
+
 def _layout_tables(layout) -> list:
-    """Every index table a layout carries: its columns, its walk's and its
-    herald selections'."""
-    val, depths, leaves = layout.walk
-    walk = [val, leaves] + [table for src, post, _step in depths for table in (src, post)]
+    """Every array a layout carries: its columns, its bound walk's start
+    (the first gather of amplitudes, from the folded products when the walk
+    starts with C) and index tables, the unbound tables it was bound from,
+    and its herald selections."""
+    x, depths, _size = layout.walk
+    start, unbound = _unbound_tables(layout)
+    walk = [x, start] + [table for val, post, _step, nxt in depths + unbound
+                         for table in (val, post, nxt)]
     heralds = [table for selection in layout.heralds.values() for table in selection]
     return [layout.cell, layout.c_outcome] + [t for t in walk if t is not None] + heralds
 
@@ -563,7 +612,7 @@ def test_exact_leaf_rows_share_read_only_columns(monkeypatch):
     layout are built once and shared by every call, so no caller may write
     them."""
     walked = []
-    monkeypatch.setattr(engine, "_walk", lambda *args: walked.append(args[2]) or
+    monkeypatch.setattr(engine, "_walk", lambda *args: walked.append(args[0]) or
                         qcore._walk(*args))
     for (geometry, partial, c_enabled), layout in engine._EXACT_LAYOUTS.items():
         cfg = ExperimentConfig(geometry=geometry, bsm_partial=partial, c_enabled=c_enabled,
@@ -605,6 +654,38 @@ def test_exact_walk_runs_on_float64_rows(monkeypatch):
     dtypes.clear()
     run_trials(ExperimentConfig(n_trials=10))
     assert {x for _v, x in dtypes} == {np.dtype(np.complex128)}
+
+
+def test_exact_leaf_rows_calls_products_once_per_unbound_depth(monkeypatch):
+    """A layout's walk reads no angle in a leading BSM depth, so it runs
+    that depth (its products and a partial BSM's fold) once, at import: a
+    table takes 2 ``_products`` calls when C comes first (early, full or
+    partial), 3 when C comes last (delayed, spacelike), 2 with C off."""
+    calls = []
+    products = qcore._products
+    monkeypatch.setattr(qcore, "_products", lambda *args: calls.append(1) or products(*args))
+    for geometry, partial, c_enabled in engine._EXACT_LAYOUTS:
+        calls.clear()
+        engine.exact_leaf_rows(ExperimentConfig(geometry, bsm_partial=partial,
+                                                c_enabled=c_enabled))
+        assert len(calls) == (3 if c_enabled and geometry != "early" else 2)
+
+
+@pytest.mark.parametrize("plan", [
+    [],
+    [BsmStep(1, 2)],
+    [BsmStep(1, 2, partial=True)],
+    [BsmStep(2, 1, partial=True, resolve_psi_plus=False), BsmStep(0, 3)],
+])
+def test_walk_with_every_depth_bound(plan):
+    """A plan with no spin step reads no angle: binding it leaves a call
+    no depth, only the leaf norms, and the walk still gives the oracle's
+    leaf probabilities byte for byte."""
+    tables = qcore._walk_tables(tuple(map(qcore._walk_key, plan)), 16, ((),))
+    walk = qcore._bind_walk(TWO_SINGLETS.amplitudes, tables)
+    assert walk[1] == () and not walk[0].flags.writeable
+    want = scalar_oracle.enumerate_plans(TWO_SINGLETS.amplitudes, plan, [[]]).ravel()
+    assert qcore._walk(walk, []).tobytes() == want.tobytes()
 
 
 def test_exact_leaf_rows_computes_each_angle_once(monkeypatch):
@@ -660,7 +741,8 @@ def test_float_walk_matches_complex_walk_property(geometry, partial, c_enabled, 
     layout = engine._EXACT_LAYOUTS[geometry, partial, c_enabled]
     cfg = ExperimentConfig(geometry=geometry, bsm_partial=partial, c_enabled=c_enabled,
                            angles_a=angles[:2], angles_b=angles[2:])
-    want = 0.25 * scalar_oracle.complex_walk(TWO_SINGLETS.amplitudes, angles, layout.walk)
+    want = 0.25 * scalar_oracle.complex_walk(TWO_SINGLETS.amplitudes, angles,
+                                             _unbound_tables(layout))
     assert engine.exact_leaf_rows(cfg)[2].tobytes() == want.tobytes()
 
 

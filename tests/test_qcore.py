@@ -381,6 +381,12 @@ class TestExactBranchEnumeration:
             se = math.sqrt(max(p * (1 - p), 1e-12) / n)
             assert abs(freq - p) < 5 * se + 1e-9
 
+    def test_empty_plan_is_one_leaf(self):
+        # No step: one leaf, the empty outcome sequence, of the state's squared norm.
+        for state in (make_two_singlets(), singlet(), basis_state(1, 1)):
+            norm = np.vdot(state.amplitudes, state.amplitudes).real
+            assert exact_branch_enumeration(state, []) == {(): float(norm)}
+
     def test_plan_budget_enforced(self):
         with pytest.raises(ValueError):
             exact_branch_enumeration(make_two_singlets(), [SpinMeasurement(4, 0.0)])
@@ -581,6 +587,12 @@ class TestSampleBranches:
             sample_branches(singlet(), plan, [[0.1, 0.2]])
         with pytest.raises(ValueError):
             sample_branches(singlet(), [SpinMeasurement(2, 0.0)], [[0.1]])
+
+    def test_empty_plan(self):
+        # No step: each trial's outcome row is empty.
+        for m in (0, 1, 5):
+            codes = sample_branches(make_two_singlets(), [], np.zeros((m, 0)))
+            assert codes.shape == (m, 0) and codes.dtype == np.int8
 
     def test_no_trials(self):
         codes = sample_branches(make_two_singlets(), [BsmStep(1, 2)], np.empty((0, 1)))
