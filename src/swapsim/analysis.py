@@ -32,6 +32,7 @@ from .qcore import (
     SpinMeasurement,
     _branch_outcomes,
     _plan_codes,
+    _plan_walk,
     _sample_leaves,
     singlet,
 )
@@ -467,6 +468,8 @@ def teleport_channel_demo(controlled: bool, n: int, seed: int) -> TeleportReport
     mode post-selects the psi-minus result) opens the channel; averaging
     over uncorrected outcomes leaves the output maximally mixed.
     """
+    if not isinstance(controlled, (bool, np.bool_)):
+        raise ValueError(f"controlled must be a bool, got {controlled!r}")
     n = check_trials(n)
     # Draws per trial: the input bit (0 below 1/2), the joint measurement,
     # then the output spin, measured along z.
@@ -476,7 +479,8 @@ def teleport_channel_demo(controlled: bool, n: int, seed: int) -> TeleportReport
     psi_minus = _branch_outcomes(plan[0]).index(BellOutcome.PSI_MINUS)
     # Plan x starts from input basis state |x> on qubit 0.
     initials = np.kron(np.eye(2, dtype=np.complex128), singlet().amplitudes)
-    leaf = _sample_leaves(initials, plan, [[0.0], [0.0]], x, u[:, 1:])
+    tables, angles = _plan_walk(initials, plan, [[0.0], [0.0]])
+    leaf = _sample_leaves(initials, tables, angles, x, u[:, 1:])
     codes = np.tile(_plan_codes(plan), (2, 1))[leaf]
     keep = codes[:, 0] == psi_minus if controlled else slice(None)
     # Spin code 0 is the +1 outcome, read as output bit 0.
@@ -488,4 +492,4 @@ def teleport_channel_demo(controlled: bool, n: int, seed: int) -> TeleportReport
     channel = {
         (x, y): float(counts[x, y] / rows[x]) if rows[x] else None for x in (0, 1) for y in (0, 1)
     }
-    return TeleportReport(controlled, n, kept, p_match, mi, channel)
+    return TeleportReport(bool(controlled), n, kept, p_match, mi, channel)

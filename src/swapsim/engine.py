@@ -175,6 +175,11 @@ OUTCOMES = tuple(BellOutcome)
 
 
 def _outcome_codes(outcomes: Iterable[BellOutcome]) -> list[int]:
+    """Each outcome's code; ValueError unless every one is a BellOutcome."""
+    outcomes = list(outcomes)
+    for outcome in outcomes:
+        if not isinstance(outcome, BellOutcome):
+            raise ValueError(f"outcome sets must hold BellOutcome members, got {outcome!r}")
     return [OUTCOMES.index(o) for o in outcomes]
 
 
@@ -395,17 +400,16 @@ def run_trials(config: ExperimentConfig) -> Trials:
     Per-trial draw order: setting a, setting b, then one uniform per executed
     measurement in geometry time order (the C draw is skipped when the C
     measurement is disabled). A setting is 0 when its draw is below 1/2.
-    One walk samples the four setting plans of ``exact_leaf_rows``, plan
-    2a + b, and each trial's columns are its leaf's row of that table.
+    One walk down the layout's exact-walk tables samples the four setting
+    plans of ``exact_leaf_rows``, plan 2a + b, and each trial's columns are
+    its leaf's row of that table.
     """
     n = config.n_trials
     layout = _EXACT_LAYOUTS[config.geometry, config.bsm_partial, config.c_enabled]
-    both = config.angles_a + config.angles_b
-    angles = [[both[i] for i in pick] for pick in layout.picks]
     draws = counter_uniforms(config.seed, np.arange(n), 2 + len(layout.plan))
     setting = 2 * (draws[:, 0] >= 0.5) + (draws[:, 1] >= 0.5)
-    initials = np.tile(_TWO_SINGLETS.amplitudes, (len(angles), 1))
-    leaf = _sample_leaves(initials, layout.plan, angles, setting, draws[:, 2:])
+    leaf = _sample_leaves(_TWO_SINGLETS.amplitudes, layout.tables,
+                          config.angles_a + config.angles_b, setting, draws[:, 2:])
     a, b, A, B = np.take(_CELL_COLUMNS, layout.cell[leaf], axis=1)
     c_outcome = layout.c_outcome[leaf]
     return Trials({
@@ -452,9 +456,10 @@ class _ExactLayout(NamedTuple):
     ``angles_a + angles_b`` for each spin step of setting pair (a, b),
     ``cell`` and ``c_outcome`` are the read-only columns of
     ``exact_leaf_rows``, which ``run_trials`` reads at each trial's leaf,
-    ``walk`` is the four plans' ``qcore._walk_tables`` bound to the
-    two-singlet state (``qcore._bind_walk``), read-only, whose value index
-    reads each of ``angles_a + angles_b`` through ``picks``, and
+    ``tables`` is the four plans' read-only ``qcore._walk_tables`` from one
+    start state, whose value index reads each of ``angles_a + angles_b``
+    through ``picks`` (``run_trials`` samples down them), ``walk`` is
+    ``tables`` bound to the two-singlet state (``qcore._bind_walk``), and
     ``heralds`` holds each herald name's read-only heralded rows and cells.
     """
 
@@ -462,6 +467,7 @@ class _ExactLayout(NamedTuple):
     picks: tuple[tuple[int, ...], ...]
     cell: np.ndarray
     c_outcome: np.ndarray
+    tables: tuple
     walk: tuple
     heralds: Mapping[str, tuple[np.ndarray, np.ndarray]]
 
@@ -485,12 +491,12 @@ def _exact_layout(geometry: str, partial: bool, c_enabled: bool) -> _ExactLayout
         c_codes = np.full(len(codes), -1)
     c_outcome = np.tile(c_codes, len(picks)).astype(np.int8)
     kept = {name: np.flatnonzero(mask[c_outcome]) for name, mask in HERALD_MASKS.items()}
-    heralds = {name: (rows, cell[rows]) for name, rows in kept.items()}
+    heralds = MappingProxyType({name: (rows, cell[rows]) for name, rows in kept.items()})
     for column in (cell, c_outcome, *itertools.chain(*heralds.values())):
         column.flags.writeable = False
     tables = _walk_tables(tuple(map(_walk_key, plan)), _REAL_SINGLETS.size, picks)
     walk = _bind_walk(_REAL_SINGLETS, tables)
-    return _ExactLayout(tuple(plan), picks, cell, c_outcome, walk, MappingProxyType(heralds))
+    return _ExactLayout(tuple(plan), picks, cell, c_outcome, tables, walk, heralds)
 
 
 # Each (geometry, bsm_partial, c_enabled) layout's angle-free table parts

@@ -3,31 +3,30 @@
 Pure-state representation for up to five qubits, planar spin measurements,
 full and partial Bell-state measurements, exhaustive branch enumeration of
 measurement plans, and a sampler that draws many trials of several plans
-at once. Both walk plans that differ only in spin angles one depth at a
-time, a spin measured at one angle per block of rows (one block per plan),
-and both order a depth's rows as the plans' outcome tree: plan first, then
-the ``_plan_codes`` order of the outcomes so far. The sampler's leaves are
-therefore the exact walk's rows. Collapses and the sampler draw through
-``_draw``.
+at once. One walk serves both: ``_walk_tables`` lays out plans that differ
+only in spin angles one depth at a time, a spin measured at one angle per
+block of rows (one block per plan), rows in the plans' outcome tree order:
+plan first, then the ``_plan_codes`` order of the outcomes so far. The
+exact walk (``_walk``) takes the squared norms of the leaves; the sampler
+(``_sample_leaves``) draws each trial's child per depth from the branch
+weights (``_draw``), so its leaves are the exact walk's rows. A collapse is
+a one-trial sample of a one-step plan, down to its normalized leaves.
 
 One kernel, ``_products``, projects onto a step's outcomes: gathers,
 products and sums on contiguous vectors through integer index tables that
 depend only on the step's shape (its kind and measured qubits) and the
 stack's block and row counts (``_branch_tables``), built once per shape. It
 returns every term's product and a trailing +0, and a post map gathers any
-post from them, +0 where no product lands. ``_branches`` lays every post
-out, and ``_draw`` normalizes them into a depth's children;
-``_one_state_weights`` lays out none. The exact walk, ``_walk``, lays none
-out either, but composes each depth's gathers through the previous depth's
-post map (``_walk_tables``), so a depth is a gather and ``_products``.
-``_bind_walk`` binds the tables to a start state and runs once all that
-reads no angle: the first gather of amplitudes and any leading BSM depth.
-A call's values come from one vector, the Bell values and each distinct
-angle's spin components once, through an index composed with the plans'
-angle picks; each engine layout binds its walk once, at import
-(``engine.exact_leaf_rows``). A partial BSM shares a full one's tables;
-``_fold`` alone merges its unresolved Bell states into NO_HERALD, for
-posts and weights alike.
+post from them, +0 where no product lands. The walk lays no post out but
+composes each depth's gathers through the previous depth's post map, so a
+depth is a gather and ``_products``; only a partial BSM's posts are laid
+out, and ``_fold`` alone merges its unresolved Bell states into NO_HERALD,
+for posts and weights alike. ``_bind_walk`` binds the tables to a start
+state and runs once all that reads no angle: the first gather of amplitudes
+and any leading BSM depth; each engine layout binds its walk once, at
+import (``engine.exact_leaf_rows``). A call's values come from one vector,
+the Bell values and each distinct angle's spin components once, through an
+index composed with the plans' angle picks.
 Every squared norm (a state's norm check, the sampler's branch weights, an
 exact leaf's probability) is ``_norm_sq`` of C-contiguous complex rows,
 which equals ``np.vdot`` of each row bit for bit. ``_products`` keeps its
@@ -46,6 +45,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence, Union
@@ -109,6 +109,21 @@ class StateVector:
         return complex(self.amplitudes[basis_index])
 
 
+def _int_field(value, name: str) -> int:
+    """``value`` as an int, or ValueError naming ``name`` unless it is an
+    integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    return int(value)
+
+
+def _bool_field(value, name: str) -> bool:
+    """``value`` as a bool, or ValueError naming ``name`` unless it is one."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
 @dataclass(frozen=True)
 class SpinMeasurement:
     """Projective spin measurement of cos(angle)*Z + sin(angle)*X on one qubit."""
@@ -117,8 +132,13 @@ class SpinMeasurement:
     angle: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.angle):
-            raise ValueError(f"spin measurement angle must be finite, got {self.angle!r}")
+        object.__setattr__(self, "qubit", _int_field(self.qubit, "qubit"))
+        angle = self.angle
+        if isinstance(angle, bool) or not isinstance(angle, numbers.Real):
+            raise ValueError(f"spin measurement angle must be a real number, got {angle!r}")
+        if not math.isfinite(angle):
+            raise ValueError(f"spin measurement angle must be finite, got {angle!r}")
+        object.__setattr__(self, "angle", float(angle))
 
 
 @dataclass(frozen=True)
@@ -130,11 +150,20 @@ class BsmStep:
     partial: bool = False
     resolve_psi_plus: bool = True
 
+    def __post_init__(self) -> None:
+        for name in ("q_left", "q_right"):
+            object.__setattr__(self, name, _int_field(getattr(self, name), name))
+        for name in ("partial", "resolve_psi_plus"):
+            object.__setattr__(self, name, _bool_field(getattr(self, name), name))
+
 
 PlanStep = Union[SpinMeasurement, BsmStep]
 
 
 def basis_state(num_qubits: int, index: int) -> StateVector:
+    index = _int_field(index, "index")
+    if not 0 <= index < 2**num_qubits:
+        raise ValueError(f"index must be in [0, 2**{num_qubits}), got {index}")
     amps = np.zeros(2**num_qubits, dtype=np.complex128)
     amps[index] = 1.0
     return StateVector(num_qubits, amps)
@@ -250,27 +279,19 @@ def _norm_sq(rows: np.ndarray) -> np.ndarray:
     return np.vecdot(rows, rows).real
 
 
-def _step_shape(step: PlanStep) -> tuple:
-    """A step's kind and measured qubits: all of it that ``_branch_tables``
-    reads. A BSM's partial and resolve_psi_plus only matter to ``_fold``
-    (and so to the exact walk's ``_walk_key``)."""
-    if isinstance(step, SpinMeasurement):
-        return (SpinMeasurement, step.qubit)
-    return (BsmStep, step.q_left, step.q_right)
-
-
 @functools.lru_cache(maxsize=256)
 def _branch_tables(
     shape: tuple, size: int, blocks: int, rows: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only index tables of ``_products`` for a step of one
-    ``_step_shape`` on ``blocks`` blocks of ``rows`` states of ``size``
-    amplitudes (a spin's blocks each have their own angle): (src, val, post).
+    """Read-only index tables of ``_products`` for a step of one shape, its
+    kind and measured qubits (``_walk_key``'s first three entries), on
+    ``blocks`` blocks of ``rows`` states of ``size`` amplitudes (a spin's
+    blocks each have their own angle): (src, val, post).
 
     Every coefficient is the sum of two terms, a value times an amplitude.
     ``src`` and ``val`` list term 0 of every coefficient, then term 1,
     coefficients in (row, outcome, position) order: ``src`` indexes the
-    stack's flat amplitudes and ``val`` the values (``_spin_values`` of the
+    stack's flat amplitudes and ``val`` the values (``_walk_values`` past the
     blocks' angles, or ``_BELL_VALUES``). Each term's value times the
     coefficient is a product, and ``post`` maps each flat position of the
     (row, spin outcome or Bell state, amplitude) posts to the product that
@@ -315,13 +336,12 @@ def _branch_tables(
     return src, val, post
 
 
-def _spin_values(angles: Sequence[float], head: Sequence[float] = ()) -> np.ndarray:
-    """The values ``_branch_tables`` indexes for a spin step, one block per
-    angle, flat at [4 * block + 2 * outcome + bit]: the (up, down)
-    components of outcome +1 at the block's angle, then of -1 at the angle
-    plus pi; real (float64), as the measurement plane is. The blocks follow
-    ``head``, in the one array."""
-    values = list(head)
+def _walk_values(angles: Sequence[float]) -> np.ndarray:
+    """The walk's value vector: ``_BELL_VALUES``, then one block per angle,
+    flat at [4 * block + 2 * outcome + bit] past them, as ``_branch_tables``
+    indexes a spin step's: the (up, down) components of outcome +1 at the
+    block's angle, then of -1 at the angle plus pi; real (float64)."""
+    values = list(_BELL_FLOATS)
     for angle in angles:
         values += _spin_components(angle)
         values += _spin_components(angle + math.pi)
@@ -343,106 +363,42 @@ def _products(v: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return products, coeffs
 
 
-def _project(
-    amps: np.ndarray, step: PlanStep, angles: Sequence[float] | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_products`` of one step on a stack of states, as ``_branches``
-    reads them: (products, the coefficient stack of shape (m, j, -1), and
-    the post map of shape (m, j, 2**n) into the products)."""
-    m, size = np.shape(amps)
-    if isinstance(step, SpinMeasurement):
-        angles = [step.angle] if angles is None else angles
-        values, j, blocks = _spin_values(angles), 2, len(angles)
-    else:
-        values, j, blocks = _BELL_VALUES, len(_BELL_TENSORS), 1
-    src, val, post = _branch_tables(_step_shape(step), size, blocks, m // blocks)
-    products, coeffs = _products(values[val], np.ravel(amps)[src])
-    return products, coeffs.reshape(m, j, -1), post.reshape(m, j, size)
-
-
-def _branches(
-    amps: np.ndarray, step: PlanStep, angles: Sequence[float] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every outcome of one plan step for each row of a stack of states.
-
-    ``amps`` has shape (m, 2**n), one unnormalized state per row. A spin
-    step measures every row at its angle or, given ``angles``, each block
-    of m // len(angles) consecutive rows at its own angle. Returns the
-    unnormalized post-measurement amplitudes, shape (m, k, 2**n), with the
-    k outcomes in ``_branch_outcomes(step)`` order and NO_HERALD the sum of
-    the folded outcomes' projections; and the coefficient stack that
-    ``_weights`` reads, shape (m, j, 2**n // 2**(number of measured
-    qubits)), one row per spin outcome or Bell state, before any fold.
-
-    Collapse steps and the sampler lay their posts out through here, one
-    call per depth (``_draw``); outcome probabilities read the same
-    ``_products`` through ``_project``, and the exact walk composes them
-    depth by depth. The work is flat and its index tables depend on the
-    shapes alone (``_branch_tables``): two gathers, two products and a sum
-    per coefficient, then one product per term; the posts are one gather of
-    the products through the post map, ``_fold``-ed for a partial BSM, as
-    its weights are. Every ufunc runs on a contiguous vector, and a row's
-    results do not depend on the other rows or on the stack's memory
-    layout.
-    """
-    products, coeffs, post = _project(amps, step, angles)
-    return _fold(step, products[post]), coeffs
-
-
-def _fold(step: PlanStep, stack: np.ndarray) -> np.ndarray:
+def _fold(step: PlanStep | None, stack: np.ndarray) -> np.ndarray:
     """A stack with one entry per spin outcome or Bell state on axis 1,
     shape (m, j, ...), put in ``_branch_outcomes(step)`` order: a partial
     BSM keeps its resolved outcomes and sums the folded ones, in enum
-    order from +0, into NO_HERALD; any other step's stack is returned as it
-    is. This is the one place a partial BSM merges outcomes, for posts and
-    ``_weights``' weights alike."""
+    order from +0, into NO_HERALD; any other step's stack (a spin's is None
+    in the walk's tables) is returned as it is."""
     if not (isinstance(step, BsmStep) and step.partial):
         return stack
     folded = _FOLDED[step.resolve_psi_plus]
     out = np.empty((len(stack), len(_BELL_TENSORS) - folded + 1) + stack.shape[2:], stack.dtype)
     out[:, :-1] = stack[:, folded:]
-    out[:, -1] = sum(stack[:, k] for k in range(folded))  # sum() starts at int 0, so at +0
+    np.add.reduce(stack[:, :folded], axis=1, out=out[:, -1], initial=0.0)
     return out
 
 
-def _weights(step: PlanStep, coeffs: np.ndarray) -> np.ndarray:
-    """Branch weights of ``_branches``' rows, shape (m, k) in
-    ``_branch_outcomes(step)`` order, from its coefficient stack: each
-    outcome's squared norm, NO_HERALD the sum of the folded outcomes'."""
-    m, j, _ = coeffs.shape
-    return _fold(step, _norm_sq(coeffs.reshape(m * j, -1)).reshape(m, j))
-
-
-def _one_state_weights(amps: np.ndarray, step: PlanStep) -> list[float]:
-    """A single state's branch weights as floats, in ``_branch_outcomes(step)``
-    order, from its coefficients alone: no post is laid out."""
-    return _weights(step, _project(amps[None], step, None)[1])[0].tolist()
+def _weights(step: PlanStep | None, coeffs: np.ndarray, size: int) -> np.ndarray:
+    """Branch weights of one depth of states of ``size`` amplitudes, shape
+    (rows, k) in ``_branch_outcomes(step)`` order, from its flat
+    coefficients: each outcome's squared norm, NO_HERALD the folded ones'."""
+    j = len(_BELL_TENSORS) if isinstance(step, BsmStep) else 2
+    return _fold(step, _norm_sq(coeffs.reshape(-1, size // j)).reshape(-1, j))
 
 
 def _draw(
-    step: PlanStep,
-    states: np.ndarray,
-    node: np.ndarray,
-    draws: np.ndarray,
-    angles: Sequence[float] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The draw rule of every collapse and sampled depth. Row i draws
-    ``draws[i]`` from state ``node[i]`` of the (m, 2**n) ``states``, a spin
-    measuring the states at ``angles`` as ``_branches`` does. The slot edges
-    are each state's cumulative weights, a spin's first only; a row's slot
-    is the count of edges at or below its draw, or, past a BSM's last edge
-    (the sum fell short of 1), its last outcome of positive weight. Returns
-    each row's child ``node * k + slot``, its slot an index into
-    ``_branch_outcomes(step)``, and every state's children, shape (m * k,
-    2**n): child ``node * k + outcome`` is that ``_branches`` post over the
-    square root of its weight, +0 where the weight is 0.
-    """
-    posts, coeffs = _branches(states, step, angles)
-    weights = _weights(step, coeffs)
-    m, k = weights.shape
+    step: PlanStep | None, weights: np.ndarray, node: np.ndarray, draws: np.ndarray
+) -> np.ndarray:
+    """The draw rule of every collapse and sampled depth: row i draws
+    ``draws[i]`` against node ``node[i]``'s row of the (m, k) ``weights``.
+    The slot edges are the node's cumulative weights, a spin's first only;
+    a row's slot is the count of edges at or below its draw, or, past a
+    BSM's last edge (the sum fell short of 1), its last outcome of positive
+    weight. Returns each row's child ``node * k + slot``."""
+    k = weights.shape[1]
     edges = np.cumsum(weights, axis=1)  # sequential, as itertools.accumulate adds
     slot = np.zeros(len(node), dtype=np.intp)
-    for edge in edges.T[: 1 if isinstance(step, SpinMeasurement) else k]:
+    for edge in edges.T[: k if isinstance(step, BsmStep) else 1]:
         slot += edge[node] <= draws
     past = slot == k
     if past.any():
@@ -453,15 +409,23 @@ def _draw(
     child = node * k + slot
     if np.any(weights.ravel()[child] <= 0.0):
         raise RuntimeError("drew an outcome with zero-norm projection")
-    norm = np.sqrt(weights)[:, :, None]
-    children = np.divide(posts, norm, out=np.zeros_like(posts), where=norm > 0.0)
-    return child, children.reshape(m * k, -1)
+    return child
+
+
+def _one_state_weights(amps: np.ndarray, step: PlanStep) -> list[float]:
+    """A single state's branch weights as floats, in ``_branch_outcomes(step)``
+    order: one depth of the walk's tables, from its coefficients alone."""
+    (start, ((val, *_),)), angles = _plan_walk(amps, [step])
+    coeffs = _products(_walk_values(angles)[val], amps[start])[1]
+    return _weights(step, coeffs, amps.size)[0].tolist()
 
 
 def _collapse(amps: np.ndarray, step: PlanStep, draw: float) -> tuple[object, np.ndarray]:
     """Raw collapse of one step with a uniform draw; inputs assumed valid."""
-    (child,), children = _draw(step, amps[None], np.zeros(1, dtype=np.intp), np.array([draw]))
-    return _branch_outcomes(step)[child], children[child]
+    tables, angles = _plan_walk(amps, [step])
+    (child,), leaves = _sample_leaves(amps, tables, angles, np.zeros(1, dtype=np.intp),
+                                      np.array([[draw]]), posts=True)
+    return _branch_outcomes(step)[child], leaves[child]
 
 
 # Nothing in swapsim calls these two; engine and analysis import them so
@@ -568,50 +532,44 @@ def _plan_codes(plan: Sequence[PlanStep]) -> np.ndarray:
     return np.array(codes, dtype=np.intp).reshape(len(codes), len(plan))
 
 
-def _plan_angles(plan: Sequence[PlanStep], angles: Sequence[Sequence[float]]) -> list:
-    """Each step's spin angle per plan, None for a BSM; raises ValueError
-    unless every plan has one angle per spin step of ``plan``."""
-    spins = [isinstance(step, SpinMeasurement) for step in plan]
-    if not angles or any(len(row) != sum(spins) for row in angles):
-        raise ValueError(f"plans need {sum(spins)} spin angles each, got {angles!r}")
-    columns = zip(*angles)
-    return [next(columns) if spin else None for spin in spins]
-
-
 def _walk_key(step: PlanStep) -> tuple:
-    """All of a step that the exact walk's tables read: its shape and, for
-    a BSM, whether and how it folds."""
+    """All of a step that the walk's tables read: its kind and measured
+    qubits (its shape, all that ``_branch_tables`` reads) and, for a BSM,
+    whether and how ``_fold`` folds it."""
     if isinstance(step, SpinMeasurement):
-        return _step_shape(step)
-    return _step_shape(step) + (step.partial, step.resolve_psi_plus)
+        return (SpinMeasurement, step.qubit)
+    return (BsmStep, step.q_left, step.q_right, step.partial, step.resolve_psi_plus)
 
 
 @functools.lru_cache(maxsize=64)
-def _walk_tables(keys: tuple, size: int, picks: tuple) -> tuple:
-    """Read-only index tables of the exact walk, from one state of ``size``
-    amplitudes, of ``len(picks)`` plans of steps with ``_walk_key``s
-    ``keys``, plan p measuring its s-th spin step at angle ``picks[p][s]``
-    of the walk's angles: (start, depths).
+def _walk_tables(keys: tuple, size: int, picks: tuple, per_plan: bool = False) -> tuple:
+    """Read-only index tables of the exact walk and the sampler, from one
+    state of ``size`` amplitudes (given ``per_plan``, one per plan,
+    stacked), of ``len(picks)`` plans of steps with ``_walk_key``s ``keys``,
+    plan p measuring its s-th spin step at angle ``picks[p][s]`` of the
+    walk's angles: (start, depths).
 
-    ``start`` gathers depth 0's amplitudes from the state's (the leaves',
-    for no step). Depth d's entry in ``depths`` is (val, post, step, next).
-    ``val`` gathers its values from the walk's value vector,
-    ``_BELL_VALUES`` and then the angles' ``_spin_values``: it is
+    ``start`` gathers depth 0's amplitudes from the flat start states (the
+    leaves', for no step). Depth d's entry in ``depths`` is (val, post,
+    step, next, child). ``val`` gathers its values from the walk's value
+    vector (``_walk_values``): it is
     ``_branch_tables``' val, a spin block's index composed through
     ``picks``, so an angle that plans or depths share is read from one
     block. ``post`` is the post map of a partial BSM ``step``, shaped
     (rows, Bell state, amplitude), whose posts are laid out and
     ``_fold``-ed, and None otherwise; ``step`` is None for a spin. ``next``
     gathers the next depth's amplitudes from the products, as
-    ``_branch_tables``' src composed through this depth's post map, so no
-    post stack is laid out; at the last depth it gathers the leaves, rows
-    in plan, then depth-first outcome order, and is None when a fold laid
-    them out. The tables hold no angle, amplitude or weight.
+    ``_branch_tables``' src composed through this depth's post map; at the
+    last depth it gathers the leaves, rows in plan, then depth-first
+    outcome order, and is None when a fold laid them out. ``child`` is the
+    child row (node ``node * k + slot``) of each element ``next`` gathers:
+    the next depth's src, or the leaves' positions, over ``size``. The
+    tables hold no angle, amplitude or weight.
     """
     plans = len(picks)
     # Where each flat position of the current stack is read from; None
     # once a fold has laid the stack out.
-    position = np.tile(np.arange(size), plans)
+    position = np.arange(plans * size) if per_plan else np.tile(np.arange(size), plans)
     rows, spin, gathers, depths = plans, 0, [], []
     for key in keys:
         step = None if key[0] is SpinMeasurement else BsmStep(*key[1:])
@@ -622,16 +580,36 @@ def _walk_tables(keys: tuple, size: int, picks: tuple) -> tuple:
             block = len(_BELL_VALUES) + 4 * np.array([pick[spin] for pick in picks], np.intp)
             val = block[val // 4] + val % 4
             spin += 1
-        gathers.append(src if position is None else position[src])
+        gathers.append((src if position is None else position[src], src // size))
         fold = step is not None and step.partial
         depths.append((val, post.reshape(rows, len(_BELL_TENSORS), size) if fold else None, step))
         position = None if fold else post
         rows *= k
-    gathers.append(position)
-    for table in gathers + [val for val, *_ in depths]:
+    gathers.append((position, np.arange(rows * size) // size))
+    for table in [t for pair in gathers for t in pair] + [val for val, *_ in depths]:
         if table is not None:
             table.flags.writeable = False
-    return gathers[0], tuple(depth + (nxt,) for depth, nxt in zip(depths, gathers[1:]))
+    return gathers[0][0], tuple(depth + nxt for depth, nxt in zip(depths, gathers[1:]))
+
+
+def _plan_walk(
+    initial: np.ndarray, plan: Sequence[PlanStep], angles: Sequence[Sequence[float]] | None = None
+) -> tuple[tuple, list[float]]:
+    """The ``_walk_tables`` of plans that are ``plan`` but for spin angles,
+    plan p measuring the template's s-th spin step at ``angles[p][s]`` (by
+    default the one plan ``plan`` itself), from ``initial``, one start
+    state or one per plan (shape (len(angles), size)); and the flat angles
+    their picks index. Raises ValueError unless every plan has one angle
+    per spin step of ``plan``."""
+    spins = sum(isinstance(step, SpinMeasurement) for step in plan)
+    if angles is None:
+        angles = [[step.angle for step in plan if isinstance(step, SpinMeasurement)]]
+    if not angles or any(len(row) != spins for row in angles):
+        raise ValueError(f"plans need {spins} spin angles each, got {angles!r}")
+    picks = tuple(tuple(range(p * spins, (p + 1) * spins)) for p in range(len(angles)))
+    tables = _walk_tables(tuple(map(_walk_key, plan)), np.shape(initial)[-1], picks,
+                          np.ndim(initial) == 2)
+    return tables, [angle for row in angles for angle in row]
 
 
 def _walk_depths(x: np.ndarray, values: np.ndarray, depths: tuple) -> np.ndarray:
@@ -640,7 +618,7 @@ def _walk_depths(x: np.ndarray, values: np.ndarray, depths: tuple) -> np.ndarray
     gather of its values and one ``_products`` call, a partial BSM's posts
     laid out and folded, and one gather of the next depth's amplitudes or
     the leaves'. The values are real, so the rows keep ``x``'s dtype."""
-    for val, post, step, nxt in depths:
+    for val, post, step, nxt, _child in depths:
         x, _coeffs = _products(values[val], x)
         if post is not None:
             x = _fold(step, x[post]).reshape(-1)
@@ -663,9 +641,9 @@ def _bind_walk(initial: np.ndarray, tables: tuple) -> tuple:
     lead = 0
     while lead < len(depths) and depths[lead][2] is not None:  # a BSM
         lead += 1
-    x = _walk_depths(initial[start], _BELL_VALUES, depths[:lead])
+    x = _walk_depths(np.ravel(initial)[start], _BELL_VALUES, depths[:lead])
     x.flags.writeable = False
-    return x, depths[lead:], initial.size
+    return x, depths[lead:], np.shape(initial)[-1]
 
 
 def _walk(walk: tuple, angles: Sequence[float]) -> np.ndarray:
@@ -678,7 +656,7 @@ def _walk(walk: tuple, angles: Sequence[float]) -> np.ndarray:
     one ``_norm_sq`` call over the leaves, the walk's only norms.
     """
     x, depths, size = walk
-    v = _spin_values(angles, _BELL_FLOATS)
+    v = _walk_values(angles)
     return _norm_sq(_walk_depths(x, v, depths).reshape(-1, size))
 
 
@@ -686,20 +664,16 @@ def _enumerate_plans(
     initial: np.ndarray, plan: Sequence[PlanStep], angles: Sequence[Sequence[float]]
 ) -> np.ndarray:
     """Leaf probabilities of plans that are ``plan`` but for spin angles,
-    shape (len(angles), leaves): plan p measures the template's s-th spin
-    step at ``angles[p][s]`` in place of the step's own angle, and each
-    probability is the squared norm of a leaf's unnormalized amplitudes.
+    shape (len(angles), leaves): plan p, from ``initial`` or its own start
+    state ``initial[p]``, measures the template's s-th spin step at
+    ``angles[p][s]``; each is the squared norm of a leaf's amplitudes.
 
     The plans are walked together one depth at a time by ``_walk``, one
     block of rows per plan, each plan's angles its own; rows stay in plan,
     then depth-first outcome order, so each plan's leaves are in
     ``_plan_codes(plan)`` order.
     """
-    _plan_angles(plan, angles)  # raises unless each plan has its spin angles
-    spins = len(angles[0])
-    picks = tuple(tuple(range(p * spins, (p + 1) * spins)) for p in range(len(angles)))
-    tables = _walk_tables(tuple(map(_walk_key, plan)), initial.size, picks)
-    flat = [angle for row in angles for angle in row]
+    tables, flat = _plan_walk(initial, plan, angles)
     return _walk(_bind_walk(initial, tables), flat).reshape(len(angles), -1)
 
 
@@ -724,36 +698,49 @@ def exact_branch_enumeration(
 
 
 def _sample_leaves(
-    initials: np.ndarray,
-    plan: Sequence[PlanStep],
-    angles: Sequence[Sequence[float]],
+    initial: np.ndarray,
+    tables: tuple,
+    angles: Sequence[float],
     plan_of_row: np.ndarray,
     draws: np.ndarray,
-) -> np.ndarray:
-    """Sample the plans ``_enumerate_plans`` reads from ``plan`` and
-    ``angles`` in one walk: trial i runs plan p = ``plan_of_row[i]`` from
-    ``initials[p]`` with draws ``draws[i]``. Returns each trial's leaf as
-    its row of ``_enumerate_plans``' flattened leaves, plan first, then
-    ``_plan_codes(plan)`` order.
+    posts: bool = False,
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """Sample the plans of ``_walk_tables``' ``tables``, their picks
+    indexing ``angles``, from ``initial`` (one start state, or one per plan):
+    trial i runs plan ``plan_of_row[i]`` with draws ``draws[i]``. Returns
+    each trial's leaf, its row of the exact walk's leaves; given ``posts``,
+    also every leaf's normalized state, shape (leaves, size).
 
-    The walk runs down the plans' whole outcome tree, in that row order: at
-    each depth one ``_draw`` lays out every node's children, and each trial
-    moves to node ``node * k + slot``. A node's state depends only on its
-    plan and outcomes so far, so a trial's draws meet the same weights as a
-    step-by-step collapse's."""
-    columns = _plan_angles(plan, angles)
-    states, node = initials, np.asarray(plan_of_row, dtype=np.intp)
-    for step, column, draw in zip(plan, columns, np.asarray(draws).T):
-        node, states = _draw(step, states, node, draw, column)
-    return node
+    The walk runs down the plans' whole outcome tree. Per depth: one gather
+    of its values, one ``_products`` call, the branch weights from the
+    coefficients, each trial's child by ``_draw``, then the next depth's
+    amplitudes: ``next`` of the products (a partial BSM's ``_fold``-ed
+    first), each over the square root of its ``child``'s weight, +0 where
+    that is 0. So a trial's draws meet the weights of a step-by-step
+    collapse. The last depth's leaves are gathered only given ``posts``."""
+    start, depths = tables
+    values, size = _walk_values(angles), np.shape(initial)[-1]
+    x, node = np.ravel(initial)[start], np.asarray(plan_of_row, dtype=np.intp)
+    for d, ((val, post, step, nxt, child), draw) in enumerate(zip(depths, np.asarray(draws).T)):
+        products, coeffs = _products(values[val], x)
+        weights = _weights(step, coeffs, size)
+        node = _draw(step, weights, node, draw)
+        if d == len(depths) - 1 and not posts:
+            break
+        if post is not None:
+            products = _fold(step, products[post]).reshape(-1)
+        x = products if nxt is None else products[nxt]
+        norm = np.sqrt(weights).ravel()[child]
+        x = np.divide(x, norm, out=np.zeros_like(x), where=norm > 0.0)
+    return (node, x.reshape(-1, size)) if posts else node
 
 
 def sample_branches(
     initial: StateVector, plan: Sequence[PlanStep], draws: np.ndarray
 ) -> np.ndarray:
     """Sample a measurement plan for many trials at once: ``_sample_leaves``
-    with one plan, its leaves decoded through ``_plan_codes``. It lays out
-    the plan's full outcome tree, as ``exact_branch_enumeration`` does,
+    with one plan, its leaves decoded through ``_plan_codes``. It walks the
+    plan's full outcome tree, as ``exact_branch_enumeration`` does,
     whatever the trial count.
 
     ``draws`` has shape (m, len(plan)); row i holds the uniform draws trial
@@ -768,6 +755,6 @@ def sample_branches(
         raise ValueError(f"draws must have shape (m, {len(plan)}), got {draws.shape}")
     if draws.size and not (draws.min() >= 0.0 and draws.max() < 1.0):
         raise ValueError("draws must lie in [0, 1)")
-    angles = [[step.angle for step in plan if isinstance(step, SpinMeasurement)]]
-    leaves = _sample_leaves(initial.amplitudes[None], plan, angles, np.zeros(len(draws), int), draws)
+    tables, angles = _plan_walk(initial.amplitudes, plan)
+    leaves = _sample_leaves(initial.amplitudes, tables, angles, np.zeros(len(draws), int), draws)
     return _plan_codes(plan)[leaves].astype(np.int8)

@@ -8,12 +8,14 @@ CSV writer that joined each line field by field, and the JSON mirror built
 as one dict per trial. Beside them are the collapse steps, Bell outcome
 probabilities and exact branch enumeration that projected onto each outcome
 in their own code, the projection kernel's broadcast body, the exact walk
-as it ran on complex rows, the joint table built one setting plan at a time
-over that recursion, and the exact diagnostics that walked it as a dict
-keyed by BellOutcome members. They are kept here, unchanged apart from
-taking plain record sequences, as the oracle the array paths, the row-code
-writers, the streamed mirror, the projection kernel, the float64 exact walk,
-the level-by-level exact tables and their leaf-row diagnostics must match.
+as it ran on complex rows, the sampler and collapse that laid out every
+node's posts before they descended the exact walk's tables, the joint
+table built one setting plan at a time over that recursion, and the exact
+diagnostics that walked it as a dict keyed by BellOutcome members. They
+are kept here, unchanged apart from taking plain record sequences, as the
+oracle the array paths, the row-code writers, the streamed mirror, the
+projection kernel, the float64 exact walk, the sampler, the level-by-level
+exact tables and their leaf-row diagnostics must match.
 ``closed_form_table`` is the one reference that walks no amplitudes: the
 exact joint table in closed form, which every layout must meet within a
 tolerance. The helpers at the end turn records into tables and compare
@@ -72,18 +74,29 @@ from swapsim.io import (
 )
 from swapsim.qcore import (
     _BELL_TENSORS,
+    _FOLDED,
     BellOutcome,
+    BsmStep,
     PlanStep,
     SpinMeasurement,
     StateVector,
     _branch_outcomes,
+    _branch_tables,
     _check_qubit,
+    _norm_sq,
     _partial_outcomes,
+    _plan_walk,
+    _products,
     _spin_components,
     _validate_plan,
+    _walk_depths,
+    _walk_key,
+    _walk_values,
+    _weights,
     make_two_singlets,
     singlet,
 )
+from swapsim.qcore import _BELL_VALUES as _QCORE_BELL_VALUES
 from swapsim.toys import (
     RPS_CHOICES,
     RPS_VERDICTS,
@@ -376,7 +389,7 @@ def complex_walk(initial: np.ndarray, angles: Sequence[float], tables: tuple) ->
              for c in _spin_components(angle) + _spin_components(angle + math.pi)]
     v = np.concatenate([_BELL_VALUES.ravel(), np.array(spins, dtype=np.complex128)])
     x = np.asarray(initial, dtype=np.complex128)[start]
-    for val, post, step, nxt in depths:
+    for val, post, step, nxt, _child in depths:
         values = v[val]
         terms = values * x
         half = len(terms) // 2
@@ -390,6 +403,143 @@ def complex_walk(initial: np.ndarray, angles: Sequence[float], tables: tuple) ->
             x = x[nxt]
     norms = [np.vdot(row, row).real for row in x.reshape(-1, len(initial))]
     return np.array(norms, dtype=np.float64)
+
+
+# The sampler as it was before it descended the exact walk's tables: each
+# depth laid out every node's posts through ``flat_branches`` and
+# normalized them into the next depth's states. ``qcore._sample_leaves``
+# and ``qcore._collapse`` must equal it byte for byte. ``sum_fold`` is
+# ``qcore._fold`` as it summed a partial BSM's folded outcomes with a
+# generator ``sum()`` from int 0.
+def sum_fold(step: PlanStep, stack: np.ndarray) -> np.ndarray:
+    """``qcore._fold`` with its NO_HERALD entry summed by ``sum()``."""
+    if not (isinstance(step, BsmStep) and step.partial):
+        return stack
+    folded = _FOLDED[step.resolve_psi_plus]
+    out = np.empty((len(stack), len(_BELL_TENSORS) - folded + 1) + stack.shape[2:], stack.dtype)
+    out[:, :-1] = stack[:, folded:]
+    out[:, -1] = sum(stack[:, k] for k in range(folded))  # sum() starts at int 0, so at +0
+    return out
+
+
+def _flat_project(
+    amps: np.ndarray, step: PlanStep, angles: Sequence[float] | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``qcore._products`` of one step on a stack of states: (products, the
+    coefficient stack of shape (m, j, -1), and the post map of shape (m, j,
+    2**n) into the products)."""
+    m, size = np.shape(amps)
+    if isinstance(step, SpinMeasurement):
+        angles = [step.angle] if angles is None else angles
+        values, j, blocks = _walk_values(angles)[len(_QCORE_BELL_VALUES):], 2, len(angles)
+    else:
+        values, j, blocks = _QCORE_BELL_VALUES, len(_BELL_TENSORS), 1
+    src, val, post = _branch_tables(_walk_key(step)[:3], size, blocks, m // blocks)
+    products, coeffs = _products(values[val], np.ravel(amps)[src])
+    return products, coeffs.reshape(m, j, -1), post.reshape(m, j, size)
+
+
+def flat_branches(
+    amps: np.ndarray, step: PlanStep, angles: Sequence[float] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every outcome of one step for each row of an (m, 2**n) stack, a spin
+    measuring each block of m // len(angles) rows at its own angle: the
+    posts, shape (m, k, 2**n), ``sum_fold``-ed for a partial BSM, and the
+    coefficient stack, shape (m, j, -1), as ``branches`` gives them."""
+    products, coeffs, post = _flat_project(amps, step, angles)
+    return sum_fold(step, products[post]), coeffs
+
+
+def flat_weights(step: PlanStep, coeffs: np.ndarray) -> np.ndarray:
+    """Branch weights of ``flat_branches``' rows from its coefficient stack."""
+    m, j, _ = coeffs.shape
+    return sum_fold(step, _norm_sq(coeffs.reshape(m * j, -1)).reshape(m, j))
+
+
+def post_draw(
+    step: PlanStep,
+    states: np.ndarray,
+    node: np.ndarray,
+    draws: np.ndarray,
+    angles: Sequence[float] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One sampled depth: row i draws ``draws[i]`` from state ``node[i]``
+    of ``states`` (the draw rule of ``qcore._draw``). Returns each row's
+    child ``node * k + slot`` and every state's children, shape (m * k,
+    2**n): each post over the square root of its weight, +0 where it is 0."""
+    posts, coeffs = flat_branches(states, step, angles)
+    weights = flat_weights(step, coeffs)
+    m, k = weights.shape
+    edges = np.cumsum(weights, axis=1)
+    slot = np.zeros(len(node), dtype=np.intp)
+    for edge in edges.T[: 1 if isinstance(step, SpinMeasurement) else k]:
+        slot += edge[node] <= draws
+    past = slot == k
+    if past.any():
+        positive = weights > 0.0
+        if not positive[node[past]].any(axis=1).all():
+            raise RuntimeError("no Bell outcome has positive probability")
+        slot[past] = (k - 1 - np.argmax(positive[:, ::-1], axis=1))[node[past]]
+    child = node * k + slot
+    if np.any(weights.ravel()[child] <= 0.0):
+        raise RuntimeError("drew an outcome with zero-norm projection")
+    norm = np.sqrt(weights)[:, :, None]
+    children = np.divide(posts, norm, out=np.zeros_like(posts), where=norm > 0.0)
+    return child, children.reshape(m * k, -1)
+
+
+def collapse(amps: np.ndarray, step: PlanStep, draw: float) -> tuple[object, np.ndarray]:
+    """A one-state collapse as a one-row ``post_draw``: (outcome, post)."""
+    (child,), children = post_draw(step, amps[None], np.zeros(1, dtype=np.intp),
+                                   np.array([draw]))
+    return _branch_outcomes(step)[child], children[child]
+
+
+def plan_columns(plan: Sequence[PlanStep], angles: Sequence[Sequence[float]]) -> list:
+    """Each step's spin angle per plan, None for a BSM."""
+    spins = [isinstance(step, SpinMeasurement) for step in plan]
+    if not angles or any(len(row) != sum(spins) for row in angles):
+        raise ValueError(f"plans need {sum(spins)} spin angles each, got {angles!r}")
+    columns = zip(*angles)
+    return [next(columns) if spin else None for spin in spins]
+
+
+def sample_leaves(
+    initials: np.ndarray,
+    plan: Sequence[PlanStep],
+    angles: Sequence[Sequence[float]],
+    plan_of_row: np.ndarray,
+    draws: np.ndarray,
+) -> np.ndarray:
+    """Each trial's leaf, trial i running plan p = ``plan_of_row[i]`` (the
+    template ``plan`` at spin angles ``angles[p]``) from ``initials[p]``
+    with draws ``draws[i]``: one ``post_draw`` per depth over every node."""
+    columns = plan_columns(plan, angles)
+    states, node = initials, np.asarray(plan_of_row, dtype=np.intp)
+    for step, column, draw in zip(plan, columns, np.asarray(draws).T):
+        node, states = post_draw(step, states, node, draw, column)
+    return node
+
+
+def walk_branches(
+    stack: np.ndarray, steps: Sequence[PlanStep]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Not a reference: one depth of ``qcore``'s walk tables on an (m, 2**n)
+    stack of start states, one plan per row, a spin measuring block b of
+    m // len(steps) rows at ``steps[b]``'s angle, laid out as
+    ``flat_branches`` and ``branches`` lay theirs out, for tests to compare:
+    the unnormalized leaves, shape (m, k, 2**n), the coefficient stack,
+    shape (m, j, -1), and the branch weights, shape (m, k)."""
+    m, size = np.shape(stack)
+    step, block = steps[0], m // len(steps)
+    angles = [[steps[i // block].angle] if isinstance(step, SpinMeasurement) else []
+              for i in range(m)]
+    (start, (depth,)), flat = _plan_walk(stack, [step], angles)
+    values, x = _walk_values(flat), np.ravel(stack)[start]
+    coeffs = _products(values[depth[0]], x)[1]
+    weights = _weights(depth[2], coeffs, size)
+    posts = _walk_depths(x, values, (depth,)).reshape(m, -1, size)
+    return posts, coeffs.reshape(m, 2 if isinstance(step, SpinMeasurement) else 4, -1), weights
 
 
 def exact_branch_enumeration(

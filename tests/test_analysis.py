@@ -461,6 +461,15 @@ class TestTeleport:
         with pytest.raises(ValueError):
             teleport_channel_demo(True, 0, 0)
 
+    @pytest.mark.parametrize("controlled", ["no", 1, 0, None])
+    def test_controlled_must_be_a_bool(self, controlled):
+        # A truthy non-bool ran the controlled channel.
+        with pytest.raises(ValueError, match="controlled must be a bool"):
+            teleport_channel_demo(controlled, 10, 0)
+
+    def test_numpy_bool_accepted(self):
+        assert teleport_channel_demo(np.True_, 50, 3) == teleport_channel_demo(True, 50, 3)
+
     def test_nothing_kept_reports_empty_channel(self):
         # Find a trial whose joint outcome is not psi-, so controlled mode
         # discards it and the channel has no data.

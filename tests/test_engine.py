@@ -284,6 +284,12 @@ class TestPostSelect:
         with pytest.raises(ValueError, match="unknown herald 'bogus'.*psi-minus"):
             post_select(ens, "bogus")
 
+    @pytest.mark.parametrize("accept", [["psi-"], {"psi-minus"}, [BellOutcome.PSI_MINUS, 3]])
+    def test_outcome_sets_must_hold_bell_outcomes(self, accept):
+        ens = run_trials(ExperimentConfig(n_trials=10, seed=2))
+        with pytest.raises(ValueError, match="BellOutcome members, got"):
+            post_select(ens, accept)
+
     def test_herald_masks_match_predicates(self):
         codes = np.arange(-1, len(OUTCOMES))
         for name, outcomes in engine.HERALD_PREDICATES.items():

@@ -334,6 +334,56 @@ def test_collapse_steps_match_oracle_property(state, step, edge, u):
         assert np.array_equal(got[1], want[1])
 
 
+@settings(max_examples=200, deadline=None, database=None)
+@given(state=initial_states, step=plan_steps, edge=st.integers(-1, 3),
+       u=st.floats(0.0, 1.0, exclude_max=True))
+@example(state=SPIN_EIGENSTATE, step=SpinMeasurement(0, -math.pi), edge=-1, u=1.0 - 2.0**-53)
+@example(state=BSM_EIGENSTATE, step=BsmStep(1, 2, True, False), edge=-1, u=1.0 - 2.0**-53)
+@example(state=TWO_SINGLETS, step=BsmStep(2, 1, True, True), edge=1, u=0.0)
+def test_collapse_posts_match_oracle_sampler_property(state, step, edge, u):
+    """A collapse, the sampler's one-trial walk of a one-step plan down to
+    its normalized leaves, gives the outcome and the post, byte for byte,
+    signed zeros included, or the RuntimeError, of the sampler that laid
+    out every post (``scalar_oracle.collapse``), for a random draw or one
+    on a slot edge."""
+    edges = list(itertools.accumulate(qcore._one_state_weights(state.amplitudes, step)))
+    draw = edges[edge] if 0 <= edge < len(edges) and edges[edge] < 1.0 else u
+    try:
+        want = scalar_oracle.collapse(state.amplitudes, step, draw)
+    except RuntimeError as exc:
+        with pytest.raises(RuntimeError, match=str(exc)):
+            qcore._collapse(state.amplitudes, step, draw)
+        return
+    got = qcore._collapse(state.amplitudes, step, draw)
+    assert got[0] == want[0]
+    assert got[1].dtype == want[1].dtype and got[1].tobytes() == want[1].tobytes()
+
+
+FOLD_PARTS = [0.0, -0.0, 1e-300, -1e-300, 0.5, -0.5, 1.0]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(resolve_psi_plus=st.booleans(), posts=st.booleans(), m=st.integers(0, 6),
+       data=st.data())
+def test_fold_matches_generator_sum_property(resolve_psi_plus, posts, m, data):
+    """``_fold``'s NO_HERALD entry, one ``np.add.reduce`` from +0, equals
+    the generator ``sum()`` from int 0 it replaced byte for byte, signed
+    zeros included, on post stacks (complex, (m, 4, 4)) and weight stacks
+    (float64, (m, 4)) of +-0, +-1e-300, +-0.5 and 1."""
+    shape = (m, 4, 4) if posts else (m, 4)
+    parts = st.lists(st.sampled_from(FOLD_PARTS), min_size=math.prod(shape),
+                     max_size=math.prod(shape))
+    stack = np.array(data.draw(parts)).reshape(shape)
+    if posts:
+        stack = stack.astype(np.complex128)
+        stack.imag = np.array(data.draw(parts)).reshape(shape)
+    step = BsmStep(1, 2, True, resolve_psi_plus)
+    got = qcore._fold(step, stack)
+    want = scalar_oracle.sum_fold(step, stack)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 def _oracle_edges(amps: np.ndarray, step) -> list[float]:
     """Slot edges of one step at a state, from the oracle's own weights: the
     collapse steps compare a draw with these running sums."""
@@ -480,12 +530,10 @@ def _step_shapes(n: int) -> list:
 
 
 def _assert_branches_match_oracle(stack: np.ndarray, steps) -> None:
-    angles = [s.angle for s in steps] if isinstance(steps[0], SpinMeasurement) else None
-    posts, coeffs = qcore._branches(stack, steps[0], angles)
+    posts, coeffs, weights = scalar_oracle.walk_branches(stack, steps)
     want_posts, want_coeffs = scalar_oracle.branches(stack, steps)
     assert posts.shape == want_posts.shape and posts.tobytes() == want_posts.tobytes()
     assert coeffs.shape == want_coeffs.shape and coeffs.tobytes() == want_coeffs.tobytes()
-    weights = qcore._weights(steps[0], coeffs)
     assert weights.tobytes() == scalar_oracle.weights(steps[0], want_coeffs).tobytes()
 
 
@@ -510,8 +558,9 @@ def branch_cases(draw):
 @settings(max_examples=400, deadline=None, database=None)
 @given(case=branch_cases())
 def test_branches_match_oracle_property(case):
-    """The flat kernel's posts and coefficients, and the weights read from
-    them, equal the broadcast body's byte for byte."""
+    """One depth of the walk's tables, each row its own plan's start: its
+    leaves and coefficients, and the weights read from them, equal the
+    broadcast body's posts, coefficients and weights byte for byte."""
     _assert_branches_match_oracle(*case)
 
 
@@ -588,21 +637,16 @@ def test_exact_walk_matches_oracle_every_step_shape(n):
         _assert_walk_matches_oracle(initial, plan, angles)
 
 
-def _unbound_tables(layout) -> tuple:
-    """The ``qcore._walk_tables`` a layout's walk is bound from."""
-    keys = tuple(map(qcore._walk_key, layout.plan))
-    return qcore._walk_tables(keys, TWO_SINGLETS.amplitudes.size, layout.picks)
-
-
 def _layout_tables(layout) -> list:
     """Every array a layout carries: its columns, its bound walk's start
     (the first gather of amplitudes, from the folded products when the walk
-    starts with C) and index tables, the unbound tables it was bound from,
-    and its herald selections."""
+    starts with C) and index tables, the unbound tables it was bound from
+    and the sampler descends, with their child rows, and its herald
+    selections."""
     x, depths, _size = layout.walk
-    start, unbound = _unbound_tables(layout)
-    walk = [x, start] + [table for val, post, _step, nxt in depths + unbound
-                         for table in (val, post, nxt)]
+    start, unbound = layout.tables
+    walk = [x, start] + [table for val, post, _step, nxt, child in depths + unbound
+                         for table in (val, post, nxt, child)]
     heralds = [table for selection in layout.heralds.values() for table in selection]
     return [layout.cell, layout.c_outcome] + [t for t in walk if t is not None] + heralds
 
@@ -741,8 +785,7 @@ def test_float_walk_matches_complex_walk_property(geometry, partial, c_enabled, 
     layout = engine._EXACT_LAYOUTS[geometry, partial, c_enabled]
     cfg = ExperimentConfig(geometry=geometry, bsm_partial=partial, c_enabled=c_enabled,
                            angles_a=angles[:2], angles_b=angles[2:])
-    want = 0.25 * scalar_oracle.complex_walk(TWO_SINGLETS.amplitudes, angles,
-                                             _unbound_tables(layout))
+    want = 0.25 * scalar_oracle.complex_walk(TWO_SINGLETS.amplitudes, angles, layout.tables)
     assert engine.exact_leaf_rows(cfg)[2].tobytes() == want.tobytes()
 
 
@@ -806,6 +849,97 @@ def test_sampled_trials_land_on_exact_rows_property(geometry, partial, c_enabled
     sampled = (8 * trials["a"] + 4 * trials["b"] + 2 * (trials["A"] == -1)
                + (trials["B"] == -1))
     assert set(zip(sampled.tolist(), trials["c_outcome"].tolist())) <= rows
+
+
+def _slot_edge_draws(initials, plan, angles, rng, trials: int) -> np.ndarray:
+    """Draws for ``trials`` trials of the plans ``scalar_oracle.sample_leaves``
+    reads from ``plan`` and ``angles``: at each depth, each draw is a slot
+    edge of a node of that depth (below 1, from the oracle's weights), the
+    float just below one, 0 or a uniform."""
+    columns = scalar_oracle.plan_columns(plan, angles)
+    states, draws = initials, []
+    for step, column in zip(plan, columns):
+        _posts, coeffs = scalar_oracle.flat_branches(states, step, column)
+        edges = np.cumsum(scalar_oracle.flat_weights(step, coeffs), axis=1)
+        edges = edges[:, :1] if isinstance(step, SpinMeasurement) else edges
+        edges = edges[edges < 1.0]
+        pool = np.concatenate([edges, np.nextafter(edges, 0.0), [0.0], rng.random(edges.size)])
+        draws.append(rng.choice(pool, trials))
+        nobody = np.zeros(0, dtype=np.intp)
+        _child, states = scalar_oracle.post_draw(step, states, nobody, nobody, column)
+    return np.column_stack(draws)
+
+
+def _assert_sampler_matches_oracle(initial, tables, angles, plan, per_plan, plan_of_row, draws):
+    """The sampler's leaves on ``tables`` equal the oracle copy's on the
+    template ``plan`` at each plan's angles ``per_plan``, byte for byte, or
+    both raise the same RuntimeError."""
+    initials = np.broadcast_to(initial, (len(per_plan), np.shape(initial)[-1]))
+    try:
+        want = scalar_oracle.sample_leaves(initials, plan, per_plan, plan_of_row, draws)
+    except RuntimeError as exc:
+        with pytest.raises(RuntimeError, match=str(exc)):
+            qcore._sample_leaves(initial, tables, angles, plan_of_row, draws)
+        return
+    got = qcore._sample_leaves(initial, tables, angles, plan_of_row, draws)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# No shrink phase: a failing run of a thousand trials shrinks slowly.
+@pytest.mark.parametrize("geometry,partial,c_enabled", EXACT_LAYOUTS)
+@settings(max_examples=15, deadline=None, database=None,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
+@given(angles=st.tuples(*[walk_angles] * 4), seed=st.integers(0, 2**32 - 1))
+def test_sampler_matches_oracle_sampler_property(geometry, partial, c_enabled, angles, seed):
+    """Each layout's sampler, descending the exact walk's tables from the
+    one two-singlet state and reading the four angles through its picks,
+    gives every trial the leaf of the sampler that laid out every node's
+    posts, byte for byte: at random angles, at multiples of pi/2 that zero
+    weights, and with draws on and just below slot edges."""
+    layout = engine._EXACT_LAYOUTS[geometry, partial, c_enabled]
+    per_plan = [[angles[i] for i in pick] for pick in layout.picks]
+    rng = np.random.default_rng(seed)
+    initials = np.tile(TWO_SINGLETS.amplitudes, (len(per_plan), 1))
+    draws = _slot_edge_draws(initials, layout.plan, per_plan, rng, 1000)
+    setting = rng.integers(0, len(per_plan), len(draws))
+    _assert_sampler_matches_oracle(TWO_SINGLETS.amplitudes, layout.tables, angles, layout.plan,
+                                   per_plan, setting, draws)
+
+
+# Teleport's plans: input bit x on qubit 0 beside a singlet on (1, 2).
+TELEPORT_STARTS = np.kron(np.eye(2, dtype=np.complex128), qcore.singlet().amplitudes)
+
+
+@settings(max_examples=40, deadline=None, database=None,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
+@given(angles=st.lists(walk_angles, min_size=2, max_size=2),
+       pair=st.permutations(range(3)).map(lambda qubits: tuple(qubits[:2])),
+       qubit=st.integers(0, 2), partial=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(angles=[0.0, 0.0], pair=(0, 1), qubit=2, partial=False, seed=4)
+def test_teleport_sampler_matches_oracle_sampler_property(angles, pair, qubit, partial, seed):
+    """With one start state per plan, as teleport's ``|x> (x) singlet``
+    plans have, the sampler gives every trial the oracle copy's leaf, byte
+    for byte, also with draws on slot edges."""
+    plan = [BsmStep(*pair, partial), SpinMeasurement(qubit, 0.0)]
+    per_plan = [[angle] for angle in angles]
+    tables, flat = qcore._plan_walk(TELEPORT_STARTS, plan, per_plan)
+    rng = np.random.default_rng(seed)
+    draws = _slot_edge_draws(TELEPORT_STARTS, plan, per_plan, rng, 2000)
+    x = rng.integers(0, 2, len(draws))
+    _assert_sampler_matches_oracle(TELEPORT_STARTS, tables, flat, plan, per_plan, x, draws)
+
+
+@pytest.mark.parametrize("angles", [[[0.0], [0.0]], [[0.3], [-2.1]], [[math.pi / 2.0], [1e17]]])
+@pytest.mark.parametrize("partial", [False, True])
+def test_enumerate_plans_one_start_state_per_plan(angles, partial):
+    """``_enumerate_plans`` with teleport's two start states, one per plan,
+    gives each plan the leaves of the oracle's walk from that state alone,
+    compared by repr."""
+    plan = [BsmStep(0, 1, partial), SpinMeasurement(2, 0.0)]
+    got = qcore._enumerate_plans(TELEPORT_STARTS, plan, angles)
+    for p, row in enumerate(angles):
+        want = scalar_oracle.enumerate_plans(TELEPORT_STARTS[p], plan, [row])
+        assert repr(got[p].tolist()) == repr(want[0].tolist())
 
 
 def _openblas_dynamic_arch() -> bool:

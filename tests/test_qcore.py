@@ -32,15 +32,16 @@ from swapsim.qcore import (
 from swapsim.qcore import (
     _branch_outcomes,
     _branch_tables,
-    _branches,
     _collapse,
     _enumerate_plans,
     _fold,
     _one_state_weights,
     _plan_codes,
+    _plan_walk,
     _sample_leaves,
-    _weights,
+    _walk_tables,
 )
+from scalar_oracle import walk_branches
 
 SQ = 1.0 / math.sqrt(2.0)
 
@@ -111,6 +112,55 @@ class TestSpinMeasurement:
     def test_finite_angles_accepted(self):
         for angle in (0.0, -0.0, 5e-324, -1e308, 2.0**1023):
             assert SpinMeasurement(1, angle).angle == angle
+
+    @pytest.mark.parametrize("angle", [True, False, np.True_, "1.0", None, 1 + 0j])
+    def test_non_real_angle_rejected(self, angle):
+        # A bool angle read as 1.0 or 0.0.
+        with pytest.raises(ValueError, match="angle must be a real number"):
+            SpinMeasurement(0, angle)
+
+    @pytest.mark.parametrize("qubit", [1.5, 1.0, True, "1", None])
+    def test_non_int_qubit_rejected(self, qubit):
+        # 1.5 failed only later, in prob_spin_up, with a TypeError.
+        with pytest.raises(ValueError, match="qubit must be an int"):
+            SpinMeasurement(qubit, 0.0)
+
+    def test_numpy_fields_read_as_python_values(self):
+        step = SpinMeasurement(np.int64(2), np.float64(0.25))
+        assert type(step.qubit) is int and type(step.angle) is float
+        assert step == SpinMeasurement(2, 0.25)
+
+
+class TestBsmStepFields:
+    @pytest.mark.parametrize("field,value", [
+        ("q_left", 1.0), ("q_left", True), ("q_right", "2"), ("q_right", None),
+        ("partial", "no"), ("partial", 1), ("resolve_psi_plus", 0), ("resolve_psi_plus", None),
+    ])
+    def test_bad_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an? "):
+            BsmStep(**{"q_left": 1, "q_right": 2, field: value})
+
+    def test_string_partial_is_not_an_analyzer(self):
+        # partial="no" ran a partial analyzer.
+        with pytest.raises(ValueError, match="partial must be a bool"):
+            bell_outcome_probabilities(make_two_singlets(), 1, 2, partial="no")
+
+    def test_numpy_fields_read_as_python_values(self):
+        step = BsmStep(np.int64(2), np.int32(1), np.True_, np.False_)
+        assert step == BsmStep(2, 1, True, False)
+        assert [type(v) for v in vars(step).values()] == [int, int, bool, bool]
+
+
+class TestBasisState:
+    @pytest.mark.parametrize("index", [-1, 4, 7, True, 1.0])
+    def test_bad_index_rejected(self, index):
+        # -1 gave |11>, and 7 an IndexError.
+        with pytest.raises(ValueError, match="index must be"):
+            basis_state(2, index)
+
+    def test_every_index(self):
+        for index in range(8):
+            assert basis_state(3, index).amplitudes.tolist() == np.eye(8)[index].tolist()
 
 
 class TestTwoSinglets:
@@ -414,10 +464,10 @@ LAYOUTS = {
 
 
 class TestStackedBranches:
-    """``_branches`` on a stack of states, a spin at one angle per block of
-    rows, gives each row what a one-row call gives, bit for bit, whatever
-    the stack's layout and block size; so do the weights read from its
-    coefficients."""
+    """One depth of the walk's tables on a stack of start states, a spin at
+    one angle per block of rows, gives each row what a one-row walk gives,
+    bit for bit, whatever the stack's layout and block size: its
+    unnormalized leaves, its coefficients and the weights read from them."""
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     @pytest.mark.parametrize("name", sorted(STEP_ROWS))
@@ -425,16 +475,15 @@ class TestStackedBranches:
         stack = LAYOUTS[layout](STACK)
         for block in (1, 2, 3, 6):
             steps = STEP_ROWS[name][::block]
-            angles = [s.angle for s in steps] if isinstance(steps[0], SpinMeasurement) else None
-            posts, coeffs = _branches(stack, steps[0], angles)
-            weights = _weights(steps[0], coeffs)
+            posts, coeffs, weights = walk_branches(stack, steps)
             k = len(_branch_outcomes(steps[0]))
             assert posts.shape == (6, k, 16) and weights.shape == (6, k)
             for i in range(len(stack)):
                 step = steps[i // block]
-                row_posts, row_coeffs = _branches(stack[i].copy()[None], step)
+                row_posts, row_coeffs, row_weights = walk_branches(stack[i].copy()[None], [step])
                 assert posts[i].tobytes() == row_posts[0].tobytes()
-                assert weights[i].tobytes() == _weights(step, row_coeffs)[0].tobytes()
+                assert coeffs[i].tobytes() == row_coeffs[0].tobytes()
+                assert weights[i].tobytes() == row_weights[0].tobytes()
 
 
 def _signed_stack(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
@@ -448,14 +497,16 @@ def _signed_stack(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
 
 
 class TestOneFold:
-    """A partial BSM is the full BSM on the same qubits, then ``_fold``: it
-    reads the same index tables, and its posts and weights are the fold of
-    the full BSM's, bit for bit, signed zeros included."""
+    """A partial BSM is the full BSM on the same qubits, then ``_fold``: its
+    walk tables read the same index tables, and its leaves and weights are
+    the fold of the full BSM's, bit for bit, signed zeros included."""
 
     def test_full_and_partial_bsm_share_tables(self):
+        _walk_tables.cache_clear()
         _branch_tables.cache_clear()
         for partial, resolve in ((False, True), (True, True), (True, False)):
-            _branches(STACK, BsmStep(2, 1, partial, resolve))
+            walk_branches(STACK, [BsmStep(2, 1, partial, resolve)])
+        assert _walk_tables.cache_info().misses == 3
         info = _branch_tables.cache_info()
         assert (info.misses, info.hits) == (1, 2)
 
@@ -465,12 +516,11 @@ class TestOneFold:
         rng = np.random.default_rng(sum(pair) * 2 + resolve_psi_plus)
         stack = _signed_stack(rng, 40, 4)
         full, partial = BsmStep(*pair), BsmStep(*pair, True, resolve_psi_plus)
-        full_posts, full_coeffs = _branches(stack, full)
-        posts, coeffs = _branches(stack, partial)
+        full_posts, full_coeffs, full_weights = walk_branches(stack, [full])
+        posts, coeffs, weights = walk_branches(stack, [partial])
         assert posts.tobytes() == _fold(partial, full_posts).tobytes()
         assert coeffs.tobytes() == full_coeffs.tobytes()
-        assert (_weights(partial, coeffs).tobytes()
-                == _fold(partial, _weights(full, full_coeffs)).tobytes())
+        assert weights.tobytes() == _fold(partial, full_weights).tobytes()
 
 
 class TestEnumeratePlansChecks:
@@ -635,7 +685,8 @@ class TestSamplePlans:
         order = rng.permutation(len(rows))
         draws, plan_of_row = np.array(rows)[order], np.array(plan_of_row)[order]
         initials = np.stack([state.amplitudes for state in states])
-        leaves = _sample_leaves(initials, self.TEMPLATE, self.ANGLES, plan_of_row, draws)
+        tables, angles = _plan_walk(initials, self.TEMPLATE, self.ANGLES)
+        leaves = _sample_leaves(initials, tables, angles, plan_of_row, draws)
         codes = _plan_codes(self.TEMPLATE)
         assert np.array_equal(leaves // len(codes), plan_of_row)
         codes = codes[leaves % len(codes)].astype(np.int8)
@@ -647,5 +698,4 @@ class TestSamplePlans:
 
     def test_rejects_angle_rows_of_the_wrong_length(self):
         with pytest.raises(ValueError, match="2 spin angles each"):
-            _sample_leaves(make_two_singlets().amplitudes[None], self.TEMPLATE, [[0.1]],
-                           np.zeros(1, dtype=np.intp), np.zeros((1, 3)))
+            _plan_walk(make_two_singlets().amplitudes[None], self.TEMPLATE, [[0.1]])
