@@ -175,7 +175,10 @@ OUTCOMES = tuple(BellOutcome)
 
 
 def _outcome_codes(outcomes: Iterable[BellOutcome]) -> list[int]:
-    """Each outcome's code; ValueError unless every one is a BellOutcome."""
+    """Each outcome's code; ValueError unless ``outcomes`` iterates over
+    BellOutcome members (a bare member is not a set)."""
+    if not isinstance(outcomes, Iterable):
+        raise ValueError(f"outcome sets must hold BellOutcome members, got {outcomes!r}")
     outcomes = list(outcomes)
     for outcome in outcomes:
         if not isinstance(outcome, BellOutcome):

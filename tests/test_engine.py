@@ -284,7 +284,8 @@ class TestPostSelect:
         with pytest.raises(ValueError, match="unknown herald 'bogus'.*psi-minus"):
             post_select(ens, "bogus")
 
-    @pytest.mark.parametrize("accept", [["psi-"], {"psi-minus"}, [BellOutcome.PSI_MINUS, 3]])
+    @pytest.mark.parametrize("accept", [["psi-"], {"psi-minus"}, [BellOutcome.PSI_MINUS, 3],
+                                        BellOutcome.PSI_MINUS, 3])
     def test_outcome_sets_must_hold_bell_outcomes(self, accept):
         ens = run_trials(ExperimentConfig(n_trials=10, seed=2))
         with pytest.raises(ValueError, match="BellOutcome members, got"):

@@ -493,7 +493,10 @@ def _signed_stack(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     picked = parts[rng.integers(0, len(parts), (2, m, 2**n))]
     random = picked == 0.5
     picked[random] = rng.uniform(-1.0, 1.0, random.sum())
-    return picked[0] + 1j * picked[1]
+    # Set the parts apart: picked[0] + 1j * picked[1] turns an imaginary -0 into +0.
+    stack = np.empty((m, 2**n), dtype=np.complex128)
+    stack.real, stack.imag = picked
+    return stack
 
 
 class TestOneFold:
