@@ -11,7 +11,6 @@ exact joint table's leaf rows (engine.exact_leaf_rows).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,9 +29,12 @@ from .qcore import (
     BellOutcome,
     BsmStep,
     SpinMeasurement,
+    _bool_field,
     _branch_outcomes,
+    _int_field,
     _plan_codes,
     _plan_walk,
+    _real_field,
     _sample_leaves,
     singlet,
 )
@@ -97,27 +99,6 @@ def _mixed_radix(parts, n: int) -> tuple[np.ndarray, int]:
             values, code = np.unique(code, return_inverse=True)
             radix = len(values)
     return code, radix
-
-
-def _check_number(name: str, value, within, bounds: str) -> None:
-    """ValueError naming ``name`` unless ``value``, not a bool, passes ``within``."""
-    try:
-        valid = not isinstance(value, (bool, np.bool_)) and within(value)
-    except TypeError:
-        valid = False
-    if not valid:
-        raise ValueError(f"{name} must be a finite number with {bounds}, got {value!r}")
-
-
-def _check_min_cell(min_cell) -> None:
-    try:
-        if isinstance(min_cell, bool):
-            raise TypeError
-        value = operator.index(min_cell)
-    except TypeError:
-        raise ValueError(f"min_cell must be an integer, got {min_cell!r}") from None
-    if value < 0:
-        raise ValueError(f"min_cell must be >= 0, got {value}")
 
 
 def _as_names(names) -> tuple[str, ...]:
@@ -247,8 +228,10 @@ def test_conditional_independence(
     column twice, alpha outside (0, 1) or a min_cell that is not an integer
     >= 0 raises ValueError.
     """
-    _check_number("alpha", alpha, lambda a: 0.0 < a < 1.0, "0 < alpha < 1")
-    _check_min_cell(min_cell)
+    if not 0.0 < _real_field(alpha, "alpha") < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    if _int_field(min_cell, "min_cell") < 0:
+        raise ValueError(f"min_cell must be >= 0, got {min_cell!r}")
     target_names = _as_names(target)
     given_names = _as_names(given) if given else ()
     versus_names = _as_names(versus)
@@ -374,7 +357,8 @@ def no_difference_check(config: ExperimentConfig, tol: float = 1e-12) -> NdaRepo
     (marginalized over its outcome) and absent: the config's table and its
     layout's with C flipped, in either order, as abs(p - q) is symmetric.
     A difference below ``tol``, a finite number >= 0, is none."""
-    _check_number("tol", tol, lambda t: 0.0 <= t < math.inf, "tol >= 0")
+    if _real_field(tol, "tol") < 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     flipped, _kept = _exact_rows(config, not config.c_enabled)
     return _no_difference(exact_leaf_rows(config), flipped, tol)
 
@@ -412,7 +396,8 @@ class FragilityReport:
 
 def fragility(config: ExperimentConfig, tol: float = 1e-15) -> FragilityReport:
     """A C-on config's fragility; a cell of mass at most ``tol`` (>= 0) is None."""
-    _check_number("tol", tol, lambda t: 0.0 <= t < math.inf, "tol >= 0")
+    if _real_field(tol, "tol") < 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     if not config.c_enabled:
         raise ValueError("fragility requires the central measurement to be enabled")
     return _fragility(*_exact_rows(config, True), tol)
@@ -468,8 +453,7 @@ def teleport_channel_demo(controlled: bool, n: int, seed: int) -> TeleportReport
     mode post-selects the psi-minus result) opens the channel; averaging
     over uncorrected outcomes leaves the output maximally mixed.
     """
-    if not isinstance(controlled, (bool, np.bool_)):
-        raise ValueError(f"controlled must be a bool, got {controlled!r}")
+    controlled = _bool_field(controlled, "controlled")
     n = check_trials(n)
     # Draws per trial: the input bit (0 below 1/2), the joint measurement,
     # then the output spin, measured along z.
@@ -480,7 +464,7 @@ def teleport_channel_demo(controlled: bool, n: int, seed: int) -> TeleportReport
     # Plan x starts from input basis state |x> on qubit 0.
     initials = np.kron(np.eye(2, dtype=np.complex128), singlet().amplitudes)
     tables, angles = _plan_walk(initials, plan, [[0.0], [0.0]])
-    leaf = _sample_leaves(initials, tables, angles, x, u[:, 1:])
+    leaf = _sample_leaves(initials, tables, angles, x, u[:, 1:])[0]
     codes = np.tile(_plan_codes(plan), (2, 1))[leaf]
     keep = codes[:, 0] == psi_minus if controlled else slice(None)
     # Spin code 0 is the +1 outcome, read as output bit 0.
@@ -492,4 +476,4 @@ def teleport_channel_demo(controlled: bool, n: int, seed: int) -> TeleportReport
     channel = {
         (x, y): float(counts[x, y] / rows[x]) if rows[x] else None for x in (0, 1) for y in (0, 1)
     }
-    return TeleportReport(bool(controlled), n, kept, p_match, mi, channel)
+    return TeleportReport(controlled, n, kept, p_match, mi, channel)

@@ -120,12 +120,11 @@ class _Resolver:
         except ValueError as exc:
             self.parser.error(str(exc))
 
-
-def _positive_trials(res: _Resolver) -> int:
-    trials = res.get("trials", int, BUILTIN_DEFAULTS["trials"])
-    if trials < 1:
-        res.parser.error(f"--trials must be >= 1, got {trials}")
-    return trials
+    def trials(self) -> int:
+        try:
+            return engine.check_trials(self.get("trials", int, BUILTIN_DEFAULTS["trials"]))
+        except ValueError as exc:
+            self.parser.error(str(exc))
 
 
 def _experiment_config(res: _Resolver) -> engine.ExperimentConfig:
@@ -226,7 +225,7 @@ def cmd_toy(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     variant = res.get("variant", str, BUILTIN_DEFAULTS["variant"])
     if variant not in ("collider", "source"):
         parser.error(f"--variant must be collider or source, got {variant!r}")
-    trials = _positive_trials(res)
+    trials = res.trials()
     seed = res.seed()
     out = res.get("out", str, None)
     if out is None:
@@ -272,7 +271,7 @@ def cmd_toy(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 def cmd_rps(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     res = _Resolver(args, parser)
-    trials = _positive_trials(res)
+    trials = res.trials()
     seed = res.seed()
     out = res.get("out", str, None)
     if out is None:
@@ -366,7 +365,7 @@ def cmd_geometry(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 def cmd_teleport(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     res = _Resolver(args, parser)
     controlled = res.get("controlled", _parse_bool, BUILTIN_DEFAULTS["controlled"])
-    trials = _positive_trials(res)
+    trials = res.trials()
     seed = res.seed()
     out = res.get("out", str, None)
 

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
-import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
@@ -29,8 +27,11 @@ from .qcore import (
     PlanStep,
     SpinMeasurement,
     _bind_walk,
+    _bool_field,
     _branch_outcomes,
+    _int_field,
     _plan_codes,
+    _real_field,
     _sample_leaves,
     _walk,
     _walk_key,
@@ -66,21 +67,11 @@ GEOMETRY_NAMES = ("early", "delayed", "spacelike")
 SEED_LIMIT = ID_LIMIT = 2**64
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int, or ValueError unless it is an integer (a bool is not)."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 def check_seed(seed) -> int:
     """Return ``seed`` as an int, or raise ValueError unless it is an integer
     in [0, 2**64) (a bool is not). ExperimentConfig, counter_uniforms (and
     so every runner) and the CLI take their seed through here."""
-    value = _integer(seed, "seed")
+    value = _int_field(seed, "seed")
     if not 0 <= value < SEED_LIMIT:
         raise ValueError(f"seed must be in [0, 2**64), got {value}")
     return value
@@ -93,11 +84,11 @@ def check_draws(trial_ids, k) -> tuple[np.ndarray, int]:
     their stream keys and draw count through here. An array costs one min;
     a list or scalar is read id by id, since numpy reads [True] as 1 and a
     list with an id past 2**63 as float64."""
-    k = _integer(k, "k")
+    k = _int_field(k, "k")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     if not isinstance(trial_ids, np.ndarray):
-        values = [_integer(v, "trial id") for v in np.asarray(trial_ids, dtype=object).ravel()]
+        values = [_int_field(v, "trial id") for v in np.asarray(trial_ids, dtype=object).ravel()]
         if values and not (min(values) >= 0 and max(values) < ID_LIMIT):
             raise ValueError(f"trial ids must be in [0, 2**64), got {min(values)}..{max(values)}")
         return np.array(values, dtype=np.uint64), k
@@ -113,7 +104,7 @@ def check_trials(n_trials) -> int:
     """Return ``n_trials`` as an int, or raise ValueError unless it is an
     integer >= 1 (a bool is not). ExperimentConfig and every runner take
     their trial count through here."""
-    value = _integer(n_trials, "n_trials")
+    value = _int_field(n_trials, "n_trials")
     if value < 1:
         raise ValueError(f"n_trials must be >= 1, got {value}")
     return value
@@ -138,10 +129,7 @@ class ExperimentConfig:
         object.__setattr__(self, "n_trials", check_trials(self.n_trials))
         object.__setattr__(self, "seed", check_seed(self.seed))
         for name in ("c_enabled", "bsm_partial"):
-            flag = getattr(self, name)
-            if not isinstance(flag, (bool, np.bool_)):
-                raise ValueError(f"{name} must be a bool, got {flag!r}")
-            object.__setattr__(self, name, bool(flag))
+            object.__setattr__(self, name, _bool_field(getattr(self, name), name))
         for name in ("angles_a", "angles_b"):
             angles = getattr(self, name)
             # A tuple, list or 1-D array only: a str, bytes or mapping of two
@@ -150,13 +138,7 @@ class ExperimentConfig:
                     or isinstance(angles, np.ndarray) and angles.ndim == 1) or len(angles) != 2:
                 raise ValueError(f"{name} must list exactly two angles (binary settings), "
                                  f"got {angles!r}")
-            # isinstance(float) first: the numbers.Real check is an ABC lookup.
-            if not all(isinstance(angle, float) or isinstance(angle, numbers.Real)
-                       and not isinstance(angle, bool) for angle in angles):
-                raise ValueError(f"{name} must hold real numbers (not bools), got {angles!r}")
-            pair = (float(angles[0]), float(angles[1]))
-            if not all(math.isfinite(angle) for angle in pair):
-                raise ValueError(f"{name} must be finite, got {pair}")
+            pair = tuple(_real_field(angle, f"{name}[{i}]") for i, angle in enumerate(angles))
             object.__setattr__(self, name, pair)
         _herald_outcomes(self.herald)
 
@@ -268,31 +250,11 @@ def trial_rng(seed: int, trial_id: int) -> np.random.Generator:
 
 
 class _TrialStream:
-    """Reusable generator producing exactly the trial_rng streams.
-
-    Rekeying one Philox in place avoids per-trial BitGenerator construction;
-    the scalar reference loops in the tests use it, the runners use
-    counter_uniforms.
-    """
-
-    def __init__(self) -> None:
-        self._bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-        self.generator = np.random.Generator(self._bitgen)
-        self._key = np.zeros(2, dtype=np.uint64)
-        self._state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key},
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+    """Not used by swapsim: bench/tracer.py wraps ``reset``, the name it
+    counts trial streams by, which returns ``trial_rng(seed, trial_id)``."""
 
     def reset(self, seed: int, trial_id: int) -> np.random.Generator:
-        self._key[0] = seed
-        self._key[1] = trial_id
-        self._bitgen.state = self._state
-        return self.generator
+        return trial_rng(seed, trial_id)
 
 
 # Philox4x64-10 (Salmon et al., SC'11) as numpy's Philox runs it.
@@ -412,7 +374,7 @@ def run_trials(config: ExperimentConfig) -> Trials:
     draws = counter_uniforms(config.seed, np.arange(n), 2 + len(layout.plan))
     setting = 2 * (draws[:, 0] >= 0.5) + (draws[:, 1] >= 0.5)
     leaf = _sample_leaves(_TWO_SINGLETS.amplitudes, layout.tables,
-                          config.angles_a + config.angles_b, setting, draws[:, 2:])
+                          config.angles_a + config.angles_b, setting, draws[:, 2:])[0]
     a, b, A, B = np.take(_CELL_COLUMNS, layout.cell[leaf], axis=1)
     c_outcome = layout.c_outcome[leaf]
     return Trials({

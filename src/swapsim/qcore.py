@@ -109,19 +109,28 @@ class StateVector:
         return complex(self.amplitudes[basis_index])
 
 
+# The field checks of every module's inputs; each raises ValueError naming the field.
 def _int_field(value, name: str) -> int:
-    """``value`` as an int, or ValueError naming ``name`` unless it is an
-    integer (a bool is not)."""
+    """``value`` as an int, if it is an integer (a bool is not)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an int, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
 def _bool_field(value, name: str) -> bool:
-    """``value`` as a bool, or ValueError naming ``name`` unless it is one."""
+    """``value`` as a bool, if it is one (a Python or numpy bool)."""
     if not isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be a bool, got {value!r}")
     return bool(value)
+
+
+def _real_field(value, name: str) -> float:
+    """``value`` as a float, if it is a finite real number (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -133,12 +142,7 @@ class SpinMeasurement:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "qubit", _int_field(self.qubit, "qubit"))
-        angle = self.angle
-        if isinstance(angle, bool) or not isinstance(angle, numbers.Real):
-            raise ValueError(f"spin measurement angle must be a real number, got {angle!r}")
-        if not math.isfinite(angle):
-            raise ValueError(f"spin measurement angle must be finite, got {angle!r}")
-        object.__setattr__(self, "angle", float(angle))
+        object.__setattr__(self, "angle", _real_field(self.angle, "spin measurement angle"))
 
 
 @dataclass(frozen=True)
@@ -217,11 +221,6 @@ def product_of_pair_states(
             val *= st.amplitudes[(bi << 1) | bj]
         amps[idx] = val
     return StateVector(num_qubits, amps)
-
-
-def _check_qubit(state: StateVector, q: int) -> None:
-    if not 0 <= q < state.num_qubits:
-        raise ValueError(f"qubit index {q} out of range for {state.num_qubits}-qubit state")
 
 
 def _spin_components(angle: float) -> tuple[float, float]:
@@ -424,7 +423,7 @@ def _collapse(amps: np.ndarray, step: PlanStep, draw: float) -> tuple[object, np
     """Raw collapse of one step with a uniform draw; inputs assumed valid."""
     tables, angles = _plan_walk(amps, [step])
     (child,), leaves = _sample_leaves(amps, tables, angles, np.zeros(1, dtype=np.intp),
-                                      np.array([[draw]]), posts=True)
+                                      np.array([[draw]]))
     return _branch_outcomes(step)[child], leaves[child]
 
 
@@ -448,9 +447,54 @@ def _bsm_step(
     return _collapse(amps, BsmStep(q_left, q_right, partial, resolve_psi_plus), draw)
 
 
+def _validate_plan(n: int, plan: Sequence[PlanStep]) -> None:
+    """ValueError unless every entry of ``plan`` is a SpinMeasurement or a
+    BsmStep of distinct qubits, each qubit in [0, n). Every public entry
+    that takes a step or builds one checks it here."""
+    for step in plan:
+        if not isinstance(step, (SpinMeasurement, BsmStep)):
+            raise ValueError(f"plan steps must be SpinMeasurement or BsmStep, got {step!r}")
+        qubits = _walk_key(step)[1:3]  # the measured qubits
+        if len(set(qubits)) < len(qubits):
+            raise ValueError("Bell-state measurement needs two distinct qubits")
+        if not all(0 <= q < n for q in qubits):
+            raise ValueError(f"plan step {step} exceeds the {n}-qubit budget")
+
+
+def _uniform_draws(draws, steps: int) -> np.ndarray:
+    """``draws`` as float64 of shape (m, steps), or ValueError unless it
+    holds real numbers (not bools) in [0, 1) in that shape. An array is
+    checked by its dtype, anything else value by value (``_real_field``),
+    since numpy reads [[0.5, False]] as floats."""
+    if not isinstance(draws, np.ndarray) or draws.dtype == object:
+        for value in np.ravel(np.asarray(draws, dtype=object)):
+            _real_field(value, "draws")
+    elif draws.dtype.kind not in "iuf":
+        raise ValueError(f"draws must be real numbers, got {draws.dtype} {draws.ravel()[:4]}")
+    array = np.asarray(draws, dtype=np.float64)
+    if array.ndim != 2 or array.shape[1] != steps:
+        raise ValueError(f"draws must have shape (m, {steps}), got {array.shape}")
+    if array.size and not (array.min() >= 0.0 and array.max() < 1.0):
+        raise ValueError(f"draws must lie in [0, 1), got {array.min()!r}..{array.max()!r}")
+    return array
+
+
+def _checked_collapse(
+    state: StateVector, step: PlanStep, draw: float
+) -> tuple[object, StateVector]:
+    """The collapse of ``measure_spin`` and ``bell_state_measurement``:
+    ``step`` and ``draw`` checked, the post a StateVector."""
+    _validate_plan(state.num_qubits, [step])
+    draw = _real_field(draw, "draw")
+    if not 0.0 <= draw < 1.0:
+        raise ValueError(f"draw must be in [0, 1), got {draw!r}")
+    outcome, post = _collapse(state.amplitudes, step, draw)
+    return outcome, StateVector(state.num_qubits, post)
+
+
 def prob_spin_up(state: StateVector, m: SpinMeasurement) -> float:
     """Born probability of the +1 outcome."""
-    _check_qubit(state, m.qubit)
+    _validate_plan(state.num_qubits, [m])
     return min(max(_one_state_weights(state.amplitudes, m)[0], 0.0), 1.0)
 
 
@@ -461,11 +505,7 @@ def measure_spin(
 
     The +1 outcome occupies [0, P(+1)), the -1 outcome the rest.
     """
-    _check_qubit(state, m.qubit)
-    if not 0.0 <= draw < 1.0:
-        raise ValueError(f"draw must be in [0, 1), got {draw!r}")
-    outcome, post = _collapse(state.amplitudes, m, draw)
-    return outcome, StateVector(state.num_qubits, post)
+    return _checked_collapse(state, m, draw)
 
 
 def bell_outcome_probabilities(
@@ -476,11 +516,8 @@ def bell_outcome_probabilities(
     resolve_psi_plus: bool = True,
 ) -> dict[BellOutcome, float]:
     """Exact outcome distribution of a Bell-state measurement on (q_left, q_right)."""
-    _check_qubit(state, q_left)
-    _check_qubit(state, q_right)
-    if q_left == q_right:
-        raise ValueError("Bell-state measurement needs two distinct qubits")
     step = BsmStep(q_left, q_right, partial, resolve_psi_plus)
+    _validate_plan(state.num_qubits, [step])
     return dict(zip(_branch_outcomes(step), _one_state_weights(state.amplitudes, step)))
 
 
@@ -499,28 +536,7 @@ def bell_state_measurement(
     resolved; the remaining outcomes merge into NO_HERALD, projecting the
     state onto their joint subspace.
     """
-    _check_qubit(state, q_left)
-    _check_qubit(state, q_right)
-    if q_left == q_right:
-        raise ValueError("Bell-state measurement needs two distinct qubits")
-    if not 0.0 <= draw < 1.0:
-        raise ValueError(f"draw must be in [0, 1), got {draw!r}")
-    step = BsmStep(q_left, q_right, partial, resolve_psi_plus)
-    outcome, post = _collapse(state.amplitudes, step, draw)
-    return outcome, StateVector(state.num_qubits, post)
-
-
-def _validate_plan(n: int, plan: Sequence[PlanStep]) -> None:
-    for step in plan:
-        if isinstance(step, SpinMeasurement):
-            if not 0 <= step.qubit < n:
-                raise ValueError(f"plan step {step} exceeds the {n}-qubit budget")
-        else:
-            if step.q_left == step.q_right:
-                raise ValueError("Bell-state measurement needs two distinct qubits")
-            for q in (step.q_left, step.q_right):
-                if not 0 <= q < n:
-                    raise ValueError(f"plan step {step} exceeds the {n}-qubit budget")
+    return _checked_collapse(state, BsmStep(q_left, q_right, partial, resolve_psi_plus), draw)
 
 
 def _plan_codes(plan: Sequence[PlanStep]) -> np.ndarray:
@@ -600,12 +616,15 @@ def _plan_walk(
     default the one plan ``plan`` itself), from ``initial``, one start
     state or one per plan (shape (len(angles), size)); and the flat angles
     their picks index. Raises ValueError unless every plan has one angle
-    per spin step of ``plan``."""
+    per spin step of ``plan`` and, given one start state per plan, there
+    are as many as plans."""
     spins = sum(isinstance(step, SpinMeasurement) for step in plan)
     if angles is None:
         angles = [[step.angle for step in plan if isinstance(step, SpinMeasurement)]]
     if not angles or any(len(row) != spins for row in angles):
         raise ValueError(f"plans need {spins} spin angles each, got {angles!r}")
+    if np.ndim(initial) == 2 and len(initial) != len(angles):
+        raise ValueError(f"initial has {len(initial)} start states for {len(angles)} plans")
     picks = tuple(tuple(range(p * spins, (p + 1) * spins)) for p in range(len(angles)))
     tables = _walk_tables(tuple(map(_walk_key, plan)), np.shape(initial)[-1], picks,
                           np.ndim(initial) == 2)
@@ -703,13 +722,12 @@ def _sample_leaves(
     angles: Sequence[float],
     plan_of_row: np.ndarray,
     draws: np.ndarray,
-    posts: bool = False,
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Sample the plans of ``_walk_tables``' ``tables``, their picks
     indexing ``angles``, from ``initial`` (one start state, or one per plan):
     trial i runs plan ``plan_of_row[i]`` with draws ``draws[i]``. Returns
-    each trial's leaf, its row of the exact walk's leaves; given ``posts``,
-    also every leaf's normalized state, shape (leaves, size).
+    each trial's leaf, its row of the exact walk's leaves, and every leaf's
+    normalized state, shape (leaves, size).
 
     The walk runs down the plans' whole outcome tree. Per depth: one gather
     of its values, one ``_products`` call, the branch weights from the
@@ -717,22 +735,21 @@ def _sample_leaves(
     amplitudes: ``next`` of the products (a partial BSM's ``_fold``-ed
     first), each over the square root of its ``child``'s weight, +0 where
     that is 0. So a trial's draws meet the weights of a step-by-step
-    collapse. The last depth's leaves are gathered only given ``posts``."""
+    collapse. Each division, the leaves' too, runs once per tree node,
+    not per trial."""
     start, depths = tables
     values, size = _walk_values(angles), np.shape(initial)[-1]
     x, node = np.ravel(initial)[start], np.asarray(plan_of_row, dtype=np.intp)
-    for d, ((val, post, step, nxt, child), draw) in enumerate(zip(depths, np.asarray(draws).T)):
+    for (val, post, step, nxt, child), draw in zip(depths, np.asarray(draws).T):
         products, coeffs = _products(values[val], x)
         weights = _weights(step, coeffs, size)
         node = _draw(step, weights, node, draw)
-        if d == len(depths) - 1 and not posts:
-            break
         if post is not None:
             products = _fold(step, products[post]).reshape(-1)
         x = products if nxt is None else products[nxt]
         norm = np.sqrt(weights).ravel()[child]
         x = np.divide(x, norm, out=np.zeros_like(x), where=norm > 0.0)
-    return (node, x.reshape(-1, size)) if posts else node
+    return node, x.reshape(-1, size)
 
 
 def sample_branches(
@@ -750,11 +767,8 @@ def sample_branches(
     draw through ``_draw``.
     """
     _validate_plan(initial.num_qubits, plan)
-    draws = np.asarray(draws, dtype=np.float64)
-    if draws.ndim != 2 or draws.shape[1] != len(plan):
-        raise ValueError(f"draws must have shape (m, {len(plan)}), got {draws.shape}")
-    if draws.size and not (draws.min() >= 0.0 and draws.max() < 1.0):
-        raise ValueError("draws must lie in [0, 1)")
+    draws = _uniform_draws(draws, len(plan))
     tables, angles = _plan_walk(initial.amplitudes, plan)
-    leaves = _sample_leaves(initial.amplitudes, tables, angles, np.zeros(len(draws), int), draws)
+    trials = np.zeros(len(draws), int)
+    leaves = _sample_leaves(initial.amplitudes, tables, angles, trials, draws)[0]
     return _plan_codes(plan)[leaves].astype(np.int8)

@@ -27,10 +27,14 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import DEFAULT_ANGLES_A, DEFAULT_ANGLES_B, Trials, check_trials, counter_uniforms
-
-_PM = (1, -1)
-_SETTINGS = (0, 1)
+from .engine import (
+    CELLS,
+    DEFAULT_ANGLES_A,
+    DEFAULT_ANGLES_B,
+    Trials,
+    check_trials,
+    counter_uniforms,
+)
 
 
 @dataclass(frozen=True)
@@ -41,25 +45,13 @@ class AcceptanceRule:
     weight: Callable[[int, int, int, int], float]
 
     def __post_init__(self) -> None:
-        for a in _SETTINGS:
-            for b in _SETTINGS:
-                for A in _PM:
-                    for B in _PM:
-                        w = self.weight(a, b, A, B)
-                        if not 0.0 <= w <= 1.0:
-                            raise ValueError(
-                                f"rule {self.name!r}: w({a},{b},{A},{B}) = {w!r} "
-                                "outside [0, 1]"
-                            )
+        for (a, b, A, B), w in self.table().items():
+            if not 0.0 <= w <= 1.0:
+                raise ValueError(f"rule {self.name!r}: w({a},{b},{A},{B}) = {w!r} outside [0, 1]")
 
     def table(self) -> dict[tuple[int, int, int, int], float]:
-        return {
-            (a, b, A, B): self.weight(a, b, A, B)
-            for a in _SETTINGS
-            for b in _SETTINGS
-            for A in _PM
-            for B in _PM
-        }
+        """w at each (a, b, A, B) cell, in CELLS order: 8a + 4b + 2[A=-1] + [B=-1]."""
+        return {cell: self.weight(*cell) for cell in CELLS}
 
 
 def singlet_weight_rule(
@@ -88,8 +80,8 @@ def _run_toy(n: int, seed: int, rule: AcceptanceRule, record_lambda: bool) -> Tr
     u = counter_uniforms(seed, np.arange(n), 5)
     # Draws 0-3 pick a, b, A, B, the first declared option (setting 0,
     # outcome +1) when below 1/2; draw 4 accepts when below w(a, b, A, B).
-    # rule.table() runs over (a, b, A, B) in that same order, so the four
-    # bits index its entries.
+    # rule.table() runs over the cells in CELLS order, so the four bits
+    # index its entries.
     bits = (u[:, :4] >= 0.5).astype(np.int8)
     a, b, A, B = bits[:, 0], bits[:, 1], 1 - 2 * bits[:, 2], 1 - 2 * bits[:, 3]
     accept = u[:, 4] < np.array(list(rule.table().values()))[bits @ np.array([8, 4, 2, 1])]

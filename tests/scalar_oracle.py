@@ -1,21 +1,22 @@
 """Scalar reference loops for the array code.
 
 These are the per-trial loops swapsim ran before it sampled and analysed
-whole ensembles as column tables: one rekeyed Philox stream and one collapse
-call per measurement for every trial, one record object per trial,
-record-by-record correlators, G-test counting and CSV writers, the column
-CSV writer that joined each line field by field, and the JSON mirror built
-as one dict per trial. Beside them are the collapse steps, Bell outcome
-probabilities and exact branch enumeration that projected onto each outcome
-in their own code, the projection kernel's broadcast body, the exact walk
-as it ran on complex rows, the sampler and collapse that laid out every
-node's posts before they descended the exact walk's tables, the joint
-table built one setting plan at a time over that recursion, and the exact
-diagnostics that walked it as a dict keyed by BellOutcome members. They
-are kept here, unchanged apart from taking plain record sequences, as the
-oracle the array paths, the row-code writers, the streamed mirror, the
-projection kernel, the float64 exact walk, the sampler, the level-by-level
-exact tables and their leaf-row diagnostics must match.
+whole ensembles as column tables: one Philox generator (``trial_rng``) and
+one collapse call per measurement for every trial, one record object per
+trial, record-by-record correlators, G-test counting and CSV writers, the
+column CSV writer that joined each line field by field, and the JSON mirror
+built as one dict per trial. Beside them are the collapse steps, Bell
+outcome probabilities and exact branch enumeration that projected onto each
+outcome in their own code, the projection kernel's broadcast body, the exact
+walk as it ran on complex rows, the sampler and collapse that laid out every
+node's posts before they descended the exact walk's tables, the joint table
+built one setting plan at a time over that recursion, and the exact
+diagnostics that walked it as a dict keyed by BellOutcome members. They are
+kept here, unchanged apart from taking plain record sequences and checking
+their inputs through swapsim's checks, as the oracle the array paths, the
+row-code writers, the streamed mirror, the projection kernel, the float64
+exact walk, the sampler, the level-by-level exact tables and their leaf-row
+diagnostics must match.
 ``closed_form_table`` is the one reference that walks no amplitudes: the
 exact joint table in closed form, which every layout must meet within a
 tolerance. The helpers at the end turn records into tables and compare
@@ -60,8 +61,8 @@ from swapsim.engine import (
     ExperimentConfig,
     Trials,
     _setting_plan,
-    _TrialStream,
     measurement_order,
+    trial_rng,
 )
 from swapsim.geometry import EventLabel
 from swapsim.io import (
@@ -82,7 +83,6 @@ from swapsim.qcore import (
     StateVector,
     _branch_outcomes,
     _branch_tables,
-    _check_qubit,
     _norm_sq,
     _partial_outcomes,
     _plan_walk,
@@ -197,10 +197,7 @@ def bell_outcome_probabilities(
     resolve_psi_plus: bool = True,
 ) -> dict[BellOutcome, float]:
     """Exact outcome distribution of a Bell-state measurement on (q_left, q_right)."""
-    _check_qubit(state, q_left)
-    _check_qubit(state, q_right)
-    if q_left == q_right:
-        raise ValueError("Bell-state measurement needs two distinct qubits")
+    _validate_plan(state.num_qubits, [BsmStep(q_left, q_right, partial, resolve_psi_plus)])
     raw = {
         o: _project_bell(state.amplitudes, q_left, q_right, o)[1]
         for o in _BELL_TENSORS
@@ -753,10 +750,9 @@ def run_trials(config: ExperimentConfig) -> tuple[TrialRecord, ...]:
     order = measurement_order(config.geometry)
     herald_set = config.herald_set()
     initial = make_two_singlets().amplitudes
-    stream = _TrialStream()
     records = []
     for trial_id in range(config.n_trials):
-        rng = stream.reset(config.seed, trial_id)
+        rng = trial_rng(config.seed, trial_id)
         a = _draw_bit(rng)
         b = _draw_bit(rng)
         amps = initial
@@ -781,10 +777,9 @@ def _run_toy(n: int, seed: int, rule: AcceptanceRule, record_lambda: bool) -> li
     if n < 1:
         raise ValueError("n must be >= 1")
     weight = rule.weight
-    stream = _TrialStream()
     trials = []
     for trial_id in range(n):
-        rng = stream.reset(seed, trial_id)
+        rng = trial_rng(seed, trial_id)
         u = rng.random(5)
         # Declared outcome order per draw: 0 before 1 for settings, +1
         # before -1 for outcomes.
@@ -803,10 +798,9 @@ def run_rps(n: int, seed: int) -> list[RpsTrial]:
     selection-bias fodder."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    stream = _TrialStream()
     trials = []
     for trial_id in range(n):
-        rng = stream.reset(seed, trial_id)
+        rng = trial_rng(seed, trial_id)
         u = rng.random(2)
         alice = _CHOICES[int(u[0] * 3.0)]
         bob = _CHOICES[int(u[1] * 3.0)]
@@ -831,9 +825,8 @@ def teleport_channel_demo(controlled: bool, n: int, seed: int) -> TeleportReport
         for basis in ((1.0, 0.0), (0.0, 1.0))
     ]
     counts = np.zeros((2, 2), dtype=np.int64)
-    stream = _TrialStream()
     for trial_id in range(n):
-        rng = stream.reset(seed, trial_id)
+        rng = trial_rng(seed, trial_id)
         x = 0 if rng.random() < 0.5 else 1
         outcome, amps = _bsm_step(inputs[x], 3, 0, 1, rng.random(), False, True)
         if controlled and outcome is not BellOutcome.PSI_MINUS:

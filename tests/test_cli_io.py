@@ -546,15 +546,18 @@ class TestCliToyRps:
             cli.main(["toy", "--variant", "quantum", "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
 
-    def test_zero_trials_is_usage_error(self, tmp_path):
+    def test_zero_trials_is_usage_error(self, tmp_path, capsys):
         for argv in (
             ["toy", "--trials", "0", "--out", str(tmp_path / "x")],
             ["rps", "--trials", "0", "--out", str(tmp_path / "x")],
             ["teleport", "--trials", "0"],
+            ["simulate", "--trials", "0", "--out", str(tmp_path / "x")],
         ):
             with pytest.raises(SystemExit) as exc:
                 cli.main(argv)
             assert exc.value.code == 2
+            # The runners' check_trials message, for every subcommand.
+            assert "n_trials must be >= 1, got 0" in capsys.readouterr().err, argv
 
     def test_rps_report(self, tmp_path):
         out = tmp_path / "rps1"

@@ -881,7 +881,7 @@ def _assert_sampler_matches_oracle(initial, tables, angles, plan, per_plan, plan
         with pytest.raises(RuntimeError, match=str(exc)):
             qcore._sample_leaves(initial, tables, angles, plan_of_row, draws)
         return
-    got = qcore._sample_leaves(initial, tables, angles, plan_of_row, draws)
+    got = qcore._sample_leaves(initial, tables, angles, plan_of_row, draws)[0]
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 

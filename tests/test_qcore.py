@@ -163,6 +163,44 @@ class TestBasisState:
             assert basis_state(3, index).amplitudes.tolist() == np.eye(8)[index].tolist()
 
 
+_SPIN = SpinMeasurement(0, 0.0)
+
+# Each public entry with a plan entry that is no step (or, for the two
+# entries that build their BSM step, a qubit that is no integer), and each
+# draw-taking entry with each draw; field is what the message must name.
+_BAD_ENTRY_CALLS = [
+    pytest.param(lambda s: prob_spin_up(s, "x"), "plan step", id="prob_spin_up-step"),
+    pytest.param(lambda s: measure_spin(s, "x", 0.5), "plan step", id="measure_spin-step"),
+    pytest.param(lambda s: bell_outcome_probabilities(s, None, 2), "q_left",
+                 id="bell_outcome_probabilities-qubit"),
+    pytest.param(lambda s: bell_state_measurement(s, None, 2, 0.5), "q_left",
+                 id="bell_state_measurement-qubit"),
+    pytest.param(lambda s: sample_branches(s, [None], [[0.5]]), "plan step",
+                 id="sample_branches-step"),
+    pytest.param(lambda s: exact_branch_enumeration(s, ["x"]), "plan step",
+                 id="exact_branch_enumeration-step"),
+]
+for _draw in ("0.5", False, math.nan, 1.0):
+    _BAD_ENTRY_CALLS += [
+        pytest.param(lambda s, d=_draw: measure_spin(s, _SPIN, d), "draw",
+                     id=f"measure_spin-draw-{_draw!r}"),
+        pytest.param(lambda s, d=_draw: bell_state_measurement(s, 1, 2, d), "draw",
+                     id=f"bell_state_measurement-draw-{_draw!r}"),
+        pytest.param(lambda s, d=_draw: sample_branches(s, [_SPIN, BsmStep(1, 2)], [[0.5, d]]),
+                     "draw", id=f"sample_branches-draw-{_draw!r}"),
+    ]
+
+
+class TestPublicEntryChecks:
+    @pytest.mark.parametrize("call,field", _BAD_ENTRY_CALLS)
+    def test_bad_input_raises_value_error_naming_the_field(self, call, field):
+        # A non-step entry raised AttributeError, a None qubit or a str draw
+        # TypeError; draws False and (in sample_branches) "0.5" ran as 0.0
+        # and 0.5.
+        with pytest.raises(ValueError, match=field):
+            call(make_two_singlets())
+
+
 class TestTwoSinglets:
     def test_amplitude_0101(self):
         # Hand expansion of (|01>-|10>)/sqrt2 (x) (|01>-|10>)/sqrt2.
@@ -555,6 +593,14 @@ class TestEnumeratePlansChecks:
         with pytest.raises(ValueError, match="plans"):
             _enumerate_plans(basis_state(4, 1).amplitudes, plan, angles)
 
+    @pytest.mark.parametrize("states,plans", [(3, 2), (1, 2), (2, 1)])
+    def test_start_state_rows_must_match_plans(self, states, plans):
+        # An extra row was ignored, and one row for two plans raised IndexError.
+        initials = np.kron(np.eye(2)[[0, 1, 0][:states]], singlet().amplitudes)
+        plan = (BsmStep(0, 1), SpinMeasurement(2, 0.0))
+        with pytest.raises(ValueError, match=f"{states} start states for {plans} plans"):
+            _enumerate_plans(initials, plan, [[0.0]] * plans)
+
 
 def scalar_codes(initial: StateVector, plan, draws) -> np.ndarray:
     """Outcome codes from collapsing step by step with each row's draws."""
@@ -689,7 +735,7 @@ class TestSamplePlans:
         draws, plan_of_row = np.array(rows)[order], np.array(plan_of_row)[order]
         initials = np.stack([state.amplitudes for state in states])
         tables, angles = _plan_walk(initials, self.TEMPLATE, self.ANGLES)
-        leaves = _sample_leaves(initials, tables, angles, plan_of_row, draws)
+        leaves = _sample_leaves(initials, tables, angles, plan_of_row, draws)[0]
         codes = _plan_codes(self.TEMPLATE)
         assert np.array_equal(leaves // len(codes), plan_of_row)
         codes = codes[leaves % len(codes)].astype(np.int8)
