@@ -5,10 +5,13 @@ toy (classical collider constructions), rps (rock-paper-scissors selection
 demo), geometry (interval classification and boosted orderings), and
 teleport (the controlled-collider channel demo).
 
-Option values resolve as: explicit flag, then config-file entry, then the
-SWAPSIM_SEED environment variable (seed only), then the built-in default.
-A config-file key that names no option of the subcommand is a usage error,
-and so is a seed outside [0, 2**64).
+``OPTIONS`` declares each option once (text parser, default, choices, help)
+and ``COMMANDS`` each subcommand's options; every flag is built from them.
+Option values resolve as: explicit flag, then config-file entry (through the
+flag's parser and choices), then the SWAPSIM_SEED environment variable (seed
+only), then the built-in default. A config-file key that names no option of
+the subcommand is a usage error, and so are a seed outside [0, 2**64), a
+trial count below 1 and a missing or empty --out for simulate, toy and rps.
 Exit codes: 0 success, 2 usage error, 3 I/O failure.
 """
 
@@ -18,19 +21,9 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import analysis, engine, geometry, io, toys
-
-BUILTIN_DEFAULTS = {
-    "geometry": "spacelike",
-    "trials": 10000,
-    "seed": 0,
-    "angles_a": engine.DEFAULT_ANGLES_A,
-    "angles_b": engine.DEFAULT_ANGLES_B,
-    "herald": "psi-minus",
-    "variant": "collider",
-    "controlled": True,
-}
 
 
 def _parse_angles(text: str) -> tuple[float, float]:
@@ -51,6 +44,42 @@ def _parse_bool(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
 
 
+class Option(NamedTuple):
+    """One option: the parser of its flag's and its config-file entry's text,
+    its built-in default, its choices and its help line."""
+
+    parse: Callable[[str], object]
+    default: object = None
+    choices: tuple | None = None
+    help: str | None = None
+
+
+OPTIONS = {
+    "trials": Option(int, 10000, help="number of trials"),
+    "seed": Option(int, 0, help="master RNG seed"),
+    "config": Option(str, help="flat key = value config file"),
+    # An empty prefix reads as no --out at all.
+    "out": Option(lambda text: text or None, help="output path prefix"),
+    "angles-a": Option(_parse_angles, engine.DEFAULT_ANGLES_A),
+    "angles-b": Option(_parse_angles, engine.DEFAULT_ANGLES_B),
+    "geometry": Option(str, "spacelike", engine.GEOMETRY_NAMES),
+    "herald": Option(str, "psi-minus", tuple(sorted(engine.HERALD_PREDICATES))),
+    # A bare flag on the command line; a config file gives it as text.
+    "exact": Option(_parse_bool, False, help="add exact-mode diagnostics"),
+    "disable-c": Option(_parse_bool, False, help="true to skip the central measurement"),
+    "partial-bsm": Option(
+        _parse_bool, False, help="true for a photonic-style partial Bell-state analyzer"
+    ),
+    "variant": Option(str, "collider", ("collider", "source")),
+    "controlled": Option(_parse_bool, True),
+    "preset": Option(str, "spacelike", engine.GEOMETRY_NAMES),
+    "coords": Option(
+        str, help="custom layout, e.g. 'A=1,-1;B=1,1;C=1,0;SourceLeft=0,-1;SourceRight=0,1'"
+    ),
+    "boost": Option(str, help="comma-separated frame velocities"),
+}
+
+
 def load_config_file(path: str) -> dict[str, str]:
     """Flat key = value lines; blank lines and # comments ignored. A key
     set twice is an error, not a silent override."""
@@ -69,78 +98,50 @@ def load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-# Namespace entries that are not options a config file may set.
-_NOT_CONFIGURABLE = {"command", "func", "config"}
-
-
-class _Resolver:
-    """Flag > config file > environment > builtin default."""
-
-    def __init__(self, args: argparse.Namespace, parser: argparse.ArgumentParser):
-        self.args = args
-        self.parser = parser
-        self.file_cfg: dict[str, str] = {}
-        if getattr(args, "config", None):
+def resolve_options(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Fill each option the flags left unset, in the order the module
+    docstring gives, then check the seed, the trial count and --out."""
+    names = COMMANDS[args.command][2]
+    file_cfg: dict[str, str] = {}
+    if getattr(args, "config", None):
+        try:
+            file_cfg = load_config_file(args.config)
+        except ValueError as exc:
+            parser.error(str(exc))
+        known = sorted(set(names) - {"config"})
+        for key in file_cfg:
+            if key not in known:
+                parser.error(
+                    f"unknown config-file key {key!r} for {args.command}; "
+                    f"expected one of {known}"
+                )
+    for name in names:
+        option = OPTIONS[name]
+        attr = name.replace("-", "_")
+        value = getattr(args, attr)
+        if value is None and name in file_cfg:
             try:
-                self.file_cfg = load_config_file(args.config)
-            except ValueError as exc:
-                parser.error(str(exc))
-            known = {name.replace("_", "-") for name in vars(args)} - _NOT_CONFIGURABLE
-            for key in self.file_cfg:
-                if key not in known:
-                    parser.error(
-                        f"unknown config-file key {key!r} for {args.command}; "
-                        f"expected one of {sorted(known)}"
-                    )
-
-    def get(self, attr: str, cast, default):
-        flag_val = getattr(self.args, attr, None)
-        if flag_val is not None:
-            return flag_val
-        file_key = attr.replace("_", "-")
-        if file_key in self.file_cfg:
-            try:
-                return cast(self.file_cfg[file_key])
+                value = option.parse(file_cfg[name])
+                if option.choices is not None and value not in option.choices:
+                    choices = ", ".join(map(repr, option.choices))
+                    raise ValueError(f"invalid choice: {value!r} (choose from {choices})")
             except (ValueError, argparse.ArgumentTypeError) as exc:
-                self.parser.error(f"config file value for {file_key!r}: {exc}")
-        return default
-
-    def seed(self) -> int:
-        value = self.get("seed", int, None)
-        if value is None:
-            env = os.environ.get("SWAPSIM_SEED")
-            if not env:
-                return BUILTIN_DEFAULTS["seed"]
+                parser.error(f"config file value for {name!r}: {exc}")
+        env = os.environ.get("SWAPSIM_SEED") if name == "seed" else None
+        if value is None and env:
             try:
                 value = int(env)
             except ValueError:
-                self.parser.error(f"SWAPSIM_SEED must be an integer, got {env!r}")
+                parser.error(f"SWAPSIM_SEED must be an integer, got {env!r}")
+        setattr(args, attr, option.default if value is None else value)
+    if "seed" in names:
         try:
-            return engine.check_seed(value)
+            args.trials = engine.check_trials(args.trials)
+            args.seed = engine.check_seed(args.seed)
         except ValueError as exc:
-            self.parser.error(str(exc))
-
-    def trials(self) -> int:
-        try:
-            return engine.check_trials(self.get("trials", int, BUILTIN_DEFAULTS["trials"]))
-        except ValueError as exc:
-            self.parser.error(str(exc))
-
-
-def _experiment_config(res: _Resolver) -> engine.ExperimentConfig:
-    try:
-        return engine.ExperimentConfig(
-            geometry=res.get("geometry", str, BUILTIN_DEFAULTS["geometry"]),
-            n_trials=res.get("trials", int, BUILTIN_DEFAULTS["trials"]),
-            seed=res.seed(),
-            angles_a=res.get("angles_a", _parse_angles, BUILTIN_DEFAULTS["angles_a"]),
-            angles_b=res.get("angles_b", _parse_angles, BUILTIN_DEFAULTS["angles_b"]),
-            herald=res.get("herald", str, BUILTIN_DEFAULTS["herald"]),
-            c_enabled=not res.get("disable_c", _parse_bool, False),
-            bsm_partial=res.get("partial_bsm", _parse_bool, False),
-        )
-    except ValueError as exc:
-        res.parser.error(str(exc))
+            parser.error(str(exc))
+    if args.command in ("simulate", "toy", "rps") and args.out is None:
+        parser.error(f"{args.command} requires --out")
 
 
 def _correlator_cells(table: analysis.CorrelatorTable) -> list[dict]:
@@ -181,17 +182,24 @@ def _exact_section(config: engine.ExperimentConfig) -> dict:
 
 
 def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    res = _Resolver(args, parser)
-    config = _experiment_config(res)
-    exact = res.get("exact", _parse_bool, False)
-    out = res.get("out", str, None)
-    if out is None:
-        parser.error("simulate requires --out")
+    try:
+        config = engine.ExperimentConfig(
+            geometry=args.geometry,
+            n_trials=args.trials,
+            seed=args.seed,
+            angles_a=args.angles_a,
+            angles_b=args.angles_b,
+            herald=args.herald,
+            c_enabled=not args.disable_c,
+            bsm_partial=args.partial_bsm,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
 
     ensemble = engine.run_trials(config)
     event_ready = engine.post_select(ensemble)
     meta = engine.config_meta(config)
-    meta.update({"command": "simulate", "exact": exact, "out": out})
+    meta.update({"command": "simulate", "exact": args.exact, "out": args.out})
 
     ec_correlators = analysis.correlators(event_ready)
     report: dict = {
@@ -210,45 +218,35 @@ def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
             )
         ],
     }
-    if exact:
+    if args.exact:
         report["exact"] = _exact_section(config)
 
-    io.write_ensemble_csv(f"{out}.csv", ensemble)
-    io.write_json(f"{out}.json", io.ensemble_json_payload(ensemble, meta))
-    io.write_json(f"{out}.report.json", report)
-    print(f"wrote {out}.csv, {out}.json, {out}.report.json")
+    io.write_ensemble_csv(f"{args.out}.csv", ensemble)
+    io.write_json(f"{args.out}.json", io.ensemble_json_payload(ensemble, meta))
+    io.write_json(f"{args.out}.report.json", report)
+    print(f"wrote {args.out}.csv, {args.out}.json, {args.out}.report.json")
     return 0
 
 
 def cmd_toy(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    res = _Resolver(args, parser)
-    variant = res.get("variant", str, BUILTIN_DEFAULTS["variant"])
-    if variant not in ("collider", "source"):
-        parser.error(f"--variant must be collider or source, got {variant!r}")
-    trials = res.trials()
-    seed = res.seed()
-    out = res.get("out", str, None)
-    if out is None:
-        parser.error("toy requires --out")
-
-    runner = toys.run_toy_collider if variant == "collider" else toys.run_toy_source_variant
+    runner = toys.run_toy_collider if args.variant == "collider" else toys.run_toy_source_variant
     rule = toys.singlet_weight_rule()
-    data = runner(trials, seed, rule)
+    data = runner(args.trials, args.seed, rule)
     kept = toys.accepted(data)
 
     meta = {
         "command": "toy",
-        "variant": variant,
-        "trials": trials,
-        "seed": seed,
+        "variant": args.variant,
+        "trials": args.trials,
+        "seed": args.seed,
         "rule": rule.name,
-        "out": out,
+        "out": args.out,
     }
     acc_corr = analysis.correlators(kept)
     ci_tests = analysis.local_causality_tests(
-        kept, post_selected=True, include_lambda=(variant == "source")
+        kept, post_selected=True, include_lambda=(args.variant == "source")
     ) + analysis.local_causality_tests(data, post_selected=False)
-    if variant == "source":
+    if args.variant == "source":
         ci_tests.append(analysis.statistical_independence_test(kept, post_selected=True))
         ci_tests.append(analysis.statistical_independence_test(data, post_selected=False))
     report = {
@@ -263,21 +261,14 @@ def cmd_toy(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         "ci_tests": [t.as_json() for t in ci_tests],
     }
 
-    io.write_toy_csv(f"{out}.csv", data)
-    io.write_json(f"{out}.report.json", report)
-    print(f"wrote {out}.csv, {out}.report.json")
+    io.write_toy_csv(f"{args.out}.csv", data)
+    io.write_json(f"{args.out}.report.json", report)
+    print(f"wrote {args.out}.csv, {args.out}.report.json")
     return 0
 
 
 def cmd_rps(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    res = _Resolver(args, parser)
-    trials = res.trials()
-    seed = res.seed()
-    out = res.get("out", str, None)
-    if out is None:
-        parser.error("rps requires --out")
-
-    data = toys.run_rps(trials, seed)
+    data = toys.run_rps(args.trials, args.seed)
     tests = [
         analysis.test_conditional_independence(
             data, "alice", (), ("bob",), hypothesis="rps-unconditional"
@@ -291,12 +282,12 @@ def cmd_rps(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             )
         )
     report = {
-        "meta": {"command": "rps", "trials": trials, "seed": seed, "out": out},
+        "meta": {"command": "rps", "trials": args.trials, "seed": args.seed, "out": args.out},
         "ci_tests": [t.as_json() for t in tests],
     }
-    io.write_rps_csv(f"{out}.csv", data)
-    io.write_json(f"{out}.report.json", report)
-    print(f"wrote {out}.csv, {out}.report.json")
+    io.write_rps_csv(f"{args.out}.csv", data)
+    io.write_json(f"{args.out}.report.json", report)
+    print(f"wrote {args.out}.csv, {args.out}.report.json")
     return 0
 
 
@@ -319,30 +310,22 @@ def _parse_coords(text: str) -> geometry.GeometryPreset:
 
 
 def cmd_geometry(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.coords:
-        try:
+    try:
+        preset = geometry.preset_by_name(args.preset)
+        if args.coords:
             preset = _parse_coords(args.coords)
-        except ValueError as exc:
-            parser.error(str(exc))
-    else:
-        try:
-            preset = geometry.preset_by_name(args.preset or BUILTIN_DEFAULTS["geometry"])
-        except ValueError as exc:
-            parser.error(str(exc))
+    except ValueError as exc:
+        parser.error(str(exc))
 
-    boosts = [0.0]
-    if args.boost is not None:
-        fields = args.boost.split(",")
-        if not all(v.strip() for v in fields):
-            parser.error(f"bad --boost value {args.boost!r}: empty field")
-        try:
-            extra = [float(v) for v in fields]
-        except ValueError:
-            parser.error(f"bad --boost value {args.boost!r}")
-        for v in extra:
-            if not abs(v) < 1.0:
-                parser.error(f"boost velocity must satisfy |v| < 1, got {v}")
-        boosts += [v for v in extra if v != 0.0]
+    fields = [] if args.boost is None else args.boost.split(",")
+    if not all(v.strip() for v in fields):
+        parser.error(f"bad --boost value {args.boost!r}: empty field")
+    # geometry.boosted_time checks |v| < 1; all orders come before any output.
+    try:
+        boosts = [0.0] + [v for v in map(float, fields) if v != 0.0]
+        orders = [(v, geometry.boosted_time_order(preset, v)) for v in boosts]
+    except ValueError as exc:
+        parser.error(f"bad --boost value {args.boost!r}: {exc}")
 
     print(f"preset: {preset.name}")
     print(f"classification: {geometry.classify_geometry(preset).value}")
@@ -352,8 +335,7 @@ def cmd_geometry(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         for second in labels[i + 1 :]:
             rel = geometry.classify(preset.event(first), preset.event(second))
             print(f"  {first.value} -> {second.value}: {rel.value}")
-    for v in boosts:
-        order = geometry.boosted_time_order(preset, v)
+    for v, order in orders:
         times = ", ".join(
             f"{label.value}={geometry.boosted_time(preset.event(label), v):.6g}"
             for label in order
@@ -363,19 +345,13 @@ def cmd_geometry(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 
 def cmd_teleport(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    res = _Resolver(args, parser)
-    controlled = res.get("controlled", _parse_bool, BUILTIN_DEFAULTS["controlled"])
-    trials = res.trials()
-    seed = res.seed()
-    out = res.get("out", str, None)
-
-    report_obj = analysis.teleport_channel_demo(controlled, trials, seed)
+    report_obj = analysis.teleport_channel_demo(args.controlled, args.trials, args.seed)
     payload = {
         "meta": {
             "command": "teleport",
-            "controlled": controlled,
-            "trials": trials,
-            "seed": seed,
+            "controlled": args.controlled,
+            "trials": args.trials,
+            "seed": args.seed,
         },
         "teleport": report_obj.as_json(),
         "n_kept": report_obj.n_kept,
@@ -385,12 +361,26 @@ def cmd_teleport(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
             for y in (0, 1)
         ],
     }
-    if out:
-        io.write_json(f"{out}.report.json", payload)
-        print(f"wrote {out}.report.json")
+    if args.out is not None:
+        io.write_json(f"{args.out}.report.json", payload)
+        print(f"wrote {args.out}.report.json")
     else:
         sys.stdout.write(io.dumps_canonical(payload))
     return 0
+
+
+_COMMON = ("trials", "seed", "config", "out")
+
+# Each subcommand's help line, function and options, in help order.
+COMMANDS = {
+    "simulate": ("run the entanglement-swapping experiment", cmd_simulate, _COMMON + (
+        "angles-a", "angles-b", "geometry", "herald", "exact", "disable-c", "partial-bsm")),
+    "toy": ("run a classical collider toy model", cmd_toy, _COMMON + ("variant",)),
+    "rps": ("run the rock-paper-scissors demo", cmd_rps, _COMMON),
+    "geometry": ("classify a layout and print boosted orders", cmd_geometry,
+                 ("preset", "coords", "boost")),
+    "teleport": ("teleportation channel demo", cmd_teleport, _COMMON + ("controlled",)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -399,62 +389,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Entanglement-swapping Bell test simulator and causal diagnostics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, *, angles: bool = False) -> None:
-        p.add_argument("--trials", type=int, default=None, help="number of trials")
-        p.add_argument("--seed", type=int, default=None, help="master RNG seed")
-        p.add_argument("--config", default=None, help="flat key = value config file")
-        p.add_argument("--out", default=None, help="output path prefix")
-        if angles:
-            p.add_argument("--angles-a", type=_parse_angles, default=None, dest="angles_a")
-            p.add_argument("--angles-b", type=_parse_angles, default=None, dest="angles_b")
-
-    p_sim = sub.add_parser("simulate", help="run the entanglement-swapping experiment")
-    add_common(p_sim, angles=True)
-    p_sim.add_argument("--geometry", choices=engine.GEOMETRY_NAMES, default=None)
-    p_sim.add_argument("--herald", choices=sorted(engine.HERALD_PREDICATES), default=None)
-    p_sim.add_argument(
-        "--exact", action="store_true", default=None, help="add exact-mode diagnostics"
-    )
-    p_sim.add_argument(
-        "--disable-c", type=_parse_bool, default=None, dest="disable_c",
-        help="true to skip the central measurement",
-    )
-    p_sim.add_argument(
-        "--partial-bsm", type=_parse_bool, default=None, dest="partial_bsm",
-        help="true for a photonic-style partial Bell-state analyzer",
-    )
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_toy = sub.add_parser("toy", help="run a classical collider toy model")
-    add_common(p_toy)
-    p_toy.add_argument("--variant", choices=("collider", "source"), default=None)
-    p_toy.set_defaults(func=cmd_toy)
-
-    p_rps = sub.add_parser("rps", help="run the rock-paper-scissors demo")
-    add_common(p_rps)
-    p_rps.set_defaults(func=cmd_rps)
-
-    p_geo = sub.add_parser("geometry", help="classify a layout and print boosted orders")
-    p_geo.add_argument("--preset", choices=engine.GEOMETRY_NAMES, default=None)
-    p_geo.add_argument(
-        "--coords", default=None,
-        help="custom layout, e.g. 'A=1,-1;B=1,1;C=1,0;SourceLeft=0,-1;SourceRight=0,1'",
-    )
-    p_geo.add_argument("--boost", default=None, help="comma-separated frame velocities")
-    p_geo.set_defaults(func=cmd_geometry)
-
-    p_tel = sub.add_parser("teleport", help="teleportation channel demo")
-    add_common(p_tel)
-    p_tel.add_argument("--controlled", type=_parse_bool, default=None)
-    p_tel.set_defaults(func=cmd_teleport)
-
+    for command, (help_line, func, names) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        for name in names:
+            option = OPTIONS[name]
+            if name == "exact":
+                p.add_argument("--exact", action="store_true", default=None, help=option.help)
+            else:
+                p.add_argument(
+                    f"--{name}", type=option.parse, choices=option.choices, help=option.help
+                )
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    resolve_options(args, parser)
     try:
         return args.func(args, parser)
     except OSError as exc:
