@@ -29,13 +29,12 @@ from .qcore import (
     BellOutcome,
     BsmStep,
     SpinMeasurement,
+    StateVector,
     _bool_field,
     _branch_outcomes,
     _int_field,
-    _plan_codes,
-    _plan_walk,
     _real_field,
-    _sample_leaves,
+    sample_branches,
     singlet,
 )
 
@@ -461,11 +460,12 @@ def teleport_channel_demo(controlled: bool, n: int, seed: int) -> TeleportReport
     x = u[:, 0] >= 0.5
     plan = (BsmStep(0, 1), SpinMeasurement(2, 0.0))
     psi_minus = _branch_outcomes(plan[0]).index(BellOutcome.PSI_MINUS)
-    # Plan x starts from input basis state |x> on qubit 0.
-    initials = np.kron(np.eye(2, dtype=np.complex128), singlet().amplitudes)
-    tables, angles = _plan_walk(initials, plan, [[0.0], [0.0]])
-    leaf = _sample_leaves(initials, tables, angles, x, u[:, 1:])[0]
-    codes = np.tile(_plan_codes(plan), (2, 1))[leaf]
+    codes = np.empty((n, len(plan)), dtype=np.int8)
+    for bit, basis in enumerate(np.eye(2, dtype=np.complex128)):
+        # Input bit x starts the plan from basis state |x> on qubit 0.
+        start = StateVector(3, np.kron(basis, singlet().amplitudes))
+        mine = x == bit
+        codes[mine] = sample_branches(start, plan, u[mine, 1:])
     keep = codes[:, 0] == psi_minus if controlled else slice(None)
     # Spin code 0 is the +1 outcome, read as output bit 0.
     counts = np.bincount(2 * x[keep] + codes[keep, 1], minlength=4).reshape(2, 2)

@@ -305,7 +305,10 @@ def _parse_coords(text: str) -> geometry.GeometryPreset:
         if label in coords:
             raise ValueError(f"event label {label.value!r} is given more than once")
         t_str, _, x_str = pair.partition(",")
-        coords[label] = (float(t_str), float(x_str))
+        try:
+            coords[label] = (float(t_str), float(x_str))
+        except ValueError as exc:
+            raise ValueError(f"bad --coords entry {chunk!r}: {exc}") from None
     return geometry.custom_preset(coords)
 
 
@@ -314,6 +317,7 @@ def cmd_geometry(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         preset = geometry.preset_by_name(args.preset)
         if args.coords:
             preset = _parse_coords(args.coords)
+            geometry.validate_preset(preset)
     except ValueError as exc:
         parser.error(str(exc))
 

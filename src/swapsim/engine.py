@@ -110,6 +110,20 @@ def check_trials(n_trials) -> int:
     return value
 
 
+def check_angle_pair(angles, name: str) -> tuple[float, float]:
+    """Return ``angles`` as a tuple of two floats, or raise ValueError naming
+    ``name`` unless it is a tuple, list or 1-D array of exactly two finite
+    reals (a bool is not). ExperimentConfig and toys.singlet_weight_rule
+    take their setting angles through here."""
+    # A tuple, list or 1-D array only: a str, bytes or mapping of two items
+    # would read as two numbers.
+    if not (isinstance(angles, (tuple, list))
+            or isinstance(angles, np.ndarray) and angles.ndim == 1) or len(angles) != 2:
+        raise ValueError(f"{name} must list exactly two angles (binary settings), "
+                         f"got {angles!r}")
+    return tuple(_real_field(angle, f"{name}[{i}]") for i, angle in enumerate(angles))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     geometry: str = "spacelike"
@@ -131,15 +145,7 @@ class ExperimentConfig:
         for name in ("c_enabled", "bsm_partial"):
             object.__setattr__(self, name, _bool_field(getattr(self, name), name))
         for name in ("angles_a", "angles_b"):
-            angles = getattr(self, name)
-            # A tuple, list or 1-D array only: a str, bytes or mapping of two
-            # items would read as two numbers.
-            if not (isinstance(angles, (tuple, list))
-                    or isinstance(angles, np.ndarray) and angles.ndim == 1) or len(angles) != 2:
-                raise ValueError(f"{name} must list exactly two angles (binary settings), "
-                                 f"got {angles!r}")
-            pair = tuple(_real_field(angle, f"{name}[{i}]") for i, angle in enumerate(angles))
-            object.__setattr__(self, name, pair)
+            object.__setattr__(self, name, check_angle_pair(getattr(self, name), name))
         _herald_outcomes(self.herald)
 
     def herald_set(self) -> frozenset[BellOutcome]:

@@ -86,10 +86,14 @@ _ID_DIGITS = 18  # a trial_id is an integer in [0, 10**18)
 
 
 def _check_tokens(trials: Trials, names) -> None:
-    """Raise ValueError if a named column holds a value its token table
-    lacks, or trial_id one outside the integers in [0, 10**18) that
-    read_ensemble_csv reads back; the writers call this before they open
-    their file."""
+    """Raise ValueError if the table lacks a named column (only the collider
+    toy's lambda pair may be absent, and only as a pair), a named column
+    holds a value its token table lacks, or trial_id one outside the
+    integers in [0, 10**18) that read_ensemble_csv reads back; the writers
+    call this before they open their file."""
+    missing = [name for name in names if name not in trials.columns]
+    if missing and missing != ["lambda_A", "lambda_B"]:
+        raise ValueError(f"table lacks column(s) {', '.join(missing)}")
     if not len(trials):
         return
     ids = trials["trial_id"]

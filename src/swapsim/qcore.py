@@ -90,6 +90,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "num_qubits", _int_field(self.num_qubits, "num_qubits"))
         if not 1 <= self.num_qubits <= MAX_QUBITS:
             raise ValueError(f"num_qubits must be in 1..{MAX_QUBITS}, got {self.num_qubits}")
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
@@ -543,7 +544,7 @@ def _plan_codes(plan: Sequence[PlanStep]) -> np.ndarray:
     """Every outcome sequence of a plan as integer codes, shape (leaves,
     depth), in the order a recursion over the outcomes visits the leaves:
     entry [i, d] indexes ``_branch_outcomes(plan[d])``, as ``sample_branches``'
-    codes do. These are the rows of ``_enumerate_plans``' leaves."""
+    codes do, and the order of ``exact_branch_enumeration``'s keys."""
     codes = list(itertools.product(*[range(len(_branch_outcomes(step))) for step in plan]))
     return np.array(codes, dtype=np.intp).reshape(len(codes), len(plan))
 
@@ -558,14 +559,13 @@ def _walk_key(step: PlanStep) -> tuple:
 
 
 @functools.lru_cache(maxsize=64)
-def _walk_tables(keys: tuple, size: int, picks: tuple, per_plan: bool = False) -> tuple:
+def _walk_tables(keys: tuple, size: int, picks: tuple) -> tuple:
     """Read-only index tables of the exact walk and the sampler, from one
-    state of ``size`` amplitudes (given ``per_plan``, one per plan,
-    stacked), of ``len(picks)`` plans of steps with ``_walk_key``s ``keys``,
-    plan p measuring its s-th spin step at angle ``picks[p][s]`` of the
-    walk's angles: (start, depths).
+    state of ``size`` amplitudes, of ``len(picks)`` plans of steps with
+    ``_walk_key``s ``keys``, plan p measuring its s-th spin step at angle
+    ``picks[p][s]`` of the walk's angles: (start, depths).
 
-    ``start`` gathers depth 0's amplitudes from the flat start states (the
+    ``start`` gathers depth 0's amplitudes from the start state (the
     leaves', for no step). Depth d's entry in ``depths`` is (val, post,
     step, next, child). ``val`` gathers its values from the walk's value
     vector (``_walk_values``): it is
@@ -585,7 +585,7 @@ def _walk_tables(keys: tuple, size: int, picks: tuple, per_plan: bool = False) -
     plans = len(picks)
     # Where each flat position of the current stack is read from; None
     # once a fold has laid the stack out.
-    position = np.arange(plans * size) if per_plan else np.tile(np.arange(size), plans)
+    position = np.tile(np.arange(size), plans)
     rows, spin, gathers, depths = plans, 0, [], []
     for key in keys:
         step = None if key[0] is SpinMeasurement else BsmStep(*key[1:])
@@ -608,27 +608,13 @@ def _walk_tables(keys: tuple, size: int, picks: tuple, per_plan: bool = False) -
     return gathers[0][0], tuple(depth + nxt for depth, nxt in zip(depths, gathers[1:]))
 
 
-def _plan_walk(
-    initial: np.ndarray, plan: Sequence[PlanStep], angles: Sequence[Sequence[float]] | None = None
-) -> tuple[tuple, list[float]]:
-    """The ``_walk_tables`` of plans that are ``plan`` but for spin angles,
-    plan p measuring the template's s-th spin step at ``angles[p][s]`` (by
-    default the one plan ``plan`` itself), from ``initial``, one start
-    state or one per plan (shape (len(angles), size)); and the flat angles
-    their picks index. Raises ValueError unless every plan has one angle
-    per spin step of ``plan`` and, given one start state per plan, there
-    are as many as plans."""
-    spins = sum(isinstance(step, SpinMeasurement) for step in plan)
-    if angles is None:
-        angles = [[step.angle for step in plan if isinstance(step, SpinMeasurement)]]
-    if not angles or any(len(row) != spins for row in angles):
-        raise ValueError(f"plans need {spins} spin angles each, got {angles!r}")
-    if np.ndim(initial) == 2 and len(initial) != len(angles):
-        raise ValueError(f"initial has {len(initial)} start states for {len(angles)} plans")
-    picks = tuple(tuple(range(p * spins, (p + 1) * spins)) for p in range(len(angles)))
-    tables = _walk_tables(tuple(map(_walk_key, plan)), np.shape(initial)[-1], picks,
-                          np.ndim(initial) == 2)
-    return tables, [angle for row in angles for angle in row]
+def _plan_walk(initial: np.ndarray, plan: Sequence[PlanStep]) -> tuple[tuple, list[float]]:
+    """The ``_walk_tables`` of the one plan ``plan`` from the start state
+    ``initial``, and the angles its picks index: its spin steps' own, in
+    plan order."""
+    angles = [step.angle for step in plan if isinstance(step, SpinMeasurement)]
+    picks = (tuple(range(len(angles))),)
+    return _walk_tables(tuple(map(_walk_key, plan)), initial.size, picks), angles
 
 
 def _walk_depths(x: np.ndarray, values: np.ndarray, depths: tuple) -> np.ndarray:
@@ -660,9 +646,9 @@ def _bind_walk(initial: np.ndarray, tables: tuple) -> tuple:
     lead = 0
     while lead < len(depths) and depths[lead][2] is not None:  # a BSM
         lead += 1
-    x = _walk_depths(np.ravel(initial)[start], _BELL_VALUES, depths[:lead])
+    x = _walk_depths(initial[start], _BELL_VALUES, depths[:lead])
     x.flags.writeable = False
-    return x, depths[lead:], np.shape(initial)[-1]
+    return x, depths[lead:], initial.size
 
 
 def _walk(walk: tuple, angles: Sequence[float]) -> np.ndarray:
@@ -679,23 +665,6 @@ def _walk(walk: tuple, angles: Sequence[float]) -> np.ndarray:
     return _norm_sq(_walk_depths(x, v, depths).reshape(-1, size))
 
 
-def _enumerate_plans(
-    initial: np.ndarray, plan: Sequence[PlanStep], angles: Sequence[Sequence[float]]
-) -> np.ndarray:
-    """Leaf probabilities of plans that are ``plan`` but for spin angles,
-    shape (len(angles), leaves): plan p, from ``initial`` or its own start
-    state ``initial[p]``, measures the template's s-th spin step at
-    ``angles[p][s]``; each is the squared norm of a leaf's amplitudes.
-
-    The plans are walked together one depth at a time by ``_walk``, one
-    block of rows per plan, each plan's angles its own; rows stay in plan,
-    then depth-first outcome order, so each plan's leaves are in
-    ``_plan_codes(plan)`` order.
-    """
-    tables, flat = _plan_walk(initial, plan, angles)
-    return _walk(_bind_walk(initial, tables), flat).reshape(len(angles), -1)
-
-
 def exact_branch_enumeration(
     initial: StateVector, plan: Sequence[PlanStep]
 ) -> dict[tuple, float]:
@@ -708,8 +677,8 @@ def exact_branch_enumeration(
     leaf's probability is its squared norm.
     """
     _validate_plan(initial.num_qubits, plan)
-    angles = [step.angle for step in plan if isinstance(step, SpinMeasurement)]
-    (probs,) = _enumerate_plans(initial.amplitudes, plan, [angles])
+    tables, angles = _plan_walk(initial.amplitudes, plan)
+    probs = _walk(_bind_walk(initial.amplitudes, tables), angles)
     codes = _plan_codes(plan)
     outcomes = [_branch_outcomes(step) for step in plan]
     keys = [tuple(outs[c] for outs, c in zip(outcomes, row)) for row in codes.tolist()]
@@ -724,10 +693,10 @@ def _sample_leaves(
     draws: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample the plans of ``_walk_tables``' ``tables``, their picks
-    indexing ``angles``, from ``initial`` (one start state, or one per plan):
-    trial i runs plan ``plan_of_row[i]`` with draws ``draws[i]``. Returns
-    each trial's leaf, its row of the exact walk's leaves, and every leaf's
-    normalized state, shape (leaves, size).
+    indexing ``angles``, from the start state ``initial``: trial i runs
+    plan ``plan_of_row[i]`` with draws ``draws[i]``. Returns each trial's
+    leaf, its row of the exact walk's leaves, and every leaf's normalized
+    state, shape (leaves, size).
 
     The walk runs down the plans' whole outcome tree. Per depth: one gather
     of its values, one ``_products`` call, the branch weights from the
@@ -738,8 +707,8 @@ def _sample_leaves(
     collapse. Each division, the leaves' too, runs once per tree node,
     not per trial."""
     start, depths = tables
-    values, size = _walk_values(angles), np.shape(initial)[-1]
-    x, node = np.ravel(initial)[start], np.asarray(plan_of_row, dtype=np.intp)
+    values, size = _walk_values(angles), initial.size
+    x, node = initial[start], np.asarray(plan_of_row, dtype=np.intp)
     for (val, post, step, nxt, child), draw in zip(depths, np.asarray(draws).T):
         products, coeffs = _products(values[val], x)
         weights = _weights(step, coeffs, size)

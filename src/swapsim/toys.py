@@ -32,6 +32,7 @@ from .engine import (
     DEFAULT_ANGLES_A,
     DEFAULT_ANGLES_B,
     Trials,
+    check_angle_pair,
     check_trials,
     counter_uniforms,
 )
@@ -64,6 +65,8 @@ def singlet_weight_rule(
     singlet conditional distribution (1 - A*B*cos(ta - tb))/4 exactly, so
     the accepted subensemble approaches the Tsirelson CHSH value.
     """
+    angles_a = check_angle_pair(angles_a, "angles_a")
+    angles_b = check_angle_pair(angles_b, "angles_b")
 
     def weight(a: int, b: int, A: int, B: int) -> float:
         return 0.5 * (1.0 - A * B * math.cos(angles_a[a] - angles_b[b]))

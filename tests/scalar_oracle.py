@@ -85,12 +85,12 @@ from swapsim.qcore import (
     _branch_tables,
     _norm_sq,
     _partial_outcomes,
-    _plan_walk,
     _products,
     _spin_components,
     _validate_plan,
     _walk_depths,
     _walk_key,
+    _walk_tables,
     _walk_values,
     _weights,
     make_two_singlets,
@@ -354,11 +354,13 @@ def weights(step: PlanStep, coeffs: np.ndarray) -> np.ndarray:
 def enumerate_plans(
     initial: np.ndarray, plan: Sequence[PlanStep], angles: Sequence[Sequence[float]]
 ) -> np.ndarray:
-    """Leaf probabilities of plans that are ``plan`` but for spin angles, as
-    ``qcore._enumerate_plans`` documents them, by its walk as it was before
-    it composed its gathers: one ``branches`` call per depth laying out
-    every row's posts, rows in plan, then depth-first outcome order, and
-    each leaf's ``np.vdot`` with itself."""
+    """Leaf probabilities of plans that are ``plan`` but for spin angles,
+    shape (len(angles), leaves), plan p measuring the s-th spin step at
+    ``angles[p][s]`` from ``initial``, by the exact walk as it was before it
+    composed its gathers: one ``branches`` call per depth laying out every
+    row's posts, rows in plan, then depth-first outcome order, and each
+    leaf's ``np.vdot`` with itself. ``qcore._walk`` of the plans' stacked
+    ``_walk_tables`` must equal it byte for byte."""
     states = np.asarray(initial)[None].repeat(len(angles), axis=0)
     spin = 0
     for step in plan:
@@ -518,25 +520,50 @@ def sample_leaves(
     return node
 
 
+def stacked_tables(
+    plan: Sequence[PlanStep], size: int, angles: Sequence[Sequence[float]]
+) -> tuple[tuple, list[float]]:
+    """Not a reference: the ``qcore._walk_tables`` of plans that are
+    ``plan`` but for spin angles, from one state of ``size`` amplitudes,
+    plan p measuring the s-th spin step at ``angles[p][s]`` (as the engine
+    stacks its setting plans), and the flat angles their picks index."""
+    spins = len(angles[0])
+    picks = tuple(tuple(range(p * spins, (p + 1) * spins)) for p in range(len(angles)))
+    tables = _walk_tables(tuple(map(_walk_key, plan)), size, picks)
+    return tables, [angle for row in angles for angle in row]
+
+
+def plan_branches(
+    initial: np.ndarray, steps: Sequence[PlanStep]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Not a reference: one depth of ``qcore``'s walk tables from the start
+    state ``initial``, the one-step plans ``[steps[p]]`` stacked through
+    their picks (a spin's at its own angle, a BSM's all the same), laid out
+    as ``flat_branches`` and ``branches`` lay theirs out, for tests to
+    compare: the unnormalized leaves, shape (plans, k, 2**n), the
+    coefficient stack, shape (plans, j, -1), and the branch weights, shape
+    (plans, k)."""
+    step, size = steps[0], len(initial)
+    spin = isinstance(step, SpinMeasurement)
+    angles = [[s.angle] if spin else [] for s in steps]
+    (start, (depth,)), flat = stacked_tables([step], size, angles)
+    values, x = _walk_values(flat), initial[start]
+    coeffs = _products(values[depth[0]], x)[1]
+    weights = _weights(depth[2], coeffs, size)
+    posts = _walk_depths(x, values, (depth,)).reshape(len(steps), -1, size)
+    return posts, coeffs.reshape(len(steps), 2 if spin else 4, -1), weights
+
+
 def walk_branches(
     stack: np.ndarray, steps: Sequence[PlanStep]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Not a reference: one depth of ``qcore``'s walk tables on an (m, 2**n)
-    stack of start states, one plan per row, a spin measuring block b of
-    m // len(steps) rows at ``steps[b]``'s angle, laid out as
-    ``flat_branches`` and ``branches`` lay theirs out, for tests to compare:
-    the unnormalized leaves, shape (m, k, 2**n), the coefficient stack,
-    shape (m, j, -1), and the branch weights, shape (m, k)."""
-    m, size = np.shape(stack)
-    step, block = steps[0], m // len(steps)
-    angles = [[steps[i // block].angle] if isinstance(step, SpinMeasurement) else []
-              for i in range(m)]
-    (start, (depth,)), flat = _plan_walk(stack, [step], angles)
-    values, x = _walk_values(flat), np.ravel(stack)[start]
-    coeffs = _products(values[depth[0]], x)[1]
-    weights = _weights(depth[2], coeffs, size)
-    posts = _walk_depths(x, values, (depth,)).reshape(m, -1, size)
-    return posts, coeffs.reshape(m, 2 if isinstance(step, SpinMeasurement) else 4, -1), weights
+    """Not a reference: ``plan_branches`` of each row of an (m, 2**n) stack
+    of start states, row i's one plan ``[steps[i // (m // len(steps))]]``,
+    the rows' results stacked, for tests to compare with ``branches`` of
+    the stack."""
+    block = len(stack) // len(steps)
+    rows = [plan_branches(stack[i], [steps[i // block]]) for i in range(len(stack))]
+    return tuple(np.concatenate(parts) for parts in zip(*rows))
 
 
 def exact_branch_enumeration(

@@ -483,16 +483,16 @@ class TestTeleport:
         assert all(v is None for v in report.channel.values())
 
     @pytest.mark.parametrize("controlled", [True, False])
-    def test_both_inputs_sampled_in_one_walk(self, monkeypatch, controlled):
-        # One _products call, the projection kernel, per plan step, for both
-        # input bits together, whatever the trial count.
+    def test_each_input_sampled_in_one_walk(self, monkeypatch, controlled):
+        # One _products call, the projection kernel, per plan step and input
+        # bit, whatever the trial count: at n = 1 one input has no trial.
         calls = []
         products = qcore._products
         monkeypatch.setattr(qcore, "_products", lambda *args: calls.append(1) or products(*args))
         for n in (1, 3_000):
             calls.clear()
             teleport_channel_demo(controlled, n, 4)
-            assert len(calls) == 2, n
+            assert len(calls) == 4, n
 
 
 class TestMutualInformation:

@@ -285,6 +285,43 @@ class TestToyCsv:
         assert len(lines) == 5
 
 
+def _without(table: Trials, *names: str) -> Trials:
+    return Trials({name: column for name, column in table.columns.items() if name not in names})
+
+
+class TestMissingColumns:
+    """Each writer rejects a table that lacks a column of its header before
+    it opens its file; only the collider toy's lambda pair may be absent,
+    and only as a pair."""
+
+    def test_ensemble_csv(self, tmp_path):
+        # Written with empty c_outcome fields, which read_ensemble_csv rejects.
+        ens = _without(run_trials(ExperimentConfig(n_trials=3, seed=6)), "c_outcome")
+        with pytest.raises(ValueError, match=r"table lacks column\(s\) c_outcome$"):
+            io.write_ensemble_csv(tmp_path / "ens.csv", ens)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_ensemble_mirror(self):
+        # Raised KeyError once the payload was written.
+        ens = _without(run_trials(ExperimentConfig(n_trials=3, seed=6)), "a", "heralded")
+        with pytest.raises(ValueError, match=r"table lacks column\(s\) a, heralded$"):
+            io.ensemble_json_payload(ens, {})
+
+    def test_toy_csv(self, tmp_path):
+        # An rps run was written as rows of empty fields.
+        with pytest.raises(ValueError, match=r"column\(s\) a, b, A, B, lambda_A, lambda_B, acc"):
+            io.write_toy_csv(tmp_path / "toy.csv", run_rps(3, 1))
+        one_lambda = _without(run_toy_source_variant(3, 1), "lambda_B")
+        with pytest.raises(ValueError, match=r"table lacks column\(s\) lambda_B$"):
+            io.write_toy_csv(tmp_path / "toy.csv", one_lambda)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rps_csv(self, tmp_path):
+        with pytest.raises(ValueError, match=r"table lacks column\(s\) alice, bob, verdict$"):
+            io.write_rps_csv(tmp_path / "rps.csv", run_toy_source_variant(3, 1))
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_importing_the_cli_builds_no_writer_table():
     """Every swapsim invocation pays the CLI's import: the writers build
     their row and digit tables on first use, and scipy.special loads with
@@ -615,6 +652,24 @@ class TestCliGeometryTeleport:
                       "A=1,-1;A=5,0;B=1,1;C=1,0;SourceLeft=0,-1;SourceRight=0,1"])
         assert exc.value.code == 2
         assert "'A'" in capsys.readouterr().err
+
+    def test_geometry_non_causal_coords_are_usage_error(self, capsys):
+        # Ran and printed the orders, sources after the wings they feed.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["geometry", "--coords",
+                      "A=0,-1;B=0,1;C=1,0;SourceLeft=5,-1;SourceRight=5,1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "SourceLeft must be timelike-past of A, got TimelikeFuture" in captured.err
+
+    @pytest.mark.parametrize("entry", ["A=1", "A=1,x", "A="])
+    def test_geometry_malformed_coords_entry_is_named(self, capsys, entry):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["geometry", "--coords",
+                      f"{entry};B=1,1;C=1,0;SourceLeft=0,-1;SourceRight=0,1"])
+        assert exc.value.code == 2
+        assert f"bad --coords entry {entry!r}: could not convert" in capsys.readouterr().err
 
     def test_teleport_stdout_report(self, capsys):
         rc = cli.main(["teleport", "--controlled", "true", "--trials", "2000", "--seed", "2"])

@@ -606,8 +606,9 @@ def walk_cases(draw):
 
 
 def _assert_walk_matches_oracle(initial, plan, angles) -> None:
-    got = qcore._enumerate_plans(initial, plan, angles)
-    want = scalar_oracle.enumerate_plans(initial, plan, angles)
+    tables, flat = scalar_oracle.stacked_tables(plan, initial.size, angles)
+    got = qcore._walk(qcore._bind_walk(initial, tables), flat)
+    want = scalar_oracle.enumerate_plans(initial, plan, angles).ravel()
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -617,8 +618,9 @@ def _assert_walk_matches_oracle(initial, plan, angles) -> None:
                [BsmStep(1, 2, True, False), SpinMeasurement(0, 0.0), SpinMeasurement(3, 0.0)],
                [[0.0, math.pi / 2.0], [1e17, 5.0 * math.pi / 4.0], [math.pi, -math.pi / 2.0]]))
 def test_exact_walk_matches_oracle_property(case):
-    """The composed walk's leaf probabilities equal a walk that lays out
-    every depth's posts, byte for byte."""
+    """The composed walk's leaf probabilities, the plans stacked from one
+    start state, equal a walk that lays out every depth's posts, byte for
+    byte."""
     _assert_walk_matches_oracle(*case)
 
 
@@ -756,13 +758,16 @@ EXACT_LAYOUTS = sorted(engine._EXACT_LAYOUTS)
 @given(angles=st.tuples(*[walk_angles] * 4))
 def test_layout_walk_matches_enumerate_plans_property(geometry, partial, c_enabled, angles):
     """A layout's bound walk, reading the config's four angles through its
-    composed value index, gives ``_enumerate_plans``' leaf probabilities of
-    the four setting plans, each with its own angles, byte for byte."""
+    composed value index, gives the oracle walk's leaf probabilities of
+    each of the four setting plans at its own angles, byte for byte."""
     layout = engine._EXACT_LAYOUTS[geometry, partial, c_enabled]
     cfg = ExperimentConfig(geometry=geometry, bsm_partial=partial, c_enabled=c_enabled,
                            angles_a=angles[:2], angles_b=angles[2:])
-    plans = [[angles[i] for i in pick] for pick in layout.picks]
-    want = 0.25 * qcore._enumerate_plans(TWO_SINGLETS.amplitudes, layout.plan, plans).ravel()
+    want = 0.25 * np.concatenate([
+        scalar_oracle.enumerate_plans(TWO_SINGLETS.amplitudes, layout.plan,
+                                      [[angles[i] for i in pick]]).ravel()
+        for pick in layout.picks
+    ])
     assert engine.exact_leaf_rows(cfg)[2].tobytes() == want.tobytes()
 
 
@@ -906,7 +911,7 @@ def test_sampler_matches_oracle_sampler_property(geometry, partial, c_enabled, a
                                    per_plan, setting, draws)
 
 
-# Teleport's plans: input bit x on qubit 0 beside a singlet on (1, 2).
+# Teleport's start states: input bit x on qubit 0 beside a singlet on (1, 2).
 TELEPORT_STARTS = np.kron(np.eye(2, dtype=np.complex128), qcore.singlet().amplitudes)
 
 
@@ -917,29 +922,16 @@ TELEPORT_STARTS = np.kron(np.eye(2, dtype=np.complex128), qcore.singlet().amplit
        qubit=st.integers(0, 2), partial=st.booleans(), seed=st.integers(0, 2**32 - 1))
 @example(angles=[0.0, 0.0], pair=(0, 1), qubit=2, partial=False, seed=4)
 def test_teleport_sampler_matches_oracle_sampler_property(angles, pair, qubit, partial, seed):
-    """With one start state per plan, as teleport's ``|x> (x) singlet``
-    plans have, the sampler gives every trial the oracle copy's leaf, byte
-    for byte, also with draws on slot edges."""
-    plan = [BsmStep(*pair, partial), SpinMeasurement(qubit, 0.0)]
-    per_plan = [[angle] for angle in angles]
-    tables, flat = qcore._plan_walk(TELEPORT_STARTS, plan, per_plan)
+    """From each of teleport's ``|x> (x) singlet`` start states, the one
+    plan it samples (here at any spin angle) gives every trial the oracle
+    copy's leaf, byte for byte, also with draws on slot edges."""
     rng = np.random.default_rng(seed)
-    draws = _slot_edge_draws(TELEPORT_STARTS, plan, per_plan, rng, 2000)
-    x = rng.integers(0, 2, len(draws))
-    _assert_sampler_matches_oracle(TELEPORT_STARTS, tables, flat, plan, per_plan, x, draws)
-
-
-@pytest.mark.parametrize("angles", [[[0.0], [0.0]], [[0.3], [-2.1]], [[math.pi / 2.0], [1e17]]])
-@pytest.mark.parametrize("partial", [False, True])
-def test_enumerate_plans_one_start_state_per_plan(angles, partial):
-    """``_enumerate_plans`` with teleport's two start states, one per plan,
-    gives each plan the leaves of the oracle's walk from that state alone,
-    compared by repr."""
-    plan = [BsmStep(0, 1, partial), SpinMeasurement(2, 0.0)]
-    got = qcore._enumerate_plans(TELEPORT_STARTS, plan, angles)
-    for p, row in enumerate(angles):
-        want = scalar_oracle.enumerate_plans(TELEPORT_STARTS[p], plan, [row])
-        assert repr(got[p].tolist()) == repr(want[0].tolist())
+    for initial, angle in zip(TELEPORT_STARTS, angles):
+        plan = [BsmStep(*pair, partial), SpinMeasurement(qubit, angle)]
+        tables, flat = qcore._plan_walk(initial, plan)
+        draws = _slot_edge_draws(initial[None], plan, [[angle]], rng, 1000)
+        _assert_sampler_matches_oracle(initial, tables, flat, plan, [[angle]],
+                                       np.zeros(len(draws), dtype=np.intp), draws)
 
 
 def _openblas_dynamic_arch() -> bool:

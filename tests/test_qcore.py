@@ -32,16 +32,16 @@ from swapsim.qcore import (
 from swapsim.qcore import (
     _branch_outcomes,
     _branch_tables,
+    _bind_walk,
     _collapse,
-    _enumerate_plans,
     _fold,
     _one_state_weights,
     _plan_codes,
-    _plan_walk,
     _sample_leaves,
+    _walk,
     _walk_tables,
 )
-from scalar_oracle import walk_branches
+from scalar_oracle import plan_branches, stacked_tables, walk_branches
 
 SQ = 1.0 / math.sqrt(2.0)
 
@@ -91,6 +91,16 @@ class TestStateVector:
     def test_qubit_budget(self):
         with pytest.raises(ValueError):
             StateVector(6, np.zeros(64))
+
+    @pytest.mark.parametrize("count,size", [(True, 2), (2.0, 4), ("2", 4), (None, 2)])
+    def test_non_int_qubit_count_rejected(self, count, size):
+        # True and 2.0 were stored as the qubit count.
+        with pytest.raises(ValueError, match="num_qubits must be an integer"):
+            StateVector(count, np.eye(size)[0])
+
+    def test_numpy_int_qubit_count_stored_as_int(self):
+        state = StateVector(np.int64(2), np.eye(4)[0])
+        assert type(state.num_qubits) is int and state.num_qubits == 2
 
     def test_immutable(self):
         s = singlet()
@@ -486,7 +496,7 @@ class TestExactBranchEnumeration:
 
 _RNG = np.random.default_rng(23)
 STACK = _RNG.normal(size=(6, 16)) + 1j * _RNG.normal(size=(6, 16))
-# One step per row of STACK; spin angles differ by row.
+# Six one-step plans of each shape; spin angles differ by plan.
 STEP_ROWS = {
     **{f"spin-q{q}": [SpinMeasurement(q, angle) for angle in _RNG.uniform(-7.0, 7.0, size=6)]
        for q in range(4)},
@@ -504,26 +514,26 @@ LAYOUTS = {
 
 
 class TestStackedBranches:
-    """One depth of the walk's tables on a stack of start states, a spin at
-    one angle per block of rows, gives each row what a one-row walk gives,
-    bit for bit, whatever the stack's layout and block size: its
-    unnormalized leaves, its coefficients and the weights read from them."""
+    """One depth of the walk's tables for stacked one-step plans from one
+    start state, a spin at each plan's own angle, gives each plan's rows
+    what its own one-plan walk gives, bit for bit, whatever the start
+    state's layout and the plan count: its unnormalized leaves, its
+    coefficients and the weights read from them."""
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     @pytest.mark.parametrize("name", sorted(STEP_ROWS))
     def test_rows_match_one_row_calls(self, name, layout):
-        stack = LAYOUTS[layout](STACK)
-        for block in (1, 2, 3, 6):
-            steps = STEP_ROWS[name][::block]
-            posts, coeffs, weights = walk_branches(stack, steps)
-            k = len(_branch_outcomes(steps[0]))
-            assert posts.shape == (6, k, 16) and weights.shape == (6, k)
-            for i in range(len(stack)):
-                step = steps[i // block]
-                row_posts, row_coeffs, row_weights = walk_branches(stack[i].copy()[None], [step])
-                assert posts[i].tobytes() == row_posts[0].tobytes()
-                assert coeffs[i].tobytes() == row_coeffs[0].tobytes()
-                assert weights[i].tobytes() == row_weights[0].tobytes()
+        for initial in LAYOUTS[layout](STACK):
+            for plans in (1, 2, 3, 6):
+                steps = STEP_ROWS[name][:plans]
+                posts, coeffs, weights = plan_branches(initial, steps)
+                k = len(_branch_outcomes(steps[0]))
+                assert posts.shape == (plans, k, 16) and weights.shape == (plans, k)
+                for p, step in enumerate(steps):
+                    own_posts, own_coeffs, own_weights = plan_branches(initial.copy(), [step])
+                    assert posts[p].tobytes() == own_posts[0].tobytes()
+                    assert coeffs[p].tobytes() == own_coeffs[0].tobytes()
+                    assert weights[p].tobytes() == own_weights[0].tobytes()
 
 
 def _signed_stack(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
@@ -567,41 +577,27 @@ class TestOneFold:
 
 
 class TestEnumeratePlansChecks:
-    """The plans of one ``_enumerate_plans`` call are one template plan with
-    per-plan spin angles, so each plan needs one angle per spin step."""
+    """Plans stacked through ``_walk_tables`` picks are one template plan
+    with per-plan spin angles: each plan reads its own angles, and the
+    tables read no template angle."""
+
+    @staticmethod
+    def walk(plan, angles):
+        tables, flat = stacked_tables(plan, 16, angles)
+        probs = _walk(_bind_walk(basis_state(4, 1).amplitudes, tables), flat)
+        return probs.reshape(len(angles), -1)
 
     def test_angles_may_differ(self):
-        probs = _enumerate_plans(
-            basis_state(4, 1).amplitudes, [SpinMeasurement(3, 0.0)], [[0.0], [math.pi]]
-        )
+        probs = self.walk([SpinMeasurement(3, 0.0)], [[0.0], [math.pi]])
         assert probs[0].tolist() == [0.0, 1.0]
         np.testing.assert_allclose(probs[1], [1.0, 0.0], atol=1e-15)
 
     def test_template_angles_are_not_read(self):
         plan = [BsmStep(1, 2), SpinMeasurement(3, 0.7)]
-        probs = _enumerate_plans(basis_state(4, 1).amplitudes, plan, [[0.0]])
-        assert probs.tobytes() == _enumerate_plans(
-            basis_state(4, 1).amplitudes, [BsmStep(1, 2), SpinMeasurement(3, 0.0)], [[0.0]]
+        probs = self.walk(plan, [[0.0]])
+        assert probs.tobytes() == self.walk(
+            [BsmStep(1, 2), SpinMeasurement(3, 0.0)], [[0.0]]
         ).tobytes()
-
-    @pytest.mark.parametrize("plan,angles", [
-        # A plan with more spin steps than the template, or fewer.
-        pytest.param([SpinMeasurement(0, 0.0)], [[0.0], [0.0, 0.0]], id="plans1"),
-        pytest.param([SpinMeasurement(0, 0.0), SpinMeasurement(1, 0.0)], [[0.0, 0.0], [0.0]],
-                     id="plans2"),
-        pytest.param([], [], id="plans9"),
-    ])
-    def test_mismatched_plans_rejected(self, plan, angles):
-        with pytest.raises(ValueError, match="plans"):
-            _enumerate_plans(basis_state(4, 1).amplitudes, plan, angles)
-
-    @pytest.mark.parametrize("states,plans", [(3, 2), (1, 2), (2, 1)])
-    def test_start_state_rows_must_match_plans(self, states, plans):
-        # An extra row was ignored, and one row for two plans raised IndexError.
-        initials = np.kron(np.eye(2)[[0, 1, 0][:states]], singlet().amplitudes)
-        plan = (BsmStep(0, 1), SpinMeasurement(2, 0.0))
-        with pytest.raises(ValueError, match=f"{states} start states for {plans} plans"):
-            _enumerate_plans(initials, plan, [[0.0]] * plans)
 
 
 def scalar_codes(initial: StateVector, plan, draws) -> np.ndarray:
@@ -718,35 +714,36 @@ class TestSamplePlans:
         ]
 
     def test_matches_each_plans_own_sampler_on_slot_edges(self):
+        # The plans are stacked from one start state, as the engine's are.
         rng = np.random.default_rng(12)
         noise = rng.normal(size=16) + 1j * rng.normal(size=16)
-        states = [make_two_singlets(), StateVector(4, noise / np.linalg.norm(noise)),
-                  make_two_singlets(), basis_state(4, 5)]
+        tables, angles = stacked_tables(self.TEMPLATE, 16, self.ANGLES)
+        codes = _plan_codes(self.TEMPLATE)
+        for state in (make_two_singlets(), StateVector(4, noise / np.linalg.norm(noise)),
+                      basis_state(4, 5)):
+            draws, plan_of_row = self.plan_edge_draws(state, rng)
+            leaves = _sample_leaves(state.amplitudes, tables, angles, plan_of_row, draws)[0]
+            assert np.array_equal(leaves // len(codes), plan_of_row)
+            got = codes[leaves % len(codes)].astype(np.int8)
+            assert got.shape == draws.shape
+            for p, plan_angles in enumerate(self.ANGLES):
+                mine = plan_of_row == p
+                own = sample_branches(state, self.own_plan(self.TEMPLATE, plan_angles),
+                                      draws[mine])
+                assert got[mine].tobytes() == own.tobytes(), p
+
+    def plan_edge_draws(self, state, rng):
+        """Each plan's draws on and just below the edges of its first two
+        steps (the second's at each first outcome's post-state), plus the
+        ends of [0, 1), the last step's random; shuffled, with each row's
+        plan."""
         rows, plan_of_row = [], []
-        for p, (state, angles) in enumerate(zip(states, self.ANGLES)):
+        for p, angles in enumerate(self.ANGLES):
             plan = self.own_plan(self.TEMPLATE, angles)
-            # Draws on and just below the edges of the first two steps (the
-            # second's at each first outcome's post-state), plus the ends
-            # of [0, 1); the last step's draws are random.
             for u0 in self.edge_draws(state, plan[0]):
                 _outcome, post = _collapse(state.amplitudes, plan[0], u0)
                 for u1 in self.edge_draws(StateVector(4, post), plan[1]):
                     rows.append([u0, u1, rng.random()])
                     plan_of_row.append(p)
         order = rng.permutation(len(rows))
-        draws, plan_of_row = np.array(rows)[order], np.array(plan_of_row)[order]
-        initials = np.stack([state.amplitudes for state in states])
-        tables, angles = _plan_walk(initials, self.TEMPLATE, self.ANGLES)
-        leaves = _sample_leaves(initials, tables, angles, plan_of_row, draws)[0]
-        codes = _plan_codes(self.TEMPLATE)
-        assert np.array_equal(leaves // len(codes), plan_of_row)
-        codes = codes[leaves % len(codes)].astype(np.int8)
-        assert codes.dtype == np.int8 and codes.shape == draws.shape
-        for p, (state, angles) in enumerate(zip(states, self.ANGLES)):
-            mine = plan_of_row == p
-            own = sample_branches(state, self.own_plan(self.TEMPLATE, angles), draws[mine])
-            assert codes[mine].tobytes() == own.tobytes(), p
-
-    def test_rejects_angle_rows_of_the_wrong_length(self):
-        with pytest.raises(ValueError, match="2 spin angles each"):
-            _plan_walk(make_two_singlets().amplitudes[None], self.TEMPLATE, [[0.1]])
+        return np.array(rows)[order], np.array(plan_of_row)[order]

@@ -54,6 +54,22 @@ class TestAcceptanceRule:
     def test_default_rule_in_range(self):
         singlet_weight_rule()  # validates all 16 combinations on construction
 
+    @pytest.mark.parametrize("field,value,message", [
+        # (0.0,) raised a bare IndexError and "01" a TypeError; (True, 0.0)
+        # ran as (1.0, 0.0), and a nan angle failed only as a nan weight.
+        ("angles_a", (0.0,), "angles_a must list exactly two angles"),
+        ("angles_b", "01", "angles_b must list exactly two angles"),
+        ("angles_a", (True, 0.0), r"angles_a\[0\] must be a real number"),
+        ("angles_b", (0.0, math.nan), r"angles_b\[1\] must be finite"),
+    ])
+    def test_singlet_rule_checks_its_angle_pairs(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            singlet_weight_rule(**{field: value})
+
+    def test_singlet_rule_takes_any_angle_sequence(self):
+        want = singlet_weight_rule((0.1, 2.0), (1.0, -3.0)).table()
+        assert singlet_weight_rule([0.1, 2.0], np.array([1.0, -3.0])).table() == want
+
     def test_rule_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError):
             AcceptanceRule("bad", lambda a, b, A, B: 1.5)
