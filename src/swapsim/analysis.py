@@ -54,6 +54,21 @@ TSIRELSON = 2.0 * math.sqrt(2.0)
 DEFAULT_ALPHA = 1e-3
 DEFAULT_MIN_CELL = 50
 
+# float(scipy.special.chdtri(d, DEFAULT_ALPHA)) for d = 1..32, as scipy
+# 1.17.1 computes them: the chi-squared thresholds of every G-test at the
+# default alpha, so those tests import no scipy and their reports' bytes do
+# not depend on the installed version.
+_CHI2_DEFAULT = (
+    10.827566170662733, 13.815510557964274, 16.26623619623813, 18.466826952903173,
+    20.515005652432876, 22.457744484825323, 24.321886347856854, 26.124481558376143,
+    27.877164871256575, 29.58829844507442, 31.26413362023999, 32.90949040736021,
+    34.52817897487089, 36.12327368039814, 37.69729821835383, 39.25235479076848,
+    40.79021670690253, 42.31239633167997, 43.82019596451753, 45.31474661812587,
+    46.7970380415613, 48.26794229083519, 49.72823246643151, 51.17859777737739,
+    52.61965577617283, 54.051962388576655, 55.47602020574521, 56.892285393353625,
+    58.30117348979492, 59.703064304429944, 61.09830608105814, 62.487219057088495,
+)
+
 
 class Verdict(Enum):
     HOLDS = "Holds"
@@ -290,11 +305,16 @@ def test_conditional_independence(
     dof = int(((targets - 1) * (versus_values - 1))[g_count > 0].sum())
     sparse = gv_count[gv_cell].min() < min_cell
 
-    # Imported here: scipy.special adds about 0.2 s and 26 MB to a process,
-    # and only the G-tests need it, not the exact diagnostics.
-    from scipy.special import chdtri
+    if dof == 0:
+        threshold = 0.0
+    elif alpha == DEFAULT_ALPHA and dof <= len(_CHI2_DEFAULT):
+        threshold = _CHI2_DEFAULT[dof - 1]
+    else:
+        # Imported here: scipy.special adds about 0.25 s and 20-25 MB to a
+        # process, and only a G-test at another alpha or a larger dof needs it.
+        from scipy.special import chdtri
 
-    threshold = float(chdtri(dof, alpha)) if dof > 0 else 0.0
+        threshold = float(chdtri(dof, alpha))
     if sparse:
         verdict = Verdict.INCONCLUSIVE
     elif g_stat > threshold and dof > 0:
@@ -435,8 +455,13 @@ class TeleportReport:
 
 
 def mutual_information_bits(counts: np.ndarray) -> float:
-    """Empirical mutual information of a 2x2 count table, add-half smoothed."""
-    smoothed = np.asarray(counts, dtype=float) + 0.5
+    """Empirical mutual information of a 2x2 count table, add-half smoothed.
+    A table of another shape, or with a negative or non-finite count, raises
+    ValueError."""
+    table = np.asarray(counts, dtype=float)
+    if table.shape != (2, 2) or not (np.isfinite(table).all() and (table >= 0).all()):
+        raise ValueError(f"counts must be a 2x2 table of finite counts >= 0, got {counts!r}")
+    smoothed = table + 0.5
     joint = smoothed / smoothed.sum()
     px = joint.sum(axis=1, keepdims=True)
     py = joint.sum(axis=0, keepdims=True)

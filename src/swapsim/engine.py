@@ -202,6 +202,8 @@ class Trials:
 
     def __post_init__(self) -> None:
         columns = {name: np.asarray(values).view() for name, values in self.columns.items()}
+        if "trial_id" not in columns:
+            raise ValueError(f"table lacks column trial_id, has {list(columns)}")
         ids = columns["trial_id"]
         for name, column in columns.items():
             column.flags.writeable = False

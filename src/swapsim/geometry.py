@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
+from .qcore import _real_field
+
 LIGHTLIKE_TOL = 1e-12
 
 
@@ -49,8 +51,9 @@ class SpacetimeEvent:
     x: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.t) and math.isfinite(self.x)):
-            raise ValueError(f"event {self.label.value} has non-finite coordinates")
+        for axis in ("t", "x"):
+            value = _real_field(getattr(self, axis), f"event {self.label.value} {axis}")
+            object.__setattr__(self, axis, value)
 
 
 @dataclass(frozen=True)

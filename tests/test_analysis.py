@@ -287,6 +287,37 @@ class TestConditionalIndependence:
         monkeypatch.setattr(analysis, "np", NumpyWithoutUnique())
         assert batteries() == want
 
+    def test_default_thresholds_are_chdtri_bit_for_bit(self):
+        from scipy.special import chdtri
+
+        assert len(analysis._CHI2_DEFAULT) == 32
+        for dof, threshold in enumerate(analysis._CHI2_DEFAULT, 1):
+            want = float(chdtri(dof, analysis.DEFAULT_ALPHA))
+            assert type(threshold) is float and threshold.hex() == want.hex(), dof
+
+    @pytest.mark.parametrize("alpha, dof", [
+        (analysis.DEFAULT_ALPHA, 1), (analysis.DEFAULT_ALPHA, 9), (analysis.DEFAULT_ALPHA, 32),
+        (analysis.DEFAULT_ALPHA, 33), (analysis.DEFAULT_ALPHA, 99),
+        (0.01, 1), (0.01, 2), (0.01, 9), (0.01, 33), (0.5, 4),
+    ])
+    def test_threshold_is_chdtri_at_any_alpha_and_dof(self, alpha, dof):
+        # One stratum of 2 targets by dof + 1 versus values has dof degrees
+        # of freedom; past the table, or off the default alpha, the
+        # threshold comes from scipy.
+        from scipy.special import chdtri
+
+        data = Trials({"trial_id": np.arange(2 * (dof + 1)), "t": np.repeat([0, 1], dof + 1),
+                       "v": np.tile(np.arange(dof + 1), 2)})
+        result = ci_test(data, "t", (), ("v",), alpha=alpha, min_cell=0)
+        assert result.dof == dof
+        assert result.threshold.hex() == float(chdtri(dof, alpha)).hex()
+
+    def test_no_degrees_of_freedom_no_threshold(self):
+        data = table([(0, b, 1, 1) for b in (0, 1)] * 60)
+        for alpha in (analysis.DEFAULT_ALPHA, 0.01):
+            result = ci_test(data, "A", ("a",), ("b",), alpha=alpha)
+            assert (result.dof, result.threshold, result.verdict) == (0, 0.0, Verdict.HOLDS)
+
 
 class TestNoDifference:
     @pytest.mark.parametrize("geometry", ["early", "delayed", "spacelike"])
@@ -508,19 +539,36 @@ class TestMutualInformation:
         counts = np.array([[10, 0], [0, 0]])
         assert math.isfinite(mutual_information_bits(counts))
 
+    @pytest.mark.parametrize("counts", [
+        [[1, 2, 3]], [1, 2, 3, 4], [[1, 2], [3, 4], [5, 6]], [[[1, 2], [3, 4]]],
+        [[-1, 0], [0, 0]], [[1, math.nan], [0, 0]], [[1, 0], [math.inf, 0]],
+    ])
+    def test_rejects_anything_but_a_2x2_table_of_counts(self, counts):
+        # A 1x3 table gave 0.0 and a negative count nan, with RuntimeWarnings.
+        with pytest.raises(ValueError, match="2x2 table"):
+            mutual_information_bits(np.array(counts))
 
-def test_exact_diagnostics_do_not_import_scipy_special():
-    """Only the G-tests need scipy.special (about 26 MB and 0.2 s to
-    import), so importing the CLI and running the exact diagnostics leave
-    it unloaded; the first G-test loads it."""
+
+def test_default_alpha_runs_do_not_import_scipy_special(tmp_path):
+    """scipy.special costs a process about 0.25 s and 20-25 MB to import,
+    and only a G-test at another alpha or a dof above 32 needs it. The
+    exact diagnostics, a default-alpha G-test and every command that runs
+    G-tests leave it unloaded; a G-test at alpha = 0.01 loads it."""
+    out = str(tmp_path / "run")
     code = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "from swapsim import analysis, cli, engine\n"
         "cfg = engine.ExperimentConfig()\n"
         "analysis.exact_chsh(cfg), analysis.no_difference_check(cfg), analysis.fragility(cfg)\n"
         "engine.herald_probability(cfg)\n"
+        "data = engine.run_trials(engine.ExperimentConfig(n_trials=200))\n"
+        "assert all(r.dof > 0 for r in analysis.no_signaling_tests(data))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['simulate', '--exact'], ['toy'], ['toy', '--variant', 'source'],\n"
+        "                 ['rps'], ['teleport']):\n"
+        f"        assert cli.main(argv + ['--trials', '3000', '--out', {out!r}]) == 0, argv\n"
         "assert 'scipy.special' not in sys.modules\n"
-        "analysis.no_signaling_tests(engine.run_trials(engine.ExperimentConfig(n_trials=50)))\n"
+        "analysis.test_conditional_independence(data, 'A', ('a',), ('b',), alpha=0.01)\n"
         "assert 'scipy.special' in sys.modules\n"
         "print('ok')\n"
     )

@@ -324,8 +324,8 @@ class TestMissingColumns:
 
 def test_importing_the_cli_builds_no_writer_table():
     """Every swapsim invocation pays the CLI's import: the writers build
-    their row and digit tables on first use, and scipy.special loads with
-    the first G-test."""
+    their row and digit tables on first use, and scipy.special loads only
+    for a G-test off the default alpha or above 32 degrees of freedom."""
     code = (
         "import sys\n"
         "import swapsim.cli\n"

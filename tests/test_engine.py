@@ -305,8 +305,9 @@ class TestPostSelect:
                 Trials({"trial_id": ids, "a": [0, 0]})
         with pytest.raises(ValueError, match="shape"):
             Trials({"trial_id": [0, 1], "a": [0]})
-        with pytest.raises(KeyError, match="trial_id"):
-            Trials({"a": [0, 1]})
+        for columns in ({}, {"a": [0, 1]}):  # used to raise a bare KeyError
+            with pytest.raises(ValueError, match="lacks column trial_id"):
+                Trials(columns)
         with pytest.raises(ValueError, match="read-only"):
             run_trials(ExperimentConfig(n_trials=3))["a"][0] = 1
 

@@ -69,8 +69,21 @@ class TestClassify:
         assert classify(ev(1, 2), ev(1, 2)) is CausalRelation.LIGHTLIKE
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            ev(math.inf, 0)
+        for t, x in ((math.inf, 0), (0, -math.inf), (math.nan, 0)):
+            with pytest.raises(ValueError, match="must be finite"):
+                ev(t, x)
+
+    @pytest.mark.parametrize("t, x", [(True, 0.0), (0.0, False), ("1", 0.0), (0.0, None),
+                                      (1j, 0.0)])
+    def test_non_real_coordinate_rejected(self, t, x):
+        # A bool was kept as it was, and a str raised TypeError.
+        with pytest.raises(ValueError, match="must be a real number"):
+            ev(t, x)
+
+    def test_coordinates_stored_as_float(self):
+        event = ev(np.int64(2), 1)
+        assert (event.t, event.x) == (2.0, 1.0)
+        assert type(event.t) is float and type(event.x) is float
 
 
 class TestPresets:
