@@ -13,12 +13,8 @@ from .qcore import (
     SpinMeasurement,
     StateVector,
     bell_state,
-    bell_state_measurement,
     exact_branch_enumeration,
-    fidelity,
     make_two_singlets,
-    measure_spin,
-    prob_spin_up,
     singlet,
 )
 from .geometry import (

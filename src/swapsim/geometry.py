@@ -8,6 +8,7 @@ measurements), and event ordering in boosted frames.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
@@ -78,13 +79,14 @@ def classify(e1: SpacetimeEvent, e2: SpacetimeEvent) -> CausalRelation:
 
     Coincident events sit on the degenerate light cone and classify as
     Lightlike. Where a squared separation overflows, the interval's sign is
-    that of |dt| - |dx|, and equal separations are Lightlike.
+    that of |dt| - |dx|, taken from the halves' differences, which cannot
+    overflow, and equal separations are Lightlike.
     """
     dt = e2.t - e1.t
     dx = e2.x - e1.x
     interval = dt * dt - dx * dx
     if not math.isfinite(interval):
-        interval = abs(dt) - abs(dx)
+        interval = abs(e2.t / 2 - e1.t / 2) - abs(e2.x / 2 - e1.x / 2)
     if abs(interval) <= LIGHTLIKE_TOL:
         return CausalRelation.LIGHTLIKE
     if interval > 0.0:
@@ -107,6 +109,8 @@ def classify_geometry(preset: GeometryPreset) -> GeometryClass:
 
 def boosted_time(event: SpacetimeEvent, v: float) -> float:
     """t' = gamma * (t - v*x) for a frame moving at velocity v (|v| < 1)."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ValueError(f"v must be a real number, got {v!r}")
     if not abs(v) < 1.0:
         raise ValueError(f"|v| must be < 1, got {v!r}")
     gamma = 1.0 / math.sqrt(1.0 - v * v)

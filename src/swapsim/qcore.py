@@ -1,16 +1,17 @@
 """Exact statevector core for small spin systems.
 
-Pure-state representation for up to five qubits, planar spin measurements,
-full and partial Bell-state measurements, exhaustive branch enumeration of
-measurement plans, and a sampler that draws many trials of several plans
-at once. One walk serves both: ``_walk_tables`` lays out plans that differ
-only in spin angles one depth at a time, a spin measured at one angle per
-block of rows (one block per plan), rows in the plans' outcome tree order:
-plan first, then the ``_plan_codes`` order of the outcomes so far. The
-exact walk (``_walk``) takes the squared norms of the leaves; the sampler
+Pure states of up to five qubits, and two entries over plans of planar spin
+and full or partial Bell-state measurements: exhaustive branch enumeration
+(``exact_branch_enumeration``) and sampling (``sample_branches``). One walk
+serves both: ``_walk_tables`` lays out plans that differ only in spin
+angles one depth at a time, a spin measured at one angle per block of rows
+(one block per plan), rows in the plans' outcome tree order: plan first,
+then the ``_plan_codes`` order of the outcomes so far. The exact walk
+(``_walk``) takes the squared norms of the leaves; the sampler
 (``_sample_leaves``) draws each trial's child per depth from the branch
-weights (``_draw``), so its leaves are the exact walk's rows. A collapse is
-a one-trial sample of a one-step plan, down to its normalized leaves.
+weights (``_draw``), so its leaves are the exact walk's rows. A collapse
+(``_collapse``, kept for the step names bench/tracer.py wraps) is a
+one-trial sample of a one-step plan, down to its normalized leaves.
 
 One kernel, ``_products``, projects onto a step's outcomes: gathers,
 products and sums on contiguous vectors through integer index tables that
@@ -48,7 +49,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -190,38 +191,6 @@ def make_two_singlets() -> StateVector:
     """Four-qubit state singlet(0,1) (x) singlet(2,3)."""
     s = _BELL_TENSORS[BellOutcome.PSI_MINUS].reshape(-1)
     return StateVector(4, np.kron(s, s))
-
-
-def fidelity(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|^2; insensitive to global phase."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("states have different qubit counts")
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
-
-
-def product_of_pair_states(
-    num_qubits: int, pairs: Mapping[tuple[int, int], StateVector]
-) -> StateVector:
-    """Build an n-qubit state as a product of two-qubit states on disjoint pairs.
-
-    Every qubit index must be covered exactly once; pair order within a key
-    matters (first index supplies the first bit of the pair state).
-    """
-    covered = [q for pair in pairs for q in pair]
-    if sorted(covered) != list(range(num_qubits)):
-        raise ValueError("pairs must cover all qubit indices exactly once")
-    for st in pairs.values():
-        if st.num_qubits != 2:
-            raise ValueError("pair states must be two-qubit states")
-    amps = np.zeros(2**num_qubits, dtype=np.complex128)
-    for idx in range(2**num_qubits):
-        val = 1.0 + 0.0j
-        for (qi, qj), st in pairs.items():
-            bi = (idx >> (num_qubits - 1 - qi)) & 1
-            bj = (idx >> (num_qubits - 1 - qj)) & 1
-            val *= st.amplitudes[(bi << 1) | bj]
-        amps[idx] = val
-    return StateVector(num_qubits, amps)
 
 
 def _spin_components(angle: float) -> tuple[float, float]:
@@ -412,14 +381,6 @@ def _draw(
     return child
 
 
-def _one_state_weights(amps: np.ndarray, step: PlanStep) -> list[float]:
-    """A single state's branch weights as floats, in ``_branch_outcomes(step)``
-    order: one depth of the walk's tables, from its coefficients alone."""
-    (start, ((val, *_),)), angles = _plan_walk(amps, [step])
-    coeffs = _products(_walk_values(angles)[val], amps[start])[1]
-    return _weights(step, coeffs, amps.size)[0].tolist()
-
-
 def _collapse(amps: np.ndarray, step: PlanStep, draw: float) -> tuple[object, np.ndarray]:
     """Raw collapse of one step with a uniform draw; inputs assumed valid."""
     tables, angles = _plan_walk(amps, [step])
@@ -450,8 +411,8 @@ def _bsm_step(
 
 def _validate_plan(n: int, plan: Sequence[PlanStep]) -> None:
     """ValueError unless every entry of ``plan`` is a SpinMeasurement or a
-    BsmStep of distinct qubits, each qubit in [0, n). Every public entry
-    that takes a step or builds one checks it here."""
+    BsmStep of distinct qubits, each qubit in [0, n). Both plan entries
+    check their plans here."""
     for step in plan:
         if not isinstance(step, (SpinMeasurement, BsmStep)):
             raise ValueError(f"plan steps must be SpinMeasurement or BsmStep, got {step!r}")
@@ -478,66 +439,6 @@ def _uniform_draws(draws, steps: int) -> np.ndarray:
     if array.size and not (array.min() >= 0.0 and array.max() < 1.0):
         raise ValueError(f"draws must lie in [0, 1), got {array.min()!r}..{array.max()!r}")
     return array
-
-
-def _checked_collapse(
-    state: StateVector, step: PlanStep, draw: float
-) -> tuple[object, StateVector]:
-    """The collapse of ``measure_spin`` and ``bell_state_measurement``:
-    ``step`` and ``draw`` checked, the post a StateVector."""
-    _validate_plan(state.num_qubits, [step])
-    draw = _real_field(draw, "draw")
-    if not 0.0 <= draw < 1.0:
-        raise ValueError(f"draw must be in [0, 1), got {draw!r}")
-    outcome, post = _collapse(state.amplitudes, step, draw)
-    return outcome, StateVector(state.num_qubits, post)
-
-
-def prob_spin_up(state: StateVector, m: SpinMeasurement) -> float:
-    """Born probability of the +1 outcome."""
-    _validate_plan(state.num_qubits, [m])
-    return min(max(_one_state_weights(state.amplitudes, m)[0], 0.0), 1.0)
-
-
-def measure_spin(
-    state: StateVector, m: SpinMeasurement, draw: float
-) -> tuple[int, StateVector]:
-    """Collapse one spin with a uniform draw in [0, 1).
-
-    The +1 outcome occupies [0, P(+1)), the -1 outcome the rest.
-    """
-    return _checked_collapse(state, m, draw)
-
-
-def bell_outcome_probabilities(
-    state: StateVector,
-    q_left: int,
-    q_right: int,
-    partial: bool = False,
-    resolve_psi_plus: bool = True,
-) -> dict[BellOutcome, float]:
-    """Exact outcome distribution of a Bell-state measurement on (q_left, q_right)."""
-    step = BsmStep(q_left, q_right, partial, resolve_psi_plus)
-    _validate_plan(state.num_qubits, [step])
-    return dict(zip(_branch_outcomes(step), _one_state_weights(state.amplitudes, step)))
-
-
-def bell_state_measurement(
-    state: StateVector,
-    q_left: int,
-    q_right: int,
-    draw: float,
-    partial: bool = False,
-    resolve_psi_plus: bool = True,
-) -> tuple[BellOutcome, StateVector]:
-    """Collapse qubits (q_left, q_right) onto the Bell basis.
-
-    Full mode resolves all four Bell states. Partial mode models a
-    photonic-style analyzer: PSI_MINUS (and optionally PSI_PLUS) are
-    resolved; the remaining outcomes merge into NO_HERALD, projecting the
-    state onto their joint subspace.
-    """
-    return _checked_collapse(state, BsmStep(q_left, q_right, partial, resolve_psi_plus), draw)
 
 
 def _plan_codes(plan: Sequence[PlanStep]) -> np.ndarray:

@@ -36,6 +36,7 @@ from .engine import (
     check_trials,
     counter_uniforms,
 )
+from .qcore import _real_field
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,7 @@ class AcceptanceRule:
 
     def __post_init__(self) -> None:
         for (a, b, A, B), w in self.table().items():
+            w = _real_field(w, f"rule {self.name!r}: w({a},{b},{A},{B})")
             if not 0.0 <= w <= 1.0:
                 raise ValueError(f"rule {self.name!r}: w({a},{b},{A},{B}) = {w!r} outside [0, 1]")
 
@@ -80,6 +82,8 @@ def constant_rule(value: float) -> AcceptanceRule:
 
 def _run_toy(n: int, seed: int, rule: AcceptanceRule, record_lambda: bool) -> Trials:
     n = check_trials(n)
+    if not isinstance(rule, AcceptanceRule):
+        raise ValueError(f"rule must be an AcceptanceRule, got {rule!r}")
     u = counter_uniforms(seed, np.arange(n), 5)
     # Draws 0-3 pick a, b, A, B, the first declared option (setting 0,
     # outcome +1) when below 1/2; draw 4 accepts when below w(a, b, A, B).
@@ -96,13 +100,13 @@ def _run_toy(n: int, seed: int, rule: AcceptanceRule, record_lambda: bool) -> Tr
 
 def run_toy_collider(n: int, seed: int, rule: AcceptanceRule | None = None) -> Trials:
     """Wing-generated outcomes filtered by the acceptance rule."""
-    return _run_toy(n, seed, rule or singlet_weight_rule(), record_lambda=False)
+    return _run_toy(n, seed, singlet_weight_rule() if rule is None else rule, record_lambda=False)
 
 
 def run_toy_source_variant(n: int, seed: int, rule: AcceptanceRule | None = None) -> Trials:
     """Same sampling, but the outcome pair originates at the source and is
     recorded as the hidden variable."""
-    return _run_toy(n, seed, rule or singlet_weight_rule(), record_lambda=True)
+    return _run_toy(n, seed, singlet_weight_rule() if rule is None else rule, record_lambda=True)
 
 
 def accepted(trials: Trials) -> Trials:

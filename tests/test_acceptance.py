@@ -8,6 +8,8 @@ import json
 import math
 import time
 
+import numpy as np
+
 from swapsim import analysis, cli, engine, qcore, toys
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -30,11 +32,12 @@ def test_criterion_1_tsirelson_exact():
 
 
 def test_criterion_2_entanglement_swap_fidelity():
-    outcome, post = qcore.bell_state_measurement(qcore.make_two_singlets(), 1, 2, 0.99)
-    expected = qcore.product_of_pair_states(
-        4, {(0, 3): qcore.singlet(), (1, 2): qcore.singlet()}
-    )
-    fid = qcore.fidelity(post, expected)
+    swap = qcore.BsmStep(1, 2)
+    outcome, post = qcore._collapse(qcore.make_two_singlets().amplitudes, swap, 0.99)
+    # psi- on (0, 3) times psi- on (1, 2): +-1/2 where b0 != b3 and b1 != b2.
+    expected = np.zeros(16)
+    expected[[0b0011, 0b0101, 0b1010, 0b1100]] = [0.5, -0.5, -0.5, 0.5]
+    fid = abs(np.vdot(expected, post)) ** 2
     ok = outcome is qcore.BellOutcome.PSI_MINUS and abs(fid - 1.0) < 1e-12
     check(2, "psi- outcome swaps entanglement to the outer pair", ok, f"fidelity={fid:.15f}")
 

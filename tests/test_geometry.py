@@ -64,6 +64,9 @@ class TestClassify:
         assert classify(ev(0, 0), ev(1e200, 1e200)) is CausalRelation.LIGHTLIKE
         assert classify(ev(0, 0), ev(1e300, 1.0)) is CausalRelation.TIMELIKE_FUTURE
         assert classify(ev(-1e308, 0), ev(1e308, 0)) is CausalRelation.TIMELIKE_FUTURE
+        # dt and dx both overflow to inf.
+        assert classify(ev(-1e308, -1e308), ev(1.5e308, 1e308)) is CausalRelation.TIMELIKE_FUTURE
+        assert classify(ev(-1e308, -1e308), ev(1e308, 1e308)) is CausalRelation.LIGHTLIKE
 
     def test_coincident_events_are_lightlike(self):
         assert classify(ev(1, 2), ev(1, 2)) is CausalRelation.LIGHTLIKE
@@ -196,6 +199,11 @@ class TestBoostedOrder:
             boosted_time_order(spacelike_delft(), 1.0)
         with pytest.raises(ValueError):
             boosted_time_order(spacelike_delft(), -1.2)
+
+    @pytest.mark.parametrize("v", [True, False, np.True_, "0.5", None, 0.5j])
+    def test_non_real_velocity_rejected(self, v):
+        with pytest.raises(ValueError, match="v must be a real number"):
+            boosted_time(ev(1, 0), v)
 
 
 # Pairs of events at A and C in [-10, 10]^2 (the others at the origin) whose

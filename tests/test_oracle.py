@@ -108,11 +108,11 @@ def test_run_trials_matches_oracle_property(
 
 
 TWO_SINGLETS = qcore.make_two_singlets()
-# (1, 2) already in phi+: a Bell-state measurement there has three outcomes
-# of exactly zero weight.
-BSM_EIGENSTATE = qcore.product_of_pair_states(
-    4, {(0, 3): qcore.singlet(), (1, 2): qcore.bell_state(BellOutcome.PHI_PLUS)}
-)
+# psi- on (0, 3) and (1, 2) already in phi+: a Bell-state measurement there
+# has three outcomes of exactly zero weight.
+_OUTER, _INNER = (qcore.bell_state(o).amplitudes.reshape(2, 2)
+                  for o in (BellOutcome.PSI_MINUS, BellOutcome.PHI_PLUS))
+BSM_EIGENSTATE = StateVector(4, (_OUTER[:, None, None, :] * _INNER[:, :, None]).ravel())
 # |1> on qubit 0, normalized within tolerance only: at angle -pi its -1
 # branch has zero weight but a draw above P(+1) < 1 still reaches it.
 SPIN_EIGENSTATE = StateVector(4, np.eye(16)[8] * math.sqrt(1.0 - 1e-13))
@@ -278,7 +278,11 @@ def test_fragility_tol_equal_to_a_cell_mass(geometry, herald, partial):
        resolve_psi_plus=st.booleans())
 @example(state=BSM_EIGENSTATE, pair=(2, 1), partial=True, resolve_psi_plus=True)
 def test_bell_outcome_probabilities_match_oracle_property(state, pair, partial, resolve_psi_plus):
-    assert qcore.bell_outcome_probabilities(state, *pair, partial, resolve_psi_plus) == (
+    """The branch weights a BSM's draw reads, one depth of its walk's
+    coefficients, are the oracle's outcome probabilities bit for bit."""
+    step = BsmStep(*pair, partial, resolve_psi_plus)
+    weights = scalar_oracle.plan_branches(state.amplitudes, [step])[2][0].tolist()
+    assert dict(zip(qcore._branch_outcomes(step), weights)) == (
         scalar_oracle.bell_outcome_probabilities(state, *pair, partial, resolve_psi_plus)
     )
 
@@ -306,7 +310,7 @@ def test_collapse_steps_match_oracle_property(state, step, edge, u):
     embedded amplitude in the subnormal range (a branch weight near 1e-280)
     loses up to 2**-1074 before the division by sqrt(weight) scales it up."""
     # Slot edges: the cumulative weights in outcome order, a spin's first only.
-    weights = qcore._one_state_weights(state.amplitudes, step)
+    weights = scalar_oracle.plan_branches(state.amplitudes, [step])[2][0].tolist()
     edges = list(itertools.accumulate(weights))
     if isinstance(step, SpinMeasurement):
         edges = edges[:1]
@@ -346,7 +350,8 @@ def test_collapse_posts_match_oracle_sampler_property(state, step, edge, u):
     signed zeros included, or the RuntimeError, of the sampler that laid
     out every post (``scalar_oracle.collapse``), for a random draw or one
     on a slot edge."""
-    edges = list(itertools.accumulate(qcore._one_state_weights(state.amplitudes, step)))
+    weights = scalar_oracle.plan_branches(state.amplitudes, [step])[2][0].tolist()
+    edges = list(itertools.accumulate(weights))
     draw = edges[edge] if 0 <= edge < len(edges) and edges[edge] < 1.0 else u
     try:
         want = scalar_oracle.collapse(state.amplitudes, step, draw)

@@ -5,27 +5,25 @@ that builds full projector matrices with np.kron from explicitly written
 Bell vectors, bypassing the library's sliced-tensor implementation.
 """
 
+import collections
+import inspect
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+import swapsim
+from swapsim import qcore
 from swapsim.qcore import (
     BellOutcome,
     BsmStep,
     SpinMeasurement,
     StateVector,
     basis_state,
-    bell_outcome_probabilities,
     bell_state,
-    bell_state_measurement,
     exact_branch_enumeration,
-    fidelity,
     make_two_singlets,
-    measure_spin,
-    prob_spin_up,
-    product_of_pair_states,
     sample_branches,
     singlet,
 )
@@ -35,7 +33,6 @@ from swapsim.qcore import (
     _bind_walk,
     _collapse,
     _fold,
-    _one_state_weights,
     _plan_codes,
     _sample_leaves,
     _walk,
@@ -131,7 +128,7 @@ class TestSpinMeasurement:
 
     @pytest.mark.parametrize("qubit", [1.5, 1.0, True, "1", None])
     def test_non_int_qubit_rejected(self, qubit):
-        # 1.5 failed only later, in prob_spin_up, with a TypeError.
+        # 1.5 failed only later, in the walk, with a TypeError.
         with pytest.raises(ValueError, match="qubit must be an int"):
             SpinMeasurement(qubit, 0.0)
 
@@ -149,11 +146,6 @@ class TestBsmStepFields:
     def test_bad_field_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an? "):
             BsmStep(**{"q_left": 1, "q_right": 2, field: value})
-
-    def test_string_partial_is_not_an_analyzer(self):
-        # partial="no" ran a partial analyzer.
-        with pytest.raises(ValueError, match="partial must be a bool"):
-            bell_outcome_probabilities(make_two_singlets(), 1, 2, partial="no")
 
     def test_numpy_fields_read_as_python_values(self):
         step = BsmStep(np.int64(2), np.int32(1), np.True_, np.False_)
@@ -175,40 +167,44 @@ class TestBasisState:
 
 _SPIN = SpinMeasurement(0, 0.0)
 
-# Each public entry with a plan entry that is no step (or, for the two
-# entries that build their BSM step, a qubit that is no integer), and each
-# draw-taking entry with each draw; field is what the message must name.
+# Both plan entries given a step that is no step, and the sampler given
+# each bad draw; field is what the message must name.
 _BAD_ENTRY_CALLS = [
-    pytest.param(lambda s: prob_spin_up(s, "x"), "plan step", id="prob_spin_up-step"),
-    pytest.param(lambda s: measure_spin(s, "x", 0.5), "plan step", id="measure_spin-step"),
-    pytest.param(lambda s: bell_outcome_probabilities(s, None, 2), "q_left",
-                 id="bell_outcome_probabilities-qubit"),
-    pytest.param(lambda s: bell_state_measurement(s, None, 2, 0.5), "q_left",
-                 id="bell_state_measurement-qubit"),
     pytest.param(lambda s: sample_branches(s, [None], [[0.5]]), "plan step",
                  id="sample_branches-step"),
     pytest.param(lambda s: exact_branch_enumeration(s, ["x"]), "plan step",
                  id="exact_branch_enumeration-step"),
 ]
 for _draw in ("0.5", False, math.nan, 1.0):
-    _BAD_ENTRY_CALLS += [
-        pytest.param(lambda s, d=_draw: measure_spin(s, _SPIN, d), "draw",
-                     id=f"measure_spin-draw-{_draw!r}"),
-        pytest.param(lambda s, d=_draw: bell_state_measurement(s, 1, 2, d), "draw",
-                     id=f"bell_state_measurement-draw-{_draw!r}"),
+    _BAD_ENTRY_CALLS.append(
         pytest.param(lambda s, d=_draw: sample_branches(s, [_SPIN, BsmStep(1, 2)], [[0.5, d]]),
-                     "draw", id=f"sample_branches-draw-{_draw!r}"),
-    ]
+                     "draw", id=f"sample_branches-draw-{_draw!r}"))
 
 
 class TestPublicEntryChecks:
     @pytest.mark.parametrize("call,field", _BAD_ENTRY_CALLS)
     def test_bad_input_raises_value_error_naming_the_field(self, call, field):
-        # A non-step entry raised AttributeError, a None qubit or a str draw
-        # TypeError; draws False and (in sample_branches) "0.5" ran as 0.0
-        # and 0.5.
+        # A non-step entry raised AttributeError; draws False and "0.5" ran
+        # as 0.0 and 0.5.
         with pytest.raises(ValueError, match=field):
             call(make_two_singlets())
+
+
+class TestPublicSurface:
+    def test_public_functions_are_the_constructors_and_plan_entries(self):
+        public = {
+            name for name, value in vars(qcore).items()
+            if inspect.isfunction(value) and value.__module__ == "swapsim.qcore"
+            and not name.startswith("_")
+        }
+        assert public == {"basis_state", "bell_state", "singlet", "make_two_singlets",
+                          "exact_branch_enumeration", "sample_branches"}
+
+    @pytest.mark.parametrize(
+        "name", ["bell_state_measurement", "fidelity", "measure_spin", "prob_spin_up"]
+    )
+    def test_removed_one_step_helpers_not_exported(self, name):
+        assert not hasattr(swapsim, name)
 
 
 class TestTwoSinglets:
@@ -238,75 +234,56 @@ class TestTwoSinglets:
         assert abs(s.amplitude(0b10) + SQ) < 1e-12
 
 
-class TestProbSpinUp:
-    def test_singlet_marginal(self):
-        assert abs(prob_spin_up(singlet(), SpinMeasurement(0, 0.0)) - 0.5) < 1e-12
+class TestSpinOutcomes:
+    @pytest.mark.parametrize("state,angle,p_up", [
+        pytest.param(singlet(), 0.0, 0.5, id="singlet-marginal"),
+        pytest.param(basis_state(1, 0), 0.0, 1.0, id="eigenstate"),
+        pytest.param(basis_state(1, 0), math.pi / 2, 0.5, id="x-basis-on-z-eigenstate"),
+    ])
+    def test_spin_up_probability(self, state, angle, p_up):
+        table = exact_branch_enumeration(state, [SpinMeasurement(0, angle)])
+        assert abs(table[(1,)] - p_up) < 1e-12
 
-    def test_eigenstate(self):
-        assert abs(prob_spin_up(basis_state(1, 0), SpinMeasurement(0, 0.0)) - 1.0) < 1e-12
-
-    def test_x_basis_on_z_eigenstate(self):
-        p = prob_spin_up(basis_state(1, 0), SpinMeasurement(0, math.pi / 2))
-        assert abs(p - 0.5) < 1e-12
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            prob_spin_up(singlet(), SpinMeasurement(2, 0.0))
-
-
-class TestMeasureSpin:
     def test_eigenstate_any_draw(self):
         for draw in (0.0, 0.3, 0.999):
-            out, post = measure_spin(basis_state(1, 0), SpinMeasurement(0, 0.0), draw)
+            out, post = _collapse(basis_state(1, 0).amplitudes, SpinMeasurement(0, 0.0), draw)
             assert out == 1
-            assert abs(post.amplitude(0) - 1.0) < 1e-12
+            assert abs(post[0] - 1.0) < 1e-12
 
     def test_threshold_convention(self):
-        # P(+1) = 0.5 on a singlet wing; draw below the threshold selects +1.
-        out, _ = measure_spin(singlet(), SpinMeasurement(0, 0.0), 0.3)
-        assert out == 1
-        out, _ = measure_spin(singlet(), SpinMeasurement(0, 0.0), 0.5)
-        assert out == -1
+        # P(+1) = 0.5 on a singlet wing; a draw below the threshold selects
+        # +1, code 0.
+        codes = sample_branches(singlet(), [SpinMeasurement(0, 0.0)], [[0.3], [0.5]])
+        assert codes[:, 0].tolist() == [0, 1]
 
     @pytest.mark.parametrize("theta", [0.0, 0.7, math.pi / 2, 2.1, 5.9])
     def test_singlet_anticorrelation_at_equal_angles(self, theta):
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            out1, mid = measure_spin(singlet(), SpinMeasurement(0, theta), rng.random())
-            out2, _ = measure_spin(mid, SpinMeasurement(1, theta), rng.random())
-            assert out2 == -out1
+        plan = [SpinMeasurement(0, theta), SpinMeasurement(1, theta)]
+        codes = sample_branches(singlet(), plan, np.random.default_rng(42).random((20, 2)))
+        assert (codes[:, 0] != codes[:, 1]).all()
 
     def test_repeated_measurement_is_stable(self):
-        rng = np.random.default_rng(7)
-        m = SpinMeasurement(0, 1.234)
-        out1, post = measure_spin(singlet(), m, rng.random())
-        for _ in range(5):
-            out2, post = measure_spin(post, m, rng.random())
-            assert out2 == out1
+        plan = [SpinMeasurement(0, 1.234)] * 6
+        codes = sample_branches(singlet(), plan, np.random.default_rng(7).random((20, 6)))
+        assert (codes == codes[:, :1]).all()
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(3)
-        state = make_two_singlets()
+        amps = make_two_singlets().amplitudes
         for q, angle in ((0, 0.3), (3, 2.0), (1, 4.4)):
-            _, state = measure_spin(state, SpinMeasurement(q, angle), rng.random())
-            nrm = np.vdot(state.amplitudes, state.amplitudes).real
-            assert abs(nrm - 1.0) < 1e-12
-
-    def test_bad_draw(self):
-        with pytest.raises(ValueError):
-            measure_spin(singlet(), SpinMeasurement(0, 0.0), 1.0)
+            _, amps = _collapse(amps, SpinMeasurement(q, angle), rng.random())
+            assert abs(np.vdot(amps, amps).real - 1.0) < 1e-12
 
     def test_born_consistency_frequencies(self):
-        # Empirical +1 frequency matches prob_spin_up within 5 standard errors.
-        # The outcomes come from one sample_branches call: the oracle property
-        # tests hold it and measure_spin to the same draw rule, and code 0 is +1.
+        # Empirical +1 (code 0) frequency matches the exact P(+1) within 5
+        # standard errors.
         rng = np.random.default_rng(2026)
         n = 100_000
         for state, m in (
             (singlet(), SpinMeasurement(0, 0.9)),
             (basis_state(1, 0), SpinMeasurement(0, 1.1)),
         ):
-            p = prob_spin_up(state, m)
+            p = exact_branch_enumeration(state, [m])[(1,)]
             draws = rng.random(n)
             hits = int((sample_branches(state, [m], draws[:, None])[:, 0] == 0).sum())
             se = math.sqrt(p * (1.0 - p) / n)
@@ -320,9 +297,9 @@ class TestBellStateMeasurement:
         for outcome in ORACLE_BELL:
             p_oracle = float(np.vdot(psi, oracle_projector_12(outcome) @ psi).real)
             assert abs(p_oracle - 0.25) < 1e-12
-        probs = bell_outcome_probabilities(make_two_singlets(), 1, 2)
+        table = exact_branch_enumeration(make_two_singlets(), [BsmStep(1, 2)])
         for outcome in ORACLE_BELL:
-            assert abs(probs[outcome] - 0.25) < 1e-12
+            assert abs(table[(outcome,)] - 0.25) < 1e-12
 
     def test_swap_leaves_outer_pair_in_psi_minus(self):
         psi = oracle_two_singlets()
@@ -333,11 +310,9 @@ class TestBellStateMeasurement:
         assert abs(abs(np.vdot(expected, collapsed)) ** 2 - 1.0) < 1e-12
 
         # Library path: psi- is last in cumulative order, so a high draw hits it.
-        outcome, post = bell_state_measurement(make_two_singlets(), 1, 2, 0.99)
+        outcome, post = _collapse(make_two_singlets().amplitudes, BsmStep(1, 2), 0.99)
         assert outcome is BellOutcome.PSI_MINUS
-        lib_expected = product_of_pair_states(4, {(0, 3): singlet(), (1, 2): singlet()})
-        assert abs(fidelity(post, lib_expected) - 1.0) < 1e-12
-        assert np.allclose(lib_expected.amplitudes, expected, atol=1e-12)
+        assert abs(abs(np.vdot(expected, post)) ** 2 - 1.0) < 1e-12
 
     def test_collapse_matches_oracle_for_every_outcome(self):
         draws = {  # cumulative order phi+, phi-, psi+, psi- at 1/4 each
@@ -348,47 +323,39 @@ class TestBellStateMeasurement:
         }
         psi = oracle_two_singlets()
         for outcome, draw in draws.items():
-            got, post = bell_state_measurement(make_two_singlets(), 1, 2, draw)
+            got, post = _collapse(make_two_singlets().amplitudes, BsmStep(1, 2), draw)
             assert got is outcome
             expected = oracle_projector_12(outcome) @ psi
             expected /= np.linalg.norm(expected)
-            overlap = abs(np.vdot(expected, post.amplitudes)) ** 2
+            overlap = abs(np.vdot(expected, post)) ** 2
             assert abs(overlap - 1.0) < 1e-12
 
     def test_eigenstate_returns_certainty(self):
-        state = product_of_pair_states(
-            4, {(0, 1): bell_state(BellOutcome.PHI_PLUS), (2, 3): singlet()}
+        # phi+ on (0, 1), psi- on (2, 3).
+        state = StateVector(
+            4, np.kron(bell_state(BellOutcome.PHI_PLUS).amplitudes, singlet().amplitudes)
         )
-        probs = bell_outcome_probabilities(state, 0, 1)
-        assert abs(probs[BellOutcome.PHI_PLUS] - 1.0) < 1e-12
-        outcome, _ = bell_state_measurement(state, 0, 1, 0.5)
-        assert outcome is BellOutcome.PHI_PLUS
-
-    def test_index_collision(self):
-        with pytest.raises(ValueError):
-            bell_state_measurement(make_two_singlets(), 2, 2, 0.5)
-
-    def test_index_range(self):
-        with pytest.raises(ValueError):
-            bell_state_measurement(make_two_singlets(), 1, 4, 0.5)
+        step = BsmStep(0, 1)
+        assert abs(exact_branch_enumeration(state, [step])[(BellOutcome.PHI_PLUS,)] - 1.0) < 1e-12
+        code = sample_branches(state, [step], [[0.5]])[0, 0]
+        assert _branch_outcomes(step)[code] is BellOutcome.PHI_PLUS
 
     def test_partial_mode_conservation(self):
         for resolve in (True, False):
-            probs = bell_outcome_probabilities(
-                make_two_singlets(), 1, 2, partial=True, resolve_psi_plus=resolve
-            )
+            table = exact_branch_enumeration(make_two_singlets(), [BsmStep(1, 2, True, resolve)])
+            probs = {c: p for (c,), p in table.items()}
             assert abs(sum(probs.values()) - 1.0) < 1e-12
             assert BellOutcome.NO_HERALD in probs
             assert BellOutcome.PHI_PLUS not in probs
             assert (BellOutcome.PSI_PLUS in probs) == resolve
 
     def test_partial_no_herald_projects_onto_folded_subspace(self):
-        outcome, post = bell_state_measurement(
-            make_two_singlets(), 1, 2, 0.95, partial=True, resolve_psi_plus=True
-        )
+        step = BsmStep(1, 2, partial=True, resolve_psi_plus=True)
+        outcome, post = _collapse(make_two_singlets().amplitudes, step, 0.95)
         assert outcome is BellOutcome.NO_HERALD
         # Post state lives in the phi+ / phi- subspace of the pair.
-        folded = bell_outcome_probabilities(post, 1, 2)
+        table = exact_branch_enumeration(StateVector(4, post), [BsmStep(1, 2)])
+        folded = {c: p for (c,), p in table.items()}
         assert abs(folded[BellOutcome.PSI_MINUS]) < 1e-12
         assert abs(folded[BellOutcome.PSI_PLUS]) < 1e-12
         assert abs(folded[BellOutcome.PHI_PLUS] + folded[BellOutcome.PHI_MINUS] - 1.0) < 1e-12
@@ -396,10 +363,9 @@ class TestBellStateMeasurement:
     def test_partial_sampling_matches_probabilities(self):
         rng = np.random.default_rng(5)
         n = 20_000
-        counts = {o: 0 for o in (BellOutcome.PSI_PLUS, BellOutcome.PSI_MINUS, BellOutcome.NO_HERALD)}
-        for _ in range(n):
-            o, _ = bell_state_measurement(make_two_singlets(), 1, 2, rng.random(), partial=True)
-            counts[o] += 1
+        step = BsmStep(1, 2, partial=True)
+        codes = sample_branches(make_two_singlets(), [step], rng.random((n, 1)))[:, 0]
+        counts = dict(zip(_branch_outcomes(step), np.bincount(codes, minlength=3).tolist()))
         for o, expected in ((BellOutcome.PSI_MINUS, 0.25), (BellOutcome.NO_HERALD, 0.5)):
             se = math.sqrt(expected * (1 - expected) / n)
             assert abs(counts[o] / n - expected) < 5 * se
@@ -471,11 +437,11 @@ class TestExactBranchEnumeration:
         table = exact_branch_enumeration(make_two_singlets(), plan)
         rng = np.random.default_rng(11)
         n = 20_000
-        counts: dict = {}
-        for _ in range(n):
-            out_a, state = measure_spin(make_two_singlets(), SpinMeasurement(0, 0.6), rng.random())
-            out_c, _ = bell_state_measurement(state, 1, 2, rng.random())
-            counts[(out_a, out_c)] = counts.get((out_a, out_c), 0) + 1
+        codes = sample_branches(make_two_singlets(), plan, rng.random((n, 2)))
+        outcomes = [_branch_outcomes(step) for step in plan]
+        counts = collections.Counter(
+            tuple(outs[c] for outs, c in zip(outcomes, row)) for row in codes.tolist()
+        )
         for key, p in table.items():
             freq = counts.get(key, 0) / n
             se = math.sqrt(max(p * (1 - p), 1e-12) / n)
@@ -487,11 +453,18 @@ class TestExactBranchEnumeration:
             norm = np.vdot(state.amplitudes, state.amplitudes).real
             assert exact_branch_enumeration(state, []) == {(): float(norm)}
 
-    def test_plan_budget_enforced(self):
+    @pytest.mark.parametrize("state,step", [
+        pytest.param(singlet(), SpinMeasurement(2, 0.0), id="spin-past-2-qubits"),
+        pytest.param(make_two_singlets(), SpinMeasurement(4, 0.0), id="spin-past-4-qubits"),
+        pytest.param(make_two_singlets(), BsmStep(1, 1), id="bsm-1-1"),
+        pytest.param(make_two_singlets(), BsmStep(2, 2), id="bsm-2-2"),
+        pytest.param(make_two_singlets(), BsmStep(1, 4), id="bsm-past-4-qubits"),
+    ])
+    def test_plan_budget_enforced(self, state, step):
         with pytest.raises(ValueError):
-            exact_branch_enumeration(make_two_singlets(), [SpinMeasurement(4, 0.0)])
+            exact_branch_enumeration(state, [step])
         with pytest.raises(ValueError):
-            exact_branch_enumeration(make_two_singlets(), [BsmStep(1, 1)])
+            sample_branches(state, [step], [[0.5]])
 
 
 _RNG = np.random.default_rng(23)
@@ -604,14 +577,9 @@ def scalar_codes(initial: StateVector, plan, draws) -> np.ndarray:
     """Outcome codes from collapsing step by step with each row's draws."""
     out = np.empty(np.shape(draws), dtype=np.int8)
     for i, row in enumerate(draws):
-        state = initial
+        amps = initial.amplitudes
         for d, (step, draw) in enumerate(zip(plan, row)):
-            if isinstance(step, SpinMeasurement):
-                outcome, state = measure_spin(state, step, draw)
-            else:
-                outcome, state = bell_state_measurement(
-                    state, step.q_left, step.q_right, draw, step.partial, step.resolve_psi_plus
-                )
+            outcome, amps = _collapse(amps, step, draw)
             out[i, d] = _branch_outcomes(step).index(outcome)
     return out
 
@@ -619,7 +587,7 @@ def scalar_codes(initial: StateVector, plan, draws) -> np.ndarray:
 def slot_edges(state, step):
     """A step's draw-slot edges: the cumulative weights in outcome order,
     only the first for a spin."""
-    edges = list(itertools.accumulate(_one_state_weights(state.amplitudes, step)))
+    edges = list(itertools.accumulate(plan_branches(state.amplitudes, [step])[2][0].tolist()))
     return edges[:1] if isinstance(step, SpinMeasurement) else edges
 
 
@@ -670,7 +638,7 @@ class TestSampleBranches:
         plan = [SpinMeasurement(0, -math.pi)]
         assert np.array_equal(sample_branches(state, plan, [[0.0], [0.5]]), [[0], [0]])
         with pytest.raises(RuntimeError):
-            measure_spin(state, plan[0], 1.0 - 2.0**-53)
+            _collapse(state.amplitudes, plan[0], 1.0 - 2.0**-53)
         with pytest.raises(RuntimeError):
             sample_branches(state, plan, [[0.5], [1.0 - 2.0**-53]])
 

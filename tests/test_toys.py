@@ -76,6 +76,16 @@ class TestAcceptanceRule:
         with pytest.raises(ValueError):
             constant_rule(-0.1)
 
+    @pytest.mark.parametrize("value", ["x", None, True, np.True_, 0.5j])
+    def test_non_real_weight_rejected(self, value):
+        with pytest.raises(ValueError, match=r"w\(0,0,1,1\) must be a real number"):
+            constant_rule(value)
+
+    def test_non_finite_weight_names_the_cell(self):
+        # The first cell in CELLS order with a = 1 and A = -1.
+        with pytest.raises(ValueError, match=r"rule 'nan-cell': w\(1,0,-1,1\) must be finite"):
+            AcceptanceRule("nan-cell", lambda a, b, A, B: math.nan if a and A == -1 else 0.5)
+
     def test_default_rule_reproduces_singlet_distribution(self):
         rule = singlet_weight_rule()
         dist = oracle_accepted_distribution(rule)
@@ -108,6 +118,12 @@ class TestToyRuns:
     def test_n_zero_rejected(self):
         with pytest.raises(ValueError):
             run_toy_collider(0, 0)
+
+    @pytest.mark.parametrize("runner", [run_toy_collider, run_toy_source_variant])
+    @pytest.mark.parametrize("rule", ["x", "", 0, singlet_weight_rule().weight])
+    def test_rule_must_be_an_acceptance_rule(self, runner, rule):
+        with pytest.raises(ValueError, match="rule must be an AcceptanceRule"):
+            runner(10, 0, rule)
 
     def test_collider_has_no_lambda(self):
         columns = run_toy_collider(100, 2).columns
