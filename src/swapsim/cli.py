@@ -324,7 +324,7 @@ def cmd_geometry(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     fields = [] if args.boost is None else args.boost.split(",")
     if not all(v.strip() for v in fields):
         parser.error(f"bad --boost value {args.boost!r}: empty field")
-    # geometry.boosted_time checks |v| < 1; all orders come before any output.
+    # geometry.boosted_time_order checks |v| < 1; all orders come before any output.
     try:
         boosts = [0.0] + [v for v in map(float, fields) if v != 0.0]
         orders = [(v, geometry.boosted_time_order(preset, v)) for v in boosts]

@@ -65,6 +65,9 @@ class GeometryPreset:
     events: Mapping[EventLabel, SpacetimeEvent]
 
     def __post_init__(self) -> None:
+        for key, event in self.events.items():
+            if not (isinstance(event, SpacetimeEvent) and event.label is key):
+                raise ValueError(f"preset {self.name!r}: key {key!r} is not the label of {event!r}")
         missing = [lab.value for lab in EventLabel if lab not in self.events]
         if missing:
             raise ValueError(f"preset {self.name!r} is missing events: {missing}")
@@ -107,25 +110,28 @@ def classify_geometry(preset: GeometryPreset) -> GeometryClass:
     return GeometryClass.MIXED
 
 
-def boosted_time(event: SpacetimeEvent, v: float) -> float:
-    """t' = gamma * (t - v*x) for a frame moving at velocity v (|v| < 1)."""
+def _gamma(v: float) -> float:
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise ValueError(f"v must be a real number, got {v!r}")
     if not abs(v) < 1.0:
         raise ValueError(f"|v| must be < 1, got {v!r}")
-    gamma = 1.0 / math.sqrt(1.0 - v * v)
-    return gamma * (event.t - v * event.x)
+    return 1.0 / math.sqrt(1.0 - v * v)
+
+
+def boosted_time(event: SpacetimeEvent, v: float) -> float:
+    """t' = gamma * (t - v*x) for a frame moving at velocity v (|v| < 1)."""
+    return _gamma(v) * (event.t - v * event.x)
 
 
 def boosted_time_order(preset: GeometryPreset, v: float) -> list[EventLabel]:
-    """Event labels sorted by boosted time; ties broken by label order."""
-    times = {label: boosted_time(ev, v) for label, ev in preset.events.items()}
-    return sorted(times, key=lambda label: (times[label], _TIE_ORDER[label]))
+    """Labels by boosted time, as t/2 - v*x/2 (which cannot overflow), ties by label order."""
+    _gamma(v)  # checks v; gamma > 0 is common to every event
+    keys = {lab: (ev.t / 2 - v * ev.x / 2, _TIE_ORDER[lab]) for lab, ev in preset.events.items()}
+    return sorted(keys, key=keys.get)
 
 
 def _build(name: str, coords: Mapping[EventLabel, tuple[float, float]]) -> GeometryPreset:
-    events = {lab: SpacetimeEvent(lab, t, x) for lab, (t, x) in coords.items()}
-    return GeometryPreset(name, events)
+    return GeometryPreset(name, {lab: SpacetimeEvent(lab, t, x) for lab, (t, x) in coords.items()})
 
 
 def early_delft() -> GeometryPreset:

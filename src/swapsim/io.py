@@ -22,7 +22,6 @@ and written one chunk at a time.
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 import json
@@ -49,8 +48,8 @@ def outcome_token(outcome: BellOutcome | None) -> str:
 _SETTING_TOKENS = {0: "0", 1: "1"}
 _OUTCOME_TOKENS = {1: "1", -1: "-1"}
 _BOOL_TOKENS = {False: "false", True: "true"}
-# The token of each value a column may hold, used to write it and to read it
-# back; trial_id is written in decimal. c_outcome -1 means C was off.
+# The token the writers write for each value a column may hold; trial_id is
+# written in decimal. c_outcome -1 means C was off.
 _CSV_TOKENS = {
     "a": _SETTING_TOKENS,
     "b": _SETTING_TOKENS,
@@ -79,8 +78,7 @@ def _token_table(tokens: dict) -> tuple[int, np.ndarray, tuple[int, ...]]:
 
 _TOKEN_TABLES = {name: _token_table(tokens) for name, tokens in _CSV_TOKENS.items()}
 
-# Rows formatted at a time by the CSV and JSON writers and decoded at a time
-# by the CSV reader; bounds their memory whatever the trial count.
+# Rows the CSV and JSON writers format at a time, whatever the trial count.
 CHUNK_ROWS = 4096
 _ID_DIGITS = 18  # a trial_id is an integer in [0, 10**18)
 
@@ -89,8 +87,8 @@ def _check_tokens(trials: Trials, names) -> None:
     """Raise ValueError if the table lacks a named column (only the collider
     toy's lambda pair may be absent, and only as a pair), a named column
     holds a value its token table lacks, or trial_id one outside the
-    integers in [0, 10**18) that read_ensemble_csv reads back; the writers
-    call this before they open their file."""
+    integers in [0, 10**18) that _decimals writes (it casts ids to int64);
+    the writers call this before they open their file."""
     missing = [name for name in names if name not in trials.columns]
     if missing and missing != ["lambda_A", "lambda_B"]:
         raise ValueError(f"table lacks column(s) {', '.join(missing)}")
@@ -228,105 +226,6 @@ def write_toy_csv(path: str | Path, trials: Trials) -> None:
 
 def write_rps_csv(path: str | Path, trials: Trials) -> None:
     _write_csv(path, RPS_HEADER, trials)
-
-
-def _reject_rows(path, first_line: int, bad: np.ndarray, message: str) -> None:
-    if bad.any():
-        raise ValueError(f"{path}, line {first_line + int(np.argmax(bad))}: {message}")
-
-
-# A token field is read as one uint64 key: its first 7 bytes, little-endian,
-# with its length (8 for any longer field) in the top byte.
-_KEY_MASKS = np.array([(1 << 8 * min(n, 7)) - 1 for n in range(9)], dtype=np.uint64)
-
-
-def _field_keys(text: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The key of each field of ``text`` given by its start and length."""
-    # The 8 bytes at every offset of the text as one unaligned uint64.
-    words = np.ndarray((len(text),), dtype="<u8", buffer=text + bytes(8), strides=(1,))
-    n = np.minimum(lengths, 8)
-    return (words[starts] & _KEY_MASKS[n]) | (n.astype(np.uint64) << np.uint64(56))
-
-
-def _decoder(name: str) -> tuple[np.ndarray, np.ndarray]:
-    """(the keys of a column's tokens in sorted order, the value each reads as)."""
-    pairs = sorted(
-        (int(_field_keys(token.encode("ascii"), np.array(0), np.array(len(token)))), value)
-        for value, token in _CSV_TOKENS[name].items()
-    )
-    dtype = bool if name == "heralded" else np.int8
-    return (np.array([k for k, _ in pairs], dtype=np.uint64),
-            np.array([v for _, v in pairs], dtype=dtype))
-
-
-_DECODERS = {name: _decoder(name) for name in ENSEMBLE_HEADER[1:]}
-_SEPARATOR, _NEWLINE = ord(","), ord("\n")
-
-
-def _decode_rows(path, first_line: int, lines: list, last_id: int) -> dict[str, np.ndarray]:
-    """Columns of the ensemble CSV lines (bytes) that start at line
-    ``first_line``; ``last_id`` is the trial_id of the row before them, -1
-    for none. The chunk's text is split on its commas and line ends at once:
-    each row must hold exactly len(ENSEMBLE_HEADER) - 1 commas."""
-    text = b"".join(lines).replace(b"\r\n", b"\n")
-    if text and not text.endswith(b"\n"):
-        text += b"\n"  # the file's last line
-    buf = np.frombuffer(text, dtype=np.uint8)
-    ends = np.flatnonzero((buf == _SEPARATOR) | (buf == _NEWLINE))
-    line_end = buf[ends] == _NEWLINE
-    width = np.bincount(np.cumsum(line_end) - line_end, minlength=len(lines))
-    _reject_rows(path, first_line, width != len(ENSEMBLE_HEADER),
-                 f"expected {len(ENSEMBLE_HEADER)} fields")
-    starts = np.concatenate(([0], ends + 1))[:-1].reshape(len(lines), len(ENSEMBLE_HEADER))
-    ends = ends.reshape(starts.shape)
-    lengths = ends - starts
-    # trial_id: the chunk's longest id's width of bytes, right-aligned; a
-    # byte outside 0-9 wraps above 9.
-    id_lengths = lengths[:, 0]
-    k = np.arange(min(id_lengths.max(initial=0), _ID_DIGITS))
-    inside = k >= len(k) - id_lengths[:, None]
-    digits = buf[np.maximum(ends[:, :1] - len(k) + k, 0)] - np.uint8(ord("0"))
-    not_digit = (inside & (digits > 9)).any(axis=1)
-    _reject_rows(path, first_line, (id_lengths == 0) | (id_lengths > _ID_DIGITS) | not_digit,
-                 f"trial_id is not an integer in [0, 10**{_ID_DIGITS})")
-    ids = np.zeros(len(lines), dtype=np.int64)
-    for column, digit in zip(inside.T, digits.T):
-        ids = 10 * ids + np.where(column, digit, 0)
-    _reject_rows(path, first_line, ids <= np.r_[last_id, ids[:-1]],
-                 "trial_id not above the previous row's")
-    columns = {"trial_id": ids}
-    keys = _field_keys(text, starts[:, 1:], lengths[:, 1:])
-    for name, key in zip(ENSEMBLE_HEADER[1:], keys.T):
-        # One binary search of the column's few token keys per field, no sort.
-        tokens, values = _DECODERS[name]
-        at = np.searchsorted(tokens, key).clip(max=len(tokens) - 1)
-        _reject_rows(path, first_line, tokens[at] != key,
-                     f"{name} is none of {list(_CSV_TOKENS[name].values())}")
-        columns[name] = values[at]
-    return columns
-
-
-def read_ensemble_csv(path: str | Path) -> Trials:
-    """Read an ensemble CSV back into a table, CHUNK_ROWS rows at a time. A
-    row with the wrong field count, a token outside its column's table (such
-    as a setting outside {0, 1} or an outcome outside {+1, -1}), or a
-    trial_id not above the previous row's raises ValueError naming its line.
-    Fields are read as the writers write them: unquoted ASCII, lines ending
-    in \\n (or \\r\\n)."""
-    chunks = []
-    last_id = -1
-    with open(path, "rb") as fh:
-        line = fh.readline().decode("utf-8")
-        header = next(csv.reader([line]), None) if line else None
-        if header != ENSEMBLE_HEADER:
-            raise ValueError(f"unexpected ensemble CSV header: {header}")
-        while True:
-            lines = list(itertools.islice(fh, CHUNK_ROWS))
-            chunks.append(_decode_rows(path, 2 + CHUNK_ROWS * len(chunks), lines, last_id))
-            if len(lines) < CHUNK_ROWS:
-                break
-            last_id = int(chunks[-1]["trial_id"][-1])
-    return Trials({name: np.concatenate([c[name] for c in chunks]) for name in ENSEMBLE_HEADER})
 
 
 # A mirror record holds the ensemble CSV's tokens, c_outcome's quoted, under

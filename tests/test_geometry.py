@@ -12,6 +12,7 @@ from swapsim.geometry import (
     CausalRelation,
     EventLabel,
     GeometryClass,
+    GeometryPreset,
     SpacetimeEvent,
     boosted_time,
     boosted_time_order,
@@ -124,6 +125,25 @@ class TestPresets:
         with pytest.raises(ValueError):
             custom_preset({L.A: (0.0, 0.0)})
 
+    def test_event_under_another_label_rejected(self):
+        # event(A) returned B's event.
+        events = {**early_delft().events, L.A: early_delft().event(L.B)}
+        message = r"key <EventLabel.A: 'A'> is not the label of SpacetimeEvent\(label=<EventLabel.B"
+        with pytest.raises(ValueError, match=message):
+            GeometryPreset("Swapped", events)
+
+    def test_key_not_a_label_rejected(self):
+        # Raised KeyError only later, in boosted_time_order.
+        events = {**early_delft().events, "junk": ev(0.0, 0.0)}
+        with pytest.raises(ValueError, match="key 'junk' is not the label of"):
+            GeometryPreset("Junk", events)
+
+    def test_tuple_event_rejected(self):
+        # Raised AttributeError only later, in classify.
+        events = {**early_delft().events, L.C: (0.0, 0.0)}
+        with pytest.raises(ValueError, match=r"'C'> is not the label of \(0.0, 0.0\)"):
+            GeometryPreset("Tuple", events)
+
 
 class TestBoostedOrder:
     def test_v0_orders_by_raw_t(self):
@@ -193,6 +213,19 @@ class TestBoostedOrder:
                 for v in sweep
             )
             assert before and after
+
+    def test_overflowing_coordinates_keep_their_order(self):
+        # gamma * (t - v*x) overflows to inf for A and C (and -inf for
+        # SourceRight), which tied them and fell back to label order: B, A, C.
+        preset = custom_preset({
+            L.A: (1.5e308, -1e308),
+            L.B: (1.6e308, 1e308),
+            L.C: (1.7e308, 0.0),
+            L.SOURCE_LEFT: (-1e308, -1e308),
+            L.SOURCE_RIGHT: (-1e308, 1e308),
+        })
+        assert math.isinf(boosted_time(preset.event(L.A), 0.9))
+        assert boosted_time_order(preset, 0.9) == [L.SOURCE_RIGHT, L.SOURCE_LEFT, L.B, L.C, L.A]
 
     def test_superluminal_rejected(self):
         with pytest.raises(ValueError):

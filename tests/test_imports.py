@@ -1,9 +1,13 @@
-"""Every name a swapsim module imports is used in that module.
+"""Every name a swapsim module imports is used in that module, and every
+private name it defines is read somewhere.
 
-No linter runs on this tree, so this is its unused-import check, on the
-stdlib ``ast``: each name an import binds must be read as a name somewhere
-in the module. ``__init__.py`` only re-exports, and an import line marked
-``# noqa: F401`` holds names that bench/tracer.py wraps, so both are exempt.
+No linter runs on this tree, so these are its unused-import and dead-code
+checks, on the stdlib ``ast``. Each name an import binds must be read as a
+name somewhere in the module. ``__init__.py`` only re-exports, and an import
+line marked ``# noqa: F401`` holds names that bench/tracer.py wraps, so both
+are exempt. Each ``_name`` a module defines at its top level must be read in
+``src/swapsim`` (as a name, an attribute or an imported name) or named in
+bench/tracer.py, which wraps some private code by name.
 """
 
 import ast
@@ -15,6 +19,7 @@ import swapsim
 
 SRC = Path(swapsim.__file__).parent
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+TRACER = SRC.parents[1] / "bench" / "tracer.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -48,3 +53,64 @@ def test_check_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_has_no_unused_import(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def private_definitions(source: str) -> set[str]:
+    """The ``_name``s that ``source`` binds at its top level by def, class or
+    assignment (dunder names aside)."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def names_read(source: str, strings: bool = False) -> set[str]:
+    """Every name ``source`` reads as a name, an attribute or an imported
+    name, and with ``strings`` every string constant (bench/tracer.py looks
+    some attributes up by name)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def dead_private_names(sources: dict[str, str], tracer: str) -> list[str]:
+    """``module.name`` for each private top-level name of ``sources`` (module
+    name to source) that no source reads and ``tracer`` does not name."""
+    read = set().union(*map(names_read, sources.values())) | names_read(tracer, strings=True)
+    return sorted(f"{module}.{name}" for module, source in sources.items()
+                  for name in private_definitions(source) - read)
+
+
+def test_check_finds_dead_private_code():
+    sources = {
+        "io": (
+            "_USED, (_LEFT, _RIGHT) = 1, (2, 3)\n"
+            "_ONLY_A_STRING: int = 4\n"
+            "def _helper():\n"
+            "    return _USED + _RIGHT\n"
+            "class _Wrapped:\n"
+            "    pass\n"
+            "def public():\n"
+            "    return _helper(), '_ONLY_A_STRING'\n"
+        ),
+        "engine": "from .io import _LEFT\n",
+    }
+    tracer = "from swapsim import io\nWRAPPED = [(io, '_Wrapped')]\n"
+    assert dead_private_names(sources, tracer) == ["io._ONLY_A_STRING"]
+
+
+def test_no_dead_private_code():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert dead_private_names(sources, TRACER.read_text()) == []

@@ -837,6 +837,23 @@ def test_exact_outputs_match_closed_form_property(geometry, partial, c_enabled, 
     assert abs(analysis.exact_chsh(cfg).S - s) <= 1e-13
 
 
+@pytest.mark.parametrize("geometry,partial",
+                         sorted({(g, partial) for g, partial, _c in EXACT_LAYOUTS}))
+@settings(max_examples=50, deadline=None, database=None)
+@given(angles=st.tuples(*[closed_form_angles] * 4))
+def test_singlet_weight_rule_is_twice_the_psi_minus_herald_property(geometry, partial, angles):
+    """The collider toy's acceptance rule is the quantum herald's dependence
+    on settings and outcomes: in every layout, with a full or partial BSM,
+    2 P(psi- | a, b, A, B) is singlet_weight_rule's weight in each of the 16
+    cells, within the closed-form test's fragility bound."""
+    cfg = ExperimentConfig(geometry=geometry, bsm_partial=partial, herald="psi-minus",
+                           angles_a=angles[:2], angles_b=angles[2:])
+    cells = analysis.fragility(cfg).cells
+    weights = toys.singlet_weight_rule(angles[:2], angles[2:]).table()
+    assert cells.keys() == weights.keys() and len(weights) == 16
+    assert max(abs(2.0 * cells[cell] - weights[cell]) for cell in weights) <= 1e-14
+
+
 @pytest.mark.parametrize("geometry,partial,c_enabled", EXACT_LAYOUTS)
 @settings(max_examples=15, deadline=None, database=None)
 @given(angles=st.tuples(*[closed_form_angles] * 4), same=st.booleans(),
