@@ -12,12 +12,19 @@ flag's parser and choices), then the SWAPSIM_SEED environment variable (seed
 only), then the built-in default. A config-file key that names no option of
 the subcommand is a usage error, and so are a seed outside [0, 2**64), a
 trial count below 1 and a missing or empty --out for simulate, toy and rps.
-Exit codes: 0 success, 2 usage error, 3 I/O failure.
+Exit codes: 0 success, 2 usage error, 3 I/O failure (an output that cannot be
+written, or a --config file that is missing or cannot be read).
+
+``main`` builds only the invoked subcommand's parser; an argv that does not
+start with a subcommand's name gets them all (see ``build_parser``). In a
+``geometry`` order line whose boosted times overflow, the events' order keys
+t/2 - v*x/2 are printed in their place.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -340,11 +347,15 @@ def cmd_geometry(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
             rel = geometry.classify(preset.event(first), preset.event(second))
             print(f"  {first.value} -> {second.value}: {rel.value}")
     for v, order in orders:
-        times = ", ".join(
-            f"{label.value}={geometry.boosted_time(preset.event(label), v):.6g}"
-            for label in order
-        )
-        print(f"order at v={v:g}: {' < '.join(label.value for label in order)}  ({times})")
+        events = [preset.event(label) for label in order]
+        times = [geometry.boosted_time(event, v) for event in events]
+        shown = ""
+        if not all(map(math.isfinite, times)):
+            # A boosted time overflowed; the order keys cannot.
+            times = [event.t / 2 - v * event.x / 2 for event in events]
+            shown = "keys t/2 - v*x/2: "
+        shown += ", ".join(f"{label.value}={t:.6g}" for label, t in zip(order, times))
+        print(f"order at v={v:g}: {' < '.join(label.value for label in order)}  ({shown})")
     return 0
 
 
@@ -387,14 +398,26 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The top-level parser with every subcommand, or with only ``command``'s.
+
+    A parser built for one command prints the same usage line, because the
+    subcommand positional keeps the full ``{simulate,...}`` metavar; the
+    messages that name the positional itself (a missing or unknown command)
+    come only from argvs without a known command, which take the full build.
+    """
     parser = argparse.ArgumentParser(
         prog="swapsim",
         description="Entanglement-swapping Bell test simulator and causal diagnostics.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_line, func, names) in COMMANDS.items():
-        p = sub.add_parser(command, help=help_line)
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}",
+    )
+    chosen = COMMANDS if command is None else {command: COMMANDS[command]}
+    for cmd, (help_line, func, names) in chosen.items():
+        p = sub.add_parser(cmd, help=help_line)
         for name in names:
             option = OPTIONS[name]
             if name == "exact":
@@ -408,10 +431,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
-    resolve_options(args, parser)
     try:
+        resolve_options(args, parser)
         return args.func(args, parser)
     except OSError as exc:
         print(f"swapsim: I/O error: {exc}", file=sys.stderr)

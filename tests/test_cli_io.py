@@ -319,6 +319,17 @@ class TestCliSimulate:
         )
         assert rc == 3
 
+    @pytest.mark.parametrize("config", ["missing.cfg", "."], ids=["missing", "directory"])
+    def test_unreadable_config_file_is_io_failure(self, tmp_path, monkeypatch, capsys, config):
+        # Raised FileNotFoundError / IsADirectoryError out of main.
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["simulate", "--config", config, "--out", "run"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("swapsim: I/O error: ")
+        assert repr(config) in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     def test_env_seed_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SWAPSIM_SEED", "424242")
         out = tmp_path / "run3"
@@ -545,6 +556,21 @@ class TestCliGeometryTeleport:
         cli.main(["geometry", "--preset", "delayed", "--boost", "0.9"])
         boosted = capsys.readouterr().out.splitlines()[-1]
         assert boosted.split("(")[0].rstrip().endswith("C")
+
+    def test_geometry_overflowing_times_print_order_keys(self, capsys):
+        # Printed "SourceRight=-inf, ..., C=inf, A=inf", which cannot order C before A.
+        coords = ("A=1.5e308,-1e308;B=1.6e308,1e308;C=1.7e308,0;"
+                  "SourceLeft=-1e308,-1e308;SourceRight=-1e308,1e308")
+        assert cli.main(["geometry", "--coords", coords, "--boost", "0.9"]) == 0
+        rest, boosted = capsys.readouterr().out.splitlines()[-2:]
+        assert rest == (
+            "order at v=0: SourceLeft < SourceRight < A < B < C  (SourceLeft=-1e+308,"
+            " SourceRight=-1e+308, A=1.5e+308, B=1.6e+308, C=1.7e+308)"
+        )
+        assert boosted == (
+            "order at v=0.9: SourceRight < SourceLeft < B < C < A  (keys t/2 - v*x/2:"
+            " SourceRight=-9.5e+307, SourceLeft=-5e+306, B=3.5e+307, C=8.5e+307, A=1.2e+308)"
+        )
 
     def test_geometry_bad_boost(self):
         with pytest.raises(SystemExit) as exc:

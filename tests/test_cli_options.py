@@ -68,6 +68,14 @@ def test_each_subcommand_accepts_its_option_strings():
         assert {s for a in sub._actions for s in a.option_strings} == OPTION_STRINGS[name]
 
 
+@pytest.mark.parametrize("command", sorted(OPTION_STRINGS))
+def test_one_command_build_registers_only_that_command(command):
+    commands = subparsers(cli.build_parser(command))
+    assert list(commands) == [command]
+    assert {s for a in commands[command]._actions for s in a.option_strings} == (
+        OPTION_STRINGS[command])
+
+
 @pytest.mark.parametrize("command", sorted(RESOLVED_DEFAULTS))
 def test_no_flags_resolve_to_builtin_defaults(monkeypatch, command):
     monkeypatch.delenv("SWAPSIM_SEED", raising=False)
@@ -158,3 +166,62 @@ def test_geometry_boost_outside_light_cone_prints_nothing(capsys, boost):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"--boost value {boost!r}" in captured.err and "|v| must be < 1" in captured.err
+
+
+def outcome(capsys, call):
+    """Exit code, stdout and stderr of ``call()``."""
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def full_build(argv):
+    parser = cli.build_parser()
+    cli.resolve_options(parser.parse_args(argv), parser)
+
+
+# Every argv ends in --help or a usage error before any output is written.
+PINNED_ARGVS = [
+    *([c, "--help"] for c in cli.COMMANDS),
+    ["simulate", "--geometry", "nowhere", "--out", "o"],
+    ["toy", "--trials", "x", "--out", "o"],
+    ["toy", "--trials", "0", "--out", "o"],
+    ["rps", "--seed", "-1", "--out", "o"],
+    ["simulate", "--config", "bogus.cfg", "--out", "o"],
+    ["simulate", "--trials", "10"],
+    [],
+    ["bogus"],
+    ["-h"],
+    ["-h", "simulate"],
+]
+
+
+@pytest.mark.parametrize("argv", PINNED_ARGVS, ids=lambda argv: " ".join(argv) or "none")
+def test_main_prints_what_the_full_parser_prints(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SWAPSIM_SEED", raising=False)
+    (tmp_path / "bogus.cfg").write_text("bogus = 1\n")
+    expected = outcome(capsys, lambda: full_build(list(argv)))
+    assert expected[0] in (0, 2)
+    assert outcome(capsys, lambda: cli.main(list(argv))) == expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bogus.cfg"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([], "error: the following arguments are required: command\n"),
+    (["bogus"], "error: argument command: invalid choice: 'bogus' (choose from "),
+])
+def test_no_known_command_names_the_positional(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["swapsim", "geometry", "--preset", "early"])
+    assert cli.main() == 0
+    assert "classification: ED" in capsys.readouterr().out
