@@ -54,6 +54,11 @@ TSIRELSON = 2.0 * math.sqrt(2.0)
 DEFAULT_ALPHA = 1e-3
 DEFAULT_MIN_CELL = 50
 
+# Exact-diagnostic tolerances: a no-difference below _NDA_TOL is none, and a
+# fragility cell of mass at most _FRAGILITY_TOL has no herald probability.
+_NDA_TOL = 1e-12
+_FRAGILITY_TOL = 1e-15
+
 # float(scipy.special.chdtri(d, DEFAULT_ALPHA)) for d = 1..32, as scipy
 # 1.17.1 computes them: the chi-squared thresholds of every G-test at the
 # default alpha, so those tests import no scipy and their reports' bytes do
@@ -146,13 +151,9 @@ def correlators(data: Trials) -> CorrelatorTable:
 class CHSHResult:
     S: float
     stderr: float
-    combination: str = CHSH_COMBINATION
-
-    def exceeds_quantum_bound(self, n_sigma: float = 5.0) -> bool:
-        return abs(self.S) > TSIRELSON + n_sigma * self.stderr
 
     def as_json(self) -> dict:
-        return {"S": self.S, "stderr": self.stderr, "combination": self.combination}
+        return {"S": self.S, "stderr": self.stderr, "combination": CHSH_COMBINATION}
 
 
 def chsh(table: CorrelatorTable) -> CHSHResult:
@@ -208,8 +209,8 @@ class CITestResult:
     divergence: float
     threshold: float
     verdict: Verdict
-    dof: int = 0
-    n: int = 0
+    dof: int
+    n: int
 
     def as_json(self) -> dict:
         return {
@@ -324,16 +325,12 @@ def test_conditional_independence(
     return CITestResult(hypothesis, g_stat, threshold, verdict, dof, n_total)
 
 
-def no_signaling_tests(data, *, suffix: str = "") -> list[CITestResult]:
+def no_signaling_tests(data) -> list[CITestResult]:
     """Marginal setting-independence of each wing's outcome: P(A|a,b)=P(A|a)
     and the mirror."""
     return [
-        test_conditional_independence(
-            data, "A", ("a",), ("b",), hypothesis=f"no-signaling-A{suffix}"
-        ),
-        test_conditional_independence(
-            data, "B", ("b",), ("a",), hypothesis=f"no-signaling-B{suffix}"
-        ),
+        test_conditional_independence(data, "A", ("a",), ("b",), hypothesis="no-signaling-A"),
+        test_conditional_independence(data, "B", ("b",), ("a",), hypothesis="no-signaling-B"),
     ]
 
 
@@ -371,23 +368,21 @@ class NdaReport:
         return {"max_abs_diff": self.max_abs_diff, "verdict": self.verdict.value}
 
 
-def no_difference_check(config: ExperimentConfig, tol: float = 1e-12) -> NdaReport:
+def no_difference_check(config: ExperimentConfig) -> NdaReport:
     """Compare exact P(a,b,A,B) with the central measurement present
     (marginalized over its outcome) and absent: the config's table and its
     layout's with C flipped, in either order, as abs(p - q) is symmetric.
-    A difference below ``tol``, a finite number >= 0, is none."""
-    if _real_field(tol, "tol") < 0.0:
-        raise ValueError(f"tol must be >= 0, got {tol!r}")
+    A difference below ``_NDA_TOL`` is none."""
     flipped, _kept = _exact_rows(config, not config.c_enabled)
-    return _no_difference(exact_leaf_rows(config), flipped, tol)
+    return _no_difference(exact_leaf_rows(config), flipped)
 
 
-def _no_difference(rows, other_rows, tol: float = 1e-12) -> NdaReport:
+def _no_difference(rows, other_rows) -> NdaReport:
     """The no-difference check of the exact leaf rows of one config with C
     on and with C off, in either order."""
     marginals = [_cell_sums(cell, prob) for cell, _c_outcome, prob in (rows, other_rows)]
     diff = max([abs(p - q) for p, q in zip(*marginals)])
-    verdict = NdaVerdict.NO_DIFFERENCE if diff < tol else NdaVerdict.DIFFERENCE
+    verdict = NdaVerdict.NO_DIFFERENCE if diff < _NDA_TOL else NdaVerdict.DIFFERENCE
     return NdaReport(diff, verdict)
 
 
@@ -413,22 +408,20 @@ class FragilityReport:
         }
 
 
-def fragility(config: ExperimentConfig, tol: float = 1e-15) -> FragilityReport:
-    """A C-on config's fragility; a cell of mass at most ``tol`` (>= 0) is None."""
-    if _real_field(tol, "tol") < 0.0:
-        raise ValueError(f"tol must be >= 0, got {tol!r}")
+def fragility(config: ExperimentConfig) -> FragilityReport:
+    """A C-on config's fragility; a cell of mass at most ``_FRAGILITY_TOL`` is None."""
     if not config.c_enabled:
         raise ValueError("fragility requires the central measurement to be enabled")
-    return _fragility(*_exact_rows(config, True), tol)
+    return _fragility(*_exact_rows(config, True))
 
 
-def _fragility(rows, kept: tuple, tol: float = 1e-15) -> FragilityReport:
+def _fragility(rows, kept: tuple) -> FragilityReport:
     """The fragility of a C-on config's exact leaf rows and herald selection."""
     cell, _c_outcome, prob = rows
     mass = _cell_sums(cell, prob)
     hit = _cell_sums(kept[1], prob[kept[0]])
-    # P(herald | cell), None where the cell's mass is at most tol.
-    p = [h / m if m > tol else None for h, m in zip(hit, mass)]
+    # P(herald | cell), None where the cell's mass is at most _FRAGILITY_TOL.
+    p = [h / m if m > _FRAGILITY_TOL else None for h, m in zip(hit, mass)]
     # Each cell with b = 0 against its partner with b = 1 (cell + 4), then
     # each with a = 0 against a = 1 (cell + 8); abs(q - r) is abs(r - q).
     pairs = zip(p[:4] + p[8:12] + p[:8], p[4:8] + p[12:] + p[8:])

@@ -148,9 +148,6 @@ class ExperimentConfig:
             object.__setattr__(self, name, check_angle_pair(getattr(self, name), name))
         _herald_outcomes(self.herald)
 
-    def herald_set(self) -> frozenset[BellOutcome]:
-        return HERALD_PREDICATES[self.herald]
-
 
 def _herald_outcomes(name: str) -> frozenset[BellOutcome]:
     if not isinstance(name, str) or name not in HERALD_PREDICATES:
@@ -190,7 +187,7 @@ HERALD_MASKS = {name: _herald_mask(outcomes) for name, outcomes in HERALD_PREDIC
 @dataclass(frozen=True, eq=False)
 class Trials:
     """Trials of one run as equal-length, read-only numpy columns, named like
-    the CSV headers; rows are in strictly increasing trial_id order.
+    the CSV headers; rows are in strictly increasing integer trial_id order.
 
     An ensemble from run_trials holds trial_id, a, b (settings 0/1), A, B
     (outcomes +1/-1), c_outcome (an index into OUTCOMES, -1 with C off) and
@@ -205,6 +202,8 @@ class Trials:
         if "trial_id" not in columns:
             raise ValueError(f"table lacks column trial_id, has {list(columns)}")
         ids = columns["trial_id"]
+        if ids.dtype.kind not in "iu":
+            raise ValueError(f"trial_id must hold integers, got dtype {ids.dtype}")
         for name, column in columns.items():
             column.flags.writeable = False
             if column.shape != (len(ids),):
@@ -412,8 +411,6 @@ def post_select(
     return ensemble.select(np.isin(ensemble["c_outcome"], _outcome_codes(accept)))
 
 
-JointKey = tuple  # (a, b, A, B, c_outcome | None)
-
 # The (a, b, A, B) cells of an exact table: row cell 8a + 4b + 2[A=-1] + [B=-1].
 CELLS = tuple(itertools.product((0, 1), (0, 1), (1, -1), (1, -1)))
 # The a, b, A and B columns of CELLS, int8 as a trial's are.
@@ -508,7 +505,7 @@ def _exact_rows(config: ExperimentConfig, c_enabled: bool) -> tuple[tuple, tuple
     return (layout.cell, layout.c_outcome, 0.25 * probs), layout.heralds[config.herald]
 
 
-def exact_experiment_distribution(config: ExperimentConfig) -> dict[JointKey, float]:
+def exact_experiment_distribution(config: ExperimentConfig) -> dict[tuple, float]:
     """Exact joint table P(a, b, A, B, c_outcome) with settings weighted 1/4:
     ``exact_leaf_rows`` as a dict in row order, c_outcome a BellOutcome or
     None with C off. Entries (including zero-probability ones) sum to 1."""

@@ -134,62 +134,42 @@ def _build(name: str, coords: Mapping[EventLabel, tuple[float, float]]) -> Geome
     return GeometryPreset(name, {lab: SpacetimeEvent(lab, t, x) for lab, (t, x) in coords.items()})
 
 
-def early_delft() -> GeometryPreset:
-    return _build(
-        "EarlyDelft",
-        {
-            EventLabel.C: (0.0, 0.0),
-            EventLabel.SOURCE_LEFT: (0.5, -0.5),
-            EventLabel.SOURCE_RIGHT: (0.5, 0.5),
-            EventLabel.A: (2.0, -1.0),
-            EventLabel.B: (2.0, 1.0),
-        },
-    )
-
-
-def delayed_delft() -> GeometryPreset:
-    return _build(
-        "DelayedDelft",
-        {
-            EventLabel.SOURCE_LEFT: (0.0, -1.0),
-            EventLabel.SOURCE_RIGHT: (0.0, 1.0),
-            EventLabel.A: (1.0, -1.0),
-            EventLabel.B: (1.0, 1.0),
-            EventLabel.C: (3.0, 0.0),
-        },
-    )
-
-
-def spacelike_delft() -> GeometryPreset:
-    return _build(
-        "SpacelikeDelft",
-        {
-            EventLabel.SOURCE_LEFT: (0.0, -1.0),
-            EventLabel.SOURCE_RIGHT: (0.0, 1.0),
-            EventLabel.A: (1.5, -1.5),
-            EventLabel.B: (1.5, 1.5),
-            EventLabel.C: (1.5, 0.0),
-        },
-    )
-
-
 def custom_preset(coords: Mapping[EventLabel, tuple[float, float]]) -> GeometryPreset:
     return _build("Custom", coords)
 
 
-PRESET_BUILDERS = {
-    "early": early_delft,
-    "delayed": delayed_delft,
-    "spacelike": spacelike_delft,
+# The built-in layouts by preset name: each one's name and its events' (t, x).
+_PRESETS = {
+    "early": ("EarlyDelft", {
+        EventLabel.C: (0.0, 0.0),
+        EventLabel.SOURCE_LEFT: (0.5, -0.5),
+        EventLabel.SOURCE_RIGHT: (0.5, 0.5),
+        EventLabel.A: (2.0, -1.0),
+        EventLabel.B: (2.0, 1.0),
+    }),
+    "delayed": ("DelayedDelft", {
+        EventLabel.SOURCE_LEFT: (0.0, -1.0),
+        EventLabel.SOURCE_RIGHT: (0.0, 1.0),
+        EventLabel.A: (1.0, -1.0),
+        EventLabel.B: (1.0, 1.0),
+        EventLabel.C: (3.0, 0.0),
+    }),
+    "spacelike": ("SpacelikeDelft", {
+        EventLabel.SOURCE_LEFT: (0.0, -1.0),
+        EventLabel.SOURCE_RIGHT: (0.0, 1.0),
+        EventLabel.A: (1.5, -1.5),
+        EventLabel.B: (1.5, 1.5),
+        EventLabel.C: (1.5, 0.0),
+    }),
 }
 
 
 def preset_by_name(name: str) -> GeometryPreset:
     try:
-        return PRESET_BUILDERS[name]()
+        return _build(*_PRESETS[name])
     except KeyError:
         raise ValueError(
-            f"unknown geometry {name!r}; expected one of {sorted(PRESET_BUILDERS)}"
+            f"unknown geometry {name!r}; expected one of {sorted(_PRESETS)}"
         ) from None
 
 

@@ -95,7 +95,7 @@ def _check_tokens(trials: Trials, names) -> None:
     if not len(trials):
         return
     ids = trials["trial_id"]
-    if ids.dtype.kind not in "iu" or ids[0] < 0 or ids[-1] >= 10**_ID_DIGITS:
+    if ids[0] < 0 or ids[-1] >= 10**_ID_DIGITS:  # Trials holds integer ids only
         raise ValueError(f"trial_id holds a value outside the integers in [0, 10**{_ID_DIGITS})")
     for name in names:
         if name in _TOKEN_TABLES and name in trials.columns:

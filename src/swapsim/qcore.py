@@ -21,11 +21,12 @@ returns every term's product and a trailing +0, and a post map gathers any
 post from them, +0 where no product lands. The walk lays no post out but
 composes each depth's gathers through the previous depth's post map, so a
 depth is a gather and ``_products``; only a partial BSM's posts are laid
-out, and ``_fold`` alone merges its unresolved Bell states into NO_HERALD,
-for posts and weights alike. ``_bind_walk`` binds the tables to a start
-state and runs once all that reads no angle: the first gather of amplitudes
-and any leading BSM depth; each engine layout binds its walk once, at
-import (``engine.exact_leaf_rows``). A call's values come from one vector,
+out. A partial BSM has one form: it resolves psi+ and psi-, and ``_fold``
+alone merges phi+ and phi- into NO_HERALD, for posts and weights alike.
+``_bind_walk`` binds the tables to a start state and runs once all that
+reads no angle: the first gather of amplitudes and any leading BSM depth;
+each engine layout binds its walk once, at import
+(``engine.exact_leaf_rows``). A call's values come from one vector,
 the Bell values and each distinct angle's spin components once, through an
 index composed with the plans' angle picks.
 Every squared norm (a state's norm check, the sampler's branch weights, an
@@ -154,13 +155,11 @@ class BsmStep:
     q_left: int
     q_right: int
     partial: bool = False
-    resolve_psi_plus: bool = True
 
     def __post_init__(self) -> None:
         for name in ("q_left", "q_right"):
             object.__setattr__(self, name, _int_field(getattr(self, name), name))
-        for name in ("partial", "resolve_psi_plus"):
-            object.__setattr__(self, name, _bool_field(getattr(self, name), name))
+        object.__setattr__(self, "partial", _bool_field(self.partial, "partial"))
 
 
 PlanStep = Union[SpinMeasurement, BsmStep]
@@ -209,20 +208,9 @@ _BELL_VALUES.flags.writeable = False
 _BELL_FLOATS = tuple(_BELL_VALUES.tolist())
 
 
-def _partial_outcomes(resolve_psi_plus: bool) -> tuple[list[BellOutcome], list[BellOutcome]]:
-    """(resolved outcomes in enum order, outcomes folded into NO_HERALD)."""
-    resolved = [BellOutcome.PSI_MINUS]
-    folded = [BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS]
-    if resolve_psi_plus:
-        resolved.insert(0, BellOutcome.PSI_PLUS)
-    else:
-        folded.append(BellOutcome.PSI_PLUS)
-    return resolved, folded
-
-
-# How many Bell states a partial BSM folds into NO_HERALD, by
-# resolve_psi_plus: the folded ones lead the enum order, the resolved the rest.
-_FOLDED = {resolve: len(_partial_outcomes(resolve)[1]) for resolve in (True, False)}
+# A partial BSM resolves psi+ and psi- and folds the two Bell states that
+# lead the enum order, phi+ and phi-, into NO_HERALD.
+_FOLDED = 2
 
 
 def _branch_outcomes(step: PlanStep) -> list:
@@ -230,8 +218,7 @@ def _branch_outcomes(step: PlanStep) -> list:
         return [1, -1]
     if not step.partial:
         return list(_BELL_TENSORS)
-    resolved, _ = _partial_outcomes(step.resolve_psi_plus)
-    return resolved + [BellOutcome.NO_HERALD]
+    return list(BellOutcome)[_FOLDED:]  # the resolved Bell states, then NO_HERALD
 
 
 def _norm_sq(rows: np.ndarray) -> np.ndarray:
@@ -340,10 +327,9 @@ def _fold(step: PlanStep | None, stack: np.ndarray) -> np.ndarray:
     in the walk's tables) is returned as it is."""
     if not (isinstance(step, BsmStep) and step.partial):
         return stack
-    folded = _FOLDED[step.resolve_psi_plus]
-    out = np.empty((len(stack), len(_BELL_TENSORS) - folded + 1) + stack.shape[2:], stack.dtype)
-    out[:, :-1] = stack[:, folded:]
-    np.add.reduce(stack[:, :folded], axis=1, out=out[:, -1], initial=0.0)
+    out = np.empty((len(stack), len(_BELL_TENSORS) - _FOLDED + 1) + stack.shape[2:], stack.dtype)
+    out[:, :-1] = stack[:, _FOLDED:]
+    np.add.reduce(stack[:, :_FOLDED], axis=1, out=out[:, -1], initial=0.0)
     return out
 
 
@@ -404,9 +390,8 @@ def _bsm_step(
     q_right: int,
     draw: float,
     partial: bool,
-    resolve_psi_plus: bool,
 ) -> tuple[BellOutcome, np.ndarray]:
-    return _collapse(amps, BsmStep(q_left, q_right, partial, resolve_psi_plus), draw)
+    return _collapse(amps, BsmStep(q_left, q_right, partial), draw)
 
 
 def _validate_plan(n: int, plan: Sequence[PlanStep]) -> None:
@@ -453,10 +438,10 @@ def _plan_codes(plan: Sequence[PlanStep]) -> np.ndarray:
 def _walk_key(step: PlanStep) -> tuple:
     """All of a step that the walk's tables read: its kind and measured
     qubits (its shape, all that ``_branch_tables`` reads) and, for a BSM,
-    whether and how ``_fold`` folds it."""
+    whether ``_fold`` folds it."""
     if isinstance(step, SpinMeasurement):
         return (SpinMeasurement, step.qubit)
-    return (BsmStep, step.q_left, step.q_right, step.partial, step.resolve_psi_plus)
+    return (BsmStep, step.q_left, step.q_right, step.partial)
 
 
 @functools.lru_cache(maxsize=64)

@@ -21,7 +21,7 @@ variant only. A rock-paper-scissors run holds trial_id, alice and bob
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -41,20 +41,23 @@ from .qcore import _real_field
 
 @dataclass(frozen=True)
 class AcceptanceRule:
-    """Acceptance weight w(a, b, A, B) in [0, 1] over the 16 bit combinations."""
+    """Acceptance weight w(a, b, A, B) in [0, 1] over the 16 bit combinations,
+    called once per cell at construction: ``table`` holds the checked weights,
+    read-only float64 in CELLS order (8a + 4b + 2[A=-1] + [B=-1])."""
 
     name: str
     weight: Callable[[int, int, int, int], float]
+    table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for (a, b, A, B), w in self.table().items():
-            w = _real_field(w, f"rule {self.name!r}: w({a},{b},{A},{B})")
+        table = np.empty(len(CELLS))
+        for i, (a, b, A, B) in enumerate(CELLS):
+            w = _real_field(self.weight(a, b, A, B), f"rule {self.name!r}: w({a},{b},{A},{B})")
             if not 0.0 <= w <= 1.0:
                 raise ValueError(f"rule {self.name!r}: w({a},{b},{A},{B}) = {w!r} outside [0, 1]")
-
-    def table(self) -> dict[tuple[int, int, int, int], float]:
-        """w at each (a, b, A, B) cell, in CELLS order: 8a + 4b + 2[A=-1] + [B=-1]."""
-        return {cell: self.weight(*cell) for cell in CELLS}
+            table[i] = w
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
 
 
 def singlet_weight_rule(
@@ -87,11 +90,10 @@ def _run_toy(n: int, seed: int, rule: AcceptanceRule, record_lambda: bool) -> Tr
     u = counter_uniforms(seed, np.arange(n), 5)
     # Draws 0-3 pick a, b, A, B, the first declared option (setting 0,
     # outcome +1) when below 1/2; draw 4 accepts when below w(a, b, A, B).
-    # rule.table() runs over the cells in CELLS order, so the four bits
-    # index its entries.
+    # rule.table is in CELLS order, so the four bits index its entries.
     bits = (u[:, :4] >= 0.5).astype(np.int8)
     a, b, A, B = bits[:, 0], bits[:, 1], 1 - 2 * bits[:, 2], 1 - 2 * bits[:, 3]
-    accept = u[:, 4] < np.array(list(rule.table().values()))[bits @ np.array([8, 4, 2, 1])]
+    accept = u[:, 4] < rule.table[bits @ np.array([8, 4, 2, 1])]
     columns = {"trial_id": np.arange(n), "a": a, "b": b, "A": A, "B": B, "accepted": accept}
     if record_lambda:
         columns.update(lambda_A=A, lambda_B=B)

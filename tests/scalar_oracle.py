@@ -57,6 +57,7 @@ from swapsim.engine import (
     A_QUBIT,
     B_QUBIT,
     BSM_PAIR,
+    HERALD_PREDICATES,
     OUTCOMES,
     ExperimentConfig,
     Trials,
@@ -75,7 +76,6 @@ from swapsim.io import (
 )
 from swapsim.qcore import (
     _BELL_TENSORS,
-    _FOLDED,
     BellOutcome,
     BsmStep,
     PlanStep,
@@ -84,7 +84,6 @@ from swapsim.qcore import (
     _branch_outcomes,
     _branch_tables,
     _norm_sq,
-    _partial_outcomes,
     _products,
     _spin_components,
     _validate_plan,
@@ -107,6 +106,11 @@ from swapsim.toys import (
 )
 
 _CHOICES = RPS_CHOICES
+
+# A partial Bell-state measurement resolves psi+ and psi-, and reports phi+
+# and phi- together as NO_HERALD.
+_RESOLVED = (BellOutcome.PSI_PLUS, BellOutcome.PSI_MINUS)
+_FOLDED = (BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS)
 
 
 # The collapse steps and the exact enumeration as they were before qcore
@@ -194,32 +198,30 @@ def bell_outcome_probabilities(
     q_left: int,
     q_right: int,
     partial: bool = False,
-    resolve_psi_plus: bool = True,
 ) -> dict[BellOutcome, float]:
     """Exact outcome distribution of a Bell-state measurement on (q_left, q_right)."""
-    _validate_plan(state.num_qubits, [BsmStep(q_left, q_right, partial, resolve_psi_plus)])
+    _validate_plan(state.num_qubits, [BsmStep(q_left, q_right, partial)])
     raw = {
         o: _project_bell(state.amplitudes, q_left, q_right, o)[1]
         for o in _BELL_TENSORS
     }
     if not partial:
         return raw
-    resolved, folded = _partial_outcomes(resolve_psi_plus)
-    probs = {o: raw[o] for o in resolved}
-    probs[BellOutcome.NO_HERALD] = sum(raw[o] for o in folded)
+    probs = {o: raw[o] for o in _RESOLVED}
+    probs[BellOutcome.NO_HERALD] = sum(raw[o] for o in _FOLDED)
     return probs
 
 
 def _bsm_probs(
-    amps: np.ndarray, q_left: int, q_right: int, partial: bool, resolve_psi_plus: bool
-) -> tuple[dict, list[tuple[BellOutcome, float]], list[BellOutcome]]:
+    amps: np.ndarray, q_left: int, q_right: int, partial: bool
+) -> tuple[dict, list[tuple[BellOutcome, float]], tuple[BellOutcome, ...]]:
     """Projections by Bell outcome, the reported (outcome, weight) list in
     cumulative-threshold order, and the outcomes folded into NO_HERALD."""
     proj = [(o, _project_bell(amps, q_left, q_right, o)) for o in _BELL_TENSORS]
-    folded: list[BellOutcome] = []
+    folded: tuple[BellOutcome, ...] = ()
     if partial:
-        resolved, folded = _partial_outcomes(resolve_psi_plus)
-        probs = [(o, w) for o, (_c, w) in proj if o in resolved]
+        folded = _FOLDED
+        probs = [(o, w) for o, (_c, w) in proj if o in _RESOLVED]
         probs.append(
             (BellOutcome.NO_HERALD, sum(w for o, (_c, w) in proj if o in folded))
         )
@@ -235,10 +237,9 @@ def _bsm_step(
     q_right: int,
     draw: float,
     partial: bool,
-    resolve_psi_plus: bool,
 ) -> tuple[BellOutcome, np.ndarray]:
     """Raw Bell-basis collapse on unwrapped amplitudes; inputs assumed valid."""
-    projections, probs, folded = _bsm_probs(amps, q_left, q_right, partial, resolve_psi_plus)
+    projections, probs, folded = _bsm_probs(amps, q_left, q_right, partial)
     chosen = None
     acc = 0.0
     for o, p in probs:
@@ -274,9 +275,8 @@ def _branch_project(amps: np.ndarray, n: int, step: PlanStep, outcome) -> np.nda
         coeff, _ = _project_spin(amps, step.qubit, vec)
         return _embed_spin(coeff, step.qubit, vec)
     if outcome is BellOutcome.NO_HERALD:
-        _, folded = _partial_outcomes(step.resolve_psi_plus)
         post = np.zeros_like(amps)
-        for o in folded:
+        for o in _FOLDED:
             coeff, _ = _project_bell(amps, step.q_left, step.q_right, o)
             post += _embed_bell(coeff, step.q_left, step.q_right, o)
         return post
@@ -301,11 +301,10 @@ def _fold(step: PlanStep, stack: np.ndarray) -> np.ndarray:
     enum order, into NO_HERALD."""
     if isinstance(step, SpinMeasurement) or not step.partial:
         return stack
-    resolved, folded = _partial_outcomes(step.resolve_psi_plus)
     index = list(_BELL_TENSORS)
-    out = np.zeros((len(stack), len(resolved) + 1) + stack.shape[2:], dtype=stack.dtype)
-    out[:, :-1] = stack[:, [index.index(o) for o in resolved]]
-    for o in folded:
+    out = np.zeros((len(stack), len(_RESOLVED) + 1) + stack.shape[2:], dtype=stack.dtype)
+    out[:, :-1] = stack[:, [index.index(o) for o in _RESOLVED]]
+    for o in _FOLDED:
         out[:, -1] += stack[:, index.index(o)]
     return out
 
@@ -414,10 +413,10 @@ def sum_fold(step: PlanStep, stack: np.ndarray) -> np.ndarray:
     """``qcore._fold`` with its NO_HERALD entry summed by ``sum()``."""
     if not (isinstance(step, BsmStep) and step.partial):
         return stack
-    folded = _FOLDED[step.resolve_psi_plus]
-    out = np.empty((len(stack), len(_BELL_TENSORS) - folded + 1) + stack.shape[2:], stack.dtype)
-    out[:, :-1] = stack[:, folded:]
-    out[:, -1] = sum(stack[:, k] for k in range(folded))  # sum() starts at int 0, so at +0
+    index = list(_BELL_TENSORS)
+    out = np.empty((len(stack), len(_RESOLVED) + 1) + stack.shape[2:], stack.dtype)
+    out[:, :-1] = stack[:, [index.index(o) for o in _RESOLVED]]
+    out[:, -1] = sum(stack[:, index.index(o)] for o in _FOLDED)  # sum() starts at int 0, so at +0
     return out
 
 
@@ -619,7 +618,6 @@ def closed_form_table(config: ExperimentConfig) -> dict[tuple, float]:
     folded states' entries. With C off every P(a, b, A, B) is 1/16. No
     layout enters: the table is the same in every execution order.
     """
-    resolved, folded = _partial_outcomes(True)
     table: dict[tuple, float] = {}
     for a, b, A, B in itertools.product((0, 1), (0, 1), (1, -1), (1, -1)):
         if not config.c_enabled:
@@ -633,7 +631,7 @@ def closed_form_table(config: ExperimentConfig) -> dict[tuple, float]:
         }
         p = {c: (1.0 + A * B * e) / 64.0 for c, e in correlator.items()}
         if config.bsm_partial:
-            p = {**{c: p[c] for c in resolved}, BellOutcome.NO_HERALD: sum(p[c] for c in folded)}
+            p = {**{c: p[c] for c in _RESOLVED}, BellOutcome.NO_HERALD: sum(p[c] for c in _FOLDED)}
         table.update({(a, b, A, B, c): value for c, value in p.items()})
     return table
 
@@ -669,13 +667,14 @@ def conditional_given_c(
 def herald_probability(config: ExperimentConfig) -> float:
     """Exact probability that a trial is heralded under the config."""
     table = exact_experiment_distribution(config)
-    accept = config.herald_set()
+    accept = HERALD_PREDICATES[config.herald]
     return sum((p for k, p in table.items() if k[4] is not None and k[4] in accept), 0.0)
 
 
 def exact_heralded_correlators(config: ExperimentConfig) -> CorrelatorTable:
     """Correlators of the event-ready subensemble from the exact joint table."""
-    return heralded_correlators(exact_experiment_distribution(config), config.herald_set())
+    return heralded_correlators(exact_experiment_distribution(config),
+                                HERALD_PREDICATES[config.herald])
 
 
 def heralded_correlators(table: dict[tuple, float], accept: frozenset) -> CorrelatorTable:
@@ -714,7 +713,7 @@ def fragility(config: ExperimentConfig, tol: float = 1e-15) -> FragilityReport:
     if not config.c_enabled:
         raise ValueError("fragility requires the central measurement to be enabled")
     table = exact_experiment_distribution(config)
-    accept = config.herald_set()
+    accept = HERALD_PREDICATES[config.herald]
     mass: dict[tuple, float] = defaultdict(float)
     hit: dict[tuple, float] = defaultdict(float)
     for (a, b, A, B, c), p in table.items():
@@ -775,7 +774,7 @@ def run_trials(config: ExperimentConfig) -> tuple[TrialRecord, ...]:
     measurement is disabled).
     """
     order = measurement_order(config.geometry)
-    herald_set = config.herald_set()
+    herald_set = HERALD_PREDICATES[config.herald]
     initial = make_two_singlets().amplitudes
     records = []
     for trial_id in range(config.n_trials):
@@ -793,7 +792,7 @@ def run_trials(config: ExperimentConfig) -> tuple[TrialRecord, ...]:
             elif config.c_enabled:
                 c_outcome, amps = _bsm_step(
                     amps, 4, BSM_PAIR[0], BSM_PAIR[1], rng.random(),
-                    config.bsm_partial, True,
+                    config.bsm_partial,
                 )
         heralded = c_outcome is not None and c_outcome in herald_set
         records.append(TrialRecord(trial_id, a, b, out_a, out_b, c_outcome, heralded))
@@ -855,7 +854,7 @@ def teleport_channel_demo(controlled: bool, n: int, seed: int) -> TeleportReport
     for trial_id in range(n):
         rng = trial_rng(seed, trial_id)
         x = 0 if rng.random() < 0.5 else 1
-        outcome, amps = _bsm_step(inputs[x], 3, 0, 1, rng.random(), False, True)
+        outcome, amps = _bsm_step(inputs[x], 3, 0, 1, rng.random(), False)
         if controlled and outcome is not BellOutcome.PSI_MINUS:
             continue
         spin, _ = _spin_step(amps, 3, 2, 0.0, rng.random())
@@ -1052,9 +1051,10 @@ def dumps_canonical(payload: dict) -> str:
 # Records <-> tables, and column-by-column comparison.
 
 
+# Each builder gives trial_id an integer dtype, which an empty list lacks.
 def ensemble_table(records: Sequence[TrialRecord]) -> Trials:
     return Trials({
-        "trial_id": [r.trial_id for r in records],
+        "trial_id": np.array([r.trial_id for r in records], dtype=np.int64),
         "a": [r.a for r in records],
         "b": [r.b for r in records],
         "A": [r.A for r in records],
@@ -1066,10 +1066,10 @@ def ensemble_table(records: Sequence[TrialRecord]) -> Trials:
 
 
 def toy_table(trials: Sequence[ToyTrial]) -> Trials:
-    columns = {
-        name: [getattr(t, name) for t in trials]
-        for name in ("trial_id", "a", "b", "A", "B", "accepted")
-    }
+    columns = {"trial_id": np.array([t.trial_id for t in trials], dtype=np.int64)}
+    columns.update({
+        name: [getattr(t, name) for t in trials] for name in ("a", "b", "A", "B", "accepted")
+    })
     if trials and trials[0].lam is not None:
         columns["lambda_A"] = [t.lam[0] for t in trials]
         columns["lambda_B"] = [t.lam[1] for t in trials]
@@ -1078,7 +1078,7 @@ def toy_table(trials: Sequence[ToyTrial]) -> Trials:
 
 def rps_table(trials: Sequence[RpsTrial]) -> Trials:
     return Trials({
-        "trial_id": [t.trial_id for t in trials],
+        "trial_id": np.array([t.trial_id for t in trials], dtype=np.int64),
         "alice": [RPS_CHOICES.index(t.alice) for t in trials],
         "bob": [RPS_CHOICES.index(t.bob) for t in trials],
         "verdict": [RPS_VERDICTS.index(t.verdict) for t in trials],

@@ -104,7 +104,7 @@ class TestChsh:
         result = exact_chsh(ExperimentConfig())
         assert abs(result.S - TSIRELSON) < 1e-9
         assert result.stderr == 0.0
-        assert result.combination == CHSH_COMBINATION
+        assert result.as_json()["combination"] == CHSH_COMBINATION
 
     def test_zero_correlators(self):
         table = CorrelatorTable({c: 0.0 for c in ((0, 0), (0, 1), (1, 0), (1, 1))},
@@ -123,9 +123,9 @@ class TestChsh:
         ens = run_trials(ExperimentConfig(n_trials=20_000, seed=31))
         result = chsh(correlators(post_select(ens)))
         assert abs(result.S) <= 4.0
-        assert not result.exceeds_quantum_bound()
-        kept = accepted(run_toy_collider(20_000, 31))
-        assert not chsh(correlators(kept)).exceeds_quantum_bound()
+        assert abs(result.S) <= TSIRELSON + 5 * result.stderr
+        kept = chsh(correlators(accepted(run_toy_collider(20_000, 31))))
+        assert abs(kept.S) <= TSIRELSON + 5 * kept.stderr
 
 
 class TestConditionalIndependence:
@@ -330,7 +330,7 @@ class TestNoDifference:
         # Conditioning on the herald is what changes the distribution.
         cfg = ExperimentConfig()
         table = exact_experiment_distribution(cfg)
-        conditioned = conditional_given_c(table, cfg.herald_set())
+        conditioned = conditional_given_c(table, HERALD_PREDICATES[cfg.herald])
         unconditioned = marginal_over_c(table)
         diff = max(abs(conditioned[k] - unconditioned[k]) for k in unconditioned)
         assert diff > 0.01
@@ -338,22 +338,10 @@ class TestNoDifference:
     def test_conditioning_on_sure_event_is_identity(self):
         cfg = ExperimentConfig(herald="all")
         table = exact_experiment_distribution(cfg)
-        conditioned = conditional_given_c(table, cfg.herald_set())
+        conditioned = conditional_given_c(table, HERALD_PREDICATES[cfg.herald])
         unconditioned = marginal_over_c(table)
         diff = max(abs(conditioned[k] - unconditioned[k]) for k in unconditioned)
         assert diff < 1e-12
-
-    @pytest.mark.parametrize("tol", [math.nan, -1, "1e-3", True, math.inf, None])
-    def test_tol_not_a_finite_real_at_least_zero_raises(self, tol):
-        # NaN and -1 used to turn NoDifference into Difference, "1e-3"
-        # raised TypeError, and True and inf passed as 1 and inf.
-        with pytest.raises(ValueError, match="tol"):
-            no_difference_check(ExperimentConfig(), tol)
-
-    @pytest.mark.parametrize("tol", [0, 0.0, 1e-12, np.float64(1e-12), np.int64(1)])
-    def test_tol_accepted_values(self, tol):
-        report = no_difference_check(ExperimentConfig(), tol)
-        assert report.max_abs_diff == no_difference_check(ExperimentConfig()).max_abs_diff
 
     def test_flipped_side_builds_no_config(self, monkeypatch):
         # The C-flipped side is read from its layout: no copy of the config
@@ -392,13 +380,6 @@ class TestFragility:
     def test_requires_c_enabled(self):
         with pytest.raises(ValueError):
             fragility(ExperimentConfig(c_enabled=False))
-
-    @pytest.mark.parametrize("tol", [math.nan, -1, "1e-3", True, math.inf, None])
-    def test_tol_not_a_finite_real_at_least_zero_raises(self, tol):
-        # NaN used to set all 16 cells to None, "1e-3" raised TypeError,
-        # and -1, True and inf passed.
-        with pytest.raises(ValueError, match="tol"):
-            fragility(ExperimentConfig(), tol)
 
 
 angles = st.floats(-2.0 * math.pi, 2.0 * math.pi, allow_nan=False)

@@ -311,6 +311,13 @@ class TestPostSelect:
         with pytest.raises(ValueError, match="read-only"):
             run_trials(ExperimentConfig(n_trials=3))["a"][0] = 1
 
+    @pytest.mark.parametrize("ids", [[0.5, 1.5], [0.0, 1.5], [False, True]],
+                             ids=["0.5-1.5", "0.0-1.5", "False-True"])
+    def test_trial_id_must_hold_integers(self, ids):
+        # Float and bool ids used to build a table; only the writers rejected them.
+        with pytest.raises(ValueError, match="trial_id must hold integers, got dtype"):
+            Trials({"trial_id": np.array(ids), "a": [0, 1]})
+
 
 class TestExactDistribution:
     def test_sums_to_one(self):

@@ -19,10 +19,7 @@ from swapsim.geometry import (
     classify,
     classify_geometry,
     custom_preset,
-    delayed_delft,
-    early_delft,
     preset_by_name,
-    spacelike_delft,
     validate_preset,
 )
 
@@ -92,14 +89,14 @@ class TestClassify:
 
 class TestPresets:
     def test_builtin_classifications(self):
-        assert classify_geometry(early_delft()) is GeometryClass.ED
-        assert classify_geometry(delayed_delft()) is GeometryClass.DD
-        assert classify_geometry(spacelike_delft()) is GeometryClass.SPACELIKE
+        assert classify_geometry(preset_by_name("early")) is GeometryClass.ED
+        assert classify_geometry(preset_by_name("delayed")) is GeometryClass.DD
+        assert classify_geometry(preset_by_name("spacelike")) is GeometryClass.SPACELIKE
 
     def test_sources_feed_wings(self):
-        assert validate_preset(early_delft()) is GeometryClass.ED
-        assert validate_preset(delayed_delft()) is GeometryClass.DD
-        assert validate_preset(spacelike_delft()) is GeometryClass.SPACELIKE
+        assert validate_preset(preset_by_name("early")) is GeometryClass.ED
+        assert validate_preset(preset_by_name("delayed")) is GeometryClass.DD
+        assert validate_preset(preset_by_name("spacelike")) is GeometryClass.SPACELIKE
 
     def test_mixed_custom(self):
         # C in the future of A but spacelike to B.
@@ -117,7 +114,8 @@ class TestPresets:
         assert classify_geometry(preset) is GeometryClass.MIXED
 
     def test_preset_by_name(self):
-        assert preset_by_name("early").name == "EarlyDelft"
+        names = [preset_by_name(name).name for name in ("early", "delayed", "spacelike")]
+        assert names == ["EarlyDelft", "DelayedDelft", "SpacelikeDelft"]
         with pytest.raises(ValueError):
             preset_by_name("sideways")
 
@@ -127,27 +125,27 @@ class TestPresets:
 
     def test_event_under_another_label_rejected(self):
         # event(A) returned B's event.
-        events = {**early_delft().events, L.A: early_delft().event(L.B)}
+        events = {**preset_by_name("early").events, L.A: preset_by_name("early").event(L.B)}
         message = r"key <EventLabel.A: 'A'> is not the label of SpacetimeEvent\(label=<EventLabel.B"
         with pytest.raises(ValueError, match=message):
             GeometryPreset("Swapped", events)
 
     def test_key_not_a_label_rejected(self):
         # Raised KeyError only later, in boosted_time_order.
-        events = {**early_delft().events, "junk": ev(0.0, 0.0)}
+        events = {**preset_by_name("early").events, "junk": ev(0.0, 0.0)}
         with pytest.raises(ValueError, match="key 'junk' is not the label of"):
             GeometryPreset("Junk", events)
 
     def test_tuple_event_rejected(self):
         # Raised AttributeError only later, in classify.
-        events = {**early_delft().events, L.C: (0.0, 0.0)}
+        events = {**preset_by_name("early").events, L.C: (0.0, 0.0)}
         with pytest.raises(ValueError, match=r"'C'> is not the label of \(0.0, 0.0\)"):
             GeometryPreset("Tuple", events)
 
 
 class TestBoostedOrder:
     def test_v0_orders_by_raw_t(self):
-        for preset in (early_delft(), delayed_delft(), spacelike_delft()):
+        for preset in map(preset_by_name, ("early", "delayed", "spacelike")):
             order = boosted_time_order(preset, 0.0)
             times = [preset.event(lab).t for lab in order]
             assert times == sorted(times)
@@ -176,7 +174,7 @@ class TestBoostedOrder:
         assert [lab for lab in boosted if lab in (L.A, L.B, L.C)] == [L.B, L.C, L.A]
 
     def test_timelike_order_is_frame_invariant(self):
-        preset = delayed_delft()
+        preset = preset_by_name("delayed")
         for v in np.linspace(-0.9, 0.9, 19):
             order = boosted_time_order(preset, float(v))
             assert order.index(L.C) > order.index(L.A)
@@ -184,7 +182,7 @@ class TestBoostedOrder:
 
     def test_timelike_sign_invariance_pairwise(self):
         # For every timelike pair, the sign of dt' never changes with v.
-        for preset in (early_delft(), delayed_delft(), spacelike_delft()):
+        for preset in map(preset_by_name, ("early", "delayed", "spacelike")):
             labels = list(EventLabel)
             for i, l1 in enumerate(labels):
                 for l2 in labels[i + 1 :]:
@@ -199,7 +197,7 @@ class TestBoostedOrder:
 
     def test_spacelike_order_is_frame_dependent(self):
         # C's position relative to each wing flips across sampled frames.
-        preset = spacelike_delft()
+        preset = preset_by_name("spacelike")
         sweep = [float(v) for v in np.linspace(-0.9, 0.9, 19)]
         for wing in (L.A, L.B):
             before = any(
@@ -229,9 +227,9 @@ class TestBoostedOrder:
 
     def test_superluminal_rejected(self):
         with pytest.raises(ValueError):
-            boosted_time_order(spacelike_delft(), 1.0)
+            boosted_time_order(preset_by_name("spacelike"), 1.0)
         with pytest.raises(ValueError):
-            boosted_time_order(spacelike_delft(), -1.2)
+            boosted_time_order(preset_by_name("spacelike"), -1.2)
 
     @pytest.mark.parametrize("v", [True, False, np.True_, "0.5", None, 0.5j])
     def test_non_real_velocity_rejected(self, v):

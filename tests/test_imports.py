@@ -1,5 +1,6 @@
 """Every name a swapsim module imports is used in that module, and every
-private name it defines is read somewhere.
+private name it defines is read somewhere; the scalar oracle's imports and
+top-level names too.
 
 No linter runs on this tree, so these are its unused-import and dead-code
 checks, on the stdlib ``ast``. Each name an import binds must be read as a
@@ -7,7 +8,9 @@ name somewhere in the module. ``__init__.py`` only re-exports, and an import
 line marked ``# noqa: F401`` holds names that bench/tracer.py wraps, so both
 are exempt. Each ``_name`` a module defines at its top level must be read in
 ``src/swapsim`` (as a name, an attribute or an imported name) or named in
-bench/tracer.py, which wraps some private code by name.
+bench/tracer.py, which wraps some private code by name. The oracle
+(``tests/scalar_oracle.py``) takes the same unused-import check, and each
+name it defines at its top level must be read somewhere under ``tests/``.
 """
 
 import ast
@@ -20,6 +23,8 @@ import swapsim
 SRC = Path(swapsim.__file__).parent
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 TRACER = SRC.parents[1] / "bench" / "tracer.py"
+TESTS = Path(__file__).parent
+ORACLE = TESTS / "scalar_oracle.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -55,8 +60,12 @@ def test_module_has_no_unused_import(module):
     assert unused_imports((SRC / module).read_text()) == []
 
 
-def private_definitions(source: str) -> set[str]:
-    """The ``_name``s that ``source`` binds at its top level by def, class or
+def test_oracle_has_no_unused_import():
+    assert unused_imports(ORACLE.read_text()) == []
+
+
+def top_level_definitions(source: str) -> set[str]:
+    """The names that ``source`` binds at its top level by def, class or
     assignment (dunder names aside)."""
     names = set()
     for node in ast.parse(source).body:
@@ -65,7 +74,12 @@ def private_definitions(source: str) -> set[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
-    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+    return {name for name in names if not name.startswith("__")}
+
+
+def private_definitions(source: str) -> set[str]:
+    """The ``_name``s among ``source``'s top-level definitions."""
+    return {name for name in top_level_definitions(source) if name.startswith("_")}
 
 
 def names_read(source: str, strings: bool = False) -> set[str]:
@@ -114,3 +128,8 @@ def test_check_finds_dead_private_code():
 def test_no_dead_private_code():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert dead_private_names(sources, TRACER.read_text()) == []
+
+
+def test_every_oracle_name_is_read_under_tests():
+    read = set().union(*(names_read(path.read_text()) for path in TESTS.glob("*.py")))
+    assert sorted(top_level_definitions(ORACLE.read_text()) - read) == []

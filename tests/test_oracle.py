@@ -141,19 +141,18 @@ qubit_pairs = st.permutations(range(4)).map(lambda qubits: tuple(qubits[:2]))
     theta_b=angles,
     pair=st.sampled_from([(1, 2), (2, 1)]),
     partial=st.booleans(),
-    resolve_psi_plus=st.booleans(),
 )
 @example(initial=BSM_EIGENSTATE, order=("C", "A", "B"), c_enabled=True, theta_a=0.4,
-         theta_b=0.4, pair=(1, 2), partial=True, resolve_psi_plus=False)
+         theta_b=0.4, pair=(1, 2), partial=True)
 @example(initial=TWO_SINGLETS, order=("C", "A", "B"), c_enabled=True, theta_a=1.0,
-         theta_b=1.0, pair=(2, 1), partial=False, resolve_psi_plus=True)
+         theta_b=1.0, pair=(2, 1), partial=False)
 def test_exact_branch_enumeration_matches_oracle_property(
-    initial, order, c_enabled, theta_a, theta_b, pair, partial, resolve_psi_plus
+    initial, order, c_enabled, theta_a, theta_b, pair, partial
 ):
     steps = {
         "A": SpinMeasurement(0, theta_a),
         "B": SpinMeasurement(3, theta_b),
-        "C": BsmStep(*pair, partial=partial, resolve_psi_plus=resolve_psi_plus),
+        "C": BsmStep(*pair, partial=partial),
     }
     plan = [steps[name] for name in order if c_enabled or name != "C"]
     # Key order too: it sets the order the diagnostics sum the table in.
@@ -259,38 +258,37 @@ def test_fragility_matches_oracle_at_equal_angles(geometry, herald, partial, sha
 
 
 @pytest.mark.parametrize("geometry,herald,partial", FRAGILITY_CASES)
-def test_fragility_tol_equal_to_a_cell_mass(geometry, herald, partial):
-    """A cell whose mass equals tol exactly is None (mass <= tol), a cell of
-    larger mass is not, and the report, max_spread skipping the None cells,
-    equals the oracle's repr."""
+def test_fragility_tol_equal_to_a_cell_mass(geometry, herald, partial, monkeypatch):
+    """A cell whose mass equals the tolerance exactly is None (mass <= tol),
+    a cell of larger mass is not, and the report, max_spread skipping the
+    None cells, equals the oracle's repr."""
     cfg = ExperimentConfig(geometry=geometry, herald=herald, bsm_partial=partial,
                            angles_a=(0.3, 1.9), angles_b=(2.2, -0.7))
     cell, _c_outcome, prob = engine.exact_leaf_rows(cfg)
     mass = np.bincount(cell, weights=prob, minlength=len(engine.CELLS)).tolist()
     for tol in sorted(set(mass))[:2]:
-        report = analysis.fragility(cfg, tol)
+        monkeypatch.setattr(analysis, "_FRAGILITY_TOL", tol)
+        report = analysis.fragility(cfg)
         assert repr(report) == repr(scalar_oracle.fragility(cfg, tol))
         assert [p is None for p in report.cells.values()] == [m <= tol for m in mass]
 
 
 @settings(max_examples=100, deadline=None, database=None)
-@given(state=initial_states, pair=qubit_pairs, partial=st.booleans(),
-       resolve_psi_plus=st.booleans())
-@example(state=BSM_EIGENSTATE, pair=(2, 1), partial=True, resolve_psi_plus=True)
-def test_bell_outcome_probabilities_match_oracle_property(state, pair, partial, resolve_psi_plus):
+@given(state=initial_states, pair=qubit_pairs, partial=st.booleans())
+@example(state=BSM_EIGENSTATE, pair=(2, 1), partial=True)
+def test_bell_outcome_probabilities_match_oracle_property(state, pair, partial):
     """The branch weights a BSM's draw reads, one depth of its walk's
     coefficients, are the oracle's outcome probabilities bit for bit."""
-    step = BsmStep(*pair, partial, resolve_psi_plus)
+    step = BsmStep(*pair, partial)
     weights = scalar_oracle.plan_branches(state.amplitudes, [step])[2][0].tolist()
     assert dict(zip(qcore._branch_outcomes(step), weights)) == (
-        scalar_oracle.bell_outcome_probabilities(state, *pair, partial, resolve_psi_plus)
+        scalar_oracle.bell_outcome_probabilities(state, *pair, partial)
     )
 
 
 plan_steps = st.one_of(
     st.builds(SpinMeasurement, st.integers(0, 3), angles),
-    st.builds(lambda pair, partial, resolve: BsmStep(*pair, partial, resolve),
-              qubit_pairs, st.booleans(), st.booleans()),
+    st.builds(lambda pair, partial: BsmStep(*pair, partial), qubit_pairs, st.booleans()),
 )
 
 
@@ -319,8 +317,7 @@ def test_collapse_steps_match_oracle_property(state, step, edge, u):
         args = (state.amplitudes, 4, step.qubit, step.angle, draw)
         new, old = qcore._spin_step, scalar_oracle._spin_step
     else:
-        args = (state.amplitudes, 4, step.q_left, step.q_right, draw,
-                step.partial, step.resolve_psi_plus)
+        args = (state.amplitudes, 4, step.q_left, step.q_right, draw, step.partial)
         new, old = qcore._bsm_step, scalar_oracle._bsm_step
     try:
         want = old(*args)
@@ -342,8 +339,8 @@ def test_collapse_steps_match_oracle_property(state, step, edge, u):
 @given(state=initial_states, step=plan_steps, edge=st.integers(-1, 3),
        u=st.floats(0.0, 1.0, exclude_max=True))
 @example(state=SPIN_EIGENSTATE, step=SpinMeasurement(0, -math.pi), edge=-1, u=1.0 - 2.0**-53)
-@example(state=BSM_EIGENSTATE, step=BsmStep(1, 2, True, False), edge=-1, u=1.0 - 2.0**-53)
-@example(state=TWO_SINGLETS, step=BsmStep(2, 1, True, True), edge=1, u=0.0)
+@example(state=BSM_EIGENSTATE, step=BsmStep(1, 2, True), edge=-1, u=1.0 - 2.0**-53)
+@example(state=TWO_SINGLETS, step=BsmStep(2, 1, True), edge=1, u=0.0)
 def test_collapse_posts_match_oracle_sampler_property(state, step, edge, u):
     """A collapse, the sampler's one-trial walk of a one-step plan down to
     its normalized leaves, gives the outcome and the post, byte for byte,
@@ -368,9 +365,8 @@ FOLD_PARTS = [0.0, -0.0, 1e-300, -1e-300, 0.5, -0.5, 1.0]
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(resolve_psi_plus=st.booleans(), posts=st.booleans(), m=st.integers(0, 6),
-       data=st.data())
-def test_fold_matches_generator_sum_property(resolve_psi_plus, posts, m, data):
+@given(posts=st.booleans(), m=st.integers(0, 6), data=st.data())
+def test_fold_matches_generator_sum_property(posts, m, data):
     """``_fold``'s NO_HERALD entry, one ``np.add.reduce`` from +0, equals
     the generator ``sum()`` from int 0 it replaced byte for byte, signed
     zeros included, on post stacks (complex, (m, 4, 4)) and weight stacks
@@ -382,7 +378,7 @@ def test_fold_matches_generator_sum_property(resolve_psi_plus, posts, m, data):
     if posts:
         stack = stack.astype(np.complex128)
         stack.imag = np.array(data.draw(parts)).reshape(shape)
-    step = BsmStep(1, 2, True, resolve_psi_plus)
+    step = BsmStep(1, 2, True)
     got = qcore._fold(step, stack)
     want = scalar_oracle.sum_fold(step, stack)
     assert got.shape == want.shape and got.dtype == want.dtype
@@ -396,7 +392,7 @@ def _oracle_edges(amps: np.ndarray, step) -> list[float]:
         vec = qcore._spin_components(step.angle)
         return [scalar_oracle._project_spin(amps, step.qubit, vec)[1]]
     _proj, probs, _folded = scalar_oracle._bsm_probs(
-        amps, step.q_left, step.q_right, step.partial, step.resolve_psi_plus
+        amps, step.q_left, step.q_right, step.partial
     )
     return list(itertools.accumulate(w for _o, w in probs))
 
@@ -423,7 +419,7 @@ def _oracle_walk(initial: StateVector, plan, picks):
                 outcome, amps = scalar_oracle._spin_step(amps, 4, step.qubit, step.angle, draw)
             else:
                 outcome, amps = scalar_oracle._bsm_step(
-                    amps, 4, step.q_left, step.q_right, draw, step.partial, step.resolve_psi_plus
+                    amps, 4, step.q_left, step.q_right, draw, step.partial
                 )
         except RuntimeError as exc:
             draws += [u for _edge, u in picks[len(draws):]]
@@ -452,7 +448,7 @@ def sampled_plans(draw):
                                      [[(3, 0.5), (-1, 0.1)], [(-1, 1.0 - 2.0**-53), (0, 0.9)]]))
 @example(initial=SPIN_EIGENSTATE, case=([SpinMeasurement(0, -math.pi), BsmStep(1, 2)],
                                         [[(-1, 0.0), (-1, 0.3)], [(-1, 1.0 - 2.0**-53), (-1, 0.3)]]))
-@example(initial=BSM_EIGENSTATE, case=([BsmStep(2, 1, partial=True, resolve_psi_plus=False)],
+@example(initial=BSM_EIGENSTATE, case=([BsmStep(2, 1, partial=True)],
                                        [[(-1, 1.0 - 2.0**-53)], [(1, 0.2)], [(-1, 0.0)]]))
 def test_sample_branches_matches_oracle_collapse_property(initial, case):
     """Every trial's codes equal a step-by-step oracle collapse with its
@@ -526,11 +522,10 @@ def _branch_stack(rng: np.random.Generator, m: int, n: int, kinds, layout: str) 
 
 def _step_shapes(n: int) -> list:
     """One step of every shape on n qubits: a spin on each qubit, and a BSM
-    on each ordered pair, full and partial, resolve_psi_plus on and off."""
+    on each ordered pair, full and partial."""
     spins = [SpinMeasurement(q, 0.0) for q in range(n)]
-    bsms = [BsmStep(left, right, partial, resolve)
-            for left, right in itertools.permutations(range(n), 2)
-            for partial in (False, True) for resolve in (True, False)]
+    bsms = [BsmStep(left, right, partial)
+            for left, right in itertools.permutations(range(n), 2) for partial in (False, True)]
     return spins + bsms
 
 
@@ -598,8 +593,7 @@ walk_angles = st.one_of(
 @st.composite
 def walk_cases(draw):
     """A start state on 1-5 qubits, a plan of 0-3 steps of any shape (a
-    BSM full or partial, resolve_psi_plus on or off), and 1-6 plans' spin
-    angles."""
+    BSM full or partial), and 1-6 plans' spin angles."""
     n = draw(st.integers(1, 5))
     kinds = draw(st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -620,7 +614,7 @@ def _assert_walk_matches_oracle(initial, plan, angles) -> None:
 @settings(max_examples=300, deadline=None, database=None)
 @given(case=walk_cases())
 @example(case=(TWO_SINGLETS.amplitudes,
-               [BsmStep(1, 2, True, False), SpinMeasurement(0, 0.0), SpinMeasurement(3, 0.0)],
+               [BsmStep(1, 2, True), SpinMeasurement(0, 0.0), SpinMeasurement(3, 0.0)],
                [[0.0, math.pi / 2.0], [1e17, 5.0 * math.pi / 4.0], [math.pi, -math.pi / 2.0]]))
 def test_exact_walk_matches_oracle_property(case):
     """The composed walk's leaf probabilities, the plans stacked from one
@@ -726,7 +720,7 @@ def test_exact_leaf_rows_calls_products_once_per_unbound_depth(monkeypatch):
     [],
     [BsmStep(1, 2)],
     [BsmStep(1, 2, partial=True)],
-    [BsmStep(2, 1, partial=True, resolve_psi_plus=False), BsmStep(0, 3)],
+    [BsmStep(2, 1, partial=True), BsmStep(0, 3)],
 ])
 def test_walk_with_every_depth_bound(plan):
     """A plan with no spin step reads no angle: binding it leaves a call
@@ -818,7 +812,7 @@ def test_exact_outputs_match_closed_form_property(geometry, partial, c_enabled, 
     got = engine.exact_experiment_distribution(cfg)
     assert got.keys() == want.keys()
     assert max(abs(got[key] - want[key]) for key in want) <= 1e-15
-    accept = cfg.herald_set()
+    accept = engine.HERALD_PREDICATES[cfg.herald]
     heralded = {key: p for key, p in want.items() if key[4] in accept}
     assert abs(engine.herald_probability(cfg) - sum(heralded.values())) <= 1e-14
 
@@ -849,9 +843,9 @@ def test_singlet_weight_rule_is_twice_the_psi_minus_herald_property(geometry, pa
     cfg = ExperimentConfig(geometry=geometry, bsm_partial=partial, herald="psi-minus",
                            angles_a=angles[:2], angles_b=angles[2:])
     cells = analysis.fragility(cfg).cells
-    weights = toys.singlet_weight_rule(angles[:2], angles[2:]).table()
-    assert cells.keys() == weights.keys() and len(weights) == 16
-    assert max(abs(2.0 * cells[cell] - weights[cell]) for cell in weights) <= 1e-14
+    weights = toys.singlet_weight_rule(angles[:2], angles[2:]).table
+    assert list(cells) == list(engine.CELLS) and weights.shape == (16,)
+    assert max(abs(2.0 * p - w) for p, w in zip(cells.values(), weights.tolist())) <= 1e-14
 
 
 @pytest.mark.parametrize("geometry,partial,c_enabled", EXACT_LAYOUTS)

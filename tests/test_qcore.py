@@ -6,6 +6,7 @@ Bell vectors, bypassing the library's sliced-tensor implementation.
 """
 
 import collections
+import dataclasses
 import inspect
 import itertools
 import math
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import swapsim
-from swapsim import qcore
+from swapsim import analysis, geometry, qcore
 from swapsim.qcore import (
     BellOutcome,
     BsmStep,
@@ -141,16 +142,16 @@ class TestSpinMeasurement:
 class TestBsmStepFields:
     @pytest.mark.parametrize("field,value", [
         ("q_left", 1.0), ("q_left", True), ("q_right", "2"), ("q_right", None),
-        ("partial", "no"), ("partial", 1), ("resolve_psi_plus", 0), ("resolve_psi_plus", None),
+        ("partial", "no"), ("partial", 1),
     ])
     def test_bad_field_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an? "):
             BsmStep(**{"q_left": 1, "q_right": 2, field: value})
 
     def test_numpy_fields_read_as_python_values(self):
-        step = BsmStep(np.int64(2), np.int32(1), np.True_, np.False_)
-        assert step == BsmStep(2, 1, True, False)
-        assert [type(v) for v in vars(step).values()] == [int, int, bool, bool]
+        step = BsmStep(np.int64(2), np.int32(1), np.True_)
+        assert step == BsmStep(2, 1, True)
+        assert [type(v) for v in vars(step).values()] == [int, int, bool]
 
 
 class TestBasisState:
@@ -205,6 +206,23 @@ class TestPublicSurface:
     )
     def test_removed_one_step_helpers_not_exported(self, name):
         assert not hasattr(swapsim, name)
+
+    def test_partial_analyzer_has_one_form(self):
+        fields = tuple(field.name for field in dataclasses.fields(BsmStep))
+        assert fields == ("q_left", "q_right", "partial")
+
+    def test_geometry_presets_are_read_by_name_only(self):
+        public = {name for name, value in vars(geometry).items()
+                  if inspect.isfunction(value) and not name.startswith("_")}
+        assert not public & {"early_delft", "delayed_delft", "spacelike_delft"}
+        assert "preset_by_name" in public and not hasattr(geometry, "PRESET_BUILDERS")
+
+    @pytest.mark.parametrize("name,params", [("no_difference_check", ["config"]),
+                                             ("fragility", ["config"]),
+                                             ("no_signaling_tests", ["data"])],
+                             ids=["no_difference_check", "fragility", "no_signaling_tests"])
+    def test_diagnostics_take_no_tolerance_or_suffix(self, name, params):
+        assert list(inspect.signature(getattr(analysis, name)).parameters) == params
 
 
 class TestTwoSinglets:
@@ -341,16 +359,13 @@ class TestBellStateMeasurement:
         assert _branch_outcomes(step)[code] is BellOutcome.PHI_PLUS
 
     def test_partial_mode_conservation(self):
-        for resolve in (True, False):
-            table = exact_branch_enumeration(make_two_singlets(), [BsmStep(1, 2, True, resolve)])
-            probs = {c: p for (c,), p in table.items()}
-            assert abs(sum(probs.values()) - 1.0) < 1e-12
-            assert BellOutcome.NO_HERALD in probs
-            assert BellOutcome.PHI_PLUS not in probs
-            assert (BellOutcome.PSI_PLUS in probs) == resolve
+        table = exact_branch_enumeration(make_two_singlets(), [BsmStep(1, 2, True)])
+        probs = {c: p for (c,), p in table.items()}
+        assert abs(sum(probs.values()) - 1.0) < 1e-12
+        assert list(probs) == [BellOutcome.PSI_PLUS, BellOutcome.PSI_MINUS, BellOutcome.NO_HERALD]
 
     def test_partial_no_herald_projects_onto_folded_subspace(self):
-        step = BsmStep(1, 2, partial=True, resolve_psi_plus=True)
+        step = BsmStep(1, 2, partial=True)
         outcome, post = _collapse(make_two_singlets().amplitudes, step, 0.95)
         assert outcome is BellOutcome.NO_HERALD
         # Post state lives in the phi+ / phi- subspace of the pair.
@@ -475,7 +490,6 @@ STEP_ROWS = {
        for q in range(4)},
     "bsm-full": [BsmStep(1, 2)] * 6,
     "bsm-partial": [BsmStep(1, 2, partial=True)] * 6,
-    "bsm-partial-psi-plus-folded": [BsmStep(1, 2, partial=True, resolve_psi_plus=False)] * 6,
     "bsm-left-above-right": [BsmStep(2, 1)] * 6,
     "bsm-partial-left-above-right": [BsmStep(3, 0, partial=True)] * 6,
 }
@@ -530,18 +544,17 @@ class TestOneFold:
     def test_full_and_partial_bsm_share_tables(self):
         _walk_tables.cache_clear()
         _branch_tables.cache_clear()
-        for partial, resolve in ((False, True), (True, True), (True, False)):
-            walk_branches(STACK, [BsmStep(2, 1, partial, resolve)])
-        assert _walk_tables.cache_info().misses == 3
+        for partial in (False, True):
+            walk_branches(STACK, [BsmStep(2, 1, partial)])
+        assert _walk_tables.cache_info().misses == 2
         info = _branch_tables.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+        assert (info.misses, info.hits) == (1, 1)
 
-    @pytest.mark.parametrize("resolve_psi_plus", [True, False])
     @pytest.mark.parametrize("pair", [(1, 2), (2, 1), (0, 3), (3, 0)])
-    def test_partial_is_fold_of_full(self, pair, resolve_psi_plus):
-        rng = np.random.default_rng(sum(pair) * 2 + resolve_psi_plus)
+    def test_partial_is_fold_of_full(self, pair):
+        rng = np.random.default_rng(sum(pair) * 2 + 1)
         stack = _signed_stack(rng, 40, 4)
-        full, partial = BsmStep(*pair), BsmStep(*pair, True, resolve_psi_plus)
+        full, partial = BsmStep(*pair), BsmStep(*pair, True)
         full_posts, full_coeffs, full_weights = walk_branches(stack, [full])
         posts, coeffs, weights = walk_branches(stack, [partial])
         assert posts.tobytes() == _fold(partial, full_posts).tobytes()
@@ -597,9 +610,7 @@ class TestSampleBranches:
         "bsm-last-partial": [
             SpinMeasurement(0, 1.1), SpinMeasurement(3, -0.4), BsmStep(1, 2, partial=True)
         ],
-        "partial-psi-plus-folded": [
-            BsmStep(2, 1, partial=True, resolve_psi_plus=False), SpinMeasurement(0, 0.7)
-        ],
+        "partial-first": [BsmStep(2, 1, partial=True), SpinMeasurement(0, 0.7)],
     }
 
     @pytest.mark.parametrize("name", sorted(PLANS))

@@ -5,6 +5,7 @@ renormalizing the uniform prior over the 16 bit combinations with the
 acceptance weight, independently of the sampler.
 """
 
+import itertools
 import math
 from collections import Counter
 
@@ -67,8 +68,8 @@ class TestAcceptanceRule:
             singlet_weight_rule(**{field: value})
 
     def test_singlet_rule_takes_any_angle_sequence(self):
-        want = singlet_weight_rule((0.1, 2.0), (1.0, -3.0)).table()
-        assert singlet_weight_rule([0.1, 2.0], np.array([1.0, -3.0])).table() == want
+        want = singlet_weight_rule((0.1, 2.0), (1.0, -3.0)).table.tolist()
+        assert singlet_weight_rule([0.1, 2.0], np.array([1.0, -3.0])).table.tolist() == want
 
     def test_rule_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -118,6 +119,15 @@ class TestToyRuns:
     def test_n_zero_rejected(self):
         with pytest.raises(ValueError):
             run_toy_collider(0, 0)
+
+    def test_rule_runs_the_weights_it_checked(self):
+        # The weights were checked once and read again for each run: this
+        # rule passed as 0.5 and then accepted every trial at 7.0.
+        calls = itertools.count()
+        rule = AcceptanceRule("drifting", lambda a, b, A, B: 0.5 if next(calls) < 16 else 7.0)
+        assert rule.table.tolist() == [0.5] * 16 and not rule.table.flags.writeable
+        for runner in (run_toy_collider, run_toy_source_variant):
+            assert_same_table(runner(1000, 3, rule), runner(1000, 3, constant_rule(0.5)))
 
     @pytest.mark.parametrize("runner", [run_toy_collider, run_toy_source_variant])
     @pytest.mark.parametrize("rule", ["x", "", 0, singlet_weight_rule().weight])
