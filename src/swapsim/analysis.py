@@ -135,6 +135,12 @@ class CorrelatorTable:
     values: dict[tuple[int, int], float | None]
     counts: dict[tuple[int, int], int]
 
+    def as_json(self) -> list[dict]:
+        return [
+            {"a": a, "b": b, "E": self.values[(a, b)], "count": self.counts[(a, b)]}
+            for (a, b) in SETTING_PAIRS
+        ]
+
 
 def correlators(data: Trials) -> CorrelatorTable:
     pair = 2 * data["a"].astype(np.intp) + data["b"]  # indexes SETTING_PAIRS
@@ -427,6 +433,27 @@ def _fragility(rows, kept: tuple) -> FragilityReport:
     pairs = zip(p[:4] + p[8:12] + p[:8], p[4:8] + p[12:] + p[8:])
     spreads = [abs(q - r) for q, r in pairs if q is not None and r is not None]
     return FragilityReport(dict(zip(CELLS, p)), max(spreads, default=0.0))
+
+
+def exact_report(config: ExperimentConfig) -> dict:
+    """The exact diagnostics as JSON; entries undefined for the config are
+    None: the heralded correlators and CHSH when the herald has zero
+    probability, and fragility when the central measurement is disabled.
+    They read two exact tables, the config's and the one with C flipped,
+    and the config's herald selection."""
+    rows, kept = _exact_rows(config, config.c_enabled)
+    flipped, _kept = _exact_rows(config, not config.c_enabled)
+    report: dict = {"correlators": None, "chsh": None}
+    try:
+        table = _heralded_correlators(rows, kept)
+    except ValueError:  # conditioning on a zero-probability herald
+        pass
+    else:
+        report["correlators"] = table.as_json()
+        report["chsh"] = chsh(table).as_json()
+    report["nda"] = _no_difference(rows, flipped).as_json()
+    report["fragility"] = _fragility(rows, kept).as_json() if config.c_enabled else None
+    return report
 
 
 @dataclass(frozen=True)

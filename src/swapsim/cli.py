@@ -151,41 +151,28 @@ def resolve_options(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         parser.error(f"{args.command} requires --out")
 
 
-def _correlator_cells(table: analysis.CorrelatorTable) -> list[dict]:
-    return [
-        {"a": a, "b": b, "E": table.values[(a, b)], "count": table.counts[(a, b)]}
-        for (a, b) in analysis.SETTING_PAIRS
-    ]
-
-
-def _chsh_or_none(table: analysis.CorrelatorTable) -> dict | None:
+def _selection(name: str, kept: engine.Trials, total: int) -> dict:
+    """A selection's report entries: its count and fraction of ``total``
+    under ``name``, its correlators, and their CHSH (None if a pair is empty)."""
+    table = analysis.correlators(kept)
     try:
-        return analysis.chsh(table).as_json()
+        chsh = analysis.chsh(table).as_json()
     except ValueError:
-        return None
+        chsh = None
+    return {
+        name: {"count": len(kept), "fraction": len(kept) / total},
+        "correlators": table.as_json(),
+        "chsh": chsh,
+    }
 
 
-def _exact_section(config: engine.ExperimentConfig) -> dict:
-    """Exact diagnostics; entries undefined for the config are None: the
-    heralded correlators and CHSH when the herald has zero probability, and
-    fragility when the central measurement is disabled. They read two exact
-    tables, the config's and the one with C flipped, and the config's
-    herald selection."""
-    rows, kept = engine._exact_rows(config, config.c_enabled)
-    flipped, _kept = engine._exact_rows(config, not config.c_enabled)
-    section: dict = {"correlators": None, "chsh": None}
-    try:
-        exact_table = analysis._heralded_correlators(rows, kept)
-    except ValueError:  # conditioning on a zero-probability herald
-        pass
-    else:
-        section["correlators"] = _correlator_cells(exact_table)
-        section["chsh"] = analysis.chsh(exact_table).as_json()
-    section["nda"] = analysis._no_difference(rows, flipped).as_json()
-    section["fragility"] = (
-        analysis._fragility(rows, kept).as_json() if config.c_enabled else None
-    )
-    return section
+def _write(out: str, files: list[tuple]) -> int:
+    """Write each (suffix, writer, payload) of ``files`` to ``out`` + suffix,
+    in order, then name the files written."""
+    for suffix, write, payload in files:
+        write(f"{out}{suffix}", payload)
+    print("wrote " + ", ".join(f"{out}{suffix}" for suffix, _writer, _payload in files))
+    return 0
 
 
 def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -207,32 +194,21 @@ def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     event_ready = engine.post_select(ensemble)
     meta = engine.config_meta(config)
     meta.update({"command": "simulate", "exact": args.exact, "out": args.out})
-
-    ec_correlators = analysis.correlators(event_ready)
-    report: dict = {
+    ci_tests = analysis.no_signaling_tests(ensemble) + analysis.local_causality_tests(
+        event_ready, post_selected=True
+    )
+    report = {
         "meta": meta,
-        "heralded": {
-            "count": len(event_ready),
-            "fraction": len(event_ready) / len(ensemble),
-        },
-        "correlators": _correlator_cells(ec_correlators),
-        "chsh": _chsh_or_none(ec_correlators),
-        "ci_tests": [
-            t.as_json()
-            for t in (
-                analysis.no_signaling_tests(ensemble)
-                + analysis.local_causality_tests(event_ready, post_selected=True)
-            )
-        ],
+        **_selection("heralded", event_ready, len(ensemble)),
+        "ci_tests": [t.as_json() for t in ci_tests],
     }
     if args.exact:
-        report["exact"] = _exact_section(config)
-
-    io.write_ensemble_csv(f"{args.out}.csv", ensemble)
-    io.write_json(f"{args.out}.json", io.ensemble_json_payload(ensemble, meta))
-    io.write_json(f"{args.out}.report.json", report)
-    print(f"wrote {args.out}.csv, {args.out}.json, {args.out}.report.json")
-    return 0
+        report["exact"] = analysis.exact_report(config)
+    return _write(args.out, [
+        (".csv", io.write_ensemble_csv, ensemble),
+        (".json", io.write_json, io.ensemble_json_payload(ensemble, meta)),
+        (".report.json", io.write_json, report),
+    ])
 
 
 def cmd_toy(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -249,7 +225,6 @@ def cmd_toy(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         "rule": rule.name,
         "out": args.out,
     }
-    acc_corr = analysis.correlators(kept)
     ci_tests = analysis.local_causality_tests(
         kept, post_selected=True, include_lambda=(args.variant == "source")
     ) + analysis.local_causality_tests(data, post_selected=False)
@@ -258,20 +233,17 @@ def cmd_toy(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         ci_tests.append(analysis.statistical_independence_test(data, post_selected=False))
     report = {
         "meta": meta,
-        "accepted": {"count": len(kept), "fraction": len(kept) / len(data)},
+        **_selection("accepted", kept, len(data)),
         "marginals": {
             "P(A=+1)": int((data["A"] == 1).sum()) / len(data),
             "P(B=+1)": int((data["B"] == 1).sum()) / len(data),
         },
-        "correlators": _correlator_cells(acc_corr),
-        "chsh": _chsh_or_none(acc_corr),
         "ci_tests": [t.as_json() for t in ci_tests],
     }
-
-    io.write_toy_csv(f"{args.out}.csv", data)
-    io.write_json(f"{args.out}.report.json", report)
-    print(f"wrote {args.out}.csv, {args.out}.report.json")
-    return 0
+    return _write(args.out, [
+        (".csv", io.write_toy_csv, data),
+        (".report.json", io.write_json, report),
+    ])
 
 
 def cmd_rps(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -292,10 +264,10 @@ def cmd_rps(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         "meta": {"command": "rps", "trials": args.trials, "seed": args.seed, "out": args.out},
         "ci_tests": [t.as_json() for t in tests],
     }
-    io.write_rps_csv(f"{args.out}.csv", data)
-    io.write_json(f"{args.out}.report.json", report)
-    print(f"wrote {args.out}.csv, {args.out}.report.json")
-    return 0
+    return _write(args.out, [
+        (".csv", io.write_rps_csv, data),
+        (".report.json", io.write_json, report),
+    ])
 
 
 def _parse_coords(text: str) -> geometry.GeometryPreset:
@@ -377,10 +349,8 @@ def cmd_teleport(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         ],
     }
     if args.out is not None:
-        io.write_json(f"{args.out}.report.json", payload)
-        print(f"wrote {args.out}.report.json")
-    else:
-        sys.stdout.write(io.dumps_canonical(payload))
+        return _write(args.out, [(".report.json", io.write_json, payload)])
+    sys.stdout.write(io.dumps_canonical(payload))
     return 0
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -230,17 +230,9 @@ class Trials:
 
 
 def config_meta(config: ExperimentConfig) -> dict:
-    """Serializable echo of a fully resolved configuration."""
-    return {
-        "geometry": config.geometry,
-        "n_trials": config.n_trials,
-        "seed": config.seed,
-        "angles_a": list(config.angles_a),
-        "angles_b": list(config.angles_b),
-        "herald": config.herald,
-        "c_enabled": config.c_enabled,
-        "bsm_partial": config.bsm_partial,
-    }
+    """Serializable echo of a fully resolved configuration, a pair as a list."""
+    meta = {field.name: getattr(config, field.name) for field in fields(config)}
+    return {name: list(v) if isinstance(v, tuple) else v for name, v in meta.items()}
 
 
 def trial_rng(seed: int, trial_id: int) -> np.random.Generator:
@@ -346,26 +338,6 @@ _TWO_SINGLETS = make_two_singlets()  # the start state, built once at import
 _REAL_SINGLETS = _TWO_SINGLETS.amplitudes.real  # read-only; the exact walk's float64 start
 
 
-def _setting_plan(
-    config: ExperimentConfig, order: tuple[EventLabel, ...], a: int, b: int
-) -> tuple[list[PlanStep], list[str]]:
-    """Measurement plan for settings (a, b) in execution order, with the
-    label ("A", "B" or "C") of each step; C is left out when disabled."""
-    plan: list[PlanStep] = []
-    labels: list[str] = []
-    for label in order:
-        if label is EventLabel.A:
-            plan.append(SpinMeasurement(A_QUBIT, config.angles_a[a]))
-            labels.append("A")
-        elif label is EventLabel.B:
-            plan.append(SpinMeasurement(B_QUBIT, config.angles_b[b]))
-            labels.append("B")
-        elif config.c_enabled:
-            plan.append(BsmStep(BSM_PAIR[0], BSM_PAIR[1], partial=config.bsm_partial))
-            labels.append("C")
-    return plan, labels
-
-
 def run_trials(config: ExperimentConfig) -> Trials:
     """Run the configured number of trials; deterministic given (seed, config).
 
@@ -421,8 +393,8 @@ _CELL_COLUMNS.flags.writeable = False
 class _ExactLayout(NamedTuple):
     """The part of a layout's exact table that no angle changes.
 
-    ``plan`` is the template every setting plan follows (the (0, 0) plan,
-    whose spin angles the plan walks ignore), ``picks[2a + b]`` indexes
+    ``plan`` is the template every setting plan follows, its spin steps at
+    angle 0, which the plan walks ignore, ``picks[2a + b]`` indexes
     ``angles_a + angles_b`` for each spin step of setting pair (a, b),
     ``cell`` and ``c_outcome`` are the read-only columns of
     ``exact_leaf_rows``, which ``run_trials`` reads at each trial's leaf,
@@ -442,20 +414,21 @@ class _ExactLayout(NamedTuple):
     heralds: Mapping[str, tuple[np.ndarray, np.ndarray]]
 
 
-def _exact_layout(geometry: str, partial: bool, c_enabled: bool) -> _ExactLayout:
-    config = ExperimentConfig(geometry=geometry, bsm_partial=partial, c_enabled=c_enabled)
-    plan, labels = _setting_plan(config, measurement_order(geometry), 0, 0)
+def _exact_layout(order: tuple[EventLabel, ...], partial: bool) -> _ExactLayout:
+    """The layout of the executed plan that measures ``order``'s events in
+    turn, C as a full or ``partial`` BSM."""
+    spins = {EventLabel.A: A_QUBIT, EventLabel.B: B_QUBIT}
+    plan = tuple(SpinMeasurement(spins[label], 0.0) if label in spins
+                 else BsmStep(*BSM_PAIR, partial=partial) for label in order)
     codes = _plan_codes(plan)
-    spins = [label for label in labels if label != "C"]
-    picks = tuple(
-        tuple(a if label == "A" else 2 + b for label in spins) for a in (0, 1) for b in (0, 1)
-    )
-    outcome_cell = 2 * codes[:, labels.index("A")] + codes[:, labels.index("B")]
+    picks = tuple(tuple(a if label is EventLabel.A else 2 + b for label in order if label in spins)
+                  for a in (0, 1) for b in (0, 1))
+    outcome_cell = 2 * codes[:, order.index(EventLabel.A)] + codes[:, order.index(EventLabel.B)]
     # Plan i = 2a + b holds cells 4i = 8a + 4b onward.
     cell = (4 * np.arange(len(picks))[:, None] + outcome_cell).ravel()
     # The C step's codes as OUTCOMES codes, or -1 in every row when C is off.
-    if c_enabled:
-        d = labels.index("C")
+    if EventLabel.C in order:
+        d = order.index(EventLabel.C)
         c_codes = np.array(_outcome_codes(_branch_outcomes(plan[d])))[codes[:, d]]
     else:
         c_codes = np.full(len(codes), -1)
@@ -466,17 +439,25 @@ def _exact_layout(geometry: str, partial: bool, c_enabled: bool) -> _ExactLayout
         column.flags.writeable = False
     tables = _walk_tables(tuple(map(_walk_key, plan)), _REAL_SINGLETS.size, picks)
     walk = _bind_walk(_REAL_SINGLETS, tables)
-    return _ExactLayout(tuple(plan), picks, cell, c_outcome, tables, walk, heralds)
+    return _ExactLayout(plan, picks, cell, c_outcome, tables, walk, heralds)
 
 
-# Each (geometry, bsm_partial, c_enabled) layout's angle-free table parts
-# and walk, built once at import.
-_EXACT_LAYOUTS = {
-    (geometry, partial, c_enabled): _exact_layout(geometry, partial, c_enabled)
-    for geometry in GEOMETRY_NAMES
-    for partial in (False, True)
-    for c_enabled in (True, False)
+# Each (geometry, bsm_partial, c_enabled) config's executed plan: its
+# geometry's measurement order with C dropped when it is off, and whether a
+# C that runs is a partial BSM. A layout's tables depend on that alone, so
+# the configs of one executed plan share its layout: its angle-free table
+# parts and walk, built once at import.
+_EXECUTED_PLANS = {
+    (geometry, partial, c_enabled): (
+        tuple(label for label in measurement_order(geometry)
+              if c_enabled or label is not EventLabel.C),
+        partial and c_enabled,
+    )
+    for geometry, partial, c_enabled
+    in itertools.product(GEOMETRY_NAMES, (False, True), (True, False))
 }
+_PLAN_LAYOUTS = {plan: _exact_layout(*plan) for plan in dict.fromkeys(_EXECUTED_PLANS.values())}
+_EXACT_LAYOUTS = {key: _PLAN_LAYOUTS[plan] for key, plan in _EXECUTED_PLANS.items()}
 
 
 def exact_leaf_rows(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

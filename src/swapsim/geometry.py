@@ -165,12 +165,9 @@ _PRESETS = {
 
 
 def preset_by_name(name: str) -> GeometryPreset:
-    try:
-        return _build(*_PRESETS[name])
-    except KeyError:
-        raise ValueError(
-            f"unknown geometry {name!r}; expected one of {sorted(_PRESETS)}"
-        ) from None
+    if not isinstance(name, str) or name not in _PRESETS:
+        raise ValueError(f"unknown geometry {name!r}; expected one of {sorted(_PRESETS)}")
+    return _build(*_PRESETS[name])
 
 
 def validate_preset(preset: GeometryPreset) -> GeometryClass:

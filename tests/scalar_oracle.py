@@ -61,7 +61,6 @@ from swapsim.engine import (
     OUTCOMES,
     ExperimentConfig,
     Trials,
-    _setting_plan,
     measurement_order,
     trial_rng,
 )
@@ -588,6 +587,26 @@ def exact_branch_enumeration(
 
     recurse(initial.amplitudes, 0, ())
     return table
+
+
+def _setting_plan(
+    config: ExperimentConfig, order: tuple[EventLabel, ...], a: int, b: int
+) -> tuple[list[PlanStep], list[str]]:
+    """Measurement plan for settings (a, b) in execution order, with the
+    label ("A", "B" or "C") of each step; C is left out when disabled."""
+    plan: list[PlanStep] = []
+    labels: list[str] = []
+    for label in order:
+        if label is EventLabel.A:
+            plan.append(SpinMeasurement(A_QUBIT, config.angles_a[a]))
+            labels.append("A")
+        elif label is EventLabel.B:
+            plan.append(SpinMeasurement(B_QUBIT, config.angles_b[b]))
+            labels.append("B")
+        elif config.c_enabled:
+            plan.append(BsmStep(BSM_PAIR[0], BSM_PAIR[1], partial=config.bsm_partial))
+            labels.append("C")
+    return plan, labels
 
 
 def exact_experiment_distribution(config: ExperimentConfig) -> dict[tuple, float]:

@@ -1,5 +1,6 @@
 """Trial engine tests: determinism, post-selection, and exact joint tables."""
 
+import itertools
 import math
 
 import numpy as np
@@ -174,6 +175,21 @@ class TestMeasurementOrder:
         assert measurement_order("early") == (L.C, L.A, L.B)
         assert measurement_order("delayed") == (L.A, L.B, L.C)
         assert measurement_order("spacelike") == (L.A, L.B, L.C)
+
+    def test_configs_share_a_layout_exactly_when_their_executed_plans_match(self):
+        # A layout's tables depend only on the plan it executes: its
+        # measurement order with C dropped when off, and a partial BSM only
+        # when C runs. So spacelike shares delayed's layout with C on, once
+        # per BSM form, and all six C-off configs share one: 5 layouts.
+        def executed(geometry, partial, c_enabled):
+            order = tuple(label for label in measurement_order(geometry)
+                          if c_enabled or label is not L.C)
+            return order, partial and c_enabled
+
+        layouts = engine._EXACT_LAYOUTS
+        assert len(layouts) == 12 and len({id(layout) for layout in layouts.values()}) == 5
+        for (key, layout), (other, other_layout) in itertools.product(layouts.items(), repeat=2):
+            assert (layout is other_layout) == (executed(*key) == executed(*other)), (key, other)
 
 
 class TestRunTrials:

@@ -119,6 +119,12 @@ class TestPresets:
         with pytest.raises(ValueError):
             preset_by_name("sideways")
 
+    @pytest.mark.parametrize("name", [["early"], {"early"}])
+    def test_unhashable_preset_name_raises_value_error(self, name):
+        # The table lookup used to raise TypeError: unhashable type.
+        with pytest.raises(ValueError, match="unknown geometry"):
+            preset_by_name(name)
+
     def test_missing_event_rejected(self):
         with pytest.raises(ValueError):
             custom_preset({L.A: (0.0, 0.0)})

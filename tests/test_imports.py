@@ -1,6 +1,6 @@
 """Every name a swapsim module imports is used in that module, and every
 private name it defines is read somewhere; the scalar oracle's imports and
-top-level names too.
+top-level names too; and ``cli`` reads no private name of another module.
 
 No linter runs on this tree, so these are its unused-import and dead-code
 checks, on the stdlib ``ast``. Each name an import binds must be read as a
@@ -11,6 +11,8 @@ are exempt. Each ``_name`` a module defines at its top level must be read in
 bench/tracer.py, which wraps some private code by name. The oracle
 (``tests/scalar_oracle.py``) takes the same unused-import check, and each
 name it defines at its top level must be read somewhere under ``tests/``.
+``cli.py`` reads no ``_name`` of another swapsim module, as an attribute or
+an imported name: what it needs from one is public.
 """
 
 import ast
@@ -133,3 +135,36 @@ def test_no_dead_private_code():
 def test_every_oracle_name_is_read_under_tests():
     read = set().union(*(names_read(path.read_text()) for path in TESTS.glob("*.py")))
     assert sorted(top_level_definitions(ORACLE.read_text()) - read) == []
+
+
+def private_reads(source: str, modules) -> list[str]:
+    """``module._name`` for each private name ``source`` reads of one of
+    ``modules`` (swapsim module names), as an attribute or imported from
+    it, sorted."""
+    reads = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules:
+                reads.add((node.value.id, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.level and node.module in modules:
+            reads |= {(node.module, alias.name) for alias in node.names}
+    return sorted(f"{module}.{name}" for module, name in reads
+                  if name.startswith("_") and not name.startswith("__"))
+
+
+def test_check_finds_private_reads():
+    source = (
+        "from . import engine, io\n"
+        "from .qcore import _walk, BellOutcome\n"
+        "def f(args, config):\n"
+        "    rows = engine._exact_rows(config, True)\n"
+        "    args._private, engine.__name__\n"
+        "    return io.write_json, _walk\n"
+    )
+    modules = {"engine", "io", "qcore"}
+    assert private_reads(source, modules) == ["engine._exact_rows", "qcore._walk"]
+
+
+def test_cli_reads_no_private_name_of_another_module():
+    modules = {Path(module).stem for module in MODULES} - {"cli"}
+    assert private_reads((SRC / "cli.py").read_text(), modules) == []
