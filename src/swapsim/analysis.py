@@ -4,8 +4,12 @@ controlled-collider teleportation channel demo.
 
 The conditional-independence machinery is a categorical G-test (a
 likelihood-ratio statistic, 2n times a KL divergence) against a chi-squared
-threshold; all diagnostics operate on engine.Trials column tables or on the
-exact joint table's leaf rows (engine.exact_leaf_rows).
+threshold. A run's G-tests and correlators read its CountTable: each
+populated joint cell of its small columns with its count and first row, so
+a selection (heralded, accepted, one verdict) is a slice of cells and no
+test passes over the rows again. Given an engine.Trials table they tally
+it first. The exact diagnostics read the exact joint table's leaf rows
+(engine.exact_leaf_rows).
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Mapping
 
 import numpy as np
 
@@ -87,8 +92,9 @@ class NdaVerdict(Enum):
 
 
 def _column_codes(column: np.ndarray, n: int) -> tuple[np.ndarray, int]:
-    """Codes in [0, radix) of one column of n rows, equal for two rows
-    exactly where the column is, and their radix.
+    """Codes in [0, radix) of one column (of rows, or of the cells of a
+    table counting n rows), equal for two entries exactly where the column
+    is, and their radix.
 
     An integer or bool column whose span max - min + 1 is at most n is coded
     as its offset from its minimum, without sorting. Any other column
@@ -106,12 +112,12 @@ def _column_codes(column: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     return inverse, len(values)
 
 
-def _mixed_radix(parts, n: int) -> tuple[np.ndarray, int]:
-    """One code per row from (codes, radix) parts, equal for two rows exactly
-    where every part is, and its radix. A running radix above n is compacted
-    to its populated codes, so every radix, and any bincount over the codes,
-    stays at most n."""
-    code, radix = np.zeros(n, dtype=np.intp), 1
+def _mixed_radix(parts, rows: int, n: int) -> tuple[np.ndarray, int]:
+    """One code for each of ``rows`` rows from (codes, radix) parts, equal
+    for two rows exactly where every part is, and its radix. A running radix
+    above n is compacted to its populated codes, so every radix, and any
+    bincount over the codes, stays at most n."""
+    code, radix = np.zeros(rows, dtype=np.intp), 1
     for part, k in parts:
         code, radix = code * k + part, radix * k
         if radix > n:
@@ -122,6 +128,57 @@ def _mixed_radix(parts, n: int) -> tuple[np.ndarray, int]:
 
 def _as_names(names) -> tuple[str, ...]:
     return (names,) if isinstance(names, str) else tuple(names)
+
+
+@dataclass(frozen=True)
+class CountTable:
+    """A run's rows tallied by joint cell: for each populated cell of the
+    named columns, in order of its code, the columns' values (those of its
+    first row, in the run's dtypes), its row count and its first row.
+
+    ``len`` is the number of rows the table counts, and ``select`` keeps the
+    cells a boolean mask (or an index) picks: the table of the rows in them.
+    """
+
+    columns: Mapping[str, np.ndarray]
+    count: np.ndarray
+    first: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.count.sum())
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.columns[name]
+
+    def select(self, cells) -> CountTable:
+        columns = {name: column[cells] for name, column in self.columns.items()}
+        return CountTable(columns, self.count[cells], self.first[cells])
+
+
+def count_table(data: Trials, names, code: np.ndarray | None = None) -> CountTable:
+    """The count table of ``data`` over the named columns.
+
+    ``code`` is each row's joint code over them, non-negative and equal for
+    two rows exactly where every named column is (``io.row_code`` gives the
+    writers' one); without it the columns are coded here by
+    ``_column_codes``. First rows are taken with ``np.minimum.at``, whose
+    result does not depend on the order it visits the rows in."""
+    names = _as_names(names)
+    n = len(data)
+    if code is None:
+        parts = [_column_codes(data[name], n) for name in names] if n else []
+        code = _mixed_radix(parts, n, n)[0]
+    count = np.bincount(code)
+    first = np.full(len(count), n)
+    np.minimum.at(first, code, np.arange(n))
+    cells = np.flatnonzero(count)
+    first = first[cells]
+    return CountTable({name: data[name][first] for name in names}, count[cells], first)
+
+
+def _sums(code: np.ndarray, k: int, count: np.ndarray) -> np.ndarray:
+    """Per-code totals of the cells' counts, as integers (exact below 2**53)."""
+    return np.bincount(code, weights=count, minlength=k).astype(np.int64)
 
 
 @dataclass
@@ -142,10 +199,15 @@ class CorrelatorTable:
         ]
 
 
-def correlators(data: Trials) -> CorrelatorTable:
+def correlators(data: CountTable | Trials) -> CorrelatorTable:
+    """Per-setting-pair correlators of a count table, or of a Trials table
+    through its table over a, b, A and B. The sums of A*B are integers, so
+    they are exact from the counts."""
+    if isinstance(data, Trials):
+        data = count_table(data, ("a", "b", "A", "B"))
     pair = 2 * data["a"].astype(np.intp) + data["b"]  # indexes SETTING_PAIRS
-    counts = np.bincount(pair, minlength=4).tolist()
-    sums = np.bincount(pair, weights=data["A"] * data["B"], minlength=4).tolist()
+    counts = _sums(pair, 4, data.count).tolist()
+    sums = np.bincount(pair, weights=data["A"] * data["B"] * data.count, minlength=4).tolist()
     values = {
         cell: (total / count if count > 0 else None)
         for cell, total, count in zip(SETTING_PAIRS, sums, counts)
@@ -247,7 +309,8 @@ def test_conditional_independence(
     than min_cell samples, or when there are no trials. Each variable is a
     column of the table, named in one role only; naming a missing column, a
     column twice, alpha outside (0, 1) or a min_cell that is not an integer
-    >= 0 raises ValueError.
+    >= 0 raises ValueError. ``data`` is a CountTable, or a Trials table,
+    which is tallied over the named columns first.
     """
     if not 0.0 < _real_field(alpha, "alpha") < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
@@ -269,33 +332,43 @@ def test_conditional_independence(
     missing = [n for n in named if n not in data.columns]
     if missing:
         raise ValueError(f"G-test names {missing}, not among the columns {list(data.columns)}")
+    if isinstance(data, Trials):
+        data = count_table(data, named)
     n_total = len(data)
     if n_total == 0:
         return CITestResult(hypothesis, 0.0, 0.0, Verdict.INCONCLUSIVE, 0, 0)
 
+    # Code the table's cells by stratum, target and versus value, each
+    # column as a pass over the rows would code it; a G-test cell is the
+    # union of the table cells with its codes.
+    m = len(data.count)
     (g, kg), (t, kt), (v, kv) = (
-        _mixed_radix([_column_codes(data[name], n_total) for name in names], n_total)
+        _mixed_radix([_column_codes(data[name], n_total) for name in names], m, n_total)
         for names in (given_names, target_names, versus_names)
     )
-    gt, kgt = _mixed_radix([(g, kg), (t, kt)], n_total)
-    gv, kgv = _mixed_radix([(g, kg), (v, kv)], n_total)
-    cell, kc = _mixed_radix([(gt, kgt), (v, kv)], n_total)
+    gt, kgt = _mixed_radix([(g, kg), (t, kt)], m, n_total)
+    gv, kgv = _mixed_radix([(g, kg), (v, kv)], m, n_total)
+    cell, kc = _mixed_radix([(gt, kgt), (v, kv)], m, n_total)
     g_count, gt_count, gv_count, count = (
-        np.bincount(code, minlength=k) for code, k in ((g, kg), (gt, kgt), (gv, kgv), (cell, kc))
+        _sums(code, k, data.count) for code, k in ((g, kg), (gt, kgt), (gv, kgv), (cell, kc))
     )
-    # Each populated cell's first row; a cell's stratum, target and versus
-    # codes are those of any of its rows.
-    first = np.full(kc, n_total)
-    np.minimum.at(first, cell, np.arange(n_total))
+    # Each G-test cell's first row, and one of its table cells: any serves,
+    # since each holds the cell's stratum, target and versus codes. The
+    # fill lies above every row, since a slice's rows may lie beyond its count.
+    last = np.iinfo(np.intp).max
+    first = np.full(kc, last)
+    np.minimum.at(first, cell, data.first)
+    member = np.empty(kc, dtype=np.intp)
+    member[cell] = np.arange(m)
     cells = np.flatnonzero(count)
-    first, count = first[cells], count[cells]
-    g_cell, gt_cell, gv_cell = g[first], gt[first], gv[first]
+    first, count, member = first[cells], count[cells], member[cells]
+    g_cell, gt_cell, gv_cell = g[member], gt[member], gv[member]
     # Each cell's target total times its versus total over its stratum size.
     expected = gt_count[gt_cell] * gv_count[gv_cell] / g_count[g_cell]
     # Add the cells' terms stratum by stratum in the order the strata first
     # appear, and within a stratum in the order the cells do, as a pass over
     # the rows does: the floating-point sum then matches it bit for bit.
-    g_first = np.full(kg, n_total)
+    g_first = np.full(kg, last)
     np.minimum.at(g_first, g_cell, first)
     order = np.lexsort((first, g_first[g_cell]))
     g_stat = 0.0

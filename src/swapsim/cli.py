@@ -151,7 +151,7 @@ def resolve_options(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         parser.error(f"{args.command} requires --out")
 
 
-def _selection(name: str, kept: engine.Trials, total: int) -> dict:
+def _selection(name: str, kept: analysis.CountTable, total: int) -> dict:
     """A selection's report entries: its count and fraction of ``total``
     under ``name``, its correlators, and their CHSH (None if a pair is empty)."""
     table = analysis.correlators(kept)
@@ -166,12 +166,18 @@ def _selection(name: str, kept: engine.Trials, total: int) -> dict:
     }
 
 
+def _tally(data: engine.Trials, header: list[str]) -> tuple[io.RowCode, analysis.CountTable]:
+    """A run's one row code under a writer's header, and its count table."""
+    rows = io.row_code(data, header)
+    return rows, analysis.count_table(data, rows.names, rows.code)
+
+
 def _write(out: str, files: list[tuple]) -> int:
-    """Write each (suffix, writer, payload) of ``files`` to ``out`` + suffix,
-    in order, then name the files written."""
-    for suffix, write, payload in files:
-        write(f"{out}{suffix}", payload)
-    print("wrote " + ", ".join(f"{out}{suffix}" for suffix, _writer, _payload in files))
+    """Write each (suffix, writer, *arguments) of ``files`` to ``out`` +
+    suffix, in order, then name the files written."""
+    for suffix, write, *arguments in files:
+        write(f"{out}{suffix}", *arguments)
+    print("wrote " + ", ".join(f"{out}{suffix}" for suffix, *_ in files))
     return 0
 
 
@@ -191,22 +197,23 @@ def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         parser.error(str(exc))
 
     ensemble = engine.run_trials(config)
-    event_ready = engine.post_select(ensemble)
+    rows, table = _tally(ensemble, io.ENSEMBLE_HEADER)
+    event_ready = engine.post_select(table)
     meta = engine.config_meta(config)
     meta.update({"command": "simulate", "exact": args.exact, "out": args.out})
-    ci_tests = analysis.no_signaling_tests(ensemble) + analysis.local_causality_tests(
+    ci_tests = analysis.no_signaling_tests(table) + analysis.local_causality_tests(
         event_ready, post_selected=True
     )
     report = {
         "meta": meta,
-        **_selection("heralded", event_ready, len(ensemble)),
+        **_selection("heralded", event_ready, len(table)),
         "ci_tests": [t.as_json() for t in ci_tests],
     }
     if args.exact:
         report["exact"] = analysis.exact_report(config)
     return _write(args.out, [
-        (".csv", io.write_ensemble_csv, ensemble),
-        (".json", io.write_json, io.ensemble_json_payload(ensemble, meta)),
+        (".csv", io.write_ensemble_csv, ensemble, rows),
+        (".json", io.write_json, io.ensemble_json_payload(ensemble, meta, rows)),
         (".report.json", io.write_json, report),
     ])
 
@@ -215,7 +222,8 @@ def cmd_toy(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     runner = toys.run_toy_collider if args.variant == "collider" else toys.run_toy_source_variant
     rule = toys.singlet_weight_rule()
     data = runner(args.trials, args.seed, rule)
-    kept = toys.accepted(data)
+    rows, table = _tally(data, io.TOY_HEADER)
+    kept = toys.accepted(table)
 
     meta = {
         "command": "toy",
@@ -227,36 +235,37 @@ def cmd_toy(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     }
     ci_tests = analysis.local_causality_tests(
         kept, post_selected=True, include_lambda=(args.variant == "source")
-    ) + analysis.local_causality_tests(data, post_selected=False)
+    ) + analysis.local_causality_tests(table, post_selected=False)
     if args.variant == "source":
         ci_tests.append(analysis.statistical_independence_test(kept, post_selected=True))
-        ci_tests.append(analysis.statistical_independence_test(data, post_selected=False))
+        ci_tests.append(analysis.statistical_independence_test(table, post_selected=False))
     report = {
         "meta": meta,
-        **_selection("accepted", kept, len(data)),
+        **_selection("accepted", kept, len(table)),
         "marginals": {
-            "P(A=+1)": int((data["A"] == 1).sum()) / len(data),
-            "P(B=+1)": int((data["B"] == 1).sum()) / len(data),
+            f"P({name}=+1)": int(table.count[table[name] == 1].sum()) / len(table)
+            for name in ("A", "B")
         },
         "ci_tests": [t.as_json() for t in ci_tests],
     }
     return _write(args.out, [
-        (".csv", io.write_toy_csv, data),
+        (".csv", io.write_toy_csv, data, rows),
         (".report.json", io.write_json, report),
     ])
 
 
 def cmd_rps(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     data = toys.run_rps(args.trials, args.seed)
+    rows, table = _tally(data, io.RPS_HEADER)
     tests = [
         analysis.test_conditional_independence(
-            data, "alice", (), ("bob",), hypothesis="rps-unconditional"
+            table, "alice", (), ("bob",), hypothesis="rps-unconditional"
         )
     ]
     for code, verdict in enumerate(toys.RPS_VERDICTS):
         tests.append(
             analysis.test_conditional_independence(
-                data.select(data["verdict"] == code), "alice", (), ("bob",),
+                table.select(table["verdict"] == code), "alice", (), ("bob",),
                 hypothesis=f"rps-given-{verdict.value}",
             )
         )
@@ -265,7 +274,7 @@ def cmd_rps(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         "ci_tests": [t.as_json() for t in tests],
     }
     return _write(args.out, [
-        (".csv", io.write_rps_csv, data),
+        (".csv", io.write_rps_csv, data, rows),
         (".report.json", io.write_json, report),
     ])
 

@@ -367,14 +367,14 @@ def run_trials(config: ExperimentConfig) -> Trials:
     })
 
 
-def post_select(
-    ensemble: Trials, herald: str | Iterable[BellOutcome] | None = None
-) -> Trials:
+def post_select(ensemble, herald: str | Iterable[BellOutcome] | None = None):
     """Event-ready subensemble; original trial_ids are preserved.
 
     With no predicate, keeps trials flagged heralded at generation time.
     A predicate (name or outcome set) keeps trials whose recorded C outcome
-    matches it; trials without a C outcome never match.
+    matches it; trials without a C outcome never match. ``ensemble`` may
+    also be an ``analysis.CountTable``; its subensemble is then a slice of
+    its cells.
     """
     if herald is None:
         return ensemble.select(ensemble["heralded"])

@@ -8,16 +8,19 @@ once is bounded whatever the trial count.
 
 Each row is written from its row code: its token columns combined
 mixed-radix, each digit the value's offset in that column's token table.
-The code indexes a read-only row-token table of pre-formatted ASCII text,
-NUL-padded to a fixed width and built on first use per layout: a CSV line
-after its trial_id, or a mirror record up to its trial_id. One byte kernel
-serves every writer: a chunk of rows fills one block of bytes with each
-row's table text and its trial_id's decimal (NUL-led, from a table of
-four-digit groups), and one compress drops the NULs.
+``row_code`` checks a run against a writer's header and codes every row
+once; the CSV, the mirror and ``analysis.count_table`` all read that one
+code. The code indexes a read-only row-token table of pre-formatted ASCII
+text, NUL-padded to a fixed width and built on first use per layout: a CSV
+line after its trial_id, or a mirror record up to its trial_id. One byte
+kernel serves every writer: a chunk of rows fills one block of bytes with
+each row's table text and its trial_id's decimal (NUL-led, from a table of
+four-digit groups), and one compress drops the NULs. Every file is written
+as bytes.
 
-Every writer checks its table before it opens its file. That check reads
-whole columns in their own dtype, with no widened copy; the text is built
-and written one chunk at a time.
+The check reads whole columns in their own dtype, with no widened copy, and
+runs before a writer opens its file; the text is built and written one
+chunk at a time.
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -83,30 +87,51 @@ CHUNK_ROWS = 4096
 _ID_DIGITS = 18  # a trial_id is an integer in [0, 10**18)
 
 
-def _check_tokens(trials: Trials, names) -> None:
-    """Raise ValueError if the table lacks a named column (only the collider
-    toy's lambda pair may be absent, and only as a pair), a named column
-    holds a value its token table lacks, or trial_id one outside the
-    integers in [0, 10**18) that _decimals writes (it casts ids to int64);
-    the writers call this before they open their file."""
-    missing = [name for name in names if name not in trials.columns]
+class RowCode(NamedTuple):
+    """A run's joint row code (see the module docstring) over ``names``, its
+    token columns in header order: one small signed integer per row."""
+
+    names: tuple[str, ...]
+    code: np.ndarray
+
+
+def row_code(trials: Trials, header) -> RowCode:
+    """Check ``trials`` against a writer's ``header``, then code each row.
+
+    Raise ValueError if the table lacks a header column (only the collider
+    toy's lambda pair may be absent, and only as a pair), a token column
+    holds a value that is not an integer in its token domain, or trial_id
+    one outside the integers in [0, 10**18) that _decimals writes (it casts
+    ids to int64). A float column is checked for whole values before its
+    domain, so 0.7 is not written as the token of 0."""
+    missing = [name for name in header if name not in trials.columns]
     if missing and missing != ["lambda_A", "lambda_B"]:
         raise ValueError(f"table lacks column(s) {', '.join(missing)}")
+    names = tuple(name for name in header[1:] if name in trials.columns)
+    # The smallest signed integer type that holds every code.
+    radix = math.prod(len(_TOKEN_TABLES[name][1]) for name in names)
+    code = np.zeros(len(trials), dtype=np.min_scalar_type(-radix))
     if not len(trials):
-        return
+        return RowCode(names, code)
     ids = trials["trial_id"]
     if ids[0] < 0 or ids[-1] >= 10**_ID_DIGITS:  # Trials holds integer ids only
         raise ValueError(f"trial_id holds a value outside the integers in [0, 10**{_ID_DIGITS})")
     for name in names:
-        if name in _TOKEN_TABLES and name in trials.columns:
-            offset, tokens, holes = _TOKEN_TABLES[name]
-            column = trials[name]
-            if column.dtype.kind not in "biu":
-                column = column.astype(np.intp)  # as the writers read it
-            # Bounds in the column's own dtype, then one compare per hole.
-            if (int(column.min()) < offset or int(column.max()) >= offset + len(tokens)
-                    or any((column == hole).any() for hole in holes)):
-                raise ValueError(f"column {name} holds a value outside {sorted(_CSV_TOKENS[name])}")
+        offset, tokens, holes = _TOKEN_TABLES[name]
+        column = trials[name]
+        if column.dtype.kind not in "biuf" or (column.dtype.kind == "f" and not (
+                np.isfinite(column).all() and (np.trunc(column) == column).all())):
+            raise ValueError(f"column {name} holds a value that is not an integer")
+        # Bounds in the column's own dtype, then one compare per hole.
+        if (int(column.min()) < offset or int(column.max()) >= offset + len(tokens)
+                or any((column == hole).any() for hole in holes)):
+            raise ValueError(f"column {name} holds a value outside {sorted(_CSV_TOKENS[name])}")
+        if not np.can_cast(column.dtype, np.intp):  # floats and uint64, now in range
+            column = column.astype(np.intp)
+        code *= len(tokens)
+        code += column
+        code -= offset
+    return RowCode(names, code)
 
 
 def _row_table(names: tuple, render) -> np.ndarray:
@@ -166,19 +191,15 @@ def _decimals(ids: np.ndarray) -> np.ndarray:
 
 
 def _row_text(
-    trials: Trials, names: tuple, head: np.ndarray | None = None, tail: np.ndarray | None = None
+    trials: Trials, code: np.ndarray, head: np.ndarray | None = None,
+    tail: np.ndarray | None = None,
 ) -> Iterator[bytearray]:
     """The ASCII text of CHUNK_ROWS rows at a time: each row its head
     table's text, its trial_id's decimal and its tail table's text, both
     tables at the row's code."""
     for start in range(0, len(trials), CHUNK_ROWS):
         rows = slice(start, start + CHUNK_ROWS)
-        ids = trials["trial_id"][rows]
-        code = np.zeros(len(ids), dtype=np.intp)
-        for name in names:
-            offset, tokens, _ = _TOKEN_TABLES[name]
-            code = code * len(tokens) + (trials[name][rows].astype(np.intp) - offset)
-        yield _join_rows(head, _decimals(ids), tail, code)
+        yield _join_rows(head, _decimals(trials["trial_id"][rows]), tail, code[rows])
 
 
 def _join_rows(head: np.ndarray | None, digits: np.ndarray, tail: np.ndarray | None,
@@ -207,25 +228,26 @@ def _csv_rows(header: tuple, names: tuple) -> np.ndarray:
     return _row_table(names, line)
 
 
-def _write_csv(path: str | Path, header: list[str], trials: Trials) -> None:
-    _check_tokens(trials, header)
-    names = tuple(name for name in header[1:] if name in trials.columns)
-    table = _csv_rows(tuple(header), names)
+def _write_csv(path: str | Path, header: list[str], trials: Trials, rows: RowCode | None) -> None:
+    rows = row_code(trials, header) if rows is None else rows
+    table = _csv_rows(tuple(header), rows.names)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("ascii"))
-        fh.writelines(_row_text(trials, names, tail=table))
+        fh.writelines(_row_text(trials, rows.code, tail=table))
 
 
-def write_ensemble_csv(path: str | Path, ensemble: Trials) -> None:
-    _write_csv(path, ENSEMBLE_HEADER, ensemble)
+# Each writer takes the table's row_code under its header, or codes the
+# table itself when given none.
+def write_ensemble_csv(path: str | Path, ensemble: Trials, rows: RowCode | None = None) -> None:
+    _write_csv(path, ENSEMBLE_HEADER, ensemble, rows)
 
 
-def write_toy_csv(path: str | Path, trials: Trials) -> None:
-    _write_csv(path, TOY_HEADER, trials)
+def write_toy_csv(path: str | Path, trials: Trials, rows: RowCode | None = None) -> None:
+    _write_csv(path, TOY_HEADER, trials, rows)
 
 
-def write_rps_csv(path: str | Path, trials: Trials) -> None:
-    _write_csv(path, RPS_HEADER, trials)
+def write_rps_csv(path: str | Path, trials: Trials, rows: RowCode | None = None) -> None:
+    _write_csv(path, RPS_HEADER, trials, rows)
 
 
 # A mirror record holds the ensemble CSV's tokens, c_outcome's quoted, under
@@ -252,39 +274,41 @@ def _mirror_rows() -> np.ndarray:
     return _row_table(tuple(ENSEMBLE_HEADER[1:]), _mirror_head)
 
 
-def ensemble_json_payload(ensemble: Trials, meta: dict) -> Iterator[str]:
-    """The JSON mirror as text chunks for write_json: the bytes of
+def ensemble_json_payload(
+    ensemble: Trials, meta: dict, rows: RowCode | None = None
+) -> Iterator[bytes]:
+    """The JSON mirror as byte chunks for write_json: the bytes of
     dumps_canonical({"meta": meta, "records": [one object per row]}), with
     the records formatted CHUNK_ROWS at a time from the row-token table."""
-    _check_tokens(ensemble, _MIRROR_KEYS)
+    rows = row_code(ensemble, ENSEMBLE_HEADER) if rows is None else rows
     text = json.dumps({"meta": dict(meta), "records": []}, sort_keys=True, indent=2)
     # The meta may hold "[]" too, but "records" sorts after it.
     head, _, tail = text.rpartition("[]")
-    return itertools.chain([head], _mirror_records(ensemble), [tail + "\n"])
+    records = _mirror_records(ensemble, rows.code)
+    return itertools.chain([head.encode("ascii")], records, [(tail + "\n").encode("ascii")])
 
 
-def _mirror_records(ensemble: Trials) -> Iterator[str]:
+def _mirror_records(ensemble: Trials, code: np.ndarray) -> Iterator[bytes]:
     if not len(ensemble):
-        yield "[]"
+        yield b"[]"
         return
-    chunks = _row_text(ensemble, tuple(ENSEMBLE_HEADER[1:]), head=_mirror_rows())
+    chunks = _row_text(ensemble, code, head=_mirror_rows())
     # The first record opens the list instead of closing a record.
-    yield "["
-    yield str(memoryview(next(chunks))[len(_MIRROR_SEP):], "ascii")
-    for text in chunks:
-        yield str(text, "ascii")
-    yield _MIRROR_END + "\n  ]"
+    yield b"["
+    yield memoryview(next(chunks))[len(_MIRROR_SEP):]
+    yield from chunks
+    yield (_MIRROR_END + "\n  ]").encode("ascii")
 
 
 def dumps_canonical(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def write_json(path: str | Path, payload: dict | Iterable[str]) -> None:
-    """Write a dict as dumps_canonical text, or the text chunks of
-    ensemble_json_payload as they come."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+def write_json(path: str | Path, payload: dict | Iterable[bytes]) -> None:
+    """Write a dict as dumps_canonical text, encoded once, or the byte
+    chunks of ensemble_json_payload as they come."""
+    with open(path, "wb") as fh:
         if isinstance(payload, dict):
-            fh.write(dumps_canonical(payload))
+            fh.write(dumps_canonical(payload).encode("ascii"))
         else:
             fh.writelines(payload)

@@ -111,7 +111,9 @@ def run_toy_source_variant(n: int, seed: int, rule: AcceptanceRule | None = None
     return _run_toy(n, seed, singlet_weight_rule() if rule is None else rule, record_lambda=True)
 
 
-def accepted(trials: Trials) -> Trials:
+def accepted(trials):
+    """The accepted trials of a toy run: rows of a Trials table, or cells of
+    an ``analysis.CountTable``."""
     return trials.select(trials["accepted"])
 
 

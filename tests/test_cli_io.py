@@ -209,6 +209,42 @@ def _without(table: Trials, *names: str) -> Trials:
     return Trials({name: column for name, column in table.columns.items() if name not in names})
 
 
+class TestNonIntegralValues:
+    """A float column is written as its integer value, so a value that is
+    not a whole number is rejected, naming its column, before a file is
+    opened: 0.7 was once written as the token of 0."""
+
+    @pytest.mark.parametrize("bad", [[0.7, 1.2, 2.9], [0.0, 1.0, np.nan], [0.0, 1.0, np.inf]])
+    def test_rps_choice(self, tmp_path, bad):
+        rps = Trials({"trial_id": [0, 1, 2], "alice": bad, "bob": [0, 1, 2], "verdict": [2, 2, 2]})
+        with pytest.raises(ValueError, match="column alice holds a value that is not an integer"):
+            io.write_rps_csv(tmp_path / "rps.csv", rps)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_toy_setting(self, tmp_path):
+        toy = run_toy_source_variant(3, 1)
+        columns = {**toy.columns, "a": np.array([0.0, 0.5, 1.0])}
+        with pytest.raises(ValueError, match="column a holds a value that is not an integer"):
+            io.write_toy_csv(tmp_path / "toy.csv", Trials(columns))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_ensemble_c_outcome(self, tmp_path):
+        ens = run_trials(ExperimentConfig(n_trials=3, seed=6))
+        columns = {**ens.columns, "c_outcome": np.array([0.0, 3.25, 1.0])}
+        with pytest.raises(ValueError, match="column c_outcome holds a value that is not an"):
+            io.write_ensemble_csv(tmp_path / "ens.csv", Trials(columns))
+        with pytest.raises(ValueError, match="column c_outcome holds a value that is not an"):
+            io.ensemble_json_payload(Trials(columns), {})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_whole_floats_are_written_as_integers(self, tmp_path):
+        rps = Trials({"trial_id": [0, 1, 2], "alice": [0.0, 1.0, 2.0], "bob": [2, 1, 0],
+                      "verdict": [1, 2, 0]})
+        io.write_rps_csv(tmp_path / "rps.csv", rps)
+        assert (tmp_path / "rps.csv").read_text().splitlines()[1:] == [
+            "0,rock,scissors,BobWins", "1,paper,paper,Draw", "2,scissors,rock,AliceWins"]
+
+
 class TestMissingColumns:
     """Each writer rejects a table that lacks a column of its header before
     it opens its file; only the collider toy's lambda pair may be absent,
@@ -535,6 +571,32 @@ class TestCliToyRps:
         by_name = {t["hypothesis"]: t["verdict"] for t in report["ci_tests"]}
         assert by_name["rps-unconditional"] == "Holds"
         assert by_name["rps-given-Draw"] == "Violated"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--exact"], ["toy", "--variant", "collider"], ["toy", "--variant", "source"],
+    ["rps"]])
+def test_each_run_is_coded_and_tallied_once(tmp_path, monkeypatch, argv):
+    # The writers, the G-tests and the correlators read one row code and one
+    # count table per run; a selection is a slice of the table, not a copy
+    # of rows.
+    calls = []
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        return wrapper
+
+    def no_row_copy(self, rows):
+        raise AssertionError("a run's rows were copied")
+
+    monkeypatch.setattr(io, "row_code", counted("row_code", io.row_code))
+    monkeypatch.setattr(analysis, "count_table", counted("count_table", analysis.count_table))
+    monkeypatch.setattr(Trials, "select", no_row_copy)
+    out = str(tmp_path / "run")
+    assert cli.main(argv + ["--trials", "500", "--seed", "2", "--out", out]) == 0
+    assert calls == ["row_code", "count_table"]
 
 
 class TestCliGeometryTeleport:

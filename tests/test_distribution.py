@@ -13,7 +13,22 @@ sets, and its (cell, c_outcome) counts are checked against the rows of
 - each setting's frequency is within a two-sided binomial z bound of 1/2
   at the same ALPHA.
 
-The seed is fixed: a failure is a finding about the sampler, not a reason
+The joint G-test spreads a small defect over up to 63 degrees of freedom,
+so low-dof checks of the same trials follow, each within a two-sided z
+bound at ALPHA:
+
+- each wing's outcome is +1 with probability 1/2 given its setting;
+- each setting pair's heralded correlator is that of
+  ``analysis.exact_heralded_correlators``;
+- each setting pair's correlator given each C outcome (or over all trials
+  with C off) is that of the exact rows, which pools every trial.
+
+The toys and rock-paper-scissors get the same G-test against their exact
+tables: P(cell, accepted) = w/16 and P(cell, rejected) = (1 - w)/16 under
+an acceptance rule's weight w, and 1/9 per pair of choices, whose verdict
+the choices fix.
+
+The seeds are fixed: a failure is a finding about the sampler, not a reason
 to draw again.
 """
 
@@ -23,12 +38,13 @@ import numpy as np
 import pytest
 from scipy.special import chdtri, ndtri
 
-from swapsim import engine
+from swapsim import analysis, engine, toys
 from swapsim.engine import DEFAULT_ANGLES_A, DEFAULT_ANGLES_B, ExperimentConfig
 
 SEED = 11
 N_TRIALS = 200_000
 ALPHA = 1e-6
+Z = float(ndtri(1.0 - ALPHA / 2.0))  # the two-sided z bound at ALPHA
 
 # One (geometry, bsm_partial, c_enabled) config per executed plan: C first
 # or last, full or partial, and the one plan with C off.
@@ -42,12 +58,20 @@ PLANS = [
 ANGLE_SETS = [(DEFAULT_ANGLES_A, DEFAULT_ANGLES_B), ((0.3, 1.9), (2.2, -0.7))]
 
 
-@pytest.fixture(scope="module", params=[(plan, angles) for plan in PLANS for angles in ANGLE_SETS],
-                ids=lambda param: f"{'-'.join(map(str, param[0]))}-angles{ANGLE_SETS.index(param[1])}")
+# A sampler defect that moves one angle by 0.02 rad moves the correlators it
+# enters by about 0.014: about 2.2 standard errors per setting pair and C
+# outcome at 2e5 trials, and 5 at 1e6. So one plan also runs at 1e6 trials.
+CASES = [(plan, angles, N_TRIALS) for plan in PLANS for angles in ANGLE_SETS]
+CASES.append((("delayed", False, True), ANGLE_SETS[0], 1_000_000))
+
+
+@pytest.fixture(scope="module", params=CASES, ids=lambda case: (
+    f"{'-'.join(map(str, case[0]))}-angles{ANGLE_SETS.index(case[1])}"
+    + ("" if case[2] == N_TRIALS else f"-n{case[2]}")))
 def sampled(request):
-    """A config's trials, its exact rows, and each trial's row index."""
-    (geometry, partial, c_enabled), (angles_a, angles_b) = request.param
-    config = ExperimentConfig(geometry, N_TRIALS, SEED, angles_a, angles_b,
+    """A config, its trials, its exact rows, and each trial's row index."""
+    (geometry, partial, c_enabled), (angles_a, angles_b), n = request.param
+    config = ExperimentConfig(geometry, n, SEED, angles_a, angles_b,
                               c_enabled=c_enabled, bsm_partial=partial)
     trials = engine.run_trials(config)
     cell, c_outcome, prob = engine.exact_leaf_rows(config)
@@ -58,21 +82,30 @@ def sampled(request):
     a, b, A, B = (trials[name].astype(np.intp) for name in ("a", "b", "A", "B"))
     trial_cell = 8 * a + 4 * b + 2 * (A == -1) + (B == -1)
     rows = row_of[trial_cell, trials["c_outcome"] + 1]
-    return trials, prob, rows
+    return config, trials, (cell, c_outcome, prob), rows
+
+
+def _g_test(counts: np.ndarray, prob: np.ndarray) -> tuple[float, float]:
+    """G of category counts against their exact probabilities, and its
+    threshold at ALPHA with (positive categories - 1) degrees of freedom."""
+    seen = counts > 0
+    g = 2.0 * float(np.sum(counts[seen] * np.log(counts[seen] / (counts.sum() * prob[seen]))))
+    return g, float(chdtri(int((prob > 0.0).sum()) - 1, ALPHA))
+
+
+def _within_z(mean: float, expected: float, variance: float, n: int) -> bool:
+    return abs(mean - expected) < Z * math.sqrt(variance / n)
 
 
 def test_no_trial_lands_on_a_zero_probability_row(sampled):
-    _trials, prob, rows = sampled
+    _config, _trials, (_cell, _c_outcome, prob), rows = sampled
     assert (rows >= 0).all()
     assert (prob[rows] > 0.0).all()
 
 
 def test_joint_counts_pass_a_g_test_against_the_exact_rows(sampled):
-    _trials, prob, rows = sampled
-    counts = np.bincount(rows, minlength=len(prob))
-    seen = counts > 0
-    g = 2.0 * float(np.sum(counts[seen] * np.log(counts[seen] / (N_TRIALS * prob[seen]))))
-    threshold = float(chdtri(int((prob > 0.0).sum()) - 1, ALPHA))
+    _config, _trials, (_cell, _c_outcome, prob), rows = sampled
+    g, threshold = _g_test(np.bincount(rows, minlength=len(prob)), prob)
     assert g < threshold
 
 
@@ -80,6 +113,77 @@ def test_joint_counts_pass_a_g_test_against_the_exact_rows(sampled):
 def test_setting_frequency_is_one_half(sampled, setting):
     # A trial's settings are its first two draws, whatever the config, so
     # every config repeats one sample here.
-    trials, _prob, _rows = sampled
-    z = float(ndtri(1.0 - ALPHA / 2.0))
-    assert abs(trials[setting].mean() - 0.5) < z * math.sqrt(0.25 / N_TRIALS)
+    _config, trials, _exact, _rows = sampled
+    assert _within_z(trials[setting].mean(), 0.5, 0.25, len(trials))
+
+
+@pytest.mark.parametrize("wing,setting", [("A", "a"), ("B", "b")])
+def test_wing_outcome_is_fair_given_its_setting(sampled, wing, setting):
+    _config, trials, _exact, _rows = sampled
+    for value in (0, 1):
+        outcomes = trials[wing][trials[setting] == value]
+        assert _within_z((outcomes == 1).mean(), 0.5, 0.25, len(outcomes)), value
+
+
+def _correlator(trials, keep: np.ndarray, a: int, b: int) -> tuple[float, int]:
+    """The mean of A*B over the kept trials of setting pair (a, b), and their count."""
+    keep = keep & (trials["a"] == a) & (trials["b"] == b)
+    products = trials["A"][keep].astype(float) * trials["B"][keep]
+    return float(products.mean()), len(products)
+
+
+def test_heralded_correlators_match_exact(sampled):
+    config, trials, _exact, _rows = sampled
+    if not config.c_enabled:
+        assert not trials["heralded"].any()
+        return
+    exact = analysis.exact_heralded_correlators(config).values
+    for a, b in analysis.SETTING_PAIRS:
+        e, n = _correlator(trials, trials["heralded"], a, b)
+        assert _within_z(e, exact[(a, b)], 1.0 - exact[(a, b)] ** 2, n), (a, b)
+
+
+def test_correlators_given_each_c_outcome_match_exact_rows(sampled):
+    # With C on, A*B given a C outcome carries the settings' angles; with C
+    # off, over all trials. Each trial counts in one of these checks, and
+    # their squared z scores add to a chi-squared statistic, one degree of
+    # freedom per check.
+    _config, trials, (cell, c_outcome, prob), _rows = sampled
+    cell_a, cell_b, cell_A, cell_B = (np.array(column)[cell] for column in zip(*engine.CELLS))
+    scores = []
+    for c in np.unique(c_outcome):
+        for a, b in analysis.SETTING_PAIRS:
+            exact = (c_outcome == c) & (cell_a == a) & (cell_b == b)
+            want = float((cell_A * cell_B * prob)[exact].sum() / prob[exact].sum())
+            e, n = _correlator(trials, trials["c_outcome"] == c, a, b)
+            assert _within_z(e, want, 1.0 - want**2, n), (c, a, b)
+            scores.append((e - want) ** 2 * n / (1.0 - want**2))
+    assert sum(scores) < float(chdtri(len(scores), ALPHA))
+
+
+@pytest.mark.parametrize("runner", [toys.run_toy_collider, toys.run_toy_source_variant])
+@pytest.mark.parametrize("angles", ANGLE_SETS, ids=["angles0", "angles1"])
+def test_toy_counts_pass_a_g_test_against_the_exact_toy_table(runner, angles):
+    rule = toys.singlet_weight_rule(*angles)
+    trials = runner(N_TRIALS, SEED, rule)
+    a, b, A, B = (trials[name].astype(np.intp) for name in ("a", "b", "A", "B"))
+    cell = 8 * a + 4 * b + 2 * (A == -1) + (B == -1)
+    # P(cell, rejected) = (1 - w)/16 at 2*cell, P(cell, accepted) = w/16 at 2*cell + 1.
+    prob = np.column_stack([1.0 - rule.table, rule.table]).ravel() / 16.0
+    counts = np.bincount(2 * cell + trials["accepted"], minlength=len(prob))
+    g, threshold = _g_test(counts, prob)
+    assert g < threshold
+    if runner is toys.run_toy_source_variant:
+        assert (trials["lambda_A"] == trials["A"]).all() and (trials["lambda_B"] == trials["B"]).all()
+
+
+def test_rps_counts_pass_a_g_test_against_one_ninth_per_pair():
+    trials = toys.run_rps(N_TRIALS, SEED)
+    alice, bob = (trials[name].astype(np.intp) for name in ("alice", "bob"))
+    g, threshold = _g_test(np.bincount(3 * alice + bob, minlength=9), np.full(9, 1.0 / 9.0))
+    assert g < threshold
+    # Choices rock, paper, scissors: each beats the one before it, cyclically.
+    assert [choice.value for choice in toys.RPS_CHOICES] == ["rock", "paper", "scissors"]
+    want = np.array(["Draw", "AliceWins", "BobWins"])[(alice - bob) % 3]
+    names = np.array([verdict.value for verdict in toys.RPS_VERDICTS])
+    assert (names[trials["verdict"]] == want).all()

@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -1124,6 +1125,76 @@ def test_gtest_matches_oracle_property(case, min_cell):
     assert got == want
 
 
+def _cell_keys(table, names) -> list[tuple]:
+    """Each row's (or count-table cell's) values of the named columns, as the
+    oracle's records hold them."""
+    return list(zip(*(table[name].tolist() for name in names)))
+
+
+def _tally(table: Trials, names, keep: list[bool]):
+    """The count table of the named columns, held to a pass over the rows;
+    the slice of it that ``keep`` picks; and the oracle records of that
+    slice's rows."""
+    counts = analysis.count_table(table, names)
+    keys = _cell_keys(table, names)
+    first: dict = {}
+    for row, key in enumerate(keys):
+        first.setdefault(key, row)
+    cells = _cell_keys(counts, names)
+    # One cell per distinct key, in no fixed order; each with its count and first row.
+    assert sorted(zip(counts.first.tolist(), cells)) == sorted((r, k) for k, r in first.items())
+    tally = Counter(keys)
+    assert counts.count.tolist() == [tally[key] for key in cells]
+    assert len(counts) == len(table)
+    kept = counts.select(np.array(keep, dtype=bool))
+    picked = {key for key, k in zip(cells, keep) if k}
+    records = [r for r, key in zip(scalar_oracle.rows(table), keys) if key in picked]
+    return counts, kept, records
+
+
+def _wide_table():
+    """Target x0 of 6 values against versus x1 of 8: dof 35, above the
+    default thresholds, so the threshold comes from chdtri."""
+    rows = np.arange(480)
+    return _table({"x0": rows % 6, "x1": rows // 60 % 8}), ("x0",), (), ("x1",)
+
+
+def _one_value_strata():
+    """Stratum x2 == 1 holds one target value, stratum x2 == 2 one versus value."""
+    x2 = np.arange(240) // 80
+    return (_table({"x0": np.where(x2 == 1, 0, _X), "x1": np.where(x2 == 2, 1, _Y), "x2": x2}),
+            ("x0",), ("x2",), ("x1",))
+
+
+@settings(max_examples=300, deadline=None, database=None,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
+@given(case=small_tables(), min_cell=st.integers(0, 8),
+       alpha=st.sampled_from([analysis.DEFAULT_ALPHA, 0.05]), data=st.data())
+@example(case=(_table({"x0": _X[:0], "x1": _X[:0]}), ("x0",), (), ("x1",)),  # empty table
+         min_cell=0, alpha=analysis.DEFAULT_ALPHA, data=None)
+@example(case=_wide_table(), min_cell=8, alpha=analysis.DEFAULT_ALPHA, data=None)
+@example(case=_wide_table(), min_cell=0, alpha=0.05, data=None)
+@example(case=_one_value_strata(), min_cell=3, alpha=analysis.DEFAULT_ALPHA, data=None)
+@example(  # float target, bool given, and a versus spanning more than 2**40 values
+    case=(_table({"x0": _X * 0.5 - 0.25, "x1": _Y.astype(bool), "x2": _X * 2**40 + _Y}),
+          ("x0",), ("x1",), ("x2",)), min_cell=0, alpha=0.05, data=None)
+def test_table_gtest_matches_oracle_property(case, min_cell, alpha, data):
+    # One count table over every column the G-test may name serves every
+    # role split and every slice of its cells, as the CLI's tables do.
+    table, target, given_, versus = case
+    names = [name for name in table.columns if name != "trial_id" or name in target + versus]
+    m = len(set(_cell_keys(table, names)))
+    keep = [True] * m if data is None else data.draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    counts, kept, records = _tally(table, names, keep)
+    oracle = scalar_oracle.test_conditional_independence
+    for part, rows in ((counts, scalar_oracle.rows(table)), (kept, records),
+                       (counts.select(np.zeros(m, dtype=bool)), [])):
+        got = analysis.test_conditional_independence(
+            part, target, given_, versus, min_cell=min_cell, alpha=alpha)
+        want = oracle(rows, target, given_, versus, min_cell=min_cell, alpha=alpha)
+        assert repr(got) == repr(want)
+
+
 @settings(max_examples=100, deadline=None, database=None)
 @given(cells=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1),
                                 st.sampled_from((1, -1)), st.sampled_from((1, -1))),
@@ -1133,6 +1204,11 @@ def test_correlators_match_oracle_property(cells):
     table = _table({name: np.array([c[i] for c in cells], dtype=np.int8)
                     for i, name in enumerate(("a", "b", "A", "B"))})
     assert analysis.correlators(table) == scalar_oracle.correlators(scalar_oracle.rows(table))
+    # A count table, and the slice of its cells with A = +1, give the rows' correlators.
+    counts = analysis.count_table(table, ("a", "b", "A", "B"))
+    assert analysis.correlators(counts) == scalar_oracle.correlators(scalar_oracle.rows(table))
+    assert analysis.correlators(counts.select(counts["A"] == 1)) == scalar_oracle.correlators(
+        [r for r in scalar_oracle.rows(table) if r.A == 1])
 
 
 def test_batteries_match_oracle():
