@@ -15,15 +15,16 @@ trial count below 1 and a missing or empty --out for simulate, toy and rps.
 Exit codes: 0 success, 2 usage error, 3 I/O failure (an output that cannot be
 written, or a --config file that is missing or cannot be read).
 
-``main`` builds only the invoked subcommand's parser; an argv that does not
-start with a subcommand's name gets them all (see ``build_parser``). In a
-``geometry`` order line whose boosted times overflow, the events' order keys
-t/2 - v*x/2 are printed in their place.
+``main`` parses with one parser per process, built with all five subcommands
+on first use. A ``geometry`` order line is labelled with its velocity as
+text that reads back as that float; where its boosted times overflow, the
+events' order keys t/2 - v*x/2 are printed in their place.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -336,7 +337,9 @@ def cmd_geometry(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
             times = [event.t / 2 - v * event.x / 2 for event in events]
             shown = "keys t/2 - v*x/2: "
         shown += ", ".join(f"{label.value}={t:.6g}" for label, t in zip(order, times))
-        print(f"order at v={v:g}: {' < '.join(label.value for label in order)}  ({shown})")
+        # {v:g} keeps six digits; where it does not read back as v, repr does.
+        speed = f"{v:g}" if float(f"{v:g}") == v else repr(v)
+        print(f"order at v={speed}: {' < '.join(label.value for label in order)}  ({shown})")
     return 0
 
 
@@ -377,25 +380,15 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The top-level parser with every subcommand, or with only ``command``'s.
-
-    A parser built for one command prints the same usage line, because the
-    subcommand positional keeps the full ``{simulate,...}`` metavar; the
-    messages that name the positional itself (a missing or unknown command)
-    come only from argvs without a known command, which take the full build.
-    """
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser with every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="swapsim",
         description="Entanglement-swapping Bell test simulator and causal diagnostics.",
     )
-    sub = parser.add_subparsers(
-        dest="command",
-        required=True,
-        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}",
-    )
-    chosen = COMMANDS if command is None else {command: COMMANDS[command]}
-    for cmd, (help_line, func, names) in chosen.items():
+    sub = parser.add_subparsers(dest="command", required=True)
+    for cmd, (help_line, func, names) in COMMANDS.items():
         p = sub.add_parser(cmd, help=help_line)
         for name in names:
             option = OPTIONS[name]
@@ -410,8 +403,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+    parser = build_parser()
     args = parser.parse_args(argv)
     try:
         resolve_options(args, parser)

@@ -280,15 +280,18 @@ class TestMissingColumns:
 
 def test_importing_the_cli_builds_no_writer_table():
     """Every swapsim invocation pays the CLI's import: the writers build
-    their row and digit tables on first use, and scipy.special loads only
-    for a G-test off the default alpha or above 32 degrees of freedom."""
+    their row and digit tables, and the CLI its parser, on first use, and
+    scipy.special loads only for a G-test off the default alpha or above 32
+    degrees of freedom."""
     code = (
+        "import argparse\n"
         "import sys\n"
-        "import swapsim.cli\n"
-        "from swapsim import io\n"
-        "caches = {name: f.cache_info().currsize for name, f in vars(io).items()\n"
-        "          if hasattr(f, 'cache_info')}\n"
-        "assert len(caches) >= 3 and not any(caches.values()), caches\n"
+        "built = []\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **kw: built.append(kw)\n"
+        "from swapsim import cli, io\n"
+        "caches = {name: f.cache_info().currsize for module in (cli, io)\n"
+        "          for name, f in vars(module).items() if hasattr(f, 'cache_info')}\n"
+        "assert len(caches) >= 4 and not any(caches.values()) and not built, caches\n"
         "assert 'scipy.special' not in sys.modules\n"
         "print('ok')\n"
     )
@@ -633,6 +636,21 @@ class TestCliGeometryTeleport:
             "order at v=0.9: SourceRight < SourceLeft < B < C < A  (keys t/2 - v*x/2:"
             " SourceRight=-9.5e+307, SourceLeft=-5e+306, B=3.5e+307, C=8.5e+307, A=1.2e+308)"
         )
+
+    @pytest.mark.parametrize("boost,labels", [
+        # Six significant digits would label the first "v=1", a velocity the
+        # command rejects, and both of the next "v=0.123456".
+        ("0.9999999999999999", ["0", "0.9999999999999999"]),
+        ("0.1234561,0.1234562", ["0", "0.1234561", "0.1234562"]),
+        ("0.5,-0.25,1e-7,0.9", ["0", "0.5", "-0.25", "1e-07", "0.9"]),
+    ])
+    def test_geometry_labels_read_back_as_their_boosts(self, capsys, boost, labels):
+        assert cli.main(["geometry", "--preset", "early", "--boost", boost]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        shown = [line.split(":")[0].removeprefix("order at v=")
+                 for line in lines if line.startswith("order at v=")]
+        assert shown == labels
+        assert [float(v) for v in shown] == [0.0, *map(float, boost.split(","))]
 
     def test_geometry_bad_boost(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,9 +1,13 @@
 """The CLI's option table: the flags it builds, how each option resolves,
-and the empty --out rule."""
+the empty --out rule, and the one parser each process parses with."""
 
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -66,14 +70,6 @@ def test_each_subcommand_accepts_its_option_strings():
     assert set(commands) == set(OPTION_STRINGS)
     for name, sub in commands.items():
         assert {s for a in sub._actions for s in a.option_strings} == OPTION_STRINGS[name]
-
-
-@pytest.mark.parametrize("command", sorted(OPTION_STRINGS))
-def test_one_command_build_registers_only_that_command(command):
-    commands = subparsers(cli.build_parser(command))
-    assert list(commands) == [command]
-    assert {s for a in commands[command]._actions for s in a.option_strings} == (
-        OPTION_STRINGS[command])
 
 
 @pytest.mark.parametrize("command", sorted(RESOLVED_DEFAULTS))
@@ -225,3 +221,61 @@ def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
     monkeypatch.setattr("sys.argv", ["swapsim", "geometry", "--preset", "early"])
     assert cli.main() == 0
     assert "classification: ED" in capsys.readouterr().out
+
+
+# One process's calls: a usage error, help, a config file, SWAPSIM_SEED,
+# teleport to stdout and geometry; each (argv, SWAPSIM_SEED or None).
+SEQUENCE = [
+    (["simulate", "--geometry", "nowhere", "--out", "o"], None),
+    (["toy", "--help"], None),
+    (["simulate", "--config", "run.cfg", "--out", "sim"], None),
+    (["rps", "--trials", "300", "--out", "rps"], "7"),
+    (["teleport", "--trials", "300", "--seed", "2"], None),
+    (["geometry", "--preset", "early"], None),
+]
+
+
+def _fresh_run(argv, seed_env, cwd):
+    """Exit code, stdout and stderr of ``python -m swapsim.cli argv`` in cwd."""
+    env = {k: v for k, v in os.environ.items() if k != "SWAPSIM_SEED"}
+    env.update(COLUMNS="80", PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    if seed_env is not None:
+        env["SWAPSIM_SEED"] = seed_env
+    done = subprocess.run([sys.executable, "-m", "swapsim.cli", *argv], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_one_process_parser_carries_nothing_between_calls(tmp_path, monkeypatch, capsys):
+    # Each call in one process prints and writes what a fresh interpreter
+    # does, and the sequence builds the parser once.
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    for directory in (here, fresh):
+        directory.mkdir()
+        (directory / "run.cfg").write_text("trials = 200\nseed = 3\ngeometry = early\n")
+    monkeypatch.chdir(here)
+    monkeypatch.setenv("COLUMNS", "80")
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(kw.get("prog")) or init(self, *a, **kw))
+    codes = []
+    cli.build_parser.cache_clear()
+    for argv, seed_env in SEQUENCE:
+        if seed_env is None:
+            monkeypatch.delenv("SWAPSIM_SEED", raising=False)
+        else:
+            monkeypatch.setenv("SWAPSIM_SEED", seed_env)
+        got = outcome(capsys, lambda: cli.main(list(argv)))
+        assert got == _fresh_run(argv, seed_env, fresh), argv
+        codes.append(got[0])
+        assert _files(here) == _files(fresh), argv
+    assert codes == [2, 0, 0, 0, 0, 0]
+    assert built == ["swapsim"] + [f"swapsim {name}" for name in cli.COMMANDS]
+    assert sorted(_files(here)) == sorted(
+        ["run.cfg", "sim.csv", "sim.json", "sim.report.json", "rps.csv", "rps.report.json"])
+

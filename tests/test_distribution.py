@@ -28,6 +28,11 @@ tables: P(cell, accepted) = w/16 and P(cell, rejected) = (1 - w)/16 under
 an acceptance rule's weight w, and 1/9 per pair of choices, whose verdict
 the choices fix.
 
+The teleport demo is held to its exact channel from
+``qcore.exact_branch_enumeration``: its kept count to n P(kept) and each
+P(y | x, kept) to the exact value, within a two-sided z bound at ALPHA, or
+exactly where the exact value is 0 or 1.
+
 The seeds are fixed: a failure is a finding about the sampler, not a reason
 to draw again.
 """
@@ -40,6 +45,14 @@ from scipy.special import chdtri, ndtri
 
 from swapsim import analysis, engine, toys
 from swapsim.engine import DEFAULT_ANGLES_A, DEFAULT_ANGLES_B, ExperimentConfig
+from swapsim.qcore import (
+    BellOutcome,
+    BsmStep,
+    SpinMeasurement,
+    StateVector,
+    exact_branch_enumeration,
+    singlet,
+)
 
 SEED = 11
 N_TRIALS = 200_000
@@ -187,3 +200,37 @@ def test_rps_counts_pass_a_g_test_against_one_ninth_per_pair():
     want = np.array(["Draw", "AliceWins", "BobWins"])[(alice - bob) % 3]
     names = np.array([verdict.value for verdict in toys.RPS_VERDICTS])
     assert (names[trials["verdict"]] == want).all()
+
+
+def _within_z_or_equal(sampled: float, exact: float, n: float) -> bool:
+    """Equal where ``exact`` is 0 or 1, else within the z bound for n draws."""
+    if exact in (0.0, 1.0):
+        return sampled == exact
+    return _within_z(sampled, exact, exact * (1.0 - exact), n)
+
+
+@pytest.mark.parametrize("controlled", [True, False], ids=["controlled", "uncontrolled"])
+def test_teleport_matches_its_exact_channel(controlled):
+    # The demo's channel: input bit x on qubit 0, the singlet on (1, 2), a
+    # BSM on (0, 1), then the output spin along z (+1 reads as bit 0).
+    # Controlled mode keeps the psi-minus outcomes, uncontrolled keeps all.
+    plan = (BsmStep(0, 1), SpinMeasurement(2, 0.0))
+    kept = {BellOutcome.PSI_MINUS} if controlled else set(BellOutcome)
+    joint = np.zeros((2, 2))  # P(kept, y | x)
+    for x, basis in enumerate(np.eye(2, dtype=np.complex128)):
+        start = StateVector(3, np.kron(basis, singlet().amplitudes))
+        for (bell, spin), p in exact_branch_enumeration(start, plan).items():
+            if bell in kept:
+                joint[x, (1 - spin) // 2] += p
+    # Rounded to 12 places: the walk's float error (about 1e-16, and 1e-33
+    # on branches that are exactly 0) must not turn a 0 or 1 into a z bound.
+    p_kept = round(float(joint.sum()) / 2.0, 12)  # the input bit is fair
+    report = analysis.teleport_channel_demo(controlled, N_TRIALS, SEED)
+    assert _within_z_or_equal(report.n_kept / N_TRIALS, p_kept, N_TRIALS)
+    for x in (0, 1):
+        kept_x = float(joint[x].sum())
+        for y in (0, 1):
+            want = round(float(joint[x, y]) / kept_x, 12)
+            # The kept trials of input x number about n P(kept | x) / 2.
+            assert _within_z_or_equal(report.channel[(x, y)], want, N_TRIALS * kept_x / 2.0), (
+                x, y)
