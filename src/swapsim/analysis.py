@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Mapping
 
 import numpy as np
@@ -92,15 +93,9 @@ class NdaVerdict(Enum):
 
 
 def _column_codes(column: np.ndarray, n: int) -> tuple[np.ndarray, int]:
-    """Codes in [0, radix) of one column (of rows, or of the cells of a
-    table counting n rows), equal for two entries exactly where the column
-    is, and their radix.
-
-    An integer or bool column whose span max - min + 1 is at most n is coded
-    as its offset from its minimum, without sorting. Any other column
-    (floats, or a wide span such as the trial ids of a selection) is coded
-    by rank among its sorted distinct values.
-    """
+    """Codes in [0, radix) of a column of n rows, equal where it is, and
+    their radix: an integer or bool column spanning at most n values by
+    offset from its minimum, any other by rank among its distinct values."""
     if column.dtype.kind in "biu":
         lo, hi = column.min(), column.max()
         span = int(hi) - int(lo) + 1
@@ -112,12 +107,10 @@ def _column_codes(column: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     return inverse, len(values)
 
 
-def _mixed_radix(parts, rows: int, n: int) -> tuple[np.ndarray, int]:
-    """One code for each of ``rows`` rows from (codes, radix) parts, equal
-    for two rows exactly where every part is, and its radix. A running radix
-    above n is compacted to its populated codes, so every radix, and any
-    bincount over the codes, stays at most n."""
-    code, radix = np.zeros(rows, dtype=np.intp), 1
+def _mixed_radix(parts, n: int) -> tuple[np.ndarray, int]:
+    """One code for each of n rows from (codes, radix) parts, equal where
+    every part is, and its radix, compacted whenever it would exceed n."""
+    code, radix = np.zeros(n, dtype=np.intp), 1
     for part, k in parts:
         code, radix = code * k + part, radix * k
         if radix > n:
@@ -130,6 +123,13 @@ def _as_names(names) -> tuple[str, ...]:
     return (names,) if isinstance(names, str) else tuple(names)
 
 
+def _check_columns(data, names, user: str) -> None:
+    """Raise ValueError naming each of ``names`` that ``data`` lacks."""
+    missing = [name for name in names if name not in data.columns]
+    if missing:
+        raise ValueError(f"{user} names {missing}, not among the columns {list(data.columns)}")
+
+
 @dataclass(frozen=True)
 class CountTable:
     """A run's rows tallied by joint cell: for each populated cell of the
@@ -138,11 +138,24 @@ class CountTable:
 
     ``len`` is the number of rows the table counts, and ``select`` keeps the
     cells a boolean mask (or an index) picks: the table of the rows in them.
+    A column or ``first`` of another shape than ``count`` raises ValueError,
+    and so does a float column holding NaN: NaN is no category, as it equals
+    no value, itself included.
     """
 
     columns: Mapping[str, np.ndarray]
     count: np.ndarray
     first: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, column in {"first": self.first, **self.columns}.items():
+            if column.shape != self.count.shape:
+                raise ValueError(f"count table column {name!r} has shape {column.shape}, "
+                                 f"not {self.count.shape}")
+        nan = [name for name, column in self.columns.items()
+               if column.dtype.kind == "f" and np.isnan(column).any()]
+        if nan:
+            raise ValueError(f"count table columns {nan} hold NaN")
 
     def __len__(self) -> int:
         return int(self.count.sum())
@@ -162,23 +175,20 @@ def count_table(data: Trials, names, code: np.ndarray | None = None) -> CountTab
     two rows exactly where every named column is (``io.row_code`` gives the
     writers' one); without it the columns are coded here by
     ``_column_codes``. First rows are taken with ``np.minimum.at``, whose
-    result does not depend on the order it visits the rows in."""
+    result does not depend on the order it visits the rows in. A missing
+    column raises ValueError, and so does a float column holding NaN."""
     names = _as_names(names)
+    _check_columns(data, names, "count table")
     n = len(data)
     if code is None:
         parts = [_column_codes(data[name], n) for name in names] if n else []
-        code = _mixed_radix(parts, n, n)[0]
+        code = _mixed_radix(parts, n)[0]
     count = np.bincount(code)
     first = np.full(len(count), n)
     np.minimum.at(first, code, np.arange(n))
     cells = np.flatnonzero(count)
     first = first[cells]
     return CountTable({name: data[name][first] for name in names}, count[cells], first)
-
-
-def _sums(code: np.ndarray, k: int, count: np.ndarray) -> np.ndarray:
-    """Per-code totals of the cells' counts, as integers (exact below 2**53)."""
-    return np.bincount(code, weights=count, minlength=k).astype(np.int64)
 
 
 @dataclass
@@ -202,11 +212,12 @@ class CorrelatorTable:
 def correlators(data: CountTable | Trials) -> CorrelatorTable:
     """Per-setting-pair correlators of a count table, or of a Trials table
     through its table over a, b, A and B. The sums of A*B are integers, so
-    they are exact from the counts."""
+    they are exact from the counts. A missing column raises ValueError."""
+    _check_columns(data, ("a", "b", "A", "B"), "correlators")
     if isinstance(data, Trials):
         data = count_table(data, ("a", "b", "A", "B"))
     pair = 2 * data["a"].astype(np.intp) + data["b"]  # indexes SETTING_PAIRS
-    counts = _sums(pair, 4, data.count).tolist()
+    counts = np.bincount(pair, weights=data.count, minlength=4).astype(np.int64).tolist()
     sums = np.bincount(pair, weights=data["A"] * data["B"] * data.count, minlength=4).tolist()
     values = {
         cell: (total / count if count > 0 else None)
@@ -329,61 +340,38 @@ def test_conditional_independence(
         g_txt = ",".join(given_names) if given_names else "-"
         hypothesis = f"{','.join(target_names)} _||_ {','.join(versus_names)} | {g_txt}"
 
-    missing = [n for n in named if n not in data.columns]
-    if missing:
-        raise ValueError(f"G-test names {missing}, not among the columns {list(data.columns)}")
+    _check_columns(data, named, "G-test")
     if isinstance(data, Trials):
         data = count_table(data, named)
     n_total = len(data)
     if n_total == 0:
         return CITestResult(hypothesis, 0.0, 0.0, Verdict.INCONCLUSIVE, 0, 0)
 
-    # Code the table's cells by stratum, target and versus value, each
-    # column as a pass over the rows would code it; a G-test cell is the
-    # union of the table cells with its codes.
-    m = len(data.count)
-    (g, kg), (t, kt), (v, kv) = (
-        _mixed_radix([_column_codes(data[name], n_total) for name in names], m, n_total)
-        for names in (given_names, target_names, versus_names)
-    )
-    gt, kgt = _mixed_radix([(g, kg), (t, kt)], m, n_total)
-    gv, kgv = _mixed_radix([(g, kg), (v, kv)], m, n_total)
-    cell, kc = _mixed_radix([(gt, kgt), (v, kv)], m, n_total)
-    g_count, gt_count, gv_count, count = (
-        _sums(code, k, data.count) for code, k in ((g, kg), (gt, kgt), (gv, kgv), (cell, kc))
-    )
-    # Each G-test cell's first row, and one of its table cells: any serves,
-    # since each holds the cell's stratum, target and versus codes. The
-    # fill lies above every row, since a slice's rows may lie beyond its count.
-    last = np.iinfo(np.intp).max
-    first = np.full(kc, last)
-    np.minimum.at(first, cell, data.first)
-    member = np.empty(kc, dtype=np.intp)
-    member[cell] = np.arange(m)
-    cells = np.flatnonzero(count)
-    first, count, member = first[cells], count[cells], member[cells]
-    g_cell, gt_cell, gv_cell = g[member], gt[member], gv[member]
-    # Each cell's target total times its versus total over its stratum size.
-    expected = gt_count[gt_cell] * gv_count[gv_cell] / g_count[g_cell]
-    # Add the cells' terms stratum by stratum in the order the strata first
-    # appear, and within a stratum in the order the cells do, as a pass over
-    # the rows does: the floating-point sum then matches it bit for bit.
-    g_first = np.full(kg, last)
-    np.minimum.at(g_first, g_cell, first)
-    order = np.lexsort((first, g_first[g_cell]))
-    g_stat = 0.0
-    for c, e in zip(count[order].tolist(), expected[order].tolist()):
-        g_stat += 2.0 * c * math.log(c / e)
-    # Per populated stratum: (distinct targets - 1) * (distinct versus
-    # values - 1), each counted from the codes' strata.
-    distinct = []
-    for code, code_count, k in ((gt_cell, gt_count, kgt), (gv_cell, gv_count, kgv)):
-        stratum = np.zeros(k, dtype=np.intp)
-        stratum[code] = g_cell
-        distinct.append(np.bincount(stratum[code_count > 0], minlength=kg))
-    targets, versus_values = distinct
-    dof = int(((targets - 1) * (versus_values - 1))[g_count > 0].sum())
-    sparse = gv_count[gv_cell].min() < min_cell
+    # One pass over the table's cells in the order of their first rows: each
+    # count goes to its stratum, and within it to its (target, versus) cell,
+    # both kept in the order they first appear, as a pass over the rows.
+    # Empty cells, which only a table built by hand holds, are skipped.
+    order = np.argsort(data.first, kind="stable")
+    order = order[data.count[order] > 0]
+    keys = [zip(*[data[name][order].tolist() for name in names]) if names else repeat(())
+            for names in (given_names, target_names, versus_names)]
+    strata: dict = {}
+    for c, g, t, v in zip(data.count[order].tolist(), *keys):
+        cells = strata.setdefault(g, {})
+        cells[t, v] = cells.get((t, v), 0) + c
+    g_stat, dof, sparse = 0.0, 0, False
+    for cells in strata.values():
+        t_total, v_total = {}, {}
+        for (t, v), c in cells.items():
+            t_total[t] = t_total.get(t, 0) + c
+            v_total[v] = v_total.get(v, 0) + c
+        n_g = sum(t_total.values())
+        sparse = sparse or min(v_total.values()) < min_cell
+        dof += (len(t_total) - 1) * (len(v_total) - 1)
+        # Expected counts are float(t * v) / n_g: once t * v exceeds 2**53 it
+        # is rounded before the division, unlike an exact t * v / n_g.
+        for (t, v), c in cells.items():
+            g_stat += 2.0 * c * math.log(c / (float(t_total[t] * v_total[v]) / n_g))
 
     if dof == 0:
         threshold = 0.0

@@ -119,6 +119,37 @@ class TestChsh:
         with pytest.raises(ValueError):
             chsh(correlators(table([(0, 0, 1, 1), (0, 1, 1, 1), (1, 0, 1, 1)])))
 
+
+class TestCountTable:
+    def test_missing_columns_raise(self):
+        # Each used to raise a bare KeyError.
+        trials = table([(0, 1, 1, -1)] * 3)
+        with pytest.raises(ValueError, match=r"\['zz'\].*trial_id"):
+            analysis.count_table(trials, ("a", "zz"))
+        no_b = Trials({name: trials[name] for name in ("trial_id", "a", "A", "B")})
+        for data in (no_b, analysis.count_table(no_b, ("a", "A", "B"))):
+            with pytest.raises(ValueError, match=r"correlators names \['b'\]"):
+                correlators(data)
+
+    def test_nan_is_not_a_category(self):
+        # np.unique merged the NaNs into one stratum, which read dof 2.
+        rows = np.arange(400)
+        data = Trials({"trial_id": rows, "g": np.where(rows % 2, np.nan, 0.5),
+                       "t": rows // 2 % 2, "v": rows // 4 % 3})
+        cells = {"g": np.array([np.nan, 0.5]), "t": np.array([0, 1])}
+        for run in (lambda: analysis.count_table(data, ("t", "g", "v")),
+                    lambda: ci_test(data, "t", ("g",), ("v",)),
+                    lambda: analysis.CountTable(cells, np.array([2, 2]), np.array([0, 1]))):
+            with pytest.raises(ValueError, match=r"\['g'\] hold NaN"):
+                run()
+
+    def test_cells_of_another_shape_raise(self):
+        # The G-test zips a table's columns, so it would drop the surplus cells.
+        for columns, first in (({"t": np.array([0, 0, 1, 1])}, np.arange(3)),
+                               ({"t": np.array([0, 0, 1])}, np.arange(4))):
+            with pytest.raises(ValueError, match="has shape"):
+                analysis.CountTable(columns, np.array([60, 70, 80]), first)
+
     def test_quantum_bound_respected_on_generated_data(self):
         ens = run_trials(ExperimentConfig(n_trials=20_000, seed=31))
         result = chsh(correlators(post_select(ens)))
@@ -311,6 +342,15 @@ class TestConditionalIndependence:
         result = ci_test(data, "t", (), ("v",), alpha=alpha, min_cell=0)
         assert result.dof == dof
         assert result.threshold.hex() == float(chdtri(dof, alpha)).hex()
+
+    def test_expected_counts_round_above_2_53(self):
+        # t * v exceeds 2**53 in every cell, so float(t * v) / n_g rounds
+        # unlike the exact t * v / n_g, which reads 0x1.7c7c8992f7e50p+20.
+        counts = analysis.CountTable(
+            {"t": np.array([0, 0, 1, 1]), "v": np.array([0, 1, 0, 1])},
+            count=np.array([768835601, 374281998, 896487718, 484974575]),
+            first=np.array([0, 1, 2, 3]))
+        assert ci_test(counts, "t", (), "v").divergence.hex() == "0x1.7c7c8992f76b0p+20"
 
     def test_no_degrees_of_freedom_no_threshold(self):
         data = table([(0, b, 1, 1) for b in (0, 1)] * 60)

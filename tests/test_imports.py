@@ -4,13 +4,14 @@ top-level names too; and ``cli`` reads no private name of another module.
 
 No linter runs on this tree, so these are its unused-import and dead-code
 checks, on the stdlib ``ast``. Each name an import binds must be read as a
-name somewhere in the module. ``__init__.py`` only re-exports, and an import
-line marked ``# noqa: F401`` holds names that bench/tracer.py wraps, so both
-are exempt. Each ``_name`` a module defines at its top level must be read in
-``src/swapsim`` (as a name, an attribute or an imported name) or named in
-bench/tracer.py, which wraps some private code by name. The oracle
-(``tests/scalar_oracle.py``) takes the same unused-import check, and each
-name it defines at its top level must be read somewhere under ``tests/``.
+name somewhere in the module. ``__init__.py`` only re-exports, so it is
+exempt, and an import line marked ``# noqa: F401`` may hold only names that
+bench/tracer.py names, as it wraps them there. Each ``_name`` a module
+defines at its top level must be read in ``src/swapsim`` (as a name, an
+attribute or an imported name) or named in bench/tracer.py, which wraps
+some private code by name. The oracle (``tests/scalar_oracle.py``) takes
+the same unused-import check, and each name it defines at its top level
+must be read somewhere under ``tests/``.
 ``cli.py`` reads no ``_name`` of another swapsim module, as an attribute or
 an imported name: what it needs from one is public.
 """
@@ -29,20 +30,21 @@ TESTS = Path(__file__).parent
 ORACLE = TESTS / "scalar_oracle.py"
 
 
-def unused_imports(source: str) -> list[str]:
-    """The names ``source`` imports and never reads, sorted."""
+def unused_imports(source: str, tracer: str = "") -> list[str]:
+    """The names ``source`` imports and never reads, sorted; a name imported
+    on a ``# noqa: F401`` line is unused unless ``tracer`` names it."""
     tree = ast.parse(source)
     lines = source.splitlines()
-    imported = set()
+    imported, exempt = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
-            imported |= {
-                alias.asname or alias.name.split(".")[0] for alias in node.names
-                if "# noqa: F401" not in lines[alias.lineno - 1]
-            }
-    return sorted(imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)})
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                (exempt if "# noqa: F401" in lines[alias.lineno - 1] else imported).add(name)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((imported - read) | (exempt - names_read(tracer, strings=True)))
 
 
 def test_check_finds_an_unused_import():
@@ -54,12 +56,22 @@ def test_check_finds_an_unused_import():
         "def f(x: Sequence) -> None:\n"
         "    return np.asarray(x)\n"
     )
-    assert unused_imports(source) == ["Mapping"]
+    assert unused_imports(source, "WRAPPED = [(qcore, '_spin_step')]\n") == ["Mapping"]
+
+
+def test_check_finds_a_noqa_import_the_tracer_does_not_name():
+    source = (
+        "from .qcore import _bsm_step, _spin_step  # noqa: F401\n"
+        "from .engine import run_trials  # noqa: F401\n"
+    )
+    tracer = "from swapsim import engine\nWRAPPED = [(engine, '_spin_step'), (engine, 'run_trials')]\n"
+    assert unused_imports(source, tracer) == ["_bsm_step"]
+    assert unused_imports(source) == ["_bsm_step", "_spin_step", "run_trials"]
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_module_has_no_unused_import(module):
-    assert unused_imports((SRC / module).read_text()) == []
+    assert unused_imports((SRC / module).read_text(), TRACER.read_text()) == []
 
 
 def test_oracle_has_no_unused_import():
