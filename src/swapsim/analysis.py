@@ -14,18 +14,20 @@ it first. The exact diagnostics read the exact joint table's leaf rows
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
 from typing import Mapping
 
 import numpy as np
 
 from .engine import (
+    _COLUMN_VALUES,
     CELLS,
     ExperimentConfig,
     Trials,
+    _code_rows,
     _exact_rows,
     check_trials,
     counter_uniforms,
@@ -49,10 +51,10 @@ from .qcore import (
 from .engine import exact_experiment_distribution  # noqa: F401
 from .qcore import _bsm_step, _spin_step  # noqa: F401
 
-SETTING_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+SETTING_PAIRS = tuple(itertools.product(_COLUMN_VALUES["a"], _COLUMN_VALUES["b"]))
 
 # Fixed CHSH combination: S = E(0,0) + E(0,1) + E(1,0) - E(1,1).
-CHSH_SIGNS = {(0, 0): 1.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): -1.0}
+CHSH_SIGNS = dict(zip(SETTING_PAIRS, (1.0, 1.0, 1.0, -1.0)))
 CHSH_COMBINATION = "+,+,+,-"
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -92,31 +94,14 @@ class NdaVerdict(Enum):
     DIFFERENCE = "Difference"
 
 
-def _column_codes(column: np.ndarray, n: int) -> tuple[np.ndarray, int]:
-    """Codes in [0, radix) of a column of n rows, equal where it is, and
-    their radix: an integer or bool column spanning at most n values by
-    offset from its minimum, any other by rank among its distinct values."""
-    if column.dtype.kind in "biu":
-        lo, hi = column.min(), column.max()
-        span = int(hi) - int(lo) + 1
-        if span <= n:
-            # Casting uint64 values above 2**63 to intp wraps them modulo
-            # 2**64; the true offset is below n, so the difference is exact.
-            return np.subtract(column, lo, dtype=np.intp), span
-    values, inverse = np.unique(column, return_inverse=True)
-    return inverse, len(values)
-
-
-def _mixed_radix(parts, n: int) -> tuple[np.ndarray, int]:
-    """One code for each of n rows from (codes, radix) parts, equal where
-    every part is, and its radix, compacted whenever it would exceed n."""
-    code, radix = np.zeros(n, dtype=np.intp), 1
-    for part, k in parts:
-        code, radix = code * k + part, radix * k
-        if radix > n:
-            values, code = np.unique(code, return_inverse=True)
-            radix = len(values)
-    return code, radix
+def _mixed_radix(code: np.ndarray, columns) -> np.ndarray:
+    """``code`` with each column's rank among its distinct values appended
+    as a lower digit, ranked again after each: equal for two rows exactly
+    where the code and every column are."""
+    for column in columns:
+        values, rank = np.unique(column, return_inverse=True)
+        code = np.unique(code.astype(np.intp) * len(values) + rank, return_inverse=True)[1]
+    return code
 
 
 def _as_names(names) -> tuple[str, ...]:
@@ -138,9 +123,10 @@ class CountTable:
 
     ``len`` is the number of rows the table counts, and ``select`` keeps the
     cells a boolean mask (or an index) picks: the table of the rows in them.
-    A column or ``first`` of another shape than ``count`` raises ValueError,
-    and so does a float column holding NaN: NaN is no category, as it equals
-    no value, itself included.
+    ValueError is raised by a column or ``first`` of another shape than
+    ``count``, a count that is not an integer >= 0, a known column holding a
+    value outside ``engine._COLUMN_VALUES``, and a float column holding NaN:
+    NaN is no category, as it equals no value, itself included.
     """
 
     columns: Mapping[str, np.ndarray]
@@ -152,6 +138,11 @@ class CountTable:
             if column.shape != self.count.shape:
                 raise ValueError(f"count table column {name!r} has shape {column.shape}, "
                                  f"not {self.count.shape}")
+            values = _COLUMN_VALUES.get(name)
+            if values is not None and not set(column.tolist()).issubset(values):
+                raise ValueError(f"column {name} holds a value outside {sorted(values)}")
+        if self.count.dtype.kind not in "iu" or (self.count < 0).any():
+            raise ValueError(f"counts must be integers >= 0, got {self.count.dtype} {self.count}")
         nan = [name for name, column in self.columns.items()
                if column.dtype.kind == "f" and np.isnan(column).any()]
         if nan:
@@ -173,16 +164,17 @@ def count_table(data: Trials, names, code: np.ndarray | None = None) -> CountTab
 
     ``code`` is each row's joint code over them, non-negative and equal for
     two rows exactly where every named column is (``io.row_code`` gives the
-    writers' one); without it the columns are coded here by
-    ``_column_codes``. First rows are taken with ``np.minimum.at``, whose
-    result does not depend on the order it visits the rows in. A missing
-    column raises ValueError, and so does a float column holding NaN."""
+    writers' one); without it ``engine._code_rows`` checks and codes the
+    known columns, with no sort, and ``_mixed_radix`` any other. First rows
+    are taken with ``np.minimum.at``, whose result does not depend on the
+    order it visits the rows in. ValueError is raised as by ``CountTable``
+    and for a missing column."""
     names = _as_names(names)
     _check_columns(data, names, "count table")
     n = len(data)
     if code is None:
-        parts = [_column_codes(data[name], n) for name in names] if n else []
-        code = _mixed_radix(parts, n)[0]
+        code = _code_rows(data, [name for name in names if name in _COLUMN_VALUES])
+        code = _mixed_radix(code, [data[name] for name in names if name not in _COLUMN_VALUES])
     count = np.bincount(code)
     first = np.full(len(count), n)
     np.minimum.at(first, code, np.arange(n))
@@ -353,7 +345,7 @@ def test_conditional_independence(
     # Empty cells, which only a table built by hand holds, are skipped.
     order = np.argsort(data.first, kind="stable")
     order = order[data.count[order] > 0]
-    keys = [zip(*[data[name][order].tolist() for name in names]) if names else repeat(())
+    keys = [zip(*[data[name][order].tolist() for name in names]) if names else itertools.repeat(())
             for names in (given_names, target_names, versus_names)]
     strata: dict = {}
     for c, g, t, v in zip(data.count[order].tolist(), *keys):

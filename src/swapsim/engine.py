@@ -183,6 +183,17 @@ def _herald_mask(outcomes: Iterable[BellOutcome]) -> np.ndarray:
 # and -1 (C off) is never set.
 HERALD_MASKS = {name: _herald_mask(outcomes) for name, outcomes in HERALD_PREDICATES.items()}
 
+# The values each known column may hold, setting 0 and outcome +1 first as
+# CELLS takes them. c_outcome indexes OUTCOMES (-1: C off), alice, bob and
+# verdict toys.RPS_CHOICES and RPS_VERDICTS; trial_id and others hold any.
+_COLUMN_VALUES = {
+    **dict.fromkeys(("a", "b"), (0, 1)),
+    **dict.fromkeys(("A", "B", "lambda_A", "lambda_B"), (1, -1)),
+    "c_outcome": tuple(range(-1, len(OUTCOMES))),
+    **dict.fromkeys(("heralded", "accepted"), (False, True)),
+    **dict.fromkeys(("alice", "bob", "verdict"), (0, 1, 2)),
+}
+
 
 @dataclass(frozen=True, eq=False)
 class Trials:
@@ -227,6 +238,34 @@ class Trials:
                 raise IndexError(f"boolean mask of shape {rows.shape} for {len(self)} rows")
             rows = np.flatnonzero(rows)
         return Trials({name: column[rows] for name, column in self.columns.items()})
+
+
+def _code_rows(trials: Trials, names) -> np.ndarray:
+    """Check the named known columns, then code each row over them as
+    ``io.RowCode`` reads it, in the smallest signed integer type that holds
+    every code. Raise ValueError if a column holds a value that is not an
+    integer in ``_COLUMN_VALUES``; a float column is checked for whole values
+    first, so 0.7 is not coded as 0."""
+    radix = math.prod(max(values) - min(values) + 1 for values in map(_COLUMN_VALUES.get, names))
+    code = np.zeros(len(trials), dtype=np.min_scalar_type(-radix))
+    if not len(trials):
+        return code
+    for name in names:
+        column, values = trials[name], _COLUMN_VALUES[name]
+        if column.dtype.kind not in "biuf" or (column.dtype.kind == "f" and not (
+                np.isfinite(column).all() and (np.trunc(column) == column).all())):
+            raise ValueError(f"column {name} holds a value that is not an integer")
+        # Bounds in the column's own dtype, then one compare per hole (the outcomes' 0).
+        span = range(min(values), max(values) + 1)
+        if (int(column.min()) < span[0] or int(column.max()) > span[-1]
+                or any((column == hole).any() for hole in span if hole not in values)):
+            raise ValueError(f"column {name} holds a value outside {sorted(values)}")
+        if not np.can_cast(column.dtype, np.intp):  # floats and uint64, now in range
+            column = column.astype(np.intp)
+        code *= len(span)
+        code += column
+        code -= span[0]
+    return code
 
 
 def config_meta(config: ExperimentConfig) -> dict:
@@ -384,7 +423,7 @@ def post_select(ensemble, herald: str | Iterable[BellOutcome] | None = None):
 
 
 # The (a, b, A, B) cells of an exact table: row cell 8a + 4b + 2[A=-1] + [B=-1].
-CELLS = tuple(itertools.product((0, 1), (0, 1), (1, -1), (1, -1)))
+CELLS = tuple(itertools.product(*(_COLUMN_VALUES[name] for name in ("a", "b", "A", "B"))))
 # The a, b, A and B columns of CELLS, int8 as a trial's are.
 _CELL_COLUMNS = np.array(CELLS, dtype=np.int8).T
 _CELL_COLUMNS.flags.writeable = False

@@ -7,20 +7,20 @@ mirror are streamed CHUNK_ROWS rows at a time, so the text they hold at
 once is bounded whatever the trial count.
 
 Each row is written from its row code: its token columns combined
-mixed-radix, each digit the value's offset in that column's token table.
-``row_code`` checks a run against a writer's header and codes every row
-once; the CSV, the mirror and ``analysis.count_table`` all read that one
-code. The code indexes a read-only row-token table of pre-formatted ASCII
-text, NUL-padded to a fixed width and built on first use per layout: a CSV
-line after its trial_id, or a mirror record up to its trial_id. One byte
-kernel serves every writer: a chunk of rows fills one block of bytes with
-each row's table text and its trial_id's decimal (NUL-led, from a table of
-four-digit groups), and one compress drops the NULs. Every file is written
-as bytes.
+mixed-radix, each digit the value's offset from its column's lowest value
+in ``engine._COLUMN_VALUES``, from which each token table is derived.
+``row_code`` checks a run against a writer's header and has
+``engine._code_rows`` check and code every row once; the CSV, the mirror
+and ``analysis.count_table`` all read that one code. The code indexes a
+read-only row-token table of pre-formatted ASCII text, NUL-padded to a
+fixed width and built on first use per layout: a CSV line after its
+trial_id, or a mirror record up to its trial_id. One byte kernel serves
+every writer: a chunk of rows fills one block of bytes with each row's
+table text and its trial_id's decimal (NUL-led, from a table of four-digit
+groups), and one compress drops the NULs. Every file is written as bytes.
 
-The check reads whole columns in their own dtype, with no widened copy, and
-runs before a writer opens its file; the text is built and written one
-chunk at a time.
+The check runs before a writer opens its file, and the text is built and
+written one chunk at a time.
 """
 
 from __future__ import annotations
@@ -28,13 +28,12 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import math
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .engine import OUTCOMES, Trials
+from .engine import _COLUMN_VALUES, OUTCOMES, Trials, _code_rows
 from .qcore import BellOutcome
 from .toys import RPS_CHOICES, RPS_VERDICTS
 
@@ -49,38 +48,28 @@ def outcome_token(outcome: BellOutcome | None) -> str:
     return ABSENT_TOKEN if outcome is None else outcome.value
 
 
-_SETTING_TOKENS = {0: "0", 1: "1"}
-_OUTCOME_TOKENS = {1: "1", -1: "-1"}
-_BOOL_TOKENS = {False: "false", True: "true"}
-# The token the writers write for each value a column may hold; trial_id is
-# written in decimal. c_outcome -1 means C was off.
-_CSV_TOKENS = {
-    "a": _SETTING_TOKENS,
-    "b": _SETTING_TOKENS,
-    "A": _OUTCOME_TOKENS,
-    "B": _OUTCOME_TOKENS,
-    "lambda_A": _OUTCOME_TOKENS,
-    "lambda_B": _OUTCOME_TOKENS,
-    "c_outcome": dict(zip(range(-1, len(OUTCOMES)), map(outcome_token, (None,) + OUTCOMES))),
-    "heralded": _BOOL_TOKENS,
-    "accepted": _BOOL_TOKENS,
-    "alice": dict(enumerate(c.value for c in RPS_CHOICES)),
-    "bob": dict(enumerate(c.value for c in RPS_CHOICES)),
-    "verdict": dict(enumerate(v.value for v in RPS_VERDICTS)),
+# The tokens that c_outcome (-1, C off, indexes the last), alice, bob and
+# verdict codes index. Any other known column's token is its value's text in
+# lower case (0, 1, -1, false, true); trial_id is written in decimal.
+_CODE_TOKENS = {
+    "c_outcome": tuple(map(outcome_token, OUTCOMES + (None,))),
+    **dict.fromkeys(("alice", "bob"), tuple(c.value for c in RPS_CHOICES)),
+    "verdict": tuple(v.value for v in RPS_VERDICTS),
 }
 
 
-def _token_table(tokens: dict) -> tuple[int, np.ndarray, tuple[int, ...]]:
-    """(lowest value, token of each value by its offset from it, the values
-    in that range without a token): the outcome columns' -1/+1 leave a hole
-    at 0."""
-    offset = min(tokens)
-    values = range(offset, max(tokens) + 1)
-    table = np.array([tokens.get(v) for v in values], dtype=object)
-    return offset, table, tuple(v for v in values if v not in tokens)
+def _token_table(name: str) -> tuple[int, np.ndarray]:
+    """(lowest value, the token of each value of a known column by its
+    offset from it, None where it may hold no value: the outcomes' 0)."""
+    values = _COLUMN_VALUES[name]
+    offset, tokens = min(values), _CODE_TOKENS.get(name)
+    table = np.full(max(values) - offset + 1, None, dtype=object)
+    for value in values:
+        table[value - offset] = str(value).lower() if tokens is None else tokens[value]
+    return offset, table
 
 
-_TOKEN_TABLES = {name: _token_table(tokens) for name, tokens in _CSV_TOKENS.items()}
+_TOKEN_TABLES = {name: _token_table(name) for name in _COLUMN_VALUES}
 
 # Rows the CSV and JSON writers format at a time, whatever the trial count.
 CHUNK_ROWS = 4096
@@ -96,42 +85,21 @@ class RowCode(NamedTuple):
 
 
 def row_code(trials: Trials, header) -> RowCode:
-    """Check ``trials`` against a writer's ``header``, then code each row.
+    """Check ``trials`` against a writer's ``header``, then code each row
+    with ``engine._code_rows``, which checks each token column's values.
 
     Raise ValueError if the table lacks a header column (only the collider
-    toy's lambda pair may be absent, and only as a pair), a token column
-    holds a value that is not an integer in its token domain, or trial_id
-    one outside the integers in [0, 10**18) that _decimals writes (it casts
-    ids to int64). A float column is checked for whole values before its
-    domain, so 0.7 is not written as the token of 0."""
+    toy's lambda pair may be absent, and only as a pair), or trial_id holds
+    a value outside the integers in [0, 10**18) that _decimals writes (it
+    casts ids to int64)."""
     missing = [name for name in header if name not in trials.columns]
     if missing and missing != ["lambda_A", "lambda_B"]:
         raise ValueError(f"table lacks column(s) {', '.join(missing)}")
-    names = tuple(name for name in header[1:] if name in trials.columns)
-    # The smallest signed integer type that holds every code.
-    radix = math.prod(len(_TOKEN_TABLES[name][1]) for name in names)
-    code = np.zeros(len(trials), dtype=np.min_scalar_type(-radix))
-    if not len(trials):
-        return RowCode(names, code)
     ids = trials["trial_id"]
-    if ids[0] < 0 or ids[-1] >= 10**_ID_DIGITS:  # Trials holds integer ids only
+    if len(ids) and (ids[0] < 0 or ids[-1] >= 10**_ID_DIGITS):  # Trials holds integer ids only
         raise ValueError(f"trial_id holds a value outside the integers in [0, 10**{_ID_DIGITS})")
-    for name in names:
-        offset, tokens, holes = _TOKEN_TABLES[name]
-        column = trials[name]
-        if column.dtype.kind not in "biuf" or (column.dtype.kind == "f" and not (
-                np.isfinite(column).all() and (np.trunc(column) == column).all())):
-            raise ValueError(f"column {name} holds a value that is not an integer")
-        # Bounds in the column's own dtype, then one compare per hole.
-        if (int(column.min()) < offset or int(column.max()) >= offset + len(tokens)
-                or any((column == hole).any() for hole in holes)):
-            raise ValueError(f"column {name} holds a value outside {sorted(_CSV_TOKENS[name])}")
-        if not np.can_cast(column.dtype, np.intp):  # floats and uint64, now in range
-            column = column.astype(np.intp)
-        code *= len(tokens)
-        code += column
-        code -= offset
-    return RowCode(names, code)
+    names = tuple(name for name in header[1:] if name in trials.columns)
+    return RowCode(names, _code_rows(trials, names))
 
 
 def _row_table(names: tuple, render) -> np.ndarray:

@@ -1029,7 +1029,7 @@ def _text(trials: Trials, name: str, rows: slice) -> list:
     values = trials[name][rows]
     if name not in _TOKEN_TABLES:
         return list(map(str, values.tolist()))
-    offset, tokens, _ = _TOKEN_TABLES[name]
+    offset, tokens = _TOKEN_TABLES[name]
     return tokens[values.astype(np.intp) - offset].tolist()
 
 

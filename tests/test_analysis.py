@@ -143,6 +143,26 @@ class TestCountTable:
             with pytest.raises(ValueError, match=r"\['g'\] hold NaN"):
                 run()
 
+    def test_values_outside_a_known_column_raise(self):
+        # correlators returned E(1,1) = -5.0 here and dropped the a = 2 row.
+        data = Trials({"trial_id": np.arange(3), "a": np.array([0, 2, 1]), "b": np.array([0, 1, 1]),
+                       "A": np.array([1, 1, -1]), "B": np.array([1, 5, 1])})
+        cells = {"a": np.array([0, 2]), "b": np.array([0, 1])}
+        for run in (lambda: correlators(data), lambda: analysis.count_table(data, ("a", "b")),
+                    lambda: ci_test(data, "A", ("a",), ("b",)),
+                    lambda: analysis.CountTable(cells, np.array([1, 1]), np.array([0, 1]))):
+            with pytest.raises(ValueError, match=r"column a holds a value outside \[0, 1\]"):
+                run()
+
+    @pytest.mark.parametrize("count", [[2.5, 2], [-5, 2], [True, True]])
+    def test_counts_not_integers_at_least_0_raise(self, count):
+        # [2.5, 2] gave E(0,0) = 1.25 and truncated counts; [-5, 2] died in
+        # len() with "__len__() should return >= 0".
+        cells = {"a": np.array([0, 0]), "b": np.array([0, 0]), "A": np.array([1, -1]),
+                 "B": np.array([1, 1])}
+        with pytest.raises(ValueError, match="counts must be integers >= 0"):
+            analysis.CountTable(cells, np.array(count), np.array([0, 1]))
+
     def test_cells_of_another_shape_raise(self):
         # The G-test zips a table's columns, so it would drop the surplus cells.
         for columns, first in (({"t": np.array([0, 0, 1, 1])}, np.arange(3)),
@@ -286,9 +306,9 @@ class TestConditionalIndependence:
             ci_test(data, target, given_, versus)
 
     def test_declared_range_columns_never_sort(self, monkeypatch):
-        # Settings, outcomes, hidden pairs and rps choices span fewer values
-        # than there are rows, so every code is an offset: the batteries give
-        # the same results with np.unique unavailable to the G-test.
+        # Settings, outcomes, hidden pairs and rps choices are known columns,
+        # coded by their offsets: the batteries give the same results with
+        # np.unique unavailable to the G-test.
         ensemble = run_trials(ExperimentConfig(geometry="early", n_trials=4000, seed=5))
         source = run_toy_source_variant(6000, 7)
         rps = run_rps(3000, 11)

@@ -28,6 +28,11 @@ tables: P(cell, accepted) = w/16 and P(cell, rejected) = (1 - w)/16 under
 an acceptance rule's weight w, and 1/9 per pair of choices, whose verdict
 the choices fix.
 
+The G statistic of each of ``simulate``'s G-tests is held to its own
+limit law: noncentral chi-squared at the test's degrees of freedom with
+noncentrality 2 n I, I the exact conditional mutual information of the
+hypothesis (central where I is 0), within two-sided bounds at ALPHA.
+
 The teleport demo is held to its exact channel from
 ``qcore.exact_branch_enumeration``: its kept count to n P(kept) and each
 P(y | x, kept) to the exact value, within a two-sided z bound at ALPHA, or
@@ -37,11 +42,13 @@ The seeds are fixed: a failure is a finding about the sampler, not a reason
 to draw again.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
 from scipy.special import chdtri, ndtri
+from scipy.stats import chi2, ncx2
 
 from swapsim import analysis, engine, toys
 from swapsim.engine import DEFAULT_ANGLES_A, DEFAULT_ANGLES_B, ExperimentConfig
@@ -234,3 +241,53 @@ def test_teleport_matches_its_exact_channel(controlled):
             # The kept trials of input x number about n P(kept | x) / 2.
             assert _within_z_or_equal(report.channel[(x, y)], want, N_TRIALS * kept_x / 2.0), (
                 x, y)
+
+
+# simulate's G-tests: (hypothesis, target, given, versus, on the heralded trials only).
+SIMULATE_GTESTS = [
+    ("no-signaling-A", "A", "a", "b", False),
+    ("no-signaling-B", "B", "b", "a", False),
+    ("LC_ps-A", "A", "a", "bB", True),
+    ("LC_ps-B", "B", "b", "aA", True),
+]
+
+
+def _exact_cmi(weights: np.ndarray, target: str, given: str, versus: str) -> float:
+    """I(target; versus | given) in nats under the CELLS weights, normalised;
+    each argument names a, b, A or B by letter."""
+    p = (weights / weights.sum()).reshape(2, 2, 2, 2)  # axes a, b, A, B, as CELLS orders them
+
+    def marginal(names: str) -> np.ndarray:
+        return p.sum(axis=tuple(i for i, name in enumerate("abAB") if name not in names),
+                     keepdims=True)
+
+    joint = marginal(target + given + versus)
+    ratio = joint * marginal(given) / (marginal(given + target) * marginal(given + versus))
+    return float(np.sum(joint * np.log(np.where(joint > 0.0, ratio, 1.0))))
+
+
+@functools.cache
+def _simulate_gtests(geometry: str, seed: int) -> tuple[ExperimentConfig, dict]:
+    """A default config of 2e5 trials and its G-test results by hypothesis."""
+    config = ExperimentConfig(geometry, N_TRIALS, seed)
+    trials = engine.run_trials(config)
+    results = analysis.no_signaling_tests(trials) + analysis.local_causality_tests(
+        engine.post_select(trials), post_selected=True)
+    return config, {result.hypothesis: result for result in results}
+
+
+@pytest.mark.parametrize("hypothesis, target, given, versus, heralded", SIMULATE_GTESTS,
+                         ids=[case[0] for case in SIMULATE_GTESTS])
+@pytest.mark.parametrize("seed", [5, 6])
+@pytest.mark.parametrize("geometry", engine.GEOMETRY_NAMES)
+def test_g_statistic_follows_its_noncentral_chi2(geometry, seed, hypothesis, target, given,
+                                                 versus, heralded):
+    config, results = _simulate_gtests(geometry, seed)
+    result = results[hypothesis]
+    cell, c_outcome, prob = engine.exact_leaf_rows(config)
+    if heralded:
+        keep = engine.HERALD_MASKS[config.herald][c_outcome]
+        cell, prob = cell[keep], prob[keep]
+    cmi = _exact_cmi(np.bincount(cell, prob, minlength=len(engine.CELLS)), target, given, versus)
+    law = chi2(result.dof) if abs(cmi) < 1e-12 else ncx2(result.dof, 2.0 * result.n * cmi)
+    assert law.ppf(ALPHA / 2.0) < result.divergence < law.isf(ALPHA / 2.0), (cmi, result)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from swapsim import engine, qcore
+from swapsim import engine, io, qcore, toys
 from swapsim.engine import (
     DEFAULT_ANGLES_A,
     DEFAULT_ANGLES_B,
@@ -249,6 +249,23 @@ class TestRunTrials:
         full = run_trials(ExperimentConfig(n_trials=50, seed=19))
         prefix = run_trials(ExperimentConfig(n_trials=38, seed=19))
         assert_same_table(full.select(slice(38)), prefix)
+
+
+class TestColumnSchema:
+    def test_schema_covers_every_table(self):
+        # Every token column a writer writes, and every column a runner
+        # produces but trial_id, is a known column with declared values.
+        known = engine._COLUMN_VALUES.keys()
+        for header in (io.ENSEMBLE_HEADER, io.TOY_HEADER, io.RPS_HEADER):
+            assert set(header[1:]) <= known, header
+        for run in (run_trials(ExperimentConfig(n_trials=20)), toys.run_toy_collider(20, 0),
+                    toys.run_toy_source_variant(20, 0), toys.run_rps(20, 0)):
+            assert set(run.columns) - {"trial_id"} <= known, list(run.columns)
+        for name, members in (("alice", toys.RPS_CHOICES), ("bob", toys.RPS_CHOICES),
+                              ("verdict", toys.RPS_VERDICTS)):
+            assert engine._COLUMN_VALUES[name] == tuple(range(len(members))), name
+        cells = itertools.product(*(engine._COLUMN_VALUES[name] for name in ("a", "b", "A", "B")))
+        assert engine.CELLS == tuple(cells)
 
 
 class TestSelect:

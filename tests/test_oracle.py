@@ -1042,10 +1042,9 @@ def _table(columns: dict) -> Trials:
 
 
 def _column(draw, n: int) -> np.ndarray:
-    """One G-test column of n rows. Small ints, int8 and bool columns span
-    at most n values once n covers their 1-3 values, and are coded as
-    offsets; wide ints (up to +-2**40), strictly increasing trial_id-like
-    ids with gaps, and floats mostly take the sorted fallback."""
+    """One G-test column of n rows: small ints, int8, bool, wide ints (up to
+    +-2**40), strictly increasing trial_id-like ids with gaps, or floats.
+    Its name is no known column's, so the count table codes it by rank."""
     kind = draw(st.sampled_from(["small", "int8", "bool", "wide", "ids", "float"]))
     if kind == "ids":
         return np.cumsum(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)), dtype=np.int64)
@@ -1068,13 +1067,41 @@ def small_tables(draw):
     disjoint sets of them (target and versus never empty)."""
     n = draw(st.integers(0, 300))
     names = [f"x{i}" for i in range(draw(st.integers(2, 5)))]
-    columns = {name: _column(draw, n) for name in names}
+    return _table({name: _column(draw, n) for name in names}), *_roles(draw, names)
+
+
+def _roles(draw, names) -> tuple[tuple, tuple, tuple]:
+    """(target, given, versus): disjoint sets of the names, target and
+    versus never empty."""
     roles = draw(st.permutations(names))
     n_target = draw(st.integers(1, len(names) - 1))
     n_versus = draw(st.integers(1, len(names) - n_target))
     target, versus = roles[:n_target], roles[n_target:n_target + n_versus]
-    given = roles[n_target + n_versus:]
-    return _table(columns), tuple(target), tuple(given), tuple(versus)
+    return tuple(target), tuple(roles[n_target + n_versus:]), tuple(versus)
+
+
+_TOY_NAMES = ["a", "b", "A", "B", "accepted"]
+_WRITER_LAYOUTS = {  # the columns of a source toy, a collider toy and an rps table
+    "source": (io.TOY_HEADER, io.TOY_HEADER[1:]),
+    "collider": (io.TOY_HEADER, _TOY_NAMES),
+    "rps": (io.RPS_HEADER, io.RPS_HEADER[1:]),
+}
+# Each writer's header and the token columns of its runs: an ensemble and the above.
+_RUN_LAYOUTS = [(io.ENSEMBLE_HEADER, io.ENSEMBLE_HEADER[1:]), *_WRITER_LAYOUTS.values()]
+
+
+@st.composite
+def run_tables(draw):
+    """A run table of one writer's layout of up to 300 rows, each column
+    drawing from all of its known values (int8, int64 or float but for the
+    bools), and a G-test over disjoint sets of its columns."""
+    _header, names = draw(st.sampled_from(_RUN_LAYOUTS))
+    n = draw(st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dtype = draw(st.sampled_from([np.int8, np.int64, float]))
+    columns = {name: rng.choice(np.array(engine._COLUMN_VALUES[name]), n) for name in names}
+    columns = {name: c if c.dtype == bool else c.astype(dtype) for name, c in columns.items()}
+    return _table(columns), *_roles(draw, names)
 
 
 _X = np.arange(240) % 2  # alternating 0, 1
@@ -1105,10 +1132,10 @@ def _five_bits(n: int):
 @example(  # float target, bool given, and a versus spanning more than 2**40 values
     case=(_table({"x0": _X * 0.5 - 0.25, "x1": _Y.astype(bool), "x2": _X * 2**40 + _Y}),
           ("x0",), ("x1",), ("x2",)), min_cell=0)
-@example(  # int8 outcomes against the trial ids, whose span is exactly n
+@example(  # int8 outcomes against the trial ids, one rank per row
     case=(_table({"x0": (1 - 2 * _Y).astype(np.int8), "x1": _X.astype(np.int8)}),
           ("x0",), (), ("trial_id", "x1")), min_cell=0)
-@example(  # uint64 values above 2**63, coded as offsets through the intp cast
+@example(  # uint64 values above 2**63, ranked in their own dtype
     case=(_table({"x0": _X, "x1": np.uint64(2**64 - 1) - _Y.astype(np.uint64)}),
           ("x0",), (), ("x1",)), min_cell=0)
 @example(case=_five_bits(1), min_cell=0)
@@ -1146,10 +1173,51 @@ def _tally(table: Trials, names, keep: list[bool]):
     tally = Counter(keys)
     assert counts.count.tolist() == [tally[key] for key in cells]
     assert len(counts) == len(table)
+    header = _run_header(names)
+    if header is not None:
+        # A run table: the count table from its writer's row code is the same.
+        rows = io.row_code(table, header)
+        coded = analysis.count_table(table, rows.names, rows.code)
+        assert rows.names == tuple(names)
+        for got, want in [(coded.count, counts.count), (coded.first, counts.first),
+                          *((coded[name], counts[name]) for name in names)]:
+            assert np.array_equal(got, want)
     kept = counts.select(np.array(keep, dtype=bool))
     picked = {key for key, k in zip(cells, keep) if k}
     records = [r for r, key in zip(scalar_oracle.rows(table), keys) if key in picked]
     return counts, kept, records
+
+
+def _run_header(names) -> list[str] | None:
+    """The header of the run layout whose token columns are ``names``, if any."""
+    return next((header for header, columns in _RUN_LAYOUTS if list(columns) == list(names)), None)
+
+
+def _bad_value_raises(table: Trials, names, counts, data) -> None:
+    """Put one bad value (2, -1, 0 in an outcome column, 0.5 or NaN) into a
+    row of a known column of a run table: the writers' row code, the count
+    table, a G-test naming the column and a count table built by hand with
+    the value in a cell each raise ValueError, and so do the correlators
+    when the column is a, b, A or B."""
+    name = data.draw(st.sampled_from(names))
+    value = data.draw(st.sampled_from(
+        [v for v in (2, -1, 0, 0.5, math.nan) if v not in engine._COLUMN_VALUES[name]]))
+    column = table[name].astype(float if isinstance(value, float) else np.int64)
+    column[data.draw(st.integers(0, len(table) - 1))] = value
+    bad = Trials({**table.columns, name: column})
+    cells = counts[name].astype(column.dtype)
+    cells[0] = value
+    other = next(other for other in names if other != name)
+    entries = [lambda: io.row_code(bad, _run_header(names)),
+               lambda: analysis.count_table(bad, names),
+               lambda: analysis.test_conditional_independence(bad, name, (), (other,)),
+               lambda: analysis.CountTable({**counts.columns, name: cells}, counts.count,
+                                           counts.first)]
+    if name in ("a", "b", "A", "B"):
+        entries.append(lambda: analysis.correlators(bad))
+    for entry in entries:
+        with pytest.raises(ValueError, match=f"column {name} holds a value"):
+            entry()
 
 
 def _wide_table():
@@ -1168,7 +1236,7 @@ def _one_value_strata():
 
 @settings(max_examples=300, deadline=None, database=None,
           phases=[phase for phase in Phase if phase is not Phase.shrink])
-@given(case=small_tables(), min_cell=st.integers(0, 8),
+@given(case=st.one_of(small_tables(), run_tables()), min_cell=st.integers(0, 8),
        alpha=st.sampled_from([analysis.DEFAULT_ALPHA, 0.05]), data=st.data())
 @example(case=(_table({"x0": _X[:0], "x1": _X[:0]}), ("x0",), (), ("x1",)),  # empty table
          min_cell=0, alpha=analysis.DEFAULT_ALPHA, data=None)
@@ -1197,6 +1265,8 @@ def test_table_gtest_matches_oracle_property(case, min_cell, alpha, data):
             part, target, given_, versus, min_cell=min_cell, alpha=alpha)
         want = oracle(rows, target, given_, versus, min_cell=min_cell, alpha=alpha)
         assert repr(got) == repr(want)
+    if data is not None and len(table) and _run_header(names) is not None:
+        _bad_value_raises(table, names, counts, data)
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -1344,7 +1414,7 @@ def test_streamed_writers_match_oracle_property(case, tmp_path_factory):
 def _every_row(header: list[str], names: list[str]) -> tuple[list[str], Trials]:
     """(header, a table with one row for each combination of the named
     columns' tokens, its trial_ids 1 apart up to 10**18 - 1)."""
-    rows = list(itertools.product(*(sorted(io._CSV_TOKENS[name]) for name in names)))
+    rows = list(itertools.product(*(sorted(engine._COLUMN_VALUES[name]) for name in names)))
     columns = {"trial_id": np.arange(10**18 - len(rows), 10**18)}
     columns.update({name: np.array(column) for name, column in zip(names, zip(*rows))})
     return header, Trials(columns)
@@ -1354,16 +1424,9 @@ def _with_ids(header: list[str], names: list[str], ids: list[int]) -> tuple[list
     """(header, a table of the given trial_ids, each named column cycling
     through its tokens)."""
     columns = {"trial_id": np.array(ids)}
-    columns.update({name: np.resize(sorted(io._CSV_TOKENS[name]), len(ids)) for name in names})
+    columns.update({name: np.resize(sorted(engine._COLUMN_VALUES[name]), len(ids))
+                    for name in names})
     return header, Trials(columns)
-
-
-_TOY_NAMES = ["a", "b", "A", "B", "accepted"]
-_WRITER_LAYOUTS = {  # the columns of a source toy, a collider toy and an rps table
-    "source": (io.TOY_HEADER, io.TOY_HEADER[1:]),
-    "collider": (io.TOY_HEADER, _TOY_NAMES),
-    "rps": (io.RPS_HEADER, io.RPS_HEADER[1:]),
-}
 
 
 @st.composite
@@ -1378,7 +1441,8 @@ def writer_cases(draw):
     if n and draw(st.booleans()):
         ids += 10**18 - 1 - ids[-1]
     columns = {"trial_id": ids}
-    columns.update({name: rng.choice(np.array(sorted(io._CSV_TOKENS[name])), n) for name in names})
+    columns.update({name: rng.choice(np.array(sorted(engine._COLUMN_VALUES[name])), n)
+                    for name in names})
     return header, Trials(columns)
 
 
