@@ -18,6 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -126,7 +127,8 @@ class CountTable:
     ValueError is raised by a column or ``first`` of another shape than
     ``count``, a count that is not an integer >= 0, a known column holding a
     value outside ``engine._COLUMN_VALUES``, and a float column holding NaN:
-    NaN is no category, as it equals no value, itself included.
+    NaN is no category, as it equals no value, itself included. The table
+    holds read-only views of the arrays it is given, as a Trials table does.
     """
 
     columns: Mapping[str, np.ndarray]
@@ -134,19 +136,22 @@ class CountTable:
     first: np.ndarray
 
     def __post_init__(self) -> None:
-        for name, column in {"first": self.first, **self.columns}.items():
-            if column.shape != self.count.shape:
-                raise ValueError(f"count table column {name!r} has shape {column.shape}, "
-                                 f"not {self.count.shape}")
+        count, first = np.asarray(self.count).view(), np.asarray(self.first).view()
+        columns = {name: np.asarray(column).view() for name, column in self.columns.items()}
+        for name, array in [("count", count), ("first", first), *columns.items()]:
+            array.flags.writeable = False  # as in Trials: no write follows the checks
+            if array.shape != count.shape:
+                raise ValueError(f"count table {name!r} has shape {array.shape}, not {count.shape}")
             values = _COLUMN_VALUES.get(name)
-            if values is not None and not set(column.tolist()).issubset(values):
+            if values is not None and not set(array.tolist()).issubset(values):
                 raise ValueError(f"column {name} holds a value outside {sorted(values)}")
-        if self.count.dtype.kind not in "iu" or (self.count < 0).any():
-            raise ValueError(f"counts must be integers >= 0, got {self.count.dtype} {self.count}")
-        nan = [name for name, column in self.columns.items()
+        if count.dtype.kind not in "iu" or (count < 0).any():
+            raise ValueError(f"counts must be integers >= 0, got {count.dtype} {count}")
+        nan = [name for name, column in columns.items()
                if column.dtype.kind == "f" and np.isnan(column).any()]
         if nan:
             raise ValueError(f"count table columns {nan} hold NaN")
+        vars(self).update(columns=MappingProxyType(columns), count=count, first=first)  # frozen
 
     def __len__(self) -> int:
         return int(self.count.sum())

@@ -12,6 +12,7 @@ Wing layout: A measures qubit 0, the Bell-state measurement acts on qubits
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
@@ -388,7 +389,7 @@ def run_trials(config: ExperimentConfig) -> Trials:
     its leaf's row of that table.
     """
     n = config.n_trials
-    layout = _EXACT_LAYOUTS[config.geometry, config.bsm_partial, config.c_enabled]
+    layout = _layout(config.geometry, config.bsm_partial, config.c_enabled)
     draws = counter_uniforms(config.seed, np.arange(n), 2 + len(layout.plan))
     setting = 2 * (draws[:, 0] >= 0.5) + (draws[:, 1] >= 0.5)
     leaf = _sample_leaves(_TWO_SINGLETS.amplitudes, layout.tables,
@@ -453,9 +454,10 @@ class _ExactLayout(NamedTuple):
     heralds: Mapping[str, tuple[np.ndarray, np.ndarray]]
 
 
+@functools.cache
 def _exact_layout(order: tuple[EventLabel, ...], partial: bool) -> _ExactLayout:
-    """The layout of the executed plan that measures ``order``'s events in
-    turn, C as a full or ``partial`` BSM."""
+    """The layout that measures ``order``'s events in turn, C as a full or
+    ``partial`` BSM: any order of A, B and C, or of A and B with C off."""
     spins = {EventLabel.A: A_QUBIT, EventLabel.B: B_QUBIT}
     plan = tuple(SpinMeasurement(spins[label], 0.0) if label in spins
                  else BsmStep(*BSM_PAIR, partial=partial) for label in order)
@@ -481,22 +483,14 @@ def _exact_layout(order: tuple[EventLabel, ...], partial: bool) -> _ExactLayout:
     return _ExactLayout(plan, picks, cell, c_outcome, tables, walk, heralds)
 
 
-# Each (geometry, bsm_partial, c_enabled) config's executed plan: its
-# geometry's measurement order with C dropped when it is off, and whether a
-# C that runs is a partial BSM. A layout's tables depend on that alone, so
-# the configs of one executed plan share its layout: its angle-free table
-# parts and walk, built once at import.
-_EXECUTED_PLANS = {
-    (geometry, partial, c_enabled): (
-        tuple(label for label in measurement_order(geometry)
-              if c_enabled or label is not EventLabel.C),
-        partial and c_enabled,
-    )
-    for geometry, partial, c_enabled
-    in itertools.product(GEOMETRY_NAMES, (False, True), (True, False))
-}
-_PLAN_LAYOUTS = {plan: _exact_layout(*plan) for plan in dict.fromkeys(_EXECUTED_PLANS.values())}
-_EXACT_LAYOUTS = {key: _PLAN_LAYOUTS[plan] for key, plan in _EXECUTED_PLANS.items()}
+@functools.cache
+def _layout(geometry: str, partial: bool, c_enabled: bool) -> _ExactLayout:
+    """The layout of a config's executed plan, built on first use: its
+    geometry's measurement order with C dropped when it is off, and C a
+    partial BSM only when it runs. Configs of one plan share its layout."""
+    order = tuple(label for label in measurement_order(geometry)
+                  if c_enabled or label is not EventLabel.C)
+    return _exact_layout(order, partial and c_enabled)
 
 
 def exact_leaf_rows(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -509,9 +503,9 @@ def exact_leaf_rows(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, n
     (a, b, leaf) order, one per (a, b, A, B, c_outcome) key, including
     zero-probability ones. Summing rows in this order is summing the table.
     The cell and c_outcome columns and the bound walk depend on the layout
-    alone: they are built once, read-only and shared by every call, the
-    walk with all of it that reads no angle already run (with C first, the
-    whole BSM depth). Only the probabilities are computed here, by one
+    alone: they are built on first use, read-only and shared by every call,
+    the walk with all of it that reads no angle already run (with C first,
+    the whole BSM depth). Only the probabilities are computed here, by one
     ``qcore._walk`` from the config's four angles, each angle's spin
     components once.
     """
@@ -520,7 +514,7 @@ def exact_leaf_rows(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, n
 
 def _exact_rows(config: ExperimentConfig, c_enabled: bool) -> tuple[tuple, tuple]:
     """``exact_leaf_rows`` with C on or off, from that layout, and the herald's selection."""
-    layout = _EXACT_LAYOUTS[config.geometry, config.bsm_partial, c_enabled]
+    layout = _layout(config.geometry, config.bsm_partial, c_enabled)
     probs = _walk(layout.walk, config.angles_a + config.angles_b)
     return (layout.cell, layout.c_outcome, 0.25 * probs), layout.heralds[config.herald]
 

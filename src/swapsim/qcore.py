@@ -25,7 +25,7 @@ out. A partial BSM has one form: it resolves psi+ and psi-, and ``_fold``
 alone merges phi+ and phi- into NO_HERALD, for posts and weights alike.
 ``_bind_walk`` binds the tables to a start state and runs once all that
 reads no angle: the first gather of amplitudes and any leading BSM depth;
-each engine layout binds its walk once, at import
+each engine layout binds its walk once, on first use
 (``engine.exact_leaf_rows``). A call's values come from one vector,
 the Bell values and each distinct angle's spin components once, through an
 index composed with the plans' angle picks.

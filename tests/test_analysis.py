@@ -165,10 +165,41 @@ class TestCountTable:
 
     def test_cells_of_another_shape_raise(self):
         # The G-test zips a table's columns, so it would drop the surplus cells.
-        for columns, first in (({"t": np.array([0, 0, 1, 1])}, np.arange(3)),
-                               ({"t": np.array([0, 0, 1])}, np.arange(4))):
+        # A column named first stood in for the first rows, and select then
+        # raised IndexError; a list raised AttributeError.
+        for columns, count, first in (({"t": np.array([0, 0, 1, 1])}, [60, 70, 80], np.arange(3)),
+                                      ({"t": np.array([0, 0, 1])}, [60, 70, 80], np.arange(4)),
+                                      ({"first": np.array([0, 0])}, [1, 1], np.arange(3)),
+                                      ({"t": [0, 1]}, [60, 70, 80], [0, 1, 2]),
+                                      ({"t": [0, 1, 1]}, [60, 70], [0, 1])):
             with pytest.raises(ValueError, match="has shape"):
-                analysis.CountTable(columns, np.array([60, 70, 80]), first)
+                analysis.CountTable(columns, np.array(count), first)
+            with pytest.raises(ValueError, match="has shape"):
+                analysis.CountTable(columns, count, first)
+
+    def test_lists_read_as_arrays(self):
+        # Raised AttributeError: 'list' object has no attribute 'shape'.
+        lists = analysis.CountTable({"a": [0, 1], "b": [0, 0], "A": [1, 1], "B": [1, -1]},
+                                    [3, 2], [0, 1])
+        arrays = analysis.CountTable({"a": np.array([0, 1]), "b": np.array([0, 0]),
+                                      "A": np.array([1, 1]), "B": np.array([1, -1])},
+                                     np.array([3, 2]), np.array([0, 1]))
+        assert correlators(lists) == correlators(arrays)
+        assert len(lists) == 5 and lists.select([1])["B"].tolist() == [-1]
+        with pytest.raises(ValueError, match="counts must be integers >= 0"):
+            analysis.CountTable({"a": [0, 1]}, [2.5, 2], [0, 1])
+
+    def test_no_write_follows_the_checks(self):
+        # t["A"][0] = 5 was kept, and correlators then gave E(0,0) = 5.0.
+        cells = {"a": np.array([0, 0]), "b": np.array([0, 0]), "A": np.array([1, -1]),
+                 "B": np.array([1, 1])}
+        t = analysis.CountTable(cells, np.array([2, 1]), np.array([0, 1]))
+        for array in (*t.columns.values(), t.count, t.first):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 5
+        with pytest.raises(TypeError):
+            t.columns["A"] = np.array([5, 5])
+        assert correlators(t).values[(0, 0)] == pytest.approx(1 / 3)
 
     def test_quantum_bound_respected_on_generated_data(self):
         ens = run_trials(ExperimentConfig(n_trials=20_000, seed=31))

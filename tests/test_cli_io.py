@@ -280,7 +280,8 @@ class TestMissingColumns:
 
 def test_importing_the_cli_builds_no_writer_table():
     """Every swapsim invocation pays the CLI's import: the writers build
-    their row and digit tables, and the CLI its parser, on first use, and
+    their row and digit tables, the CLI its parser, and the engine its exact
+    layouts and their walk and branch tables, on first use, and
     scipy.special loads only for a G-test off the default alpha or above 32
     degrees of freedom."""
     code = (
@@ -288,10 +289,10 @@ def test_importing_the_cli_builds_no_writer_table():
         "import sys\n"
         "built = []\n"
         "argparse.ArgumentParser.__init__ = lambda self, *a, **kw: built.append(kw)\n"
-        "from swapsim import cli, io\n"
-        "caches = {name: f.cache_info().currsize for module in (cli, io)\n"
+        "from swapsim import cli, engine, io, qcore\n"
+        "caches = {name: f.cache_info().currsize for module in (cli, io, engine, qcore)\n"
         "          for name, f in vars(module).items() if hasattr(f, 'cache_info')}\n"
-        "assert len(caches) >= 4 and not any(caches.values()) and not built, caches\n"
+        "assert len(caches) >= 8 and not any(caches.values()) and not built, caches\n"
         "assert 'scipy.special' not in sys.modules\n"
         "print('ok')\n"
     )

@@ -28,10 +28,11 @@ tables: P(cell, accepted) = w/16 and P(cell, rejected) = (1 - w)/16 under
 an acceptance rule's weight w, and 1/9 per pair of choices, whose verdict
 the choices fix.
 
-The G statistic of each of ``simulate``'s G-tests is held to its own
-limit law: noncentral chi-squared at the test's degrees of freedom with
-noncentrality 2 n I, I the exact conditional mutual information of the
-hypothesis (central where I is 0), within two-sided bounds at ALPHA.
+The G statistic of each G-test that ``simulate``, ``toy`` and ``rps`` run
+is held to its own limit law: noncentral chi-squared at the test's degrees
+of freedom with noncentrality 2 n I, I the exact conditional mutual
+information of the hypothesis (central where I is 0), within two-sided
+bounds at ALPHA; a test with no degree of freedom reads G = 0 exactly.
 
 The teleport demo is held to its exact channel from
 ``qcore.exact_branch_enumeration``: its kept count to n P(kept) and each
@@ -252,18 +253,31 @@ SIMULATE_GTESTS = [
 ]
 
 
-def _exact_cmi(weights: np.ndarray, target: str, given: str, versus: str) -> float:
-    """I(target; versus | given) in nats under the CELLS weights, normalised;
-    each argument names a, b, A or B by letter."""
-    p = (weights / weights.sum()).reshape(2, 2, 2, 2)  # axes a, b, A, B, as CELLS orders them
+def _exact_cmi(weights: np.ndarray, target: str, given: str, versus: str,
+               axes: str = "abAB") -> float:
+    """I(target; versus | given) in nats under the weights, normalised, an
+    array with one axis per letter of ``axes`` (by default a, b, A, B, as
+    CELLS orders them); each argument names axes by letter."""
+    p = weights / weights.sum()
 
     def marginal(names: str) -> np.ndarray:
-        return p.sum(axis=tuple(i for i, name in enumerate("abAB") if name not in names),
+        return p.sum(axis=tuple(i for i, name in enumerate(axes) if name not in names),
                      keepdims=True)
 
     joint = marginal(target + given + versus)
     ratio = joint * marginal(given) / (marginal(given + target) * marginal(given + versus))
     return float(np.sum(joint * np.log(np.where(joint > 0.0, ratio, 1.0))))
+
+
+def _assert_follows_its_law(result: analysis.CITestResult, cmi: float) -> None:
+    """G within the two-sided ALPHA bounds of the noncentral chi-squared at
+    the test's dof and noncentrality 2 n I (central where I is 0); with no
+    degree of freedom, G is 0 exactly."""
+    if result.dof == 0:
+        assert result.divergence == 0.0 and abs(cmi) < 1e-12, (cmi, result)
+        return
+    law = chi2(result.dof) if abs(cmi) < 1e-12 else ncx2(result.dof, 2.0 * result.n * cmi)
+    assert law.ppf(ALPHA / 2.0) < result.divergence < law.isf(ALPHA / 2.0), (cmi, result)
 
 
 @functools.cache
@@ -283,11 +297,71 @@ def _simulate_gtests(geometry: str, seed: int) -> tuple[ExperimentConfig, dict]:
 def test_g_statistic_follows_its_noncentral_chi2(geometry, seed, hypothesis, target, given,
                                                  versus, heralded):
     config, results = _simulate_gtests(geometry, seed)
-    result = results[hypothesis]
     cell, c_outcome, prob = engine.exact_leaf_rows(config)
     if heralded:
         keep = engine.HERALD_MASKS[config.herald][c_outcome]
         cell, prob = cell[keep], prob[keep]
-    cmi = _exact_cmi(np.bincount(cell, prob, minlength=len(engine.CELLS)), target, given, versus)
-    law = chi2(result.dof) if abs(cmi) < 1e-12 else ncx2(result.dof, 2.0 * result.n * cmi)
-    assert law.ppf(ALPHA / 2.0) < result.divergence < law.isf(ALPHA / 2.0), (cmi, result)
+    weights = np.bincount(cell, prob, minlength=len(engine.CELLS)).reshape(2, 2, 2, 2)
+    _assert_follows_its_law(results[hypothesis], _exact_cmi(weights, target, given, versus))
+
+
+# The toy command's G-tests: (variant, hypothesis, target, given, versus, on
+# the accepted trials only). The source variant's lambda pair is its (A, B),
+# given in its LC_ps tests, where it fixes the target: 0 dof.
+TOY_GTESTS = [
+    ("collider", "LC_ps-A", "A", "a", "bB", True),
+    ("collider", "LC_ps-B", "B", "b", "aA", True),
+    ("collider", "LC-A", "A", "a", "bB", False),
+    ("collider", "LC-B", "B", "b", "aA", False),
+    ("source", "LC_ps-A", "A", "aAB", "bB", True),
+    ("source", "LC_ps-B", "B", "bAB", "aA", True),
+    ("source", "LC-A", "A", "a", "bB", False),
+    ("source", "LC-B", "B", "b", "aA", False),
+    ("source", "SI_ps", "AB", "", "ab", True),
+    ("source", "SI", "AB", "", "ab", False),
+]
+
+
+@functools.cache
+def _toy_gtests(variant: str, seed: int) -> dict:
+    """The toy command's G-test results on 2e5 trials, by hypothesis."""
+    source = variant == "source"
+    runner = toys.run_toy_source_variant if source else toys.run_toy_collider
+    trials = runner(N_TRIALS, seed, toys.singlet_weight_rule())
+    kept = toys.accepted(trials)
+    results = analysis.local_causality_tests(kept, post_selected=True, include_lambda=source)
+    results += analysis.local_causality_tests(trials, post_selected=False)
+    if source:
+        results += [analysis.statistical_independence_test(kept, post_selected=True),
+                    analysis.statistical_independence_test(trials, post_selected=False)]
+    return {result.hypothesis: result for result in results}
+
+
+@pytest.mark.parametrize("variant, hypothesis, target, given, versus, accepted", TOY_GTESTS,
+                         ids=[f"{case[0]}-{case[1]}" for case in TOY_GTESTS])
+@pytest.mark.parametrize("seed", [5, 6])
+def test_toy_g_statistic_follows_its_noncentral_chi2(seed, variant, hypothesis, target, given,
+                                                     versus, accepted):
+    # Accepted, a cell's weight is its acceptance weight; over all trials, 1.
+    rule = toys.singlet_weight_rule()
+    weights = (rule.table if accepted else np.ones(len(engine.CELLS))).reshape(2, 2, 2, 2)
+    _assert_follows_its_law(_toy_gtests(variant, seed)[hypothesis],
+                            _exact_cmi(weights, target, given, versus))
+
+
+@pytest.mark.parametrize("verdict", [None, *toys.RPS_VERDICTS],
+                         ids=lambda verdict: "unconditional" if verdict is None else verdict.value)
+@pytest.mark.parametrize("seed", [5, 6])
+def test_rps_g_statistic_follows_its_noncentral_chi2(seed, verdict):
+    # alice against bob, over all trials or given a verdict, which leaves
+    # one bob per alice: I is 0, or ln 3.
+    trials = toys.run_rps(N_TRIALS, seed)
+    weights = np.ones((3, 3))
+    if verdict is not None:
+        trials = trials.select(trials["verdict"] == toys.RPS_VERDICTS.index(verdict))
+        weights = np.array([[toys.rps_verdict(x, y) is verdict for y in toys.RPS_CHOICES]
+                            for x in toys.RPS_CHOICES], dtype=float)
+    cmi = _exact_cmi(weights, "x", "", "y", axes="xy")  # x alice, y bob
+    assert abs(cmi - (0.0 if verdict is None else math.log(3.0))) < 1e-15
+    result = analysis.test_conditional_independence(trials, "alice", (), ("bob",))
+    _assert_follows_its_law(result, cmi)

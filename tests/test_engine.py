@@ -186,7 +186,8 @@ class TestMeasurementOrder:
                           if c_enabled or label is not L.C)
             return order, partial and c_enabled
 
-        layouts = engine._EXACT_LAYOUTS
+        keys = itertools.product(engine.GEOMETRY_NAMES, (False, True), (True, False))
+        layouts = {key: engine._layout(*key) for key in keys}
         assert len(layouts) == 12 and len({id(layout) for layout in layouts.values()}) == 5
         for (key, layout), (other, other_layout) in itertools.product(layouts.items(), repeat=2):
             assert (layout is other_layout) == (executed(*key) == executed(*other)), (key, other)

@@ -30,16 +30,23 @@ import scalar_oracle
 from scalar_oracle import assert_same_table
 from swapsim import analysis, engine, io, qcore, toys
 from swapsim.engine import ExperimentConfig, Trials, run_trials
+from swapsim.geometry import EventLabel as L
 from swapsim.qcore import BellOutcome, BsmStep, SpinMeasurement, StateVector
 
 SEEDS = (0, 2**64 - 1)
 ODD_ANGLES = {"angles_a": (0.3, 1.9), "angles_b": (2.2, -0.7)}
 
+# Every (geometry, bsm_partial, c_enabled) config, and every layout that
+# engine._exact_layout builds, as (order, partial): each order of A, B and C
+# with a full or partial BSM, then each order of A and B with C off.
+CONFIG_KEYS = sorted(itertools.product(engine.GEOMETRY_NAMES, (False, True), (True, False)))
+LAYOUT_KEYS = [(order, partial) for order in itertools.permutations((L.A, L.B, L.C))
+               for partial in (False, True)] + [((L.A, L.B), False), ((L.B, L.A), False)]
+LAYOUT_IDS = ["".join(label.value for label in order) + ("-partial" if partial else "")
+              for order, partial in LAYOUT_KEYS]
 
-@pytest.mark.parametrize(
-    "geometry,partial,c_enabled",
-    list(itertools.product(engine.GEOMETRY_NAMES, (False, True), (True, False))),
-)
+
+@pytest.mark.parametrize("geometry,partial,c_enabled", CONFIG_KEYS)
 def test_run_trials_matches_oracle(geometry, partial, c_enabled):
     for seed, herald, angles in itertools.product(
         SEEDS, sorted(engine.HERALD_PREDICATES), ({}, ODD_ANGLES)
@@ -660,18 +667,21 @@ def test_exact_leaf_rows_share_read_only_columns(monkeypatch):
     walked = []
     monkeypatch.setattr(engine, "_walk", lambda *args: walked.append(args[0]) or
                         qcore._walk(*args))
-    for (geometry, partial, c_enabled), layout in engine._EXACT_LAYOUTS.items():
+    for geometry, partial, c_enabled in CONFIG_KEYS:
         cfg = ExperimentConfig(geometry=geometry, bsm_partial=partial, c_enabled=c_enabled,
                                angles_a=(0.3, 1.9))
         walked.clear()
         cell, c_outcome, prob = engine.exact_leaf_rows(cfg)
         again = engine.exact_leaf_rows(replace(cfg, angles_b=(2.2, -0.7)))
+        layout = engine._layout(geometry, partial, c_enabled)
         assert again[0] is cell is layout.cell and again[1] is c_outcome is layout.c_outcome
         assert len(walked) == 2 and all(tables is layout.walk for tables in walked)
+        prob[0] = 0.5  # a fresh array per call
+    for key in LAYOUT_KEYS:
+        layout = engine._exact_layout(*key)
         for table in _layout_tables(layout):
             with pytest.raises(ValueError):
                 table[(0,) * table.ndim] = 0
-        prob[0] = 0.5  # a fresh array per call
         with pytest.raises(TypeError):
             layout.heralds["psi-minus"] = layout.heralds["all"]
 
@@ -679,7 +689,9 @@ def test_exact_leaf_rows_share_read_only_columns(monkeypatch):
 def test_layout_herald_selections_are_the_masked_rows():
     """Each layout's selection for a herald holds the rows its mask flags,
     in row order, and their cells; with C off, none."""
-    for (_geometry, _partial, c_enabled), layout in engine._EXACT_LAYOUTS.items():
+    for order, partial in LAYOUT_KEYS:
+        layout = engine._exact_layout(order, partial)
+        c_enabled = L.C in order
         assert layout.heralds.keys() == engine.HERALD_MASKS.keys()
         for name, (rows, cells) in layout.heralds.items():
             want = np.flatnonzero(engine.HERALD_MASKS[name][layout.c_outcome])
@@ -694,7 +706,7 @@ def test_exact_walk_runs_on_float64_rows(monkeypatch):
     products = qcore._products
     monkeypatch.setattr(qcore, "_products",
                         lambda v, x: dtypes.append((v.dtype, x.dtype)) or products(v, x))
-    for key in engine._EXACT_LAYOUTS:
+    for key in CONFIG_KEYS:
         engine.exact_leaf_rows(ExperimentConfig(key[0], bsm_partial=key[1], c_enabled=key[2]))
     assert set(dtypes) == {(np.dtype(np.float64),) * 2}
     dtypes.clear()
@@ -704,13 +716,15 @@ def test_exact_walk_runs_on_float64_rows(monkeypatch):
 
 def test_exact_leaf_rows_calls_products_once_per_unbound_depth(monkeypatch):
     """A layout's walk reads no angle in a leading BSM depth, so it runs
-    that depth (its products and a partial BSM's fold) once, at import: a
-    table takes 2 ``_products`` calls when C comes first (early, full or
-    partial), 3 when C comes last (delayed, spacelike), 2 with C off."""
+    that depth (its products and a partial BSM's fold) once, when the layout
+    is built: a table takes 2 ``_products`` calls when C comes first (early,
+    full or partial), 3 when C comes last (delayed, spacelike), 2 with C
+    off."""
     calls = []
     products = qcore._products
     monkeypatch.setattr(qcore, "_products", lambda *args: calls.append(1) or products(*args))
-    for geometry, partial, c_enabled in engine._EXACT_LAYOUTS:
+    for geometry, partial, c_enabled in CONFIG_KEYS:
+        engine._layout(geometry, partial, c_enabled)
         calls.clear()
         engine.exact_leaf_rows(ExperimentConfig(geometry, bsm_partial=partial,
                                                 c_enabled=c_enabled))
@@ -750,25 +764,20 @@ def test_exact_leaf_rows_computes_each_angle_once(monkeypatch):
         assert calls == [at for angle in angles for at in (angle, angle + math.pi)]
 
 
-EXACT_LAYOUTS = sorted(engine._EXACT_LAYOUTS)
-
-
-@pytest.mark.parametrize("geometry,partial,c_enabled", EXACT_LAYOUTS)
+@pytest.mark.parametrize("order,partial", LAYOUT_KEYS, ids=LAYOUT_IDS)
 @settings(max_examples=25, deadline=None, database=None)
 @given(angles=st.tuples(*[walk_angles] * 4))
-def test_layout_walk_matches_enumerate_plans_property(geometry, partial, c_enabled, angles):
-    """A layout's bound walk, reading the config's four angles through its
-    composed value index, gives the oracle walk's leaf probabilities of
-    each of the four setting plans at its own angles, byte for byte."""
-    layout = engine._EXACT_LAYOUTS[geometry, partial, c_enabled]
-    cfg = ExperimentConfig(geometry=geometry, bsm_partial=partial, c_enabled=c_enabled,
-                           angles_a=angles[:2], angles_b=angles[2:])
-    want = 0.25 * np.concatenate([
+def test_layout_walk_matches_enumerate_plans_property(order, partial, angles):
+    """A layout's bound walk, reading the four angles through its composed
+    value index, gives the oracle walk's leaf probabilities of each of the
+    four setting plans at its own angles, byte for byte."""
+    layout = engine._exact_layout(order, partial)
+    want = np.concatenate([
         scalar_oracle.enumerate_plans(TWO_SINGLETS.amplitudes, layout.plan,
                                       [[angles[i] for i in pick]]).ravel()
         for pick in layout.picks
     ])
-    assert engine.exact_leaf_rows(cfg)[2].tobytes() == want.tobytes()
+    assert qcore._walk(layout.walk, angles).tobytes() == want.tobytes()
 
 
 # Angles for the closed form: any in [-8pi, 8pi], and the multiples of pi/4,
@@ -780,21 +789,19 @@ closed_form_angles = st.one_of(
 )
 
 
-@pytest.mark.parametrize("geometry,partial,c_enabled", EXACT_LAYOUTS)
+@pytest.mark.parametrize("order,partial", LAYOUT_KEYS, ids=LAYOUT_IDS)
 @settings(max_examples=25, deadline=None, database=None)
 @given(angles=st.tuples(*[st.one_of(closed_form_angles, st.sampled_from([1e17, -1e17]))] * 4))
-def test_float_walk_matches_complex_walk_property(geometry, partial, c_enabled, angles):
+def test_float_walk_matches_complex_walk_property(order, partial, angles):
     """A layout's walk on float64 rows gives the leaf probabilities of the
     same walk on complex rows (the oracle's), byte for byte: every value is
     real, and the leaf norms are zdotc on complex rows either way."""
-    layout = engine._EXACT_LAYOUTS[geometry, partial, c_enabled]
-    cfg = ExperimentConfig(geometry=geometry, bsm_partial=partial, c_enabled=c_enabled,
-                           angles_a=angles[:2], angles_b=angles[2:])
-    want = 0.25 * scalar_oracle.complex_walk(TWO_SINGLETS.amplitudes, angles, layout.tables)
-    assert engine.exact_leaf_rows(cfg)[2].tobytes() == want.tobytes()
+    layout = engine._exact_layout(order, partial)
+    want = scalar_oracle.complex_walk(TWO_SINGLETS.amplitudes, angles, layout.tables)
+    assert qcore._walk(layout.walk, angles).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("geometry,partial,c_enabled", EXACT_LAYOUTS)
+@pytest.mark.parametrize("geometry,partial,c_enabled", CONFIG_KEYS)
 @settings(max_examples=50, deadline=None, database=None)
 @given(angles=st.tuples(*[closed_form_angles] * 4), data=st.data())
 def test_exact_outputs_match_closed_form_property(geometry, partial, c_enabled, angles, data):
@@ -832,8 +839,49 @@ def test_exact_outputs_match_closed_form_property(geometry, partial, c_enabled, 
     assert abs(analysis.exact_chsh(cfg).S - s) <= 1e-13
 
 
+def _layout_rows(layout, angles) -> tuple:
+    """A layout's exact leaf rows at the four angles, as ``exact_leaf_rows``
+    gives a config's."""
+    return layout.cell, layout.c_outcome, 0.25 * qcore._walk(layout.walk, angles)
+
+
+@pytest.mark.parametrize("order,partial", LAYOUT_KEYS, ids=LAYOUT_IDS)
+@settings(max_examples=25, deadline=None, database=None)
+@given(angles=st.tuples(*[closed_form_angles] * 4))
+def test_layout_rows_match_closed_form_in_every_order_property(order, partial, angles):
+    """Every layout's exact rows, in any order of A, B and C, are the
+    closed form's table within 1e-15: no execution order enters it."""
+    cell, c_outcome, prob = _layout_rows(engine._exact_layout(order, partial), angles)
+    want = scalar_oracle.closed_form_table(ExperimentConfig(
+        bsm_partial=partial, c_enabled=L.C in order, angles_a=angles[:2], angles_b=angles[2:]))
+    c_keys = engine.OUTCOMES + (None,)
+    got = {engine.CELLS[i] + (c_keys[c],): p
+           for i, c, p in zip(cell.tolist(), c_outcome.tolist(), prob.tolist())}
+    assert got.keys() == want.keys()
+    assert max(abs(got[key] - want[key]) for key in want) <= 1e-15
+
+
+@pytest.mark.parametrize("order,partial", LAYOUT_KEYS[:12], ids=LAYOUT_IDS[:12])
+def test_paper_numbers_hold_in_every_execution_order(order, partial):
+    """Wherever C runs, before, after or between A and B, with a full or
+    partial BSM, at the default angles: the table summed over C is the C-off
+    table of the same A/B order (NoDifference), the psi- heralded |S| is
+    2 sqrt(2), and each fragility cell is (1 - A B cos(ta - tb))/4."""
+    layout = engine._exact_layout(order, partial)
+    off = engine._exact_layout(tuple(label for label in order if label is not L.C), False)
+    angles_a, angles_b = engine.DEFAULT_ANGLES_A, engine.DEFAULT_ANGLES_B
+    rows = _layout_rows(layout, angles_a + angles_b)
+    nda = analysis._no_difference(rows, _layout_rows(off, angles_a + angles_b))
+    assert nda.verdict is analysis.NdaVerdict.NO_DIFFERENCE, nda
+    kept = layout.heralds["psi-minus"]
+    assert abs(abs(analysis.chsh(analysis._heralded_correlators(rows, kept)).S)
+               - 2.0 * math.sqrt(2.0)) <= 1e-15
+    for (a, b, A, B), p in analysis._fragility(rows, kept).cells.items():
+        assert abs(p - (1.0 - A * B * math.cos(angles_a[a] - angles_b[b])) / 4.0) <= 1e-15
+
+
 @pytest.mark.parametrize("geometry,partial",
-                         sorted({(g, partial) for g, partial, _c in EXACT_LAYOUTS}))
+                         sorted({(g, partial) for g, partial, _c in CONFIG_KEYS}))
 @settings(max_examples=50, deadline=None, database=None)
 @given(angles=st.tuples(*[closed_form_angles] * 4))
 def test_singlet_weight_rule_is_twice_the_psi_minus_herald_property(geometry, partial, angles):
@@ -849,7 +897,7 @@ def test_singlet_weight_rule_is_twice_the_psi_minus_herald_property(geometry, pa
     assert max(abs(2.0 * p - w) for p, w in zip(cells.values(), weights.tolist())) <= 1e-14
 
 
-@pytest.mark.parametrize("geometry,partial,c_enabled", EXACT_LAYOUTS)
+@pytest.mark.parametrize("geometry,partial,c_enabled", CONFIG_KEYS)
 @settings(max_examples=15, deadline=None, database=None)
 @given(angles=st.tuples(*[closed_form_angles] * 4), same=st.booleans(),
        seed=st.integers(0, 2**64 - 1))
@@ -908,17 +956,17 @@ def _assert_sampler_matches_oracle(initial, tables, angles, plan, per_plan, plan
 
 
 # No shrink phase: a failing run of a thousand trials shrinks slowly.
-@pytest.mark.parametrize("geometry,partial,c_enabled", EXACT_LAYOUTS)
+@pytest.mark.parametrize("order,partial", LAYOUT_KEYS, ids=LAYOUT_IDS)
 @settings(max_examples=15, deadline=None, database=None,
           phases=[phase for phase in Phase if phase is not Phase.shrink])
 @given(angles=st.tuples(*[walk_angles] * 4), seed=st.integers(0, 2**32 - 1))
-def test_sampler_matches_oracle_sampler_property(geometry, partial, c_enabled, angles, seed):
+def test_sampler_matches_oracle_sampler_property(order, partial, angles, seed):
     """Each layout's sampler, descending the exact walk's tables from the
     one two-singlet state and reading the four angles through its picks,
     gives every trial the leaf of the sampler that laid out every node's
     posts, byte for byte: at random angles, at multiples of pi/2 that zero
     weights, and with draws on and just below slot edges."""
-    layout = engine._EXACT_LAYOUTS[geometry, partial, c_enabled]
+    layout = engine._exact_layout(order, partial)
     per_plan = [[angles[i] for i in pick] for pick in layout.picks]
     rng = np.random.default_rng(seed)
     initials = np.tile(TWO_SINGLETS.amplitudes, (len(per_plan), 1))
