@@ -160,8 +160,14 @@ class CountTable:
         return self.columns[name]
 
     def select(self, cells) -> CountTable:
+        # Any cells of a checked table pass every check, so none is run again.
         columns = {name: column[cells] for name, column in self.columns.items()}
-        return CountTable(columns, self.count[cells], self.first[cells])
+        count, first = self.count[cells], self.first[cells]
+        for array in (count, first, *columns.values()):
+            array.flags.writeable = False
+        table = object.__new__(CountTable)
+        vars(table).update(columns=MappingProxyType(columns), count=count, first=first)
+        return table
 
 
 def count_table(data: Trials, names, code: np.ndarray | None = None) -> CountTable:

@@ -37,6 +37,7 @@ from .qcore import (
     _walk,
     _walk_key,
     _walk_tables,
+    _walk_values,
     make_two_singlets,
 )
 
@@ -148,6 +149,16 @@ class ExperimentConfig:
         for name in ("angles_a", "angles_b"):
             object.__setattr__(self, name, check_angle_pair(getattr(self, name), name))
         _herald_outcomes(self.herald)
+
+    @functools.cached_property
+    def _values(self) -> np.ndarray:
+        """The read-only ``qcore._walk_values`` of ``angles_a + angles_b``,
+        which every walk of this config reads, built on first use. It is
+        kept on the object, not keyed by its fields: configs that differ
+        only in the sign of a zero angle are equal, but their values are not."""
+        values = _walk_values(self.angles_a + self.angles_b)
+        values.flags.writeable = False
+        return values
 
 
 def _herald_outcomes(name: str) -> frozenset[BellOutcome]:
@@ -392,8 +403,8 @@ def run_trials(config: ExperimentConfig) -> Trials:
     layout = _layout(config.geometry, config.bsm_partial, config.c_enabled)
     draws = counter_uniforms(config.seed, np.arange(n), 2 + len(layout.plan))
     setting = 2 * (draws[:, 0] >= 0.5) + (draws[:, 1] >= 0.5)
-    leaf = _sample_leaves(_TWO_SINGLETS.amplitudes, layout.tables,
-                          config.angles_a + config.angles_b, setting, draws[:, 2:])[0]
+    leaf = _sample_leaves(_TWO_SINGLETS.amplitudes, layout.tables, config._values, setting,
+                          draws[:, 2:])[0]
     a, b, A, B = np.take(_CELL_COLUMNS, layout.cell[leaf], axis=1)
     c_outcome = layout.c_outcome[leaf]
     return Trials({
@@ -506,8 +517,8 @@ def exact_leaf_rows(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, n
     alone: they are built on first use, read-only and shared by every call,
     the walk with all of it that reads no angle already run (with C first,
     the whole BSM depth). Only the probabilities are computed here, by one
-    ``qcore._walk`` from the config's four angles, each angle's spin
-    components once.
+    ``qcore._walk`` over the config's value vector: each of its four
+    angles' spin components, built once per config object, on first use.
     """
     return _exact_rows(config, config.c_enabled)[0]
 
@@ -515,7 +526,7 @@ def exact_leaf_rows(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, n
 def _exact_rows(config: ExperimentConfig, c_enabled: bool) -> tuple[tuple, tuple]:
     """``exact_leaf_rows`` with C on or off, from that layout, and the herald's selection."""
     layout = _layout(config.geometry, config.bsm_partial, c_enabled)
-    probs = _walk(layout.walk, config.angles_a + config.angles_b)
+    probs = _walk(layout.walk, config._values)
     return (layout.cell, layout.c_outcome, 0.25 * probs), layout.heralds[config.herald]
 
 

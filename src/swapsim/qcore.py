@@ -26,9 +26,11 @@ alone merges phi+ and phi- into NO_HERALD, for posts and weights alike.
 ``_bind_walk`` binds the tables to a start state and runs once all that
 reads no angle: the first gather of amplitudes and any leading BSM depth;
 each engine layout binds its walk once, on first use
-(``engine.exact_leaf_rows``). A call's values come from one vector,
-the Bell values and each distinct angle's spin components once, through an
-index composed with the plans' angle picks.
+(``engine.exact_leaf_rows``). A walk's values come from one vector that
+its caller builds (``_walk_values``), the Bell values and each distinct
+angle's spin components once, read through an index composed with the
+plans' angle picks: an engine config builds its vector once, on first use,
+for all of its walks.
 Every squared norm (a state's norm check, the sampler's branch weights, an
 exact leaf's probability) is ``_norm_sq`` of C-contiguous complex rows,
 which equals ``np.vdot`` of each row bit for bit. ``_products`` keeps its
@@ -370,8 +372,8 @@ def _draw(
 def _collapse(amps: np.ndarray, step: PlanStep, draw: float) -> tuple[object, np.ndarray]:
     """Raw collapse of one step with a uniform draw; inputs assumed valid."""
     tables, angles = _plan_walk(amps, [step])
-    (child,), leaves = _sample_leaves(amps, tables, angles, np.zeros(1, dtype=np.intp),
-                                      np.array([[draw]]))
+    (child,), leaves = _sample_leaves(amps, tables, _walk_values(angles),
+                                      np.zeros(1, dtype=np.intp), np.array([[draw]]))
     return _branch_outcomes(step)[child], leaves[child]
 
 
@@ -537,18 +539,17 @@ def _bind_walk(initial: np.ndarray, tables: tuple) -> tuple:
     return x, depths[lead:], initial.size
 
 
-def _walk(walk: tuple, angles: Sequence[float]) -> np.ndarray:
-    """Leaf probabilities of a ``_bind_walk`` walk, its picks indexing
-    ``angles``: flat, rows in plan, then depth-first outcome order, each
-    the squared norm of a leaf's unnormalized amplitudes.
+def _walk(walk: tuple, values: np.ndarray) -> np.ndarray:
+    """Leaf probabilities of a ``_bind_walk`` walk, its picks indexing the
+    angles of the value vector ``values`` (``_walk_values``, built by the
+    caller): flat, rows in plan, then depth-first outcome order, each the
+    squared norm of a leaf's unnormalized amplitudes.
 
-    One value vector, ``_BELL_VALUES`` and then each angle's spin
-    components, computed once; the depths left (``_walk_depths``); then
-    one ``_norm_sq`` call over the leaves, the walk's only norms.
+    The depths left (``_walk_depths``), then one ``_norm_sq`` call over the
+    leaves, the walk's only norms.
     """
     x, depths, size = walk
-    v = _walk_values(angles)
-    return _norm_sq(_walk_depths(x, v, depths).reshape(-1, size))
+    return _norm_sq(_walk_depths(x, values, depths).reshape(-1, size))
 
 
 def exact_branch_enumeration(
@@ -564,7 +565,7 @@ def exact_branch_enumeration(
     """
     _validate_plan(initial.num_qubits, plan)
     tables, angles = _plan_walk(initial.amplitudes, plan)
-    probs = _walk(_bind_walk(initial.amplitudes, tables), angles)
+    probs = _walk(_bind_walk(initial.amplitudes, tables), _walk_values(angles))
     codes = _plan_codes(plan)
     outcomes = [_branch_outcomes(step) for step in plan]
     keys = [tuple(outs[c] for outs, c in zip(outcomes, row)) for row in codes.tolist()]
@@ -574,12 +575,13 @@ def exact_branch_enumeration(
 def _sample_leaves(
     initial: np.ndarray,
     tables: tuple,
-    angles: Sequence[float],
+    values: np.ndarray,
     plan_of_row: np.ndarray,
     draws: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample the plans of ``_walk_tables``' ``tables``, their picks
-    indexing ``angles``, from the start state ``initial``: trial i runs
+    indexing the angles of the value vector ``values`` (``_walk_values``,
+    built by the caller), from the start state ``initial``: trial i runs
     plan ``plan_of_row[i]`` with draws ``draws[i]``. Returns each trial's
     leaf, its row of the exact walk's leaves, and every leaf's normalized
     state, shape (leaves, size).
@@ -593,7 +595,7 @@ def _sample_leaves(
     collapse. Each division, the leaves' too, runs once per tree node,
     not per trial."""
     start, depths = tables
-    values, size = _walk_values(angles), initial.size
+    size = initial.size
     x, node = initial[start], np.asarray(plan_of_row, dtype=np.intp)
     for (val, post, step, nxt, child), draw in zip(depths, np.asarray(draws).T):
         products, coeffs = _products(values[val], x)
@@ -625,5 +627,5 @@ def sample_branches(
     draws = _uniform_draws(draws, len(plan))
     tables, angles = _plan_walk(initial.amplitudes, plan)
     trials = np.zeros(len(draws), int)
-    leaves = _sample_leaves(initial.amplitudes, tables, angles, trials, draws)[0]
+    leaves = _sample_leaves(initial.amplitudes, tables, _walk_values(angles), trials, draws)[0]
     return _plan_codes(plan)[leaves].astype(np.int8)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swapsim import analysis, qcore
+from swapsim import analysis, cli, engine, qcore
 from swapsim.analysis import (
     CHSH_COMBINATION,
     CorrelatorTable,
@@ -200,6 +200,28 @@ class TestCountTable:
         with pytest.raises(TypeError):
             t.columns["A"] = np.array([5, 5])
         assert correlators(t).values[(0, 0)] == pytest.approx(1 / 3)
+
+    def test_select_equals_the_checked_slice(self):
+        # select builds its slice without the constructor's checks, which
+        # any cells of a checked table pass.
+        ens = run_trials(ExperimentConfig(n_trials=500, seed=8))
+        t = analysis.count_table(ens, ("a", "b", "A", "B", "c_outcome", "heralded"))
+        cells = len(t.count)
+        for pick in (t["heralded"], np.zeros(cells, bool), np.ones(cells, bool),
+                     np.arange(cells)[::-1], np.array([3, 3, 0, 3]), np.array([], np.intp),
+                     [1, 1], slice(2, 9, 3)):
+            got = t.select(pick)
+            want = analysis.CountTable({name: column[pick] for name, column in t.columns.items()},
+                                       t.count[pick], t.first[pick])
+            assert list(got.columns) == list(want.columns)
+            for g, w in zip((*got.columns.values(), got.count, got.first),
+                            (*want.columns.values(), want.count, want.first)):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+                with pytest.raises(ValueError, match="read-only"):
+                    g[:1] = 0
+            with pytest.raises(TypeError):
+                got.columns["a"] = t["a"]
+            assert len(got) == len(want) and correlators(got) == correlators(want)
 
     def test_quantum_bound_respected_on_generated_data(self):
         ens = run_trials(ExperimentConfig(n_trials=20_000, seed=31))
@@ -539,6 +561,37 @@ class TestExactProperties:
         for (a, b, A, B), p in fragility(cfg).cells.items():
             closed = (1.0 - A * B * math.cos(cfg.angles_a[a] - cfg.angles_b[b])) / 4.0
             assert abs(p - closed) < 1e-12
+
+
+class TestWalkValues:
+    """A config's walks read one value vector: the exact diagnostics walk
+    its tables five times, and a ``simulate --exact`` op samples once and
+    walks twice, but each builds the vector once."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls, walk_values = [], qcore._walk_values
+
+        def counted(angles):
+            calls.append(tuple(angles))
+            return walk_values(angles)
+
+        for module in (qcore, engine):  # whichever module calls it
+            monkeypatch.setattr(module, "_walk_values", counted, raising=False)
+        return calls
+
+    @pytest.mark.parametrize("geometry", GEOMETRY_NAMES)
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_diagnostics_build_the_values_once(self, built, geometry, partial):
+        cfg = ExperimentConfig(geometry, angles_a=(0.3, 1.9), bsm_partial=partial)
+        exact_chsh(cfg), no_difference_check(cfg), fragility(cfg), herald_probability(cfg)
+        assert built == [(0.3, 1.9) + cfg.angles_b]
+
+    def test_simulate_exact_builds_the_values_once(self, built, tmp_path):
+        argv = ["simulate", "--exact", "--trials", "50", "--seed", "3", "--out",
+                str(tmp_path / "run")]
+        assert cli.main(argv) == 0
+        assert built == [engine.DEFAULT_ANGLES_A + engine.DEFAULT_ANGLES_B]
 
 
 class TestTeleport:

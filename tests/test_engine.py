@@ -2,11 +2,12 @@
 
 import itertools
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from swapsim import engine, io, qcore, toys
+from swapsim import analysis, engine, io, qcore, toys
 from swapsim.engine import (
     DEFAULT_ANGLES_A,
     DEFAULT_ANGLES_B,
@@ -63,6 +64,21 @@ class TestRngContract:
         ids = [2**33 + 4, 5, 0, 2**64 - 2, 17, 17, 3, 2**32]
         expected = np.array([trial_rng(2**64 - 1, t).random(5) for t in ids])
         assert np.array_equal(counter_uniforms(2**64 - 1, ids, 5), expected)
+
+    @pytest.mark.parametrize("seed, trial_id, draws", [
+        (0, 0, ["0x1.7a5d3204726c0p-7", "0x1.eeb1585ce5460p-3", "0x1.c8667a55d9028p-4",
+                "0x1.20faf40a5fab6p-1", "0x1.0137e64510730p-1"]),
+        (7, 12345, ["0x1.aba9c215abd63p-1", "0x1.47aad4e874a5ap-2", "0x1.7559caf12f0bcp-2",
+                    "0x1.6c26d41025633p-1", "0x1.d24257b412e90p-2"]),
+        (2**64 - 1, 2**64 - 1, ["0x1.b51b3039c7c2ep-2", "0x1.249d42d27f351p-1",
+                                "0x1.fb86be0331922p-1", "0x1.694623e2f54cap-1",
+                                "0x1.9f84b07bfe378p-2"]),
+    ])
+    def test_counter_uniforms_known_answers(self, seed, trial_id, draws):
+        # swapsim's own words, pinned apart from numpy's Philox, up to the top key.
+        want = [float.fromhex(draw) for draw in draws]
+        assert counter_uniforms(seed, [trial_id], 5)[0].tolist() == want
+        assert trial_rng(seed, trial_id).random(5).tolist() == want
 
     def test_counter_uniforms_reject_seeds_outside_64_bits(self):
         for seed in (-1, 2**64):
@@ -168,6 +184,27 @@ class TestConfig:
         assert cfg.c_enabled is False and cfg.bsm_partial is True
         meta = config_meta(cfg)
         assert meta["c_enabled"] is False and meta["bsm_partial"] is True
+
+    @pytest.mark.parametrize("geometry", engine.GEOMETRY_NAMES)
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_walk_values_belong_to_the_config_object(self, geometry, partial):
+        # The two configs are equal, so a cache keyed by the config or its
+        # angles would hand one the other's values, which differ in a sign bit.
+        plus, minus = (ExperimentConfig(geometry, 500, seed=3, angles_a=(zero, math.pi / 2),
+                                        bsm_partial=partial) for zero in (0.0, -0.0))
+        assert plus == minus and hash(plus) == hash(minus)
+        assert plus._values.tobytes() != minus._values.tobytes()
+        for cfg in (plus, minus):
+            want = qcore._walk_values(cfg.angles_a + cfg.angles_b)
+            assert cfg._values.tobytes() == want.tobytes() and cfg._values is cfg._values
+            assert not cfg._values.flags.writeable
+            assert "_values" not in {field.name for field in fields(cfg)}
+            assert "_values" not in config_meta(cfg)
+        assert config_meta(plus) == config_meta(minus)
+        for got, want in zip(engine.exact_leaf_rows(plus), engine.exact_leaf_rows(minus)):
+            assert np.array_equal(got, want)
+        assert_same_table(run_trials(plus), run_trials(minus))
+        assert analysis.exact_report(plus) == analysis.exact_report(minus)
 
 
 class TestMeasurementOrder:

@@ -614,7 +614,7 @@ def walk_cases(draw):
 
 def _assert_walk_matches_oracle(initial, plan, angles) -> None:
     tables, flat = scalar_oracle.stacked_tables(plan, initial.size, angles)
-    got = qcore._walk(qcore._bind_walk(initial, tables), flat)
+    got = qcore._walk(qcore._bind_walk(initial, tables), qcore._walk_values(flat))
     want = scalar_oracle.enumerate_plans(initial, plan, angles).ravel()
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -745,7 +745,7 @@ def test_walk_with_every_depth_bound(plan):
     walk = qcore._bind_walk(TWO_SINGLETS.amplitudes, tables)
     assert walk[1] == () and not walk[0].flags.writeable
     want = scalar_oracle.enumerate_plans(TWO_SINGLETS.amplitudes, plan, [[]]).ravel()
-    assert qcore._walk(walk, []).tobytes() == want.tobytes()
+    assert qcore._walk(walk, qcore._walk_values([])).tobytes() == want.tobytes()
 
 
 def test_exact_leaf_rows_computes_each_angle_once(monkeypatch):
@@ -777,7 +777,7 @@ def test_layout_walk_matches_enumerate_plans_property(order, partial, angles):
                                       [[angles[i] for i in pick]]).ravel()
         for pick in layout.picks
     ])
-    assert qcore._walk(layout.walk, angles).tobytes() == want.tobytes()
+    assert qcore._walk(layout.walk, qcore._walk_values(angles)).tobytes() == want.tobytes()
 
 
 # Angles for the closed form: any in [-8pi, 8pi], and the multiples of pi/4,
@@ -798,7 +798,7 @@ def test_float_walk_matches_complex_walk_property(order, partial, angles):
     real, and the leaf norms are zdotc on complex rows either way."""
     layout = engine._exact_layout(order, partial)
     want = scalar_oracle.complex_walk(TWO_SINGLETS.amplitudes, angles, layout.tables)
-    assert qcore._walk(layout.walk, angles).tobytes() == want.tobytes()
+    assert qcore._walk(layout.walk, qcore._walk_values(angles)).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("geometry,partial,c_enabled", CONFIG_KEYS)
@@ -842,7 +842,8 @@ def test_exact_outputs_match_closed_form_property(geometry, partial, c_enabled, 
 def _layout_rows(layout, angles) -> tuple:
     """A layout's exact leaf rows at the four angles, as ``exact_leaf_rows``
     gives a config's."""
-    return layout.cell, layout.c_outcome, 0.25 * qcore._walk(layout.walk, angles)
+    probs = qcore._walk(layout.walk, qcore._walk_values(angles))
+    return layout.cell, layout.c_outcome, 0.25 * probs
 
 
 @pytest.mark.parametrize("order,partial", LAYOUT_KEYS, ids=LAYOUT_IDS)
@@ -949,9 +950,9 @@ def _assert_sampler_matches_oracle(initial, tables, angles, plan, per_plan, plan
         want = scalar_oracle.sample_leaves(initials, plan, per_plan, plan_of_row, draws)
     except RuntimeError as exc:
         with pytest.raises(RuntimeError, match=str(exc)):
-            qcore._sample_leaves(initial, tables, angles, plan_of_row, draws)
+            qcore._sample_leaves(initial, tables, qcore._walk_values(angles), plan_of_row, draws)
         return
-    got = qcore._sample_leaves(initial, tables, angles, plan_of_row, draws)[0]
+    got = qcore._sample_leaves(initial, tables, qcore._walk_values(angles), plan_of_row, draws)[0]
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 

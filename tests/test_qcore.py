@@ -38,6 +38,7 @@ from swapsim.qcore import (
     _sample_leaves,
     _walk,
     _walk_tables,
+    _walk_values,
 )
 from scalar_oracle import plan_branches, stacked_tables, walk_branches
 
@@ -570,7 +571,7 @@ class TestEnumeratePlansChecks:
     @staticmethod
     def walk(plan, angles):
         tables, flat = stacked_tables(plan, 16, angles)
-        probs = _walk(_bind_walk(basis_state(4, 1).amplitudes, tables), flat)
+        probs = _walk(_bind_walk(basis_state(4, 1).amplitudes, tables), _walk_values(flat))
         return probs.reshape(len(angles), -1)
 
     def test_angles_may_differ(self):
@@ -701,7 +702,8 @@ class TestSamplePlans:
         for state in (make_two_singlets(), StateVector(4, noise / np.linalg.norm(noise)),
                       basis_state(4, 5)):
             draws, plan_of_row = self.plan_edge_draws(state, rng)
-            leaves = _sample_leaves(state.amplitudes, tables, angles, plan_of_row, draws)[0]
+            leaves = _sample_leaves(state.amplitudes, tables, _walk_values(angles), plan_of_row,
+                                    draws)[0]
             assert np.array_equal(leaves // len(codes), plan_of_row)
             got = codes[leaves % len(codes)].astype(np.int8)
             assert got.shape == draws.shape
